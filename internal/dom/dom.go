@@ -11,6 +11,7 @@ package dom
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -67,6 +68,11 @@ type Node struct {
 
 	listeners map[string][]*Listener
 	doc       *Document
+
+	// Wrapper is the script binding's object for this node, kept here so a
+	// wrapper lives exactly as long as its node does. The DOM never reads
+	// it; clones start without one.
+	Wrapper any
 }
 
 // Document owns a DOM tree and its lookup indexes.
@@ -217,7 +223,7 @@ func (n *Node) AppendChild(child *Node) {
 func (n *Node) RemoveChild(child *Node) {
 	for i, c := range n.Children {
 		if c == child {
-			n.Children = append(n.Children[:i], n.Children[i+1:]...)
+			n.Children = slices.Delete(n.Children, i, i+1) // zeroes the vacated tail slot
 			child.Parent = nil
 			if n.doc != nil {
 				child.unindex(n.doc)

@@ -510,13 +510,13 @@ func RunSweep(ctx context.Context, r Runner, jobs []Job) []Result {
 
 // Stats is a snapshot of the fleet counters, served by /metrics.
 type Stats struct {
-	Workers     int                       `json:"workers"`
-	Queued      int64                     `json:"queued"`
-	Running     int64                     `json:"running"`
-	Done        int64                     `json:"done"`
-	Failed      int64                     `json:"failed"`
-	Retried     int64                     `json:"retried"`     // attempts beyond each job's first
-	Quarantined int64                     `json:"quarantined"` // jobs that exhausted every attempt
+	Workers     int                   `json:"workers"`
+	Queued      int64                 `json:"queued"`
+	Running     int64                 `json:"running"`
+	Done        int64                 `json:"done"`
+	Failed      int64                 `json:"failed"`
+	Retried     int64                 `json:"retried"`     // attempts beyond each job's first
+	Quarantined int64                 `json:"quarantined"` // jobs that exhausted every attempt
 	Utilization float64               `json:"utilization"` // busy worker-time / available worker-time since start
 	Latency     obs.HistogramSnapshot `json:"latency"`     // wall-clock job latency, seconds
 }

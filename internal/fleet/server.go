@@ -103,22 +103,22 @@ func (r SweepRequest) Jobs() ([]Job, error) {
 // ResultRow is the NDJSON wire form of one finished job, streamed by
 // GET /v1/sweeps/{id}/results in submission order.
 type ResultRow struct {
-	Index        int          `json:"index"`
-	App          string       `json:"app"`
-	Kind         harness.Kind `json:"kind"`
-	Phase        Phase        `json:"phase"`
-	State        State        `json:"state"`
+	Index int          `json:"index"`
+	App   string       `json:"app"`
+	Kind  harness.Kind `json:"kind"`
+	Phase Phase        `json:"phase"`
+	State State        `json:"state"`
 	// StageWorkers echoes the job's render-pipeline override; omitted for
 	// default-pipeline jobs so pre-existing sweep output is unchanged.
-	StageWorkers int `json:"stage_workers,omitempty"`
-	LatencyMS    float64      `json:"latency_ms"`
-	EnergyJ      float64      `json:"energy_j,omitempty"`
-	Frames       int          `json:"frames,omitempty"`
-	ViolationI   float64      `json:"violation_i,omitempty"`
-	ViolationU   float64      `json:"violation_u,omitempty"`
-	LoadMS       float64      `json:"load_latency_ms,omitempty"`
-	FreqSwitches int          `json:"freq_switches,omitempty"`
-	Migrations   int          `json:"migrations,omitempty"`
+	StageWorkers int     `json:"stage_workers,omitempty"`
+	LatencyMS    float64 `json:"latency_ms"`
+	EnergyJ      float64 `json:"energy_j,omitempty"`
+	Frames       int     `json:"frames,omitempty"`
+	ViolationI   float64 `json:"violation_i,omitempty"`
+	ViolationU   float64 `json:"violation_u,omitempty"`
+	LoadMS       float64 `json:"load_latency_ms,omitempty"`
+	FreqSwitches int     `json:"freq_switches,omitempty"`
+	Migrations   int     `json:"migrations,omitempty"`
 	// Ledger attribution columns (whole run including load): frame + idle
 	// partition the meter integral; event sums the input→completion
 	// overlays.
@@ -136,13 +136,13 @@ type ResultRow struct {
 	AttemptErrors []string `json:"attempt_errors,omitempty"`
 	Quarantined   bool     `json:"quarantined,omitempty"`
 	// Fault-adversity columns (zero, and omitted, on pristine hardware).
-	ThermalTrips int `json:"thermal_trips,omitempty"`
-	DVFSDenied   int `json:"dvfs_denied,omitempty"`
-	DVFSDelayed  int `json:"dvfs_delayed,omitempty"`
-	DAQDropped   int `json:"daq_dropped,omitempty"`
-	CapClamps    int `json:"cap_clamps,omitempty"`
-	Degradations int `json:"degradations,omitempty"`
-	Recoveries   int `json:"recoveries,omitempty"`
+	ThermalTrips int    `json:"thermal_trips,omitempty"`
+	DVFSDenied   int    `json:"dvfs_denied,omitempty"`
+	DVFSDelayed  int    `json:"dvfs_delayed,omitempty"`
+	DAQDropped   int    `json:"daq_dropped,omitempty"`
+	CapClamps    int    `json:"cap_clamps,omitempty"`
+	Degradations int    `json:"degradations,omitempty"`
+	Recoveries   int    `json:"recoveries,omitempty"`
 	Error        string `json:"error,omitempty"`
 }
 

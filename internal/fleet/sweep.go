@@ -110,14 +110,14 @@ type JobStatus struct {
 
 // SweepStatus is the GET /v1/sweeps/{id} body.
 type SweepStatus struct {
-	ID       SweepID     `json:"id"`
-	Created  time.Time   `json:"created"`
-	Total    int         `json:"total"`
-	Queued   int         `json:"queued"`
-	Running  int         `json:"running"`
-	Done     int         `json:"done"`
-	Failed   int         `json:"failed"`
-	Finished bool        `json:"finished"`
+	ID       SweepID   `json:"id"`
+	Created  time.Time `json:"created"`
+	Total    int       `json:"total"`
+	Queued   int       `json:"queued"`
+	Running  int       `json:"running"`
+	Done     int       `json:"done"`
+	Failed   int       `json:"failed"`
+	Finished bool      `json:"finished"`
 	// Persisted is true once the sweep is durable in the server's store
 	// (omitted entirely when the server runs without one).
 	Persisted bool `json:"persisted,omitempty"`

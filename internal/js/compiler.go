@@ -35,54 +35,54 @@ type OpCode uint8
 // Opcode set. A/B are operand slots whose meaning is per-opcode (constant
 // pool index, name index, jump target, child segment index, argc).
 const (
-	opStep       OpCode = iota // charge only (composite node entry)
-	opConst                    // push consts[A]
-	opThis                     // push lookup("this") or undefined
-	opLoad                     // push variable names[A]; error when undefined
-	opTypeofName               // push typeof names[A] ("undefined" when unbound)
-	opClosure                  // push a closure over fns[A]
-	opPop                      // drop top
-	opDup                      // duplicate top
-	opSwap                     // swap top two
-	opJmp                      // pc = A
-	opJF                       // pop; if falsy pc = A
-	opJFK                      // peek; if falsy pc = A (keep) else pop
-	opJTK                      // peek; if truthy pc = A (keep) else pop
-	opBinop                    // pop r, l; push binary op names[A] (full relational/equality/arith)
-	opArith                    // pop r, l; push arithmetic op names[A] (compound assignment)
-	opNeg                      // pop; push -ToNumber
-	opPlus                     // pop; push +ToNumber
-	opNot                      // pop; push !Truthy
-	opBitNot                   // pop; push ^ToInt32
-	opTypeof                   // pop; push typeof string
-	opIncDec                   // pop old; push Num(old.Number()+A) (A = ±1)
-	opPostfix                  // pop old; push Num(old.Number()), Num(old.Number()+A)
-	opGetProp                  // pop recv; push recv.names[A]
-	opGetIndex                 // pop idx, recv; push recv[idx]
-	opStoreName                // peek v; assign names[A] = v
-	opStoreProp                // pop recv; peek v; recv.names[A] = v
-	opStoreIndex               // pop idx, recv; peek v; recv[idx] = v
-	opDelProp                  // pop recv; delete recv.names[A]; push true
-	opDelIndex                 // pop idx, recv; delete recv[idx]; push true
-	opDefine                   // pop v; define names[A] = v in current scope
-	opMakeArray                // pop A elems; push array
-	opMakeObj                  // pop len(keysets[A]) values; push object
-	opCheckCall                // peek fn; error "names[A] is not a function" unless callable
-	opCall                     // pop A args, fn, this; push invoke result
-	opCheckCtor                // peek fn; error "not a constructor" unless callable
-	opNew                      // pop A args, fn; push constructed object
-	opRet                      // pop v; return (v, ctrlReturn)
-	opBreak                    // return ctrlBreak
-	opContinue                 // return ctrlContinue
-	opThrow                    // pop v; raise "uncaught: v"
-	opRunBlock                 // run segs[A] in a fresh child scope; propagate ctrl
-	opRunLoopBody              // run segs[A]; break → pc = B, continue → fall through, return → propagate
-	opPushScope                // enter a fresh child scope (for-loop header)
-	opPopScope                 // leave it
-	opForIn                    // pop x; run forins[A] (mirrors interp for-in)
-	opSwitch                   // pop tag; run switches[A] (mirrors execSwitch)
-	opTry                      // run tries[A] (mirrors execTry)
-	opFail                     // raise names[A] (unreachable-construct diagnostics)
+	opStep        OpCode = iota // charge only (composite node entry)
+	opConst                     // push consts[A]
+	opThis                      // push lookup("this") or undefined
+	opLoad                      // push variable names[A]; error when undefined
+	opTypeofName                // push typeof names[A] ("undefined" when unbound)
+	opClosure                   // push a closure over fns[A]
+	opPop                       // drop top
+	opDup                       // duplicate top
+	opSwap                      // swap top two
+	opJmp                       // pc = A
+	opJF                        // pop; if falsy pc = A
+	opJFK                       // peek; if falsy pc = A (keep) else pop
+	opJTK                       // peek; if truthy pc = A (keep) else pop
+	opBinop                     // pop r, l; push binary op names[A] (full relational/equality/arith)
+	opArith                     // pop r, l; push arithmetic op names[A] (compound assignment)
+	opNeg                       // pop; push -ToNumber
+	opPlus                      // pop; push +ToNumber
+	opNot                       // pop; push !Truthy
+	opBitNot                    // pop; push ^ToInt32
+	opTypeof                    // pop; push typeof string
+	opIncDec                    // pop old; push Num(old.Number()+A) (A = ±1)
+	opPostfix                   // pop old; push Num(old.Number()), Num(old.Number()+A)
+	opGetProp                   // pop recv; push recv.names[A]
+	opGetIndex                  // pop idx, recv; push recv[idx]
+	opStoreName                 // peek v; assign names[A] = v
+	opStoreProp                 // pop recv; peek v; recv.names[A] = v
+	opStoreIndex                // pop idx, recv; peek v; recv[idx] = v
+	opDelProp                   // pop recv; delete recv.names[A]; push true
+	opDelIndex                  // pop idx, recv; delete recv[idx]; push true
+	opDefine                    // pop v; define names[A] = v in current scope
+	opMakeArray                 // pop A elems; push array
+	opMakeObj                   // pop len(keysets[A]) values; push object
+	opCheckCall                 // peek fn; error "names[A] is not a function" unless callable
+	opCall                      // pop A args, fn, this; push invoke result
+	opCheckCtor                 // peek fn; error "not a constructor" unless callable
+	opNew                       // pop A args, fn; push constructed object
+	opRet                       // pop v; return (v, ctrlReturn)
+	opBreak                     // return ctrlBreak
+	opContinue                  // return ctrlContinue
+	opThrow                     // pop v; raise "uncaught: v"
+	opRunBlock                  // run segs[A] in a fresh child scope; propagate ctrl
+	opRunLoopBody               // run segs[A]; break → pc = B, continue → fall through, return → propagate
+	opPushScope                 // enter a fresh child scope (for-loop header)
+	opPopScope                  // leave it
+	opForIn                     // pop x; run forins[A] (mirrors interp for-in)
+	opSwitch                    // pop tag; run switches[A] (mirrors execSwitch)
+	opTry                       // run tries[A] (mirrors execTry)
+	opFail                      // raise names[A] (unreachable-construct diagnostics)
 
 	// Fused instructions: exact sequential equivalents of two-instruction
 	// patterns, merged at emit time to cut dispatch and stack traffic.

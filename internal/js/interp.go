@@ -185,7 +185,7 @@ func (in *Interp) execBlock(body []Stmt, env *Env) (Value, ctrl, error) {
 	for _, s := range body {
 		if fd, ok := s.(*FuncDecl); ok {
 			fn := &Function{Name: fd.Name, Params: fd.Fn.Params, Body: fd.Fn.Body, Env: env}
-			env.Define(fd.Name, ObjVal(&Object{Props: map[string]Value{}, Fn: fn}))
+			env.Define(fd.Name, ObjVal(&Object{Fn: fn}))
 		}
 	}
 	for _, s := range body {
@@ -550,7 +550,7 @@ func (in *Interp) eval(e Expr, env *Env) (Value, error) {
 
 	case *FuncLit:
 		fn := &Function{Name: x.Name, Params: x.Params, Body: x.Body, Env: env}
-		fv := ObjVal(&Object{Props: map[string]Value{}, Fn: fn})
+		fv := ObjVal(&Object{Fn: fn})
 		if x.Name != "" {
 			// Named function expressions can refer to themselves.
 			scope := NewEnv(env)

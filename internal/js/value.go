@@ -240,6 +240,8 @@ type HostObject interface {
 
 // Object is the heap value behind objects, arrays, and functions.
 type Object struct {
+	// Props is nil until the first named-property write: host objects,
+	// arrays and functions rarely get one, and reading a nil map is safe.
 	Props   map[string]Value
 	Elems   []Value
 	IsArray bool
@@ -253,16 +255,16 @@ type Object struct {
 }
 
 // NewObject returns an empty plain object.
-func NewObject() *Object { return &Object{Props: map[string]Value{}} }
+func NewObject() *Object { return &Object{} }
 
 // NewArray returns an array object with the given elements.
 func NewArray(elems ...Value) *Object {
-	return &Object{IsArray: true, Elems: elems, Props: map[string]Value{}}
+	return &Object{IsArray: true, Elems: elems}
 }
 
 // NewHost returns an object backed by a host implementation.
 func NewHost(h HostObject) *Object {
-	return &Object{Props: map[string]Value{}, Host: h}
+	return &Object{Host: h}
 }
 
 // Get reads a property, consulting the host first, then array intrinsics,
@@ -415,7 +417,7 @@ type Function struct {
 
 // NativeFunc wraps a Go function as a callable value.
 func NativeFunc(name string, fn func(in *Interp, this Value, args []Value) (Value, error)) Value {
-	return ObjVal(&Object{Props: map[string]Value{}, Fn: &Function{Name: name, Native: fn}})
+	return ObjVal(&Object{Fn: &Function{Name: name, Native: fn}})
 }
 
 // envSmallMax is the inline-storage capacity of a scope frame. Most frames

@@ -84,7 +84,7 @@ func (in *Interp) peek() Value { return in.vstack[len(in.vstack)-1] }
 func (in *Interp) execSeg(sg *segment, u *unit, env *Env) (Value, ctrl, error) {
 	for _, h := range sg.hoists {
 		fn := &Function{Name: h.name, Params: h.fn.params, Body: h.fn.srcBody, Env: env, Code: h.fn}
-		env.Define(h.name, ObjVal(&Object{Props: map[string]Value{}, Fn: fn}))
+		env.Define(h.name, ObjVal(&Object{Fn: fn}))
 	}
 	code := sg.code
 	for pc := 0; pc < len(code); pc++ {
@@ -127,7 +127,7 @@ func (in *Interp) execSeg(sg *segment, u *unit, env *Env) (Value, ctrl, error) {
 		case opClosure:
 			cf := u.fns[is.A]
 			fn := &Function{Name: cf.name, Params: cf.params, Body: cf.srcBody, Env: env, Code: cf}
-			fv := ObjVal(&Object{Props: map[string]Value{}, Fn: fn})
+			fv := ObjVal(&Object{Fn: fn})
 			if cf.name != "" {
 				// Named function expressions can refer to themselves.
 				scope := NewEnv(env)

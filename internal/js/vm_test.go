@@ -455,12 +455,12 @@ func TestCompileJumpTargets(t *testing.T) {
 // conservative: any textual mention keeps the array.
 func TestCompileNeedArgs(t *testing.T) {
 	cases := map[string]bool{
-		`function f() { return 1; }`:                                      false,
-		`function f() { return arguments.length; }`:                       true,
-		`function f() { return function() { return arguments[0]; }; }`:    true,
-		`function f() { if (0) { var x = arguments; } }`:                  true,
-		`function f(a) { return a; }`:                                     false,
-		`function f() { for (var k in arguments) {} }`:                    true,
+		`function f() { return 1; }`:                                   false,
+		`function f() { return arguments.length; }`:                    true,
+		`function f() { return function() { return arguments[0]; }; }`: true,
+		`function f() { if (0) { var x = arguments; } }`:               true,
+		`function f(a) { return a; }`:                                  false,
+		`function f() { for (var k in arguments) {} }`:                 true,
 	}
 	for src, want := range cases {
 		cp := Compile(MustParse(src))

@@ -40,19 +40,35 @@ type Services interface {
 const WorkOpsPerUnit = 1000
 
 // Bindings owns the interpreter↔DOM glue for one page.
+//
+// Each node's script wrapper lives on the node itself (dom.Node.Wrapper),
+// so it is collected with the node. Every DOM method is one function value per
+// Bindings, built in Install and returned on each read, so
+// el.appendChild === other.appendChild as in a browser. Element methods
+// find their node from this, the way WebIDL operations do; a detached call
+// (var f = el.appendChild; f(x)) is an illegal-invocation error.
 type Bindings struct {
 	In  *js.Interp
 	Doc *dom.Document
 	Svc Services
 
-	elems map[*dom.Node]js.Value
+	m methods
+}
+
+// methods holds the document and element method values of one Bindings.
+type methods struct {
+	getElementByID, getElementsByTagName, getElementsByClassName,
+	querySelector, querySelectorAll, createElement, createTextNode js.Value
+
+	addEventListener, setAttribute, getAttribute, appendChild, removeChild js.Value
 }
 
 // Install creates bindings and defines the globals scripts expect:
 // document, window, performance, requestAnimationFrame, setTimeout,
 // console (via the interpreter stdlib), and work().
 func Install(in *js.Interp, doc *dom.Document, svc Services) *Bindings {
-	b := &Bindings{In: in, Doc: doc, Svc: svc, elems: make(map[*dom.Node]js.Value)}
+	b := &Bindings{In: in, Doc: doc, Svc: svc}
+	b.m = b.newMethods()
 	in.InstallStdlib(svc.ConsoleLog)
 
 	docObj := js.NewHost(&documentHost{b})
@@ -108,18 +124,22 @@ func Install(in *js.Interp, doc *dom.Document, svc Services) *Bindings {
 	return b
 }
 
-// ElemValue returns the (cached) script wrapper for a DOM node, preserving
-// object identity across lookups as engines do.
+// ElemValue returns the script wrapper for a DOM node, preserving object
+// identity across lookups as engines do. The wrapper is cached on the node;
+// one made by another Bindings on the same document is never reused, so two
+// bindings never share wrappers (the latest to wrap a node keeps it).
 func (b *Bindings) ElemValue(n *dom.Node) js.Value {
 	if n == nil {
 		return js.Null
 	}
-	if v, ok := b.elems[n]; ok {
-		return v
+	if o, ok := n.Wrapper.(*js.Object); ok {
+		if h, ok := o.Host.(*elementHost); ok && h.b == b {
+			return js.ObjVal(o)
+		}
 	}
-	v := js.ObjVal(js.NewHost(&elementHost{b: b, n: n}))
-	b.elems[n] = v
-	return v
+	o := js.NewHost(&elementHost{b: b, n: n})
+	n.Wrapper = o
+	return js.ObjVal(o)
 }
 
 // NodeOf extracts the DOM node backing a script value, or nil.
@@ -166,22 +186,16 @@ func (b *Bindings) Handler(fn js.Value, onError func(error)) dom.Handler {
 	}
 }
 
-// ---- document host ----
-
-type documentHost struct{ b *Bindings }
-
-func (d *documentHost) HostGet(name string) (js.Value, bool) {
-	b := d.b
-	switch name {
-	case "getElementById":
-		return js.NativeFunc("getElementById", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
+// newMethods builds every document and element method once.
+func (b *Bindings) newMethods() methods {
+	return methods{
+		getElementByID: js.NativeFunc("getElementById", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
 			if len(args) == 0 {
 				return js.Null, nil
 			}
 			return b.ElemValue(b.Doc.GetElementByID(args[0].Text())), nil
-		}), true
-	case "getElementsByTagName":
-		return js.NativeFunc("getElementsByTagName", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
+		}),
+		getElementsByTagName: js.NativeFunc("getElementsByTagName", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
 			if len(args) == 0 {
 				return js.ObjVal(js.NewArray()), nil
 			}
@@ -190,9 +204,8 @@ func (d *documentHost) HostGet(name string) (js.Value, bool) {
 				arr.Elems = append(arr.Elems, b.ElemValue(n))
 			}
 			return js.ObjVal(arr), nil
-		}), true
-	case "getElementsByClassName":
-		return js.NativeFunc("getElementsByClassName", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
+		}),
+		getElementsByClassName: js.NativeFunc("getElementsByClassName", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
 			if len(args) == 0 {
 				return js.ObjVal(js.NewArray()), nil
 			}
@@ -201,9 +214,8 @@ func (d *documentHost) HostGet(name string) (js.Value, bool) {
 				arr.Elems = append(arr.Elems, b.ElemValue(n))
 			}
 			return js.ObjVal(arr), nil
-		}), true
-	case "querySelector":
-		return js.NativeFunc("querySelector", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
+		}),
+		querySelector: js.NativeFunc("querySelector", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
 			if len(args) == 0 {
 				return js.Null, nil
 			}
@@ -213,9 +225,8 @@ func (d *documentHost) HostGet(name string) (js.Value, bool) {
 			}
 			in.ChargeOps(int64(b.Doc.CountNodes()) / 2)
 			return b.ElemValue(n), nil
-		}), true
-	case "querySelectorAll":
-		return js.NativeFunc("querySelectorAll", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
+		}),
+		querySelectorAll: js.NativeFunc("querySelectorAll", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
 			arr := js.NewArray()
 			if len(args) == 0 {
 				return js.ObjVal(arr), nil
@@ -229,23 +240,104 @@ func (d *documentHost) HostGet(name string) (js.Value, bool) {
 			}
 			in.ChargeOps(int64(b.Doc.CountNodes()) / 2)
 			return js.ObjVal(arr), nil
-		}), true
-	case "createElement":
-		return js.NativeFunc("createElement", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
+		}),
+		createElement: js.NativeFunc("createElement", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
 			tag := "div"
 			if len(args) > 0 {
 				tag = args[0].Text()
 			}
 			return b.ElemValue(b.Doc.NewElement(tag)), nil
-		}), true
-	case "createTextNode":
-		return js.NativeFunc("createTextNode", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
+		}),
+		createTextNode: js.NativeFunc("createTextNode", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
 			text := ""
 			if len(args) > 0 {
 				text = args[0].Text()
 			}
 			return b.ElemValue(b.Doc.NewText(text)), nil
-		}), true
+		}),
+
+		addEventListener: b.elementMethod("addEventListener", func(n *dom.Node, args []js.Value) (js.Value, error) {
+			if len(args) < 2 {
+				return js.Undefined, fmt.Errorf("addEventListener: need event and handler")
+			}
+			n.AddEventListener(args[0].Text(), b.Handler(args[1], nil))
+			return js.Undefined, nil
+		}),
+		setAttribute: b.elementMethod("setAttribute", func(n *dom.Node, args []js.Value) (js.Value, error) {
+			if len(args) < 2 {
+				return js.Undefined, nil
+			}
+			n.SetAttr(args[0].Text(), args[1].Text())
+			return js.Undefined, nil
+		}),
+		getAttribute: b.elementMethod("getAttribute", func(n *dom.Node, args []js.Value) (js.Value, error) {
+			if len(args) == 0 {
+				return js.Null, nil
+			}
+			if v, ok := n.Attr(args[0].Text()); ok {
+				return js.Str(v), nil
+			}
+			return js.Null, nil
+		}),
+		appendChild: b.elementMethod("appendChild", func(n *dom.Node, args []js.Value) (js.Value, error) {
+			if len(args) == 0 {
+				return js.Undefined, nil
+			}
+			child := b.NodeOf(args[0])
+			if child == nil {
+				return js.Undefined, fmt.Errorf("appendChild: not a node")
+			}
+			n.AppendChild(child)
+			return args[0], nil
+		}),
+		removeChild: b.elementMethod("removeChild", func(n *dom.Node, args []js.Value) (js.Value, error) {
+			if len(args) == 0 {
+				return js.Undefined, nil
+			}
+			child := b.NodeOf(args[0])
+			if child == nil {
+				return js.Undefined, fmt.Errorf("removeChild: not a node")
+			}
+			n.RemoveChild(child)
+			return args[0], nil
+		}),
+	}
+}
+
+// elementMethod builds an element method that resolves its node from this.
+// Called on anything but a node wrapper it is an illegal invocation, as in
+// a browser.
+func (b *Bindings) elementMethod(name string, fn func(n *dom.Node, args []js.Value) (js.Value, error)) js.Value {
+	return js.NativeFunc(name, func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
+		n := b.NodeOf(this)
+		if n == nil {
+			return js.Undefined, fmt.Errorf("%s: illegal invocation", name)
+		}
+		return fn(n, args)
+	})
+}
+
+// ---- document host ----
+
+type documentHost struct{ b *Bindings }
+
+func (d *documentHost) HostGet(name string) (js.Value, bool) {
+	b := d.b
+	switch name {
+	case "getElementById":
+		return b.m.getElementByID, true
+	case "getElementsByTagName":
+		return b.m.getElementsByTagName, true
+	case "getElementsByClassName":
+		return b.m.getElementsByClassName, true
+	case "querySelector":
+		return b.m.querySelector, true
+	case "querySelectorAll":
+		return b.m.querySelectorAll, true
+	case "createElement":
+		return b.m.createElement, true
+	case "createTextNode":
+		return b.m.createTextNode, true
 	case "body":
 		if els := b.Doc.GetElementsByTag("body"); len(els) > 0 {
 			return b.ElemValue(els[0]), true
@@ -298,55 +390,15 @@ func (h *elementHost) HostGet(name string) (js.Value, bool) {
 		}
 		return h.style, true
 	case "addEventListener":
-		return js.NativeFunc("addEventListener", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-			if len(args) < 2 {
-				return js.Undefined, fmt.Errorf("addEventListener: need event and handler")
-			}
-			n.AddEventListener(args[0].Text(), b.Handler(args[1], nil))
-			return js.Undefined, nil
-		}), true
+		return b.m.addEventListener, true
 	case "setAttribute":
-		return js.NativeFunc("setAttribute", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-			if len(args) < 2 {
-				return js.Undefined, nil
-			}
-			n.SetAttr(args[0].Text(), args[1].Text())
-			return js.Undefined, nil
-		}), true
+		return b.m.setAttribute, true
 	case "getAttribute":
-		return js.NativeFunc("getAttribute", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-			if len(args) == 0 {
-				return js.Null, nil
-			}
-			if v, ok := n.Attr(args[0].Text()); ok {
-				return js.Str(v), nil
-			}
-			return js.Null, nil
-		}), true
+		return b.m.getAttribute, true
 	case "appendChild":
-		return js.NativeFunc("appendChild", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-			if len(args) == 0 {
-				return js.Undefined, nil
-			}
-			child := b.NodeOf(args[0])
-			if child == nil {
-				return js.Undefined, fmt.Errorf("appendChild: not a node")
-			}
-			n.AppendChild(child)
-			return args[0], nil
-		}), true
+		return b.m.appendChild, true
 	case "removeChild":
-		return js.NativeFunc("removeChild", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-			if len(args) == 0 {
-				return js.Undefined, nil
-			}
-			child := b.NodeOf(args[0])
-			if child == nil {
-				return js.Undefined, fmt.Errorf("removeChild: not a node")
-			}
-			n.RemoveChild(child)
-			return args[0], nil
-		}), true
+		return b.m.removeChild, true
 	}
 	return js.Undefined, false
 }
