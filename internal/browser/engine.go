@@ -2,7 +2,7 @@ package browser
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/css"
@@ -115,9 +115,14 @@ type Engine struct {
 	curProv     Provenance
 	curDispatch *DispatchResult
 
-	uidSeq  UID
-	inputs  map[UID]InputRecord
+	uidSeq UID
+	inputs map[UID]InputRecord
+	// refs counts the references to each input whose closure is still open;
+	// an input leaves it when it completes. zeroed lists the inputs whose
+	// count dropped to zero since the last completion check: the only
+	// candidates that check has to look at.
 	refs    map[UID]int
+	zeroed  []UID
 	done    map[UID]bool
 	results []FrameResult
 
@@ -517,7 +522,6 @@ func (e *Engine) newInput(event, target string) UID {
 	e.uidSeq++
 	uid := e.uidSeq
 	e.inputs[uid] = InputRecord{UID: uid, Event: event, Target: target, Start: e.simu.Now()}
-	e.refs[uid] = 0
 	e.ref(uid, +1) // in-flight input processing
 	obsInputs.Inc()
 	if e.led != nil {
@@ -666,26 +670,40 @@ func (e *Engine) enqueueMsg(rec InputRecord) {
 // ---- reference counting for event closure (Sec. 6.4) ----
 
 func (e *Engine) ref(uid UID, delta int) {
-	e.refs[uid] += delta
-	if e.refs[uid] < 0 {
+	n := e.refs[uid] + delta
+	if n < 0 {
 		panic(fmt.Sprintf("browser: negative refcount for input %d", uid))
+	}
+	e.refs[uid] = n
+	if n == 0 {
+		e.zeroed = append(e.zeroed, uid)
 	}
 }
 
 // checkComplete fires OnEventComplete for inputs whose transitive closure
 // has been exhausted: no queued message, pending animation, or in-flight
-// work references them anymore. Completions fire in ascending UID order so
-// simultaneous completions notify the governor deterministically.
+// work references them anymore. Only inputs whose count dropped to zero
+// since the last check are examined, so a check costs O(inputs that just
+// went quiet), not O(every input the page has received). Completions fire
+// in ascending UID order so simultaneous completions notify the governor
+// deterministically.
 func (e *Engine) checkComplete() {
 	var ready []UID
-	for uid, n := range e.refs {
-		if n == 0 && !e.done[uid] {
+	for _, uid := range e.zeroed {
+		// A candidate may have been referenced again since it hit zero, or
+		// be listed twice (zero, re-referenced, zero again).
+		if e.refs[uid] != 0 {
+			continue
+		}
+		delete(e.refs, uid)
+		if !e.done[uid] {
+			e.done[uid] = true
 			ready = append(ready, uid)
 		}
 	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
+	e.zeroed = e.zeroed[:0]
+	slices.Sort(ready)
 	for _, uid := range ready {
-		e.done[uid] = true
 		e.gov.OnEventComplete(uid)
 		// Close the event's energy span after the governor reacts, so its
 		// completion-time annotations land on the span; any configuration

@@ -46,6 +46,10 @@ func (r *SuiteRunner) Prefetch(cells []harness.Cell) (map[harness.Cell]*harness.
 	return out, nil
 }
 
+// Workers reports the pool's width. The suite runs the per-app executions
+// its generators do themselves at this width too.
+func (r *SuiteRunner) Workers() int { return r.pool.Workers() }
+
 // NewSuite returns a harness suite whose generators prefetch through the
 // pool — the drop-in parallel replacement for harness.NewSuite().
 func NewSuite(ctx context.Context, pool *Pool) *harness.Suite {

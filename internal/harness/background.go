@@ -7,6 +7,7 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/apps"
 	"github.com/wattwiseweb/greenweb/internal/browser"
+	"github.com/wattwiseweb/greenweb/internal/ledger"
 	"github.com/wattwiseweb/greenweb/internal/metrics"
 	"github.com/wattwiseweb/greenweb/internal/qos"
 	"github.com/wattwiseweb/greenweb/internal/sim"
@@ -47,11 +48,15 @@ func startBackground(s *sim.Simulator, cpu *acmp.CPU, load BackgroundLoad) (stop
 }
 
 // ExecuteWithBackground runs a full interaction with a background
-// application sharing the SoC.
+// application sharing the SoC. Like every measured run, it closes out an
+// attribution ledger and fails on a conservation violation; the background
+// app's energy lands in the frame/idle slice it was drawn in.
 func ExecuteWithBackground(app *apps.App, kind Kind, load BackgroundLoad) (*Run, error) {
 	s := sim.New()
 	cpu := acmp.NewCPU(s, acmp.DefaultPower())
 	e := browser.New(s, cpu, nil)
+	led := ledger.New(cpu)
+	e.SetLedger(led)
 	gov := newGovernor(kind)
 	e.SetGovernor(gov)
 	if _, err := e.LoadPage(app.HTML()); err != nil {
@@ -83,6 +88,9 @@ func ExecuteWithBackground(app *apps.App, kind Kind, load BackgroundLoad) (*Run,
 	run.ViolationI = metrics.GeoMeanPct(violationsOf(colI, t0))
 	run.ViolationU = metrics.GeoMeanPct(violationsOf(colU, t0))
 	run.TotalEnergy = cpu.Energy()
+	if err := run.closeLedger(led); err != nil {
+		return nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
+	}
 	if errs := e.ScriptErrors(); len(errs) > 0 {
 		return nil, fmt.Errorf("harness: %s/%s: script errors: %v", app.Name, kind, errs[0])
 	}
@@ -142,36 +150,40 @@ func ExperimentVariation(appName string, kind Kind, runs int, jitter sim.Duratio
 // CPU: the foreground's QoS must hold (ample cores; only the shared DVFS
 // domain couples them), with the background's energy added on top.
 func (s *Suite) ExperimentBackground(appNames ...string) ([]BackgroundRow, error) {
-	var cells []Cell
-	for _, name := range appNames {
-		if app, ok := apps.ByName(name); ok {
-			cells = append(cells, Cell{App: app, Kind: GreenWebI, Full: true})
-		}
-	}
-	if err := s.prefetch(cells); err != nil {
-		return nil, err
-	}
-	var rows []BackgroundRow
-	for _, name := range appNames {
+	fg := make([]*apps.App, len(appNames))
+	cells := make([]Cell, len(appNames))
+	for i, name := range appNames {
 		app, ok := apps.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("harness: unknown app %q", name)
 		}
-		solo, err := s.Full(app, GreenWebI)
+		fg[i] = app
+		cells[i] = Cell{App: app, Kind: GreenWebI, Full: true}
+	}
+	if err := s.prefetch(cells); err != nil {
+		return nil, err
+	}
+	solo, err := s.fullRuns(fg, GreenWebI)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]BackgroundRow, len(fg))
+	err = s.fanOut(len(fg), func(i int) error {
+		loaded, err := ExecuteWithBackground(fg[i], GreenWebI, DefaultBackgroundLoad())
 		if err != nil {
-			return nil, err
+			return err
 		}
-		loaded, err := ExecuteWithBackground(app, GreenWebI, DefaultBackgroundLoad())
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, BackgroundRow{
-			App:          app.Name,
-			SoloViolI:    solo.ViolationI,
+		rows[i] = BackgroundRow{
+			App:          fg[i].Name,
+			SoloViolI:    solo[i].ViolationI,
 			LoadedViolI:  loaded.ViolationI,
-			SoloEnergy:   float64(solo.Energy),
+			SoloEnergy:   float64(solo[i].Energy),
 			LoadedEnergy: float64(loaded.Energy),
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -383,29 +383,35 @@ func (s *Suite) AblationPredictor() ([]PredictorRow, error) {
 	if err := s.prefetch(cellsFor(true, Perf)); err != nil {
 		return nil, err
 	}
-	var rows []PredictorRow
-	for _, a := range apps.All() {
-		perf, err := s.Full(a, Perf)
-		if err != nil {
-			return nil, err
-		}
+	catalog := apps.All()
+	perf, err := s.fullRuns(catalog, Perf)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]PredictorRow, len(catalog))
+	err = s.fanOut(len(catalog), func(i int) error {
+		a := catalog[i]
 		cold, trainedModels, err := executeSeeded(context.Background(), a, GreenWebI, a.Full, nil, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		trained, _, err := executeSeeded(context.Background(), a, GreenWebI, a.Full, trainedModels, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rows = append(rows, PredictorRow{
+		rows[i] = PredictorRow{
 			App:             a.Name,
-			ColdViol:        cold.ViolationI - perf.ViolationI,
-			TrainedViol:     trained.ViolationI - perf.ViolationI,
+			ColdViol:        cold.ViolationI - perf[i].ViolationI,
+			TrainedViol:     trained.ViolationI - perf[i].ViolationI,
 			ColdSwitches:    cold.Switches.Total(),
 			TrainedSwitches: trained.Switches.Total(),
-			ColdPct:         metrics.NormalizedPct(cold.Energy, perf.Energy),
-			TrainedPct:      metrics.NormalizedPct(trained.Energy, perf.Energy),
-		})
+			ColdPct:         metrics.NormalizedPct(cold.Energy, perf[i].Energy),
+			TrainedPct:      metrics.NormalizedPct(trained.Energy, perf[i].Energy),
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -476,32 +482,38 @@ func (s *Suite) ComparisonAutoGreen() ([]AutoGreenRow, error) {
 	if err := s.prefetch(cellsFor(true, Perf, GreenWebI)); err != nil {
 		return nil, err
 	}
-	var rows []AutoGreenRow
-	for _, a := range apps.All() {
-		perf, err := s.Full(a, Perf)
-		if err != nil {
-			return nil, err
-		}
-		manual, err := s.Full(a, GreenWebI)
-		if err != nil {
-			return nil, err
-		}
+	catalog := apps.All()
+	perf, err := s.fullRuns(catalog, Perf)
+	if err != nil {
+		return nil, err
+	}
+	manual, err := s.fullRuns(catalog, GreenWebI)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]AutoGreenRow, len(catalog))
+	err = s.fanOut(len(catalog), func(i int) error {
+		a := catalog[i]
 		annotated, report, err := autogreen.Annotate(a.BaseHTML)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		auto, _, err := executeHTML(context.Background(), a, annotated, GreenWebI, a.Full, nil, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rows = append(rows, AutoGreenRow{
+		rows[i] = AutoGreenRow{
 			App:        a.Name,
-			ManualPct:  metrics.NormalizedPct(manual.Energy, perf.Energy),
-			AutoPct:    metrics.NormalizedPct(auto.Energy, perf.Energy),
-			ManualViol: manual.ViolationI - perf.ViolationI,
-			AutoViol:   auto.ViolationI - perf.ViolationI,
+			ManualPct:  metrics.NormalizedPct(manual[i].Energy, perf[i].Energy),
+			AutoPct:    metrics.NormalizedPct(auto.Energy, perf[i].Energy),
+			ManualViol: manual[i].ViolationI - perf[i].ViolationI,
+			AutoViol:   auto.ViolationI - perf[i].ViolationI,
 			Findings:   len(report.Findings),
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

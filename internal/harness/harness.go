@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/apps"
@@ -441,17 +443,9 @@ func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, tra
 	}
 	run.TotalEnergy = cpu.Energy()
 	run.FrameResults = e.Results()
-	// Close out the attribution ledger and enforce conservation: every joule
-	// the meter integrated must appear in exactly one frame/idle span, so an
-	// attribution bug fails the run instead of silently skewing the numbers.
-	led.Finish()
-	if err := led.Check(); err != nil {
+	if err := run.closeLedger(led); err != nil {
 		return nil, nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
 	}
-	run.FrameEnergy, run.IdleEnergy, run.EventEnergy = led.Summary()
-	run.StageEnergy = led.StageEnergy()
-	run.Spans = led.Spans()
-	run.ConfigMarks = led.Marks()
 	run.Decisions = rec.Decisions()
 	if daq != nil {
 		daq.Stop()
@@ -475,6 +469,22 @@ func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, tra
 	}
 	obsRuns.With(string(kind)).Inc()
 	return run, trained, nil
+}
+
+// closeLedger closes out the run's attribution ledger and enforces
+// conservation: every joule the meter integrated must appear in exactly one
+// frame/idle span, so an attribution bug fails the run instead of silently
+// skewing the numbers. The totals and the exported timeline all come from
+// one span snapshot.
+func (run *Run) closeLedger(led *ledger.Ledger) error {
+	spans, t, err := led.Close()
+	if err != nil {
+		return err
+	}
+	run.FrameEnergy, run.IdleEnergy, run.EventEnergy, run.StageEnergy = t.Frame, t.Idle, t.Event, t.Stage
+	run.Spans = spans
+	run.ConfigMarks = led.Marks()
+	return nil
 }
 
 // violationsOf extracts violation percentages for frames completing at or
@@ -564,6 +574,65 @@ func (s *Suite) prefetch(cells []Cell) error {
 		}
 	}
 	return nil
+}
+
+// width is how many of a generator's own per-app executions (the ones it
+// runs itself rather than reading from prefetched cells) may run at once:
+// the prefetcher's worker count when it reports one, else 1.
+func (s *Suite) width() int {
+	if w, ok := s.pre.(interface{ Workers() int }); ok {
+		return max(w.Workers(), 1)
+	}
+	return 1
+}
+
+// fanOut runs body(i) for every i in [0, n) on s.width() goroutines. Each
+// body must be a pure function of i that writes only its own slot of an
+// index-addressed result. Workers take indices in ascending order and stop
+// taking them once a body fails; every lower index has started by then, so
+// the error returned, the lowest-index one, is the same at any width.
+func (s *Suite) fanOut(n int, body func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := min(s.width(), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if errs[i] = body(i); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fullRuns reads the full-interaction runs of each app under kind, in
+// order. Generators read them before fanning out, so fan-out bodies never
+// touch the suite's caches.
+func (s *Suite) fullRuns(as []*apps.App, kind Kind) ([]*Run, error) {
+	out := make([]*Run, len(as))
+	for i, a := range as {
+		r, err := s.Full(a, kind)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = r
+	}
+	return out, nil
 }
 
 // cellsFor builds the cross product all the generators iterate: every

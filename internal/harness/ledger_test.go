@@ -152,3 +152,23 @@ func TestGreenWebRunAnnotatesSpans(t *testing.T) {
 		t.Error("no frame spans carry feedback outcomes")
 	}
 }
+
+// TestBackgroundRunConservation holds runs that share the SoC with a
+// background app to the invariant every other run meets: frame + idle
+// energy partition the whole-run meter integral, the background app's
+// draw included.
+func TestBackgroundRunConservation(t *testing.T) {
+	app, _ := apps.ByName("MSN")
+	run, err := ExecuteWithBackground(app, GreenWebI, DefaultBackgroundLoad())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.FrameEnergy <= 0 || run.IdleEnergy <= 0 || run.EventEnergy <= 0 {
+		t.Fatalf("energy not attributed: frame %v J, idle %v J, event %v J",
+			run.FrameEnergy, run.IdleEnergy, run.EventEnergy)
+	}
+	if d := math.Abs(float64(run.FrameEnergy + run.IdleEnergy - run.TotalEnergy)); d > ledger.ConservationTolerance {
+		t.Errorf("frame %.12f J + idle %.12f J != meter integral %.12f J (|Δ|=%.3e)",
+			float64(run.FrameEnergy), float64(run.IdleEnergy), float64(run.TotalEnergy), d)
+	}
+}

@@ -140,6 +140,17 @@ func TestEscapeRoundTrip(t *testing.T) {
 	}
 }
 
+func TestEscapePlainTextAllocatesNothing(t *testing.T) {
+	plain := "plain text with no markup characters"
+	var got string
+	if n := testing.AllocsPerRun(100, func() { got = Escape(plain) }); n != 0 {
+		t.Fatalf("Escape(plain) allocated %v times per call, want 0", n)
+	}
+	if got != plain {
+		t.Fatalf("Escape(%q) = %q", plain, got)
+	}
+}
+
 func TestParseTree(t *testing.T) {
 	doc := Parse(`<html><body><div id="main"><p>one</p><p>two</p></div></body></html>`)
 	main := doc.GetElementByID("main")

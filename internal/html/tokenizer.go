@@ -373,8 +373,10 @@ func Unescape(s string) string {
 	return b.String()
 }
 
-// Escape encodes text for safe embedding in HTML content.
-func Escape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// escaper is shared: a Replacer is safe for concurrent use, and building
+// one allocates its lookup table.
+var escaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+// Escape encodes text for safe embedding in HTML content. Text with nothing
+// to escape is returned as is, without allocating.
+func Escape(s string) string { return escaper.Replace(s) }

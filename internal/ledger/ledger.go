@@ -357,43 +357,65 @@ func (l *Ledger) Spans() []Span {
 // Marks returns the configuration-change history observed by the ledger.
 func (l *Ledger) Marks() []ConfigMark { return l.marks }
 
+// Totals are span energies summed per kind. Frame + Idle partition the
+// meter integral; Event may double-count overlapping events; Stage never
+// exceeds Frame (stage windows are disjoint and nested inside frames).
+type Totals struct {
+	Frame, Idle, Event, Stage acmp.Joules
+}
+
+// totals sums a Spans snapshot per kind, in snapshot order. Summing the
+// sorted snapshot, not the ledger's append order (event spans are appended
+// when they close, not when they start), keeps every total's float
+// rounding independent of when spans happened to close.
+func totals(spans []Span) Totals {
+	var t Totals
+	for _, sp := range spans {
+		switch sp.Kind {
+		case KindFrame:
+			t.Frame += sp.Energy
+		case KindIdle:
+			t.Idle += sp.Energy
+		case KindEvent:
+			t.Event += sp.Energy
+		case KindStage:
+			t.Stage += sp.Energy
+		}
+	}
+	return t
+}
+
+// Close ends a run's attribution in one pass: Finish, one Spans snapshot,
+// its per-kind totals, and the conservation check on those totals.
+func (l *Ledger) Close() ([]Span, Totals, error) {
+	l.Finish()
+	spans := l.Spans()
+	t := totals(spans)
+	return spans, t, l.conserves(t)
+}
+
 // Summary reports the attributed energy totals: frame-production energy,
 // everything-else energy (the two partition the meter integral), and the
 // event-overlay total (which may double-count overlapping events).
 func (l *Ledger) Summary() (frame, idle, event acmp.Joules) {
-	for _, sp := range l.Spans() {
-		switch sp.Kind {
-		case KindFrame:
-			frame += sp.Energy
-		case KindIdle:
-			idle += sp.Energy
-		case KindEvent:
-			event += sp.Energy
-		}
-	}
-	return frame, idle, event
+	t := totals(l.Spans())
+	return t.Frame, t.Idle, t.Event
 }
 
 // StageEnergy reports the total energy attributed to render-stage spans.
 // Stage windows are disjoint and nested inside frame windows, so this never
 // exceeds the frame total of Summary.
-func (l *Ledger) StageEnergy() acmp.Joules {
-	var total acmp.Joules
-	for _, sp := range l.Spans() {
-		if sp.Kind == KindStage {
-			total += sp.Energy
-		}
-	}
-	return total
-}
+func (l *Ledger) StageEnergy() acmp.Joules { return totals(l.Spans()).Stage }
 
 // Check enforces the conservation invariant: the frame+idle span energies
 // must sum to the meter integral since attach within ConservationTolerance.
 // Any discrepancy is an accounting bug in the attribution pipeline.
-func (l *Ledger) Check() error {
+func (l *Ledger) Check() error { return l.conserves(totals(l.Spans())) }
+
+// conserves checks totals taken from a snapshot against the meter integral.
+func (l *Ledger) conserves(t Totals) error {
 	total := l.cpu.Meter().Energy() - l.baseline
-	frame, idle, _ := l.Summary()
-	sum := frame + idle
+	sum := t.Frame + t.Idle
 	if diff := math.Abs(float64(sum - total)); diff > ConservationTolerance {
 		return fmt.Errorf("ledger: conservation violated: spans sum to %.12f J, meter integral is %.12f J (|Δ| = %.3e J > %g)",
 			float64(sum), float64(total), diff, ConservationTolerance)
