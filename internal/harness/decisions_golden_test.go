@@ -1,0 +1,73 @@
+package harness
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"github.com/wattwiseweb/greenweb/internal/apps"
+	"github.com/wattwiseweb/greenweb/internal/faults"
+	"github.com/wattwiseweb/greenweb/internal/ledger"
+	"github.com/wattwiseweb/greenweb/internal/obs"
+)
+
+// TestDecisionsGolden byte-pins the per-frame decision log and the ledger
+// trace of two cells. The checked-in report prints neither, so without this
+// file nothing pins where the decision log comes from or the exact span
+// timeline it is projected from. The cells cover a serial run under the
+// usable-scenario runtime and a faulted, staged run whose timeline carries
+// stage spans.
+func TestDecisionsGolden(t *testing.T) {
+	app, ok := apps.ByName("MSN")
+	if !ok {
+		t.Fatal("MSN not registered")
+	}
+	cells := []struct {
+		name  string
+		ctx   context.Context
+		kind  Kind
+		micro bool
+		spec  *faults.Spec
+	}{
+		{"MSN GreenWeb-U full", context.Background(), GreenWebU, false, nil},
+		{"MSN GreenWeb-I-staged micro stage-workers=4 faults=default seed=5",
+			WithStageWorkers(context.Background(), 4), GreenWebIStaged, true, faults.Default(5)},
+	}
+	var got bytes.Buffer
+	for _, c := range cells {
+		trace := app.Full
+		if c.micro {
+			trace = app.Micro
+		}
+		r, err := ExecuteFaultedContext(c.ctx, app, c.kind, trace, c.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var tr bytes.Buffer
+		if err := ledger.WriteTrace(&tr, ledger.Process{PID: 1, Name: c.name, Spans: r.Spans, Marks: r.ConfigMarks}); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "# %s: %d decisions, %d spans, trace sha256 %x\n",
+			c.name, len(r.Decisions), len(r.Spans), sha256.Sum256(tr.Bytes()))
+		if err := obs.WriteNDJSON(&got, r.Decisions); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join("testdata", "decisions.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("decision log or ledger trace changed (run with -update to regenerate)\n got:\n%s\nwant:\n%s", got.Bytes(), want)
+	}
+}
