@@ -340,7 +340,8 @@ func (c *CPU) threadBusyChanged(delta int) {
 // browser-process I/O), which mirrors the ample core count of the modelled
 // SoC (four per cluster).
 func (c *CPU) NewThread(name string) *Thread {
-	t := &Thread{cpu: c, name: name}
+	t := &Thread{cpu: c, name: name, cpuDoneName: name + ":cpu-done", indepDoneName: name + ":indep-done"}
+	t.cpuDone, t.indepDone = t.cpuPhaseDone, t.itemDone
 	c.threads = append(c.threads, t)
 	c.refreshPower()
 	return t
@@ -369,6 +370,11 @@ type Thread struct {
 	name  string
 	queue []workItem
 	state threadState
+
+	// Completion event names and callbacks, built once: every work item
+	// schedules one or two of them.
+	cpuDoneName, indepDoneName string
+	cpuDone, indepDone         func()
 
 	cur             workItem
 	remainingCycles float64 // in active-cluster cycles
@@ -419,8 +425,12 @@ func (t *Thread) startNext() {
 		t.state = threadIdle
 		return
 	}
+	// Pop by copying down, so the queue keeps its capacity and the vacated
+	// slot drops its done closure.
 	t.cur = t.queue[0]
-	t.queue = t.queue[1:]
+	n := copy(t.queue, t.queue[1:])
+	t.queue[n] = workItem{}
+	t.queue = t.queue[:n]
 	cluster := t.cpu.cfg.Cluster
 	t.remainingCycles = float64(t.cur.work.Cycles(cluster))
 	if t.remainingCycles > 0 {
@@ -450,7 +460,7 @@ func (t *Thread) scheduleCompletion() {
 	if t.doneEv != nil {
 		t.doneEv.Cancel()
 	}
-	t.doneEv = t.cpu.sim.At(finish, t.name+":cpu-done", t.cpuPhaseDone)
+	t.doneEv = t.cpu.sim.At(finish, t.cpuDoneName, t.cpuDone)
 }
 
 // accrueProgress charges cycles executed since segStart under the old
@@ -508,7 +518,7 @@ func (t *Thread) cpuPhaseDone() {
 func (t *Thread) startIndepPhase() {
 	if t.cur.work.Indep > 0 {
 		t.state = threadIndepPhase
-		t.cpu.sim.After(t.cur.work.Indep, t.name+":indep-done", t.itemDone)
+		t.cpu.sim.After(t.cur.work.Indep, t.indepDoneName, t.indepDone)
 	} else {
 		t.itemDone()
 	}

@@ -94,6 +94,49 @@ func TestFIFOQueueing(t *testing.T) {
 	}
 }
 
+// A drained queue keeps its storage. After a burst of submits drains, a
+// steady submit → completion cycle (with and without an item waiting behind
+// the running one) reuses the burst's backing array, and no vacated slot
+// keeps a done closure, or what it captures, reachable.
+func TestThreadQueueReusesStorage(t *testing.T) {
+	s, cpu := newTestCPU()
+	th := cpu.NewThread("main")
+	done := 0
+	count := func() { done++ }
+	for i := 0; i < 8; i++ {
+		th.Submit(CPUWork(1e6), count)
+	}
+	s.Run()
+	if done != 8 || !th.Idle() {
+		t.Fatalf("burst: %d done, idle %v", done, th.Idle())
+	}
+	storage := th.queue[:cap(th.queue)]
+	if len(storage) == 0 {
+		t.Fatal("burst left no queue storage")
+	}
+	for i := 0; i < 50; i++ {
+		th.Submit(CPUWork(1e6), count)
+		if i%2 == 1 {
+			th.Submit(Work{Indep: sim.Millisecond}, count) // waits behind the first
+		}
+		s.Run()
+		if got := th.queue[:cap(th.queue)]; cap(got) != cap(storage) || &got[0] != &storage[0] {
+			t.Fatalf("cycle %d: queue reallocated (cap %d → %d)", i, cap(storage), cap(got))
+		}
+	}
+	if want := 8 + 50 + 25; done != want {
+		t.Fatalf("%d items done, want %d", done, want)
+	}
+	for i, it := range storage {
+		if it.done != nil {
+			t.Fatalf("vacated queue slot %d still holds its done closure", i)
+		}
+	}
+	if th.cur.done != nil {
+		t.Fatal("idle thread still holds the last item's done closure")
+	}
+}
+
 func TestFrequencyChangeMidWorkRetimes(t *testing.T) {
 	s, cpu := newTestCPU()
 	cpu.SetConfig(Config{Big, 1000})

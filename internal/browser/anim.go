@@ -32,7 +32,7 @@ type transitionTick struct {
 }
 
 func (e *Engine) styleChanged(n *dom.Node, prop, old, new string) {
-	if e.curProv == nil || len(e.curProv) == 0 {
+	if len(e.curProv) == 0 {
 		return // not inside attributed callback execution
 	}
 	if e.applyingTick {
@@ -49,12 +49,12 @@ func (e *Engine) styleChanged(n *dom.Node, prop, old, new string) {
 			node: n, prop: prop,
 			from: fromV, to: toV, unit: unit,
 			start: now, end: now.Add(tr.Duration),
-			prov: e.curProv.Clone(),
+			prov: e.curProv,
 		}
 		// Restarting a transition on the same property replaces it.
 		for i, existing := range e.transitions {
 			if existing.node == n && existing.prop == prop {
-				for id := range existing.prov {
+				for _, id := range existing.prov {
 					e.ref(id, -1)
 				}
 				e.transitions = append(e.transitions[:i], e.transitions[i+1:]...)
@@ -62,7 +62,7 @@ func (e *Engine) styleChanged(n *dom.Node, prop, old, new string) {
 			}
 		}
 		e.transitions = append(e.transitions, t)
-		for id := range t.prov {
+		for _, id := range t.prov {
 			e.ref(id, +1)
 		}
 		if e.curDispatch != nil {
@@ -148,7 +148,7 @@ func (e *Engine) finishTransitionTicks(ticks []transitionTick) {
 				return e.cost.opsWork(ops)
 			},
 			commit: func() {
-				for id := range tr.prov {
+				for _, id := range tr.prov {
 					e.ref(id, -1)
 				}
 				e.checkComplete()

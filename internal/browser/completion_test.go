@@ -56,7 +56,7 @@ type closureGovernor struct {
 }
 
 func (g *closureGovernor) OnFrameStart(seq int, prov Provenance) {
-	for uid := range prov {
+	for _, uid := range prov {
 		if at, ok := g.done[uid]; ok {
 			g.t.Errorf("frame %d starts carrying input %d, completed at %v", seq, uid, at)
 		}

@@ -45,7 +45,8 @@ type Governor interface {
 	// target is nil for page loads.
 	OnInput(in InputRecord, target *dom.Node)
 	// OnFrameStart fires when a VSync begins producing a frame with the
-	// given provenance, before any frame work is submitted.
+	// given provenance, before any frame work is submitted. The set is the
+	// frame's own (FrameResult.Provenance): read it, never modify it.
 	OnFrameStart(seq int, prov Provenance)
 	// OnFrameEnd fires when the frame-ready signal arrives.
 	OnFrameEnd(fr *FrameResult)
@@ -94,9 +95,13 @@ type Engine struct {
 
 	gov Governor
 
-	// Renderer main-thread task queue (serial).
+	// Renderer main-thread task queue (serial). mainCur is the task the
+	// main thread is running while mainBusy; mainDone, bound once in New,
+	// commits it.
 	mainQ    []task
 	mainBusy bool
+	mainCur  task
+	mainDone func()
 
 	// Frame production state (Fig. 7/8).
 	dirty     bool
@@ -137,10 +142,6 @@ type Engine struct {
 	// led, when set, receives a span per frame production and per input's
 	// event closure for energy attribution (nil disables tracking).
 	led *ledger.Ledger
-	// tracer, when set, receives every closed frame span as a scheduling
-	// decision. Purely observational: it reads ledger output the run already
-	// produced and never feeds anything back.
-	tracer *obs.Recorder
 }
 
 // New creates an engine on the simulator and CPU. A nil cost model uses
@@ -150,14 +151,14 @@ func New(s *sim.Simulator, cpu *acmp.CPU, cost *CostModel) *Engine {
 		cost = DefaultCost()
 	}
 	e := &Engine{
-		simu:      s,
-		cpu:       cpu,
-		cost:      cost,
-		dirtyProv: NewProvenance(),
-		inputs:    make(map[UID]InputRecord),
-		refs:      make(map[UID]int),
-		done:      make(map[UID]bool),
+		simu:   s,
+		cpu:    cpu,
+		cost:   cost,
+		inputs: make(map[UID]InputRecord),
+		refs:   make(map[UID]int),
+		done:   make(map[UID]bool),
 	}
+	e.mainDone = e.commitMain
 	e.browserThread = cpu.NewThread("browser")
 	e.mainThread = cpu.NewThread("renderer-main")
 	e.compositorThread = cpu.NewThread("compositor")
@@ -231,11 +232,6 @@ func (e *Engine) SetLedger(l *ledger.Ledger) { e.led = l }
 // Governors use this to annotate the spans of frames they schedule.
 func (e *Engine) Ledger() *ledger.Ledger { return e.led }
 
-// SetTracer installs a decision recorder fed each closed frame span (a nil
-// recorder is a no-op). Requires a ledger: decisions are projections of its
-// frame spans.
-func (e *Engine) SetTracer(r *obs.Recorder) { e.tracer = r }
-
 // Quiescent reports whether the engine has no work in flight: no queued or
 // running main-thread tasks, no frame in production, no pending animation
 // callbacks or transitions, and nothing dirty. The harness polls this to
@@ -282,9 +278,9 @@ func (e *Engine) Now() sim.Time { return e.simu.Now() }
 // the next frame with the provenance of the registering code.
 func (e *Engine) RequestAnimationFrame(cb js.Value) int {
 	e.rafSeq++
-	prov := e.curProv.Clone()
+	prov := e.curProv
 	e.rafQueue = append(e.rafQueue, rafRequest{id: e.rafSeq, cb: cb, prov: prov})
-	for id := range prov {
+	for _, id := range prov {
 		e.ref(id, +1)
 	}
 	if e.curDispatch != nil {
@@ -298,8 +294,8 @@ func (e *Engine) RequestAnimationFrame(cb js.Value) int {
 // main thread after delay, inheriting provenance.
 func (e *Engine) SetTimeout(cb js.Value, delay sim.Duration) int {
 	e.rafSeq++
-	prov := e.curProv.Clone()
-	for id := range prov {
+	prov := e.curProv
+	for _, id := range prov {
 		e.ref(id, +1)
 	}
 	e.simu.After(delay, "timeout", func() {
@@ -316,7 +312,7 @@ func (e *Engine) SetTimeout(cb js.Value, delay sim.Duration) int {
 			},
 			commit: func() {
 				e.commitDispatchEffects(prov, d)
-				for id := range prov {
+				for _, id := range prov {
 					e.ref(id, -1)
 				}
 				e.checkComplete()
@@ -622,21 +618,31 @@ func (e *Engine) pumpMain() {
 	if e.mainBusy || len(e.mainQ) == 0 {
 		return
 	}
-	t := e.mainQ[0]
-	e.mainQ = e.mainQ[1:]
+	// Pop by copying down, so the queue keeps its capacity and the vacated
+	// slot drops its closures.
+	e.mainCur = e.mainQ[0]
+	n := copy(e.mainQ, e.mainQ[1:])
+	e.mainQ[n] = task{}
+	e.mainQ = e.mainQ[:n]
 	e.mainBusy = true
-	e.curProv = t.prov
-	w := t.run()
+	e.curProv = e.mainCur.prov
+	w := e.mainCur.run()
 	e.curProv = nil
-	e.mainThread.Submit(w, func() {
-		if t.commit != nil {
-			e.curProv = t.prov
-			t.commit()
-			e.curProv = nil
-		}
-		e.mainBusy = false
-		e.pumpMain()
-	})
+	e.mainThread.Submit(w, e.mainDone)
+}
+
+// commitMain runs when the main thread finishes mainCur's work: it applies
+// the task's deferred effects and starts the next task.
+func (e *Engine) commitMain() {
+	t := e.mainCur
+	e.mainCur = task{}
+	if t.commit != nil {
+		e.curProv = t.prov
+		t.commit()
+		e.curProv = nil
+	}
+	e.mainBusy = false
+	e.pumpMain()
 }
 
 // ---- dirty bit + message queue (Fig. 8 Part II) ----
@@ -648,9 +654,8 @@ func (e *Engine) markDirty(prov Provenance) {
 	// pending frame would "complete" before the frame exists, and per-frame
 	// governors would never see its frames (Sec. 6.4's closure includes
 	// the frames themselves).
-	for uid := range prov {
-		if !e.dirtyProv.Has(uid) {
-			e.dirtyProv[uid] = struct{}{}
+	for _, uid := range prov {
+		if e.dirtyProv.Add(uid) {
 			e.ref(uid, +1)
 		}
 	}
@@ -801,7 +806,7 @@ func (e *Engine) beginFrame() {
 		},
 		commit: func() {
 			for _, r := range rafs {
-				for id := range r.prov {
+				for _, id := range r.prov {
 					e.ref(id, -1)
 				}
 			}
@@ -817,7 +822,7 @@ func (e *Engine) produceFrame(begin sim.Time, _ Provenance) {
 	if !e.dirty {
 		// Animations ran but nothing changed visually: no frame needed.
 		if e.led != nil {
-			e.tracer.RecordFrame(e.led.EndFrame(0, e.cpu.Config()))
+			e.led.EndFrame(0, e.cpu.Config())
 		}
 		e.producing = false
 		e.checkComplete()
@@ -835,21 +840,11 @@ func (e *Engine) produceFrame(begin sim.Time, _ Provenance) {
 		return
 	}
 
-	// Capture and clear the dirty state: later mutations belong to the
-	// next frame.
-	msgs := e.msgQueue
-	e.msgQueue = nil
-	dirtied := e.dirtyProv
-	e.dirtyProv = NewProvenance()
-	e.dirty = false
-	prov := dirtied.Clone()
-	for _, m := range msgs {
-		prov[m.UID] = struct{}{}
-	}
+	msgs, dirtied, prov := e.takeDirty()
 
 	e.frameSeq++
 	seq := e.frameSeq
-	e.gov.OnFrameStart(seq, prov.Clone())
+	e.gov.OnFrameStart(seq, prov)
 	// Record the configuration the governor chose for this frame.
 	cfg := e.cpu.Config()
 
@@ -881,6 +876,19 @@ func (e *Engine) produceFrame(begin sim.Time, _ Provenance) {
 	mainWork += e.cost.PaintBaseCycles + nodes*e.cost.PaintCyclesPerNode
 }
 
+// takeDirty captures and clears the dirty state for the frame about to be
+// produced: later mutations belong to the next frame. The frame's
+// provenance is the dirtied set plus the inputs whose messages it delivers.
+func (e *Engine) takeDirty() (msgs []InputRecord, dirtied, prov Provenance) {
+	msgs, dirtied = e.msgQueue, e.dirtyProv
+	e.msgQueue, e.dirtyProv, e.dirty = nil, nil, false
+	prov = dirtied.Clone()
+	for _, m := range msgs {
+		prov.Add(m.UID)
+	}
+	return msgs, dirtied, prov
+}
+
 func (e *Engine) frameComplete(seq int, begin sim.Time, cfg acmp.Config, prov, dirtied Provenance, msgs []InputRecord, mainWork int64, stages []StageTiming) {
 	end := e.simu.Now()
 	fr := FrameResult{
@@ -897,7 +905,7 @@ func (e *Engine) frameComplete(seq int, begin sim.Time, cfg acmp.Config, prov, d
 		fr.Inputs = append(fr.Inputs, InputLatency{Input: m, Latency: end.Sub(m.Start)})
 		e.ref(m.UID, -1)
 	}
-	for uid := range dirtied {
+	for _, uid := range dirtied {
 		e.ref(uid, -1)
 	}
 	e.results = append(e.results, fr)
@@ -924,7 +932,7 @@ func (e *Engine) frameComplete(seq int, begin sim.Time, cfg acmp.Config, prov, d
 	// feedback annotations land on it; its rescheduling here is zero-width
 	// in virtual time and charges nothing to the closing span.
 	if e.led != nil {
-		e.tracer.RecordFrame(e.led.EndFrame(seq, cfg))
+		e.led.EndFrame(seq, cfg)
 	}
 	e.checkComplete()
 	if e.needsFrameWork() {

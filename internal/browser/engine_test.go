@@ -1,6 +1,7 @@
 package browser
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
@@ -378,6 +379,56 @@ func TestProvenanceHelpers(t *testing.T) {
 	if len(ids) != 3 || ids[0] != 1 || ids[2] != 3 {
 		t.Fatalf("IDs = %v", ids)
 	}
+
+	// Unsorted input with duplicates comes out sorted and unique.
+	r := NewProvenance(9, 3, 7, 3, 1, 9)
+	if want := []UID{1, 3, 7, 9}; !slices.Equal(r.IDs(), want) {
+		t.Fatalf("NewProvenance = %v, want %v", r.IDs(), want)
+	}
+	if NewProvenance() != nil || len(NewProvenance().IDs()) != 0 {
+		t.Fatal("empty set not empty")
+	}
+	// Add into the middle keeps the order; re-adding is a no-op.
+	if !r.Add(5) || r.Add(5) || r.Add(1) {
+		t.Fatal("Add misreports membership")
+	}
+	if want := []UID{1, 3, 5, 7, 9}; !slices.Equal(r.IDs(), want) {
+		t.Fatalf("after Add = %v, want %v", r.IDs(), want)
+	}
+	// Merge of overlapping sets.
+	r.Merge(NewProvenance(2, 3, 9, 11))
+	if want := []UID{1, 2, 3, 5, 7, 9, 11}; !slices.Equal(r.IDs(), want) {
+		t.Fatalf("after Merge = %v, want %v", r.IDs(), want)
+	}
+	for _, absent := range []UID{0, 4, 6, 10, 12} {
+		if r.Has(absent) {
+			t.Fatalf("Has(%d) on absent id", absent)
+		}
+	}
+	// A clone stays independent in both directions after Add, whatever
+	// spare capacity the original has.
+	c := r.Clone()
+	c.Add(4)
+	r.Add(6)
+	if r.Has(4) || c.Has(6) || !c.Has(4) || !r.Has(6) {
+		t.Fatalf("clone shares storage: r=%v c=%v", r, c)
+	}
+	if want := []UID{1, 2, 3, 4, 5, 7, 9, 11}; !slices.Equal(c.IDs(), want) {
+		t.Fatalf("clone = %v, want %v", c.IDs(), want)
+	}
+
+	// Per-frame readers pay nothing: IDs is the set itself and Has searches
+	// it in place.
+	var sink int
+	if n := testing.AllocsPerRun(100, func() {
+		sink += len(r.IDs())
+		if r.Has(7) && !r.Has(8) {
+			sink++
+		}
+	}); n != 0 {
+		t.Fatalf("IDs+Has allocate %v times per call", n)
+	}
+	_ = sink
 }
 
 // BenchmarkSimulatedAnimation measures simulator throughput: how fast the

@@ -1,7 +1,7 @@
 package browser
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/sim"
@@ -17,48 +17,52 @@ type UID uint64
 // that created them; a frame's provenance is the union over everything
 // batched into it. This implements the message-propagation metadata (Msg)
 // of Fig. 8 and the transitive-closure association of Sec. 6.4.
-type Provenance map[UID]struct{}
+//
+// The set is a sorted, duplicate-free slice. Most sets hold one or two
+// inputs, and UIDs grow in injection order, so adding usually appends.
+// Sets are shared freely once built: only the engine mutates the sets it
+// owns, and governors and observers must treat every set they are handed
+// as read-only.
+type Provenance []UID
 
-// NewProvenance builds a set from ids.
+// NewProvenance builds a set from ids, in any order and with duplicates.
 func NewProvenance(ids ...UID) Provenance {
-	p := make(Provenance, len(ids))
-	for _, id := range ids {
-		p[id] = struct{}{}
+	if len(ids) == 0 {
+		return nil
 	}
-	return p
+	p := slices.Clone(Provenance(ids))
+	slices.Sort(p)
+	return slices.Compact(p)
 }
 
-// Clone copies the set.
-func (p Provenance) Clone() Provenance {
-	c := make(Provenance, len(p))
-	for id := range p {
-		c[id] = struct{}{}
+// Clone copies the set, for a caller that will mutate the copy.
+func (p Provenance) Clone() Provenance { return slices.Clone(p) }
+
+// Add inserts id and reports whether it was absent.
+func (p *Provenance) Add(id UID) bool {
+	i, found := slices.BinarySearch(*p, id)
+	if !found {
+		*p = slices.Insert(*p, i, id)
 	}
-	return c
+	return !found
 }
 
 // Merge adds all of o into p.
-func (p Provenance) Merge(o Provenance) {
-	for id := range o {
-		p[id] = struct{}{}
+func (p *Provenance) Merge(o Provenance) {
+	for _, id := range o {
+		p.Add(id)
 	}
 }
 
 // Has reports membership.
 func (p Provenance) Has(id UID) bool {
-	_, ok := p[id]
-	return ok
+	_, found := slices.BinarySearch(p, id)
+	return found
 }
 
-// IDs returns the members in ascending order.
-func (p Provenance) IDs() []UID {
-	out := make([]UID, 0, len(p))
-	for id := range p {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// IDs returns the members in ascending order: the set itself, which the
+// caller must not modify.
+func (p Provenance) IDs() []UID { return p }
 
 // InputRecord is the engine-side record of one injected input (the Msg of
 // Fig. 8: a unique id plus its start timestamp).

@@ -186,19 +186,11 @@ func shardCycles(base, par int64, workers int) []int64 {
 // render work meanwhile, so input dispatches overlap frame production in
 // virtual time — the second axis of pipeline parallelism.
 func (e *Engine) produceFrameStaged(begin sim.Time) {
-	msgs := e.msgQueue
-	e.msgQueue = nil
-	dirtied := e.dirtyProv
-	e.dirtyProv = NewProvenance()
-	e.dirty = false
-	prov := dirtied.Clone()
-	for _, m := range msgs {
-		prov[m.UID] = struct{}{}
-	}
+	msgs, dirtied, prov := e.takeDirty()
 
 	e.frameSeq++
 	seq := e.frameSeq
-	e.gov.OnFrameStart(seq, prov.Clone())
+	e.gov.OnFrameStart(seq, prov)
 	// Record the configuration the governor chose for this frame (per-stage
 	// hooks may vary it within the frame; this is the frame-level decision).
 	cfg := e.cpu.Config()

@@ -381,8 +381,7 @@ func (r *Runtime) clamp(cfg acmp.Config) acmp.Config {
 func (r *Runtime) driving(prov browser.Provenance) *Model {
 	var best *Model
 	var bestD sim.Duration
-	// IDs() iterates in ascending UID order so deadline ties resolve
-	// deterministically (map iteration order would not).
+	// Ascending UID order resolves deadline ties deterministically.
 	for _, uid := range prov.IDs() {
 		key, ok := r.active[uid]
 		if !ok {
@@ -446,7 +445,7 @@ func (r *Runtime) annotateFrameStart(m *Model) {
 func (r *Runtime) OnFrameEnd(fr *browser.FrameResult) {
 	// Frame accounting for every active class in the provenance, not just
 	// the driving one, so frameless detection stays accurate.
-	for uid := range fr.Provenance {
+	for _, uid := range fr.Provenance {
 		if key, ok := r.active[uid]; ok {
 			if m := r.models[key]; m != nil {
 				m.SawFrame()

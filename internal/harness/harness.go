@@ -166,11 +166,10 @@ type Run struct {
 	// ConfigMarks is the configuration-change history, for trace export.
 	ConfigMarks []ledger.ConfigMark
 
-	// Decisions is the per-frame decision log recorded live by the obs
-	// tracer as each frame span closed — one entry per frame span, in
-	// production order. Empty when observability is disabled for the run's
-	// context (obs.EnabledIn); everything else in Run is unaffected either
-	// way, which CI enforces byte-for-byte.
+	// Decisions is the per-frame decision log, obs.DecisionsOf(Spans): one
+	// entry per frame span, in production order. Empty when observability
+	// is disabled for the run's context (obs.EnabledIn); everything else in
+	// Run is unaffected either way, which CI enforces byte-for-byte.
 	Decisions []obs.Decision
 
 	// Fault-adversity observability, all zero on an unfaulted run: injected
@@ -355,15 +354,6 @@ func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, tra
 	}
 	led := ledger.New(cpu)
 	e.SetLedger(led)
-	// Decision-level tracing rides the ledger out-of-band: a nil recorder
-	// costs one pointer compare per frame, a live one copies the already-
-	// closed span. Gated per context so greensrv/greenbench -no-obs runs
-	// skip even that.
-	var rec *obs.Recorder
-	if obs.EnabledIn(ctx) {
-		rec = obs.NewRecorder(0)
-		e.SetTracer(rec)
-	}
 	gov := newGovernor(kind)
 	var rt *core.Runtime
 	if r, ok := gov.(*core.Runtime); ok {
@@ -446,7 +436,11 @@ func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, tra
 	if err := run.closeLedger(led); err != nil {
 		return nil, nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
 	}
-	run.Decisions = rec.Decisions()
+	// The decision log is a projection of the closed frame spans, derived
+	// once per run. -no-obs contexts (greensrv/greenbench -no-obs) skip it.
+	if obs.EnabledIn(ctx) {
+		run.Decisions = obs.DecisionsOf(run.Spans)
+	}
 	if daq != nil {
 		daq.Stop()
 		run.DAQSamples, run.DAQDropped, run.MeteredEnergy = daq.Samples(), daq.Dropped(), daq.Energy()
@@ -492,7 +486,7 @@ func (run *Run) closeLedger(led *ledger.Ledger) error {
 func violationsOf(c *metrics.Collector, start sim.Time) []float64 {
 	out := make([]float64, 0, len(c.Frames))
 	for _, f := range c.Frames {
-		if f.Frame.End >= start {
+		if f.End >= start {
 			out = append(out, f.Pct)
 		}
 	}

@@ -13,8 +13,8 @@ import (
 
 // The decision log is a pure projection of the ledger: across one full app
 // run the per-decision energies must sum to the ledger's frame-energy total
-// to within ledger.ConservationTolerance (1e-9 J), and the live recorder
-// must agree exactly with re-deriving the log from the run's spans.
+// to within ledger.ConservationTolerance (1e-9 J), and the run's log must be
+// exactly the projection of its spans.
 func TestDecisionEnergyMatchesLedger(t *testing.T) {
 	for _, kind := range []Kind{Perf, GreenWebI, GreenWebU} {
 		kind := kind
@@ -39,7 +39,7 @@ func TestDecisionEnergyMatchesLedger(t *testing.T) {
 					sum, float64(run.FrameEnergy), diff, ledger.ConservationTolerance)
 			}
 			if !reflect.DeepEqual(run.Decisions, obs.DecisionsOf(run.Spans)) {
-				t.Error("live recorder log disagrees with the span projection")
+				t.Error("decision log disagrees with the span projection")
 			}
 		})
 	}

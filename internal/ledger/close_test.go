@@ -1,0 +1,88 @@
+package ledger
+
+import (
+	"reflect"
+	"testing"
+
+	"github.com/wattwiseweb/greenweb/internal/acmp"
+	"github.com/wattwiseweb/greenweb/internal/sim"
+)
+
+// closeScript drives a ledger through an annotated frame, a staged frame,
+// events that close out of start order, and one event still in flight when
+// the script ends.
+func closeScript(r *rig) {
+	r.led.BeginEvent(1, "touchstart a")
+	r.burn(400_000)
+	r.s.RunUntil(sim.Time(3 * sim.Millisecond))
+
+	r.led.BeginFrame()
+	r.led.AnnotateFrame("decision", "commit")
+	r.led.BeginEvent(2, "click b")
+	r.burn(900_000)
+	r.s.RunUntil(sim.Time(8 * sim.Millisecond))
+	r.led.EndFrame(1, r.cpu.Config())
+
+	r.led.BeginEvent(3, "scroll c")
+	r.cpu.SetConfig(acmp.Config{Cluster: acmp.Big, MHz: acmp.BigMaxMHz})
+	r.burn(1_200_000)
+	r.s.RunUntil(sim.Time(12 * sim.Millisecond))
+	r.led.EndEvent(3) // the latest-started event closes first
+
+	r.led.BeginFrame()
+	for i, cycles := range []int64{700_000, 1_100_000, 500_000} {
+		r.led.BeginStage(2, []string{"style", "layout", "paint"}[i])
+		r.burn(cycles)
+		r.s.Run()
+		r.led.EndStage()
+	}
+	r.led.EndFrame(2, r.cpu.Config())
+	r.led.EndEvent(1)
+
+	r.burn(300_000)
+	r.s.RunUntil(sim.Time(30 * sim.Millisecond)) // event 2 is still open
+}
+
+// Close sorts the closed spans in place instead of snapshotting them; it
+// must return exactly what Finish followed by Spans returns on an identical
+// ledger, with the totals Summary and StageEnergy report.
+func TestCloseMatchesFinishAndSpans(t *testing.T) {
+	closed, snapped := newRig(), newRig()
+	closeScript(closed)
+	closeScript(snapped)
+
+	spans, tot, err := closed.led.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapped.led.Finish()
+	want := snapped.led.Spans()
+	if !reflect.DeepEqual(spans, want) {
+		t.Fatalf("Close spans differ from Finish+Spans:\n got %+v\nwant %+v", spans, want)
+	}
+	frame, idle, event := snapped.led.Summary()
+	if wantTot := (Totals{Frame: frame, Idle: idle, Event: event, Stage: snapped.led.StageEnergy()}); tot != wantTot {
+		t.Errorf("Close totals = %+v, want %+v", tot, wantTot)
+	}
+	if err := snapped.led.Check(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The script covered what it claims to.
+	kinds := map[Kind]int{}
+	for i, sp := range spans {
+		kinds[sp.Kind]++
+		if i > 0 && (sp.Start < spans[i-1].Start || sp.Start == spans[i-1].Start && sp.ID < spans[i-1].ID) {
+			t.Fatalf("span %d (id %d) out of (Start, ID) order", i, sp.ID)
+		}
+		if sp.Kind == KindEvent && sp.UID == 2 && sp.End != sim.Time(30*sim.Millisecond) {
+			t.Errorf("in-flight event closed at %v, want the close instant", sp.End)
+		}
+	}
+	if kinds[KindFrame] != 2 || kinds[KindStage] != 3 || kinds[KindEvent] != 3 || kinds[KindIdle] == 0 {
+		t.Fatalf("span kinds = %v", kinds)
+	}
+	if tot.Stage <= 0 || tot.Stage > tot.Frame || tot.Event <= 0 {
+		t.Fatalf("totals = %+v", tot)
+	}
+}

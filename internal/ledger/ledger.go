@@ -18,9 +18,10 @@
 package ledger
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/sim"
@@ -191,8 +192,7 @@ func (l *Ledger) BeginFrame() {
 // EndFrame closes the open frame span and returns it. seq is the committed
 // frame's sequence number, or 0 when the frame ran callbacks but committed
 // nothing; cfg is the configuration the frame executed under. The returned
-// span is a value copy — observers (the obs decision recorder) may keep it
-// without aliasing ledger state.
+// span is a value copy that does not alias ledger state.
 func (l *Ledger) EndFrame(seq int, cfg acmp.Config) Span {
 	if l.cur.Kind != KindFrame {
 		panic("ledger: EndFrame without an open frame span")
@@ -317,7 +317,7 @@ func (l *Ledger) Finish() {
 	for uid := range l.events {
 		uids = append(uids, uid)
 	}
-	sort.Slice(uids, func(i, j int) bool { return uids[i] < uids[j] })
+	slices.Sort(uids)
 	for _, uid := range uids {
 		l.EndEvent(uid)
 	}
@@ -327,7 +327,7 @@ func (l *Ledger) Finish() {
 // by start time (ID breaks ties).
 func (l *Ledger) Spans() []Span {
 	l.cpu.Meter().Sync()
-	out := make([]Span, 0, len(l.spans)+len(l.events)+1)
+	out := make([]Span, 0, len(l.spans)+len(l.events)+2)
 	out = append(out, l.spans...)
 	for _, sp := range l.events {
 		snap := *sp
@@ -335,23 +335,36 @@ func (l *Ledger) Spans() []Span {
 		snap.Busy = l.cpu.UnionBusyTime() - l.eventBusy0[sp.UID]
 		out = append(out, snap)
 	}
+	out = l.appendOpen(out)
+	sortSpans(out)
+	return out
+}
+
+// appendOpen appends snapshots of the open stage span, if any, and of the
+// open exclusive slice, both ending now. The caller has synced the meter.
+func (l *Ledger) appendOpen(out []Span) []Span {
+	now, busy := l.simu.Now(), l.cpu.UnionBusyTime()
 	if l.stage != nil {
 		snap := *l.stage
-		snap.End = l.simu.Now()
-		snap.Busy = l.cpu.UnionBusyTime() - l.stageBusy0
+		snap.End = now
+		snap.Busy = busy - l.stageBusy0
 		out = append(out, snap)
 	}
 	cur := l.cur
-	cur.End = l.simu.Now()
-	cur.Busy = l.cpu.UnionBusyTime() - l.curBusy0
-	out = append(out, cur)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
+	cur.End = now
+	cur.Busy = busy - l.curBusy0
+	return append(out, cur)
+}
+
+// sortSpans orders spans by start time, ID breaking ties. IDs are unique,
+// so the order is total.
+func sortSpans(spans []Span) {
+	slices.SortFunc(spans, func(a, b Span) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return out[i].ID < out[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
-	return out
 }
 
 // Marks returns the configuration-change history observed by the ledger.
@@ -385,13 +398,18 @@ func totals(spans []Span) Totals {
 	return t
 }
 
-// Close ends a run's attribution in one pass: Finish, one Spans snapshot,
-// its per-kind totals, and the conservation check on those totals.
+// Close ends a run's attribution in one pass and finishes the ledger: it
+// closes in-flight events (Finish), appends the open slices to the closed
+// spans, sorts them in place, and checks conservation on their per-kind
+// totals. It returns the same spans Finish followed by Spans would, without
+// copying them. The ledger must not be used after Close.
 func (l *Ledger) Close() ([]Span, Totals, error) {
 	l.Finish()
-	spans := l.Spans()
-	t := totals(spans)
-	return spans, t, l.conserves(t)
+	l.cpu.Meter().Sync()
+	l.spans = l.appendOpen(l.spans)
+	sortSpans(l.spans)
+	t := totals(l.spans)
+	return l.spans, t, l.conserves(t)
 }
 
 // Summary reports the attributed energy totals: frame-production energy,

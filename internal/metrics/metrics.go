@@ -52,10 +52,10 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// FrameQoS is one frame judged against the deadline of the annotated event
-// driving it.
+// FrameQoS is the verdict on one frame judged against the deadline of the
+// annotated event driving it.
 type FrameQoS struct {
-	Frame    browser.FrameResult
+	End      sim.Time // when the frame reached the display
 	Type     qos.Type
 	Deadline sim.Duration
 	Measured sim.Duration
@@ -147,7 +147,7 @@ func (c *Collector) onFrame(fr *browser.FrameResult) {
 	}
 	deadline := c.scenario.Deadline(best.Target)
 	c.Frames = append(c.Frames, FrameQoS{
-		Frame:    *fr,
+		End:      fr.End,
 		Type:     best.Type,
 		Deadline: deadline,
 		Measured: measured,

@@ -69,27 +69,29 @@ func (t *Trace) Replay(e *browser.Engine, start sim.Time) {
 // Record reconstructs an interaction trace from an engine's input history —
 // the "record" half of the Mosaic role. Loads and profiling triggers are
 // excluded; step offsets are relative to the earliest recorded input.
+// Inputs are ordered by start time, then by UID: UIDs grow in injection
+// order, so inputs injected at one instant keep their injection order.
 func Record(name string, e *browser.Engine) *Trace {
-	type rec struct {
-		at     sim.Time
-		event  string
-		target string
-	}
-	var recs []rec
+	var recs []browser.InputRecord
 	for _, in := range e.InputRecords() {
 		if in.Event == "load" || strings.HasPrefix(in.Event, "profile:") {
 			continue
 		}
-		recs = append(recs, rec{in.Start, in.Event, in.Target})
+		recs = append(recs, in)
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].at < recs[j].at })
+	sort.Slice(recs, func(i, j int) bool {
+		if recs[i].Start != recs[j].Start {
+			return recs[i].Start < recs[j].Start
+		}
+		return recs[i].UID < recs[j].UID
+	})
 	t := &Trace{Name: name}
 	if len(recs) == 0 {
 		return t
 	}
-	base := recs[0].at
+	base := recs[0].Start
 	for _, r := range recs {
-		t.Steps = append(t.Steps, Step{At: r.at.Sub(base), Event: r.event, Target: r.target})
+		t.Steps = append(t.Steps, Step{At: r.Start.Sub(base), Event: r.Event, Target: r.Target})
 	}
 	return t
 }

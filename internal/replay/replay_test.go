@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -135,6 +136,35 @@ func TestRecordRoundTrip(t *testing.T) {
 	for _, step := range rec.Steps {
 		if step.Event == "load" {
 			t.Fatal("load recorded")
+		}
+	}
+}
+
+// Two inputs injected at the same instant must record in injection order,
+// every time: the trace's steps and its Seed are stable across recordings.
+func TestRecordOrdersSimultaneousInputs(t *testing.T) {
+	s := sim.New()
+	cpu := acmp.NewCPU(s, acmp.DefaultPower())
+	e := browser.New(s, cpu, nil)
+	e.SetGovernor(governor.NewPerf())
+	if _, err := e.LoadPage(`<body><div id="a">x</div><div id="b">y</div></body>`); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	at := s.Now().Add(50 * sim.Millisecond)
+	e.Inject(at, "touchstart", "a", nil)
+	e.Inject(at, "click", "b", nil)
+	s.Run()
+
+	first := Record("same-instant", e)
+	if len(first.Steps) != 2 || first.Steps[0].Event != "touchstart" || first.Steps[1].Event != "click" {
+		t.Fatalf("steps = %+v, want touchstart then click", first.Steps)
+	}
+	for i := 0; i < 20; i++ {
+		got := Record("same-instant", e)
+		if !reflect.DeepEqual(got.Steps, first.Steps) || got.Seed() != first.Seed() {
+			t.Fatalf("recording %d: steps %+v seed %d, want %+v seed %d",
+				i, got.Steps, got.Seed(), first.Steps, first.Seed())
 		}
 	}
 }
