@@ -20,24 +20,21 @@
 // inline JSON object, or @file; a fixed -fault-seed makes the output
 // byte-reproducible. -trace honors -faults too, tracing one faulted run.
 //
-// Profiling and cache control (see EXPERIMENTS.md):
+// -stage-workers N renders every execution — the report's cells, the fault
+// sweep's jobs, and the -trace run — on the staged pipeline with N stage
+// threads (0 or 1 = serial frame production, the default).
+//
+// Profiling and observability (see EXPERIMENTS.md):
 //
 //   - -cpuprofile f / -memprofile f write standard pprof profiles of the
 //     run for `go tool pprof`;
-//   - -no-asset-cache disables the parse-once page asset cache, re-parsing
-//     every cell as earlier versions did. Output bytes are identical either
-//     way — the cache only skips redundant real work, never simulated cost.
 //   - -no-obs disables the observability layer (metrics counters and the
-//     per-frame decision recorder). Like the asset cache, it is out-of-band:
-//     report and sweep bytes are identical with obs on or off (CI diffs them).
-//   - -no-vm executes scripts on the tree-walking interpreter instead of the
-//     bytecode VM. The VM charges the identical op sequence, so report and
-//     sweep bytes are identical either way (CI diffs them too) — only
-//     wall-clock time differs.
+//     per-frame decision recorder). It is out-of-band: report and sweep
+//     bytes are identical with obs on or off (CI diffs them).
 //
 // Usage:
 //
-//	greenbench [-o report.txt] [-workers N] [-seq] [-no-asset-cache] [-no-vm]
+//	greenbench [-o report.txt] [-workers N] [-seq] [-stage-workers N] [-no-obs]
 //	greenbench [-cpuprofile cpu.pb] [-memprofile mem.pb] ...
 //	greenbench -faults default|JSON|@file [-fault-seed S] [-o rows.ndjson]
 //	greenbench -trace out.json [-trace-app NAME] [-trace-kind KIND]
@@ -59,7 +56,6 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/faults"
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/harness"
-	"github.com/wattwiseweb/greenweb/internal/js"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
 	"github.com/wattwiseweb/greenweb/internal/obs"
 )
@@ -81,34 +77,16 @@ func run() int {
 	faultSeed := flag.Int64("fault-seed", 0, "override the fault spec's seed (0 = keep the spec's own)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to a file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to a file (go tool pprof)")
-	noAssetCache := flag.Bool("no-asset-cache", false, "disable the parse-once page asset cache (re-parse every cell; output must be identical)")
 	noObs := flag.Bool("no-obs", false, "disable metrics and decision recording (output must be identical)")
-	noVM := flag.Bool("no-vm", false, "execute scripts on the tree-walking interpreter instead of the bytecode VM (output must be identical)")
 	stageWorkers := flag.Int("stage-workers", 0, "render-pipeline stage threads per engine (0 or 1 = serial frame production)")
-	noParallelRender := flag.Bool("no-parallel-render", false, "force serial frame production (output must be identical to the default serial pipeline)")
 	flag.Parse()
 
-	if *noAssetCache {
-		browser.SetAssetCache(false)
-	}
 	if *noObs {
 		obs.SetEnabled(false)
-	}
-	if *noVM {
-		js.SetVM(false)
 	}
 	if !harness.ValidStageWorkers(*stageWorkers) {
 		fmt.Fprintf(os.Stderr, "greenbench: -stage-workers %d out of range [0, %d]\n", *stageWorkers, browser.MaxStageWorkers)
 		return 1
-	}
-	if *noParallelRender && *stageWorkers > 1 {
-		fmt.Fprintln(os.Stderr, "greenbench: -no-parallel-render conflicts with -stage-workers > 1")
-		return 1
-	}
-	if *noParallelRender {
-		browser.SetDefaultStageWorkers(1)
-	} else {
-		browser.SetDefaultStageWorkers(*stageWorkers)
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -144,8 +122,12 @@ func run() int {
 		return 1
 	}
 
+	// The -trace run and the fault sweep execute in ctx; the report's
+	// suite stamps the count on its cells itself.
+	ctx := harness.WithStageWorkers(context.Background(), *stageWorkers)
+
 	if *trace != "" {
-		if err := writeTrace(*trace, *traceApp, *traceKind, spec); err != nil {
+		if err := writeTrace(ctx, *trace, *traceApp, *traceKind, spec); err != nil {
 			fmt.Fprintln(os.Stderr, "greenbench:", err)
 			return 1
 		}
@@ -164,7 +146,7 @@ func run() int {
 	}
 
 	if spec != nil {
-		if err := faultSweep(w, spec, *workers); err != nil {
+		if err := faultSweep(ctx, w, spec, *workers); err != nil {
 			fmt.Fprintln(os.Stderr, "greenbench:", err)
 			return 1
 		}
@@ -172,6 +154,7 @@ func run() int {
 	}
 
 	suite := harness.NewSuite()
+	suite.SetStageWorkers(*stageWorkers)
 	if !*seq {
 		pool := fleet.New(fleet.Options{Workers: *workers})
 		defer pool.Close()
@@ -221,7 +204,7 @@ func parseFaultSpec(arg string, seed int64) (*faults.Spec, error) {
 
 // faultSweep fans every catalog app × headline governor across the fleet
 // with the fault spec active and streams the deterministic NDJSON merge.
-func faultSweep(w io.Writer, spec *faults.Spec, workers int) error {
+func faultSweep(ctx context.Context, w io.Writer, spec *faults.Spec, workers int) error {
 	kinds := []harness.Kind{harness.Perf, harness.GreenWebI, harness.GreenWebU}
 	var jobs []fleet.Job
 	for _, name := range apps.Names() {
@@ -231,12 +214,14 @@ func faultSweep(w io.Writer, spec *faults.Spec, workers int) error {
 	}
 	pool := fleet.New(fleet.Options{Workers: workers, MaxAttempts: 3})
 	defer pool.Close()
-	return fleet.WriteResults(w, pool.RunSweep(context.Background(), jobs), true)
+	// The stage-worker count rides on ctx rather than Job.StageWorkers:
+	// rows echo a job's own count, and these rows carry no stage column.
+	return fleet.WriteResults(w, pool.RunSweep(ctx, jobs), true)
 }
 
 // writeTrace runs one full-interaction cell (optionally faulted) and exports
 // its attribution timeline as Chrome trace-event JSON.
-func writeTrace(path, appName, kindName string, spec *faults.Spec) error {
+func writeTrace(ctx context.Context, path, appName, kindName string, spec *faults.Spec) error {
 	if appName == "" {
 		appName = apps.Names()[0]
 	}
@@ -248,7 +233,7 @@ func writeTrace(path, appName, kindName string, spec *faults.Spec) error {
 	if err != nil {
 		return err
 	}
-	run, err := harness.ExecuteFaulted(app, kind, app.Full, spec)
+	run, err := harness.ExecuteFaultedContext(ctx, app, kind, app.Full, spec)
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,7 @@
 //	greennode [-addr :9090] [-workers N] [-name NAME] [-job-timeout 2m]
 //	          [-max-attempts N] [-retry-base 50ms] [-retry-max 2s]
 //	          [-retry-seed S] [-http ADDR] [-log-level LEVEL]
-//	          [-no-obs] [-no-vm]
+//	          [-no-obs]
 //
 // With -http ADDR the worker serves its own health surface:
 //
@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"github.com/wattwiseweb/greenweb/internal/fleet"
-	"github.com/wattwiseweb/greenweb/internal/js"
 	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/obs/slog"
 	"github.com/wattwiseweb/greenweb/internal/shard"
@@ -59,7 +58,6 @@ func main() {
 	httpAddr := flag.String("http", "", "health/metrics listen address (empty = no health surface)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	noObs := flag.Bool("no-obs", false, "disable decision recording and tracing (outputs must be byte-identical either way)")
-	noVM := flag.Bool("no-vm", false, "run scripts on the tree-walking interpreter instead of the bytecode VM (outputs must be byte-identical either way)")
 	flag.Parse()
 
 	log := slog.New("greennode")
@@ -80,9 +78,6 @@ func main() {
 	}
 	if *noObs {
 		obs.SetEnabled(false)
-	}
-	if *noVM {
-		js.SetVM(false)
 	}
 
 	n := *workers

@@ -14,7 +14,7 @@
 //	         [-store DIR] [-store-compact BYTES]
 //	         [-admit-queue N] [-admit-rate R] [-admit-burst B]
 //	         [-read-header-timeout 10s] [-log-level LEVEL]
-//	         [-no-obs] [-no-trace] [-no-vm] [-drain-timeout 30s] [-obs-dump FILE]
+//	         [-no-obs] [-no-trace] [-drain-timeout 30s] [-obs-dump FILE]
 //
 // With -remote-nodes the execution substrate is a cluster of greennode
 // worker processes reached over TCP instead of in-process pools: jobs ship
@@ -25,6 +25,8 @@
 // API:
 //
 //	POST /v1/sweeps              {"apps":[...],"kinds":[...],"phase":"full"}
+//	                             ("stage_workers":[1,4] adds a stage-thread
+//	                             dimension; omitted, every cell is serial)
 //	                             (503/429 + JSON {code, retry_after_ms,
 //	                             queue_depth} while draining or shedding)
 //	GET  /v1/sweeps/{id}         status snapshot (live or store-replayed)
@@ -58,10 +60,7 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/wattwiseweb/greenweb/internal/browser"
 	"github.com/wattwiseweb/greenweb/internal/fleet"
-	"github.com/wattwiseweb/greenweb/internal/harness"
-	"github.com/wattwiseweb/greenweb/internal/js"
 	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/obs/slog"
 	"github.com/wattwiseweb/greenweb/internal/shard"
@@ -88,9 +87,6 @@ func main() {
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	noObs := flag.Bool("no-obs", false, "disable decision recording and tracing (outputs must be byte-identical either way)")
 	noTrace := flag.Bool("no-trace", false, "disable fleet-level distributed tracing only (sweep bytes are identical either way)")
-	noVM := flag.Bool("no-vm", false, "run scripts on the tree-walking interpreter instead of the bytecode VM (outputs must be byte-identical either way)")
-	stageWorkers := flag.Int("stage-workers", 0, "default render-pipeline stage threads per engine (0 or 1 = serial; sweeps may override per job)")
-	noParallelRender := flag.Bool("no-parallel-render", false, "force serial frame production by default (outputs must be byte-identical to the default serial pipeline)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight sweeps on SIGINT/SIGTERM before cancellation")
 	obsDump := flag.String("obs-dump", "", "file for the final metrics snapshot on shutdown (default stderr)")
 	flag.Parse()
@@ -126,10 +122,6 @@ func main() {
 		fail("-admit-burst must be >= 1")
 	case *remoteNodes != "" && *nodes > 1:
 		fail("-remote-nodes and -nodes > 1 are mutually exclusive (the remote list fixes the node count)")
-	case !harness.ValidStageWorkers(*stageWorkers):
-		fail(fmt.Sprintf("-stage-workers must be in [0, %d]", browser.MaxStageWorkers))
-	case *noParallelRender && *stageWorkers > 1:
-		fail("-no-parallel-render conflicts with -stage-workers > 1")
 	}
 
 	// The sweep context is deliberately NOT the signal context: a signal
@@ -141,15 +133,6 @@ func main() {
 		obs.SetEnabled(false)
 		baseCtx = obs.ContextWithObs(baseCtx, false)
 	}
-	if *noVM {
-		js.SetVM(false)
-	}
-	if *noParallelRender {
-		browser.SetDefaultStageWorkers(1)
-	} else {
-		browser.SetDefaultStageWorkers(*stageWorkers)
-	}
-
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -2,7 +2,6 @@ package browser
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"github.com/wattwiseweb/greenweb/internal/css"
 	"github.com/wattwiseweb/greenweb/internal/dom"
@@ -12,60 +11,41 @@ import (
 )
 
 // obsScriptCompiles counts bytecode compiles performed while building page
-// assets. With the cache on this stays at one per distinct script; a climbing
-// rate means the cache is disabled or pages are being churned.
+// assets. It stays at one per distinct script; a climbing rate means pages
+// are being churned.
 var obsScriptCompiles = obs.Default().Counter("greenweb_assets_script_compiles_total",
 	"Scripts compiled to bytecode while building page assets")
 
 // pageAssets is the parse-once product of one page source: the HTML document
-// as an immutable template, the parsed stylesheets, and the parsed script
-// ASTs. A sweep executes the same dozen pages hundreds of times across
-// cells and fleet workers; the real tokenizing/tree-building work is
-// identical every time, so it is done once per process and shared.
+// as an immutable template, the parsed stylesheets, and the compiled
+// scripts. A sweep executes the same dozen pages hundreds of times across
+// cells and fleet workers; the real tokenizing/tree-building/compiling work
+// is identical every time, so it is done once per process and shared.
 //
 // Everything here is immutable after construction and safe to share across
 // goroutines: engines receive a Clone of the template (never the template
 // itself), stylesheets are only read by the cascade (their rule index is
-// published through an atomic pointer), and script ASTs are read-only to the
-// interpreter.
+// published through an atomic pointer), and compiled programs are read-only
+// to the VM (compilation is pure: no interpreter state).
 //
-// The *simulated* parse cost is charged exactly as before from the byte
-// counts (ParseCyclesPerByte), which do not depend on whether this process
-// re-parsed the text — reported energy and latency are byte-for-byte
-// identical with the cache on or off.
+// The *simulated* parse cost is charged from the byte counts
+// (ParseCyclesPerByte), which do not depend on whether this process
+// re-parsed the text — a cold load and a warm one report byte-for-byte
+// identical energy and latency.
 type pageAssets struct {
 	tmpl      *dom.Document
 	sheets    []*css.Stylesheet
 	dropped   int // malformed CSS rules skipped by the tolerant parser
 	scripts   []string
-	programs  []*js.Program // parallel to scripts; nil where parsing failed
-	parseErrs []error       // parallel to scripts; the error where nil above
-
-	// compiled is the bytecode form of each program, built once alongside the
-	// parse. Compilation is pure (no interpreter state), so a shared compile
-	// is as safe as the shared AST; the engine falls back to the AST when the
-	// VM is disabled. nil where the parse failed.
-	compiled []*js.CompiledProgram
+	compiled  []*js.CompiledProgram // parallel to scripts; nil where parsing failed
+	parseErrs []error               // parallel to scripts; the error where nil above
 }
 
-var (
-	assetCache   sync.Map // page source -> *pageAssets
-	assetCacheOn atomic.Bool
-)
+// assetCache maps page source -> *pageAssets.
+var assetCache sync.Map
 
-func init() { assetCacheOn.Store(true) }
-
-// SetAssetCache enables or disables the parse-once asset cache. Disabling
-// restores the pre-cache behavior — every LoadPage re-parses from source —
-// and is used by the determinism harness to prove cached and uncached runs
-// produce byte-identical reports.
-func SetAssetCache(enabled bool) { assetCacheOn.Store(enabled) }
-
-// AssetCacheEnabled reports whether LoadPage serves parses from the cache.
-func AssetCacheEnabled() bool { return assetCacheOn.Load() }
-
-// ResetAssetCache drops every cached parse. Benchmarks use it to measure
-// the cold path.
+// ResetAssetCache drops every cached parse. Tests and benchmarks use it to
+// measure the cold path.
 func ResetAssetCache() {
 	assetCache.Range(func(k, _ any) bool {
 		assetCache.Delete(k)
@@ -73,8 +53,7 @@ func ResetAssetCache() {
 	})
 }
 
-// buildAssets parses a page source into its assets, performing the work the
-// pre-cache LoadPage did inline.
+// buildAssets parses a page source into its assets.
 func buildAssets(src string) *pageAssets {
 	a := &pageAssets{tmpl: html.Parse(src)}
 	for _, styleSrc := range html.StyleSources(a.tmpl) {
@@ -83,15 +62,16 @@ func buildAssets(src string) *pageAssets {
 		a.sheets = append(a.sheets, sheet)
 	}
 	a.scripts = html.ScriptSources(a.tmpl)
-	a.programs = make([]*js.Program, len(a.scripts))
-	a.parseErrs = make([]error, len(a.scripts))
 	a.compiled = make([]*js.CompiledProgram, len(a.scripts))
+	a.parseErrs = make([]error, len(a.scripts))
 	for i, s := range a.scripts {
-		a.programs[i], a.parseErrs[i] = js.Parse(s)
-		if a.programs[i] != nil && js.VMEnabled() {
-			a.compiled[i] = js.Compile(a.programs[i])
-			obsScriptCompiles.Inc()
+		prog, err := js.Parse(s)
+		if err != nil {
+			a.parseErrs[i] = err
+			continue
 		}
+		a.compiled[i] = js.Compile(prog)
+		obsScriptCompiles.Inc()
 	}
 	return a
 }

@@ -24,13 +24,11 @@ var (
 	obsAssetHits = obs.Default().Counter("greenweb_engine_asset_cache_hits_total",
 		"Page loads served from the parse-once asset cache")
 	obsAssetMisses = obs.Default().Counter("greenweb_engine_asset_cache_misses_total",
-		"Page loads that built assets fresh (cold cache or cache disabled)")
+		"Page loads that built assets fresh (cold cache)")
 	obsDroppedCSS = obs.Default().Counter("greenweb_engine_dropped_css_rules_total",
 		"Malformed CSS rules skipped by the tolerant parser across page loads")
 	obsVMScripts = obs.Default().Counter("greenweb_engine_vm_scripts_total",
 		"Startup scripts executed on the bytecode VM")
-	obsTreeScripts = obs.Default().Counter("greenweb_engine_treewalk_scripts_total",
-		"Startup scripts executed by the tree-walking interpreter")
 )
 
 // Governor decides execution configurations. The baselines (Perf,
@@ -209,12 +207,9 @@ type LoadStats struct {
 	// AssetCacheHit reports whether the page's parses were served from the
 	// process-wide asset cache.
 	AssetCacheHit bool
-	// VMScripts and TreeWalkScripts count how many startup scripts ran on
-	// the bytecode VM versus the tree-walking interpreter. The split is pure
-	// observability — both engines charge identical ops — but makes a
-	// misconfigured -no-vm ablation visible in one glance.
-	VMScripts       int
-	TreeWalkScripts int
+	// VMScripts counts the startup scripts that parsed and ran on the
+	// bytecode VM.
+	VMScripts int
 }
 
 // LoadStats returns the page-load statistics. Valid after LoadPage.
@@ -342,21 +337,12 @@ func (e *Engine) LoadPage(src string) (UID, error) {
 	e.loaded = true
 
 	// Parse-once asset cache: the document template, stylesheets, and
-	// script ASTs for a page source are built once per process and shared;
-	// this engine works on a private clone of the DOM. With the cache
-	// disabled the assets are built fresh right here, and the template is
-	// this engine's own — the pre-cache code path.
-	var assets *pageAssets
-	if AssetCacheEnabled() {
-		var hit bool
-		assets, hit = assetsFor(src)
-		e.doc = assets.tmpl.Clone()
-		e.loadStats.AssetCacheHit = hit
-	} else {
-		assets = buildAssets(src)
-		e.doc = assets.tmpl
-	}
-	if e.loadStats.AssetCacheHit {
+	// compiled scripts for a page source are built once per process and
+	// shared; this engine works on a private clone of the DOM.
+	assets, hit := assetsFor(src)
+	e.doc = assets.tmpl.Clone()
+	e.loadStats.AssetCacheHit = hit
+	if hit {
 		obsAssetHits.Inc()
 	} else {
 		obsAssetMisses.Inc()
@@ -409,25 +395,14 @@ func (e *Engine) LoadPage(src string) (UID, error) {
 			run: func() acmp.Work {
 				e.curDispatch = &DispatchResult{}
 				var ops int64
-				// Run the cached parses. The VM executes the compiled unit
-				// cached next to the AST; the tree-walker (or a unit that
-				// was built while the VM was off) takes the AST path. Both
-				// charge the identical op sequence, so reported work does
-				// not depend on the engine choice — only wall-clock does.
-				for i := range assets.scripts {
+				for i, cp := range assets.compiled {
 					e.interp.ResetOps()
-					if prog := assets.programs[i]; prog == nil {
+					if cp == nil {
 						e.scriptErrs = append(e.scriptErrs, assets.parseErrs[i])
-					} else if cp := assets.compiled[i]; cp != nil && js.VMEnabled() {
+					} else {
 						e.loadStats.VMScripts++
 						obsVMScripts.Inc()
 						if err := e.interp.RunCompiled(cp); err != nil {
-							e.scriptErrs = append(e.scriptErrs, err)
-						}
-					} else {
-						e.loadStats.TreeWalkScripts++
-						obsTreeScripts.Inc()
-						if err := e.interp.Run(prog); err != nil {
 							e.scriptErrs = append(e.scriptErrs, err)
 						}
 					}
@@ -477,13 +452,7 @@ func (e *Engine) installPrelude() {
 		}
 		return js.Undefined, nil
 	}))
-	var err error
-	if js.VMEnabled() {
-		err = e.interp.RunCompiled(preludeCompiled)
-	} else {
-		err = e.interp.Run(preludeProg)
-	}
-	if err != nil {
+	if err := e.interp.RunCompiled(preludeCompiled); err != nil {
 		panic("browser: prelude failed: " + err.Error())
 	}
 	e.interp.ResetOps()
@@ -505,10 +474,7 @@ const preludeSrc = `
 
 // The prelude is identical for every engine, so it is parsed and compiled
 // exactly once per process instead of once per page load.
-var (
-	preludeProg     = js.MustParse(preludeSrc)
-	preludeCompiled = js.Compile(preludeProg)
-)
+var preludeCompiled = js.Compile(js.MustParse(preludeSrc))
 
 // ---- input injection ----
 

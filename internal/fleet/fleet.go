@@ -62,9 +62,11 @@ type Job struct {
 	// Faults optionally runs the cell on a faulted device (thermal caps,
 	// DVFS transition failures, DAQ dropout). nil → pristine hardware.
 	Faults *faults.Spec `json:"faults,omitempty"`
-	// StageWorkers overrides the render pipeline's stage-thread count for
-	// this cell: 0 → the process default, 1 → force serial frame
-	// production, 2..browser.MaxStageWorkers → staged with that many cores.
+	// StageWorkers is the render pipeline's stage-thread count for this
+	// cell: 1 → serial frame production, 2..browser.MaxStageWorkers →
+	// staged with that many cores, 0 → the count the submitting context
+	// carries (harness.WithStageWorkers), serial when it carries none. Only
+	// the field crosses the wire to remote workers, never the context.
 	StageWorkers int `json:"stage_workers,omitempty"`
 	// Trace is the distributed-tracing context (sweep id, job index,
 	// attempt, parent span id), stamped by the manager on traced sweeps.

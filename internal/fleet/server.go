@@ -32,8 +32,8 @@ type SweepRequest struct {
 	Faults *faults.Spec `json:"faults,omitempty"`
 	// StageWorkers adds a render-pipeline dimension to the grid: the sweep
 	// runs every (app, kind) cell once per listed stage-worker count
-	// (0 = process default, 1 = serial, 2.. = staged). Empty keeps the grid
-	// two-dimensional, exactly as before the dimension existed.
+	// (0 or 1 = serial, 2.. = staged). Empty keeps the grid two-dimensional
+	// and every cell serial.
 	StageWorkers []int `json:"stage_workers,omitempty"`
 }
 
@@ -108,8 +108,8 @@ type ResultRow struct {
 	Kind  harness.Kind `json:"kind"`
 	Phase Phase        `json:"phase"`
 	State State        `json:"state"`
-	// StageWorkers echoes the job's render-pipeline override; omitted for
-	// default-pipeline jobs so pre-existing sweep output is unchanged.
+	// StageWorkers echoes the job's own stage-worker count; omitted when
+	// the job has none (0).
 	StageWorkers int     `json:"stage_workers,omitempty"`
 	LatencyMS    float64 `json:"latency_ms"`
 	EnergyJ      float64 `json:"energy_j,omitempty"`

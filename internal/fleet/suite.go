@@ -33,7 +33,7 @@ func (r *SuiteRunner) Prefetch(cells []harness.Cell) (map[harness.Cell]*harness.
 		if c.Full {
 			phase = Full
 		}
-		jobs[i] = Job{App: c.App.Name, Kind: c.Kind, Phase: phase}
+		jobs[i] = Job{App: c.App.Name, Kind: c.Kind, Phase: phase, StageWorkers: c.StageWorkers}
 	}
 	results := r.pool.RunSweep(r.ctx, jobs)
 	out := make(map[harness.Cell]*harness.Run, len(cells))

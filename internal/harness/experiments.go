@@ -391,11 +391,11 @@ func (s *Suite) AblationPredictor() ([]PredictorRow, error) {
 	rows := make([]PredictorRow, len(catalog))
 	err = s.fanOut(len(catalog), func(i int) error {
 		a := catalog[i]
-		cold, trainedModels, err := executeSeeded(context.Background(), a, GreenWebI, a.Full, nil, nil)
+		cold, trainedModels, err := executeSeeded(s.ctx(), a, GreenWebI, a.Full, nil, nil)
 		if err != nil {
 			return err
 		}
-		trained, _, err := executeSeeded(context.Background(), a, GreenWebI, a.Full, trainedModels, nil)
+		trained, _, err := executeSeeded(s.ctx(), a, GreenWebI, a.Full, trainedModels, nil)
 		if err != nil {
 			return err
 		}
@@ -498,7 +498,7 @@ func (s *Suite) ComparisonAutoGreen() ([]AutoGreenRow, error) {
 		if err != nil {
 			return err
 		}
-		auto, _, err := executeHTML(context.Background(), a, annotated, GreenWebI, a.Full, nil, nil)
+		auto, _, err := executeHTML(s.ctx(), a, annotated, GreenWebI, a.Full, nil, nil)
 		if err != nil {
 			return err
 		}

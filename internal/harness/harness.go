@@ -345,11 +345,8 @@ func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, tra
 	}
 	e := browser.New(s, cpu, nil)
 	// Stage-worker configuration must precede LoadPage (stage threads feed
-	// the idle-power model): a per-run context override wins, else the
-	// process-wide default (CLI flags). Zero/one leaves the engine serial.
+	// the idle-power model). Zero/one leaves the engine serial.
 	if n := StageWorkersIn(ctx); n > 0 {
-		e.SetStageWorkers(n)
-	} else if n := browser.DefaultStageWorkers(); n > 0 {
 		e.SetStageWorkers(n)
 	}
 	led := ledger.New(cpu)
@@ -496,9 +493,10 @@ func violationsOf(c *metrics.Collector, start sim.Time) []float64 {
 // Suite memoizes runs so the figure generators can share them (Fig. 10a/b/c,
 // 11, and 12 all consume the same full-interaction executions).
 type Suite struct {
-	micro map[string]*Run
-	full  map[string]*Run
-	pre   Prefetcher
+	micro        map[string]*Run
+	full         map[string]*Run
+	pre          Prefetcher
+	stageWorkers int
 }
 
 // NewSuite returns an empty result cache.
@@ -506,19 +504,42 @@ func NewSuite() *Suite {
 	return &Suite{micro: make(map[string]*Run), full: make(map[string]*Run)}
 }
 
+// SetStageWorkers makes every execution the suite runs itself or asks its
+// prefetcher for use n render-pipeline stage threads (0 or 1 = serial, the
+// default). Call it before the first generator; n outside
+// [0, browser.MaxStageWorkers] panics (see WithStageWorkers).
+func (s *Suite) SetStageWorkers(n int) {
+	if !ValidStageWorkers(n) {
+		panic("harness: stage workers out of range")
+	}
+	s.stageWorkers = n
+}
+
+// ctx is the context of the suite's own executions: it carries the suite's
+// stage-worker count.
+func (s *Suite) ctx() context.Context {
+	return WithStageWorkers(context.Background(), s.stageWorkers)
+}
+
 // Cell names one memoizable suite execution: an application under a
 // governor, either the full interaction or the repeated microbenchmark.
+// StageWorkers > 0 renders it with that many stage threads (1 = serial);
+// 0 leaves the count to the execution context (see WithStageWorkers).
 type Cell struct {
-	App  *apps.App
-	Kind Kind
-	Full bool
+	App          *apps.App
+	Kind         Kind
+	Full         bool
+	StageWorkers int
 }
 
 // ExecuteCell runs the cell exactly as the suite's lazy path would: full
 // cells are single cold runs; micro cells follow the paper's repeated-
-// measurement protocol. Fleet workers call this, so a prefetched run is
-// bit-identical to the one a sequential Suite would have computed.
+// measurement protocol. A prefetched run computed this way is bit-identical
+// to the one a sequential Suite would have computed.
 func ExecuteCell(ctx context.Context, c Cell) (*Run, error) {
+	if c.StageWorkers > 0 {
+		ctx = WithStageWorkers(ctx, c.StageWorkers)
+	}
 	if c.Full {
 		return ExecuteContext(ctx, c.App, c.Kind, c.App.Full)
 	}
@@ -550,6 +571,7 @@ func (s *Suite) prefetch(cells []Cell) error {
 			cache = s.full
 		}
 		if _, ok := cache[s.key(c.App, c.Kind)]; !ok {
+			c.StageWorkers = s.stageWorkers
 			missing = append(missing, c)
 		}
 	}
@@ -653,7 +675,7 @@ func (s *Suite) Micro(app *apps.App, kind Kind) (*Run, error) {
 	if r, ok := s.micro[k]; ok {
 		return r, nil
 	}
-	r, err := ExecuteCell(context.Background(), Cell{App: app, Kind: kind})
+	r, err := ExecuteCell(s.ctx(), Cell{App: app, Kind: kind})
 	if err != nil {
 		return nil, err
 	}
@@ -667,7 +689,7 @@ func (s *Suite) Full(app *apps.App, kind Kind) (*Run, error) {
 	if r, ok := s.full[k]; ok {
 		return r, nil
 	}
-	r, err := ExecuteCell(context.Background(), Cell{App: app, Kind: kind, Full: true})
+	r, err := ExecuteCell(s.ctx(), Cell{App: app, Kind: kind, Full: true})
 	if err != nil {
 		return nil, err
 	}

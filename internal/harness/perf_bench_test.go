@@ -6,7 +6,6 @@ import (
 
 	"github.com/wattwiseweb/greenweb/internal/apps"
 	"github.com/wattwiseweb/greenweb/internal/browser"
-	"github.com/wattwiseweb/greenweb/internal/js"
 	"github.com/wattwiseweb/greenweb/internal/qos"
 	"github.com/wattwiseweb/greenweb/internal/replay"
 	"github.com/wattwiseweb/greenweb/internal/sim"
@@ -47,8 +46,8 @@ func BenchmarkExecuteCellWarmFull(b *testing.B) {
 // hashing kernel in plain loops — rather than the catalog's work() native
 // stand-in (which charges ops without interpreting anything). This is the
 // workload the bytecode VM targets: interpreter time dominates the cell, so
-// the VM vs -no-vm ablation below measures engine speed rather than DOM
-// clone or cascade overhead. BENCH_PR7.json tracks the pair.
+// the benchmark below measures engine speed rather than DOM clone or
+// cascade overhead.
 var scriptHeavyApp = func() *apps.App {
 	const script = `
 		var kernel = (function () {
@@ -101,12 +100,9 @@ var scriptHeavyApp = func() *apps.App {
 	}
 }()
 
-func benchVMAblation(b *testing.B, vm bool) {
-	js.SetVM(vm)
-	defer js.SetVM(true)
-	// Drop assets built under the other engine setting: compiled units are
-	// only attached while the VM is on, and the cache key is page source.
-	browser.ResetAssetCache()
+// BenchmarkExecuteCellWarmScriptVM runs the script-dominated cell warm on
+// the bytecode VM.
+func BenchmarkExecuteCellWarmScriptVM(b *testing.B) {
 	cell := Cell{App: scriptHeavyApp, Kind: GreenWebU, Full: true}
 	if _, err := ExecuteCell(context.Background(), cell); err != nil {
 		b.Fatal(err)
@@ -118,16 +114,7 @@ func benchVMAblation(b *testing.B, vm bool) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	browser.ResetAssetCache()
 }
-
-// BenchmarkExecuteCellWarmScriptVM / ...NoVM are the PR 7 ablation pair: the
-// same script-dominated cell on the bytecode VM and on the tree-walking
-// interpreter. Their outputs are byte-identical (CI diffs the full report
-// both ways); only wall-clock differs.
-func BenchmarkExecuteCellWarmScriptVM(b *testing.B)   { benchVMAblation(b, true) }
-func BenchmarkExecuteCellWarmScriptNoVM(b *testing.B) { benchVMAblation(b, false) }
 
 // BenchmarkExecuteCellColdFull measures the same cell with the asset cache
 // emptied before every execution — the first-cell-of-a-sweep path, and a

@@ -6,17 +6,17 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/browser"
 )
 
-// Per-run stage-worker override, carried on the context like the obs gate
-// (obs.EnabledIn): fleet workers executing jobs with an explicit stage-worker
-// count wrap their job context, and executeHTML applies it to the engine
-// before LoadPage. Zero means "no override — use the process default".
+// The stage-worker count of a run is carried on the context like the obs
+// gate (obs.EnabledIn): callers that want a staged engine wrap the run's
+// context (fleet workers from Job.StageWorkers, the suite from its own
+// count), and executeHTML applies it to the engine before LoadPage.
 
 type stageWorkersKey struct{}
 
 // WithStageWorkers returns a context whose harness executions run with n
-// stage threads (0 = defer to browser.DefaultStageWorkers, 1 = force serial
-// regardless of the process default). n outside [0, browser.MaxStageWorkers]
-// panics — validate external input with ValidStageWorkers first.
+// stage threads (0 or 1 = serial frame production, the default for a
+// context without a count). n outside [0, browser.MaxStageWorkers] panics —
+// validate external input with ValidStageWorkers first.
 func WithStageWorkers(ctx context.Context, n int) context.Context {
 	if n < 0 || n > browser.MaxStageWorkers {
 		panic("harness: stage workers out of range")
@@ -24,7 +24,8 @@ func WithStageWorkers(ctx context.Context, n int) context.Context {
 	return context.WithValue(ctx, stageWorkersKey{}, n)
 }
 
-// StageWorkersIn reports the context's stage-worker override (0 = none).
+// StageWorkersIn reports the context's stage-worker count (0 = none given,
+// which runs serial).
 func StageWorkersIn(ctx context.Context) int {
 	if n, ok := ctx.Value(stageWorkersKey{}).(int); ok {
 		return n

@@ -149,8 +149,8 @@ func TestStagedFrameShape(t *testing.T) {
 
 // TestStageSchedulerRace drives staged executions from concurrent
 // goroutines; under -race this verifies the stage scheduler and its shared
-// package state (worker defaults, obs instruments, memoized selectors) are
-// race-free, and the results must still be deterministic.
+// package state (obs instruments, memoized selectors) are race-free, and
+// the results must still be deterministic.
 func TestStageSchedulerRace(t *testing.T) {
 	app, _ := apps.ByName("SPA-Board")
 	const n = 4
@@ -202,5 +202,42 @@ func TestStagedVectorEnergyAtEqualQoS(t *testing.T) {
 	}
 	if st.Frames != uni.Frames {
 		t.Errorf("frame counts differ: staged %d vs uniform %d", st.Frames, uni.Frames)
+	}
+}
+
+// cellRecorder is a Prefetcher that records the cells it is asked for and
+// computes none of them, leaving them to the suite's lazy path.
+type cellRecorder struct{ cells []Cell }
+
+func (r *cellRecorder) Prefetch(cells []Cell) (map[Cell]*Run, error) {
+	r.cells = append(r.cells, cells...)
+	return nil, nil
+}
+
+// TestSuiteStageWorkers: a suite's stage-worker count reaches both the
+// cells it hands its prefetcher and the ones it computes itself.
+func TestSuiteStageWorkers(t *testing.T) {
+	app, _ := apps.ByName("Todo")
+	rec := &cellRecorder{}
+	staged := NewSuite()
+	staged.SetStageWorkers(4)
+	staged.SetPrefetcher(rec)
+	if err := staged.prefetch([]Cell{{App: app, Kind: Perf, Full: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.cells) != 1 || rec.cells[0].StageWorkers != 4 {
+		t.Fatalf("prefetcher asked for %+v, want one cell with 4 stage workers", rec.cells)
+	}
+	run, err := staged.Full(app, Perf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := NewSuite().Full(app, Perf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.StageEnergy == 0 || serial.StageEnergy != 0 {
+		t.Errorf("stage energy: staged suite %v J (want > 0), serial suite %v J (want 0)",
+			float64(run.StageEnergy), float64(serial.StageEnergy))
 	}
 }

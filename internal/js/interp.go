@@ -96,15 +96,9 @@ func rtErr(n Node, format string, args ...any) error {
 	return &RuntimeError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Run executes a program in the global scope. When the VM is enabled the
-// program is compiled to bytecode first; op accounting is identical either
-// way.
+// Run compiles a program to bytecode and executes it in the global scope.
 func (in *Interp) Run(prog *Program) error {
-	if VMEnabled() {
-		return in.RunCompiled(Compile(prog))
-	}
-	_, _, err := in.execBlock(prog.Body, in.Globals)
-	return err
+	return in.RunCompiled(Compile(prog))
 }
 
 // RunSource parses and executes source text in the global scope.

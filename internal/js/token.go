@@ -1,6 +1,8 @@
 // Package js implements a JavaScript-subset interpreter: a lexer, a Pratt
-// parser producing an AST, and a tree-walking evaluator with closures,
-// objects, arrays, and a host-object protocol for browser bindings.
+// parser producing an AST, and a bytecode compiler and VM with closures,
+// objects, arrays, and a host-object protocol for browser bindings. A
+// tree-walking evaluator over the same AST is the reference the VM is
+// differentially tested against.
 //
 // The subset covers what mobile Web application logic needs — the paper's
 // workloads are event callbacks that manipulate DOM state, register

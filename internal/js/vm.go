@@ -3,28 +3,15 @@ package js
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // The VM executes the bytecode produced by compiler.go on the same Interp
 // state (op counters, op limit, call depth, globals, environments) the tree
 // walker uses. The two engines share every semantic helper — getProp, arith,
 // toInt32, storeProp/storeIndex, invoke, catchable — so behaviour and op
-// accounting are identical by construction; the differential fuzz target
-// (FuzzVMvsInterp) and the CI vm-vs-no-vm byte diffs enforce it.
-
-var vmEnabled atomic.Bool
-
-func init() { vmEnabled.Store(true) }
-
-// SetVM enables or disables the bytecode VM process-wide. Disabling restores
-// the tree-walking interpreter for subsequently run programs — the -no-vm
-// escape hatch in greenbench/greensrv. Outputs must be byte-identical either
-// way; only real CPU time changes.
-func SetVM(enabled bool) { vmEnabled.Store(enabled) }
-
-// VMEnabled reports whether Run compiles programs to bytecode.
-func VMEnabled() bool { return vmEnabled.Load() }
+// accounting are identical by construction. Run always compiles; the tree
+// walker's execution half is kept only as the reference the differential
+// fuzz target (FuzzVMvsInterp) and the TestVMParity* tests compare against.
 
 // RunCompiled executes a compiled program in the global scope.
 func (in *Interp) RunCompiled(cp *CompiledProgram) error {

@@ -256,25 +256,6 @@ func TestVMCallFunctionDispatch(t *testing.T) {
 	}
 }
 
-// TestVMToggle checks the -no-vm escape hatch routing in Run.
-func TestVMToggle(t *testing.T) {
-	defer SetVM(true)
-	check := func(wantVM bool) {
-		in := NewInterp()
-		if err := in.RunSource(`function f() {} var g = function() {};`); err != nil {
-			t.Fatal(err)
-		}
-		f, _ := in.Globals.Lookup("f")
-		if got := f.Object().Fn.Code != nil; got != wantVM {
-			t.Fatalf("VMEnabled=%v but function compiled=%v", wantVM, got)
-		}
-	}
-	SetVM(true)
-	check(true)
-	SetVM(false)
-	check(false)
-}
-
 // ---- satellite regressions: cost-model bugfixes ----
 
 // TestArrayGrowthCharged: growing an array (by length or sparse index)

@@ -18,11 +18,11 @@ type Process struct {
 	Marks []ConfigMark
 }
 
-// traceEvent is one entry of the Chrome trace_event format (the JSON Array
+// TraceEvent is one entry of the Chrome trace_event format (the JSON Array
 // variant wrapped in a JSON Object container), loadable in chrome://tracing
 // and Perfetto. Timestamps and durations are microseconds — sim's native
 // unit, so values pass through unchanged.
-type traceEvent struct {
+type TraceEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -33,10 +33,21 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// traceFile is the JSON Object container format.
-type traceFile struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
+// EncodeTrace writes events as one indented Chrome trace_event JSON Object
+// container with millisecond display units; a non-nil otherData becomes the
+// container's otherData field. Both trace artifacts — WriteTrace's energy
+// timelines and the fleet's distributed trace — are written by it.
+func EncodeTrace(w io.Writer, events []TraceEvent, otherData map[string]any) error {
+	if events == nil {
+		events = []TraceEvent{}
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(struct {
+		TraceEvents     []TraceEvent   `json:"traceEvents"`
+		DisplayTimeUnit string         `json:"displayTimeUnit"`
+		OtherData       map[string]any `json:"otherData,omitempty"`
+	}{events, "ms", otherData})
 }
 
 // Thread ids within one trace process: frame/idle slices share the
@@ -49,17 +60,15 @@ const (
 
 // WriteTrace serializes the processes as Chrome trace-event JSON.
 func WriteTrace(w io.Writer, procs ...Process) error {
-	tf := traceFile{TraceEvents: []traceEvent{}, DisplayTimeUnit: "ms"}
+	var evs []TraceEvent
 	for _, p := range procs {
-		tf.TraceEvents = append(tf.TraceEvents, processEvents(p)...)
+		evs = append(evs, processEvents(p)...)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(tf)
+	return EncodeTrace(w, evs, nil)
 }
 
-func processEvents(p Process) []traceEvent {
-	evs := []traceEvent{
+func processEvents(p Process) []TraceEvent {
+	evs := []TraceEvent{
 		{Name: "process_name", Ph: "M", PID: p.PID, TID: 0, Args: map[string]any{"name": p.Name}},
 		{Name: "thread_name", Ph: "M", PID: p.PID, TID: frameTID, Args: map[string]any{"name": "frames"}},
 	}
@@ -98,7 +107,7 @@ func processEvents(p Process) []traceEvent {
 		lanes[sp.ID] = lane
 	}
 	for i := range laneEnd {
-		evs = append(evs, traceEvent{
+		evs = append(evs, TraceEvent{
 			Name: "thread_name", Ph: "M", PID: p.PID, TID: eventTIDBase + i,
 			Args: map[string]any{"name": fmt.Sprintf("events-%d", i)},
 		})
@@ -109,7 +118,7 @@ func processEvents(p Process) []traceEvent {
 		if sp.Kind == KindEvent {
 			tid = eventTIDBase + lanes[sp.ID]
 		}
-		evs = append(evs, traceEvent{
+		evs = append(evs, TraceEvent{
 			Name: sp.Name,
 			Cat:  string(sp.Kind),
 			Ph:   "X",
@@ -124,7 +133,7 @@ func processEvents(p Process) []traceEvent {
 		// lane — Perfetto and chrome://tracing nest same-thread events by
 		// containment, so the decision renders as a child of its frame.
 		if sp.Kind == KindFrame && sp.Attrs["decision"] != "" {
-			evs = append(evs, traceEvent{
+			evs = append(evs, TraceEvent{
 				Name: "decide:" + sp.Attrs["decision"],
 				Cat:  "decision",
 				Ph:   "X",
@@ -140,10 +149,10 @@ func processEvents(p Process) []traceEvent {
 	// Configuration changes as a counter track (MHz over time) plus instant
 	// markers carrying the from→to transition.
 	for _, mk := range p.Marks {
-		evs = append(evs, traceEvent{
+		evs = append(evs, TraceEvent{
 			Name: "cpu MHz", Ph: "C", TS: int64(mk.At), PID: p.PID,
 			Args: map[string]any{"MHz": mk.To.MHz},
-		}, traceEvent{
+		}, TraceEvent{
 			Name: fmt.Sprintf("%v → %v", mk.From, mk.To),
 			Cat:  "config", Ph: "i", TS: int64(mk.At), PID: p.PID, TID: frameTID,
 			Args: map[string]any{"s": "p"},

@@ -1,31 +1,12 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+
+	"github.com/wattwiseweb/greenweb/internal/ledger"
 )
-
-// traceEvent is one Chrome trace_event entry (JSON Object container
-// variant), mirroring internal/ledger's exporter so both artifact families
-// load in chrome://tracing and Perfetto. Timestamps are microseconds.
-type traceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type traceFile struct {
-	TraceEvents     []traceEvent   `json:"traceEvents"`
-	DisplayTimeUnit string         `json:"displayTimeUnit"`
-	OtherData       map[string]any `json:"otherData,omitempty"`
-}
 
 // WriteFleetTrace renders a sweep's merged spans as Chrome trace_event
 // JSON: one trace process per real OS process that recorded spans (the
@@ -33,15 +14,6 @@ type traceFile struct {
 // rebased to the sweep's earliest span and emitted in nondecreasing order.
 // spanDrops lands in otherData so a truncated trace says so.
 func WriteFleetTrace(w io.Writer, sweep string, spans []Span, spanDrops int64) error {
-	tf := traceFile{
-		TraceEvents:     []traceEvent{},
-		DisplayTimeUnit: "ms",
-		OtherData: map[string]any{
-			"sweep":      sweep,
-			"span_drops": spanDrops,
-		},
-	}
-
 	// Rebase to the earliest span so the artifact starts at t=0 regardless
 	// of wall-clock epoch.
 	var base int64
@@ -86,12 +58,13 @@ func WriteFleetTrace(w io.Writer, sweep string, spans []Span, spanDrops int64) e
 		jobIDs = append(jobIDs, j)
 	}
 	sort.Ints(jobIDs)
+	var meta []ledger.TraceEvent
 	for _, p := range procs {
 		name := fmt.Sprintf("greensrv (pid %d)", p.pid)
 		if p.node != "" {
 			name = fmt.Sprintf("greennode %s (pid %d)", p.node, p.pid)
 		}
-		tf.TraceEvents = append(tf.TraceEvents, traceEvent{
+		meta = append(meta, ledger.TraceEvent{
 			Name: "process_name", Ph: "M", PID: p.pid, TID: 0,
 			Args: map[string]any{"name": name},
 		})
@@ -102,14 +75,14 @@ func WriteFleetTrace(w io.Writer, sweep string, spans []Span, spanDrops int64) e
 			if j < 0 {
 				name = "sweep"
 			}
-			tf.TraceEvents = append(tf.TraceEvents, traceEvent{
+			meta = append(meta, ledger.TraceEvent{
 				Name: "thread_name", Ph: "M", PID: p.pid, TID: j + 1,
 				Args: map[string]any{"name": name},
 			})
 		}
 	}
 
-	events := make([]traceEvent, 0, len(spans))
+	events := make([]ledger.TraceEvent, 0, len(spans))
 	for _, sp := range spans {
 		ph, dur := "X", sp.DurUS
 		if dur <= 0 {
@@ -133,7 +106,7 @@ func WriteFleetTrace(w io.Writer, sweep string, spans []Span, spanDrops int64) e
 		for k, v := range sp.Attrs {
 			args[k] = v
 		}
-		ev := traceEvent{
+		ev := ledger.TraceEvent{
 			Name: sp.Name,
 			Cat:  sp.Cat,
 			Ph:   ph,
@@ -162,9 +135,8 @@ func WriteFleetTrace(w io.Writer, sweep string, spans []Span, spanDrops int64) e
 		}
 		return events[i].Name < events[j].Name
 	})
-	tf.TraceEvents = append(tf.TraceEvents, events...)
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(tf)
+	return ledger.EncodeTrace(w, append(meta, events...), map[string]any{
+		"sweep":      sweep,
+		"span_drops": spanDrops,
+	})
 }

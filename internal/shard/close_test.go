@@ -140,6 +140,18 @@ func TestEvictRehomesQueuedJobs(t *testing.T) {
 	}
 }
 
+// TestClosedLocalNodeReportsNodeDown: Evict can close a LocalNode's pool
+// between a puller's pop and its Run. The job never ran, so Run must report
+// ErrNodeDown, which the puller re-homes, not the pool's own ErrClosed,
+// which it would deliver as the job's failure.
+func TestClosedLocalNodeReportsNodeDown(t *testing.T) {
+	n := NewLocalNode(0, fleet.Options{})
+	n.Close()
+	if res := n.Run(context.Background(), fleet.Job{App: "a"}); !errors.Is(res.Err, ErrNodeDown) {
+		t.Fatalf("Run on a closed node: err = %v, want ErrNodeDown", res.Err)
+	}
+}
+
 // TestEvictLastNodeStrandsJobs: with no live sibling, queued jobs are
 // delivered as typed ErrNoNodes failures and later submissions are refused
 // with the same error.

@@ -95,6 +95,11 @@ func (n *LocalNode) Close() { n.pool.Close() }
 func (n *LocalNode) Run(ctx context.Context, job fleet.Job) fleet.Result {
 	ch := make(chan fleet.Result, 1)
 	if err := n.pool.Start(ctx, job, nil, func(r fleet.Result) { ch <- r }); err != nil {
+		// Evict may close the pool between a puller's pop and this Start;
+		// the job never ran, so report the node down and let it re-home.
+		if errors.Is(err, fleet.ErrClosed) {
+			err = fmt.Errorf("%w: node %d closed", ErrNodeDown, n.id)
+		}
 		return fleet.Result{Job: job, Worker: -1, Err: err}
 	}
 	r := <-ch

@@ -34,6 +34,9 @@ func topologyJobs() []fleet.Job {
 		// deny probability crosses the storm threshold within a few frames.
 		jobs = append(jobs, fleet.Job{App: app, Kind: harness.GreenWebI, Phase: fleet.Full, Faults: doomed})
 	}
+	// A staged cell: its stage count and per-stage energy must survive the
+	// trip to a remote worker and back.
+	jobs = append(jobs, fleet.Job{App: "Todo", Kind: harness.GreenWebI, Phase: fleet.Full, StageWorkers: 4})
 	return jobs
 }
 

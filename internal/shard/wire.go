@@ -72,6 +72,7 @@ type wireRun struct {
 	FrameEnergy acmp.Joules      `json:"frame_energy_j"`
 	IdleEnergy  acmp.Joules      `json:"idle_energy_j"`
 	EventEnergy acmp.Joules      `json:"event_energy_j"`
+	StageEnergy acmp.Joules      `json:"stage_energy_j,omitempty"`
 	Spans       []ledger.Span    `json:"spans,omitempty"`
 	ConfigMarks []wireConfigMark `json:"config_marks,omitempty"`
 	Decisions   []obs.Decision   `json:"decisions,omitempty"`
@@ -142,6 +143,7 @@ func encodeRun(run *harness.Run) *wireRun {
 		FrameEnergy:   run.FrameEnergy,
 		IdleEnergy:    run.IdleEnergy,
 		EventEnergy:   run.EventEnergy,
+		StageEnergy:   run.StageEnergy,
 		Spans:         run.Spans,
 		Decisions:     run.Decisions,
 		ThermalTrips:  run.ThermalTrips,
@@ -183,6 +185,7 @@ func decodeRun(w *wireRun, job fleet.Job) *harness.Run {
 		FrameEnergy:   w.FrameEnergy,
 		IdleEnergy:    w.IdleEnergy,
 		EventEnergy:   w.EventEnergy,
+		StageEnergy:   w.StageEnergy,
 		Spans:         w.Spans,
 		Decisions:     w.Decisions,
 		ThermalTrips:  w.ThermalTrips,

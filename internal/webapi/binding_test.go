@@ -38,27 +38,23 @@ func TestMethodValuesAreShared(t *testing.T) {
 }
 
 // TestDetachedMethodCallErrors: an element method called without an
-// element receiver is an illegal invocation on both engines, never a
-// panic, and the DOM is left untouched.
+// element receiver is an illegal invocation, never a panic, and the DOM is
+// left untouched.
 func TestDetachedMethodCallErrors(t *testing.T) {
 	cases := map[string]string{
 		"bare call":      `var f = el.appendChild; f(document.createElement("p"));`,
 		"plain receiver": `var o = {f: el.appendChild}; o.f(document.createElement("p"));`,
 		"setAttribute":   `var o = {f: el.setAttribute}; o.f("k", "v");`,
 	}
-	defer js.SetVM(true)
-	for _, vm := range []bool{true, false} {
-		js.SetVM(vm)
-		for name, src := range cases {
-			b, _, doc := setup(t, `<body><div id="x"></div></body>`)
-			run(t, b, `var el = document.getElementById("x");`)
-			err := b.In.RunSource(src)
-			if err == nil || !strings.Contains(err.Error(), "illegal invocation") {
-				t.Errorf("vm=%v %s: err = %v, want illegal invocation", vm, name, err)
-			}
-			if x := doc.GetElementByID("x"); len(x.Children) != 0 || len(x.AttrNames()) != 1 {
-				t.Errorf("vm=%v %s: detached call mutated the element", vm, name)
-			}
+	for name, src := range cases {
+		b, _, doc := setup(t, `<body><div id="x"></div></body>`)
+		run(t, b, `var el = document.getElementById("x");`)
+		err := b.In.RunSource(src)
+		if err == nil || !strings.Contains(err.Error(), "illegal invocation") {
+			t.Errorf("%s: err = %v, want illegal invocation", name, err)
+		}
+		if x := doc.GetElementByID("x"); len(x.Children) != 0 || len(x.AttrNames()) != 1 {
+			t.Errorf("%s: detached call mutated the element", name)
 		}
 	}
 }

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# Regenerates BENCH_PR4.json, BENCH_PR6.json, and BENCH_PR7.json. Run from
-# the repository root:
+# Regenerates BENCH_PR4.json and BENCH_PR6.json. Run from the repository
+# root:
 #
 #   ./scripts/bench.sh            # all
 #   ./scripts/bench.sh pr4        # micro-benchmarks only
 #   ./scripts/bench.sh pr6        # greenload throughput only
-#   ./scripts/bench.sh pr7        # bytecode-VM ablation only
 #   ./scripts/bench.sh pr9        # pipeline-parallel rendering only
 #   ./scripts/bench.sh pr10       # distributed-tracing overhead only
 #
@@ -17,9 +16,8 @@
 # PR 6: boots a live greensrv at 1 node and at 4 nodes, drives each with
 # cmd/greenload, and records sweeps/sec plus p99 end-to-end latency.
 #
-# PR 7: runs the script-dominated warm ExecuteCell cell on the bytecode VM
-# and on the tree-walking interpreter (-no-vm path), plus the engine
-# micro-benchmarks and the one-time compile cost the asset cache amortizes.
+# BENCH_PR7.json (bytecode VM vs tree-walking interpreter) is a frozen
+# record: the tree-walker no longer runs outside the js package's tests.
 #
 # PR 9: runs the DOM-heavy SPA cell serially and stage-parallel (wall-clock
 # pair), plus the modeled virtual-time numbers — frame-latency improvement
@@ -37,58 +35,10 @@ WHAT="${1:-all}"
 BENCHTIME="${BENCHTIME:-3s}"
 OUT="${OUT:-BENCH_PR4.json}"
 OUT6="${OUT6:-BENCH_PR6.json}"
-OUT7="${OUT7:-BENCH_PR7.json}"
 OUT9="${OUT9:-BENCH_PR9.json}"
 OUT10="${OUT10:-BENCH_PR10.json}"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
-
-# -------------------------------------------------------------------------
-# PR 7: bytecode VM vs tree-walking interpreter.
-# -------------------------------------------------------------------------
-run_pr7() {
-  local raw7
-  raw7="$(mktemp)"
-  echo "running VM ablation benchmarks (benchtime=$BENCHTIME)..." >&2
-  go test -run '^$' -bench 'BenchmarkExecuteCellWarmScript' -benchmem \
-    -benchtime="$BENCHTIME" ./internal/harness/ | tee -a "$raw7" >&2
-  go test -run '^$' -bench 'BenchmarkVMFib|BenchmarkVMLoop|BenchmarkInterpFib|BenchmarkInterpLoop|BenchmarkVMCompile' \
-    -benchmem -benchtime="$BENCHTIME" ./internal/js/ | tee -a "$raw7" >&2
-
-  python3 - "$raw7" > "$OUT7" <<'PY'
-import json, re, sys
-rows = {}
-for line in open(sys.argv[1]):
-    m = re.match(r'^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op\s+([\d.]+) B/op\s+([\d.]+) allocs/op', line)
-    if not m:
-        m = re.match(r'^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op', line)
-        if not m:
-            continue
-        rows[m.group(1)] = {"ns_op": float(m.group(2))}
-        continue
-    rows[m.group(1)] = {"ns_op": float(m.group(2)),
-                        "bytes_op": float(m.group(3)),
-                        "allocs_op": float(m.group(4))}
-def ratio(a, b):
-    return round(rows[a]["ns_op"] / rows[b]["ns_op"], 2) if a in rows and b in rows else None
-out = {
-    "pr": 7,
-    "title": "bytecode VM for internal/js with metering parity",
-    "workload": ("warm ExecuteCell on a script-dominated cell (inline hash kernel, "
-                 "10 taps, GreenWeb-U full trace); VM vs -no-vm outputs are "
-                 "byte-identical (CI diffs report and fault sweep)"),
-    "benchmarks": [dict(name=k, **v) for k, v in sorted(rows.items())],
-    "speedup_execute_cell_warm_script": ratio("BenchmarkExecuteCellWarmScriptNoVM",
-                                              "BenchmarkExecuteCellWarmScriptVM"),
-    "speedup_fib": ratio("BenchmarkInterpFib", "BenchmarkVMFib"),
-    "speedup_loop": ratio("BenchmarkInterpLoop", "BenchmarkVMLoop"),
-}
-json.dump(out, sys.stdout, indent=2)
-sys.stdout.write("\n")
-PY
-  rm -f "$raw7"
-  echo "wrote $OUT7" >&2
-}
 
 # -------------------------------------------------------------------------
 # PR 9: pipeline-parallel rendering (stage-split style/layout/paint).
@@ -226,7 +176,6 @@ PY
   echo "wrote $OUT10" >&2
 }
 
-if [ "$WHAT" = pr7 ]; then run_pr7; exit 0; fi
 if [ "$WHAT" = pr9 ]; then run_pr9; exit 0; fi
 if [ "$WHAT" = pr10 ]; then run_pr10; exit 0; fi
 
@@ -356,5 +305,4 @@ echo "wrote $OUT" >&2
 
 if [ "$WHAT" != pr4 ]; then
   run_pr6
-  run_pr7
 fi
