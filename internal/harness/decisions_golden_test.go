@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,30 +16,44 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/obs"
 )
 
+// thermalCap is a fault spec whose thermal model trips early and caps the
+// big cluster at 900 MHz, so the runtime records thermal caps, degrades
+// classes to Perf-within-cap and recovers them.
+const thermalCap = `{"seed":5,"thermal":{"ambient_c":30,"trip_c":45,"clear_c":40,` +
+	`"heat_c_per_sec":100,"cool_c_per_sec":5,"heat_above_mhz":1000,"cap_mhz":900}}`
+
 // TestDecisionsGolden byte-pins the per-frame decision log and the ledger
-// trace of two cells. The checked-in report prints neither, so without this
-// file nothing pins where the decision log comes from or the exact span
+// trace of three cells. The checked-in report prints neither, so without
+// this file nothing pins where the decision log comes from or the exact span
 // timeline it is projected from. The cells cover a serial run under the
-// usable-scenario runtime and a faulted, staged run whose timeline carries
-// stage spans.
+// usable-scenario runtime, a faulted, staged run whose timeline carries
+// stage spans, and a thermally capped run whose decisions carry thermal
+// caps, degraded verdicts, degrade/recover transitions and reprofiles.
 func TestDecisionsGolden(t *testing.T) {
-	app, ok := apps.ByName("MSN")
-	if !ok {
-		t.Fatal("MSN not registered")
+	var capped faults.Spec
+	if err := json.Unmarshal([]byte(thermalCap), &capped); err != nil {
+		t.Fatal(err)
 	}
 	cells := []struct {
 		name  string
+		app   string
 		ctx   context.Context
 		kind  Kind
 		micro bool
 		spec  *faults.Spec
 	}{
-		{"MSN GreenWeb-U full", context.Background(), GreenWebU, false, nil},
-		{"MSN GreenWeb-I-staged micro stage-workers=4 faults=default seed=5",
+		{"MSN GreenWeb-U full", "MSN", context.Background(), GreenWebU, false, nil},
+		{"MSN GreenWeb-I-staged micro stage-workers=4 faults=default seed=5", "MSN",
 			WithStageWorkers(context.Background(), 4), GreenWebIStaged, true, faults.Default(5)},
+		{"Cnet GreenWeb-I micro faults=" + thermalCap, "Cnet",
+			context.Background(), GreenWebI, true, &capped},
 	}
 	var got bytes.Buffer
 	for _, c := range cells {
+		app, ok := apps.ByName(c.app)
+		if !ok {
+			t.Fatalf("%s not registered", c.app)
+		}
 		trace := app.Full
 		if c.micro {
 			trace = app.Micro
