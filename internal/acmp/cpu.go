@@ -77,9 +77,9 @@ type CPU struct {
 	// Fault-injection state (all inert until SetDVFSFaults/EnableThermal).
 	thermal       *Thermal
 	dvfs          DVFSFaults
-	lastRequested Config     // most recent SetConfig argument, pre-clamp
-	granted       Config     // configuration the last request resolved to
-	pendingEv     *sim.Event // in-flight delayed transition
+	lastRequested Config    // most recent SetConfig argument, pre-clamp
+	granted       Config    // configuration the last request resolved to
+	pendingEv     sim.Event // in-flight delayed transition
 	faultStats    FaultStats
 }
 
@@ -195,11 +195,8 @@ func (c *CPU) SetConfig(cfg Config) {
 // returns the configuration the request resolved to.
 func (c *CPU) requestConfig(cfg Config) Config {
 	cfg = c.ClampToCeiling(cfg)
-	if c.pendingEv != nil {
-		// A delayed transition is in flight; the newest request supersedes it.
-		c.pendingEv.Cancel()
-		c.pendingEv = nil
-	}
+	// A delayed transition in flight is superseded by the newest request.
+	c.pendingEv.Cancel()
 	if cfg == c.cfg {
 		return cfg
 	}
@@ -213,7 +210,6 @@ func (c *CPU) requestConfig(cfg Config) Config {
 			c.faultStats.Delayed++
 			target := cfg
 			c.pendingEv = c.sim.After(delay, "acmp:dvfs-delayed", func() {
-				c.pendingEv = nil
 				t := c.ClampToCeiling(target)
 				if t != c.cfg {
 					c.applyConfig(t)
@@ -379,7 +375,7 @@ type Thread struct {
 	cur             workItem
 	remainingCycles float64 // in active-cluster cycles
 	segStart        sim.Time
-	doneEv          *sim.Event
+	doneEv          sim.Event
 
 	busyTotal sim.Duration
 	executed  int
@@ -457,9 +453,7 @@ func (t *Thread) scheduleCompletion() {
 	if finish < now {
 		finish = now
 	}
-	if t.doneEv != nil {
-		t.doneEv.Cancel()
-	}
+	t.doneEv.Cancel()
 	t.doneEv = t.cpu.sim.At(finish, t.cpuDoneName, t.cpuDone)
 }
 
@@ -510,7 +504,6 @@ func (t *Thread) cpuPhaseDone() {
 	}
 	t.segStart = now
 	t.remainingCycles = 0
-	t.doneEv = nil
 	t.cpu.threadBusyChanged(-1)
 	t.startIndepPhase()
 }

@@ -86,8 +86,8 @@ type DAQ struct {
 	dropped int
 	energy  Joules
 	stopped bool
-	last    sim.Time   // time the last completed sampling period ended
-	ev      *sim.Event // pending sample, so Stop can cancel it
+	last    sim.Time  // time the last completed sampling period ended
+	ev      sim.Event // pending sample, so Stop can cancel it
 
 	// drop, when set, is consulted per sample instant; a true return loses
 	// that sampling period from the estimate (modelling DAQ dropout).
@@ -141,10 +141,7 @@ func (d *DAQ) Stop() {
 		return
 	}
 	d.stopped = true
-	if d.ev != nil {
-		d.ev.Cancel()
-		d.ev = nil
-	}
+	d.ev.Cancel()
 	if now := d.sim.Now(); now > d.last {
 		d.energy += Joules(float64(d.src()) * now.Sub(d.last).Seconds())
 		d.last = now

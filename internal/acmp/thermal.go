@@ -74,7 +74,7 @@ type Thermal struct {
 	at      sim.Time // instant tempC was last integrated to
 	tripped bool
 	trips   int
-	ev      *sim.Event // pending trip or clear transition
+	ev      sim.Event // pending trip or clear transition
 }
 
 // Params reports the parameter set in effect.
@@ -121,10 +121,7 @@ func (t *Thermal) advance() {
 // Called after every configuration change.
 func (t *Thermal) replan() {
 	t.advance()
-	if t.ev != nil {
-		t.ev.Cancel()
-		t.ev = nil
-	}
+	t.ev.Cancel()
 	r := t.rate(t.cpu.cfg)
 	switch {
 	case !t.tripped && r > 0:
@@ -149,7 +146,6 @@ func (t *Thermal) replan() {
 // DVFS faults — hardware thermal protection cannot be denied.
 func (t *Thermal) trip() {
 	t.advance()
-	t.ev = nil
 	if t.tripped {
 		return
 	}
@@ -171,7 +167,6 @@ func (t *Thermal) trip() {
 // apply to it.
 func (t *Thermal) clear() {
 	t.advance()
-	t.ev = nil
 	if !t.tripped {
 		return
 	}

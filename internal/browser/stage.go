@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
+	"github.com/wattwiseweb/greenweb/internal/ledger"
 	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/sim"
 )
@@ -40,20 +41,15 @@ const (
 	StageLayout
 	StagePaint
 	// NumRenderStages is the number of staged phases.
-	NumRenderStages = 3
+	NumRenderStages = ledger.NumStages
 )
 
+// String names the stage as its ledger stage span does.
 func (s RenderStage) String() string {
-	switch s {
-	case StageStyle:
-		return "style"
-	case StageLayout:
-		return "layout"
-	case StagePaint:
-		return "paint"
-	default:
-		return fmt.Sprintf("RenderStage(%d)", int(s))
+	if s >= 0 && s < NumRenderStages {
+		return ledger.StageNames[s]
 	}
+	return fmt.Sprintf("RenderStage(%d)", int(s))
 }
 
 // StageGovernor is the optional per-stage scheduling hook. A Governor that

@@ -7,6 +7,7 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/browser"
 	"github.com/wattwiseweb/greenweb/internal/dom"
+	"github.com/wattwiseweb/greenweb/internal/ledger"
 	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/qos"
 	"github.com/wattwiseweb/greenweb/internal/sim"
@@ -119,7 +120,7 @@ type Runtime struct {
 	// active maps in-flight annotated input UIDs to their model key.
 	active map[browser.UID]string
 
-	idleTimer *sim.Event
+	idleTimer sim.Event
 
 	// Degradation-ladder state, per class: consecutive violated frames,
 	// consecutive clean frames while degraded, and the degraded flag
@@ -174,14 +175,16 @@ func New(opts Options) *Runtime {
 
 // Name implements browser.Governor.
 func (r *Runtime) Name() string {
-	name := "GreenWeb-I"
-	if r.opts.Scenario == qos.Usable {
-		name = "GreenWeb-U"
+	usable := r.opts.Scenario == qos.Usable
+	switch {
+	case usable && r.opts.StageAware:
+		return "GreenWeb-U-staged"
+	case usable:
+		return "GreenWeb-U"
+	case r.opts.StageAware:
+		return "GreenWeb-I-staged"
 	}
-	if r.opts.StageAware {
-		name += "-staged"
-	}
-	return name
+	return "GreenWeb-I"
 }
 
 // Stats returns runtime activity counters.
@@ -293,9 +296,7 @@ func (r *Runtime) reschedule() {
 	if len(r.active) == 0 {
 		// Demote to the idle configuration only after a grace period:
 		// interaction bursts would otherwise thrash the configuration.
-		if r.idleTimer != nil {
-			r.idleTimer.Cancel()
-		}
+		r.idleTimer.Cancel()
 		if r.opts.IdleGrace <= 0 {
 			r.cpu.SetConfig(r.clamp(r.opts.IdleConfig))
 			return
@@ -327,10 +328,7 @@ func (r *Runtime) reschedule() {
 		})
 		return
 	}
-	if r.idleTimer != nil {
-		r.idleTimer.Cancel()
-		r.idleTimer = nil
-	}
+	r.idleTimer.Cancel()
 	var best acmp.Config
 	have := false
 	for _, key := range r.active {
@@ -410,32 +408,43 @@ func (r *Runtime) OnFrameStart(seq int, prov browser.Provenance) {
 	r.prepareStageVector(m)
 }
 
+// decision returns the open frame span's decision record, or nil when the
+// engine keeps no ledger or no frame is open.
+func (r *Runtime) decision() *ledger.FrameDecision {
+	if led := r.e.Ledger(); led != nil {
+		return led.Decision()
+	}
+	return nil
+}
+
 // annotateFrameStart records the scheduling decision on the frame's energy
 // span: which class drives the frame, its deadline, and whether the chosen
 // configuration is a profiling point or a model prediction.
 func (r *Runtime) annotateFrameStart(m *Model) {
-	led := r.e.Ledger()
-	if led == nil {
+	d := r.decision()
+	if d == nil {
 		return
 	}
-	led.AnnotateFrame("governor", r.Name())
+	d.Governor = r.Name()
+	d.Set |= ledger.FieldGovernor | ledger.FieldVerdict
 	if ceil := r.cpu.Ceiling(); ceil != acmp.PeakConfig() {
-		led.AnnotateFrame("thermal_cap", ceil.String())
+		d.ThermalCap = ceil
+		d.Set |= ledger.FieldThermalCap
 	}
 	if m == nil {
-		led.AnnotateFrame("decision", "unannotated")
+		d.Verdict = ledger.Unannotated
 		return
 	}
-	led.AnnotateFrame("class", m.Key)
-	led.AnnotateFrame("deadline", r.deadline(m.Ann).String())
-	cfg := r.cpu.Config()
+	d.Class, d.Deadline, d.Chosen = m.Key, r.deadline(m.Ann), r.cpu.Config()
+	d.Set |= ledger.FieldClass | ledger.FieldDeadline
 	if r.degraded[m.Key] {
-		led.AnnotateFrame("decision", "degraded@"+cfg.String())
+		d.Verdict = ledger.Degraded
 	} else if _, profiling := m.ProfilingConfig(); profiling {
-		led.AnnotateFrame("decision", "profile@"+cfg.String())
+		d.Verdict = ledger.Profile
 	} else {
-		led.AnnotateFrame("decision", "predict@"+cfg.String())
-		led.AnnotateFrame("predicted", m.Predict(cfg).String())
+		d.Verdict = ledger.Predict
+		d.Predicted = m.Predict(d.Chosen)
+		d.Set |= ledger.FieldPredicted
 	}
 }
 
@@ -490,7 +499,7 @@ func (r *Runtime) OnFrameEnd(fr *browser.FrameResult) {
 			r.cViol.Inc()
 		}
 		r.noteOutcome(m, violated)
-		r.annotateFeedback(measured, violated, false, "degraded")
+		r.annotateFeedback(measured, violated, false, ledger.ModeDegraded)
 		r.reschedule()
 		return
 	}
@@ -504,7 +513,7 @@ func (r *Runtime) OnFrameEnd(fr *browser.FrameResult) {
 			r.stats.Violations++
 			r.cViol.Inc()
 		}
-		r.annotateFeedback(measured, violated, false, "profiled")
+		r.annotateFeedback(measured, violated, false, ledger.ModeProfiled)
 		// Move to the next profiling point (or first prediction) for any
 		// follow-on frames of the same event.
 		r.reschedule()
@@ -529,7 +538,7 @@ func (r *Runtime) OnFrameEnd(fr *browser.FrameResult) {
 		r.capDiverge[m.Key] = 0
 	}
 	r.noteOutcome(m, violated)
-	r.annotateFeedback(measured, violated, reprofile, "predicted")
+	r.annotateFeedback(measured, violated, reprofile, ledger.ModePredicted)
 	r.reschedule()
 }
 
@@ -590,8 +599,9 @@ func (r *Runtime) noteOutcome(m *Model, violated bool) {
 			r.stats.Degradations++
 			r.cDegr.Inc()
 			r.tracef("degrade %s: %d consecutive violations, pinning Perf-within-cap", key, r.opts.DegradeAfter)
-			if led := r.e.Ledger(); led != nil {
-				led.AnnotateFrame("degrade", fmt.Sprintf("%d consecutive violations", r.opts.DegradeAfter))
+			if d := r.decision(); d != nil {
+				d.Degrade = r.opts.DegradeAfter
+				d.Set |= ledger.FieldDegrade
 			}
 		}
 		return
@@ -610,8 +620,9 @@ func (r *Runtime) noteOutcome(m *Model, violated bool) {
 		r.cReprof.Inc()
 		m.Reset()
 		r.tracef("recover %s: %d clean frames, back to model control via reprofiling", key, r.opts.DegradeAfter)
-		if led := r.e.Ledger(); led != nil {
-			led.AnnotateFrame("recover", fmt.Sprintf("%d clean frames, reprofiling", r.opts.DegradeAfter))
+		if d := r.decision(); d != nil {
+			d.Recover = r.opts.DegradeAfter
+			d.Set |= ledger.FieldRecover
 		}
 	}
 }
@@ -619,20 +630,11 @@ func (r *Runtime) noteOutcome(m *Model, violated bool) {
 // annotateFeedback records the measured-latency feedback outcome on the
 // frame's energy span (the frame is still open: the engine closes it after
 // OnFrameEnd returns).
-func (r *Runtime) annotateFeedback(measured sim.Duration, violated, reprofile bool, mode string) {
-	led := r.e.Ledger()
-	if led == nil {
-		return
+func (r *Runtime) annotateFeedback(measured sim.Duration, violated, reprofile bool, mode ledger.Mode) {
+	if d := r.decision(); d != nil {
+		d.Measured, d.Mode, d.Violated, d.Reprofile = measured, mode, violated, reprofile
+		d.Set |= ledger.FieldMeasured | ledger.FieldOutcome
 	}
-	led.AnnotateFrame("measured", measured.String())
-	outcome := mode + ":ok"
-	if violated {
-		outcome = mode + ":violated"
-	}
-	if reprofile {
-		outcome += ",reprofile"
-	}
-	led.AnnotateFrame("outcome", outcome)
 }
 
 // measuredLatency extracts the latency the annotation's QoS type is judged

@@ -20,10 +20,9 @@ package core
 // with the boundary switch stalls priced into both latency and energy.
 
 import (
-	"strings"
-
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/browser"
+	"github.com/wattwiseweb/greenweb/internal/ledger"
 	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/sim"
 )
@@ -41,27 +40,9 @@ var (
 )
 
 // StageVector assigns one execution configuration to each staged render
-// phase, indexed by browser.RenderStage.
-type StageVector [NumStages]acmp.Config
-
-// Uniform reports whether every stage shares one configuration (the vector
-// degenerates to a scalar).
-func (v StageVector) Uniform() bool {
-	for s := 1; s < NumStages; s++ {
-		if v[s] != v[0] {
-			return false
-		}
-	}
-	return true
-}
-
-func (v StageVector) String() string {
-	parts := make([]string, NumStages)
-	for s := 0; s < NumStages; s++ {
-		parts[s] = browser.RenderStage(s).String() + "=" + v[s].String()
-	}
-	return strings.Join(parts, ",")
-}
+// phase, indexed by browser.RenderStage. It is the ledger's type, so a frame's
+// decision record carries it as is.
+type StageVector = ledger.StageVector
 
 // stageSelMemo caches the last SelectStageVector result, keyed on everything
 // the greedy descent reads. stageVersion isolates it from the uniform memo:
@@ -246,10 +227,9 @@ func (r *Runtime) prepareStageVector(m *Model) {
 	}
 	r.curStageVec = vec
 	r.curStageOK = true
-	if !vec.Uniform() {
-		if led := r.e.Ledger(); led != nil {
-			led.AnnotateFrame("stage_vector", vec.String())
-		}
+	if d := r.decision(); d != nil && !vec.Uniform() {
+		d.Stages = vec
+		d.Set |= ledger.FieldStages
 	}
 }
 

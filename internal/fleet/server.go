@@ -267,12 +267,12 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // eventRow is one NDJSON line of GET /v1/sweeps/{id}/events: the job's
-// coordinates plus the embedded per-frame decision.
+// coordinates plus the embedded, rendered per-frame decision.
 type eventRow struct {
 	Index int          `json:"index"`
 	App   string       `json:"app"`
 	Kind  harness.Kind `json:"kind"`
-	obs.Decision
+	obs.DecisionRow
 }
 
 // NewServer builds the HTTP API (see Server for the route table).
@@ -478,8 +478,9 @@ func NewServer(m *Manager) *Server {
 			if res.Err != nil || res.Run == nil {
 				continue
 			}
-			for _, d := range res.Run.Decisions {
-				if err := enc.Encode(eventRow{Index: i, App: res.Job.App, Kind: res.Job.Kind, Decision: d}); err != nil {
+			for j := range res.Run.Decisions {
+				row := eventRow{Index: i, App: res.Job.App, Kind: res.Job.Kind, DecisionRow: res.Run.Decisions[j].Row()}
+				if err := enc.Encode(row); err != nil {
 					return
 				}
 			}

@@ -111,7 +111,7 @@ func TestRunTraceExport(t *testing.T) {
 	want := len(run.Spans)
 	var decided int
 	for _, sp := range run.Spans {
-		if sp.Kind == ledger.KindFrame && sp.Attrs["decision"] != "" {
+		if sp.Kind == ledger.KindFrame && sp.Decision != nil && sp.Decision.Text(ledger.FieldVerdict) != "" {
 			want++
 			decided++
 		}
@@ -138,10 +138,14 @@ func TestGreenWebRunAnnotatesSpans(t *testing.T) {
 		if sp.Kind != ledger.KindFrame {
 			continue
 		}
-		if sp.Attrs["governor"] == "GreenWeb-U" {
+		d := sp.Decision
+		if d == nil {
+			continue
+		}
+		if d.Text(ledger.FieldGovernor) == "GreenWeb-U" {
 			annotated++
 		}
-		if sp.Attrs["outcome"] != "" {
+		if d.Text(ledger.FieldOutcome) != "" {
 			withOutcome++
 		}
 	}

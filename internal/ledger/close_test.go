@@ -17,7 +17,8 @@ func closeScript(r *rig) {
 	r.s.RunUntil(sim.Time(3 * sim.Millisecond))
 
 	r.led.BeginFrame()
-	r.led.AnnotateFrame("decision", "commit")
+	d := r.led.Decision()
+	d.Set, d.Verdict, d.Chosen = FieldVerdict, Predict, r.cpu.Config()
 	r.led.BeginEvent(2, "click b")
 	r.burn(900_000)
 	r.s.RunUntil(sim.Time(8 * sim.Millisecond))

@@ -18,7 +18,6 @@
 package ledger
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -59,8 +58,12 @@ const (
 // Span is one attributed interval: what the system was doing, when, under
 // which configuration, and what it cost.
 type Span struct {
-	ID   int    `json:"id"`
-	Kind Kind   `json:"kind"`
+	// ID is issued as the span opens, on a clock that never runs
+	// backwards, so ID order is also (Start, ID) order.
+	ID   int  `json:"id"`
+	Kind Kind `json:"kind"`
+	// Name labels the span in traces. A committed frame's is empty: the
+	// trace names it from Seq, so closing a frame formats nothing.
 	Name string `json:"name"`
 	// Seq is the frame sequence number (frames only; 0 for a frame that ran
 	// its animation callbacks but committed nothing).
@@ -82,9 +85,10 @@ type Span struct {
 	// events).
 	Config string `json:"config,omitempty"`
 
-	// Attrs carries scheduler decisions and other annotations (the GreenWeb
-	// runtime records its prediction, deadline, and feedback outcome here).
-	Attrs map[string]string `json:"attrs,omitempty"`
+	// Decision is the GreenWeb runtime's scheduling record for a frame span
+	// (nil for other kinds, and for frames no runtime scheduled). It is
+	// final once the frame closes.
+	Decision *FrameDecision `json:"decision,omitempty"`
 }
 
 // Duration reports the span length.
@@ -103,32 +107,47 @@ type Ledger struct {
 	simu     *sim.Simulator
 	baseline acmp.Joules // meter total when the ledger attached
 
+	// spans holds every span, open or closed, in ID order: a span takes its
+	// slot when it opens, and IDs are issued in start order, so spans is
+	// always in (Start, ID) order and is never sorted. Open spans are
+	// addressed by slot index.
 	spans  []Span
 	nextID int
 
-	cur      Span         // open exclusive slice (frame or idle)
+	cur      int          // slot of the open exclusive slice (frame or idle)
 	curBusy0 sim.Duration // union-busy total when cur opened
 
-	events     map[uint64]*Span
-	eventBusy0 map[uint64]sim.Duration
+	events []openEvent // in-flight event spans
 
-	stage      *Span // open render-stage overlay (staged frame production)
+	stage      int // slot of the open render-stage overlay, or -1
 	stageBusy0 sim.Duration
 
-	marks []ConfigMark
+	decisions []FrameDecision // chunk Decision carves frame records from
+	marks     []ConfigMark
 }
+
+// openEvent is an event span in flight: its slot, and the union-busy total
+// when it opened.
+type openEvent struct {
+	slot  int
+	busy0 sim.Duration
+}
+
+// decisionChunk caps how many frame decision records the ledger allocates
+// at a time. Chunks start small and double up to it, so a short run keeps
+// little unused space.
+const decisionChunk = 64
 
 // New attaches a ledger to the CPU's meter. Energy drawn before the ledger
 // attaches stays outside the conservation sum (the baseline is subtracted).
 func New(cpu *acmp.CPU) *Ledger {
 	l := &Ledger{
-		cpu:        cpu,
-		simu:       cpu.Sim(),
-		baseline:   cpu.Meter().Energy(),
-		events:     make(map[uint64]*Span),
-		eventBusy0: make(map[uint64]sim.Duration),
+		cpu:      cpu,
+		simu:     cpu.Sim(),
+		baseline: cpu.Meter().Energy(),
+		stage:    -1,
 	}
-	l.cur = Span{ID: l.nextID, Kind: KindIdle, Name: "idle/other", Start: l.simu.Now()}
+	l.cur = l.open(KindIdle, "idle/other")
 	l.curBusy0 = cpu.UnionBusyTime()
 	cpu.Meter().OnTransition(l.onTransition)
 	cpu.OnConfigChange(func(from, to acmp.Config) {
@@ -137,21 +156,29 @@ func New(cpu *acmp.CPU) *Ledger {
 	return l
 }
 
+// open gives a new span the next ID and slot, starting now.
+func (l *Ledger) open(kind Kind, name string) int {
+	l.spans = append(l.spans, Span{ID: l.nextID, Kind: kind, Name: name, Start: l.simu.Now()})
+	l.nextID++
+	return len(l.spans) - 1
+}
+
 // onTransition receives one piecewise-constant integration interval from the
 // meter and charges it to the open slice and every in-flight event. The
 // ledger only changes the open slice at instants where it has just forced a
 // meter sync, so each interval falls entirely within one slice.
 func (l *Ledger) onTransition(from, to sim.Time, rail acmp.Cluster, e acmp.Joules) {
-	l.charge(&l.cur, rail, e)
-	for _, sp := range l.events {
-		l.charge(sp, rail, e)
+	l.charge(l.cur, rail, e)
+	for _, ev := range l.events {
+		l.charge(ev.slot, rail, e)
 	}
-	if l.stage != nil {
+	if l.stage >= 0 {
 		l.charge(l.stage, rail, e)
 	}
 }
 
-func (l *Ledger) charge(sp *Span, rail acmp.Cluster, e acmp.Joules) {
+func (l *Ledger) charge(slot int, rail acmp.Cluster, e acmp.Joules) {
+	sp := &l.spans[slot]
 	sp.Energy += e
 	if rail == acmp.Big {
 		sp.Big += e
@@ -160,30 +187,46 @@ func (l *Ledger) charge(sp *Span, rail acmp.Cluster, e acmp.Joules) {
 	}
 }
 
-// switchTo closes the open slice and opens a new one of the given kind.
-// Zero-length, zero-energy idle slices (back-to-back frames) are dropped.
-func (l *Ledger) switchTo(kind Kind) {
+// end closes the span in a slot at now, given the union-busy totals now and
+// when it opened, and returns a copy.
+func (l *Ledger) end(slot int, now sim.Time, busy, busy0 sim.Duration) Span {
+	sp := &l.spans[slot]
+	sp.End = now
+	sp.Busy = busy - busy0
+	return *sp
+}
+
+// switchTo closes the open slice and opens a new one of the given kind. It
+// returns the closed slice. Zero-length, zero-energy idle slices
+// (back-to-back frames) are dropped.
+func (l *Ledger) switchTo(kind Kind) Span {
 	now := l.simu.Now()
 	l.cpu.Meter().Sync()
 	busy := l.cpu.UnionBusyTime()
-	l.cur.End = now
-	l.cur.Busy = busy - l.curBusy0
-	if l.cur.Kind != KindIdle || l.cur.Energy != 0 || l.cur.Duration() != 0 {
-		l.spans = append(l.spans, l.cur)
+	closed := l.end(l.cur, now, busy, l.curBusy0)
+	if closed.Kind == KindIdle && closed.Energy == 0 && closed.Duration() == 0 {
+		// Only events can have opened since, at this same instant.
+		l.spans = slices.Delete(l.spans, l.cur, l.cur+1)
+		for i := range l.events {
+			if l.events[i].slot > l.cur {
+				l.events[i].slot--
+			}
+		}
 	}
-	l.nextID++
-	l.cur = Span{ID: l.nextID, Kind: kind, Start: now}
+	name := ""
 	if kind == KindIdle {
-		l.cur.Name = "idle/other"
+		name = "idle/other"
 	}
+	l.cur = l.open(kind, name)
 	l.curBusy0 = busy
+	return closed
 }
 
 // BeginFrame opens a frame span: subsequent energy is the frame's until
 // EndFrame. Beginning a frame inside a frame is an accounting bug and
 // panics, like the simulator does on logic errors.
 func (l *Ledger) BeginFrame() {
-	if l.cur.Kind == KindFrame {
+	if l.spans[l.cur].Kind == KindFrame {
 		panic("ledger: BeginFrame inside an open frame span")
 	}
 	l.switchTo(KindFrame)
@@ -192,37 +235,40 @@ func (l *Ledger) BeginFrame() {
 // EndFrame closes the open frame span and returns it. seq is the committed
 // frame's sequence number, or 0 when the frame ran callbacks but committed
 // nothing; cfg is the configuration the frame executed under. The returned
-// span is a value copy that does not alias ledger state.
+// span is a value copy; its decision record is final.
 func (l *Ledger) EndFrame(seq int, cfg acmp.Config) Span {
-	if l.cur.Kind != KindFrame {
+	sp := &l.spans[l.cur]
+	if sp.Kind != KindFrame {
 		panic("ledger: EndFrame without an open frame span")
 	}
-	if l.stage != nil {
-		panic("ledger: EndFrame while stage " + l.stage.Name + " is open")
+	if l.stage >= 0 {
+		panic("ledger: EndFrame while stage " + l.spans[l.stage].Name + " is open")
 	}
-	l.cur.Seq = seq
-	l.cur.Config = cfg.String()
-	if seq > 0 {
-		l.cur.Name = fmt.Sprintf("frame %d", seq)
-	} else {
-		l.cur.Name = "frame (no commit)"
+	sp.Seq = seq
+	sp.Config = cfg.String()
+	if seq == 0 {
+		sp.Name = "frame (no commit)"
 	}
-	l.switchTo(KindIdle)
-	// switchTo never drops a frame span, so the closed frame is the last
-	// appended span.
-	return l.spans[len(l.spans)-1]
+	return l.switchTo(KindIdle)
 }
 
-// AnnotateFrame attaches a key/value to the open frame span (the GreenWeb
-// runtime records its decision here). A no-op when no frame is open.
-func (l *Ledger) AnnotateFrame(key, value string) {
-	if l.cur.Kind != KindFrame {
-		return
+// Decision returns the open frame span's decision record for the runtime to
+// fill, or nil when no frame is open. The record is valid until the frame
+// closes. Records are carved from chunks, so recording allocates at most
+// once per decisionChunk frames.
+func (l *Ledger) Decision() *FrameDecision {
+	sp := &l.spans[l.cur]
+	if sp.Kind != KindFrame {
+		return nil
 	}
-	if l.cur.Attrs == nil {
-		l.cur.Attrs = make(map[string]string)
+	if sp.Decision == nil {
+		if len(l.decisions) == cap(l.decisions) {
+			l.decisions = make([]FrameDecision, 0, min(max(2*cap(l.decisions), 4), decisionChunk))
+		}
+		l.decisions = l.decisions[:len(l.decisions)+1]
+		sp.Decision = &l.decisions[len(l.decisions)-1]
 	}
-	l.cur.Attrs[key] = value
+	return sp.Decision
 }
 
 // BeginStage opens a render-stage overlay span inside the open frame span.
@@ -230,141 +276,98 @@ func (l *Ledger) AnnotateFrame(key, value string) {
 // opening a stage outside a frame, or while another stage is open, is an
 // accounting bug and panics.
 func (l *Ledger) BeginStage(seq int, name string) {
-	if l.cur.Kind != KindFrame {
+	if l.spans[l.cur].Kind != KindFrame {
 		panic("ledger: BeginStage outside an open frame span")
 	}
-	if l.stage != nil {
-		panic("ledger: BeginStage while stage " + l.stage.Name + " is open")
+	if l.stage >= 0 {
+		panic("ledger: BeginStage while stage " + l.spans[l.stage].Name + " is open")
 	}
-	l.cpu.Meter().Sync()
-	l.nextID++
-	l.stage = &Span{
-		ID:     l.nextID,
-		Kind:   KindStage,
-		Name:   name,
-		Seq:    seq,
-		Start:  l.simu.Now(),
-		Config: l.cpu.Config().String(),
-	}
-	l.stageBusy0 = l.cpu.UnionBusyTime()
+	l.stage, l.stageBusy0 = l.openOverlay(KindStage, name)
+	l.spans[l.stage].Seq = seq
 }
 
 // EndStage closes the open stage span and returns a value copy of it.
 func (l *Ledger) EndStage() Span {
-	if l.stage == nil {
+	if l.stage < 0 {
 		panic("ledger: EndStage without an open stage span")
 	}
 	l.cpu.Meter().Sync()
-	sp := l.stage
-	sp.End = l.simu.Now()
-	sp.Busy = l.cpu.UnionBusyTime() - l.stageBusy0
-	l.spans = append(l.spans, *sp)
-	l.stage = nil
-	return *sp
+	sp := l.end(l.stage, l.simu.Now(), l.cpu.UnionBusyTime(), l.stageBusy0)
+	l.stage = -1
+	return sp
+}
+
+// openOverlay opens a stage or event span under the current configuration,
+// returning its slot and the union-busy total now.
+func (l *Ledger) openOverlay(kind Kind, name string) (int, sim.Duration) {
+	l.cpu.Meter().Sync()
+	slot := l.open(kind, name)
+	l.spans[slot].Config = l.cpu.Config().String()
+	return slot, l.cpu.UnionBusyTime()
 }
 
 // BeginEvent opens an overlay span for one input's lifetime.
 func (l *Ledger) BeginEvent(uid uint64, name string) {
-	if _, ok := l.events[uid]; ok {
+	if l.event(uid) >= 0 {
 		return // duplicate begin: keep the original span
 	}
-	l.cpu.Meter().Sync()
-	l.nextID++
-	l.events[uid] = &Span{
-		ID:     l.nextID,
-		Kind:   KindEvent,
-		Name:   name,
-		UID:    uid,
-		Start:  l.simu.Now(),
-		Config: l.cpu.Config().String(),
-	}
-	l.eventBusy0[uid] = l.cpu.UnionBusyTime()
+	slot, busy0 := l.openOverlay(KindEvent, name)
+	l.spans[slot].UID = uid
+	l.events = append(l.events, openEvent{slot, busy0})
 }
 
-// AnnotateEvent attaches a key/value to an in-flight event span. A no-op for
-// unknown or already-closed events.
-func (l *Ledger) AnnotateEvent(uid uint64, key, value string) {
-	sp, ok := l.events[uid]
-	if !ok {
-		return
+// event returns the index in events of uid's in-flight span, or -1.
+func (l *Ledger) event(uid uint64) int {
+	for i, ev := range l.events {
+		if l.spans[ev.slot].UID == uid {
+			return i
+		}
 	}
-	if sp.Attrs == nil {
-		sp.Attrs = make(map[string]string)
-	}
-	sp.Attrs[key] = value
+	return -1
 }
 
 // EndEvent closes an event's overlay span at the current instant. A no-op
 // for unknown or already-closed events.
 func (l *Ledger) EndEvent(uid uint64) {
-	sp, ok := l.events[uid]
-	if !ok {
+	i := l.event(uid)
+	if i < 0 {
 		return
 	}
 	l.cpu.Meter().Sync()
-	sp.End = l.simu.Now()
-	sp.Busy = l.cpu.UnionBusyTime() - l.eventBusy0[uid]
-	l.spans = append(l.spans, *sp)
-	delete(l.events, uid)
-	delete(l.eventBusy0, uid)
+	l.end(l.events[i].slot, l.simu.Now(), l.cpu.UnionBusyTime(), l.events[i].busy0)
+	l.events = slices.Delete(l.events, i, i+1)
 }
 
 // Finish closes every in-flight event span at the current instant (a run can
 // end with inputs whose closure never exhausted). The exclusive slice stays
 // open — Spans and Check snapshot it — so late energy is never dropped.
 func (l *Ledger) Finish() {
-	uids := make([]uint64, 0, len(l.events))
-	for uid := range l.events {
-		uids = append(uids, uid)
+	l.cpu.Meter().Sync()
+	now, busy := l.simu.Now(), l.cpu.UnionBusyTime()
+	for _, ev := range l.events {
+		l.end(ev.slot, now, busy, ev.busy0)
 	}
-	slices.Sort(uids)
-	for _, uid := range uids {
-		l.EndEvent(uid)
-	}
+	l.events = l.events[:0]
 }
 
-// Spans returns every closed span plus a snapshot of the open slice, sorted
-// by start time (ID breaks ties).
+// Spans returns every closed span plus snapshots of the open ones, ending
+// now, in (Start, ID) order.
 func (l *Ledger) Spans() []Span {
 	l.cpu.Meter().Sync()
-	out := make([]Span, 0, len(l.spans)+len(l.events)+2)
-	out = append(out, l.spans...)
-	for _, sp := range l.events {
-		snap := *sp
-		snap.End = l.simu.Now()
-		snap.Busy = l.cpu.UnionBusyTime() - l.eventBusy0[sp.UID]
-		out = append(out, snap)
-	}
-	out = l.appendOpen(out)
-	sortSpans(out)
-	return out
-}
-
-// appendOpen appends snapshots of the open stage span, if any, and of the
-// open exclusive slice, both ending now. The caller has synced the meter.
-func (l *Ledger) appendOpen(out []Span) []Span {
+	out := slices.Clone(l.spans)
 	now, busy := l.simu.Now(), l.cpu.UnionBusyTime()
-	if l.stage != nil {
-		snap := *l.stage
-		snap.End = now
-		snap.Busy = busy - l.stageBusy0
-		out = append(out, snap)
+	snap := func(slot int, busy0 sim.Duration) {
+		out[slot].End = now
+		out[slot].Busy = busy - busy0
 	}
-	cur := l.cur
-	cur.End = now
-	cur.Busy = busy - l.curBusy0
-	return append(out, cur)
-}
-
-// sortSpans orders spans by start time, ID breaking ties. IDs are unique,
-// so the order is total.
-func sortSpans(spans []Span) {
-	slices.SortFunc(spans, func(a, b Span) int {
-		if c := cmp.Compare(a.Start, b.Start); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+	snap(l.cur, l.curBusy0)
+	if l.stage >= 0 {
+		snap(l.stage, l.stageBusy0)
+	}
+	for _, ev := range l.events {
+		snap(ev.slot, ev.busy0)
+	}
+	return out
 }
 
 // Marks returns the configuration-change history observed by the ledger.
@@ -377,58 +380,108 @@ type Totals struct {
 	Frame, Idle, Event, Stage acmp.Joules
 }
 
-// totals sums a Spans snapshot per kind, in snapshot order. Summing the
-// sorted snapshot, not the ledger's append order (event spans are appended
-// when they close, not when they start), keeps every total's float
-// rounding independent of when spans happened to close.
-func totals(spans []Span) Totals {
-	var t Totals
-	for _, sp := range spans {
+// totals sums spans in (Start, ID) order per kind. Summing in that order,
+// not the order spans closed in, keeps every total's float rounding
+// independent of when spans happened to close.
+//
+// In the same pass it checks the stage sub-partition, which that order makes
+// local: a frame's stage spans follow it, before the next exclusive slice.
+// It returns the first violation.
+func totals(spans []Span) (Totals, error) {
+	var (
+		t      Totals
+		err    error
+		frame  *Span       // the exclusive slice the stages since nest in
+		staged acmp.Joules // their energy so far
+	)
+	for i := range spans {
+		sp := &spans[i]
 		switch sp.Kind {
 		case KindFrame:
 			t.Frame += sp.Energy
+			frame, staged = sp, 0
 		case KindIdle:
 			t.Idle += sp.Energy
+			frame, staged = sp, 0
 		case KindEvent:
 			t.Event += sp.Energy
 		case KindStage:
 			t.Stage += sp.Energy
+			staged += sp.Energy
+			if err == nil {
+				err = nests(sp, frame, staged)
+			}
 		}
 	}
-	return t
+	return t, err
+}
+
+// nests checks one stage span against the sub-partition: it must lie inside
+// its frame's window, and the frame's stages so far, this one included, may
+// draw no more than the frame itself (within ConservationTolerance).
+func nests(stage, frame *Span, staged acmp.Joules) error {
+	if frame == nil || frame.Kind != KindFrame || stage.Start < frame.Start || stage.End > frame.End {
+		return fmt.Errorf("ledger: stage partition violated: stage span %d %q [%v, %v] lies outside its frame",
+			stage.ID, stage.Name, stage.Start, stage.End)
+	}
+	if staged > frame.Energy+ConservationTolerance {
+		return fmt.Errorf("ledger: stage partition violated: frame span %d draws %.12f J, its stages %.12f J",
+			frame.ID, float64(frame.Energy), float64(staged))
+	}
+	return nil
 }
 
 // Close ends a run's attribution in one pass and finishes the ledger: it
-// closes in-flight events (Finish), appends the open slices to the closed
-// spans, sorts them in place, and checks conservation on their per-kind
-// totals. It returns the same spans Finish followed by Spans would, without
-// copying them. The ledger must not be used after Close.
+// closes in-flight events (Finish) and the open slices, and checks
+// conservation and the stage sub-partition on the per-kind totals. It
+// returns the same spans Finish followed by Spans would, without copying
+// or sorting them. The ledger must not be used after Close.
 func (l *Ledger) Close() ([]Span, Totals, error) {
 	l.Finish()
-	l.cpu.Meter().Sync()
-	l.spans = l.appendOpen(l.spans)
-	sortSpans(l.spans)
-	t := totals(l.spans)
-	return l.spans, t, l.conserves(t)
+	now, busy := l.simu.Now(), l.cpu.UnionBusyTime()
+	l.end(l.cur, now, busy, l.curBusy0)
+	if l.stage >= 0 {
+		l.end(l.stage, now, busy, l.stageBusy0)
+	}
+	t, err := l.check(l.spans)
+	return l.spans, t, err
 }
 
 // Summary reports the attributed energy totals: frame-production energy,
 // everything-else energy (the two partition the meter integral), and the
 // event-overlay total (which may double-count overlapping events).
 func (l *Ledger) Summary() (frame, idle, event acmp.Joules) {
-	t := totals(l.Spans())
+	t, _ := totals(l.Spans())
 	return t.Frame, t.Idle, t.Event
 }
 
 // StageEnergy reports the total energy attributed to render-stage spans.
 // Stage windows are disjoint and nested inside frame windows, so this never
 // exceeds the frame total of Summary.
-func (l *Ledger) StageEnergy() acmp.Joules { return totals(l.Spans()).Stage }
+func (l *Ledger) StageEnergy() acmp.Joules {
+	t, _ := totals(l.Spans())
+	return t.Stage
+}
 
-// Check enforces the conservation invariant: the frame+idle span energies
-// must sum to the meter integral since attach within ConservationTolerance.
-// Any discrepancy is an accounting bug in the attribution pipeline.
-func (l *Ledger) Check() error { return l.conserves(totals(l.Spans())) }
+// Check enforces the ledger's invariants. Conservation: the frame+idle span
+// energies must sum to the meter integral since attach within
+// ConservationTolerance. Stage sub-partition: every stage span nests inside
+// its frame's window, and draws no more than the frame in total. Any
+// violation is an accounting bug in the attribution pipeline.
+func (l *Ledger) Check() error {
+	_, err := l.check(l.Spans())
+	return err
+}
+
+// check totals spans in (Start, ID) order and reports the first violated
+// invariant, conservation first.
+func (l *Ledger) check(spans []Span) (Totals, error) {
+	t, err := totals(spans)
+	if cerr := l.conserves(t); cerr != nil {
+		return t, cerr
+	}
+	return t, err
+}
 
 // conserves checks totals taken from a snapshot against the meter integral.
 func (l *Ledger) conserves(t Totals) error {

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
@@ -140,10 +141,16 @@ func TestEventOverlaysObserveConcurrentEnergy(t *testing.T) {
 func TestAnnotationsAndMarks(t *testing.T) {
 	r := newRig()
 
+	if r.led.Decision() != nil {
+		t.Fatal("Decision outside a frame returned a record")
+	}
 	r.led.BeginEvent(7, "click #go")
-	r.led.AnnotateEvent(7, "qos", "single 100ms")
 	r.led.BeginFrame()
-	r.led.AnnotateFrame("decision", "predict@big@1800MHz")
+	d := r.led.Decision()
+	d.Set, d.Verdict, d.Chosen = FieldVerdict, Predict, acmp.PeakConfig()
+	if r.led.Decision() != d {
+		t.Fatal("Decision returned a second record for the open frame")
+	}
 	r.cpu.SetConfig(acmp.Config{Cluster: acmp.Big, MHz: acmp.BigMaxMHz})
 	r.burn(1_000_000)
 	r.s.RunUntil(sim.Time(5 * sim.Millisecond))
@@ -152,25 +159,53 @@ func TestAnnotationsAndMarks(t *testing.T) {
 	r.led.Finish()
 	checkConservation(t, r.led)
 
-	var sawFrame, sawEvent bool
+	var sawFrame bool
 	for _, sp := range r.led.Spans() {
-		if sp.Kind == KindFrame && sp.Attrs["decision"] == "predict@big@1800MHz" {
-			sawFrame = true
-		}
-		if sp.Kind == KindEvent && sp.Attrs["qos"] == "single 100ms" {
-			sawEvent = true
+		if sp.Kind == KindFrame {
+			sawFrame = sp.Decision != nil && sp.Decision.Text(FieldVerdict) == "predict@big@1800MHz"
+		} else if sp.Decision != nil {
+			t.Errorf("%s span carries a decision", sp.Kind)
 		}
 	}
-	if !sawFrame || !sawEvent {
-		t.Errorf("annotations lost: frame=%v event=%v", sawFrame, sawEvent)
+	if !sawFrame {
+		t.Error("frame decision lost")
 	}
 	if len(r.led.Marks()) != 1 {
 		t.Errorf("marks = %d, want 1", len(r.led.Marks()))
 	}
+	if r.led.Decision() != nil {
+		t.Error("Decision after the frame closed returned a record")
+	}
+}
 
-	// Annotating after close is a harmless no-op.
-	r.led.AnnotateFrame("late", "x")
-	r.led.AnnotateEvent(7, "late", "x")
+// An empty idle slice between back-to-back frames is dropped even when an
+// event opened inside it, at the same instant: the event keeps its own span.
+func TestDroppedIdleSliceKeepsEvent(t *testing.T) {
+	r := newRig()
+	r.led.BeginFrame()
+	r.burn(500_000)
+	r.s.Run()
+	r.led.EndFrame(1, r.cpu.Config())
+	r.led.BeginEvent(9, "click #b")
+	r.led.BeginFrame()
+	r.burn(700_000)
+	r.s.Run()
+	r.led.EndEvent(9)
+	r.led.EndFrame(2, r.cpu.Config())
+	spans, _, err := r.led.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Kind
+	for _, sp := range spans {
+		got = append(got, sp.Kind)
+	}
+	if want := []Kind{KindFrame, KindEvent, KindFrame, KindIdle}; !slices.Equal(got, want) {
+		t.Fatalf("span kinds = %v, want %v", got, want)
+	}
+	if ev, frame := spans[1], spans[2]; ev.UID != 9 || ev.Energy <= 0 || ev.Energy != frame.Energy || ev.End != frame.End {
+		t.Errorf("event span %+v does not cover frame %+v", ev, frame)
+	}
 }
 
 func TestFinishClosesDanglingEvents(t *testing.T) {
@@ -217,7 +252,7 @@ func TestConservationCatchesDroppedInterval(t *testing.T) {
 	r.s.RunUntil(sim.Time(5 * sim.Millisecond))
 	// Sabotage: steal energy from the ledger's current slice.
 	r.cpu.Meter().Sync()
-	r.led.cur.Energy -= 0.001
+	r.led.spans[r.led.cur].Energy -= 0.001
 	if err := r.led.Check(); err == nil {
 		t.Fatal("Check accepted a 1 mJ accounting hole")
 	}

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/wattwiseweb/greenweb/internal/sim"
@@ -87,6 +88,40 @@ func TestStageSpanResidual(t *testing.T) {
 	}
 	if resid := float64(frame.Energy) - stage; resid <= 0 {
 		t.Errorf("expected positive residual, frame %v vs Σstage %v", float64(frame.Energy), stage)
+	}
+}
+
+// TestCloseChecksStagePartition: Close checks the stage sub-partition on
+// every run. A stage span that escapes its frame's window, or stage spans
+// that draw more than their frame, fail it like a conservation violation.
+func TestCloseChecksStagePartition(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		corrupt func(stage, frame *Span)
+	}{
+		{"window", func(stage, frame *Span) { stage.End = frame.End + 1 }},
+		{"energy", func(stage, frame *Span) { stage.Energy = frame.Energy + 1e-6 }},
+	} {
+		r := newRig()
+		r.led.BeginFrame()
+		r.led.BeginStage(1, "style")
+		r.burn(1_000_000)
+		r.s.Run()
+		r.led.EndStage()
+		r.led.EndFrame(1, r.cpu.Config())
+		var frame, stage *Span
+		for i, sp := range r.led.spans {
+			switch sp.Kind {
+			case KindFrame:
+				frame = &r.led.spans[i]
+			case KindStage:
+				stage = &r.led.spans[i]
+			}
+		}
+		c.corrupt(stage, frame)
+		if _, _, err := r.led.Close(); err == nil || !strings.Contains(err.Error(), "stage partition") {
+			t.Errorf("%s: Close accepted a corrupted stage span: %v", c.name, err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"github.com/wattwiseweb/greenweb/internal/sim"
 )
@@ -119,7 +120,7 @@ func processEvents(p Process) []TraceEvent {
 			tid = eventTIDBase + lanes[sp.ID]
 		}
 		evs = append(evs, TraceEvent{
-			Name: sp.Name,
+			Name: spanName(sp),
 			Cat:  string(sp.Kind),
 			Ph:   "X",
 			TS:   int64(sp.Start),
@@ -128,13 +129,14 @@ func processEvents(p Process) []TraceEvent {
 			TID:  tid,
 			Args: spanArgs(sp),
 		})
-		// Annotated frames carry the governor's scheduling decision; emit it
-		// as a second complete event spanning the same interval on the same
-		// lane — Perfetto and chrome://tracing nest same-thread events by
-		// containment, so the decision renders as a child of its frame.
-		if sp.Kind == KindFrame && sp.Attrs["decision"] != "" {
+		// Frames with a verdict carry the governor's scheduling decision;
+		// emit it as a second complete event spanning the same interval on
+		// the same lane — Perfetto and chrome://tracing nest same-thread
+		// events by containment, so the decision renders as a child of its
+		// frame.
+		if d := sp.Decision; sp.Kind == KindFrame && d != nil && d.Set&FieldVerdict != 0 {
 			evs = append(evs, TraceEvent{
-				Name: "decide:" + sp.Attrs["decision"],
+				Name: "decide:" + d.Text(FieldVerdict),
 				Cat:  "decision",
 				Ph:   "X",
 				TS:   int64(sp.Start),
@@ -161,6 +163,15 @@ func processEvents(p Process) []TraceEvent {
 	return evs
 }
 
+// spanName names a span in the trace: a committed frame by its sequence
+// number, any other span by its Name.
+func spanName(sp Span) string {
+	if sp.Kind == KindFrame && sp.Seq > 0 {
+		return "frame " + strconv.Itoa(sp.Seq)
+	}
+	return sp.Name
+}
+
 func spanArgs(sp Span) map[string]any {
 	args := map[string]any{
 		"energy_j": float64(sp.Energy),
@@ -177,8 +188,8 @@ func spanArgs(sp Span) map[string]any {
 	if sp.UID != 0 {
 		args["input_uid"] = sp.UID
 	}
-	for k, v := range sp.Attrs {
-		args[k] = v
+	if sp.Decision != nil {
+		sp.Decision.addArgs(args)
 	}
 	return args
 }

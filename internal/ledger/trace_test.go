@@ -12,9 +12,9 @@ import (
 func sampleSpans() []Span {
 	return []Span{
 		{ID: 1, Kind: KindIdle, Name: "idle/other", Start: 0, End: 16_000, Energy: 0.001, Little: 0.001},
-		{ID: 2, Kind: KindFrame, Name: "frame 1", Seq: 1, Start: 16_000, End: 24_000,
+		{ID: 2, Kind: KindFrame, Seq: 1, Start: 16_000, End: 24_000,
 			Energy: 0.004, Big: 0.004, Busy: 6_000, Config: "big@1800MHz",
-			Attrs: map[string]string{"decision": "profile@big@1800MHz"}},
+			Decision: &FrameDecision{Set: FieldVerdict, Verdict: Profile, Chosen: acmp.PeakConfig()}},
 		// Overlapping events: must land on distinct lanes.
 		{ID: 3, Kind: KindEvent, Name: "touchstart #b", UID: 11, Start: 1_000, End: 30_000, Energy: 0.004},
 		{ID: 4, Kind: KindEvent, Name: "touchend #b", UID: 12, Start: 9_000, End: 26_000, Energy: 0.003},

@@ -8,19 +8,37 @@ import (
 )
 
 // Decision is one frame-level scheduling decision in the structured event
-// log: what the governor chose for the frame, why, and what it cost. Fields
-// mirror the ledger frame span and the GreenWeb runtime's annotations
-// verbatim — the decision log is a projection of the ledger, never a second
-// source of truth, which is what keeps it out-of-band.
+// log: what the governor chose for the frame, why, and what it cost. It is a
+// plain copy of the ledger frame span and its decision record — the decision
+// log is a projection of the ledger, never a second source of truth, which
+// is what keeps it out-of-band. Row renders it for encoding.
 type Decision struct {
+	Span  int
+	Frame int // committed sequence number; 0 = no commit
+
+	StartUS int64
+	EndUS   int64
+
+	// The runtime's record, zero under baseline governors that record none.
+	ledger.FrameDecision
+
+	// Config is the ACMP configuration the frame executed under (at close).
+	Config string
+
+	EnergyJ float64
+	BusyUS  int64
+}
+
+// DecisionRow is a Decision as the event log encodes it (GET
+// /v1/sweeps/{id}/events, WriteNDJSON): the runtime's fields rendered as
+// display strings, and omitted when the runtime did not record them.
+type DecisionRow struct {
 	Span  int `json:"span"`
-	Frame int `json:"frame,omitempty"` // committed sequence number; 0 = no commit
+	Frame int `json:"frame,omitempty"`
 
 	StartUS int64 `json:"start_us"`
 	EndUS   int64 `json:"end_us"`
 
-	// Runtime annotations (absent under baseline governors that do not
-	// annotate).
 	Governor   string `json:"governor,omitempty"`
 	Class      string `json:"class,omitempty"`
 	Deadline   string `json:"deadline,omitempty"`
@@ -32,11 +50,33 @@ type Decision struct {
 	Degrade    string `json:"degrade,omitempty"`
 	Recover    string `json:"recover,omitempty"`
 
-	// Config is the ACMP configuration the frame executed under (at close).
 	Config string `json:"config,omitempty"`
 
 	EnergyJ float64 `json:"energy_j"`
 	BusyUS  int64   `json:"busy_us"`
+}
+
+// Row renders the decision for encoding.
+func (d *Decision) Row() DecisionRow {
+	return DecisionRow{
+		Span:       d.Span,
+		Frame:      d.Frame,
+		StartUS:    d.StartUS,
+		EndUS:      d.EndUS,
+		Governor:   d.Text(ledger.FieldGovernor),
+		Class:      d.Text(ledger.FieldClass),
+		Deadline:   d.Text(ledger.FieldDeadline),
+		Decision:   d.Text(ledger.FieldVerdict),
+		Predicted:  d.Text(ledger.FieldPredicted),
+		Measured:   d.Text(ledger.FieldMeasured),
+		Outcome:    d.Text(ledger.FieldOutcome),
+		ThermalCap: d.Text(ledger.FieldThermalCap),
+		Degrade:    d.Text(ledger.FieldDegrade),
+		Recover:    d.Text(ledger.FieldRecover),
+		Config:     d.Config,
+		EnergyJ:    d.EnergyJ,
+		BusyUS:     d.BusyUS,
+	}
 }
 
 // DecisionOf projects a ledger span into a Decision. Only frame spans are
@@ -47,25 +87,19 @@ func DecisionOf(sp ledger.Span) (Decision, bool) {
 	if sp.Kind != ledger.KindFrame {
 		return Decision{}, false
 	}
-	return Decision{
-		Span:       sp.ID,
-		Frame:      sp.Seq,
-		StartUS:    int64(sp.Start),
-		EndUS:      int64(sp.End),
-		Governor:   sp.Attrs["governor"],
-		Class:      sp.Attrs["class"],
-		Deadline:   sp.Attrs["deadline"],
-		Decision:   sp.Attrs["decision"],
-		Predicted:  sp.Attrs["predicted"],
-		Measured:   sp.Attrs["measured"],
-		Outcome:    sp.Attrs["outcome"],
-		ThermalCap: sp.Attrs["thermal_cap"],
-		Degrade:    sp.Attrs["degrade"],
-		Recover:    sp.Attrs["recover"],
-		Config:     sp.Config,
-		EnergyJ:    float64(sp.Energy),
-		BusyUS:     int64(sp.Busy),
-	}, true
+	d := Decision{
+		Span:    sp.ID,
+		Frame:   sp.Seq,
+		StartUS: int64(sp.Start),
+		EndUS:   int64(sp.End),
+		Config:  sp.Config,
+		EnergyJ: float64(sp.Energy),
+		BusyUS:  int64(sp.Busy),
+	}
+	if sp.Decision != nil {
+		d.FrameDecision = *sp.Decision
+	}
+	return d, true
 }
 
 // DecisionsOf projects every frame span into the decision log, in span
@@ -93,8 +127,8 @@ func DecisionsOf(spans []ledger.Span) []Decision {
 // greensrv serves at GET /v1/sweeps/{id}/events.
 func WriteNDJSON(w io.Writer, ds []Decision) error {
 	enc := json.NewEncoder(w)
-	for _, d := range ds {
-		if err := enc.Encode(d); err != nil {
+	for i := range ds {
+		if err := enc.Encode(ds[i].Row()); err != nil {
 			return err
 		}
 	}

@@ -14,10 +14,12 @@ func frameSpan(id, seq int, energy float64) ledger.Span {
 	return ledger.Span{
 		ID: id, Kind: ledger.KindFrame, Seq: seq,
 		Start: 1000, End: 2000, Energy: acmp.Joules(energy), Busy: 800,
-		Config: "2L@1.6GHz",
-		Attrs: map[string]string{
-			"governor": "greenweb-u", "decision": "commit",
-			"predicted": "8.1ms", "measured": "7.9ms", "outcome": "met",
+		Config: "big@1800MHz",
+		Decision: &ledger.FrameDecision{
+			Set: ledger.FieldGovernor | ledger.FieldVerdict | ledger.FieldPredicted |
+				ledger.FieldMeasured | ledger.FieldOutcome,
+			Governor: "GreenWeb-U", Verdict: ledger.Predict, Chosen: acmp.PeakConfig(),
+			Predicted: 8100, Measured: 7900, Mode: ledger.ModePredicted,
 		},
 	}
 }
@@ -28,11 +30,17 @@ func TestDecisionOf(t *testing.T) {
 	if !ok {
 		t.Fatal("frame span rejected")
 	}
-	if d.Span != 7 || d.Frame != 3 || d.Governor != "greenweb-u" ||
-		d.Decision != "commit" || d.Predicted != "8.1ms" || d.Measured != "7.9ms" ||
-		d.Outcome != "met" || d.Config != "2L@1.6GHz" ||
+	if d.Span != 7 || d.Frame != 3 || d.FrameDecision != *sp.Decision || d.Config != "big@1800MHz" ||
 		d.EnergyJ != 0.0025 || d.StartUS != 1000 || d.EndUS != 2000 || d.BusyUS != 800 {
 		t.Errorf("projection = %+v", d)
+	}
+	want := DecisionRow{
+		Span: 7, Frame: 3, StartUS: 1000, EndUS: 2000, Governor: "GreenWeb-U",
+		Decision: "predict@big@1800MHz", Predicted: "8.1ms", Measured: "7.9ms",
+		Outcome: "predicted:ok", Config: "big@1800MHz", EnergyJ: 0.0025, BusyUS: 800,
+	}
+	if row := d.Row(); row != want {
+		t.Errorf("row = %+v\nwant %+v", row, want)
 	}
 
 	if _, ok := DecisionOf(ledger.Span{Kind: ledger.KindIdle}); ok {
@@ -76,7 +84,7 @@ func TestWriteNDJSON(t *testing.T) {
 	var n int
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
-		var d Decision
+		var d DecisionRow
 		if err := json.Unmarshal(sc.Bytes(), &d); err != nil {
 			t.Fatalf("line %q: %v", sc.Text(), err)
 		}

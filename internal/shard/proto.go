@@ -9,8 +9,8 @@
 // are observable to transport wrappers (the chaos injector keys its faults
 // on the write-side frame index). Frame types:
 //
-//	client → worker   {"t":"hello","proto":1,"trace":true}
-//	worker → client   {"t":"welcome","proto":1,"workers":N,"name":"...",
+//	client → worker   {"t":"hello","proto":2,"trace":true}
+//	worker → client   {"t":"welcome","proto":2,"workers":N,"name":"...",
 //	                   "trace":true,"now_us":T,"pid":P}
 //	client → worker   {"t":"job","id":SEQ,"job":{...fleet.Job}}
 //	worker → client   {"t":"result","id":SEQ,"result":{...wireResult}}
@@ -43,10 +43,12 @@ import (
 
 // protoVersion is the handshake version; a worker refuses a mismatched
 // client so a silent semantic skew cannot masquerade as a flaky network.
-const protoVersion = 1
+// Version 2: spans carry typed frame decision records, and results no
+// longer ship the decision log derived from them.
+const protoVersion = 2
 
 // maxFramePayload bounds one frame. The largest legitimate payload — a
-// result carrying a full-trace run's ledger spans and decision log — is a
+// result carrying a full-trace run's ledger spans — is a
 // few megabytes; 64 MiB keeps a corrupt length prefix from allocating the
 // heap away.
 const maxFramePayload = 64 << 20

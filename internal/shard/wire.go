@@ -52,8 +52,10 @@ type wireConfigMark struct {
 }
 
 // wireRun carries every harness.Run field greensrv's result, event, and
-// trace endpoints read — the ResultRow scalars, the decision log, and the
-// ledger spans — plus the residency histogram. FrameResults (the raw
+// trace endpoints read — the ResultRow scalars and the ledger spans — plus
+// the residency histogram. The decision log is a projection of the spans,
+// so it is not shipped: Decided says the node recorded one (-no-obs nodes
+// do not), and the receiving side derives it again. FrameResults (the raw
 // per-frame timeline) is deliberately not shipped: nothing behind the
 // fleet.Runner seam reads it, and it dominates payload size.
 type wireRun struct {
@@ -75,7 +77,7 @@ type wireRun struct {
 	StageEnergy acmp.Joules      `json:"stage_energy_j,omitempty"`
 	Spans       []ledger.Span    `json:"spans,omitempty"`
 	ConfigMarks []wireConfigMark `json:"config_marks,omitempty"`
-	Decisions   []obs.Decision   `json:"decisions,omitempty"`
+	Decided     bool             `json:"decided,omitempty"`
 
 	ThermalTrips  int         `json:"thermal_trips,omitempty"`
 	DVFSDenied    int         `json:"dvfs_denied,omitempty"`
@@ -145,7 +147,7 @@ func encodeRun(run *harness.Run) *wireRun {
 		EventEnergy:   run.EventEnergy,
 		StageEnergy:   run.StageEnergy,
 		Spans:         run.Spans,
-		Decisions:     run.Decisions,
+		Decided:       run.Decisions != nil,
 		ThermalTrips:  run.ThermalTrips,
 		DVFSDenied:    run.DVFSDenied,
 		DVFSDelayed:   run.DVFSDelayed,
@@ -187,7 +189,6 @@ func decodeRun(w *wireRun, job fleet.Job) *harness.Run {
 		EventEnergy:   w.EventEnergy,
 		StageEnergy:   w.StageEnergy,
 		Spans:         w.Spans,
-		Decisions:     w.Decisions,
 		ThermalTrips:  w.ThermalTrips,
 		DVFSDenied:    w.DVFSDenied,
 		DVFSDelayed:   w.DVFSDelayed,
@@ -197,6 +198,9 @@ func decodeRun(w *wireRun, job fleet.Job) *harness.Run {
 		CapClamps:     w.CapClamps,
 		Degradations:  w.Degradations,
 		Recoveries:    w.Recoveries,
+	}
+	if w.Decided {
+		run.Decisions = obs.DecisionsOf(w.Spans)
 	}
 	if app, ok := apps.ByName(job.App); ok {
 		run.App = app

@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -64,67 +63,56 @@ func (t Time) String() string {
 	return (time.Duration(t) * time.Microsecond).String()
 }
 
-// Event is a scheduled callback. It is returned by the scheduling methods so
-// callers can cancel pending events.
+// Event is a handle to a scheduled callback, returned by the scheduling
+// methods so callers can cancel it. It is a value: the simulator keeps the
+// callback in a recycled slot, and the handle names that slot and the slot's
+// generation. The zero Event, and a handle whose event has already fired or
+// been cancelled, cancel nothing, even after the slot has been reused.
 type Event struct {
-	at     Time
-	seq    uint64
-	index  int // heap index; -1 once popped or cancelled
-	fn     func()
-	name   string
-	cancel bool
+	s    *Simulator
+	slot uint32
+	gen  uint32
 }
-
-// At reports when the event is scheduled to fire.
-func (e *Event) At() Time { return e.at }
-
-// Name reports the diagnostic label given at scheduling time.
-func (e *Event) Name() string { return e.name }
-
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e.cancel }
 
 // Cancel prevents a pending event from firing. Cancelling an event that has
-// already fired is a no-op.
-func (e *Event) Cancel() { e.cancel = true }
-
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// already fired or been cancelled, or the zero Event, is a no-op.
+func (e Event) Cancel() {
+	if e.s != nil && e.s.slots[e.slot].gen == e.gen {
+		e.s.release(e.slot)
 	}
-	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// entry is one pending event in the queue. It holds no pointers, so heap
+// moves are plain copies: the callback stays in slots[slot], and an entry
+// whose generation no longer matches its slot's was cancelled.
+type entry struct {
+	at   Time
+	seq  uint64
+	slot uint32
+	gen  uint32
 }
 
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
+func (a entry) before(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+// slot holds a pending event's callback. gen advances every time the slot
+// is released (fired or cancelled), which invalidates outstanding handles
+// and queue entries naming the old generation.
+type slot struct {
+	fn  func()
+	gen uint32
 }
 
 // Simulator owns the virtual clock and the pending event queue.
 type Simulator struct {
 	now     Time
-	queue   eventQueue
+	queue   []entry // binary min-heap ordered by (at, seq)
+	slots   []slot
+	free    []uint32 // released slot indices, reused before slots grows
 	seq     uint64
 	stopped bool
 	// Stats
@@ -149,18 +137,39 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a logic error in a discrete-event model.
-func (s *Simulator) At(t Time, name string, fn func()) *Event {
+func (s *Simulator) At(t Time, name string, fn func()) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v, before now (%v)", name, t, s.now))
 	}
-	e := &Event{at: t, seq: s.seq, fn: fn, name: name}
+	var i uint32
+	if n := len(s.free); n > 0 {
+		i = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		i = uint32(len(s.slots))
+		s.slots = append(s.slots, slot{})
+	}
+	sl := &s.slots[i]
+	sl.fn = fn
+	s.push(entry{at: t, seq: s.seq, slot: i, gen: sl.gen})
 	s.seq++
-	heap.Push(&s.queue, e)
-	return e
+	return Event{s: s, slot: i, gen: sl.gen}
 }
 
+// release frees a slot: its callback is dropped, its generation advances
+// past every handle and queue entry naming it, and At may reuse it.
+func (s *Simulator) release(i uint32) {
+	sl := &s.slots[i]
+	sl.fn = nil
+	sl.gen++
+	s.free = append(s.free, i)
+}
+
+// live reports whether a queue entry still names its slot's pending event.
+func (s *Simulator) live(e entry) bool { return s.slots[e.slot].gen == e.gen }
+
 // After schedules fn to run d after the current time. Negative d panics.
-func (s *Simulator) After(d Duration, name string, fn func()) *Event {
+func (s *Simulator) After(d Duration, name string, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v for %q", d, name))
 	}
@@ -169,7 +178,7 @@ func (s *Simulator) After(d Duration, name string, fn func()) *Event {
 
 // Immediately schedules fn at the current time, after all events already
 // scheduled for this instant.
-func (s *Simulator) Immediately(name string, fn func()) *Event {
+func (s *Simulator) Immediately(name string, fn func()) Event {
 	return s.At(s.now, name, fn)
 }
 
@@ -180,13 +189,15 @@ func (s *Simulator) Stop() { s.stopped = true }
 // It reports whether an event fired (false when the queue is empty).
 func (s *Simulator) Step() bool {
 	for len(s.queue) > 0 {
-		e := heap.Pop(&s.queue).(*Event)
-		if e.cancel {
+		e := s.pop()
+		if !s.live(e) {
 			continue
 		}
+		fn := s.slots[e.slot].fn
+		s.release(e.slot)
 		s.now = e.at
 		s.fired++
-		e.fn()
+		fn()
 		return true
 	}
 	return false
@@ -204,12 +215,7 @@ func (s *Simulator) Run() {
 // later.
 func (s *Simulator) RunUntil(deadline Time) {
 	s.stopped = false
-	for !s.stopped {
-		e := s.peek()
-		if e == nil || e.at > deadline {
-			break
-		}
-		s.Step()
+	for !s.stopped && s.NextEventAt() <= deadline && s.Step() {
 	}
 	if !s.stopped && s.now < deadline {
 		s.now = deadline
@@ -222,20 +228,56 @@ func (s *Simulator) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 // NextEventAt reports the timestamp of the next non-cancelled pending event,
 // or Forever when the queue is empty.
 func (s *Simulator) NextEventAt() Time {
-	e := s.peek()
-	if e == nil {
-		return Forever
+	for len(s.queue) > 0 {
+		if e := s.queue[0]; s.live(e) {
+			return e.at
+		}
+		s.pop()
 	}
-	return e.at
+	return Forever
 }
 
-func (s *Simulator) peek() *Event {
-	for len(s.queue) > 0 {
-		e := s.queue[0]
-		if !e.cancel {
-			return e
+// push adds an entry to the queue heap.
+func (s *Simulator) push(e entry) {
+	q := append(s.queue, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(q[p]) {
+			break
 		}
-		heap.Pop(&s.queue)
+		q[i] = q[p]
+		i = p
 	}
-	return nil
+	q[i] = e
+	s.queue = q
+}
+
+// pop removes and returns the earliest entry. The queue must be non-empty.
+func (s *Simulator) pop() entry {
+	q := s.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	s.queue = q
+	return top
 }

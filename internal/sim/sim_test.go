@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -84,9 +85,6 @@ func TestCancelPreventsFiring(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
-	}
 }
 
 func TestCancelAfterFireIsNoop(t *testing.T) {
@@ -97,6 +95,15 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 	e.Cancel() // must not panic or affect anything
 	if n != 1 {
 		t.Fatalf("fired %d times, want 1", n)
+	}
+	// Nor may the stale handle, or the zero Event, cancel the event that
+	// reuses the fired event's slot.
+	s.After(Millisecond, "y", func() { n++ })
+	e.Cancel()
+	Event{}.Cancel()
+	s.Run()
+	if n != 2 {
+		t.Fatalf("stale handle cancelled the event that reused its slot")
 	}
 }
 
@@ -197,17 +204,6 @@ func TestNextEventAt(t *testing.T) {
 	}
 }
 
-func TestEventAccessors(t *testing.T) {
-	s := New()
-	e := s.After(3*Millisecond, "label", func() {})
-	if e.Name() != "label" {
-		t.Fatalf("Name = %q", e.Name())
-	}
-	if e.At() != Time(3*Millisecond) {
-		t.Fatalf("At = %v", e.At())
-	}
-}
-
 func TestDurationConversions(t *testing.T) {
 	if FromStd(3*time.Millisecond) != 3*Millisecond {
 		t.Fatal("FromStd wrong")
@@ -243,23 +239,75 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 }
 
-// Property: for any set of delays, events fire in nondecreasing time order
-// and the fired count matches the scheduled count.
+// Property: for any set of delays, with random cancels and partial runs
+// mixed in, exactly the events a sorted reference queue expects fire, in
+// (time, scheduling order). Cancels hit live events, events that already
+// fired, and stale handles whose slot a later event reuses, so a generation
+// bug that cancels the wrong event fails the comparison.
 func TestPropertyEventOrdering(t *testing.T) {
-	f := func(delays []uint16) bool {
+	type ref struct {
+		at  Time
+		seq int
+	}
+	f := func(delays []uint16, seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
 		s := New()
-		var fireTimes []Time
+		var (
+			handles     []Event
+			pending     []ref // the reference queue
+			fired, want []int
+		)
+		runRef := func(deadline Time) {
+			sort.Slice(pending, func(i, j int) bool {
+				a, b := pending[i], pending[j]
+				return a.at < b.at || a.at == b.at && a.seq < b.seq
+			})
+			n := 0
+			for ; n < len(pending) && pending[n].at <= deadline; n++ {
+				want = append(want, pending[n].seq)
+			}
+			pending = pending[n:]
+		}
 		for _, d := range delays {
-			s.After(Duration(d), "e", func() { fireTimes = append(fireTimes, s.Now()) })
+			seq := len(handles)
+			handles = append(handles, s.After(Duration(d), "e", func() { fired = append(fired, seq) }))
+			pending = append(pending, ref{s.Now().Add(Duration(d)), seq})
+			switch rng.Intn(4) {
+			case 0:
+				victim := rng.Intn(len(handles))
+				handles[victim].Cancel()
+				pending = slices.DeleteFunc(pending, func(r ref) bool { return r.seq == victim })
+			case 1:
+				deadline := s.Now().Add(Duration(rng.Intn(1 << 16)))
+				s.RunUntil(deadline)
+				runRef(deadline)
+			}
 		}
 		s.Run()
-		if len(fireTimes) != len(delays) {
-			return false
-		}
-		return sort.SliceIsSorted(fireTimes, func(i, j int) bool { return fireTimes[i] < fireTimes[j] })
+		runRef(Forever)
+		return slices.Equal(fired, want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Steady-state scheduling allocates nothing: slots and queue entries are
+// recycled, and a pre-bound callback needs no closure.
+func TestScheduleAndStepAllocateNothing(t *testing.T) {
+	s := New()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		s.After(Duration(i), "warm", fn)
+	}
+	s.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.After(Microsecond, "e", fn)
+		s.After(2*Microsecond, "e", fn).Cancel()
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("At+Step allocated %v times per run, want 0", allocs)
 	}
 }
 
