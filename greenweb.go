@@ -126,8 +126,8 @@ func Open(html string, policy Policy) (*Session, error) {
 	if _, err := s.engine.LoadPage(html); err != nil {
 		return nil, err
 	}
-	s.colI = metrics.NewCollector(s.engine, Imperceptible)
-	s.colU = metrics.NewCollector(s.engine, Usable)
+	cols := metrics.NewCollectors(s.engine, Imperceptible, Usable)
+	s.colI, s.colU = cols[0], cols[1]
 	s.Settle()
 	return s, nil
 }

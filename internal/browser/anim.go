@@ -90,10 +90,10 @@ func parsePx(s string) (float64, string) {
 	return v, unit
 }
 
-// collectTransitionTicks snapshots the interpolation work due this frame.
-func (e *Engine) collectTransitionTicks() []transitionTick {
+// collectTransitionTicks appends the interpolation work due this frame to
+// ticks.
+func (e *Engine) collectTransitionTicks(ticks []transitionTick) []transitionTick {
 	now := e.simu.Now()
-	var ticks []transitionTick
 	for _, tr := range e.transitions {
 		frac := 1.0
 		if tr.end > tr.start && now < tr.end {

@@ -46,7 +46,9 @@ type Governor interface {
 	// given provenance, before any frame work is submitted. The set is the
 	// frame's own (FrameResult.Provenance): read it, never modify it.
 	OnFrameStart(seq int, prov Provenance)
-	// OnFrameEnd fires when the frame-ready signal arrives.
+	// OnFrameEnd fires when the frame-ready signal arrives. fr is the
+	// stored result (Results), valid only during the call: copy what you
+	// keep.
 	OnFrameEnd(fr *FrameResult)
 	// OnEventComplete fires when no further work or frames can descend
 	// from the input (the transitive closure of Sec. 6.4 is exhausted).
@@ -101,7 +103,8 @@ type Engine struct {
 	mainCur  task
 	mainDone func()
 
-	// Frame production state (Fig. 7/8).
+	// Frame production state (Fig. 7/8). fw is the frame in production
+	// while producing; the callbacks below, bound once in New, drive it.
 	dirty     bool
 	dirtyProv Provenance
 	msgQueue  []InputRecord
@@ -110,6 +113,10 @@ type Engine struct {
 	producing bool
 	vsyncSet  bool
 	frameSeq  int
+	fw        frameWork
+
+	beginRun, styleRun, layoutRun, paintRun, housekeepRun func() acmp.Work
+	beginCommit, paintCommit, composited, shardDone       func()
 
 	transitions  []*cssTransition
 	applyingTick bool
@@ -157,6 +164,11 @@ func New(s *sim.Simulator, cpu *acmp.CPU, cost *CostModel) *Engine {
 		done:   make(map[UID]bool),
 	}
 	e.mainDone = e.commitMain
+	e.beginRun, e.beginCommit = e.runBeginFrame, e.commitBeginFrame
+	e.styleRun, e.layoutRun = e.runStyle, e.runLayout
+	e.paintRun, e.paintCommit = e.runPaint, e.commitPaint
+	e.composited, e.shardDone = e.frameComplete, e.stageShardDone
+	e.housekeepRun = e.runHousekeeping
 	e.browserThread = cpu.NewThread("browser")
 	e.mainThread = cpu.NewThread("renderer-main")
 	e.compositorThread = cpu.NewThread("compositor")
@@ -215,7 +227,8 @@ type LoadStats struct {
 // LoadStats returns the page-load statistics. Valid after LoadPage.
 func (e *Engine) LoadStats() LoadStats { return e.loadStats }
 
-// OnFrame registers an observer called after every completed frame.
+// OnFrame registers an observer called after every completed frame, with
+// the stored result; like Governor.OnFrameEnd, it must not retain it.
 func (e *Engine) OnFrame(fn func(*FrameResult)) { e.onFrame = append(e.onFrame, fn) }
 
 // SetLedger installs an energy-attribution ledger: the engine opens a span
@@ -719,23 +732,55 @@ func (e *Engine) vsyncTick() {
 	e.beginFrame()
 }
 
+// frameWork is the state of the frame in production. producing guarantees
+// one frame in flight at a time, serial or staged, so an engine keeps one
+// record and reuses it, and its buffers, for every frame. Only what the
+// frame's FrameResult keeps (its provenance, inputs and stage timings) is
+// allocated per frame.
+type frameWork struct {
+	rafs  []rafRequest     // the animation callbacks this frame runs
+	ticks []transitionTick // the transition interpolations due this frame
+	// rafResult collects what one animation callback did; rafArg is its
+	// timestamp argument.
+	rafResult DispatchResult
+	rafArg    [1]js.Value
+
+	begin sim.Time
+	// Set once the frame commits to rendering (produceFrame's dirty path).
+	seq           int
+	cfg           acmp.Config
+	prov, dirtied Provenance
+	msgs          []InputRecord
+	nodes         int64
+	mainWork      int64
+
+	// Staged production (stage.go): the phase in flight, its shards still
+	// running, and the phases done.
+	stage    StageTiming
+	pending  int
+	critWork int64
+	stages   []StageTiming
+	shards   []int64
+}
+
 // beginFrame runs the BeginFrame sequence of Fig. 7: rAF callbacks, CSS
 // transition ticks, then — if anything dirtied — style, layout, paint on
 // the main thread and composite on the compositor thread.
 func (e *Engine) beginFrame() {
-	begin := e.simu.Now()
-
+	f := &e.fw
 	// Take the pending rAF callbacks; new registrations during their
-	// execution belong to the next frame.
-	rafs := e.rafQueue
-	e.rafQueue = nil
+	// execution belong to the next frame. The queue and the record swap
+	// buffers: the last frame's callbacks are done with.
+	clear(f.rafs)
+	f.rafs, e.rafQueue = e.rafQueue, f.rafs[:0]
+	clear(f.ticks)
+	f.ticks = e.collectTransitionTicks(f.ticks[:0])
 
-	ticks := e.collectTransitionTicks()
-
-	if !e.dirty && len(rafs) == 0 && len(ticks) == 0 {
+	if !e.dirty && len(f.rafs) == 0 && len(f.ticks) == 0 {
 		return
 	}
 
+	f.begin = e.simu.Now()
 	e.producing = true
 	// Open the frame's energy span at production start: the animation
 	// callbacks below are frame work, and `producing` guarantees a single
@@ -743,48 +788,52 @@ func (e *Engine) beginFrame() {
 	if e.led != nil {
 		e.led.BeginFrame()
 	}
-	prov := NewProvenance()
 
 	// Phase 1: animation callbacks as one main-thread task.
-	e.post(task{
-		name: "begin-frame",
-		prov: prov,
-		run: func() acmp.Work {
-			var ops int64
-			for _, r := range rafs {
-				e.curProv = r.prov
-				e.curDispatch = &DispatchResult{}
-				ts := js.Num(float64(e.simu.Now()) / float64(sim.Millisecond))
-				n, _ := e.runScriptValue(r.cb, js.Undefined, []js.Value{ts})
-				ops += n
-				if e.curDispatch.Dirtied {
-					e.markDirty(r.prov)
-				}
-				e.curDispatch = nil
-			}
-			for _, tk := range ticks {
-				e.curProv = tk.prov
-				e.applyTransitionTick(tk)
-				ops += 400 // interpolation bookkeeping
-			}
-			e.curProv = nil
-			return e.cost.opsWork(ops)
-		},
-		commit: func() {
-			for _, r := range rafs {
-				for _, id := range r.prov {
-					e.ref(id, -1)
-				}
-			}
-			e.finishTransitionTicks(ticks)
-			e.produceFrame(begin, prov)
-		},
-	})
+	e.post(task{name: "begin-frame", run: e.beginRun, commit: e.beginCommit})
+}
+
+// runBeginFrame runs the frame's animation callbacks and transition ticks.
+func (e *Engine) runBeginFrame() acmp.Work {
+	f := &e.fw
+	var ops int64
+	for _, r := range f.rafs {
+		e.curProv = r.prov
+		f.rafResult = DispatchResult{}
+		e.curDispatch = &f.rafResult
+		f.rafArg[0] = js.Num(float64(e.simu.Now()) / float64(sim.Millisecond))
+		n, _ := e.runScriptValue(r.cb, js.Undefined, f.rafArg[:])
+		ops += n
+		if f.rafResult.Dirtied {
+			e.markDirty(r.prov)
+		}
+		e.curDispatch = nil
+	}
+	for _, tk := range f.ticks {
+		e.curProv = tk.prov
+		e.applyTransitionTick(tk)
+		ops += 400 // interpolation bookkeeping
+	}
+	e.curProv = nil
+	return e.cost.opsWork(ops)
+}
+
+// commitBeginFrame releases the animation callbacks' references, retires
+// finished transitions and renders the frame.
+func (e *Engine) commitBeginFrame() {
+	f := &e.fw
+	for _, r := range f.rafs {
+		for _, id := range r.prov {
+			e.ref(id, -1)
+		}
+	}
+	e.finishTransitionTicks(f.ticks)
+	e.produceFrame()
 }
 
 // produceFrame runs style → layout → paint → composite for the batched
 // dirty state, then resolves frame latencies (Fig. 8 Part III).
-func (e *Engine) produceFrame(begin sim.Time, _ Provenance) {
+func (e *Engine) produceFrame() {
 	if !e.dirty {
 		// Animations ran but nothing changed visually: no frame needed.
 		if e.led != nil {
@@ -798,83 +847,106 @@ func (e *Engine) produceFrame(begin sim.Time, _ Provenance) {
 		return
 	}
 
+	f := &e.fw
+	e.takeDirty()
+	e.frameSeq++
+	f.seq = e.frameSeq
+	e.gov.OnFrameStart(f.seq, f.prov)
+	// Record the configuration the governor chose for this frame (staged
+	// per-stage hooks may vary it within the frame; this is the frame-level
+	// decision).
+	f.cfg = e.cpu.Config()
+	f.nodes = int64(e.doc.CountNodes())
+
 	// Staged pipeline: shard style/layout/paint across dedicated stage
 	// threads with phase barriers (stage.go). The serial path below stays
 	// byte-identical to the pre-staging engine.
 	if len(e.stageThreads) > 0 {
-		e.produceFrameStaged(begin)
+		e.produceFrameStaged()
 		return
 	}
 
-	msgs, dirtied, prov := e.takeDirty()
-
-	e.frameSeq++
-	seq := e.frameSeq
-	e.gov.OnFrameStart(seq, prov)
-	// Record the configuration the governor chose for this frame.
-	cfg := e.cpu.Config()
-
-	nodes := int64(e.doc.CountNodes())
-	var mainWork int64
-	stage := func(name string, cycles int64) task {
-		mainWork += cycles
-		return task{name: name, prov: prov, run: func() acmp.Work { return e.cost.cyclesWork(cycles) }}
-	}
-	e.post(stage("style", nodes*e.cost.StyleCyclesPerNode))
-	e.post(stage("layout", nodes*e.cost.LayoutCyclesPerNode))
-	e.post(task{
-		name: "paint",
-		prov: prov,
-		run: func() acmp.Work {
-			return e.cost.cyclesWork(e.cost.PaintBaseCycles + nodes*e.cost.PaintCyclesPerNode)
-		},
-		commit: func() {
-			// Composite runs on the compositor thread, partially on GPU.
-			e.compositorThread.Submit(acmp.Work{
-				CyclesBig:    e.cost.CompositeCycles,
-				CyclesLittle: int64(float64(e.cost.CompositeCycles) * e.cost.MicroArchRatio),
-				Indep:        e.cost.CompositeGPUTime,
-			}, func() {
-				e.frameComplete(seq, begin, cfg, prov, dirtied, msgs, mainWork+e.cost.PaintBaseCycles+nodes*e.cost.PaintCyclesPerNode, nil)
-			})
-		},
-	})
-	mainWork += e.cost.PaintBaseCycles + nodes*e.cost.PaintCyclesPerNode
+	f.mainWork = f.nodes * (e.cost.StyleCyclesPerNode + e.cost.LayoutCyclesPerNode)
+	f.mainWork += e.paintCycles()
+	e.post(task{name: "style", prov: f.prov, run: e.styleRun})
+	e.post(task{name: "layout", prov: f.prov, run: e.layoutRun})
+	e.post(task{name: "paint", prov: f.prov, run: e.paintRun, commit: e.paintCommit})
 }
 
-// takeDirty captures and clears the dirty state for the frame about to be
-// produced: later mutations belong to the next frame. The frame's
-// provenance is the dirtied set plus the inputs whose messages it delivers.
-func (e *Engine) takeDirty() (msgs []InputRecord, dirtied, prov Provenance) {
-	msgs, dirtied = e.msgQueue, e.dirtyProv
-	e.msgQueue, e.dirtyProv, e.dirty = nil, nil, false
-	prov = dirtied.Clone()
-	for _, m := range msgs {
-		prov.Add(m.UID)
-	}
-	return msgs, dirtied, prov
+func (e *Engine) paintCycles() int64 {
+	return e.cost.PaintBaseCycles + e.fw.nodes*e.cost.PaintCyclesPerNode
 }
 
-func (e *Engine) frameComplete(seq int, begin sim.Time, cfg acmp.Config, prov, dirtied Provenance, msgs []InputRecord, mainWork int64, stages []StageTiming) {
+func (e *Engine) runStyle() acmp.Work {
+	return e.cost.cyclesWork(e.fw.nodes * e.cost.StyleCyclesPerNode)
+}
+
+func (e *Engine) runLayout() acmp.Work {
+	return e.cost.cyclesWork(e.fw.nodes * e.cost.LayoutCyclesPerNode)
+}
+
+func (e *Engine) runPaint() acmp.Work { return e.cost.cyclesWork(e.paintCycles()) }
+
+// commitPaint hands the painted frame to the compositor thread, which runs
+// partially on GPU. The serial path's MainWork counts paint twice, as it
+// always has; ExportFrames shows it.
+func (e *Engine) commitPaint() {
+	e.fw.mainWork += e.paintCycles()
+	e.composite()
+}
+
+// composite submits the frame's compositing, serial or staged.
+func (e *Engine) composite() {
+	e.compositorThread.Submit(acmp.Work{
+		CyclesBig:    e.cost.CompositeCycles,
+		CyclesLittle: int64(float64(e.cost.CompositeCycles) * e.cost.MicroArchRatio),
+		Indep:        e.cost.CompositeGPUTime,
+	}, e.composited)
+}
+
+// takeDirty moves the dirty state into the frame about to be produced:
+// later mutations belong to the next frame. The frame's provenance is the
+// dirtied set plus the inputs whose messages it delivers. The dirty set and
+// message queue swap buffers with the record, whose last frame is done.
+func (e *Engine) takeDirty() {
+	f := &e.fw
+	clear(f.msgs)
+	f.msgs, e.msgQueue = e.msgQueue, f.msgs[:0]
+	f.dirtied, e.dirtyProv = e.dirtyProv, f.dirtied[:0]
+	e.dirty = false
+	f.prov = f.dirtied.Clone()
+	for _, m := range f.msgs {
+		f.prov.Add(m.UID)
+	}
+}
+
+// frameComplete records the frame in production when it reaches the
+// display (the compositor's completion callback) and notifies the governor
+// and observers. They receive a pointer
+// to the stored FrameResult, valid only for the duration of the callback:
+// the results timeline may move as it grows, so none may retain it.
+func (e *Engine) frameComplete() {
+	f := &e.fw
 	end := e.simu.Now()
-	fr := FrameResult{
-		Seq:               seq,
-		Begin:             begin,
+	e.results = append(e.results, FrameResult{
+		Seq:               f.seq,
+		Begin:             f.begin,
 		End:               end,
-		ProductionLatency: end.Sub(begin),
-		Provenance:        prov,
-		Config:            cfg,
-		MainWork:          mainWork,
-		Stages:            stages,
-	}
-	for _, m := range msgs {
+		ProductionLatency: end.Sub(f.begin),
+		Provenance:        f.prov,
+		Config:            f.cfg,
+		MainWork:          f.mainWork,
+		Stages:            f.stages,
+	})
+	fr := &e.results[len(e.results)-1]
+	f.prov, f.stages = nil, nil
+	for _, m := range f.msgs {
 		fr.Inputs = append(fr.Inputs, InputLatency{Input: m, Latency: end.Sub(m.Start)})
 		e.ref(m.UID, -1)
 	}
-	for _, uid := range dirtied {
+	for _, uid := range f.dirtied {
 		e.ref(uid, -1)
 	}
-	e.results = append(e.results, fr)
 	e.producing = false
 	// Post-frame housekeeping (cache update, GC, off-screen raster): not
 	// attributed to any input and not QoS-critical, so it runs with empty
@@ -882,26 +954,24 @@ func (e *Engine) frameComplete(seq int, begin sim.Time, cfg acmp.Config, prov, d
 	// Browsers defer this to idle: it is skipped while an animation still
 	// needs the main thread.
 	if e.cost.PostFrameCycles > 0 && e.cost.PostFrameEvery > 0 &&
-		seq%e.cost.PostFrameEvery == 0 && !e.needsFrameWork() {
-		e.post(task{
-			name: "post-frame-housekeeping",
-			prov: NewProvenance(),
-			run:  func() acmp.Work { return e.cost.cyclesWork(e.cost.PostFrameCycles) },
-		})
+		fr.Seq%e.cost.PostFrameEvery == 0 && !e.needsFrameWork() {
+		e.post(task{name: "post-frame-housekeeping", run: e.housekeepRun})
 	}
-	e.gov.OnFrameEnd(&fr)
+	e.gov.OnFrameEnd(fr)
 	for _, fn := range e.onFrame {
-		fn(&fr)
+		fn(fr)
 	}
 	obsFrames.Inc()
 	// Close the frame's energy span after OnFrameEnd so the governor's
 	// feedback annotations land on it; its rescheduling here is zero-width
 	// in virtual time and charges nothing to the closing span.
 	if e.led != nil {
-		e.led.EndFrame(seq, cfg)
+		e.led.EndFrame(fr.Seq, fr.Config)
 	}
 	e.checkComplete()
 	if e.needsFrameWork() {
 		e.ensureVSync()
 	}
 }
+
+func (e *Engine) runHousekeeping() acmp.Work { return e.cost.cyclesWork(e.cost.PostFrameCycles) }

@@ -14,7 +14,7 @@ type recordingGovernor struct {
 	e          *Engine
 	inputs     []InputRecord
 	starts     []Provenance
-	frames     []*FrameResult
+	frames     []FrameResult
 	completed  []UID
 	pinnedPeak bool
 }
@@ -30,7 +30,7 @@ func (g *recordingGovernor) OnInput(in InputRecord, target *dom.Node) {
 	g.inputs = append(g.inputs, in)
 }
 func (g *recordingGovernor) OnFrameStart(seq int, prov Provenance) { g.starts = append(g.starts, prov) }
-func (g *recordingGovernor) OnFrameEnd(fr *FrameResult)            { g.frames = append(g.frames, fr) }
+func (g *recordingGovernor) OnFrameEnd(fr *FrameResult)            { g.frames = append(g.frames, *fr) }
 func (g *recordingGovernor) OnEventComplete(uid UID)               { g.completed = append(g.completed, uid) }
 
 func newTestEngine(t *testing.T, page string) (*sim.Simulator, *Engine, *recordingGovernor) {

@@ -2,6 +2,7 @@ package browser
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
@@ -140,11 +141,11 @@ func (e *Engine) stageThreadsIdle() bool {
 }
 
 // shardCycles splits a phase's parallelizable cycles evenly across the
-// stage threads (remainder cycles to the lowest shards, deterministically);
-// base is the phase's serial portion (paint's per-frame base cost), carried
-// by shard 0.
-func shardCycles(base, par int64, workers int) []int64 {
-	out := make([]int64, workers)
+// stage threads (remainder cycles to the lowest shards, deterministically)
+// into out, which it returns resized to workers; base is the phase's serial
+// portion (paint's per-frame base cost), carried by shard 0.
+func shardCycles(out []int64, base, par int64, workers int) []int64 {
+	out = slices.Grow(out[:0], workers)[:workers]
 	q, r := par/int64(workers), par%int64(workers)
 	for k := range out {
 		out[k] = q
@@ -156,114 +157,110 @@ func shardCycles(base, par int64, workers int) []int64 {
 	return out
 }
 
-// produceFrameStaged is the staged counterpart of produceFrame's dirty path:
-// the same dirty-state capture and frame bookkeeping, but style, layout, and
-// paint execute as sharded phases on the stage threads with a dependency
-// barrier between phases. The renderer main thread is NOT occupied by
-// render work meanwhile, so input dispatches overlap frame production in
-// virtual time — the second axis of pipeline parallelism.
-func (e *Engine) produceFrameStaged(begin sim.Time) {
-	msgs, dirtied, prov := e.takeDirty()
+// produceFrameStaged is the staged counterpart of produceFrame's serial
+// path: the same frame record, but style, layout, and paint execute as
+// sharded phases on the stage threads with a dependency barrier between
+// phases. The renderer main thread is NOT occupied by render work
+// meanwhile, so input dispatches overlap frame production in virtual time —
+// the second axis of pipeline parallelism.
+func (e *Engine) produceFrameStaged() {
+	f := &e.fw
+	f.stages = make([]StageTiming, 0, NumRenderStages)
+	f.mainWork, f.critWork = 0, 0
+	e.runStage(StageStyle)
+}
 
-	e.frameSeq++
-	seq := e.frameSeq
-	e.gov.OnFrameStart(seq, prov)
-	// Record the configuration the governor chose for this frame (per-stage
-	// hooks may vary it within the frame; this is the frame-level decision).
-	cfg := e.cpu.Config()
-
-	nodes := int64(e.doc.CountNodes())
-	plan := [NumRenderStages]struct{ base, per int64 }{
-		StageStyle:  {0, e.cost.StyleCyclesPerNode},
-		StageLayout: {0, e.cost.LayoutCyclesPerNode},
-		StagePaint:  {e.cost.PaintBaseCycles, e.cost.PaintCyclesPerNode},
+// stagePlan is each phase's serial base and per-node cycles.
+func (e *Engine) stagePlan(s RenderStage) (base, per int64) {
+	switch s {
+	case StageStyle:
+		return 0, e.cost.StyleCyclesPerNode
+	case StageLayout:
+		return 0, e.cost.LayoutCyclesPerNode
 	}
+	return e.cost.PaintBaseCycles, e.cost.PaintCyclesPerNode
+}
 
-	stages := make([]StageTiming, 0, NumRenderStages)
-	var mainWork, critWork int64
-
-	finish := func() {
-		if critWork > 0 {
-			obsStageSpeedup.Set(float64(mainWork) / float64(critWork))
-		}
-		// Composite runs on the compositor thread, partially on GPU — same
-		// as the serial path.
-		e.compositorThread.Submit(acmp.Work{
-			CyclesBig:    e.cost.CompositeCycles,
-			CyclesLittle: int64(float64(e.cost.CompositeCycles) * e.cost.MicroArchRatio),
-			Indep:        e.cost.CompositeGPUTime,
-		}, func() {
-			e.frameComplete(seq, begin, cfg, prov, dirtied, msgs, mainWork, stages)
-		})
+// runStage starts phase s of the frame in production: its shards run on
+// the stage threads, and the last to finish (stageShardDone) closes the
+// phase and starts the next.
+func (e *Engine) runStage(s RenderStage) {
+	f := &e.fw
+	// Per-stage scheduling hook before any shard is submitted: a config
+	// change here pays the switch penalty at the phase boundary, where
+	// every stage thread is momentarily idle.
+	if sg, ok := e.gov.(StageGovernor); ok {
+		sg.OnRenderStage(f.seq, s)
 	}
-
-	var runStage func(s RenderStage)
-	runStage = func(s RenderStage) {
-		// Per-stage scheduling hook before any shard is submitted: a config
-		// change here pays the switch penalty at the phase boundary, where
-		// every stage thread is momentarily idle.
-		if sg, ok := e.gov.(StageGovernor); ok {
-			sg.OnRenderStage(seq, s)
+	base, per := e.stagePlan(s)
+	total := base + f.nodes*per
+	f.mainWork += total
+	f.shards = shardCycles(f.shards, base, f.nodes*per, len(e.stageThreads))
+	f.stage = StageTiming{
+		Stage:       s,
+		Start:       e.simu.Now(),
+		Config:      e.cpu.Config(),
+		TotalCycles: total,
+	}
+	f.pending = 0
+	for _, c := range f.shards {
+		if c > f.stage.CritCycles {
+			f.stage.CritCycles = c
 		}
-		total := plan[s].base + nodes*plan[s].per
-		mainWork += total
-		shards := shardCycles(plan[s].base, nodes*plan[s].per, len(e.stageThreads))
-		st := StageTiming{
-			Stage:       s,
-			Start:       e.simu.Now(),
-			Config:      e.cpu.Config(),
-			TotalCycles: total,
-		}
-		pending := 0
-		for _, c := range shards {
-			if c > st.CritCycles {
-				st.CritCycles = c
-			}
-			if c > 0 {
-				pending++
-			}
-		}
-		if e.led != nil {
-			e.led.BeginStage(seq, st.Stage.String())
-		}
-		if pending > 1 {
-			obsStageOverlap.Inc()
-		}
-		done := func() {
-			pending--
-			if pending > 0 {
-				return
-			}
-			st.End = e.simu.Now()
-			if e.led != nil {
-				e.led.EndStage()
-			}
-			obsStageHists[st.Stage].Observe(st.End.Sub(st.Start).Seconds())
-			stages = append(stages, st)
-			critWork += st.CritCycles
-			if st.Stage == StagePaint {
-				finish()
-			} else {
-				runStage(st.Stage + 1)
-			}
-		}
-		if pending == 0 {
-			// A zero-cost phase (impossible under the default cost model,
-			// which charges per node) still closes its span and advances.
-			pending = 1
-			done()
-			return
-		}
-		// Submit shards in thread order; equal-cost shards complete at the
-		// same virtual instant and the simulator's FIFO tie-break keeps the
-		// callback order deterministic (the order is immaterial anyway: only
-		// the last completion advances the graph).
-		for k, c := range shards {
-			if c == 0 {
-				continue
-			}
-			e.stageThreads[k].Submit(e.cost.cyclesWork(c), done)
+		if c > 0 {
+			f.pending++
 		}
 	}
-	runStage(StageStyle)
+	if e.led != nil {
+		e.led.BeginStage(f.seq, s.String())
+	}
+	if f.pending > 1 {
+		obsStageOverlap.Inc()
+	}
+	if f.pending == 0 {
+		// A zero-cost phase (impossible under the default cost model,
+		// which charges per node) still closes its span and advances.
+		f.pending = 1
+		e.stageShardDone()
+		return
+	}
+	// Submit shards in thread order; equal-cost shards complete at the
+	// same virtual instant and the simulator's FIFO tie-break keeps the
+	// callback order deterministic (the order is immaterial anyway: only
+	// the last completion advances the graph).
+	for k, c := range f.shards {
+		if c == 0 {
+			continue
+		}
+		e.stageThreads[k].Submit(e.cost.cyclesWork(c), e.shardDone)
+	}
+}
+
+// stageShardDone runs as each shard of the phase in flight finishes; the
+// last one closes the phase and starts the next, or composites the frame
+// after paint.
+func (e *Engine) stageShardDone() {
+	f := &e.fw
+	f.pending--
+	if f.pending > 0 {
+		return
+	}
+	st := f.stage
+	st.End = e.simu.Now()
+	if e.led != nil {
+		e.led.EndStage()
+	}
+	obsStageHists[st.Stage].Observe(st.End.Sub(st.Start).Seconds())
+	f.stages = append(f.stages, st)
+	f.critWork += st.CritCycles
+	if st.Stage != StagePaint {
+		e.runStage(st.Stage + 1)
+		return
+	}
+	if f.critWork > 0 {
+		obsStageSpeedup.Set(float64(f.mainWork) / float64(f.critWork))
+	}
+	// Composite runs on the compositor thread, partially on GPU — same as
+	// the serial path.
+	e.composite()
 }

@@ -683,14 +683,16 @@ func (r *Runtime) ExportModels() map[string]*Model {
 	return out
 }
 
-// ImportModels seeds the runtime with previously trained models. Each
-// imported model's memoized sweep is invalidated: the importing runtime may
-// pass a different power model or thermal ceiling than the one the cache
-// was filled under.
+// ImportModels seeds the runtime with copies of previously trained models,
+// so the runtime's training never mutates the originals: one set can seed
+// any number of runs. Each copy's memoized sweep is invalidated: the
+// importing runtime may pass a different power model or thermal ceiling
+// than the one the cache was filled under.
 func (r *Runtime) ImportModels(ms map[string]*Model) {
 	for k, m := range ms {
-		m.Invalidate()
-		r.models[k] = m
+		c := *m
+		c.Invalidate()
+		r.models[k] = &c
 	}
 }
 

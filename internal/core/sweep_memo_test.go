@@ -101,15 +101,23 @@ func TestSweepMemoInvalidation(t *testing.T) {
 	m.RecordProfile(200*sim.Millisecond, acmp.LowestConfig())
 	checkAgainstReference(t, m, deadline, pm, ceiling, "after reprofile")
 
-	// ImportModels defensively invalidates imported models.
+	// ImportModels defensively invalidates the runtime's copy of each
+	// imported model, and leaves the original alone.
 	checkAgainstReference(t, m, deadline, pm, ceiling, "pre-import warm")
 	if !m.sel.valid {
 		t.Fatal("memo not warm before import")
 	}
 	r := New(Options{})
 	r.ImportModels(map[string]*Model{m.Key: m})
-	if m.sel.valid {
+	imported := r.Models()[m.Key]
+	if imported == m {
+		t.Fatal("ImportModels kept the caller's model instead of a copy")
+	}
+	if imported.sel.valid {
 		t.Fatal("ImportModels did not invalidate the imported model's memo")
 	}
-	checkAgainstReference(t, m, deadline, pm, ceiling, "after import")
+	if !m.sel.valid {
+		t.Fatal("ImportModels mutated the caller's model")
+	}
+	checkAgainstReference(t, imported, deadline, pm, ceiling, "after import")
 }

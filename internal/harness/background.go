@@ -50,11 +50,15 @@ func startBackground(s *sim.Simulator, cpu *acmp.CPU, load BackgroundLoad) (stop
 // ExecuteWithBackground runs a full interaction with a background
 // application sharing the SoC. Like every measured run, it closes out an
 // attribution ledger and fails on a conservation violation; the background
-// app's energy lands in the frame/idle slice it was drawn in.
-func ExecuteWithBackground(app *apps.App, kind Kind, load BackgroundLoad) (*Run, error) {
+// app's energy lands in the frame/idle slice it was drawn in. ctx carries
+// the render stage-worker count (WithStageWorkers) and cancels the run.
+func ExecuteWithBackground(ctx context.Context, app *apps.App, kind Kind, load BackgroundLoad) (*Run, error) {
 	s := sim.New()
 	cpu := acmp.NewCPU(s, acmp.DefaultPower())
 	e := browser.New(s, cpu, nil)
+	if n := StageWorkersIn(ctx); n > 0 {
+		e.SetStageWorkers(n)
+	}
 	led := ledger.New(cpu)
 	e.SetLedger(led)
 	gov := newGovernor(kind)
@@ -62,21 +66,22 @@ func ExecuteWithBackground(app *apps.App, kind Kind, load BackgroundLoad) (*Run,
 	if _, err := e.LoadPage(app.HTML()); err != nil {
 		return nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
 	}
-	colI := metrics.NewCollector(e, qos.Imperceptible)
-	colU := metrics.NewCollector(e, qos.Usable)
+	cols := metrics.NewCollectors(e, qos.Imperceptible, qos.Usable)
+	colI, colU := cols[0], cols[1]
 	stopBg := startBackground(s, cpu, load)
 
 	run := &Run{App: app, Kind: kind}
-	if err := settle(context.Background(), s, e, 60*sim.Second); err != nil {
-		return nil, err
+	if err := settle(ctx, s, e, 60*sim.Second); err != nil {
+		return nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
 	}
 	e0 := cpu.Energy()
 	f0 := len(e.Results())
 	t0 := s.Now().Add(100 * sim.Millisecond)
 	app.Full.Replay(e, t0)
-	s.RunUntil(t0.Add(app.Full.Duration()))
 	// The background pump never quiesces; run a fixed post-trace tail.
-	s.RunUntil(s.Now().Add(2 * sim.Second))
+	if err := runUntil(ctx, s, t0.Add(app.Full.Duration()).Add(2*sim.Second)); err != nil {
+		return nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
+	}
 	stopBg()
 	if st, ok := gov.(interface{ Stop() }); ok {
 		st.Stop()
@@ -169,7 +174,7 @@ func (s *Suite) ExperimentBackground(appNames ...string) ([]BackgroundRow, error
 	}
 	rows := make([]BackgroundRow, len(fg))
 	err = s.fanOut(len(fg), func(i int) error {
-		loaded, err := ExecuteWithBackground(fg[i], GreenWebI, DefaultBackgroundLoad())
+		loaded, err := ExecuteWithBackground(s.ctx(), fg[i], GreenWebI, DefaultBackgroundLoad())
 		if err != nil {
 			return err
 		}

@@ -374,13 +374,13 @@ type PredictorRow struct {
 	TrainedPct float64
 }
 
-// AblationPredictor runs every full interaction twice under GreenWeb-I:
-// once cold (profiling online, as the paper's runtime does) and once seeded
-// with the models the first run trained (the offline-profiling-guided
-// variant). The trained variant should shed the profiling-run violations
-// and some switching.
+// AblationPredictor compares every full interaction under GreenWeb-I cold
+// (profiling online, as the paper's runtime does: the suite's own
+// GreenWeb-I run) with a run seeded with the models the cold run trained
+// (the offline-profiling-guided variant). The trained variant should shed
+// the profiling-run violations and some switching.
 func (s *Suite) AblationPredictor() ([]PredictorRow, error) {
-	if err := s.prefetch(cellsFor(true, Perf)); err != nil {
+	if err := s.prefetch(cellsFor(true, Perf, GreenWebI)); err != nil {
 		return nil, err
 	}
 	catalog := apps.All()
@@ -388,14 +388,17 @@ func (s *Suite) AblationPredictor() ([]PredictorRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	colds, err := s.fullRuns(catalog, GreenWebI)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]PredictorRow, len(catalog))
 	err = s.fanOut(len(catalog), func(i int) error {
-		a := catalog[i]
-		cold, trainedModels, err := executeSeeded(s.ctx(), a, GreenWebI, a.Full, nil, nil)
-		if err != nil {
-			return err
+		a, cold := catalog[i], colds[i]
+		if cold.models == nil {
+			return fmt.Errorf("harness: %s/%s: run carries no trained models", a.Name, GreenWebI)
 		}
-		trained, _, err := executeSeeded(s.ctx(), a, GreenWebI, a.Full, trainedModels, nil)
+		trained, err := executeSeeded(s.ctx(), a, GreenWebI, a.Full, cold.models, nil)
 		if err != nil {
 			return err
 		}
@@ -498,7 +501,7 @@ func (s *Suite) ComparisonAutoGreen() ([]AutoGreenRow, error) {
 		if err != nil {
 			return err
 		}
-		auto, _, err := executeHTML(s.ctx(), a, annotated, GreenWebI, a.Full, nil, nil)
+		auto, err := executeHTML(s.ctx(), a, annotated, GreenWebI, a.Full, nil, nil)
 		if err != nil {
 			return err
 		}

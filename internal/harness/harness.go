@@ -189,6 +189,11 @@ type Run struct {
 	CapClamps     int
 	Degradations  int
 	Recoveries    int
+
+	// models are the GreenWeb runtime's trained per-class models at the end
+	// of the run (nil under baseline governors), which can seed a later run
+	// (ExecuteRepeated, AblationPredictor). They stay in this process.
+	models map[string]*core.Model
 }
 
 // settle advances the simulation until the engine is quiescent, cap elapses,
@@ -249,8 +254,7 @@ func Execute(app *apps.App, kind Kind, trace *replay.Trace) (*Run, error) {
 // returned wrapped (errors.Is-able against context.Canceled /
 // DeadlineExceeded). Fleet workers use this for per-job timeouts.
 func ExecuteContext(ctx context.Context, app *apps.App, kind Kind, trace *replay.Trace) (*Run, error) {
-	run, _, err := executeSeeded(ctx, app, kind, trace, nil, nil)
-	return run, err
+	return executeSeeded(ctx, app, kind, trace, nil, nil)
 }
 
 // ExecuteFaulted is Execute on a faulted device: spec's adversities (thermal
@@ -264,8 +268,7 @@ func ExecuteFaulted(app *apps.App, kind Kind, trace *replay.Trace, spec *faults.
 
 // ExecuteFaultedContext is ExecuteFaulted with cancellation.
 func ExecuteFaultedContext(ctx context.Context, app *apps.App, kind Kind, trace *replay.Trace, spec *faults.Spec) (*Run, error) {
-	run, _, err := executeSeeded(ctx, app, kind, trace, nil, spec)
-	return run, err
+	return executeSeeded(ctx, app, kind, trace, nil, spec)
 }
 
 // ExecuteRepeated reproduces the paper's measurement protocol ("we repeat
@@ -295,12 +298,12 @@ func ExecuteFaultedRepeatedContext(ctx context.Context, app *apps.App, kind Kind
 	var runs []*Run
 	var models map[string]*core.Model
 	for i := 0; i < n; i++ {
-		run, trained, err := executeSeeded(ctx, app, kind, trace, models, spec)
+		run, err := executeSeeded(ctx, app, kind, trace, models, spec)
 		if err != nil {
 			return nil, err
 		}
-		if trained != nil {
-			models = trained
+		if run.models != nil {
+			models = run.models
 		}
 		runs = append(runs, run)
 	}
@@ -317,20 +320,20 @@ func ExecuteFaultedRepeatedContext(ctx context.Context, app *apps.App, kind Kind
 	return med, nil
 }
 
-func executeSeeded(ctx context.Context, app *apps.App, kind Kind, trace *replay.Trace, seed map[string]*core.Model, spec *faults.Spec) (*Run, map[string]*core.Model, error) {
+func executeSeeded(ctx context.Context, app *apps.App, kind Kind, trace *replay.Trace, seed map[string]*core.Model, spec *faults.Spec) (*Run, error) {
 	return executeHTML(ctx, app, app.HTML(), kind, trace, seed, spec)
 }
 
 // executeHTML runs an explicit page source (e.g. an AUTOGREEN-annotated
 // variant of an application) through the same measurement pipeline.
-func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, trace *replay.Trace, seed map[string]*core.Model, spec *faults.Spec) (*Run, map[string]*core.Model, error) {
+func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, trace *replay.Trace, seed map[string]*core.Model, spec *faults.Spec) (*Run, error) {
 	s := sim.New()
 	cpu := acmp.NewCPU(s, acmp.DefaultPower())
 	var inj *faults.Injector
 	var daq *acmp.DAQ
 	if spec.Enabled() || (spec != nil && spec.StormAbort > 0) {
 		if err := spec.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
+			return nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
 		}
 		var traceSeed int64
 		if trace != nil {
@@ -361,16 +364,16 @@ func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, tra
 	}
 	e.SetGovernor(gov)
 	if _, err := e.LoadPage(html); err != nil {
-		return nil, nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
+		return nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
 	}
-	colI := metrics.NewCollector(e, qos.Imperceptible)
-	colU := metrics.NewCollector(e, qos.Usable)
+	cols := metrics.NewCollectors(e, qos.Imperceptible, qos.Usable)
+	colI, colU := cols[0], cols[1]
 
 	run := &Run{App: app, Kind: kind}
 
 	// Phase 1: load.
 	if err := settle(ctx, s, e, 60*sim.Second); err != nil {
-		return nil, nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
+		return nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
 	}
 	if frames := e.Results(); len(frames) > 0 && len(frames[0].Inputs) > 0 {
 		run.LoadLatency = frames[0].Inputs[0].Latency
@@ -387,10 +390,10 @@ func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, tra
 	if !loadOnly {
 		trace.Replay(e, t0)
 		if err := runUntil(ctx, s, t0.Add(trace.Duration())); err != nil {
-			return nil, nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
+			return nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
 		}
 		if err := settle(ctx, s, e, 60*sim.Second); err != nil {
-			return nil, nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
+			return nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
 		}
 	}
 
@@ -403,7 +406,7 @@ func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, tra
 	// seeds), exercising the fleet's retry and quarantine machinery.
 	if inj != nil {
 		if lim := inj.StormAbort(); lim > 0 && cpu.FaultStats().Denied >= lim {
-			return nil, nil, fmt.Errorf("harness: %s/%s: %w (%d DVFS transitions denied)",
+			return nil, fmt.Errorf("harness: %s/%s: %w (%d DVFS transitions denied)",
 				app.Name, kind, faults.ErrStorm, cpu.FaultStats().Denied)
 		}
 	}
@@ -431,7 +434,7 @@ func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, tra
 	run.TotalEnergy = cpu.Energy()
 	run.FrameResults = e.Results()
 	if err := run.closeLedger(led); err != nil {
-		return nil, nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
+		return nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
 	}
 	// The decision log is a projection of the closed frame spans, derived
 	// once per run. -no-obs contexts (greensrv/greenbench -no-obs) skip it.
@@ -452,14 +455,13 @@ func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, tra
 		run.CapClamps, run.Degradations, run.Recoveries = st.CapClamps, st.Degradations, st.Recoveries
 	}
 	if errs := e.ScriptErrors(); len(errs) > 0 {
-		return nil, nil, fmt.Errorf("harness: %s/%s: script errors: %v", app.Name, kind, errs[0])
+		return nil, fmt.Errorf("harness: %s/%s: script errors: %v", app.Name, kind, errs[0])
 	}
-	var trained map[string]*core.Model
 	if rt != nil {
-		trained = rt.ExportModels()
+		run.models = rt.ExportModels()
 	}
 	obsRuns.With(string(kind)).Inc()
-	return run, trained, nil
+	return run, nil
 }
 
 // closeLedger closes out the run's attribution ledger and enforces

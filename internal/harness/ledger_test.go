@@ -2,7 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"testing"
 
@@ -163,7 +165,7 @@ func TestGreenWebRunAnnotatesSpans(t *testing.T) {
 // draw included.
 func TestBackgroundRunConservation(t *testing.T) {
 	app, _ := apps.ByName("MSN")
-	run, err := ExecuteWithBackground(app, GreenWebI, DefaultBackgroundLoad())
+	run, err := ExecuteWithBackground(context.Background(), app, GreenWebI, DefaultBackgroundLoad())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,5 +176,32 @@ func TestBackgroundRunConservation(t *testing.T) {
 	if d := math.Abs(float64(run.FrameEnergy + run.IdleEnergy - run.TotalEnergy)); d > ledger.ConservationTolerance {
 		t.Errorf("frame %.12f J + idle %.12f J != meter integral %.12f J (|Δ|=%.3e)",
 			float64(run.FrameEnergy), float64(run.IdleEnergy), float64(run.TotalEnergy), d)
+	}
+}
+
+// TestBackgroundRunHonorsStageWorkers: the background experiment's loaded
+// run renders with the context's stage-worker count, like the solo run it
+// is compared with, and stops when the context is cancelled.
+func TestBackgroundRunHonorsStageWorkers(t *testing.T) {
+	app, _ := apps.ByName("MSN")
+	staged, err := ExecuteWithBackground(WithStageWorkers(context.Background(), 4), app, GreenWebI, DefaultBackgroundLoad())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if staged.StageEnergy <= 0 {
+		t.Fatalf("loaded run at 4 stage workers attributed %v J to stages, want > 0", staged.StageEnergy)
+	}
+	serial, err := ExecuteWithBackground(context.Background(), app, GreenWebI, DefaultBackgroundLoad())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.StageEnergy != 0 {
+		t.Fatalf("serial loaded run attributed %v J to stages", serial.StageEnergy)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ExecuteWithBackground(ctx, app, GreenWebI, DefaultBackgroundLoad()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
 	}
 }

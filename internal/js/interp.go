@@ -3,6 +3,7 @@ package js
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -149,8 +150,9 @@ func (in *Interp) invoke(f *Function, this Value, args []Value, at Node) (Value,
 		// Bytecode path: same frame setup, segment execution instead of a
 		// tree walk. The arguments array is skipped when the body provably
 		// never mentions it — a pure allocation saving, ops are unaffected.
+		// It copies args: a VM caller passes a view of its value stack.
 		if f.Code.needArgs {
-			env.Define("arguments", ObjVal(NewArray(args...)))
+			env.Define("arguments", ObjVal(NewArray(slices.Clone(args)...)))
 		}
 		env.Define("this", this)
 		v, c, err := in.runSeg(f.Code.body, f.Code.u, env)
@@ -162,7 +164,7 @@ func (in *Interp) invoke(f *Function, this Value, args []Value, at Node) (Value,
 		}
 		return Undefined, nil
 	}
-	env.Define("arguments", ObjVal(NewArray(args...)))
+	env.Define("arguments", ObjVal(NewArray(slices.Clone(args)...)))
 	env.Define("this", this)
 	v, c, err := in.execBlock(f.Body, env)
 	if err != nil {

@@ -3,6 +3,7 @@ package js
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -238,6 +239,13 @@ type HostObject interface {
 	HostSet(name string, v Value) bool
 }
 
+// HostKeyer is implemented by host objects whose host properties are
+// enumerable. Keys lists them, in the order HostKeys returns, before any
+// ordinary property a script stored on the object.
+type HostKeyer interface {
+	HostKeys() []string
+}
+
 // Object is the heap value behind objects, arrays, and functions.
 type Object struct {
 	// Props is nil until the first named-property write: host objects,
@@ -392,8 +400,20 @@ func (o *Object) Delete(name string) {
 // Keys returns the object's own enumerable property names: array indexes
 // first, then named properties in insertion order (real JavaScript
 // enumeration order, which for-in, Object.keys, and JSON.stringify share).
+// A HostKeyer's properties come first, and an ordinary property that
+// shadows one is listed once.
 func (o *Object) Keys() []string {
 	var ks []string
+	if hk, ok := o.Host.(HostKeyer); ok {
+		ks = hk.HostKeys()
+		host := len(ks)
+		for _, k := range o.order {
+			if !slices.Contains(ks[:host], k) {
+				ks = append(ks, k)
+			}
+		}
+		return ks
+	}
 	if o.IsArray {
 		for i := range o.Elems {
 			ks = append(ks, strconv.Itoa(i))
@@ -415,7 +435,9 @@ type Function struct {
 	Code   *compiledFn
 }
 
-// NativeFunc wraps a Go function as a callable value.
+// NativeFunc wraps a Go function as a callable value. fn's args are valid
+// only until it returns — a call from bytecode passes a view of the VM's
+// value stack — so fn copies any part of them it keeps.
 func NativeFunc(name string, fn func(in *Interp, this Value, args []Value) (Value, error)) Value {
 	return ObjVal(&Object{Fn: &Function{Name: name, Native: fn}})
 }
@@ -573,7 +595,7 @@ func GoString(v Value) string {
 		}
 		var parts []string
 		for _, k := range o.Keys() {
-			parts = append(parts, fmt.Sprintf("%s: %s", k, GoString(o.Props[k])))
+			parts = append(parts, fmt.Sprintf("%s: %s", k, GoString(o.Get(k))))
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
 	default:

@@ -329,14 +329,16 @@ func (in *Interp) execSeg(sg *segment, u *unit, env *Env) (Value, ctrl, error) {
 			}
 
 		case opCall:
-			argc := int(is.A)
-			args := popArgs(in, argc)
-			fn := in.pop()
-			this := in.pop()
-			v, err := in.invoke(fn.Object().Fn, this, args, is)
+			// Stack: this, fn, args... The callee reads its arguments in
+			// place (see callArgs) and the frame is popped once it returns.
+			top := len(in.vstack)
+			base := top - int(is.A)
+			this, fn := in.vstack[base-2], in.vstack[base-1]
+			v, err := in.invoke(fn.Object().Fn, this, in.callArgs(base, top), is)
 			if err != nil {
 				return Undefined, ctrlNone, err
 			}
+			in.vstack = in.vstack[:base-2]
 			in.push(v)
 
 		case opCheckCtor:
@@ -346,14 +348,16 @@ func (in *Interp) execSeg(sg *segment, u *unit, env *Env) (Value, ctrl, error) {
 			}
 
 		case opNew:
-			argc := int(is.A)
-			args := popArgs(in, argc)
-			fn := in.pop()
+			// Stack: fn, args...
+			top := len(in.vstack)
+			base := top - int(is.A)
+			fn := in.vstack[base-1]
 			this := ObjVal(NewObject())
-			ret, err := in.invoke(fn.Object().Fn, this, args, is)
+			ret, err := in.invoke(fn.Object().Fn, this, in.callArgs(base, top), is)
 			if err != nil {
 				return Undefined, ctrlNone, err
 			}
+			in.vstack = in.vstack[:base-1]
 			if ret.Kind() == KindObject {
 				in.push(ret)
 			} else {
@@ -438,13 +442,18 @@ func (in *Interp) execSeg(sg *segment, u *unit, env *Env) (Value, ctrl, error) {
 	return Undefined, ctrlNone, nil
 }
 
-func popArgs(in *Interp, argc int) []Value {
-	var args []Value
-	if argc > 0 {
-		args = append(args, in.vstack[len(in.vstack)-argc:]...)
-		in.vstack = in.vstack[:len(in.vstack)-argc]
+// callArgs is the argument list of a call whose arguments occupy
+// vstack[base:top]: a view of the value stack, not a copy. The stack stays
+// unpopped while the callee runs, so the callee's own frames push above top
+// and never overwrite the view, and the capacity is capped at top, so an
+// append to the view copies instead of writing into the stack. The view is
+// valid only until the callee returns: a callee that keeps its arguments
+// (an arguments object, a native storing the slice) must copy them.
+func (in *Interp) callArgs(base, top int) []Value {
+	if base == top {
+		return nil
 	}
-	return args
+	return in.vstack[base:top:top]
 }
 
 // vmForIn mirrors exec's ForInStmt case: scope with the loop variable,

@@ -44,9 +44,8 @@ func closeScript(r *rig) {
 	r.s.RunUntil(sim.Time(30 * sim.Millisecond)) // event 2 is still open
 }
 
-// Close sorts the closed spans in place instead of snapshotting them; it
-// must return exactly what Finish followed by Spans returns on an identical
-// ledger, with the totals Summary and StageEnergy report.
+// Close must return exactly what Finish followed by Spans returns on an
+// identical ledger, with the totals Summary and StageEnergy report.
 func TestCloseMatchesFinishAndSpans(t *testing.T) {
 	closed, snapped := newRig(), newRig()
 	closeScript(closed)
@@ -85,5 +84,55 @@ func TestCloseMatchesFinishAndSpans(t *testing.T) {
 	}
 	if tot.Stage <= 0 || tot.Stage > tot.Frame || tot.Event <= 0 {
 		t.Fatalf("totals = %+v", tot)
+	}
+}
+
+// Close hands its span buffer to the next ledger. The spans it returned
+// belong to the caller: a later ledger appending into the recycled buffer,
+// and closing it again, must leave them untouched.
+func TestCloseSpansSurviveBufferReuse(t *testing.T) {
+	first := newRig()
+	closeScript(first)
+	spans, _, err := first.led.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) != cap(spans) {
+		t.Errorf("Close returned len %d cap %d, want an exact-size slice", len(spans), cap(spans))
+	}
+	want := make([]Span, len(spans))
+	copy(want, spans)
+	decisions := make([]FrameDecision, 0, len(spans))
+	for _, sp := range spans {
+		if sp.Decision != nil {
+			decisions = append(decisions, *sp.Decision)
+		}
+	}
+
+	for range 3 {
+		next := newRig()
+		next.led.BeginEvent(9, "keydown z")
+		next.led.BeginFrame()
+		d := next.led.Decision()
+		d.Set, d.Verdict, d.Class = FieldVerdict|FieldClass, Profile, "other"
+		next.burn(2_000_000)
+		next.s.RunUntil(sim.Time(5 * sim.Millisecond))
+		next.led.EndFrame(7, next.cpu.Config())
+		if _, _, err := next.led.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if !reflect.DeepEqual(spans, want) {
+		t.Fatalf("closed spans changed after their buffer was reused:\n got %+v\nwant %+v", spans, want)
+	}
+	i := 0
+	for _, sp := range spans {
+		if sp.Decision != nil {
+			if *sp.Decision != decisions[i] {
+				t.Fatalf("span %d decision record changed: %+v, want %+v", sp.ID, *sp.Decision, decisions[i])
+			}
+			i++
+		}
 	}
 }

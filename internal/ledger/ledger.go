@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/sim"
@@ -110,8 +111,10 @@ type Ledger struct {
 	// spans holds every span, open or closed, in ID order: a span takes its
 	// slot when it opens, and IDs are issued in start order, so spans is
 	// always in (Start, ID) order and is never sorted. Open spans are
-	// addressed by slot index.
+	// addressed by slot index. Its backing array comes from spanBufs and
+	// goes back there on Close.
 	spans  []Span
+	buf    *[]Span
 	nextID int
 
 	cur      int          // slot of the open exclusive slice (frame or idle)
@@ -138,13 +141,22 @@ type openEvent struct {
 // little unused space.
 const decisionChunk = 64
 
+// spanBufs recycles span buffers between ledgers. A run's buffer grows to
+// its span count by append; Close copies the spans out, clears the buffer
+// and returns it, so the next run on this process starts with the capacity
+// the last one grew and appends without reallocating.
+var spanBufs = sync.Pool{New: func() any { return new([]Span) }}
+
 // New attaches a ledger to the CPU's meter. Energy drawn before the ledger
 // attaches stays outside the conservation sum (the baseline is subtracted).
 func New(cpu *acmp.CPU) *Ledger {
+	buf := spanBufs.Get().(*[]Span)
 	l := &Ledger{
 		cpu:      cpu,
 		simu:     cpu.Sim(),
 		baseline: cpu.Meter().Energy(),
+		spans:    (*buf)[:0],
+		buf:      buf,
 		stage:    -1,
 	}
 	l.cur = l.open(KindIdle, "idle/other")
@@ -434,8 +446,9 @@ func nests(stage, frame *Span, staged acmp.Joules) error {
 // Close ends a run's attribution in one pass and finishes the ledger: it
 // closes in-flight events (Finish) and the open slices, and checks
 // conservation and the stage sub-partition on the per-kind totals. It
-// returns the same spans Finish followed by Spans would, without copying
-// or sorting them. The ledger must not be used after Close.
+// returns the same spans Finish followed by Spans would, in a slice of
+// exactly their length that the caller owns, and recycles the ledger's own
+// buffer (spanBufs). The ledger must not be used after Close.
 func (l *Ledger) Close() ([]Span, Totals, error) {
 	l.Finish()
 	now, busy := l.simu.Now(), l.cpu.UnionBusyTime()
@@ -444,7 +457,15 @@ func (l *Ledger) Close() ([]Span, Totals, error) {
 		l.end(l.stage, now, busy, l.stageBusy0)
 	}
 	t, err := l.check(l.spans)
-	return l.spans, t, err
+	out := make([]Span, len(l.spans))
+	copy(out, l.spans)
+	// Clear the buffer before it is reused: its spans hold strings and
+	// decision records the next ledger must not keep alive.
+	clear(l.spans)
+	*l.buf = l.spans[:0]
+	spanBufs.Put(l.buf)
+	l.spans, l.buf = nil, nil
+	return out, t, err
 }
 
 // Summary reports the attributed energy totals: frame-production energy,

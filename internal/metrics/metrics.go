@@ -62,34 +62,65 @@ type FrameQoS struct {
 	Pct      float64
 }
 
-// Collector observes an engine run and judges every frame whose provenance
-// includes an annotated input. It applies the same driving-event resolution
-// the GreenWeb runtime uses — strictest deadline wins — so baselines
-// (Perf, Interactive) are judged by identical rules.
+// Collector holds one scenario's verdicts on an engine run: every frame
+// whose provenance includes an annotated input, judged by the same
+// driving-event resolution the GreenWeb runtime uses — strictest deadline
+// wins — so baselines (Perf, Interactive) are judged by identical rules.
 type Collector struct {
-	e        *browser.Engine
 	scenario qos.Scenario
+	Frames   []FrameQoS
 
-	anns   map[browser.UID]qos.Annotation
-	Frames []FrameQoS
+	// The driving input of the frame being judged.
+	best    qos.Annotation
+	bestUID browser.UID
+	found   bool
 }
 
-// NewCollector attaches a collector to the engine. It must be created
-// after LoadPage (it resolves annotations against the loaded document) —
-// pass the load UID so the loading frame itself is judged.
-func NewCollector(e *browser.Engine, scenario qos.Scenario) *Collector {
-	c := &Collector{e: e, scenario: scenario, anns: make(map[browser.UID]qos.Annotation)}
-	e.OnFrame(c.onFrame)
-	return c
+// judge observes an engine run for its collectors: it resolves each input's
+// annotation once per run and has every collector judge each frame.
+type judge struct {
+	e    *browser.Engine
+	anns []resolved // by input UID; UIDs are issued densely from 1
+	cols []*Collector
+}
+
+// resolved caches one input's annotation lookup.
+type resolved struct {
+	ann  qos.Annotation
+	done bool
+}
+
+// NewCollectors attaches one collector per scenario to the engine, all fed
+// by one frame observer that resolves each input's annotation once. They
+// must be created after LoadPage (annotations resolve against the loaded
+// document), and they judge the loading frame itself.
+func NewCollectors(e *browser.Engine, scenarios ...qos.Scenario) []*Collector {
+	j := &judge{e: e, cols: make([]*Collector, len(scenarios))}
+	for i, sc := range scenarios {
+		j.cols[i] = &Collector{scenario: sc}
+	}
+	e.OnFrame(j.onFrame)
+	return j.cols
 }
 
 // resolve finds (and caches) the annotation for an input.
-func (c *Collector) resolve(in browser.InputRecord) (qos.Annotation, bool) {
-	if a, ok := c.anns[in.UID]; ok {
+func (j *judge) resolve(in browser.InputRecord) (qos.Annotation, bool) {
+	if int(in.UID) < len(j.anns) && j.anns[in.UID].done {
+		a := j.anns[in.UID].ann
 		return a, a.Target.Valid()
 	}
-	doc := c.e.Doc()
-	if doc == nil || c.e.Annotations() == nil {
+	a, ok := j.lookup(in)
+	for len(j.anns) <= int(in.UID) {
+		j.anns = append(j.anns, resolved{})
+	}
+	j.anns[in.UID] = resolved{ann: a, done: true}
+	return a, ok
+}
+
+// lookup resolves an input's annotation against the loaded document.
+func (j *judge) lookup(in browser.InputRecord) (qos.Annotation, bool) {
+	doc := j.e.Doc()
+	if doc == nil || j.e.Annotations() == nil {
 		return qos.Annotation{}, false
 	}
 	node := doc.GetElementByID(in.Target)
@@ -99,45 +130,50 @@ func (c *Collector) resolve(in browser.InputRecord) (qos.Annotation, bool) {
 		}
 	}
 	if node == nil {
-		c.anns[in.UID] = qos.Annotation{}
 		return qos.Annotation{}, false
 	}
-	a, ok := c.e.Annotations().Lookup(node, in.Event)
+	a, ok := j.e.Annotations().Lookup(node, in.Event)
 	if !ok {
-		c.anns[in.UID] = qos.Annotation{}
 		return qos.Annotation{}, false
 	}
-	c.anns[in.UID] = a
 	return a, true
 }
 
-func (c *Collector) onFrame(fr *browser.FrameResult) {
-	// Find the strictest annotated deadline among the frame's ancestry.
-	var best qos.Annotation
-	found := false
-	var bestInput browser.InputRecord
-	// Ascending-UID iteration keeps deadline ties deterministic.
+func (j *judge) onFrame(fr *browser.FrameResult) {
+	for _, c := range j.cols {
+		c.found = false
+	}
+	// Find each scenario's strictest annotated deadline among the frame's
+	// ancestry. Ascending-UID iteration keeps deadline ties deterministic.
 	for _, uid := range fr.Provenance.IDs() {
-		rec, ok := c.e.InputRecord(uid)
+		rec, ok := j.e.InputRecord(uid)
 		if !ok {
 			continue
 		}
-		a, ok := c.resolve(rec)
+		a, ok := j.resolve(rec)
 		if !ok {
 			continue
 		}
-		if !found || c.scenario.Deadline(a.Target) < c.scenario.Deadline(best.Target) {
-			best, bestInput, found = a, rec, true
+		for _, c := range j.cols {
+			if !c.found || c.scenario.Deadline(a.Target) < c.scenario.Deadline(c.best.Target) {
+				c.best, c.bestUID, c.found = a, uid, true
+			}
 		}
 	}
-	if !found {
-		return
+	for _, c := range j.cols {
+		if c.found {
+			c.judge(fr)
+		}
 	}
+}
+
+// judge records the verdict on a frame driven by c.best.
+func (c *Collector) judge(fr *browser.FrameResult) {
 	measured := fr.ProductionLatency
-	if best.Type == qos.Single {
+	if c.best.Type == qos.Single {
 		measured = -1
 		for _, il := range fr.Inputs {
-			if il.Input.UID == bestInput.UID {
+			if il.Input.UID == c.bestUID {
 				measured = il.Latency
 			}
 		}
@@ -145,10 +181,10 @@ func (c *Collector) onFrame(fr *browser.FrameResult) {
 			return // the single event's own frame already passed
 		}
 	}
-	deadline := c.scenario.Deadline(best.Target)
+	deadline := c.scenario.Deadline(c.best.Target)
 	c.Frames = append(c.Frames, FrameQoS{
 		End:      fr.End,
-		Type:     best.Type,
+		Type:     c.best.Type,
 		Deadline: deadline,
 		Measured: measured,
 		Pct:      ViolationPct(measured, deadline),

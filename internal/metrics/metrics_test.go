@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -142,7 +143,7 @@ func TestCollectorJudgesFrames(t *testing.T) {
 	if _, err := e.LoadPage(page); err != nil {
 		t.Fatal(err)
 	}
-	col := NewCollector(e, qos.Imperceptible)
+	col := NewCollectors(e, qos.Imperceptible)[0]
 	s.RunUntil(sim.Time(sim.Second))
 	e.Inject(s.Now().Add(10*sim.Millisecond), "touchstart", "c", nil)
 	s.RunUntil(s.Now().Add(2 * sim.Second))
@@ -191,7 +192,7 @@ func TestCollectorUsableScenarioLoosens(t *testing.T) {
 			t.Fatal(err)
 		}
 		cpu.SetConfig(cfg)
-		col := NewCollector(e, sc)
+		col := NewCollectors(e, sc)[0]
 		s.RunUntil(sim.Time(sim.Second))
 		e.Inject(s.Now().Add(10*sim.Millisecond), "touchstart", "c", nil)
 		s.RunUntil(s.Now().Add(3 * sim.Second))
@@ -202,5 +203,62 @@ func TestCollectorUsableScenarioLoosens(t *testing.T) {
 	vu := run(qos.Usable, cfg)
 	if vi <= vu {
 		t.Fatalf("imperceptible violation %v <= usable %v at same config", vi, vu)
+	}
+}
+
+// TestCollectorsMatchSeparateCollectors: collectors sharing one frame
+// observer and one annotation cache give each scenario exactly the verdicts
+// a collector of its own gives.
+func TestCollectorsMatchSeparateCollectors(t *testing.T) {
+	page := `<html><head><style>
+			body:QoS { onload-qos: single, long; }
+			div#c:QoS { ontouchstart-qos: continuous; }
+			div#b:QoS { onclick-qos: single, short; }
+		</style></head>
+		<body><div id="c">x</div><div id="b">y</div><div id="plain">z</div>
+		<script>
+			var n = 0;
+			document.getElementById("c").addEventListener("touchstart", function(e) {
+				function step() {
+					n++;
+					work(40);
+					document.getElementById("c").style.height = n + "px";
+					if (n < 12) { requestAnimationFrame(step); }
+				}
+				requestAnimationFrame(step);
+			});
+			document.getElementById("b").addEventListener("click", function(e) {
+				work(30);
+				document.getElementById("b").style.width = n + "px";
+			});
+			document.getElementById("plain").addEventListener("click", function(e) {
+				document.getElementById("plain").style.width = n + "px";
+			});
+		</script></body></html>`
+	s := sim.New()
+	cpu := acmp.NewCPU(s, acmp.DefaultPower())
+	e := browser.New(s, cpu, nil)
+	e.SetGovernor(governor.NewPowersave())
+	if _, err := e.LoadPage(page); err != nil {
+		t.Fatal(err)
+	}
+	shared := NewCollectors(e, qos.Imperceptible, qos.Usable)
+	ownI, ownU := NewCollectors(e, qos.Imperceptible)[0], NewCollectors(e, qos.Usable)[0]
+	s.RunUntil(sim.Time(sim.Second))
+	at := s.Now()
+	e.Inject(at.Add(10*sim.Millisecond), "touchstart", "c", nil)
+	e.Inject(at.Add(40*sim.Millisecond), "click", "b", nil)
+	e.Inject(at.Add(45*sim.Millisecond), "click", "plain", nil)
+	e.Inject(at.Add(90*sim.Millisecond), "click", "b", nil)
+	s.RunUntil(at.Add(3 * sim.Second))
+
+	if len(shared) != 2 || len(ownI.Frames) < 5 {
+		t.Fatalf("collectors = %d, judged frames = %d", len(shared), len(ownI.Frames))
+	}
+	if !reflect.DeepEqual(shared[0].Frames, ownI.Frames) {
+		t.Errorf("shared I verdicts differ:\n got %+v\nwant %+v", shared[0].Frames, ownI.Frames)
+	}
+	if !reflect.DeepEqual(shared[1].Frames, ownU.Frames) {
+		t.Errorf("shared U verdicts differ:\n got %+v\nwant %+v", shared[1].Frames, ownU.Frames)
 	}
 }

@@ -8,10 +8,10 @@ import (
 )
 
 // Decision is one frame-level scheduling decision in the structured event
-// log: what the governor chose for the frame, why, and what it cost. It is a
-// plain copy of the ledger frame span and its decision record — the decision
-// log is a projection of the ledger, never a second source of truth, which
-// is what keeps it out-of-band. Row renders it for encoding.
+// log: what the governor chose for the frame, why, and what it cost. It
+// copies the ledger frame span's fields and shares its decision record — the
+// decision log is a projection of the ledger, never a second source of
+// truth, which is what keeps it out-of-band. Row renders it for encoding.
 type Decision struct {
 	Span  int
 	Frame int // committed sequence number; 0 = no commit
@@ -19,8 +19,10 @@ type Decision struct {
 	StartUS int64
 	EndUS   int64
 
-	// The runtime's record, zero under baseline governors that record none.
-	ledger.FrameDecision
+	// The runtime's record: the span's own, final once its frame closed, or
+	// the shared zero record under baseline governors that record none.
+	// Read it, never modify it.
+	*ledger.FrameDecision
 
 	// Config is the ACMP configuration the frame executed under (at close).
 	Config string
@@ -79,6 +81,10 @@ func (d *Decision) Row() DecisionRow {
 	}
 }
 
+// unrecorded is the decision record of every frame no runtime scheduled:
+// nothing recorded, so every field renders empty. Shared and read-only.
+var unrecorded ledger.FrameDecision
+
 // DecisionOf projects a ledger span into a Decision. Only frame spans are
 // decisions; ok is false otherwise. Every frame span qualifies — including
 // no-commit and un-annotated frames — so the decision energies sum to the
@@ -87,27 +93,29 @@ func DecisionOf(sp ledger.Span) (Decision, bool) {
 	if sp.Kind != ledger.KindFrame {
 		return Decision{}, false
 	}
-	d := Decision{
-		Span:    sp.ID,
-		Frame:   sp.Seq,
-		StartUS: int64(sp.Start),
-		EndUS:   int64(sp.End),
-		Config:  sp.Config,
-		EnergyJ: float64(sp.Energy),
-		BusyUS:  int64(sp.Busy),
+	rec := sp.Decision
+	if rec == nil {
+		rec = &unrecorded
 	}
-	if sp.Decision != nil {
-		d.FrameDecision = *sp.Decision
-	}
-	return d, true
+	return Decision{
+		Span:          sp.ID,
+		Frame:         sp.Seq,
+		StartUS:       int64(sp.Start),
+		EndUS:         int64(sp.End),
+		FrameDecision: rec,
+		Config:        sp.Config,
+		EnergyJ:       float64(sp.Energy),
+		BusyUS:        int64(sp.Busy),
+	}, true
 }
 
 // DecisionsOf projects every frame span into the decision log, in span
-// order. A run's log is derived once, from its closed-out spans.
+// order. A run's log is derived once, from its closed-out spans; it shares
+// their decision records.
 func DecisionsOf(spans []ledger.Span) []Decision {
 	n := 0
-	for _, sp := range spans {
-		if sp.Kind == ledger.KindFrame {
+	for i := range spans {
+		if spans[i].Kind == ledger.KindFrame {
 			n++
 		}
 	}
@@ -115,8 +123,8 @@ func DecisionsOf(spans []ledger.Span) []Decision {
 		return nil
 	}
 	out := make([]Decision, 0, n)
-	for _, sp := range spans {
-		if d, ok := DecisionOf(sp); ok {
+	for i := range spans {
+		if d, ok := DecisionOf(spans[i]); ok {
 			out = append(out, d)
 		}
 	}

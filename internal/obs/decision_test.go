@@ -30,7 +30,7 @@ func TestDecisionOf(t *testing.T) {
 	if !ok {
 		t.Fatal("frame span rejected")
 	}
-	if d.Span != 7 || d.Frame != 3 || d.FrameDecision != *sp.Decision || d.Config != "big@1800MHz" ||
+	if d.Span != 7 || d.Frame != 3 || d.FrameDecision != sp.Decision || d.Config != "big@1800MHz" ||
 		d.EnergyJ != 0.0025 || d.StartUS != 1000 || d.EndUS != 2000 || d.BusyUS != 800 {
 		t.Errorf("projection = %+v", d)
 	}
@@ -50,9 +50,16 @@ func TestDecisionOf(t *testing.T) {
 		t.Error("event span accepted as decision")
 	}
 	// Un-annotated, no-commit frames still qualify — decision energies must
-	// sum to the ledger's frame-energy total.
-	if _, ok := DecisionOf(ledger.Span{Kind: ledger.KindFrame}); !ok {
-		t.Error("bare frame span rejected")
+	// sum to the ledger's frame-energy total — and render no runtime field.
+	bare, ok := DecisionOf(ledger.Span{ID: 9, Kind: ledger.KindFrame})
+	if !ok {
+		t.Fatal("bare frame span rejected")
+	}
+	if row := bare.Row(); row != (DecisionRow{Span: 9}) {
+		t.Errorf("bare frame row = %+v", row)
+	}
+	if other, _ := DecisionOf(ledger.Span{Kind: ledger.KindFrame}); other.FrameDecision != bare.FrameDecision {
+		t.Error("unscheduled frames do not share one zero record")
 	}
 }
 

@@ -11,6 +11,7 @@ package webapi
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/wattwiseweb/greenweb/internal/css"
@@ -61,6 +62,8 @@ type methods struct {
 	querySelector, querySelectorAll, createElement, createTextNode js.Value
 
 	addEventListener, setAttribute, getAttribute, appendChild, removeChild js.Value
+
+	preventDefault, stopPropagation js.Value
 }
 
 // Install creates bindings and defines the globals scripts expect:
@@ -154,24 +157,15 @@ func (b *Bindings) NodeOf(v js.Value) *dom.Node {
 	return nil
 }
 
-// WrapEvent builds the script-visible event object for a DOM event.
+// WrapEvent builds the script-visible event object for a DOM event: one
+// allocation, a host object answering type, target, currentTarget (the
+// node whose listener is running when the event is wrapped), the keys of
+// e.Data, and the Bindings' preventDefault and stopPropagation methods.
+// Its properties enumerate in that order, Data keys sorted.
 func (b *Bindings) WrapEvent(e *dom.Event) js.Value {
-	o := js.NewObject()
-	o.Set("type", js.Str(e.Name))
-	o.Set("target", b.ElemValue(e.Target))
-	o.Set("currentTarget", b.ElemValue(e.CurrentTarget))
-	for k, v := range e.Data {
-		o.Set(k, js.Num(v))
-	}
-	o.Set("preventDefault", js.NativeFunc("preventDefault", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-		e.PreventDefault()
-		return js.Undefined, nil
-	}))
-	o.Set("stopPropagation", js.NativeFunc("stopPropagation", func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
-		e.StopPropagation()
-		return js.Undefined, nil
-	}))
-	return js.ObjVal(o)
+	h := &eventHost{b: b, e: e, current: e.CurrentTarget}
+	h.obj.Host = h
+	return js.ObjVal(&h.obj)
 }
 
 // Handler adapts a script function into a DOM event handler. Script errors
@@ -301,7 +295,27 @@ func (b *Bindings) newMethods() methods {
 			n.RemoveChild(child)
 			return args[0], nil
 		}),
+
+		preventDefault:  eventMethod("preventDefault", (*dom.Event).PreventDefault),
+		stopPropagation: eventMethod("stopPropagation", (*dom.Event).StopPropagation),
 	}
+}
+
+// eventMethod builds an event method that resolves its event from this;
+// called on anything but an event object it is an illegal invocation.
+func eventMethod(name string, fn func(*dom.Event)) js.Value {
+	return js.NativeFunc(name, func(in *js.Interp, this js.Value, args []js.Value) (js.Value, error) {
+		o := this.Object()
+		if o == nil {
+			return js.Undefined, fmt.Errorf("%s: illegal invocation", name)
+		}
+		h, ok := o.Host.(*eventHost)
+		if !ok {
+			return js.Undefined, fmt.Errorf("%s: illegal invocation", name)
+		}
+		fn(h.e)
+		return js.Undefined, nil
+	})
 }
 
 // elementMethod builds an element method that resolves its node from this.
@@ -422,6 +436,50 @@ func (h *elementHost) HostSet(name string, v js.Value) bool {
 		return true
 	}
 	return false
+}
+
+// ---- event host ----
+
+// eventHost is a script event object. The js.Object is embedded so that
+// wrapping an event is one allocation.
+type eventHost struct {
+	obj     js.Object
+	b       *Bindings
+	e       *dom.Event
+	current *dom.Node // e.CurrentTarget when the event was wrapped
+}
+
+func (h *eventHost) HostGet(name string) (js.Value, bool) {
+	switch name {
+	case "type":
+		return js.Str(h.e.Name), true
+	case "target":
+		return h.b.ElemValue(h.e.Target), true
+	case "currentTarget":
+		return h.b.ElemValue(h.current), true
+	case "preventDefault":
+		return h.b.m.preventDefault, true
+	case "stopPropagation":
+		return h.b.m.stopPropagation, true
+	}
+	if v, ok := h.e.Data[name]; ok {
+		return js.Num(v), true
+	}
+	return js.Undefined, false
+}
+
+func (h *eventHost) HostSet(string, js.Value) bool { return false }
+
+// HostKeys lists the event's properties in a fixed order: Data keys sorted,
+// between the event's identity and its methods.
+func (h *eventHost) HostKeys() []string {
+	ks := []string{"type", "target", "currentTarget"}
+	data := len(ks)
+	for k := range h.e.Data {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks[data:])
+	return append(ks, "preventDefault", "stopPropagation")
 }
 
 // ---- style proxy ----
