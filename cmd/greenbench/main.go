@@ -2,7 +2,7 @@
 // evaluation section against the simulated substrate and prints a plain-
 // text report (the data recorded in EXPERIMENTS.md).
 //
-// The experiment cells run through the internal/fleet worker pool — one
+// The experiment cells run through a one-node internal/fleet cluster — one
 // isolated simulated device per job, fanned across the CPUs — and merge
 // deterministically, so the report bytes match the sequential path at any
 // worker count.
@@ -156,9 +156,9 @@ func run() int {
 	suite := harness.NewSuite()
 	suite.SetStageWorkers(*stageWorkers)
 	if !*seq {
-		pool := fleet.New(fleet.Options{Workers: *workers})
-		defer pool.Close()
-		suite.SetPrefetcher(fleet.NewSuiteRunner(context.Background(), pool))
+		c := fleet.New(fleet.Options{Workers: *workers})
+		defer c.Close()
+		suite.SetPrefetcher(fleet.NewSuiteRunner(context.Background(), c))
 	}
 	if err := harness.RenderAll(w, suite); err != nil {
 		fmt.Fprintln(os.Stderr, "greenbench:", err)
@@ -212,11 +212,11 @@ func faultSweep(ctx context.Context, w io.Writer, spec *faults.Spec, workers int
 			jobs = append(jobs, fleet.Job{App: name, Kind: k, Phase: fleet.Full, Faults: spec})
 		}
 	}
-	pool := fleet.New(fleet.Options{Workers: workers, MaxAttempts: 3})
-	defer pool.Close()
+	c := fleet.New(fleet.Options{Workers: workers, MaxAttempts: 3})
+	defer c.Close()
 	// The stage-worker count rides on ctx rather than Job.StageWorkers:
 	// rows echo a job's own count, and these rows carry no stage column.
-	return fleet.WriteResults(w, pool.RunSweep(ctx, jobs), true)
+	return fleet.WriteResults(w, c.RunSweep(ctx, jobs), true)
 }
 
 // writeTrace runs one full-interaction cell (optionally faulted) and exports

@@ -1,9 +1,9 @@
 // Command greennode is a remote shard worker: it listens for greensrv
 // connections speaking the length-prefixed frame protocol and executes
-// shipped jobs on a local fleet pool — the full retry/quarantine ladder runs
-// here, so a remote job's terminal result is indistinguishable from a local
-// one. Several greensrv sessions may share one greennode; each connection is
-// handshaken and multiplexed independently.
+// shipped jobs on a local one-node fleet cluster — the full retry/quarantine
+// ladder runs here, so a remote job's terminal result is indistinguishable
+// from a local one. Several greensrv sessions may share one greennode; each
+// connection is handshaken and multiplexed independently.
 //
 // Usage:
 //
@@ -14,7 +14,7 @@
 //
 // With -http ADDR the worker serves its own health surface:
 //
-//	GET /metrics  Prometheus text exposition (pool + transport counters,
+//	GET /metrics  Prometheus text exposition (cluster + transport counters,
 //	              span-drop totals)
 //	GET /healthz  liveness — 200 while the process accepts connections
 //	GET /readyz   readiness — 200 once the frame listener is bound
@@ -35,7 +35,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -80,14 +79,10 @@ func main() {
 		obs.SetEnabled(false)
 	}
 
-	n := *workers
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
 	w := shard.NewWorker(shard.WorkerOptions{
 		Name: *name,
-		Pool: fleet.Options{
-			Workers: n, JobTimeout: *jobTimeout, MaxAttempts: *maxAttempts,
+		Cluster: fleet.Options{
+			Workers: *workers, JobTimeout: *jobTimeout, MaxAttempts: *maxAttempts,
 			RetryBaseDelay: *retryBase, RetryMaxDelay: *retryMax, RetrySeed: *retrySeed,
 		},
 	})

@@ -1,10 +1,10 @@
 // Command greensrv serves the experiment fleet over HTTP: clients enqueue
 // app × governor sweeps as jobs, poll their status, and stream results as
 // NDJSON while workers — one isolated simulated device each — chew through
-// the queue in parallel. With -nodes N the workers are spread across N
-// shard nodes pulling from a partitioned work-stealing queue; with -store
-// DIR every finished sweep is made durable in a write-ahead log and
-// survives restarts (GET /v1/sweeps/{id} replays from disk).
+// the queue in parallel. The workers are spread across -nodes in-process
+// nodes pulling from a partitioned work-stealing queue; with -store DIR
+// every finished sweep is made durable in a write-ahead log and survives
+// restarts (GET /v1/sweeps/{id} replays from disk).
 //
 // Usage:
 //
@@ -16,11 +16,11 @@
 //	         [-read-header-timeout 10s] [-log-level LEVEL]
 //	         [-no-obs] [-no-trace] [-drain-timeout 30s] [-obs-dump FILE]
 //
-// With -remote-nodes the execution substrate is a cluster of greennode
-// worker processes reached over TCP instead of in-process pools: jobs ship
-// as length-prefixed JSON frames, heartbeats watch each link, and a node
-// that dies mid-sweep is evicted with its jobs re-homed onto the survivors
-// — sweep bytes are identical either way.
+// With -remote-nodes the cluster's nodes are greennode worker processes
+// reached over TCP instead of in-process nodes: jobs ship as length-prefixed
+// JSON frames, heartbeats watch each link, and a node that dies mid-sweep is
+// evicted with its jobs re-homed onto the survivors — sweep bytes are
+// identical either way.
 //
 // API:
 //
@@ -55,7 +55,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -69,15 +68,15 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	nodes := flag.Int("nodes", 1, "shard node count (1 = single worker pool, no shard layer)")
-	workers := flag.Int("workers", 0, "worker count per node (0 = GOMAXPROCS, split across nodes when -nodes > 1)")
+	nodes := flag.Int("nodes", 1, "in-process node count, each with its own queue partition")
+	workers := flag.Int("workers", 0, "worker count per node (0 = GOMAXPROCS split across nodes)")
 	queue := flag.Int("queue", 0, "job queue depth (0 = 4×workers)")
 	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "per-attempt execution cap (0 = none)")
 	maxAttempts := flag.Int("max-attempts", 3, "executions per failing job before quarantine (1 = no retry)")
 	retryBase := flag.Duration("retry-base", 50*time.Millisecond, "first retry backoff (doubled per attempt)")
 	retryMax := flag.Duration("retry-max", 2*time.Second, "backoff cap")
 	retrySeed := flag.Int64("retry-seed", 0, "seed for deterministic backoff jitter")
-	remoteNodes := flag.String("remote-nodes", "", "comma-separated greennode addresses; jobs run on these remote workers instead of in-process pools")
+	remoteNodes := flag.String("remote-nodes", "", "comma-separated greennode addresses; jobs run on these remote workers instead of in-process nodes")
 	storeDir := flag.String("store", "", "durable sweep store directory (empty = in-memory only)")
 	storeCompact := flag.Int64("store-compact", 64<<20, "auto-compact the WAL past this many bytes (0 = manual)")
 	admitQueue := flag.Int("admit-queue", 0, "reject new sweeps (429) while this many jobs are queued (0 = off)")
@@ -136,14 +135,10 @@ func main() {
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	nodeOpts := fleet.Options{
-		JobTimeout: *jobTimeout, MaxAttempts: *maxAttempts,
-		RetryBaseDelay: *retryBase, RetryMaxDelay: *retryMax, RetrySeed: *retrySeed,
-	}
-	var runner fleet.Runner
+	var cluster *fleet.Cluster
 	if *remoteNodes != "" {
 		addrs := strings.Split(*remoteNodes, ",")
-		ns := make([]shard.Node, 0, len(addrs))
+		ns := make([]fleet.Node, 0, len(addrs))
 		for i, a := range addrs {
 			a = strings.TrimSpace(a)
 			if a == "" {
@@ -155,23 +150,15 @@ func main() {
 			}
 			ns = append(ns, n)
 		}
-		runner = shard.NewWithNodes(ns, *queue)
-	} else if *nodes > 1 {
-		per := *workers
-		if per <= 0 {
-			if per = runtime.GOMAXPROCS(0) / *nodes; per < 1 {
-				per = 1
-			}
-		}
-		runner = shard.New(shard.Options{
-			Nodes: *nodes, WorkersPerNode: per,
-			QueueDepth: *queue, Node: nodeOpts,
-		})
+		cluster = fleet.NewWithNodes(ns, *queue)
 	} else {
-		nodeOpts.Workers, nodeOpts.QueueDepth = *workers, *queue
-		runner = fleet.New(nodeOpts)
+		cluster = fleet.New(fleet.Options{
+			Nodes: *nodes, Workers: *workers, QueueDepth: *queue,
+			JobTimeout: *jobTimeout, MaxAttempts: *maxAttempts,
+			RetryBaseDelay: *retryBase, RetryMaxDelay: *retryMax, RetrySeed: *retrySeed,
+		})
 	}
-	manager := fleet.NewManager(baseCtx, runner)
+	manager := fleet.NewManager(baseCtx, cluster)
 	if *noTrace {
 		manager.SetTracing(false)
 	}
@@ -205,14 +192,10 @@ func main() {
 		IdleTimeout:       2 * time.Minute,
 	}
 
-	nodeCount := *nodes
-	if c, ok := runner.(*shard.Cluster); ok {
-		nodeCount = c.Nodes()
-	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Info("listening", "addr", *addr, "workers", runner.Workers(),
-		"nodes", nodeCount, "pid", os.Getpid(),
+	log.Info("listening", "addr", *addr, "workers", cluster.Workers(),
+		"nodes", cluster.Nodes(), "pid", os.Getpid(),
 		"tracing", manager.TracingEnabled())
 
 	select {
@@ -229,7 +212,7 @@ func main() {
 		if err := srv.Shutdown(shutCtx); err != nil {
 			log.Warn("shutdown", "err", err)
 		}
-		runner.Close()
+		cluster.Close()
 		if st != nil {
 			if err := st.Close(); err != nil {
 				log.Warn("store close", "err", err)

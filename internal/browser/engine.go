@@ -166,7 +166,7 @@ func New(s *sim.Simulator, cpu *acmp.CPU, cost *CostModel) *Engine {
 	e.mainDone = e.commitMain
 	e.beginRun, e.beginCommit = e.runBeginFrame, e.commitBeginFrame
 	e.styleRun, e.layoutRun = e.runStyle, e.runLayout
-	e.paintRun, e.paintCommit = e.runPaint, e.commitPaint
+	e.paintRun, e.paintCommit = e.runPaint, e.composite
 	e.composited, e.shardDone = e.frameComplete, e.stageShardDone
 	e.housekeepRun = e.runHousekeeping
 	e.browserThread = cpu.NewThread("browser")
@@ -887,15 +887,8 @@ func (e *Engine) runLayout() acmp.Work {
 
 func (e *Engine) runPaint() acmp.Work { return e.cost.cyclesWork(e.paintCycles()) }
 
-// commitPaint hands the painted frame to the compositor thread, which runs
-// partially on GPU. The serial path's MainWork counts paint twice, as it
-// always has; ExportFrames shows it.
-func (e *Engine) commitPaint() {
-	e.fw.mainWork += e.paintCycles()
-	e.composite()
-}
-
-// composite submits the frame's compositing, serial or staged.
+// composite hands the painted frame, serial or staged, to the compositor
+// thread, which runs partially on GPU.
 func (e *Engine) composite() {
 	e.compositorThread.Submit(acmp.Work{
 		CyclesBig:    e.cost.CompositeCycles,

@@ -258,6 +258,42 @@ func TestCSSTransitionGeneratesFrames(t *testing.T) {
 	}
 }
 
+// TestMainWorkCountsEachPhaseOnce: on a static page every frame's MainWork
+// is one style, layout and paint pass over the document — serial or staged,
+// where it is also the sum of the stages' TotalCycles.
+func TestMainWorkCountsEachPhaseOnce(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		s := sim.New()
+		e := New(s, acmp.NewCPU(s, acmp.DefaultPower()), nil)
+		e.SetStageWorkers(workers)
+		e.SetGovernor(&recordingGovernor{pinnedPeak: true})
+		if _, err := e.LoadPage(basicPage); err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+		c := e.Cost()
+		want := int64(e.Doc().CountNodes())*(c.StyleCyclesPerNode+c.LayoutCyclesPerNode+c.PaintCyclesPerNode) +
+			c.PaintBaseCycles
+		if len(e.Results()) == 0 {
+			t.Fatalf("workers=%d: no frames", workers)
+		}
+		for _, fr := range e.Results() {
+			if fr.MainWork != want {
+				t.Errorf("workers=%d frame %d: MainWork = %d, want %d", workers, fr.Seq, fr.MainWork, want)
+			}
+			if workers > 1 {
+				var total int64
+				for _, st := range fr.Stages {
+					total += st.TotalCycles
+				}
+				if total != want {
+					t.Errorf("workers=%d frame %d: stage cycles sum to %d, want %d", workers, fr.Seq, total, want)
+				}
+			}
+		}
+	}
+}
+
 func TestFrameConfigRecorded(t *testing.T) {
 	s, e, _ := newTestEngine(t, basicPage)
 	s.Run()

@@ -13,7 +13,7 @@ import (
 // Both mechanisms answer 429 with a machine-parsable body (see rejection)
 // and a positive-integer Retry-After header.
 type AdmissionOptions struct {
-	// MaxQueueDepth rejects new sweeps while the runner's queue holds at
+	// MaxQueueDepth rejects new sweeps while the cluster's queue holds at
 	// least this many jobs; 0 disables the queue gate.
 	MaxQueueDepth int
 	// RatePerSec is each client's sustained sweep-submission budget

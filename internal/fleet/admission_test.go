@@ -126,14 +126,14 @@ func TestAdmissionClientCardinalityBound(t *testing.T) {
 // TestServerRateLimitRejection: over HTTP, a client past its budget gets a
 // 429 whose body and Retry-After header are machine-parsable.
 func TestServerRateLimitRejection(t *testing.T) {
-	pool := New(Options{Workers: 1})
-	m := NewManager(context.Background(), pool)
+	cluster := New(Options{Workers: 1})
+	m := NewManager(context.Background(), cluster)
 	api := NewServer(m)
 	api.ConfigureAdmission(AdmissionOptions{RatePerSec: 0.001, Burst: 1})
 	srv := httptest.NewServer(api)
 	t.Cleanup(func() {
 		srv.Close()
-		pool.Close()
+		cluster.Close()
 	})
 
 	if resp, _ := postSweepRaw(t, srv, "loadgen-a"); resp.StatusCode != http.StatusAccepted {
@@ -167,15 +167,15 @@ func TestServerQueueDepthRejection(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	pool := New(Options{Workers: 1, QueueDepth: 64, Execute: exec})
-	m := NewManager(context.Background(), pool)
+	cluster := New(Options{Workers: 1, QueueDepth: 64, Execute: exec})
+	m := NewManager(context.Background(), cluster)
 	api := NewServer(m)
 	api.ConfigureAdmission(AdmissionOptions{MaxQueueDepth: 2})
 	srv := httptest.NewServer(api)
 	t.Cleanup(func() {
 		close(release)
 		srv.Close()
-		pool.Close()
+		cluster.Close()
 	})
 
 	// Each accepted sweep enqueues 4 jobs (2 apps × 2 kinds); the first wedges
@@ -191,9 +191,9 @@ func TestServerQueueDepthRejection(t *testing.T) {
 	}
 	// Submission is async to enqueueing; wait for the queue to fill.
 	deadline := time.Now().Add(2 * time.Second)
-	for m.Runner().Stats().Queued < 3 {
+	for m.Cluster().Stats().Queued < 3 {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue never filled: %+v", m.Runner().Stats())
+			t.Fatalf("queue never filled: %+v", m.Cluster().Stats())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -215,13 +215,13 @@ func TestServerQueueDepthRejection(t *testing.T) {
 // rejection dialect as admission control — 503, code "draining", positive
 // integer Retry-After.
 func TestDrainRejectionBody(t *testing.T) {
-	pool := New(Options{Workers: 1})
-	m := NewManager(context.Background(), pool)
+	cluster := New(Options{Workers: 1})
+	m := NewManager(context.Background(), cluster)
 	api := NewServer(m)
 	srv := httptest.NewServer(api)
 	t.Cleanup(func() {
 		srv.Close()
-		pool.Close()
+		cluster.Close()
 	})
 
 	api.StartDrain()

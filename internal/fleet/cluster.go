@@ -1,120 +1,107 @@
-// Package shard scales the fleet past one worker pool: a Cluster fans jobs
-// out across N nodes — each an isolated execution backend with its own
-// workers — through a partitioned queue with work stealing, while keeping
-// the fleet's determinism guarantee intact. Submission-order merge is a
-// property of delivery indexing, not of which node ran a job, and every job
-// still executes harness.ExecuteCell semantics on a private simulated
-// device, so sweep output is byte-identical to the sequential path at any
-// node×worker topology.
-//
-// Nodes are goroutine-backed in-process by default (LocalNode wraps a
-// fleet.Pool), so CI and tests need no network; RemoteNode plugs a
-// greennode worker process in behind the same Node interface, speaking
-// length-prefixed JSON frames over TCP (see proto.go, remote.go,
-// worker.go).
-//
-// The queue has one partition per node. A submission lands on a partition
-// round-robin; each node's pullers pop their home partition FIFO and, when
-// it runs dry, steal from the back of the busiest sibling — classic
-// work-stealing, so a node stuck on a slow cell does not strand queued work
-// behind it. Steals and per-partition depths are exported through obs.
-//
-// Failure handling: a Run result wrapping ErrNodeDown means the transport
-// failed under the job, not the job under the node — the puller re-homes
-// the item into a live partition instead of delivering a failure, and the
-// deterministic cell re-executes elsewhere with an identical result. A node
-// declared dead (heartbeat suspicion through the full reconnect budget) is
-// evicted: its partition stops accepting placements, its queued jobs move
-// to sibling partitions, and its pullers exit. Sweep bytes therefore do not
-// depend on which nodes survived — the determinism contract holds through
-// node death.
-package shard
+package fleet
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
 // Node is one execution backend of the cluster. Run executes a single job
 // to its terminal Result (retries, panic recovery, and timeouts happen
-// inside), and is called by at most Workers() cluster pullers concurrently.
+// inside), and is called by at most Workers() cluster pullers concurrently;
+// slot is the calling puller's cluster-global index, which becomes the
+// result's Worker. Stats need only fill Retried and Quarantined.
 type Node interface {
 	ID() int
 	Workers() int
-	Run(ctx context.Context, job fleet.Job) fleet.Result
-	Stats() fleet.Stats
+	Run(ctx context.Context, slot int, job Job) Result
+	Stats() Stats
 	Close()
 }
 
-// LocalNode is the in-process Node: a fleet.Pool behind the interface, so a
-// "node" is a goroutine-backed worker pool with the fleet's full retry and
-// quarantine ladder.
-type LocalNode struct {
-	id   int
-	pool *fleet.Pool
+// ErrNodeDown marks a result whose job never reached a terminal state
+// because the node's transport failed (connection broke, heartbeat
+// suspicion, node declared dead). The cluster treats it as re-homeable: the
+// job re-enters a live partition instead of being delivered as a failure.
+// Re-execution is safe because every cell is a deterministic function of
+// its job, and the store absorbs any replayed row idempotently keyed on
+// (sweep, index).
+var ErrNodeDown = errors.New("shard: node down")
+
+// ErrNoNodes is delivered when a job cannot be placed or re-homed because
+// every node in the cluster has been evicted.
+var ErrNoNodes = errors.New("shard: no live nodes")
+
+// NodeHealth is a remote node's transport health, exported per node by
+// Cluster.RegisterMetrics and Cluster.NodeInfos.
+type NodeHealth struct {
+	Connected       bool          `json:"connected"`
+	Dead            bool          `json:"dead"`
+	LastRTT         time.Duration `json:"last_rtt"` // most recent heartbeat round trip
+	Reconnects      int64         `json:"reconnects"`
+	HeartbeatMisses int64         `json:"heartbeat_misses"`
+	// ClockOffsetUS is the handshake-estimated offset of the worker's clock
+	// from ours (positive = worker ahead), used to align its trace spans.
+	ClockOffsetUS int64 `json:"clock_offset_us"`
 }
 
-// NewLocalNode builds a node over a fresh pool. opts.Workers defaults to 1.
-func NewLocalNode(id int, opts fleet.Options) *LocalNode {
-	if opts.Workers <= 0 {
-		opts.Workers = 1
-	}
-	// The cluster's pullers are the only submitters and there are exactly
-	// Workers of them, so the pool queue never holds more than one job per
-	// worker; depth 2× keeps Submit from ever blocking.
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 2 * opts.Workers
-	}
-	return &LocalNode{id: id, pool: fleet.New(opts)}
+// healthReporter is the optional Node facet the cluster polls for health
+// metrics.
+type healthReporter interface {
+	Health() NodeHealth
 }
 
-// ID reports the node index.
-func (n *LocalNode) ID() int { return n.id }
+// deathNotifier is the optional Node facet the cluster subscribes to for
+// eviction: fn runs (once, on its own goroutine) when the node gives up.
+type deathNotifier interface {
+	OnDead(fn func())
+}
 
-// Workers reports the node's concurrent execution slots.
-func (n *LocalNode) Workers() int { return n.pool.Workers() }
+// NodeInfo is one execution node's row in the GET /v1/nodes federation:
+// identity, liveness, transport health (remote nodes), and work/trace
+// accounting.
+type NodeInfo struct {
+	ID      int    `json:"id"`
+	Kind    string `json:"kind"` // "local" | "remote"
+	Name    string `json:"name,omitempty"`
+	Workers int    `json:"workers"`
+	Up      bool   `json:"up"`
+	Dead    bool   `json:"dead,omitempty"`
 
-// Stats snapshots the node's pool counters.
-func (n *LocalNode) Stats() fleet.Stats { return n.pool.Stats() }
+	// Transport health — remote nodes only.
+	HeartbeatRTTMS  float64 `json:"heartbeat_rtt_ms,omitempty"`
+	Reconnects      int64   `json:"reconnects,omitempty"`
+	HeartbeatMisses int64   `json:"heartbeat_misses,omitempty"`
+	// ClockOffsetUS is the handshake-estimated offset of the node's clock
+	// from the server's (positive = node clock ahead), used to align the
+	// node's trace spans.
+	ClockOffsetUS int64 `json:"clock_offset_us,omitempty"`
 
-// Close shuts the node's pool down.
-func (n *LocalNode) Close() { n.pool.Close() }
-
-// Run executes one job synchronously on the node's pool. The result's
-// Worker index is remapped into the cluster-global space
-// (node·workers + local index) so per-worker provenance stays unambiguous.
-func (n *LocalNode) Run(ctx context.Context, job fleet.Job) fleet.Result {
-	ch := make(chan fleet.Result, 1)
-	if err := n.pool.Start(ctx, job, nil, func(r fleet.Result) { ch <- r }); err != nil {
-		// Evict may close the pool between a puller's pop and this Start;
-		// the job never ran, so report the node down and let it re-home.
-		if errors.Is(err, fleet.ErrClosed) {
-			err = fmt.Errorf("%w: node %d closed", ErrNodeDown, n.id)
-		}
-		return fleet.Result{Job: job, Worker: -1, Err: err}
-	}
-	r := <-ch
-	if r.Worker >= 0 {
-		r.Worker = n.id*n.pool.Workers() + r.Worker
-	}
-	return r
+	// Work accounting.
+	QueueDepth int64 `json:"queue_depth"`
+	Jobs       int64 `json:"jobs"`
+	Steals     int64 `json:"steals,omitempty"`
+	Rehomed    int64 `json:"rehomed,omitempty"`
+	// SpanDrops counts trace spans this node's jobs discarded to budget
+	// pressure (worker-side drops surface here even though the spans never
+	// reached the server).
+	SpanDrops int64 `json:"span_drops,omitempty"`
 }
 
 // item is one queued submission.
 type item struct {
-	job     fleet.Job
+	job     Job
 	ctx     context.Context
 	started func()
-	deliver func(fleet.Result)
+	deliver func(Result)
 	// rehomed marks an item re-entering the queue after its node died
 	// mid-flight. Its admission token was released on the first pop, so the
 	// next pop must not release another.
@@ -234,28 +221,37 @@ func (q *queue) depth(part int) int {
 	return len(q.parts[part])
 }
 
-// Options configures a Cluster of LocalNodes.
-type Options struct {
-	// Nodes is the node count; 0 → 1.
-	Nodes int
-	// WorkersPerNode is each node's pool size; 0 → 1.
-	WorkersPerNode int
-	// QueueDepth bounds the total jobs queued across all partitions
-	// (admission control reads this backpressure); 0 → 4× total workers.
-	QueueDepth int
-	// Node is the per-node pool template (timeouts, retry ladder, Execute
-	// override). Workers and QueueDepth inside it are overridden per node.
-	Node fleet.Options
-}
-
-// Cluster is a multi-node Runner: it implements fleet.Runner so a
-// fleet.Manager (and greensrv) can schedule onto it interchangeably with a
-// single Pool.
+// Cluster is the fleet's scheduler: it fans jobs out across N nodes —
+// each an execution backend with its own slots — through a partitioned
+// queue with work stealing. Submission-order merge is a property of
+// delivery indexing, not of which node ran a job, so sweep output is
+// byte-identical at any node×worker topology.
+//
+// The queue has one partition per node. A submission lands on a partition
+// round-robin; each node's pullers pop their home partition FIFO and, when
+// it runs dry, steal from the back of the busiest sibling — classic
+// work-stealing, so a node stuck on a slow cell does not strand queued work
+// behind it. Steals and per-partition depths are exported through obs.
+//
+// Failure handling: a Run result wrapping ErrNodeDown means the transport
+// failed under the job, not the job under the node — the puller re-homes
+// the item into a live partition instead of delivering a failure, and the
+// deterministic cell re-executes elsewhere with an identical result. A node
+// declared dead (a remote node's heartbeat suspicion through the full
+// reconnect budget) is evicted: its partition stops accepting placements,
+// its queued jobs move to sibling partitions, and its pullers exit. Sweep
+// bytes therefore do not depend on which nodes survived — the determinism
+// contract holds through node death.
+//
+// Create with New or NewWithNodes, stop with Close.
 type Cluster struct {
 	nodes []Node
 	q     *queue
 	slots chan struct{} // total-queue-depth semaphore
 	wg    sync.WaitGroup
+	// traces is where scheduling spans (steal, dispatch, re-home) of traced
+	// jobs are recorded; a Manager points it at its own collector.
+	traces *trace.Collector
 
 	mu     sync.Mutex
 	closed bool
@@ -280,21 +276,19 @@ func New(opts Options) *Cluster {
 	if opts.Nodes <= 0 {
 		opts.Nodes = 1
 	}
-	if opts.WorkersPerNode <= 0 {
-		opts.WorkersPerNode = 1
+	if opts.Workers <= 0 {
+		opts.Workers = max(1, runtime.GOMAXPROCS(0)/opts.Nodes)
 	}
 	nodes := make([]Node, opts.Nodes)
 	for i := range nodes {
-		nodeOpts := opts.Node
-		nodeOpts.Workers = opts.WorkersPerNode
-		nodeOpts.QueueDepth = 0 // let LocalNode size it
-		nodes[i] = NewLocalNode(i, nodeOpts)
+		nodes[i] = NewLocalNode(i, opts)
 	}
 	return NewWithNodes(nodes, opts.QueueDepth)
 }
 
-// NewWithNodes builds a cluster over caller-supplied nodes (tests inject
-// instrumented ones). Node IDs must equal their slice index.
+// NewWithNodes builds a cluster over caller-supplied nodes (remote workers,
+// or instrumented test nodes) and starts its pullers. Node IDs must equal
+// their slice index. queueDepth 0 → 4× the total workers.
 func NewWithNodes(nodes []Node, queueDepth int) *Cluster {
 	total := 0
 	for _, n := range nodes {
@@ -307,6 +301,7 @@ func NewWithNodes(nodes []Node, queueDepth int) *Cluster {
 		nodes:     nodes,
 		q:         newQueue(len(nodes)),
 		slots:     make(chan struct{}, queueDepth),
+		traces:    trace.Default(),
 		steals:    make([]atomic.Int64, len(nodes)),
 		pulled:    make([]atomic.Int64, len(nodes)),
 		rehomed:   make([]atomic.Int64, len(nodes)),
@@ -317,10 +312,10 @@ func NewWithNodes(nodes []Node, queueDepth int) *Cluster {
 	for _, n := range nodes {
 		for w := 0; w < n.Workers(); w++ {
 			c.wg.Add(1)
-			go c.puller(n)
+			go c.puller(n, n.ID()*n.Workers()+w)
 		}
 	}
-	// Nodes that can report their own death (RemoteNode after heartbeat
+	// Nodes that can report their own death (a remote node after heartbeat
 	// suspicion exhausts the reconnect budget) trigger eviction.
 	for i, n := range nodes {
 		if dn, ok := n.(deathNotifier); ok {
@@ -357,7 +352,7 @@ func (c *Cluster) Evict(id int) {
 		}
 		c.failed.Add(1)
 		if it.deliver != nil {
-			it.deliver(fleet.Result{Job: it.job, Worker: -1,
+			it.deliver(Result{Job: it.job, Worker: -1,
 				Err: fmt.Errorf("%w: node %d evicted last", ErrNoNodes, id)})
 		}
 	}
@@ -373,11 +368,11 @@ func (c *Cluster) Rehomed(id int) int64 { return c.rehomed[id].Load() }
 // sweepTrace resolves a traced job's server-side span buffer; nil for
 // untraced jobs (or a trace already evicted from the collector), so every
 // call site stays a single nil check.
-func sweepTrace(job fleet.Job) *trace.SweepTrace {
+func (c *Cluster) sweepTrace(job Job) *trace.SweepTrace {
 	if job.Trace == nil {
 		return nil
 	}
-	if tr, ok := trace.Default().Get(job.Trace.Sweep); ok {
+	if tr, ok := c.traces.Get(job.Trace.Sweep); ok {
 		return tr
 	}
 	return nil
@@ -385,7 +380,7 @@ func sweepTrace(job fleet.Job) *trace.SweepTrace {
 
 // puller is one node execution slot: pop (home first, then steal), run on
 // the owning node, deliver — or re-home when the node died under the job.
-func (c *Cluster) puller(n Node) {
+func (c *Cluster) puller(n Node, slot int) {
 	defer c.wg.Done()
 	for {
 		it, from, ok := c.q.pop(n.ID())
@@ -396,7 +391,7 @@ func (c *Cluster) puller(n Node) {
 			<-c.slots
 		}
 		c.queued.Add(-1)
-		tr := sweepTrace(it.job)
+		tr := c.sweepTrace(it.job)
 		if from != n.ID() {
 			c.steals[n.ID()].Add(1)
 			if tr != nil {
@@ -416,12 +411,12 @@ func (c *Cluster) puller(n Node) {
 		}
 		c.running.Add(1)
 		dispatched := time.Now()
-		res := n.Run(it.ctx, it.job)
+		res := n.Run(it.ctx, slot, it.job)
 		c.running.Add(-1)
 		if tr != nil {
-			// The dispatch span brackets the node round trip as the server
-			// saw it; the gap between it and the worker's execute span is
-			// transport plus worker-pool queueing.
+			// The dispatch span brackets the node call as the server saw
+			// it; for a remote node, the gap between it and the worker's
+			// execute span is transport plus worker-side queueing.
 			tr.Record(it.job.Trace.Job, it.job.Trace.Parent, "dispatch", "sched",
 				dispatched, time.Since(dispatched), map[string]string{
 					"node": strconv.Itoa(n.ID()),
@@ -486,17 +481,19 @@ func (c *Cluster) requeue(it item) bool {
 	return false
 }
 
-// Start implements fleet.Runner: enqueue one job, blocking while the
-// cluster-wide queue is full, aborting on ctx. deliver is called exactly
-// once from a puller goroutine.
-func (c *Cluster) Start(ctx context.Context, job fleet.Job, started func(), deliver func(fleet.Result)) error {
+// Start enqueues one job, blocking while the cluster-wide queue is full and
+// aborting on ctx; it returns ErrClosed after Close. deliver is called
+// exactly once, from a puller goroutine, with the job's terminal Result —
+// including failure and cancellation; started, if non-nil, fires when the
+// job leaves the queue for a node.
+func (c *Cluster) Start(ctx context.Context, job Job, started func(), deliver func(Result)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return fleet.ErrClosed
+		return ErrClosed
 	}
 	select {
 	case c.slots <- struct{}{}:
@@ -509,7 +506,7 @@ func (c *Cluster) Start(ctx context.Context, job fleet.Job, started func(), deli
 			if c.closed {
 				c.mu.Unlock()
 				<-c.slots
-				return fleet.ErrClosed
+				return ErrClosed
 			}
 		case <-ctx.Done():
 			return ctx.Err()
@@ -538,6 +535,30 @@ func (c *Cluster) Start(ctx context.Context, job fleet.Job, started func(), deli
 	return nil
 }
 
+// RunSweep fans the jobs out and blocks until every one has a result. The
+// returned slice is the deterministic merge: results[i] corresponds to
+// jobs[i] regardless of completion order or node. Cancellation mid-sweep
+// converts the not-yet-finished cells into failed results carrying ctx's
+// error; the slice is always fully populated.
+func (c *Cluster) RunSweep(ctx context.Context, jobs []Job) []Result {
+	results := make([]Result, len(jobs))
+	var wg sync.WaitGroup
+	wg.Add(len(jobs))
+	for i, job := range jobs {
+		i, job := i, job
+		err := c.Start(ctx, job, nil, func(res Result) {
+			results[i] = res
+			wg.Done()
+		})
+		if err != nil {
+			results[i] = Result{Job: job, Worker: -1, Err: err}
+			wg.Done()
+		}
+	}
+	wg.Wait()
+	return results
+}
+
 // Workers reports the cluster's total execution slots.
 func (c *Cluster) Workers() int {
 	total := 0
@@ -553,14 +574,13 @@ func (c *Cluster) Nodes() int { return len(c.nodes) }
 // Steals reports how many jobs node id has stolen from sibling partitions.
 func (c *Cluster) Steals(id int) int64 { return c.steals[id].Load() }
 
-// NodeInfos implements fleet.NodeReporter: one row per node with the
+// NodeInfos is the GET /v1/nodes federation: one row per node with the
 // cluster's work accounting, plus transport health and identity for nodes
-// that can report them (RemoteNode). The GET /v1/nodes federation is this,
-// verbatim.
-func (c *Cluster) NodeInfos() []fleet.NodeInfo {
-	infos := make([]fleet.NodeInfo, len(c.nodes))
+// that can report them (remote nodes).
+func (c *Cluster) NodeInfos() []NodeInfo {
+	infos := make([]NodeInfo, len(c.nodes))
 	for i, n := range c.nodes {
-		info := fleet.NodeInfo{
+		info := NodeInfo{
 			ID:         i,
 			Kind:       "local",
 			Workers:    n.Workers(),
@@ -606,9 +626,9 @@ func (c *Cluster) Close() {
 	}
 }
 
-// Stats implements fleet.Runner: cluster-level counters plus the retry and
-// quarantine tallies aggregated from the nodes.
-func (c *Cluster) Stats() fleet.Stats {
+// Stats snapshots the cluster-level counters plus the retry and quarantine
+// tallies aggregated from the nodes.
+func (c *Cluster) Stats() Stats {
 	var retried, quarantined int64
 	for _, n := range c.nodes {
 		ns := n.Stats()
@@ -624,7 +644,7 @@ func (c *Cluster) Stats() fleet.Stats {
 	if queued < 0 {
 		queued = 0
 	}
-	return fleet.Stats{
+	return Stats{
 		Workers:     c.Workers(),
 		Queued:      queued,
 		Running:     c.running.Load(),
@@ -637,10 +657,12 @@ func (c *Cluster) Stats() fleet.Stats {
 	}
 }
 
-// RegisterMetrics implements fleet.Runner: the greenweb_fleet_* family the
-// single-pool server exposes (same names, so dashboards survive the
-// topology change) plus the shard-layer extras — per-node steal and job
-// counters, per-partition queue depths.
+// RegisterMetrics exposes the cluster's live counters on an obs registry:
+// the greenweb_fleet_* family, per-node steal and job counters, and
+// per-partition queue depths (greenweb_shard_*). Values are read at scrape
+// time — no shadow counters to keep in sync. Register on a per-server
+// registry (not obs.Default) so multiple clusters in one process (tests) do
+// not fight over sources.
 func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("greenweb_fleet_workers",
 		"Total execution slots across all nodes", func() float64 { return float64(c.Workers()) })

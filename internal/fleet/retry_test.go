@@ -118,7 +118,7 @@ func TestCancelledSweepIsNotQuarantined(t *testing.T) {
 	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan Result, 1)
-	if err := p.Submit(ctx, Job{App: "hung"}, func(r Result) { done <- r }); err != nil {
+	if err := p.Start(ctx, Job{App: "hung"}, nil, func(r Result) { done <- r }); err != nil {
 		t.Fatal(err)
 	}
 	<-started
@@ -139,10 +139,8 @@ func TestCancelledSweepIsNotQuarantined(t *testing.T) {
 }
 
 func TestBackoffDeterministicCappedAndJittered(t *testing.T) {
-	p := New(Options{Workers: 1, RetryBaseDelay: 10 * time.Millisecond,
-		RetryMaxDelay: 80 * time.Millisecond, RetrySeed: 42,
-		Execute: flakyExec(0)})
-	defer p.Close()
+	p := NewLocalNode(0, Options{RetryBaseDelay: 10 * time.Millisecond,
+		RetryMaxDelay: 80 * time.Millisecond, RetrySeed: 42})
 	job := Job{App: "a", Kind: harness.Perf, Phase: Full}
 	for attempt := 1; attempt <= 8; attempt++ {
 		d1 := p.backoff(job, attempt)
@@ -169,7 +167,7 @@ func TestBackoffDeterministicCappedAndJittered(t *testing.T) {
 
 // TestSweepNDJSONDeterministicWithRetries: the deterministic NDJSON render
 // of a sweep containing a quarantined job is byte-identical across two fresh
-// pools — retry provenance (attempt count, per-attempt errors) included.
+// clusters — retry provenance (attempt count, per-attempt errors) included.
 func TestSweepNDJSONDeterministicWithRetries(t *testing.T) {
 	exec := func(ctx context.Context, j Job) (*harness.Run, error) {
 		if j.App == "doomed" {

@@ -262,7 +262,7 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 // Draining reports whether StartDrain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Registry returns the server's own metric registry (fleet pool and sweep
+// Registry returns the server's own metric registry (cluster and sweep
 // gauges); /metrics merges it with obs.Default().
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
@@ -278,7 +278,7 @@ type eventRow struct {
 // NewServer builds the HTTP API (see Server for the route table).
 func NewServer(m *Manager) *Server {
 	srv := &Server{m: m, mux: http.NewServeMux(), reg: obs.NewRegistry()}
-	m.Runner().RegisterMetrics(srv.reg)
+	m.Cluster().RegisterMetrics(srv.reg)
 	if st := m.Store(); st != nil {
 		st.RegisterMetrics(srv.reg)
 	}
@@ -312,7 +312,7 @@ func NewServer(m *Manager) *Server {
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		queued := m.Runner().Stats().Queued
+		queued := m.Cluster().Stats().Queued
 		if srv.draining.Load() {
 			writeRejection(w, http.StatusServiceUnavailable, &rejection{
 				Error:        "server is draining; not accepting new sweeps",
@@ -548,11 +548,7 @@ func NewServer(m *Manager) *Server {
 	})
 
 	mux.HandleFunc("GET /v1/nodes", func(w http.ResponseWriter, r *http.Request) {
-		var infos []NodeInfo
-		if nr, ok := m.Runner().(NodeReporter); ok {
-			infos = nr.NodeInfos()
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"nodes": infos})
+		writeJSON(w, http.StatusOK, map[string]any{"nodes": m.Cluster().NodeInfos()})
 	})
 
 	return srv

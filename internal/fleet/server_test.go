@@ -20,15 +20,15 @@ import (
 
 func newTestServer(t *testing.T, opts Options) (*httptest.Server, *Manager) {
 	t.Helper()
-	pool := New(opts)
-	m := NewManager(context.Background(), pool)
+	cluster := New(opts)
+	m := NewManager(context.Background(), cluster)
 	// Isolated trace registry: managers share per-manager sequential sweep
 	// ids, so tests sharing the process-global collector would collide.
 	m.SetTraceCollector(trace.NewCollector())
 	srv := httptest.NewServer(NewServer(m))
 	t.Cleanup(func() {
 		srv.Close()
-		pool.Close()
+		cluster.Close()
 	})
 	return srv, m
 }
@@ -510,13 +510,13 @@ func TestServerDrain(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	pool := New(Options{Workers: 1, Execute: exec})
-	m := NewManager(context.Background(), pool)
+	cluster := New(Options{Workers: 1, Execute: exec})
+	m := NewManager(context.Background(), cluster)
 	api := NewServer(m)
 	srv := httptest.NewServer(api)
 	t.Cleanup(func() {
 		srv.Close()
-		pool.Close()
+		cluster.Close()
 	})
 
 	ack := postSweep(t, srv, `{"apps":["Todo"],"kinds":["Perf"]}`)
@@ -578,9 +578,9 @@ func TestManagerDrainDeadlineCancels(t *testing.T) {
 		<-ctx.Done() // never finishes voluntarily
 		return nil, ctx.Err()
 	}
-	pool := New(Options{Workers: 1, Execute: exec})
-	defer pool.Close()
-	m := NewManager(context.Background(), pool)
+	cluster := New(Options{Workers: 1, Execute: exec})
+	defer cluster.Close()
+	m := NewManager(context.Background(), cluster)
 	s, err := m.Enqueue([]Job{{App: "Todo", Kind: harness.Perf, Phase: Full}})
 	if err != nil {
 		t.Fatal(err)

@@ -169,26 +169,20 @@ type registryShard struct {
 	sweeps map[SweepID]*Sweep
 }
 
-// Manager owns the runner-facing sweep lifecycle for the job server: it
+// Manager owns the cluster-facing sweep lifecycle for the job server: it
 // assigns IDs, submits jobs asynchronously (absorbing queue backpressure
 // off the HTTP handler), resolves IDs through a sharded registry, and —
 // when given a store — persists every finished sweep and replays persisted
 // ones that predate this process.
 type Manager struct {
-	ctx    context.Context // parents every sweep; server lifetime
-	runner Runner
-	st     *store.Store // nil → in-memory only
-	seq    atomic.Uint64
-	shards [registryShards]registryShard
+	ctx     context.Context // parents every sweep; server lifetime
+	cluster *Cluster
+	st      *store.Store // nil → in-memory only
+	seq     atomic.Uint64
+	shards  [registryShards]registryShard
 	// noTracing disables fleet-wide span recording (greensrv -no-trace).
 	// Zero value = tracing on; the obs gate still applies on top.
 	noTracing atomic.Bool
-	// traces is where this manager registers sweep span buffers. Production
-	// uses the process-global trace.Default() (so the shard layer, which only
-	// sees jobs, finds the buffers); tests inject isolated collectors because
-	// managers sharing a process would collide on their per-manager
-	// sequential sweep ids.
-	traces *trace.Collector
 }
 
 // SetTracing flips fleet-wide distributed tracing (default on). Tracing is
@@ -200,30 +194,32 @@ func (m *Manager) TracingEnabled() bool {
 	return !m.noTracing.Load() && obs.EnabledIn(m.ctx)
 }
 
-// NewManager builds a manager over any Runner (a Pool or a shard cluster);
-// ctx bounds the lifetime of every sweep it enqueues (pass the server's
-// base context).
-func NewManager(ctx context.Context, r Runner) *Manager {
+// NewManager builds a manager over a cluster; ctx bounds the lifetime of
+// every sweep it enqueues (pass the server's base context).
+func NewManager(ctx context.Context, c *Cluster) *Manager {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	m := &Manager{ctx: ctx, runner: r, traces: trace.Default()}
+	m := &Manager{ctx: ctx, cluster: c}
 	for i := range m.shards {
 		m.shards[i].sweeps = make(map[SweepID]*Sweep)
 	}
 	return m
 }
 
-// SetTraceCollector swaps the trace registry (tests only — see the traces
-// field). Call before the first Enqueue.
-func (m *Manager) SetTraceCollector(c *trace.Collector) { m.traces = c }
+// SetTraceCollector swaps the trace registry that sweeps register in and
+// the cluster records scheduling spans into. Production uses the process-
+// global trace.Default(); tests inject isolated collectors because managers
+// sharing a process would collide on their per-manager sequential sweep
+// ids. Call before the first Enqueue.
+func (m *Manager) SetTraceCollector(c *trace.Collector) { m.cluster.traces = c }
 
 // Traces exposes the manager's trace registry (the /trace?fleet=1 handler
 // reads it).
-func (m *Manager) Traces() *trace.Collector { return m.traces }
+func (m *Manager) Traces() *trace.Collector { return m.cluster.traces }
 
-// Runner exposes the execution backend (for /metrics and admission).
-func (m *Manager) Runner() Runner { return m.runner }
+// Cluster exposes the scheduler (for /metrics, /v1/nodes and admission).
+func (m *Manager) Cluster() *Cluster { return m.cluster }
 
 // Store exposes the durable sweep store (nil without one).
 func (m *Manager) Store() *store.Store { return m.st }
@@ -339,7 +335,7 @@ func (m *Manager) Get(id SweepID) (*Sweep, bool) {
 }
 
 // Enqueue validates the jobs, registers a sweep, and starts feeding the
-// pool in the background. It returns as soon as the sweep is registered;
+// cluster in the background. It returns as soon as the sweep is registered;
 // queue backpressure is absorbed by the feeding goroutine, not the caller.
 func (m *Manager) Enqueue(jobs []Job) (*Sweep, error) {
 	for i, j := range jobs {
@@ -377,12 +373,12 @@ func (m *Manager) Enqueue(jobs []Job) (*Sweep, error) {
 	if m.st != nil {
 		go m.persist(s)
 	}
-	// Traced sweeps get a merged span buffer; each job is fed to the runner
+	// Traced sweeps get a merged span buffer; each job is fed to the cluster
 	// as a copy carrying its trace context, so s.jobs (and therefore the
 	// WAL's persistMeta bytes) never see tracing fields.
 	var tr *trace.SweepTrace
 	if m.TracingEnabled() && len(jobs) > 0 {
-		tr = m.traces.Register(string(s.ID), len(jobs))
+		tr = m.cluster.traces.Register(string(s.ID), len(jobs))
 	}
 	go func() {
 		for i, job := range s.jobs {
@@ -419,7 +415,7 @@ func (m *Manager) Enqueue(jobs []Job) (*Sweep, error) {
 					s.finish(i, r)
 				}
 			}
-			err := m.runner.Start(ctx, job, started, deliver)
+			err := m.cluster.Start(ctx, job, started, deliver)
 			if err != nil {
 				s.finish(i, Result{Job: job, Worker: -1, Err: err})
 			}
@@ -432,14 +428,14 @@ func (m *Manager) Enqueue(jobs []Job) (*Sweep, error) {
 // On expiry the stragglers are cancelled and Drain waits for their jobs to
 // deliver (cancellation propagates at simulation-chunk granularity inside
 // the harness, so this wait is bounded), then returns ctx's error. greensrv
-// runs this between "stop accepting sweeps" and "shut the pool down".
+// runs this between "stop accepting sweeps" and "shut the cluster down".
 func (m *Manager) Drain(ctx context.Context) error {
 	for _, s := range m.Sweeps() {
 		select {
 		case <-s.Done():
 		case <-ctx.Done():
 			// Deadline passed: cancel everything still in flight, then wait
-			// for the cancellations to deliver so the pool can close cleanly.
+			// for the cancellations to deliver so the cluster can close cleanly.
 			for _, s2 := range m.Sweeps() {
 				select {
 				case <-s2.Done():

@@ -32,8 +32,8 @@ func getBody(t *testing.T, url string) (int, string) {
 // at dir, returning a teardown that closes everything in order.
 func storeServer(t *testing.T, dir string) (*httptest.Server, *Manager, func()) {
 	t.Helper()
-	pool := New(Options{Workers: 2})
-	m := NewManager(context.Background(), pool)
+	cluster := New(Options{Workers: 2})
+	m := NewManager(context.Background(), cluster)
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func storeServer(t *testing.T, dir string) (*httptest.Server, *Manager, func()) 
 	srv := httptest.NewServer(NewServer(m))
 	return srv, m, func() {
 		srv.Close()
-		pool.Close()
+		cluster.Close()
 		st.Close()
 	}
 }

@@ -125,7 +125,7 @@ func TestTracingOffReturnsNoFleetTrace(t *testing.T) {
 	}
 }
 
-// TestNodesEndpoint: a single-pool server still federates /v1/nodes — one
+// TestNodesEndpoint: a one-node server federates /v1/nodes — one
 // always-up local row whose job count reflects finished work.
 func TestNodesEndpoint(t *testing.T) {
 	srv, m := newTestServer(t, Options{Workers: 2})

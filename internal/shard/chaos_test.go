@@ -37,9 +37,9 @@ func TestChaosDrawDeterministic(t *testing.T) {
 // NDJSON plus the cluster for post-assertions.
 func chaosSweep(t *testing.T, spec ChaosSpec, jobs []fleet.Job, exec func(context.Context, fleet.Job) (*harness.Run, error)) (string, int64) {
 	t.Helper()
-	var nodes []Node
+	var nodes []fleet.Node
 	for i := 0; i < 2; i++ {
-		_, addr := startWorker(t, WorkerOptions{Pool: fleet.Options{Workers: 2, Execute: exec}})
+		_, addr := startWorker(t, WorkerOptions{Cluster: fleet.Options{Workers: 2, Execute: exec}})
 		opts := fastRemote(addr)
 		opts.MaxReconnects = 25 // survive the whole fault schedule
 		addrCopy := addr
@@ -62,8 +62,7 @@ func chaosSweep(t *testing.T, spec ChaosSpec, jobs []fleet.Job, exec func(contex
 		}
 		nodes = append(nodes, n)
 	}
-	c := NewWithNodes(nodes, 0)
-	out := render(t, c, jobs)
+	out := render(t, fleet.NewWithNodes(nodes, 0), jobs)
 	var reconnects int64
 	for _, n := range nodes {
 		reconnects += n.(*RemoteNode).Health().Reconnects
@@ -72,9 +71,9 @@ func chaosSweep(t *testing.T, spec ChaosSpec, jobs []fleet.Job, exec func(contex
 }
 
 // TestChaosTransportDeterminism: a sweep over connections that drop, tear,
-// and stall frames still streams bytes identical to the pristine
-// single-node run — every lost job re-homes and re-executes — and the same
-// chaos seed reproduces the same byte stream on a second run.
+// and stall frames still streams bytes identical to the pristine sequential
+// reference — every lost job re-homes and re-executes — and the same chaos
+// seed reproduces the same byte stream on a second run.
 func TestChaosTransportDeterminism(t *testing.T) {
 	exec := func(ctx context.Context, j fleet.Job) (*harness.Run, error) {
 		select {
@@ -88,7 +87,7 @@ func TestChaosTransportDeterminism(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = fleet.Job{App: fmt.Sprintf("cell-%02d", i), Kind: harness.Perf, Phase: fleet.Full}
 	}
-	want := render(t, fleet.New(fleet.Options{Workers: 1, Execute: exec}), jobs)
+	want := reference(t, fleet.Options{Execute: exec}, jobs)
 
 	spec := ChaosSpec{
 		Seed:      9,

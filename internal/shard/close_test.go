@@ -32,7 +32,7 @@ func TestClusterCloseRacesSubmissionsAndSteals(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	c := New(Options{Nodes: 3, WorkersPerNode: 2, QueueDepth: 16, Node: fleet.Options{Execute: exec}})
+	c := fleet.New(fleet.Options{Nodes: 3, Workers: 2, QueueDepth: 16, Execute: exec})
 
 	var accepted, delivered, rejected atomic.Int64
 	var wg sync.WaitGroup
@@ -86,8 +86,8 @@ func TestClusterCloseRacesSubmissionsAndSteals(t *testing.T) {
 	if delivered.Load() != accepted.Load() {
 		t.Fatalf("accepted %d submissions but delivered %d results", accepted.Load(), delivered.Load())
 	}
-	// Pullers and node pools must be gone; allow the runtime a moment to
-	// retire exiting goroutines.
+	// Pullers must be gone; allow the runtime a moment to retire exiting
+	// goroutines.
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before+2 {
 			return
@@ -109,7 +109,7 @@ func TestEvictRehomesQueuedJobs(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	c := New(Options{Nodes: 2, WorkersPerNode: 1, QueueDepth: 16, Node: fleet.Options{Execute: exec}})
+	c := fleet.New(fleet.Options{Nodes: 2, Workers: 1, QueueDepth: 16, Execute: exec})
 	defer c.Close()
 
 	var wg sync.WaitGroup
@@ -140,18 +140,6 @@ func TestEvictRehomesQueuedJobs(t *testing.T) {
 	}
 }
 
-// TestClosedLocalNodeReportsNodeDown: Evict can close a LocalNode's pool
-// between a puller's pop and its Run. The job never ran, so Run must report
-// ErrNodeDown, which the puller re-homes, not the pool's own ErrClosed,
-// which it would deliver as the job's failure.
-func TestClosedLocalNodeReportsNodeDown(t *testing.T) {
-	n := NewLocalNode(0, fleet.Options{})
-	n.Close()
-	if res := n.Run(context.Background(), fleet.Job{App: "a"}); !errors.Is(res.Err, ErrNodeDown) {
-		t.Fatalf("Run on a closed node: err = %v, want ErrNodeDown", res.Err)
-	}
-}
-
 // TestEvictLastNodeStrandsJobs: with no live sibling, queued jobs are
 // delivered as typed ErrNoNodes failures and later submissions are refused
 // with the same error.
@@ -165,7 +153,7 @@ func TestEvictLastNodeStrandsJobs(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	c := New(Options{Nodes: 1, WorkersPerNode: 1, QueueDepth: 8, Node: fleet.Options{Execute: exec}})
+	c := fleet.New(fleet.Options{Nodes: 1, Workers: 1, QueueDepth: 8, Execute: exec})
 	defer c.Close()
 
 	results := make(chan fleet.Result, 3)
@@ -184,7 +172,7 @@ func TestEvictLastNodeStrandsJobs(t *testing.T) {
 	}
 	go c.Evict(0)
 	time.Sleep(5 * time.Millisecond)
-	close(block) // let the in-flight job finish so the node can close
+	close(block) // let the in-flight job finish
 
 	var failed, succeeded int
 	for i := 0; i < 3; i++ {
@@ -192,7 +180,7 @@ func TestEvictLastNodeStrandsJobs(t *testing.T) {
 		case r := <-results:
 			if r.Err == nil {
 				succeeded++
-			} else if errors.Is(r.Err, ErrNoNodes) {
+			} else if errors.Is(r.Err, fleet.ErrNoNodes) {
 				failed++
 			} else {
 				t.Fatalf("stranded job got %v, want ErrNoNodes", r.Err)
@@ -204,7 +192,7 @@ func TestEvictLastNodeStrandsJobs(t *testing.T) {
 	if succeeded != 1 || failed != 2 {
 		t.Fatalf("succeeded=%d failed=%d, want 1 in-flight success and 2 stranded failures", succeeded, failed)
 	}
-	if err := c.Start(context.Background(), fleet.Job{App: "late"}, nil, nil); !errors.Is(err, ErrNoNodes) {
+	if err := c.Start(context.Background(), fleet.Job{App: "late"}, nil, nil); !errors.Is(err, fleet.ErrNoNodes) {
 		t.Fatalf("Start on fully evicted cluster = %v, want ErrNoNodes", err)
 	}
 }

@@ -48,9 +48,8 @@ import (
 const protoVersion = 2
 
 // maxFramePayload bounds one frame. The largest legitimate payload — a
-// result carrying a full-trace run's ledger spans — is a
-// few megabytes; 64 MiB keeps a corrupt length prefix from allocating the
-// heap away.
+// result carrying a full-trace run's ledger spans — is a few megabytes;
+// 64 MiB keeps a corrupt length prefix from buffering the heap away.
 const maxFramePayload = 64 << 20
 
 // Frame type tags.
@@ -105,14 +104,23 @@ func readFrame(r io.Reader) (frame, error) {
 	if n == 0 || n > maxFramePayload {
 		return frame{}, fmt.Errorf("shard: frame length %d out of range", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		// A short payload is a torn frame: surface it distinctly so chaos
-		// tests can assert the failure mode.
-		if err == io.ErrUnexpectedEOF {
-			return frame{}, fmt.Errorf("shard: torn frame: %w", err)
+	// The buffer doubles, up to n, only as payload bytes arrive, so a length
+	// prefix alone cannot make the reader allocate what the peer never sent.
+	payload := make([]byte, 0, min(n, 64<<10))
+	for len(payload) < int(n) {
+		if len(payload) == cap(payload) {
+			payload = append(make([]byte, 0, min(2*cap(payload), int(n))), payload...)
 		}
-		return frame{}, err
+		m, err := r.Read(payload[len(payload):cap(payload)])
+		payload = payload[:len(payload)+m]
+		if err != nil && len(payload) < int(n) {
+			// A short payload is a torn frame: surface it distinctly so chaos
+			// tests can assert the failure mode.
+			if err == io.EOF && len(payload) > 0 {
+				return frame{}, fmt.Errorf("shard: torn frame: %w", io.ErrUnexpectedEOF)
+			}
+			return frame{}, err
+		}
 	}
 	var f frame
 	if err := json.Unmarshal(payload, &f); err != nil {

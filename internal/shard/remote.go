@@ -1,9 +1,15 @@
+// Package shard is the fleet's remote transport: RemoteNode plugs a
+// greennode worker process into a fleet.Cluster behind the fleet.Node
+// interface, and Worker is the greennode side, executing shipped jobs on
+// its own one-node fleet.Cluster. The two speak length-prefixed JSON frames
+// over TCP (proto.go); heartbeats watch each link, and a transport failure
+// surfaces as fleet.ErrNodeDown so the cluster re-homes the job instead of
+// failing it. ChaosSpec injects deterministic transport faults for tests.
 package shard
 
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -15,19 +21,6 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
-
-// ErrNodeDown marks a result whose job never reached a terminal state
-// because the node's transport failed (connection broke, heartbeat
-// suspicion, node declared dead). The cluster treats it as re-homeable: the
-// job re-enters a live partition instead of being delivered as a failure.
-// Re-execution is safe because every cell is a deterministic function of
-// its job, and the store absorbs any replayed row idempotently keyed on
-// (sweep, index).
-var ErrNodeDown = errors.New("shard: node down")
-
-// ErrNoNodes is delivered when a job cannot be re-homed because every node
-// in the cluster has been evicted.
-var ErrNoNodes = errors.New("shard: no live nodes")
 
 // RemoteOptions configures a RemoteNode.
 type RemoteOptions struct {
@@ -165,8 +158,8 @@ func (s *session) deliver(id uint64, w *wireResult) {
 	}
 }
 
-// fail tears the call table down: every in-flight call gets ErrNodeDown and
-// will be re-homed by its cluster puller.
+// fail tears the call table down: every in-flight call gets
+// fleet.ErrNodeDown and will be re-homed by its cluster puller.
 func (s *session) fail(reason error) {
 	s.mu.Lock()
 	s.broken = true
@@ -175,48 +168,23 @@ func (s *session) fail(reason error) {
 	s.mu.Unlock()
 	for id, ch := range calls {
 		ch <- fleet.Result{Job: jobs[id], Worker: -1,
-			Err: fmt.Errorf("%w: %v", ErrNodeDown, reason)}
+			Err: fmt.Errorf("%w: %v", fleet.ErrNodeDown, reason)}
 	}
 }
 
-// HealthSnapshot is a remote node's transport health, exported per node by
-// Cluster.RegisterMetrics.
-type HealthSnapshot struct {
-	Connected       bool          `json:"connected"`
-	Dead            bool          `json:"dead"`
-	LastRTT         time.Duration `json:"last_rtt"` // most recent heartbeat round trip
-	Reconnects      int64         `json:"reconnects"`
-	HeartbeatMisses int64         `json:"heartbeat_misses"`
-	// ClockOffsetUS is the handshake-estimated offset of the worker's clock
-	// from ours (positive = worker ahead), used to align its trace spans.
-	ClockOffsetUS int64 `json:"clock_offset_us"`
-}
-
-// healthReporter is the optional Node facet the cluster polls for health
-// metrics.
-type healthReporter interface {
-	Health() HealthSnapshot
-}
-
-// deathNotifier is the optional Node facet the cluster subscribes to for
-// eviction: fn runs (once, on its own goroutine) when the node gives up.
-type deathNotifier interface {
-	OnDead(fn func())
-}
-
-// RemoteNode is a shard.Node whose execution backend is a greennode worker
+// RemoteNode is a fleet.Node whose execution backend is a greennode worker
 // process reached over the frame protocol. It satisfies the same contract
-// as LocalNode — Run executes one job to a terminal result — with the
-// transport failure modes mapped onto ErrNodeDown so the cluster re-homes
-// rather than fails affected jobs.
+// as fleet.LocalNode — Run executes one job to a terminal result — with the
+// transport failure modes mapped onto fleet.ErrNodeDown so the cluster
+// re-homes rather than fails affected jobs.
 //
 // Health model: a heartbeat ping flows every HeartbeatInterval. An
 // unanswered ping past HeartbeatTimeout is a miss; SuspectAfter consecutive
 // misses (or any read/write error) breaks the session, failing in-flight
-// calls with ErrNodeDown and entering the reconnect loop — bounded attempts
-// with seeded, jittered exponential backoff. MaxReconnects consecutive
-// failures declare the node dead: OnDead subscribers fire (the cluster
-// evicts the partition) and every future Run fails fast.
+// calls with fleet.ErrNodeDown and entering the reconnect loop — bounded
+// attempts with seeded, jittered exponential backoff. MaxReconnects
+// consecutive failures declare the node dead: OnDead subscribers fire (the
+// cluster evicts the partition) and every future Run fails fast.
 type RemoteNode struct {
 	id      int
 	opts    RemoteOptions
@@ -270,16 +238,16 @@ func (n *RemoteNode) ID() int { return n.id }
 // handshake), which is how many cluster pullers drive this node.
 func (n *RemoteNode) Workers() int { return n.workers }
 
-// Stats: the remote protocol does not stream pool counters; the cluster's
-// own accounting covers the fleet stats surface.
+// Stats: the remote protocol does not stream the worker's retry counters;
+// the cluster's own accounting covers the fleet stats surface.
 func (n *RemoteNode) Stats() fleet.Stats { return fleet.Stats{Workers: n.workers} }
 
 // Health snapshots the transport state.
-func (n *RemoteNode) Health() HealthSnapshot {
+func (n *RemoteNode) Health() fleet.NodeHealth {
 	n.mu.Lock()
 	connected, dead := n.sess != nil, n.dead
 	n.mu.Unlock()
-	return HealthSnapshot{
+	return fleet.NodeHealth{
 		Connected:       connected,
 		Dead:            dead,
 		LastRTT:         time.Duration(n.rttNS.Load()),
@@ -307,7 +275,7 @@ func (n *RemoteNode) OnDead(fn func()) {
 }
 
 // Close stops the connection manager and closes the connection. In-flight
-// Run calls return ErrNodeDown. Idempotent.
+// Run calls return fleet.ErrNodeDown. Idempotent.
 func (n *RemoteNode) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -548,18 +516,19 @@ func (n *RemoteNode) backoff(attempt int) time.Duration {
 	return time.Duration(float64(d) * (0.75 + 0.5*frac))
 }
 
-// Run implements Node: ship the job, wait for its result. While the node is
-// disconnected but not yet dead, Run parks until the reconnect resolves —
-// so a transient blip stalls rather than fails the puller. A broken session
-// mid-call returns ErrNodeDown, which the cluster re-homes.
-func (n *RemoteNode) Run(ctx context.Context, job fleet.Job) fleet.Result {
+// Run implements fleet.Node: ship the job, wait for its result, and stamp
+// it with the calling puller's slot. While the node is disconnected but not
+// yet dead, Run parks until the reconnect resolves — so a transient blip
+// stalls rather than fails the puller. A broken session mid-call returns
+// fleet.ErrNodeDown, which the cluster re-homes.
+func (n *RemoteNode) Run(ctx context.Context, slot int, job fleet.Job) fleet.Result {
 	for {
 		n.mu.Lock()
 		sess, change, dead, closed := n.sess, n.change, n.dead, n.closed
 		n.mu.Unlock()
 		if dead || closed {
 			return fleet.Result{Job: job, Worker: -1,
-				Err: fmt.Errorf("%w: node %d dead", ErrNodeDown, n.id)}
+				Err: fmt.Errorf("%w: node %d dead", fleet.ErrNodeDown, n.id)}
 		}
 		if sess == nil {
 			select {
@@ -585,14 +554,12 @@ func (n *RemoteNode) Run(ctx context.Context, job fleet.Job) fleet.Result {
 			sess.unregister(id)
 			sess.conn.Close() // wake the reader; the loop handles teardown
 			return fleet.Result{Job: job, Worker: -1,
-				Err: fmt.Errorf("%w: %v", ErrNodeDown, err)}
+				Err: fmt.Errorf("%w: %v", fleet.ErrNodeDown, err)}
 		}
 		select {
 		case r := <-ch:
 			if r.Worker >= 0 {
-				// Remap into the cluster-global worker space, mirroring
-				// LocalNode.
-				r.Worker = n.id*n.workers + r.Worker
+				r.Worker = slot
 			}
 			return r
 		case <-ctx.Done():

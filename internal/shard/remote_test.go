@@ -55,27 +55,23 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 		t.Skip("full-trace sweep ×2 paths")
 	}
 	jobs := topologyJobs()
-	poolOpts := fleet.Options{MaxAttempts: 2, RetryBaseDelay: time.Millisecond}
+	opts := fleet.Options{MaxAttempts: 2, RetryBaseDelay: time.Millisecond}
+	want := reference(t, opts, jobs)
 
-	seqOpts := poolOpts
-	seqOpts.Workers = 1
-	want := render(t, fleet.New(seqOpts), jobs)
-
-	workerPool := poolOpts
-	workerPool.Workers = 4
-	_, addr := startWorker(t, WorkerOptions{Pool: workerPool})
+	opts.Workers = 4
+	_, addr := startWorker(t, WorkerOptions{Cluster: opts})
 	// Lenient heartbeat: full-trace cells saturate the CPU (drastically so
 	// under -race), and this test pins codec parity, not failure timing — a
 	// starved heartbeat loop must not break the session and force re-homes.
-	opts := fastRemote(addr)
-	opts.HeartbeatInterval = 200 * time.Millisecond
-	opts.HeartbeatTimeout = 5 * time.Second
-	opts.SuspectAfter = 10
-	n, err := NewRemoteNode(0, opts)
+	ropts := fastRemote(addr)
+	ropts.HeartbeatInterval = 200 * time.Millisecond
+	ropts.HeartbeatTimeout = 5 * time.Second
+	ropts.SuspectAfter = 10
+	n, err := NewRemoteNode(0, ropts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := render(t, NewWithNodes([]Node{n}, 0), jobs)
+	got := render(t, fleet.NewWithNodes([]fleet.Node{n}, 0), jobs)
 	if got != want {
 		t.Fatalf("remote sweep diverged from sequential output:\n--- got\n%s--- want\n%s", got, want)
 	}
@@ -83,7 +79,7 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 
 // TestKillMidSweepDeterminism is the acceptance pin: a two-node cluster
 // whose worker is killed mid-sweep (the in-process analogue of kill -9)
-// still streams bytes identical to the pristine single-node run. Jobs
+// still streams bytes identical to the pristine sequential reference. Jobs
 // in flight on the dying node come back as ErrNodeDown and re-home; queued
 // jobs move at eviction; both re-execute deterministically elsewhere.
 func TestKillMidSweepDeterminism(t *testing.T) {
@@ -100,7 +96,7 @@ func TestKillMidSweepDeterminism(t *testing.T) {
 		jobs[i] = fleet.Job{App: fmt.Sprintf("app-%d", i), Kind: harness.Perf, Phase: fleet.Full}
 	}
 
-	want := render(t, fleet.New(fleet.Options{Workers: 1, Execute: exec}), jobs)
+	want := reference(t, fleet.Options{Execute: exec}, jobs)
 
 	// Worker 0 kills itself while executing its fifth job, so that job (and
 	// any sibling in flight) can never write a result frame back.
@@ -112,7 +108,7 @@ func TestKillMidSweepDeterminism(t *testing.T) {
 		}
 		return exec(ctx, j)
 	}
-	w0 := NewWorker(WorkerOptions{Pool: fleet.Options{Workers: 2, Execute: killExec}})
+	w0 := NewWorker(WorkerOptions{Cluster: fleet.Options{Workers: 2, Execute: killExec}})
 	doomed = w0
 	l0, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -120,7 +116,7 @@ func TestKillMidSweepDeterminism(t *testing.T) {
 	}
 	go w0.Serve(l0)
 	t.Cleanup(w0.Close)
-	_, addr1 := startWorker(t, WorkerOptions{Pool: fleet.Options{Workers: 2, Execute: exec}})
+	_, addr1 := startWorker(t, WorkerOptions{Cluster: fleet.Options{Workers: 2, Execute: exec}})
 
 	n0, err := NewRemoteNode(0, fastRemote(l0.Addr().String()))
 	if err != nil {
@@ -130,10 +126,10 @@ func TestKillMidSweepDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewWithNodes([]Node{n0, n1}, 0)
+	c := fleet.NewWithNodes([]fleet.Node{n0, n1}, 0)
 	got := render(t, c, jobs)
 	if got != want {
-		t.Fatalf("kill-mid-sweep output diverged from pristine single-node run:\n--- got\n%s--- want\n%s", got, want)
+		t.Fatalf("kill-mid-sweep output diverged from the pristine reference:\n--- got\n%s--- want\n%s", got, want)
 	}
 	if c.Evictions() != 1 {
 		t.Fatalf("evictions = %d, want 1", c.Evictions())
@@ -147,7 +143,7 @@ func TestKillMidSweepDeterminism(t *testing.T) {
 // mute — swallowing pings and jobs — is suspected after consecutive
 // heartbeat misses; with its listener gone, the reconnect budget exhausts
 // and the node is declared dead, firing OnDead and failing in-flight Runs
-// with ErrNodeDown.
+// with fleet.ErrNodeDown.
 func TestHeartbeatSuspicionAndDeath(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -184,7 +180,7 @@ func TestHeartbeatSuspicionAndDeath(t *testing.T) {
 	n.OnDead(func() { close(dead) })
 
 	resc := make(chan fleet.Result, 1)
-	go func() { resc <- n.Run(context.Background(), fleet.Job{App: "mute"}) }()
+	go func() { resc <- n.Run(context.Background(), 0, fleet.Job{App: "mute"}) }()
 
 	select {
 	case <-dead:
@@ -192,7 +188,7 @@ func TestHeartbeatSuspicionAndDeath(t *testing.T) {
 		t.Fatal("node never declared dead")
 	}
 	res := <-resc
-	if !errors.Is(res.Err, ErrNodeDown) {
+	if !errors.Is(res.Err, fleet.ErrNodeDown) {
 		t.Fatalf("in-flight Run err = %v, want ErrNodeDown", res.Err)
 	}
 	h := n.Health()
@@ -212,12 +208,12 @@ func TestHeartbeatSuspicionAndDeath(t *testing.T) {
 // alongside the eviction and re-home counters.
 func TestRemoteHealthMetricsExposition(t *testing.T) {
 	exec := func(ctx context.Context, j fleet.Job) (*harness.Run, error) { return &harness.Run{}, nil }
-	_, addr := startWorker(t, WorkerOptions{Pool: fleet.Options{Workers: 1, Execute: exec}})
+	_, addr := startWorker(t, WorkerOptions{Cluster: fleet.Options{Workers: 1, Execute: exec}})
 	n, err := NewRemoteNode(0, fastRemote(addr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewWithNodes([]Node{n}, 0)
+	c := fleet.NewWithNodes([]fleet.Node{n}, 0)
 	defer c.Close()
 	reg := obs.NewRegistry()
 	c.RegisterMetrics(reg)
@@ -244,7 +240,7 @@ func TestRemoteHealthMetricsExposition(t *testing.T) {
 // TestWorkerRefusesProtocolMismatch: a hello with the wrong protocol version
 // is answered with a refusal welcome, and NewRemoteNode surfaces it.
 func TestWorkerRefusesProtocolMismatch(t *testing.T) {
-	_, addr := startWorker(t, WorkerOptions{Pool: fleet.Options{Workers: 1,
+	_, addr := startWorker(t, WorkerOptions{Cluster: fleet.Options{Workers: 1,
 		Execute: func(ctx context.Context, j fleet.Job) (*harness.Run, error) { return &harness.Run{}, nil }}})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -282,7 +278,7 @@ func TestRemoteNodeCancelPropagates(t *testing.T) {
 			return &harness.Run{}, nil
 		}
 	}
-	_, addr := startWorker(t, WorkerOptions{Pool: fleet.Options{Workers: 1, Execute: exec}})
+	_, addr := startWorker(t, WorkerOptions{Cluster: fleet.Options{Workers: 1, Execute: exec}})
 	n, err := NewRemoteNode(0, fastRemote(addr))
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +287,7 @@ func TestRemoteNodeCancelPropagates(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	resc := make(chan fleet.Result, 1)
-	go func() { resc <- n.Run(ctx, fleet.Job{App: "slow"}) }()
+	go func() { resc <- n.Run(ctx, 0, fleet.Job{App: "slow"}) }()
 	<-started
 	cancel()
 	select {

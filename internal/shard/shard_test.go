@@ -40,12 +40,32 @@ func topologyJobs() []fleet.Job {
 	return jobs
 }
 
-// render runs the sweep on a runner and returns the deterministic NDJSON.
-func render(t *testing.T, r fleet.Runner, jobs []fleet.Job) string {
+// render runs the sweep on a cluster, closes it, and returns the
+// deterministic NDJSON.
+func render(t *testing.T, c *fleet.Cluster, jobs []fleet.Job) string {
 	t.Helper()
-	defer r.Close()
+	defer c.Close()
+	return ndjson(t, c.RunSweep(context.Background(), jobs))
+}
+
+// reference renders the sweep through one LocalNode's Run in a plain loop —
+// no queue, no pullers — so parity tests compare the cluster against a
+// scheduler-free oracle whose retry and quarantine provenance still comes
+// from the same ladder.
+func reference(t *testing.T, opts fleet.Options, jobs []fleet.Job) string {
+	t.Helper()
+	n := fleet.NewLocalNode(0, opts)
+	res := make([]fleet.Result, len(jobs))
+	for i, j := range jobs {
+		res[i] = n.Run(context.Background(), 0, j)
+	}
+	return ndjson(t, res)
+}
+
+func ndjson(t *testing.T, res []fleet.Result) string {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := fleet.WriteResults(&buf, fleet.RunSweep(context.Background(), r, jobs), true); err != nil {
+	if err := fleet.WriteResults(&buf, res, true); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -53,25 +73,23 @@ func render(t *testing.T, r fleet.Runner, jobs []fleet.Job) string {
 
 // TestTopologyDeterminism pins the standing guarantee at every tested
 // node×worker count: sweep NDJSON — including a faulted sweep's retry and
-// quarantine provenance — is byte-identical to the sequential path at
+// quarantine provenance — is byte-identical to the sequential reference at
 // 1×1, 2×4, and 4×2.
 func TestTopologyDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-trace sweep ×4 topologies")
 	}
 	jobs := topologyJobs()
-	nodeOpts := fleet.Options{MaxAttempts: 2, RetryBaseDelay: time.Millisecond}
+	opts := fleet.Options{MaxAttempts: 2, RetryBaseDelay: time.Millisecond}
 
-	seqOpts := nodeOpts
-	seqOpts.Workers = 1
-	want := render(t, fleet.New(seqOpts), jobs)
+	want := reference(t, opts, jobs)
 	if !strings.Contains(want, `"quarantined":true`) {
 		t.Fatalf("sweep exercised no quarantine; doomed spec too weak:\n%s", want)
 	}
 
 	for _, topo := range []struct{ nodes, workers int }{{1, 1}, {2, 4}, {4, 2}} {
-		c := New(Options{Nodes: topo.nodes, WorkersPerNode: topo.workers, Node: nodeOpts})
-		got := render(t, c, jobs)
+		opts.Nodes, opts.Workers = topo.nodes, topo.workers
+		got := render(t, fleet.New(opts), jobs)
 		if got != want {
 			t.Fatalf("%d×%d topology diverged from sequential output:\n--- got\n%s--- want\n%s",
 				topo.nodes, topo.workers, got, want)
@@ -95,7 +113,7 @@ func fakeExec(d map[string]time.Duration) func(context.Context, fleet.Job) (*har
 // loaded sibling instead of idling.
 func TestWorkStealing(t *testing.T) {
 	exec := fakeExec(map[string]time.Duration{"slow": 30 * time.Millisecond, "fast": time.Millisecond})
-	c := New(Options{Nodes: 2, WorkersPerNode: 1, QueueDepth: 64, Node: fleet.Options{Execute: exec}})
+	c := fleet.New(fleet.Options{Nodes: 2, Workers: 1, QueueDepth: 64, Execute: exec})
 	defer c.Close()
 
 	// Round-robin partitioning: even submissions land on node 0's
@@ -108,7 +126,7 @@ func TestWorkStealing(t *testing.T) {
 		}
 		jobs[i] = fleet.Job{App: app, Kind: harness.Perf, Phase: fleet.Full}
 	}
-	res := fleet.RunSweep(context.Background(), c, jobs)
+	res := c.RunSweep(context.Background(), jobs)
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("job %d failed: %v", i, r.Err)
@@ -138,7 +156,7 @@ func TestClusterBackpressureAndClose(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	c := New(Options{Nodes: 2, WorkersPerNode: 1, QueueDepth: 2, Node: fleet.Options{Execute: exec}})
+	c := fleet.New(fleet.Options{Nodes: 2, Workers: 1, QueueDepth: 2, Execute: exec})
 
 	var wg sync.WaitGroup
 	deliver := func(fleet.Result) { wg.Done() }
@@ -167,7 +185,7 @@ func TestClusterBackpressureAndClose(t *testing.T) {
 // per-partition depth gauges.
 func TestClusterMetricsExposition(t *testing.T) {
 	exec := fakeExec(map[string]time.Duration{"slow": 20 * time.Millisecond, "fast": time.Millisecond})
-	c := New(Options{Nodes: 2, WorkersPerNode: 1, Node: fleet.Options{Execute: exec}})
+	c := fleet.New(fleet.Options{Nodes: 2, Workers: 1, Execute: exec})
 	defer c.Close()
 	reg := obs.NewRegistry()
 	c.RegisterMetrics(reg)
@@ -180,7 +198,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 		}
 		jobs[i] = fleet.Job{App: app}
 	}
-	fleet.RunSweep(context.Background(), c, jobs)
+	c.RunSweep(context.Background(), jobs)
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -202,7 +220,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestClusterDeliverExactlyOnceUnderCancel mirrors the pool guarantee:
+// TestClusterDeliverExactlyOnceUnderCancel mirrors TestDeliverExactlyOnce:
 // every submission delivers exactly one terminal result even when the sweep
 // context dies mid-flight.
 func TestClusterDeliverExactlyOnceUnderCancel(t *testing.T) {
@@ -214,7 +232,7 @@ func TestClusterDeliverExactlyOnceUnderCancel(t *testing.T) {
 			return &harness.Run{}, nil
 		}
 	}
-	c := New(Options{Nodes: 3, WorkersPerNode: 2, Node: fleet.Options{Execute: exec}})
+	c := fleet.New(fleet.Options{Nodes: 3, Workers: 2, Execute: exec})
 	defer c.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -223,7 +241,7 @@ func TestClusterDeliverExactlyOnceUnderCancel(t *testing.T) {
 		cancel()
 	}()
 	jobs := make([]fleet.Job, 40)
-	res := fleet.RunSweep(ctx, c, jobs)
+	res := c.RunSweep(ctx, jobs)
 	if len(res) != 40 {
 		t.Fatalf("got %d results, want 40", len(res))
 	}

@@ -20,8 +20,8 @@ func TestRemoteTraceNegotiation(t *testing.T) {
 		return &harness.Run{Frames: 1, Energy: acmp.Joules(1)}, nil
 	}
 	_, addr := startWorker(t, WorkerOptions{
-		Name: "nodeA",
-		Pool: fleet.Options{Workers: 1, Execute: exec},
+		Name:    "nodeA",
+		Cluster: fleet.Options{Workers: 1, Execute: exec},
 	})
 	n, err := NewRemoteNode(0, fastRemote(addr))
 	if err != nil {
@@ -34,7 +34,7 @@ func TestRemoteTraceNegotiation(t *testing.T) {
 
 	job := fleet.Job{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro,
 		Trace: &trace.Context{Sweep: "s-test", Job: 3, Parent: 42}}
-	res := n.Run(context.Background(), job)
+	res := n.Run(context.Background(), 0, job)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -120,7 +120,7 @@ func TestLegacyWorkerGetsStrippedTrace(t *testing.T) {
 
 	job := fleet.Job{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro,
 		Trace: &trace.Context{Sweep: "s-test", Job: 0, Parent: 7}}
-	res := n.Run(context.Background(), job)
+	res := n.Run(context.Background(), 0, job)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

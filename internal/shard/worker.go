@@ -19,26 +19,26 @@ import (
 type WorkerOptions struct {
 	// Name identifies the worker in its welcome frame (host:port by default).
 	Name string
-	// Pool is the execution pool template: worker count, retry ladder,
-	// timeouts, and — in tests — the Execute override.
-	Pool fleet.Options
+	// Cluster configures the worker's own fleet.Cluster: worker count,
+	// retry ladder, timeouts, and — in tests — the Execute override.
+	Cluster fleet.Options
 	// WriteTimeout caps one result/pong frame write. 0 → 10s.
 	WriteTimeout time.Duration
 }
 
 // Worker executes jobs shipped over the frame protocol on a local
-// fleet.Pool: the full retry/quarantine ladder runs worker-side, so a
+// fleet.Cluster: the full retry/quarantine ladder runs worker-side, so a
 // remote job's terminal result is indistinguishable from a local one.
 //
 // Each accepted connection is handshaken (hello/welcome with a protocol
-// version check), then serves a multiplexed stream: job frames start pool
-// executions whose results are written back keyed by frame id, ping frames
-// are answered immediately (heartbeats measure the transport even while
-// every pool slot is busy), and cancel frames abort the matching job's
+// version check), then serves a multiplexed stream: job frames start
+// cluster executions whose results are written back keyed by frame id, ping
+// frames are answered immediately (heartbeats measure the transport even
+// while every slot is busy), and cancel frames abort the matching job's
 // context. A broken connection cancels that connection's in-flight jobs.
 type Worker struct {
-	opts WorkerOptions
-	pool *fleet.Pool
+	opts    WorkerOptions
+	cluster *fleet.Cluster
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -51,26 +51,27 @@ type Worker struct {
 	spanDrops  atomic.Int64 // trace spans dropped to per-job budgets
 }
 
-// NewWorker builds the worker and its pool.
+// NewWorker builds the worker and its cluster.
 func NewWorker(opts WorkerOptions) *Worker {
 	if opts.WriteTimeout <= 0 {
 		opts.WriteTimeout = 10 * time.Second
 	}
 	return &Worker{
-		opts:  opts,
-		pool:  fleet.New(opts.Pool),
-		conns: map[net.Conn]context.CancelFunc{},
+		opts:    opts,
+		cluster: fleet.New(opts.Cluster),
+		conns:   map[net.Conn]context.CancelFunc{},
 	}
 }
 
-// Workers reports the pool's execution slots (advertised in welcome frames).
-func (w *Worker) Workers() int { return w.pool.Workers() }
+// Workers reports the cluster's execution slots (advertised in welcome
+// frames).
+func (w *Worker) Workers() int { return w.cluster.Workers() }
 
-// RegisterMetrics exposes the worker's transport counters plus its pool's
-// greenweb_fleet_* family on an obs registry — the greennode -http health
-// surface serves exactly this.
+// RegisterMetrics exposes the worker's transport counters plus its
+// cluster's greenweb_fleet_* and greenweb_shard_* families on an obs
+// registry — the greennode -http health surface serves exactly this.
 func (w *Worker) RegisterMetrics(reg *obs.Registry) {
-	w.pool.RegisterMetrics(reg)
+	w.cluster.RegisterMetrics(reg)
 	reg.GaugeFunc("greenweb_node_connections",
 		"Client connections currently served", func() float64 {
 			w.mu.Lock()
@@ -134,15 +135,15 @@ func (w *Worker) Serve(l net.Listener) error {
 }
 
 // Close stops accepting, closes every connection (cancelling its in-flight
-// jobs), waits for the connection handlers, and shuts the pool down.
+// jobs), waits for the connection handlers, and shuts the cluster down.
 func (w *Worker) Close() {
 	w.kill()
 	w.wg.Wait()
-	w.pool.Close()
+	w.cluster.Close()
 }
 
 // Kill is the abrupt variant: listener and connections are closed without
-// waiting for handlers or draining the pool — the in-process analogue of a
+// waiting for handlers or draining the cluster — the in-process analogue of a
 // SIGKILL, used by chaos tests to die mid-frame.
 func (w *Worker) Kill() { w.kill() }
 
@@ -189,7 +190,7 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn, name string) {
 	// taken as late as possible so the client's offset estimate brackets
 	// it; pid keys this worker's process row in the merged trace.
 	welcome := frame{T: frameWelcome, Proto: protoVersion,
-		Workers: w.pool.Workers(), Name: name}
+		Workers: w.cluster.Workers(), Name: name}
 	if hello.Trace && obs.Enabled() {
 		welcome.Trace = true
 		welcome.PID = os.Getpid()
@@ -236,11 +237,11 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn, name string) {
 			jobMu.Lock()
 			cancels[id] = cancel
 			jobMu.Unlock()
-			// Start from a goroutine so a saturated pool exerts
+			// Start from a goroutine so a saturated cluster exerts
 			// backpressure on this job alone, never on the read loop —
 			// pings must keep flowing while every slot is busy.
 			go func() {
-				err := w.pool.Start(jobCtx, job, nil, func(r fleet.Result) {
+				err := w.cluster.Start(jobCtx, job, nil, func(r fleet.Result) {
 					jobMu.Lock()
 					delete(cancels, id)
 					jobMu.Unlock()
