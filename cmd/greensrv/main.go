@@ -2,7 +2,7 @@
 // app × governor sweeps as jobs, poll their status, and stream results as
 // NDJSON while workers — one isolated simulated device each — chew through
 // the queue in parallel. The workers are spread across -nodes in-process
-// nodes pulling from a partitioned work-stealing queue; with -store DIR
+// nodes that all pull from one FIFO job queue; with -store DIR
 // every finished sweep is made durable in a write-ahead log and survives
 // restarts (GET /v1/sweeps/{id} replays from disk).
 //
@@ -19,8 +19,8 @@
 // With -remote-nodes the cluster's nodes are greennode worker processes
 // reached over TCP instead of in-process nodes: jobs ship as length-prefixed
 // JSON frames, heartbeats watch each link, and a node that dies mid-sweep is
-// evicted with its jobs re-homed onto the survivors — sweep bytes are
-// identical either way.
+// evicted, the jobs it was running re-homed onto the survivors — sweep
+// bytes are identical either way.
 //
 // API:
 //
@@ -35,10 +35,10 @@
 //	GET  /v1/sweeps/{id}/trace   Chrome trace-event JSON (per-frame/per-event
 //	                             energy spans with nested decision spans);
 //	                             ?fleet=1 → the fleet-level distributed trace
-//	                             (admission, queue, steal, re-home, dispatch,
-//	                             and per-node execute spans, clock-aligned)
+//	                             (admission, queue, dispatch, re-home, and
+//	                             per-node execute spans, clock-aligned)
 //	GET  /v1/nodes               execution node federation: liveness,
-//	                             heartbeat RTT, queue depth, span drops
+//	                             heartbeat RTT, jobs, span drops
 //	GET  /healthz                liveness (503 while draining)
 //	GET  /metrics                Prometheus text exposition
 //	GET  /debug/pprof/           runtime profiles
@@ -68,7 +68,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	nodes := flag.Int("nodes", 1, "in-process node count, each with its own queue partition")
+	nodes := flag.Int("nodes", 1, "in-process node count; all nodes' workers share one job queue")
 	workers := flag.Int("workers", 0, "worker count per node (0 = GOMAXPROCS split across nodes)")
 	queue := flag.Int("queue", 0, "job queue depth (0 = 4×workers)")
 	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "per-attempt execution cap (0 = none)")

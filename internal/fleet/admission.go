@@ -35,17 +35,10 @@ type AdmissionOptions struct {
 // parsing prose.
 type rejection struct {
 	Error        string `json:"error"`
-	Code         string `json:"code"` // "draining" | "rate_limited" | "queue_full"
+	Code         string `json:"code"` // CodeDraining, CodeRateLimited or CodeQueueFull
 	RetryAfterMS int64  `json:"retry_after_ms"`
 	QueueDepth   int64  `json:"queue_depth"`
 }
-
-// Rejection codes.
-const (
-	CodeDraining    = "draining"
-	CodeRateLimited = "rate_limited"
-	CodeQueueFull   = "queue_full"
-)
 
 // bucket is one client's token bucket.
 type bucket struct {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -30,13 +31,13 @@ type Node interface {
 // ErrNodeDown marks a result whose job never reached a terminal state
 // because the node's transport failed (connection broke, heartbeat
 // suspicion, node declared dead). The cluster treats it as re-homeable: the
-// job re-enters a live partition instead of being delivered as a failure.
+// job goes back on the queue instead of being delivered as a failure.
 // Re-execution is safe because every cell is a deterministic function of
 // its job, and the store absorbs any replayed row idempotently keyed on
 // (sweep, index).
 var ErrNodeDown = errors.New("shard: node down")
 
-// ErrNoNodes is delivered when a job cannot be placed or re-homed because
+// ErrNoNodes is delivered when a job cannot be queued or re-homed because
 // every node in the cluster has been evicted.
 var ErrNoNodes = errors.New("shard: no live nodes")
 
@@ -86,10 +87,8 @@ type NodeInfo struct {
 	ClockOffsetUS int64 `json:"clock_offset_us,omitempty"`
 
 	// Work accounting.
-	QueueDepth int64 `json:"queue_depth"`
-	Jobs       int64 `json:"jobs"`
-	Steals     int64 `json:"steals,omitempty"`
-	Rehomed    int64 `json:"rehomed,omitempty"`
+	Jobs    int64 `json:"jobs"`
+	Rehomed int64 `json:"rehomed,omitempty"`
 	// SpanDrops counts trace spans this node's jobs discarded to budget
 	// pressure (worker-side drops surface here even though the spans never
 	// reached the server).
@@ -102,168 +101,166 @@ type item struct {
 	ctx     context.Context
 	started func()
 	deliver func(Result)
-	// rehomed marks an item re-entering the queue after its node died
-	// mid-flight. Its admission token was released on the first pop, so the
-	// next pop must not release another.
-	rehomed bool
 }
 
-// queue is the partitioned job queue: one FIFO deque per node, guarded by a
-// single mutex (contention is negligible next to job execution, which runs
-// a whole simulated device). Home pops take the front; steals take the
-// back, so a thief grabs the work its victim would reach last.
+// queue is the cluster's one bounded FIFO, shared by every node's pullers
+// and guarded by one mutex (contention is negligible next to job
+// execution, which runs a whole simulated device). Admission waits on
+// nonFull, pullers on nonEmpty.
 type queue struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	parts   [][]item
-	evicted []bool
-	closed  bool
+	mu       sync.Mutex
+	nonEmpty *sync.Cond
+	nonFull  *sync.Cond
+	items    []item
+	bound    int
+	evicted  []bool // per node: its pullers exit
+	live     int    // nodes not yet evicted
+	closed   bool
 }
 
-func newQueue(partitions int) *queue {
-	q := &queue{parts: make([][]item, partitions), evicted: make([]bool, partitions)}
-	q.cond = sync.NewCond(&q.mu)
+func newQueue(nodes, bound int) *queue {
+	q := &queue{bound: bound, evicted: make([]bool, nodes), live: nodes}
+	q.nonEmpty = sync.NewCond(&q.mu)
+	q.nonFull = sync.NewCond(&q.mu)
 	return q
 }
 
-// push enqueues onto a partition; false if the partition has been evicted
-// (the caller picks another).
-func (q *queue) push(part int, it item) bool {
+// push appends an admitted item, waiting while the queue holds bound items.
+// It fails with ErrClosed after close, ErrNoNodes once every node is
+// evicted, or ctx's error if ctx ends while it waits.
+func (q *queue) push(ctx context.Context, it item) error {
 	q.mu.Lock()
-	if q.evicted[part] {
-		q.mu.Unlock()
+	defer q.mu.Unlock()
+	var stop func() bool
+	for {
+		switch {
+		case q.closed:
+			return ErrClosed
+		case q.live == 0:
+			return ErrNoNodes
+		case len(q.items) < q.bound:
+			q.items = append(q.items, it)
+			q.nonEmpty.Signal()
+			return nil
+		case ctx.Err() != nil:
+			return ctx.Err()
+		}
+		if stop == nil {
+			// Taking the lock orders the wake-up after this goroutine parks.
+			stop = context.AfterFunc(ctx, func() {
+				q.mu.Lock()
+				q.nonFull.Broadcast()
+				q.mu.Unlock()
+			})
+			defer stop()
+		}
+		q.nonFull.Wait()
+	}
+}
+
+// requeue puts back a job whose node died under it: past the bound, since
+// it was admitted once already, and at the head, since it was admitted
+// before the jobs still waiting. False once every node is evicted.
+func (q *queue) requeue(it item) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.live == 0 {
 		return false
 	}
-	q.parts[part] = append(q.parts[part], it)
-	q.mu.Unlock()
-	q.cond.Signal()
+	q.items = slices.Insert(q.items, 0, it)
+	q.nonEmpty.Signal()
 	return true
 }
 
-// pop blocks until an item is available for the given home partition (own
-// front, else the back of the fullest sibling), the home partition is
-// evicted, or the queue is closed and empty. It reports the partition the
-// item came from.
-func (q *queue) pop(home int) (item, int, bool) {
+// pop blocks until it can hand one of node's pullers the oldest item. It
+// returns false once node is evicted, or once the queue is closed and empty.
+func (q *queue) pop(node int) (item, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for {
-		if q.evicted[home] {
-			return item{}, -1, false
-		}
-		if len(q.parts[home]) > 0 {
-			it := q.parts[home][0]
-			q.parts[home] = q.parts[home][1:]
-			return it, home, true
-		}
-		// Steal from the deepest sibling — balances better than first-found
-		// and keeps the scan deterministic for equal depths (lowest index).
-		victim, depth := -1, 0
-		for p := range q.parts {
-			if p != home && len(q.parts[p]) > depth {
-				victim, depth = p, len(q.parts[p])
-			}
-		}
-		if victim >= 0 {
-			n := len(q.parts[victim])
-			it := q.parts[victim][n-1]
-			q.parts[victim] = q.parts[victim][:n-1]
-			return it, victim, true
+	for !q.evicted[node] {
+		if len(q.items) > 0 {
+			it := q.items[0]
+			q.items[0] = item{} // the backing array must not pin a finished job
+			q.items = q.items[1:]
+			q.nonFull.Signal()
+			return it, true
 		}
 		if q.closed {
-			return item{}, -1, false
+			break
 		}
-		q.cond.Wait()
+		q.nonEmpty.Wait()
 	}
+	return item{}, false
 }
 
-// evictPartition marks part dead and re-homes its queued items onto live
-// partitions round-robin. Items that cannot be placed because no live
-// partition remains are returned stranded, for failure delivery. moved is
-// -1 when the partition was already evicted.
-func (q *queue) evictPartition(part int) (moved int, stranded []item) {
-	q.mu.Lock()
-	defer func() {
-		q.mu.Unlock()
-		q.cond.Broadcast() // wake the dead node's pullers and the new homes
-	}()
-	if q.evicted[part] {
-		return -1, nil
-	}
-	q.evicted[part] = true
-	items := q.parts[part]
-	q.parts[part] = nil
-	var live []int
-	for p := range q.parts {
-		if p != part && !q.evicted[p] {
-			live = append(live, p)
-		}
-	}
-	if len(live) == 0 {
-		return 0, items
-	}
-	for i, it := range items {
-		q.parts[live[i%len(live)]] = append(q.parts[live[i%len(live)]], it)
-	}
-	return len(items), nil
-}
-
-func (q *queue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-func (q *queue) depth(part int) int {
+// evict makes node's pullers exit; false when node was already evicted.
+// Evicting the last live node empties the queue and returns what it held.
+func (q *queue) evict(node int) (ok bool, stranded []item) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.parts[part])
+	if q.evicted[node] {
+		return false, nil
+	}
+	q.evicted[node] = true
+	q.live--
+	if q.live == 0 {
+		stranded, q.items = q.items, nil
+		q.nonFull.Broadcast() // waiting admissions fail with ErrNoNodes
+	}
+	q.nonEmpty.Broadcast()
+	return true, stranded
+}
+
+// close stops admission; pullers exit once the queue is empty. False when
+// the queue was already closed.
+func (q *queue) close() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return false
+	}
+	q.closed = true
+	q.nonEmpty.Broadcast()
+	q.nonFull.Broadcast()
+	return true
+}
+
+func (q *queue) len() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.items)
 }
 
 // Cluster is the fleet's scheduler: it fans jobs out across N nodes —
-// each an execution backend with its own slots — through a partitioned
-// queue with work stealing. Submission-order merge is a property of
-// delivery indexing, not of which node ran a job, so sweep output is
-// byte-identical at any node×worker topology.
-//
-// The queue has one partition per node. A submission lands on a partition
-// round-robin; each node's pullers pop their home partition FIFO and, when
-// it runs dry, steal from the back of the busiest sibling — classic
-// work-stealing, so a node stuck on a slow cell does not strand queued work
-// behind it. Steals and per-partition depths are exported through obs.
+// each an execution backend with its own slots — through one bounded FIFO
+// that every node's pullers share, so a free slot on any node takes the
+// oldest waiting job. Submission-order merge is a property of delivery
+// indexing, not of which node ran a job, so sweep output is byte-identical
+// at any node×worker topology.
 //
 // Failure handling: a Run result wrapping ErrNodeDown means the transport
-// failed under the job, not the job under the node — the puller re-homes
-// the item into a live partition instead of delivering a failure, and the
+// failed under the job, not the job under the node — the puller puts the
+// item back on the queue instead of delivering a failure, and the
 // deterministic cell re-executes elsewhere with an identical result. A node
 // declared dead (a remote node's heartbeat suspicion through the full
-// reconnect budget) is evicted: its partition stops accepting placements,
-// its queued jobs move to sibling partitions, and its pullers exit. Sweep
-// bytes therefore do not depend on which nodes survived — the determinism
-// contract holds through node death.
+// reconnect budget) is evicted: its pullers exit, and the live nodes'
+// pullers take what is queued. Sweep bytes therefore do not depend on which
+// nodes survived — the determinism contract holds through node death.
 //
 // Create with New or NewWithNodes, stop with Close.
 type Cluster struct {
 	nodes []Node
 	q     *queue
-	slots chan struct{} // total-queue-depth semaphore
 	wg    sync.WaitGroup
-	// traces is where scheduling spans (steal, dispatch, re-home) of traced
-	// jobs are recorded; a Manager points it at its own collector.
+	// traces is where scheduling spans (dispatch, re-home) of traced jobs
+	// are recorded; a Manager points it at its own collector.
 	traces *trace.Collector
 
-	mu     sync.Mutex
-	closed bool
-
-	seq       atomic.Uint64 // round-robin partition cursor
-	queued    atomic.Int64
 	running   atomic.Int64
 	done      atomic.Int64
 	failed    atomic.Int64
-	steals    []atomic.Int64 // per stealing node
 	pulled    []atomic.Int64 // jobs executed per node
-	rehomed   []atomic.Int64 // jobs re-homed off each node (queued + in-flight)
+	rehomed   []atomic.Int64 // in-flight jobs re-homed off each node
 	spanDrops []atomic.Int64 // worker-side trace span drops per node
 	evictions atomic.Int64
 	start     time.Time
@@ -299,10 +296,8 @@ func NewWithNodes(nodes []Node, queueDepth int) *Cluster {
 	}
 	c := &Cluster{
 		nodes:     nodes,
-		q:         newQueue(len(nodes)),
-		slots:     make(chan struct{}, queueDepth),
+		q:         newQueue(len(nodes), queueDepth),
 		traces:    trace.Default(),
-		steals:    make([]atomic.Int64, len(nodes)),
 		pulled:    make([]atomic.Int64, len(nodes)),
 		rehomed:   make([]atomic.Int64, len(nodes)),
 		spanDrops: make([]atomic.Int64, len(nodes)),
@@ -326,30 +321,25 @@ func NewWithNodes(nodes []Node, queueDepth int) *Cluster {
 	return c
 }
 
-// Evict removes node id from live service: its partition stops accepting
-// placements, its queued jobs re-enter sibling partitions, and its pullers
-// exit once their in-flight calls resolve (a dead remote node resolves them
-// with ErrNodeDown, which re-homes the jobs too). With no live sibling the
-// queued jobs are delivered as ErrNoNodes failures. Idempotent; normally
-// driven by a remote node's death notification, but callable directly to
-// drain a node administratively.
+// Evict removes node id from live service: its pullers exit once their
+// in-flight calls resolve (a dead remote node resolves them with
+// ErrNodeDown, which puts the jobs back on the queue), and the live nodes'
+// pullers take what is queued. Evicting the last live node delivers the
+// queued jobs as ErrNoNodes failures. Idempotent; normally driven by a
+// remote node's death notification, but callable directly to drain a node
+// administratively.
 func (c *Cluster) Evict(id int) {
 	if id < 0 || id >= len(c.nodes) {
 		return
 	}
-	moved, stranded := c.q.evictPartition(id)
-	if moved < 0 {
+	ok, stranded := c.q.evict(id)
+	if !ok {
 		return // already evicted
 	}
 	c.evictions.Add(1)
-	c.rehomed[id].Add(int64(moved))
 	// Stranded failures surface before the node close, which may block
 	// draining the dead node's in-flight work.
 	for _, it := range stranded {
-		c.queued.Add(-1)
-		if !it.rehomed {
-			<-c.slots
-		}
 		c.failed.Add(1)
 		if it.deliver != nil {
 			it.deliver(Result{Job: it.job, Worker: -1,
@@ -362,7 +352,8 @@ func (c *Cluster) Evict(id int) {
 // Evictions reports how many nodes have been evicted.
 func (c *Cluster) Evictions() int64 { return c.evictions.Load() }
 
-// Rehomed reports how many jobs have been re-homed off node id.
+// Rehomed reports how many in-flight jobs were re-homed off node id because
+// its transport died under them.
 func (c *Cluster) Rehomed(id int) int64 { return c.rehomed[id].Load() }
 
 // sweepTrace resolves a traced job's server-side span buffer; nil for
@@ -378,32 +369,16 @@ func (c *Cluster) sweepTrace(job Job) *trace.SweepTrace {
 	return nil
 }
 
-// puller is one node execution slot: pop (home first, then steal), run on
-// the owning node, deliver — or re-home when the node died under the job.
+// puller is one node execution slot: pop the oldest job, run it on the
+// owning node, deliver — or re-home it when the node died under the job.
 func (c *Cluster) puller(n Node, slot int) {
 	defer c.wg.Done()
 	for {
-		it, from, ok := c.q.pop(n.ID())
+		it, ok := c.q.pop(n.ID())
 		if !ok {
 			return
 		}
-		if !it.rehomed {
-			<-c.slots
-		}
-		c.queued.Add(-1)
 		tr := c.sweepTrace(it.job)
-		if from != n.ID() {
-			c.steals[n.ID()].Add(1)
-			if tr != nil {
-				// Steals are instants: the interesting fact is that the job
-				// changed hands, not how long the handoff took.
-				tr.Record(it.job.Trace.Job, it.job.Trace.Parent, "steal", "sched",
-					time.Now(), 0, map[string]string{
-						"thief":  strconv.Itoa(n.ID()),
-						"victim": strconv.Itoa(from),
-					})
-			}
-		}
 		c.pulled[n.ID()].Add(1)
 		if it.started != nil {
 			it.started()
@@ -429,11 +404,10 @@ func (c *Cluster) puller(n Node, slot int) {
 			// deterministic function of the job, so re-execution elsewhere
 			// produces the identical result, and the WAL absorbs any
 			// replayed row idempotently keyed on (sweep, index).
-			it.rehomed = true
 			if it.job.Trace != nil {
 				// Bump the attempt on a fresh context copy so the job's next
-				// home records spans under the new attempt number (the item
-				// may be shared-read by metrics snapshots, never mutated).
+				// home records spans under the new attempt number, leaving
+				// the submitter's context untouched.
 				tc := *it.job.Trace
 				tc.Attempt++
 				it.job.Trace = &tc
@@ -445,7 +419,7 @@ func (c *Cluster) puller(n Node, slot int) {
 						})
 				}
 			}
-			if c.requeue(it) {
+			if c.q.requeue(it) {
 				c.rehomed[n.ID()].Add(1)
 				continue
 			}
@@ -464,75 +438,16 @@ func (c *Cluster) puller(n Node, slot int) {
 	}
 }
 
-// requeue places a re-homed item onto a live partition round-robin; false
-// when every partition has been evicted. The cursor is drawn once and the
-// scan offsets from it locally — drawing per iteration would let concurrent
-// placements advance the shared cursor between draws, revisiting an evicted
-// partition while never trying a live one.
-func (c *Cluster) requeue(it item) bool {
-	base := int(c.seq.Add(1) - 1)
-	for i := 0; i < len(c.nodes); i++ {
-		part := (base + i) % len(c.nodes)
-		if c.q.push(part, it) {
-			c.queued.Add(1)
-			return true
-		}
-	}
-	return false
-}
-
-// Start enqueues one job, blocking while the cluster-wide queue is full and
-// aborting on ctx; it returns ErrClosed after Close. deliver is called
-// exactly once, from a puller goroutine, with the job's terminal Result —
-// including failure and cancellation; started, if non-nil, fires when the
-// job leaves the queue for a node.
+// Start enqueues one job, blocking while the queue is full and aborting on
+// ctx; it returns ErrClosed after Close, and ErrNoNodes once every node has
+// been evicted. deliver is called exactly once, from a puller goroutine,
+// with the job's terminal Result — including failure and cancellation;
+// started, if non-nil, fires when the job leaves the queue for a node.
 func (c *Cluster) Start(ctx context.Context, job Job, started func(), deliver func(Result)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	select {
-	case c.slots <- struct{}{}:
-	default:
-		// Full: wait outside the close lock so Close can't deadlock on us.
-		c.mu.Unlock()
-		select {
-		case c.slots <- struct{}{}:
-			c.mu.Lock()
-			if c.closed {
-				c.mu.Unlock()
-				<-c.slots
-				return ErrClosed
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	// Round-robin over live partitions: push refuses evicted ones, so scan
-	// from a single cursor draw until a placement sticks (one draw per scan,
-	// same reasoning as requeue). Every partition evicted means the cluster
-	// has no execution substrate left.
-	placed := false
-	base := int(c.seq.Add(1) - 1)
-	for i := 0; i < len(c.nodes); i++ {
-		part := (base + i) % len(c.nodes)
-		if c.q.push(part, item{job: job, ctx: ctx, started: started, deliver: deliver}) {
-			placed = true
-			break
-		}
-	}
-	if !placed {
-		c.mu.Unlock()
-		<-c.slots // release the admission token
-		return ErrNoNodes
-	}
-	c.queued.Add(1)
-	c.mu.Unlock()
-	return nil
+	return c.q.push(ctx, item{job: job, ctx: ctx, started: started, deliver: deliver})
 }
 
 // RunSweep fans the jobs out and blocks until every one has a result. The
@@ -571,9 +486,6 @@ func (c *Cluster) Workers() int {
 // Nodes reports the node count.
 func (c *Cluster) Nodes() int { return len(c.nodes) }
 
-// Steals reports how many jobs node id has stolen from sibling partitions.
-func (c *Cluster) Steals(id int) int64 { return c.steals[id].Load() }
-
 // NodeInfos is the GET /v1/nodes federation: one row per node with the
 // cluster's work accounting, plus transport health and identity for nodes
 // that can report them (remote nodes).
@@ -581,15 +493,13 @@ func (c *Cluster) NodeInfos() []NodeInfo {
 	infos := make([]NodeInfo, len(c.nodes))
 	for i, n := range c.nodes {
 		info := NodeInfo{
-			ID:         i,
-			Kind:       "local",
-			Workers:    n.Workers(),
-			Up:         true,
-			QueueDepth: int64(c.q.depth(i)),
-			Jobs:       c.pulled[i].Load(),
-			Steals:     c.steals[i].Load(),
-			Rehomed:    c.rehomed[i].Load(),
-			SpanDrops:  c.spanDrops[i].Load(),
+			ID:        i,
+			Kind:      "local",
+			Workers:   n.Workers(),
+			Up:        true,
+			Jobs:      c.pulled[i].Load(),
+			Rehomed:   c.rehomed[i].Load(),
+			SpanDrops: c.spanDrops[i].Load(),
 		}
 		if hr, ok := n.(healthReporter); ok {
 			h := hr.Health()
@@ -612,14 +522,9 @@ func (c *Cluster) NodeInfos() []NodeInfo {
 // Close stops intake, drains queued jobs, waits for the pullers, and shuts
 // the nodes down.
 func (c *Cluster) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if !c.q.close() {
 		return
 	}
-	c.closed = true
-	c.mu.Unlock()
-	c.q.close()
 	c.wg.Wait()
 	for _, n := range c.nodes {
 		n.Close()
@@ -640,13 +545,9 @@ func (c *Cluster) Stats() Stats {
 	if w := c.Workers(); w > 0 && elapsed > 0 {
 		util = float64(c.busy.Load()) / (float64(elapsed) * float64(w))
 	}
-	queued := c.queued.Load()
-	if queued < 0 {
-		queued = 0
-	}
 	return Stats{
 		Workers:     c.Workers(),
-		Queued:      queued,
+		Queued:      int64(c.q.len()),
 		Running:     c.running.Load(),
 		Done:        c.done.Load(),
 		Failed:      c.failed.Load(),
@@ -658,16 +559,16 @@ func (c *Cluster) Stats() Stats {
 }
 
 // RegisterMetrics exposes the cluster's live counters on an obs registry:
-// the greenweb_fleet_* family, per-node steal and job counters, and
-// per-partition queue depths (greenweb_shard_*). Values are read at scrape
-// time — no shadow counters to keep in sync. Register on a per-server
+// the greenweb_fleet_* family, plus per-node job, re-home and span-drop
+// counters and remote transport health (greenweb_shard_*). Values are read
+// at scrape time — no shadow counters to keep in sync. Register on a per-server
 // registry (not obs.Default) so multiple clusters in one process (tests) do
 // not fight over sources.
 func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("greenweb_fleet_workers",
 		"Total execution slots across all nodes", func() float64 { return float64(c.Workers()) })
 	reg.GaugeFunc("greenweb_fleet_queue_depth",
-		"Jobs waiting across all partitions", func() float64 { return float64(c.Stats().Queued) })
+		"Jobs waiting in the queue", func() float64 { return float64(c.q.len()) })
 	reg.GaugeFunc("greenweb_fleet_running_jobs",
 		"Jobs executing right now", func() float64 { return float64(c.running.Load()) })
 	reg.CounterFunc("greenweb_fleet_jobs_done_total",
@@ -685,22 +586,16 @@ func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
 
 	reg.GaugeFunc("greenweb_shard_nodes", "Nodes in the cluster",
 		func() float64 { return float64(len(c.nodes)) })
-	stealVec := reg.CounterVec("greenweb_shard_steals_total",
-		"Jobs a node stole from sibling partitions", "node")
 	jobsVec := reg.CounterVec("greenweb_shard_node_jobs_total",
-		"Jobs executed per node (home pops + steals)", "node")
-	depthVec := reg.GaugeVec("greenweb_shard_partition_depth",
-		"Jobs waiting in each partition", "partition")
+		"Jobs executed per node", "node")
 	rehomeVec := reg.CounterVec("greenweb_shard_rehomed_jobs_total",
-		"Jobs re-homed off each node (queued at eviction plus in-flight at death)", "node")
+		"In-flight jobs re-homed off each node after its transport died", "node")
 	dropVec := reg.CounterVec("greenweb_shard_span_drops_total",
 		"Trace spans each node's jobs dropped to budget pressure", "node")
 	for i := range c.nodes {
 		i := i
 		label := strconv.Itoa(i)
-		stealVec.Func(func() float64 { return float64(c.steals[i].Load()) }, label)
 		jobsVec.Func(func() float64 { return float64(c.pulled[i].Load()) }, label)
-		depthVec.Func(func() float64 { return float64(c.q.depth(i)) }, label)
 		rehomeVec.Func(func() float64 { return float64(c.rehomed[i].Load()) }, label)
 		dropVec.Func(func() float64 { return float64(c.spanDrops[i].Load()) }, label)
 	}

@@ -6,8 +6,8 @@
 // The scheduler provides the guarantees a sweep needs to be both fast and
 // trustworthy:
 //
-//   - a bounded, partitioned job queue with work stealing (Start blocks
-//     when full);
+//   - one bounded FIFO job queue that every node's workers share (Start
+//     blocks when full, and a free worker always takes the oldest job);
 //   - per-job timeout and cancellation via context.Context, checked at
 //     simulation-chunk granularity inside the harness;
 //   - panic recovery and a retry and quarantine ladder, converting a
@@ -20,7 +20,7 @@
 // Nodes are in-process LocalNodes (New) or any other Node implementation
 // (NewWithNodes); internal/shard supplies the remote one. On top of the
 // cluster, Manager tracks named sweeps for the cmd/greensrv job server
-// (sharded registry, per-job completion signals for NDJSON result
+// (an ID registry, per-job completion signals for NDJSON result
 // streaming), and SuiteRunner plugs the cluster into harness.Suite so the
 // figure/table generators prefetch their working set concurrently.
 package fleet
@@ -186,7 +186,7 @@ type Options struct {
 	// Workers is each node's concurrent simulated devices; 0 →
 	// max(1, GOMAXPROCS/Nodes).
 	Workers int
-	// QueueDepth bounds the jobs queued across all partitions; 0 → 4× the
+	// QueueDepth bounds the jobs waiting in the cluster's queue; 0 → 4× the
 	// total workers. Start blocks while the queue is full (admission control
 	// reads this backpressure).
 	QueueDepth int

@@ -28,8 +28,8 @@ func TestServerRejectsNonJSONContentType(t *testing.T) {
 		if status != http.StatusUnsupportedMediaType {
 			t.Fatalf("Content-Type %q: status = %d, want 415", ct, status)
 		}
-		if payload["error"] == "" {
-			t.Fatalf("Content-Type %q: missing JSON error body", ct)
+		if payload["error"] == "" || payload["code"] != CodeUnsupportedMediaType {
+			t.Fatalf("Content-Type %q: body %v, want a JSON error with code %q", ct, payload, CodeUnsupportedMediaType)
 		}
 	}
 	// Parameterized and case-varied JSON media types pass.
@@ -65,8 +65,8 @@ func TestServerRejectsOversizedBody(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Fatalf("oversized body: status = %d, want 400", status)
 	}
-	if !strings.Contains(payload["error"], "exceeds") {
-		t.Fatalf("oversized body: error = %q, want the limit named", payload["error"])
+	if !strings.Contains(payload["error"], "exceeds") || payload["code"] != CodeInvalidRequest {
+		t.Fatalf("oversized body: %v, want the limit named with code %q", payload, CodeInvalidRequest)
 	}
 }
 
@@ -86,6 +86,9 @@ func TestServerRejectsInvalidFaultSpec(t *testing.T) {
 		}
 		if !strings.Contains(payload["error"], "faults:") && !strings.Contains(payload["error"], "thermal") {
 			t.Fatalf("body %s: error = %q, want a fault-spec validation error", body, payload["error"])
+		}
+		if payload["code"] != CodeInvalidRequest {
+			t.Fatalf("body %s: code = %q, want %q", body, payload["code"], CodeInvalidRequest)
 		}
 	}
 	// A valid spec is accepted and reaches the jobs.

@@ -221,19 +221,21 @@ const maxSweepRequestBytes = 1 << 20
 //	GET  /v1/sweeps/{id}/events  NDJSON per-frame decision log, streamed per job
 //	GET  /v1/sweeps/{id}/trace   Chrome trace-event JSON of the whole sweep
 //	                             (?fleet=1 serves the distributed fleet trace:
-//	                             admission/queue/steal/re-home/retry/execute
+//	                             admission/queue/dispatch/re-home/retry/execute
 //	                             spans merged across server and worker
 //	                             processes, clock-aligned)
-//	GET  /v1/nodes               per-node liveness, heartbeat RTT, queue depth,
-//	                             and span-drop federation
+//	GET  /v1/nodes               per-node liveness, heartbeat RTT, job and
+//	                             span-drop federation
 //	GET  /healthz                liveness (503 while draining)
 //	GET  /metrics                Prometheus text exposition
 //	GET  /debug/pprof/           net/http/pprof profiles
 //
-// Method mismatches answer 405 (ServeMux method patterns); unknown sweep
-// IDs answer 404. Trace and event endpoints on a WAL-replayed sweep answer
-// 404 with a machine-parsable body {"error":..., "code":"replayed_no_trace"}
-// — the replayed store keeps result rows, not the observability overlay.
+// Method mismatches answer 405 (ServeMux method patterns). Every other
+// error is a JSON body {"error":..., "code":...} whose code is one of the
+// Code constants: an unknown sweep ID answers unknown_sweep (404), and the
+// trace and event endpoints of a WAL-replayed sweep answer
+// replayed_no_trace (404) — the replayed store keeps result rows, not the
+// observability overlay.
 type Server struct {
 	m        *Manager
 	mux      *http.ServeMux
@@ -333,7 +335,7 @@ func NewServer(m *Manager) *Server {
 		if ct := r.Header.Get("Content-Type"); ct != "" {
 			mt, _, _ := strings.Cut(ct, ";")
 			if !strings.EqualFold(strings.TrimSpace(mt), "application/json") {
-				httpError(w, http.StatusUnsupportedMediaType,
+				httpError(w, http.StatusUnsupportedMediaType, CodeUnsupportedMediaType,
 					fmt.Errorf("content type %q not supported; use application/json", ct))
 				return
 			}
@@ -343,22 +345,22 @@ func NewServer(m *Manager) *Server {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
-				httpError(w, http.StatusBadRequest,
+				httpError(w, http.StatusBadRequest, CodeInvalidRequest,
 					fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
 				return
 			}
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+			httpError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("decoding request: %w", err))
 			return
 		}
 		jobs, err := req.Jobs()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			httpError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 			return
 		}
 		admitted := time.Now()
 		s, err := m.Enqueue(jobs)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			httpError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 			return
 		}
 		// Sweep-level admission span (job -1 → the trace's "sweep" lane):
@@ -385,7 +387,7 @@ func NewServer(m *Manager) *Server {
 				writeJSON(w, http.StatusOK, st)
 				return
 			}
-			httpError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
+			httpError(w, http.StatusNotFound, CodeUnknownSweep, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
 			return
 		}
 		writeJSON(w, http.StatusOK, s.Status())
@@ -426,7 +428,7 @@ func NewServer(m *Manager) *Server {
 				}
 				return
 			}
-			httpError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
+			httpError(w, http.StatusNotFound, CodeUnknownSweep, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -457,11 +459,11 @@ func NewServer(m *Manager) *Server {
 		s, ok := m.Get(SweepID(r.PathValue("id")))
 		if !ok {
 			if _, stored := m.StoredRows(SweepID(r.PathValue("id"))); stored {
-				httpErrorCode(w, http.StatusNotFound, CodeReplayedNoTrace, fmt.Errorf(
+				httpError(w, http.StatusNotFound, CodeReplayedNoTrace, fmt.Errorf(
 					"sweep %q was replayed from the store; decision events are not persisted", r.PathValue("id")))
 				return
 			}
-			httpError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
+			httpError(w, http.StatusNotFound, CodeUnknownSweep, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -494,21 +496,21 @@ func NewServer(m *Manager) *Server {
 		s, ok := m.Get(SweepID(r.PathValue("id")))
 		if !ok {
 			if _, stored := m.StoredRows(SweepID(r.PathValue("id"))); stored {
-				httpErrorCode(w, http.StatusNotFound, CodeReplayedNoTrace, fmt.Errorf(
+				httpError(w, http.StatusNotFound, CodeReplayedNoTrace, fmt.Errorf(
 					"sweep %q was replayed from the store; trace spans are not persisted", r.PathValue("id")))
 				return
 			}
-			httpError(w, http.StatusNotFound, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
+			httpError(w, http.StatusNotFound, CodeUnknownSweep, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
 			return
 		}
 		// ?fleet=1 serves the distributed trace: the server's merged span
-		// buffer (admission, queue-wait, steal, re-home, dispatch) plus
+		// buffer (admission, queue-wait, dispatch, re-home) plus
 		// every worker's shipped spans, clock-aligned, one Chrome trace
 		// process row per real OS process.
 		if r.URL.Query().Get("fleet") == "1" {
 			tr, ok := m.Traces().Get(string(s.ID))
 			if !ok {
-				httpErrorCode(w, http.StatusNotFound, CodeNoFleetTrace, fmt.Errorf(
+				httpError(w, http.StatusNotFound, CodeNoFleetTrace, fmt.Errorf(
 					"sweep %q has no fleet trace (tracing disabled, -no-obs, or the buffer was evicted)", s.ID))
 				return
 			}
@@ -562,24 +564,28 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// Machine-parsable error codes for observability endpoints (distinct from
-// the admission rejection codes, which carry retry hints).
+// Error codes. Every JSON error body the server sends carries one, so a
+// client branches on the code, never on the prose; the admission
+// rejections (draining, rate_limited, queue_full) add retry hints.
 const (
-	// CodeReplayedNoTrace: the sweep exists but was replayed from the WAL,
-	// which persists result rows, not the trace/event overlay.
+	CodeDraining    = "draining"     // 503: shutting down, no new sweeps
+	CodeRateLimited = "rate_limited" // 429: the client's token bucket is dry
+	CodeQueueFull   = "queue_full"   // 429: the job queue is past the admission ceiling
+	// CodeInvalidRequest (400): the sweep request is oversized, is not valid
+	// JSON, or names an unknown app, kind or phase, a negative repeat
+	// count, an out-of-range stage-worker count or an invalid fault spec.
+	CodeInvalidRequest       = "invalid_request"
+	CodeUnsupportedMediaType = "unsupported_media_type" // 415: the body is not application/json
+	CodeUnknownSweep         = "unknown_sweep"          // 404: no live or stored sweep has the id
+	// CodeReplayedNoTrace (404): the sweep exists but was replayed from the
+	// WAL, which persists result rows, not the trace/event overlay.
 	CodeReplayedNoTrace = "replayed_no_trace"
-	// CodeNoFleetTrace: the sweep ran without fleet tracing (disabled, or
-	// -no-obs) or its span buffer aged out of the collector.
+	// CodeNoFleetTrace (404): the sweep ran without fleet tracing (disabled,
+	// or -no-obs) or its span buffer aged out of the collector.
 	CodeNoFleetTrace = "no_fleet_trace"
 )
 
-// httpErrorCode is httpError with a stable machine-parsable code field, so
-// clients distinguish "replayed, observability gone" from "never existed"
-// without parsing prose.
-func httpErrorCode(w http.ResponseWriter, status int, code string, err error) {
+// httpError sends a JSON error body carrying its code.
+func httpError(w http.ResponseWriter, status int, code string, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error(), "code": code})
 }

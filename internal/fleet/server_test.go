@@ -196,11 +196,14 @@ func TestServerValidationErrors(t *testing.T) {
 		}
 		var errBody struct {
 			Error string `json:"error"`
+			Code  string `json:"code"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&errBody); err != nil {
 			t.Errorf("POST %s: body is not a JSON error object: %v", body, err)
 		} else if errBody.Error == "" {
 			t.Errorf("POST %s: error body has no message", body)
+		} else if errBody.Code != CodeInvalidRequest {
+			t.Errorf("POST %s: code = %q, want %q", body, errBody.Code, CodeInvalidRequest)
 		}
 		resp.Body.Close()
 	}
@@ -293,14 +296,19 @@ func TestServerTraceEndpoint(t *testing.T) {
 func TestServerNotFoundAndMethodNotAllowed(t *testing.T) {
 	srv, _ := newTestServer(t, Options{Workers: 1})
 
-	for _, path := range []string{"/v1/sweeps/s-999999", "/v1/sweeps/s-999999/results"} {
+	for _, path := range []string{"/v1/sweeps/s-999999", "/v1/sweeps/s-999999/results",
+		"/v1/sweeps/s-999999/events", "/v1/sweeps/s-999999/trace"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var errBody struct {
+			Code string `json:"code"`
+		}
+		json.NewDecoder(resp.Body).Decode(&errBody)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
+		if resp.StatusCode != http.StatusNotFound || errBody.Code != CodeUnknownSweep {
+			t.Errorf("GET %s = %d code %q, want 404 %q", path, resp.StatusCode, errBody.Code, CodeUnknownSweep)
 		}
 	}
 	resp, err := http.Get(srv.URL + "/v1/sweeps") // only POST is registered

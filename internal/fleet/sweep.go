@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,26 +159,18 @@ func (s *Sweep) Status() SweepStatus {
 	return st
 }
 
-// registryShards spreads sweep lookups across independently locked maps so
-// a busy server's status polls don't serialize on one mutex.
-const registryShards = 16
-
-type registryShard struct {
-	mu     sync.RWMutex
-	sweeps map[SweepID]*Sweep
-}
-
 // Manager owns the cluster-facing sweep lifecycle for the job server: it
 // assigns IDs, submits jobs asynchronously (absorbing queue backpressure
-// off the HTTP handler), resolves IDs through a sharded registry, and —
-// when given a store — persists every finished sweep and replays persisted
-// ones that predate this process.
+// off the HTTP handler), resolves IDs through its registry, and — when
+// given a store — persists every finished sweep and replays persisted ones
+// that predate this process.
 type Manager struct {
 	ctx     context.Context // parents every sweep; server lifetime
 	cluster *Cluster
 	st      *store.Store // nil → in-memory only
 	seq     atomic.Uint64
-	shards  [registryShards]registryShard
+	mu      sync.RWMutex
+	sweeps  map[SweepID]*Sweep // guarded by mu
 	// noTracing disables fleet-wide span recording (greensrv -no-trace).
 	// Zero value = tracing on; the obs gate still applies on top.
 	noTracing atomic.Bool
@@ -200,11 +191,7 @@ func NewManager(ctx context.Context, c *Cluster) *Manager {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	m := &Manager{ctx: ctx, cluster: c}
-	for i := range m.shards {
-		m.shards[i].sweeps = make(map[SweepID]*Sweep)
-	}
-	return m
+	return &Manager{ctx: ctx, cluster: c, sweeps: make(map[SweepID]*Sweep)}
 }
 
 // SetTraceCollector swaps the trace registry that sweeps register in and
@@ -319,18 +306,11 @@ func (m *Manager) StoredRows(id SweepID) ([]json.RawMessage, bool) {
 	return rec.Rows, true
 }
 
-func (m *Manager) shardFor(id SweepID) *registryShard {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return &m.shards[h.Sum32()%registryShards]
-}
-
 // Get resolves a sweep ID.
 func (m *Manager) Get(id SweepID) (*Sweep, bool) {
-	sh := m.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s, ok := sh.sweeps[id]
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	s, ok := m.sweeps[id]
 	return s, ok
 }
 
@@ -365,10 +345,9 @@ func (m *Manager) Enqueue(jobs []Job) (*Sweep, error) {
 	if len(jobs) == 0 {
 		close(s.allDone)
 	}
-	sh := m.shardFor(s.ID)
-	sh.mu.Lock()
-	sh.sweeps[s.ID] = s
-	sh.mu.Unlock()
+	m.mu.Lock()
+	m.sweeps[s.ID] = s
+	m.mu.Unlock()
 
 	if m.st != nil {
 		go m.persist(s)
@@ -469,14 +448,11 @@ func (m *Manager) Counts() (total, finished int) {
 // Sweeps lists all registered sweeps (newest last by ID order not
 // guaranteed; callers sort as needed).
 func (m *Manager) Sweeps() []*Sweep {
-	var out []*Sweep
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.sweeps {
-			out = append(out, s)
-		}
-		sh.mu.RUnlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	out := make([]*Sweep, 0, len(m.sweeps))
+	for _, s := range m.sweeps {
+		out = append(out, s)
 	}
 	return out
 }

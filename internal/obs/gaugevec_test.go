@@ -46,7 +46,7 @@ func TestGaugeVecExposition(t *testing.T) {
 }
 
 // TestCounterVecFuncChildren: counters support the same func-backed children
-// (used for per-node steal counters sourced from atomics).
+// (used for per-node job counters sourced from atomics).
 func TestCounterVecFuncChildren(t *testing.T) {
 	reg := NewRegistry()
 	var steals float64

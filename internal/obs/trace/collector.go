@@ -10,7 +10,7 @@ import (
 )
 
 // SweepTrace is one sweep's merged span buffer on the server: server-side
-// phase spans (admission, queue-wait, steal, re-home, dispatch, merge) are
+// phase spans (admission, queue-wait, dispatch, re-home, the job root) are
 // recorded directly; worker spans are folded in as results arrive. The
 // buffer is bounded; overflow increments the drop counter instead of
 // growing.

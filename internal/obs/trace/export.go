@@ -86,7 +86,7 @@ func WriteFleetTrace(w io.Writer, sweep string, spans []Span, spanDrops int64) e
 	for _, sp := range spans {
 		ph, dur := "X", sp.DurUS
 		if dur <= 0 {
-			// Zero-length phases (steals, re-home markers) render as
+			// Zero-length phases (re-home markers) render as
 			// instants so they stay visible at any zoom.
 			ph, dur = "i", 0
 		}

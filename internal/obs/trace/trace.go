@@ -2,7 +2,7 @@
 // span context propagated with every traced job — through fleet.Job, over
 // the shard wire protocol, into greennode worker processes — and the span
 // records that flow back, so one sweep's full story (HTTP admission, queue
-// wait, steal, re-home, retry, backoff, execution) merges into a single
+// wait, dispatch, re-home, retry, backoff, execution) merges into a single
 // Chrome trace_event artifact regardless of how many processes ran it.
 //
 // Design constraints, matching the rest of internal/obs:
@@ -47,8 +47,8 @@ type Span struct {
 	ID     uint64 `json:"id,omitempty"`
 	Parent uint64 `json:"par,omitempty"`
 	Name   string `json:"name"`
-	// Cat groups spans into phases: queue, steal, re-home, execute,
-	// backoff, admission, merge.
+	// Cat groups spans into phases: admission, queue, sched (dispatch and
+	// re-home), execute, backoff, job.
 	Cat     string `json:"cat,omitempty"`
 	Job     int    `json:"job"`
 	Attempt int    `json:"att,omitempty"`

@@ -184,7 +184,7 @@ func (s *session) fail(reason error) {
 // calls with fleet.ErrNodeDown and entering the reconnect loop — bounded
 // attempts with seeded, jittered exponential backoff. MaxReconnects
 // consecutive failures declare the node dead: OnDead subscribers fire (the
-// cluster evicts the partition) and every future Run fails fast.
+// cluster evicts the node) and every future Run fails fast.
 type RemoteNode struct {
 	id      int
 	opts    RemoteOptions

@@ -12,10 +12,68 @@ import (
 	"time"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
+	"github.com/wattwiseweb/greenweb/internal/faults"
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/harness"
 	"github.com/wattwiseweb/greenweb/internal/obs"
 )
+
+// topologyJobs is a sweep that exercises the paper grid AND the fault
+// machinery: clean cells, thermally capped cells, and storm-doomed cells
+// whose retry/quarantine provenance must survive the wire.
+func topologyJobs() []fleet.Job {
+	doomed := &faults.Spec{
+		Seed:       3,
+		DVFS:       &faults.DVFSSpec{DenyProb: 0.95},
+		StormAbort: 3,
+	}
+	capped := faults.Default(21)
+	var jobs []fleet.Job
+	for _, app := range []string{"MSN", "Todo"} {
+		for _, kind := range []harness.Kind{harness.Perf, harness.GreenWebI} {
+			jobs = append(jobs, fleet.Job{App: app, Kind: kind, Phase: fleet.Full})
+			jobs = append(jobs, fleet.Job{App: app, Kind: kind, Phase: fleet.Full, Faults: capped})
+		}
+		// GreenWeb-I requests frequency switches constantly, so the 0.95
+		// deny probability crosses the storm threshold within a few frames.
+		jobs = append(jobs, fleet.Job{App: app, Kind: harness.GreenWebI, Phase: fleet.Full, Faults: doomed})
+	}
+	// A staged cell: its stage count and per-stage energy must survive the
+	// trip to a remote worker and back.
+	jobs = append(jobs, fleet.Job{App: "Todo", Kind: harness.GreenWebI, Phase: fleet.Full, StageWorkers: 4})
+	return jobs
+}
+
+// render runs the sweep on a cluster, closes it, and returns the
+// deterministic NDJSON.
+func render(t *testing.T, c *fleet.Cluster, jobs []fleet.Job) string {
+	t.Helper()
+	defer c.Close()
+	return ndjson(t, c.RunSweep(context.Background(), jobs))
+}
+
+// reference renders the sweep through one LocalNode's Run in a plain loop —
+// no queue, no pullers — so parity tests compare the cluster against a
+// scheduler-free oracle whose retry and quarantine provenance still comes
+// from the same ladder.
+func reference(t *testing.T, opts fleet.Options, jobs []fleet.Job) string {
+	t.Helper()
+	n := fleet.NewLocalNode(0, opts)
+	res := make([]fleet.Result, len(jobs))
+	for i, j := range jobs {
+		res[i] = n.Run(context.Background(), 0, j)
+	}
+	return ndjson(t, res)
+}
+
+func ndjson(t *testing.T, res []fleet.Result) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := fleet.WriteResults(&buf, res, true); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
 
 // fastRemote is the test timing profile: suspicion and reconnection resolve
 // in milliseconds so failure paths run inside the test budget.
@@ -80,8 +138,9 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 // TestKillMidSweepDeterminism is the acceptance pin: a two-node cluster
 // whose worker is killed mid-sweep (the in-process analogue of kill -9)
 // still streams bytes identical to the pristine sequential reference. Jobs
-// in flight on the dying node come back as ErrNodeDown and re-home; queued
-// jobs move at eviction; both re-execute deterministically elsewhere.
+// in flight on the dying node come back as ErrNodeDown and re-home onto the
+// shared queue, where the live node takes them and every still-queued job;
+// all re-execute deterministically.
 func TestKillMidSweepDeterminism(t *testing.T) {
 	exec := func(ctx context.Context, j fleet.Job) (*harness.Run, error) {
 		select {
