@@ -2,10 +2,9 @@
 // evaluation section against the simulated substrate and prints a plain-
 // text report (the data recorded in EXPERIMENTS.md).
 //
-// The experiment cells run through a one-node internal/fleet cluster — one
-// isolated simulated device per job, fanned across the CPUs — and merge
-// deterministically, so the report bytes match the sequential path at any
-// worker count.
+// The report's cells run -workers at a time (0 = GOMAXPROCS, 1 =
+// sequential), each on an isolated simulated device, and merge
+// deterministically, so the report bytes are the same at any worker count.
 //
 // With -trace, greenbench instead runs a single (app, governor) cell and
 // writes its per-frame/per-event energy-attribution timeline as Chrome
@@ -34,7 +33,7 @@
 //
 // Usage:
 //
-//	greenbench [-o report.txt] [-workers N] [-seq] [-stage-workers N] [-no-obs]
+//	greenbench [-o report.txt] [-workers N] [-stage-workers N] [-no-obs]
 //	greenbench [-cpuprofile cpu.pb] [-memprofile mem.pb] ...
 //	greenbench -faults default|JSON|@file [-fault-seed S] [-o rows.ndjson]
 //	greenbench -trace out.json [-trace-app NAME] [-trace-kind KIND]
@@ -68,8 +67,7 @@ func main() {
 // before the process exits (os.Exit skips defers when called directly).
 func run() int {
 	out := flag.String("o", "", "write the report to a file instead of stdout")
-	workers := flag.Int("workers", 0, "fleet worker count (0 = GOMAXPROCS)")
-	seq := flag.Bool("seq", false, "bypass the fleet and compute every cell sequentially")
+	workers := flag.Int("workers", 0, "executions run at once (0 = GOMAXPROCS, 1 = sequential)")
 	trace := flag.String("trace", "", "write a Chrome trace-event JSON for one run and exit (skips the report)")
 	traceApp := flag.String("trace-app", "", "application for -trace (default: first catalog app)")
 	traceKind := flag.String("trace-kind", string(harness.GreenWebU), "governor kind for -trace")
@@ -155,11 +153,7 @@ func run() int {
 
 	suite := harness.NewSuite()
 	suite.SetStageWorkers(*stageWorkers)
-	if !*seq {
-		c := fleet.New(fleet.Options{Workers: *workers})
-		defer c.Close()
-		suite.SetPrefetcher(fleet.NewSuiteRunner(context.Background(), c))
-	}
+	suite.SetWorkers(*workers)
 	if err := harness.RenderAll(w, suite); err != nil {
 		fmt.Fprintln(os.Stderr, "greenbench:", err)
 		return 1

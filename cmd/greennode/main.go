@@ -31,6 +31,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -41,7 +42,6 @@ import (
 
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/obs"
-	"github.com/wattwiseweb/greenweb/internal/obs/slog"
 	"github.com/wattwiseweb/greenweb/internal/shard"
 )
 
@@ -59,13 +59,12 @@ func main() {
 	noObs := flag.Bool("no-obs", false, "disable decision recording and tracing (outputs must be byte-identical either way)")
 	flag.Parse()
 
-	log := slog.New("greennode")
-	lvl, err := slog.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "greennode:", err)
+	var lvl slog.Level
+	if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
+		fmt.Fprintln(os.Stderr, "greennode: -log-level:", err)
 		os.Exit(1)
 	}
-	slog.SetLevel(lvl)
+	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})).With("comp", "greennode")
 
 	if *workers < 0 {
 		fmt.Fprintln(os.Stderr, "greennode: -workers must be >= 0 (0 = GOMAXPROCS)")

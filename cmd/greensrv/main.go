@@ -14,7 +14,7 @@
 //	         [-store DIR] [-store-compact BYTES]
 //	         [-admit-queue N] [-admit-rate R] [-admit-burst B]
 //	         [-read-header-timeout 10s] [-log-level LEVEL]
-//	         [-no-obs] [-no-trace] [-drain-timeout 30s] [-obs-dump FILE]
+//	         [-no-obs] [-drain-timeout 30s] [-obs-dump FILE]
 //
 // With -remote-nodes the cluster's nodes are greennode worker processes
 // reached over TCP instead of in-process nodes: jobs ship as length-prefixed
@@ -52,6 +52,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -61,7 +62,6 @@ import (
 
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/obs"
-	"github.com/wattwiseweb/greenweb/internal/obs/slog"
 	"github.com/wattwiseweb/greenweb/internal/shard"
 	"github.com/wattwiseweb/greenweb/internal/store"
 )
@@ -85,7 +85,6 @@ func main() {
 	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "cap on reading a request's headers (slowloris guard)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	noObs := flag.Bool("no-obs", false, "disable decision recording and tracing (outputs must be byte-identical either way)")
-	noTrace := flag.Bool("no-trace", false, "disable fleet-level distributed tracing only (sweep bytes are identical either way)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight sweeps on SIGINT/SIGTERM before cancellation")
 	obsDump := flag.String("obs-dump", "", "file for the final metrics snapshot on shutdown (default stderr)")
 	flag.Parse()
@@ -98,12 +97,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "greensrv:", msg)
 		os.Exit(1)
 	}
-	log := slog.New("greensrv")
-	lvl, lvlErr := slog.ParseLevel(*logLevel)
-	if lvlErr != nil {
-		fail(lvlErr.Error())
+	var lvl slog.Level
+	if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
+		fail("-log-level: " + err.Error())
 	}
-	slog.SetLevel(lvl)
+	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})).With("comp", "greensrv")
 	switch {
 	case *nodes < 1:
 		fail("-nodes must be >= 1")
@@ -159,9 +157,6 @@ func main() {
 		})
 	}
 	manager := fleet.NewManager(baseCtx, cluster)
-	if *noTrace {
-		manager.SetTracing(false)
-	}
 
 	var st *store.Store
 	if *storeDir != "" {

@@ -304,10 +304,12 @@ func NewWithNodes(nodes []Node, queueDepth int) *Cluster {
 		start:     time.Now(),
 		hist:      obs.NewLatencyHistogram(),
 	}
+	slot := 0
 	for _, n := range nodes {
 		for w := 0; w < n.Workers(); w++ {
 			c.wg.Add(1)
-			go c.puller(n, n.ID()*n.Workers()+w)
+			go c.puller(n, slot)
+			slot++
 		}
 	}
 	// Nodes that can report their own death (a remote node after heartbeat

@@ -149,6 +149,39 @@ func TestClusterServesOldestFirst(t *testing.T) {
 	}
 }
 
+// TestClusterSlotsDistinctAcrossUnevenNodes: with a 2-wide and a 1-wide
+// node, each puller reports its own slot, so every held job names a
+// different one.
+func TestClusterSlotsDistinctAcrossUnevenNodes(t *testing.T) {
+	started := make(chan Job, 3)
+	release := make(chan struct{})
+	exec := fakeExec(started, release)
+	c := NewWithNodes([]Node{
+		NewLocalNode(0, Options{Workers: 2, Execute: exec}),
+		NewLocalNode(1, Options{Workers: 1, Execute: exec}),
+	}, 0)
+	defer c.Close()
+	done := make(chan []Result, 1)
+	go func() { done <- c.RunSweep(context.Background(), make([]Job, 3)) }()
+	// Each started job holds its puller, so three starts are three slots.
+	for i := 0; i < 3; i++ {
+		select {
+		case <-started:
+		case <-time.After(5 * time.Second):
+			close(release)
+			t.Fatal("fewer than three jobs started")
+		}
+	}
+	close(release)
+	seen := map[int]bool{}
+	for _, r := range <-done {
+		seen[r.Worker] = true
+	}
+	if len(seen) != 3 || !seen[0] || !seen[1] || !seen[2] {
+		t.Fatalf("held jobs ran on slots %v, want {0, 1, 2}", seen)
+	}
+}
+
 // TestClusterBackpressureAndClose: a full cluster queue blocks Start until
 // ctx cancels; Close rejects further submissions and drains what is queued.
 func TestClusterBackpressureAndClose(t *testing.T) {

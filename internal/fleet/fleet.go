@@ -14,15 +14,15 @@
 //     crashed cell into a failed-job Result instead of killing the sweep;
 //   - a deterministic merge: RunSweep returns results in submission order
 //     regardless of completion order or of which node ran a job, and every
-//     cell executes with harness.ExecuteCell semantics on a private device,
-//     so aggregated output is byte-identical to the sequential harness path.
+//     cell executes through harness.ExecuteCell on a private device, so
+//     aggregated output is byte-identical at any topology.
 //
 // Nodes are in-process LocalNodes (New) or any other Node implementation
 // (NewWithNodes); internal/shard supplies the remote one. On top of the
 // cluster, Manager tracks named sweeps for the cmd/greensrv job server
 // (an ID registry, per-job completion signals for NDJSON result
-// streaming), and SuiteRunner plugs the cluster into harness.Suite so the
-// figure/table generators prefetch their working set concurrently.
+// streaming). The evaluation report does not use the fleet: harness.Suite
+// computes its cells on its own workers.
 package fleet
 
 import (
@@ -107,25 +107,15 @@ func (j Job) Validate() error {
 	return nil
 }
 
-// execute runs the cell on a fresh simulated device. Default repeats follow
-// the suite's protocol exactly (see harness.ExecuteCell), so a fleet result
-// is interchangeable with a sequentially computed one.
+// execute runs the cell on a fresh simulated device through
+// harness.ExecuteCell, the one place the measurement protocol is decided.
 func (j Job) execute(ctx context.Context) (*harness.Run, error) {
 	app, ok := apps.ByName(j.App)
 	if !ok {
 		return nil, fmt.Errorf("fleet: unknown app %q", j.App)
 	}
-	trace, repeats := app.Micro, harness.MicroRepeats
-	if j.Phase == Full {
-		trace, repeats = app.Full, 1
-	}
-	if j.Repeats > 0 {
-		repeats = j.Repeats
-	}
-	if j.StageWorkers > 0 {
-		ctx = harness.WithStageWorkers(ctx, j.StageWorkers)
-	}
-	return harness.ExecuteFaultedRepeatedContext(ctx, app, j.Kind, trace, repeats, j.Faults)
+	return harness.ExecuteCell(ctx, harness.Cell{App: app, Kind: j.Kind, Full: j.Phase == Full,
+		Repeats: j.Repeats, Faults: j.Faults, StageWorkers: j.StageWorkers})
 }
 
 // State is a job's lifecycle position.

@@ -212,29 +212,6 @@ func TestParallelSweepMatchesSequentialByteForByte(t *testing.T) {
 	}
 }
 
-// TestFleetReportMatchesSequentialReport renders the complete evaluation
-// report twice — sequential suite vs fleet-prefetched suite — and requires
-// identical bytes, the whole-pipeline determinism guarantee cmd/greenbench
-// relies on.
-func TestFleetReportMatchesSequentialReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full report render in -short mode")
-	}
-	var seq strings.Builder
-	if err := harness.RenderAll(&seq, harness.NewSuite()); err != nil {
-		t.Fatal(err)
-	}
-	p := New(Options{Workers: 4})
-	defer p.Close()
-	var par strings.Builder
-	if err := harness.RenderAll(&par, NewSuite(context.Background(), p)); err != nil {
-		t.Fatal(err)
-	}
-	if seq.String() != par.String() {
-		t.Fatal("fleet-backed report differs from sequential report")
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	p := New(Options{Workers: 2})
 	defer p.Close()

@@ -20,8 +20,14 @@ import (
 
 func newTestServer(t *testing.T, opts Options) (*httptest.Server, *Manager) {
 	t.Helper()
+	return newTestServerCtx(t, context.Background(), opts)
+}
+
+// newTestServerCtx is newTestServer with ctx as the manager's base context.
+func newTestServerCtx(t *testing.T, ctx context.Context, opts Options) (*httptest.Server, *Manager) {
+	t.Helper()
 	cluster := New(opts)
-	m := NewManager(context.Background(), cluster)
+	m := NewManager(ctx, cluster)
 	// Isolated trace registry: managers share per-manager sequential sweep
 	// ids, so tests sharing the process-global collector would collide.
 	m.SetTraceCollector(trace.NewCollector())

@@ -171,19 +171,11 @@ type Manager struct {
 	seq     atomic.Uint64
 	mu      sync.RWMutex
 	sweeps  map[SweepID]*Sweep // guarded by mu
-	// noTracing disables fleet-wide span recording (greensrv -no-trace).
-	// Zero value = tracing on; the obs gate still applies on top.
-	noTracing atomic.Bool
 }
 
-// SetTracing flips fleet-wide distributed tracing (default on). Tracing is
-// additionally gated by the obs enable state: -no-obs implies no tracing.
-func (m *Manager) SetTracing(on bool) { m.noTracing.Store(!on) }
-
-// TracingEnabled reports whether new sweeps will be traced.
-func (m *Manager) TracingEnabled() bool {
-	return !m.noTracing.Load() && obs.EnabledIn(m.ctx)
-}
+// TracingEnabled reports whether new sweeps will be traced: unless the
+// manager's context disables observability (greensrv -no-obs).
+func (m *Manager) TracingEnabled() bool { return obs.EnabledIn(m.ctx) }
 
 // NewManager builds a manager over a cluster; ctx bounds the lifetime of
 // every sweep it enqueues (pass the server's base context).

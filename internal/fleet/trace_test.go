@@ -1,12 +1,16 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/wattwiseweb/greenweb/internal/obs"
 )
 
 // fleetTraceDoc is the slice of the Chrome trace artifact these tests read.
@@ -80,23 +84,22 @@ func TestFleetTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestTracingOffReturnsNoFleetTrace: a manager with tracing disabled
-// (greensrv -no-trace) answers the fleet-trace endpoint with the structured
-// no_fleet_trace 404 — and the result stream is byte-identical to a traced
-// server's, the PR's hard invariant.
+// TestTracingOffReturnsNoFleetTrace: a manager whose context disables
+// observability (greensrv -no-obs) traces nothing, answers the fleet-trace
+// endpoint with the structured no_fleet_trace 404, and streams results
+// byte-identical to a traced server's.
 func TestTracingOffReturnsNoFleetTrace(t *testing.T) {
-	srv, m := newTestServer(t, Options{Workers: 2})
+	on, _ := newTestServer(t, Options{Workers: 2})
+	off, m := newTestServerCtx(t, obs.ContextWithObs(context.Background(), false), Options{Workers: 2})
+	if m.TracingEnabled() {
+		t.Fatal("manager traces with observability off in its context")
+	}
 
-	// Same sweep twice on one manager (sweep ids are per-manager sequential,
-	// and the trace collector is process-global, so distinct servers would
-	// collide on ids): first traced, then with tracing flipped off.
 	const body = `{"apps":["Todo","BBC"],"kinds":["Perf","GreenWeb-U"],"phase":"micro"}`
-	idOn := postSweep(t, srv, body)["id"].(string)
-	m.SetTracing(false)
-	t.Cleanup(func() { m.SetTracing(true) })
-	idOff := postSweep(t, srv, body)["id"].(string)
+	idOn := postSweep(t, on, body)["id"].(string)
+	idOff := postSweep(t, off, body)["id"].(string)
 
-	stream := func(id string) string {
+	stream := func(srv *httptest.Server, id string) string {
 		t.Helper()
 		resp, err := http.Get(srv.URL + "/v1/sweeps/" + id + "/results?deterministic=1")
 		if err != nil {
@@ -109,12 +112,12 @@ func TestTracingOffReturnsNoFleetTrace(t *testing.T) {
 		}
 		return string(b)
 	}
-	on, off := stream(idOn), stream(idOff)
-	if on != off {
-		t.Fatalf("tracing changed sweep bytes:\n--- tracing on\n%s--- tracing off\n%s", on, off)
+	traced, untraced := stream(on, idOn), stream(off, idOff)
+	if traced != untraced {
+		t.Fatalf("tracing changed sweep bytes:\n--- tracing on\n%s--- tracing off\n%s", traced, untraced)
 	}
 
-	resp, err := http.Get(srv.URL + "/v1/sweeps/" + idOff + "/trace?fleet=1")
+	resp, err := http.Get(off.URL + "/v1/sweeps/" + idOff + "/trace?fleet=1")
 	if err != nil {
 		t.Fatal(err)
 	}

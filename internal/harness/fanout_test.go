@@ -4,44 +4,22 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
-
-// widthPrefetcher serves cells from the shared suite's memoized runs
-// (ExecuteCell semantics) and reports its value as the worker count, so a
-// suite using it runs its generators' own per-app executions that many at
-// a time.
-type widthPrefetcher int
-
-func (widthPrefetcher) Prefetch(cells []Cell) (map[Cell]*Run, error) {
-	out := make(map[Cell]*Run, len(cells))
-	for _, c := range cells {
-		get := shared.Micro
-		if c.Full {
-			get = shared.Full
-		}
-		r, err := get(c.App, c.Kind)
-		if err != nil {
-			return nil, err
-		}
-		out[c] = r
-	}
-	return out, nil
-}
-
-func (w widthPrefetcher) Workers() int { return int(w) }
 
 // TestFanOutMatchesWidthOne pins the fanned-out generators to the
 // sequential ones: at width 4 every row must equal the width-1 row.
 func TestFanOutMatchesWidthOne(t *testing.T) {
+	if shared.workers != 1 {
+		t.Fatalf("a new suite runs %d at once, want 1", shared.workers)
+	}
 	wide := NewSuite()
-	wide.SetPrefetcher(widthPrefetcher(4))
-	if w := wide.width(); w != 4 {
-		t.Fatalf("width = %d, want the prefetcher's 4", w)
+	wide.SetWorkers(0)
+	if wide.workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("SetWorkers(0) runs %d at once, want GOMAXPROCS", wide.workers)
 	}
-	if w := shared.width(); w != 1 {
-		t.Fatalf("width without a prefetcher = %d, want 1", w)
-	}
+	wide.SetWorkers(4)
 	for _, gen := range []struct {
 		name string
 		rows func(*Suite) (any, error)
@@ -74,7 +52,7 @@ func TestFanOutMatchesWidthOne(t *testing.T) {
 func TestFanOutReturnsLowestIndexError(t *testing.T) {
 	for _, width := range []int{1, 2, 4, 16} {
 		s := NewSuite()
-		s.SetPrefetcher(widthPrefetcher(width))
+		s.SetWorkers(width)
 		err := s.fanOut(40, func(i int) error {
 			if i%7 == 5 {
 				return fmt.Errorf("body %d", i)

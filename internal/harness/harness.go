@@ -9,6 +9,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -499,11 +500,22 @@ type Suite struct {
 	full         map[string]*Run
 	pre          Prefetcher
 	stageWorkers int
+	workers      int
 }
 
-// NewSuite returns an empty result cache.
+// NewSuite returns an empty result cache that runs one execution at a time.
 func NewSuite() *Suite {
-	return &Suite{micro: make(map[string]*Run), full: make(map[string]*Run)}
+	return &Suite{micro: make(map[string]*Run), full: make(map[string]*Run), workers: 1}
+}
+
+// SetWorkers sets how many executions the suite runs at once: the cells its
+// generators compute and the per-app runs they make themselves. n < 1 means
+// GOMAXPROCS. The report's bytes are the same at every width.
+func (s *Suite) SetWorkers(n int) {
+	if n < 1 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	s.workers = n
 }
 
 // SetStageWorkers makes every execution the suite runs itself or asks its
@@ -523,56 +535,65 @@ func (s *Suite) ctx() context.Context {
 	return WithStageWorkers(context.Background(), s.stageWorkers)
 }
 
-// Cell names one memoizable suite execution: an application under a
+// Cell names one execution of the paper's protocol: an application under a
 // governor, either the full interaction or the repeated microbenchmark.
-// StageWorkers > 0 renders it with that many stage threads (1 = serial);
-// 0 leaves the count to the execution context (see WithStageWorkers).
+// Repeats > 0 overrides the phase's repetition count. Faults, when set,
+// runs it on a faulted device. StageWorkers > 0 renders it with that many
+// stage threads (1 = serial); 0 leaves the count to the execution context
+// (see WithStageWorkers). The suite's own cells leave Repeats and Faults
+// zero.
 type Cell struct {
 	App          *apps.App
 	Kind         Kind
 	Full         bool
+	Repeats      int
+	Faults       *faults.Spec
 	StageWorkers int
 }
 
-// ExecuteCell runs the cell exactly as the suite's lazy path would: full
-// cells are single cold runs; micro cells follow the paper's repeated-
-// measurement protocol. A prefetched run computed this way is bit-identical
-// to the one a sequential Suite would have computed.
+// ExecuteCell runs the cell under the paper's measurement protocol: a full
+// interaction is one cold run, a microbenchmark MicroRepeats runs on
+// persisting models (see ExecuteRepeated). Every suite and fleet execution
+// of a cell comes through here, so they are interchangeable bit for bit.
 func ExecuteCell(ctx context.Context, c Cell) (*Run, error) {
 	if c.StageWorkers > 0 {
 		ctx = WithStageWorkers(ctx, c.StageWorkers)
 	}
+	trace, repeats := c.App.Micro, MicroRepeats
 	if c.Full {
-		return ExecuteContext(ctx, c.App, c.Kind, c.App.Full)
+		trace, repeats = c.App.Full, 1
 	}
-	return ExecuteRepeatedContext(ctx, c.App, c.Kind, c.App.Micro, MicroRepeats)
+	if c.Repeats > 0 {
+		repeats = c.Repeats
+	}
+	return ExecuteFaultedRepeatedContext(ctx, c.App, c.Kind, trace, repeats, c.Faults)
 }
 
-// Prefetcher bulk-computes cells (typically concurrently, via the fleet)
-// before the suite's generators read them sequentially. Implementations
-// must compute each cell with ExecuteCell semantics.
+// Prefetcher bulk-computes cells in place of the suite's own workers, before
+// the generators read them in deterministic sequential order.
+// Implementations must compute each cell with ExecuteCell semantics.
 type Prefetcher interface {
 	Prefetch(cells []Cell) (map[Cell]*Run, error)
 }
 
-// SetPrefetcher installs a bulk executor. Generators then fan their cell
-// working set out through it and read the memoized results in deterministic
-// sequential order; without one, cells compute lazily as before.
+// SetPrefetcher installs a bulk executor that computes every generator's
+// cell working set instead of the suite's own workers.
 func (s *Suite) SetPrefetcher(p Prefetcher) { s.pre = p }
 
-// prefetch computes the cells missing from the caches through the installed
-// prefetcher. A no-op without one.
-func (s *Suite) prefetch(cells []Cell) error {
-	if s.pre == nil {
-		return nil
+// cache is the memo table c belongs to.
+func (s *Suite) cache(c Cell) map[string]*Run {
+	if c.Full {
+		return s.full
 	}
+	return s.micro
+}
+
+// prefetch computes the cells missing from the caches: through the
+// installed prefetcher, or else with ExecuteCell on the suite's workers.
+func (s *Suite) prefetch(cells []Cell) error {
 	var missing []Cell
 	for _, c := range cells {
-		cache := s.micro
-		if c.Full {
-			cache = s.full
-		}
-		if _, ok := cache[s.key(c.App, c.Kind)]; !ok {
+		if _, ok := s.cache(c)[s.key(c.App, c.Kind)]; !ok {
 			c.StageWorkers = s.stageWorkers
 			missing = append(missing, c)
 		}
@@ -580,31 +601,31 @@ func (s *Suite) prefetch(cells []Cell) error {
 	if len(missing) == 0 {
 		return nil
 	}
-	got, err := s.pre.Prefetch(missing)
+	if s.pre != nil {
+		got, err := s.pre.Prefetch(missing)
+		if err != nil {
+			return err
+		}
+		for c, r := range got {
+			s.cache(c)[s.key(c.App, c.Kind)] = r
+		}
+		return nil
+	}
+	runs := make([]*Run, len(missing))
+	err := s.fanOut(len(missing), func(i int) (err error) {
+		runs[i], err = ExecuteCell(s.ctx(), missing[i])
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	for c, r := range got {
-		if c.Full {
-			s.full[s.key(c.App, c.Kind)] = r
-		} else {
-			s.micro[s.key(c.App, c.Kind)] = r
-		}
+	for i, c := range missing {
+		s.cache(c)[s.key(c.App, c.Kind)] = runs[i]
 	}
 	return nil
 }
 
-// width is how many of a generator's own per-app executions (the ones it
-// runs itself rather than reading from prefetched cells) may run at once:
-// the prefetcher's worker count when it reports one, else 1.
-func (s *Suite) width() int {
-	if w, ok := s.pre.(interface{ Workers() int }); ok {
-		return max(w.Workers(), 1)
-	}
-	return 1
-}
-
-// fanOut runs body(i) for every i in [0, n) on s.width() goroutines. Each
+// fanOut runs body(i) for every i in [0, n) on the suite's workers. Each
 // body must be a pure function of i that writes only its own slot of an
 // index-addressed result. Workers take indices in ascending order and stop
 // taking them once a body fails; every lower index has started by then, so
@@ -614,7 +635,7 @@ func (s *Suite) fanOut(n int, body func(i int) error) error {
 	var next atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for w := min(s.width(), n); w > 0; w-- {
+	for w := min(s.workers, n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -1,9 +1,37 @@
 package harness
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
+
+// TestRenderAllMatchesPinnedReport renders the report on a fresh suite that
+// computes its own cells four at a time, and requires the checked-in
+// docs/greenbench-report.txt byte for byte.
+func TestRenderAllMatchesPinnedReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full report render in -short mode")
+	}
+	want, err := os.ReadFile("../../docs/greenbench-report.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSuite()
+	s.SetWorkers(4)
+	var b strings.Builder
+	if err := RenderAll(&b, s); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("report differs from docs/greenbench-report.txt at byte %d: got %q",
+			i, got[i:min(i+80, len(got))])
+	}
+}
 
 // TestRenderAllReport exercises the full report pipeline (what
 // cmd/greenbench prints) and checks every table and figure section is

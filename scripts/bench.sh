@@ -25,8 +25,9 @@
 # the per-stage configuration dimension.
 #
 # PR 10: drives identical greenload runs against a greensrv with fleet
-# tracing on and with -no-trace, and records the throughput delta (the
-# tracing tax must stay under 3%) plus the traced run's per-phase breakdown.
+# tracing on and with -no-obs, and records the throughput delta (the
+# observability tax must stay under 3%) plus the traced run's per-phase
+# breakdown.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,7 +86,7 @@ PY
 }
 
 # -------------------------------------------------------------------------
-# PR 10: fleet-tracing overhead ablation (tracing on vs -no-trace).
+# PR 10: fleet-tracing overhead ablation (tracing on vs -no-obs).
 # -------------------------------------------------------------------------
 run_pr10() {
   local bin_srv bin_load pid addr=127.0.0.1:18109
@@ -94,7 +95,7 @@ run_pr10() {
   go build -o "$bin_load" ./cmd/greenload
 
   # One load run against a fresh 2-node in-process server; extra server
-  # flags (e.g. -no-trace) come after the report path. A discarded warmup
+  # flags (e.g. -no-obs) come after the report path. A discarded warmup
   # pass precedes the measured one so neither mode pays first-run costs
   # (page cache, asset parse) inside its measurement. The traced run
   # samples fleet traces so the report carries the phase breakdown.
@@ -127,8 +128,8 @@ run_pr10() {
     ron="$(mktemp)" roff="$(mktemp)"
     echo "rep $i/$reps: greenload vs traced greensrv..." >&2
     load_traced "$ron" 20
-    echo "rep $i/$reps: greenload vs greensrv -no-trace..." >&2
-    load_traced "$roff" 0 -no-trace
+    echo "rep $i/$reps: greenload vs greensrv -no-obs..." >&2
+    load_traced "$roff" 0 -no-obs
     files+=("$ron" "$roff")
   done
 
@@ -162,9 +163,9 @@ out = {
     "title": "fleet-wide distributed tracing, structured logging, worker health surface",
     "workload": ("greenload micro-phase sweeps (Todo,MSN x Perf,GreenWeb-I) against a "
                  "2-node greensrv, fleet tracing on (with 20 sampled fleet traces) vs "
-                 "-no-trace; sweep bytes are identical either way (CI cmps them)"),
+                 "-no-obs; sweep bytes are identical either way (CI cmps them)"),
     "reps_per_mode": len(ons),
-    "rows": [row("tracing", on), row("no-trace", off)],
+    "rows": [row("tracing", on), row("no-obs", off)],
     "tracing_overhead_pct": round(delta, 2),
     "overhead_budget_pct": 3.0,
     "within_budget": delta < 3.0,
