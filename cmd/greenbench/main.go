@@ -227,7 +227,7 @@ func writeTrace(ctx context.Context, path, appName, kindName string, spec *fault
 	if err != nil {
 		return err
 	}
-	run, err := harness.ExecuteFaultedContext(ctx, app, kind, app.Full, spec)
+	run, err := harness.ExecuteCell(ctx, harness.Cell{App: app, Kind: kind, Full: true, Faults: spec})
 	if err != nil {
 		return err
 	}

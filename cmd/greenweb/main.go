@@ -6,9 +6,14 @@
 //
 //	greenweb -app MSN -policy greenweb-i [-trace full|micro]
 //	greenweb -file page.html -policy interactive
+//
+// -policy takes any governor of the evaluation by name, in any case (perf,
+// interactive, ondemand, powersave, greenweb-i, greenweb-u, ebs, ...), for
+// catalog applications and files alike.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -19,26 +24,19 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/apps"
 	"github.com/wattwiseweb/greenweb/internal/browser"
 	"github.com/wattwiseweb/greenweb/internal/harness"
-	"github.com/wattwiseweb/greenweb/internal/replay"
 	"github.com/wattwiseweb/greenweb/internal/sim"
 
 	greenweb "github.com/wattwiseweb/greenweb"
 )
 
-var policies = map[string]harness.Kind{
-	"perf":        harness.Perf,
-	"interactive": harness.Interactive,
-	"ondemand":    harness.Ondemand,
-	"powersave":   harness.Powersave,
-	"greenweb-i":  harness.GreenWebI,
-	"greenweb-u":  harness.GreenWebU,
-	"ebs":         harness.EBSKind,
-}
-
 func main() {
+	kinds := make([]string, len(harness.Kinds()))
+	for i, k := range harness.Kinds() {
+		kinds[i] = string(k)
+	}
 	appName := flag.String("app", "", "evaluation application name (see -list)")
 	file := flag.String("file", "", "run an HTML file instead of a catalog application")
-	policy := flag.String("policy", "greenweb-i", "perf|interactive|ondemand|powersave|greenweb-i|greenweb-u")
+	policy := flag.String("policy", "greenweb-i", "CPU policy, in any case: "+strings.Join(kinds, "|"))
 	traceKind := flag.String("trace", "full", "which interaction trace to replay: full|micro (catalog apps)")
 	list := flag.Bool("list", false, "list catalog applications and exit")
 	framesOut := flag.String("frames", "", "write the frame timeline as JSON to this file")
@@ -56,25 +54,26 @@ func main() {
 		return
 	}
 
-	kind, ok := policies[strings.ToLower(*policy)]
-	if !ok {
+	kind, err := harness.ParseKind(*policy)
+	if err != nil {
 		fail("unknown policy %q", *policy)
 	}
 	app, ok := apps.ByName(*appName)
 	if !ok {
 		fail("unknown app %q (use -list)", *appName)
 	}
-	var trace *replay.Trace
+	// One run of either trace: the full interaction, or a single
+	// microbenchmark repetition.
+	cell, trace := harness.Cell{App: app, Kind: kind, Repeats: 1}, app.Micro
 	switch *traceKind {
 	case "full":
-		trace = app.Full
+		cell.Full, trace = true, app.Full
 	case "micro":
-		trace = app.Micro
 	default:
 		fail("unknown trace kind %q", *traceKind)
 	}
 
-	run, err := harness.Execute(app, kind, trace)
+	run, err := harness.ExecuteCell(context.Background(), cell)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -129,21 +128,8 @@ func runFile(path, policy string) {
 	if err != nil {
 		fail("%v", err)
 	}
-	var p greenweb.Policy
-	switch strings.ToLower(policy) {
-	case "perf":
-		p = greenweb.PerfPolicy()
-	case "interactive":
-		p = greenweb.InteractivePolicy()
-	case "ondemand":
-		p = greenweb.OndemandPolicy()
-	case "powersave":
-		p = greenweb.PowersavePolicy()
-	case "greenweb-i":
-		p = greenweb.GreenWebPolicy(greenweb.Imperceptible)
-	case "greenweb-u":
-		p = greenweb.GreenWebPolicy(greenweb.Usable)
-	default:
+	p, err := greenweb.ParsePolicy(policy)
+	if err != nil {
 		fail("unknown policy %q", policy)
 	}
 	s, err := greenweb.Open(string(data), p)
@@ -151,7 +137,9 @@ func runFile(path, policy string) {
 		fail("%v", err)
 	}
 	s.Settle()
-	s.Stop()
+	if err := s.Stop(); err != nil {
+		fail("%v", err)
+	}
 	fmt.Printf("policy:       %s\n", p.Name())
 	fmt.Printf("load latency: %v\n", s.LoadLatency())
 	fmt.Printf("frames:       %d\n", len(s.Frames()))

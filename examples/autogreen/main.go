@@ -73,7 +73,9 @@ func main() {
 	s.Settle()
 	s.Tap("save")
 	s.Settle()
-	s.Stop()
+	if err := s.Stop(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nannotated app ran: %d frames, %.3f J, violations %.2f%%\n",
 		len(s.Frames()), s.Energy(), s.Violation(greenweb.Usable))
 }

@@ -46,7 +46,9 @@ func main() {
 	s.Swipe("ex", 1, 16*sim.Millisecond) // a touch on the element
 	s.RunFor(3 * sim.Second)             // the 2 s transition plays out
 	s.Settle()
-	s.Stop()
+	if err := s.Stop(); err != nil {
+		log.Fatal(err)
+	}
 
 	frames := s.Frames()[before:]
 	fmt.Printf("\nthe tap generated %d animation frames over ~2 s\n", len(frames))

@@ -6,6 +6,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	greenweb "github.com/wattwiseweb/greenweb"
 )
@@ -41,7 +42,9 @@ func drive(p greenweb.Policy) *greenweb.Session {
 		s.Tap("go")
 		s.Settle()
 	}
-	s.Stop()
+	if err := s.Stop(); err != nil {
+		log.Fatal(err)
+	}
 	return s
 }
 
@@ -59,9 +62,15 @@ func main() {
 		gw.Energy(), gw.Violation(greenweb.Usable))
 	fmt.Printf("\nenergy saving: %.1f%%\n", 100*(1-gw.Energy()/perf.Energy()))
 	fmt.Println("\nGreenWeb-U residency (where the time went):")
-	for cfg, share := range gw.Residency() {
-		if share > 0.01 {
-			fmt.Printf("  %-14s %5.1f%%\n", cfg, share*100)
+	res := gw.Residency()
+	cfgs := make([]string, 0, len(res))
+	for cfg := range res {
+		cfgs = append(cfgs, cfg)
+	}
+	sort.Strings(cfgs)
+	for _, cfg := range cfgs {
+		if res[cfg] > 0.01 {
+			fmt.Printf("  %-14s %5.1f%%\n", cfg, res[cfg]*100)
 		}
 	}
 }

@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	greenweb "github.com/wattwiseweb/greenweb"
 	"github.com/wattwiseweb/greenweb/internal/sim"
@@ -46,12 +47,20 @@ func main() {
 		}
 		s.Swipe("cv", 60, 16*sim.Millisecond)
 		s.Settle()
-		s.Stop()
+		if err := s.Stop(); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-14v energy %.3f J, violations %.2f%%, residency:",
 			scenario, s.Energy(), s.Violation(scenario))
-		for cfg, share := range s.Residency() {
-			if share > 0.05 {
-				fmt.Printf(" %s=%.0f%%", cfg, share*100)
+		res := s.Residency()
+		cfgs := make([]string, 0, len(res))
+		for cfg := range res {
+			cfgs = append(cfgs, cfg)
+		}
+		sort.Strings(cfgs)
+		for _, cfg := range cfgs {
+			if res[cfg] > 0.05 {
+				fmt.Printf(" %s=%.0f%%", cfg, res[cfg]*100)
 			}
 		}
 		fmt.Println()

@@ -90,7 +90,9 @@ func drive(p greenweb.Policy) *greenweb.Session {
 	}
 	s.Tap("checkout")
 	s.Settle()
-	s.Stop()
+	if err := s.Stop(); err != nil {
+		log.Fatal(err)
+	}
 	return s
 }
 

@@ -10,9 +10,8 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/wattwiseweb/greenweb/internal/acmp"
-	"github.com/wattwiseweb/greenweb/internal/browser"
 	"github.com/wattwiseweb/greenweb/internal/core"
+	"github.com/wattwiseweb/greenweb/internal/device"
 	"github.com/wattwiseweb/greenweb/internal/qos"
 	"github.com/wattwiseweb/greenweb/internal/sim"
 )
@@ -41,22 +40,25 @@ const misannotated = `<html><head><style>
 </body></html>`
 
 func run(uai *core.UAIPolicy) (joules float64, suppressed []string) {
-	s := sim.New()
-	cpu := acmp.NewCPU(s, acmp.DefaultPower())
-	e := browser.New(s, cpu, nil)
 	opts := core.DefaultOptions(qos.Imperceptible)
 	opts.UAI = uai
-	e.SetGovernor(core.New(opts))
-	if _, err := e.LoadPage(misannotated); err != nil {
+	dev, err := device.New(core.New(opts), 0, nil, 0)
+	if err != nil {
 		log.Fatal(err)
 	}
-	s.RunUntil(sim.Time(sim.Second))
-	e.Inject(s.Now(), "click", "spin", nil)
-	s.RunUntil(s.Now().Add(10 * sim.Second))
+	if _, err := dev.Engine.LoadPage(misannotated); err != nil {
+		log.Fatal(err)
+	}
+	dev.Sim.RunUntil(sim.Time(sim.Second))
+	dev.Engine.Inject(dev.Sim.Now(), "click", "spin", nil)
+	dev.Sim.RunUntil(dev.Sim.Now().Add(10 * sim.Second))
+	if _, _, err := dev.Close(); err != nil {
+		log.Fatal(err)
+	}
 	if uai != nil {
 		suppressed = uai.SuppressedClasses()
 	}
-	return float64(cpu.Energy()), suppressed
+	return float64(dev.CPU.Energy()), suppressed
 }
 
 func main() {

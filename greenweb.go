@@ -17,18 +17,19 @@
 //	fmt.Println(s.Energy(), s.Violation(greenweb.Imperceptible))
 //
 // Policies select the CPU governor: the GreenWeb runtime under either
-// usage scenario, or the Perf/Interactive/Ondemand/Powersave baselines.
+// usage scenario, the Perf/Interactive/Ondemand/Powersave baselines, EBS,
+// or any other governor of the evaluation by name (ParsePolicy).
 package greenweb
 
 import (
+	"context"
 	"fmt"
 
-	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/autogreen"
 	"github.com/wattwiseweb/greenweb/internal/browser"
-	"github.com/wattwiseweb/greenweb/internal/core"
 	"github.com/wattwiseweb/greenweb/internal/css"
-	"github.com/wattwiseweb/greenweb/internal/governor"
+	"github.com/wattwiseweb/greenweb/internal/device"
+	"github.com/wattwiseweb/greenweb/internal/harness"
 	"github.com/wattwiseweb/greenweb/internal/metrics"
 	"github.com/wattwiseweb/greenweb/internal/qos"
 	"github.com/wattwiseweb/greenweb/internal/sim"
@@ -46,138 +47,116 @@ const (
 	Usable = qos.Usable
 )
 
-// Policy names a CPU scheduling policy for a Session.
-type Policy struct {
-	name     string
-	scenario Scenario
-	build    func(p Policy) browser.Governor
-}
+// Policy names a CPU scheduling policy for a Session: one of the governors
+// the evaluation runs (the GreenWeb runtime, its baselines and variants).
+type Policy struct{ kind harness.Kind }
 
 // Name reports the policy's display name.
-func (p Policy) Name() string { return p.name }
+func (p Policy) Name() string { return string(p.kind) }
+
+// ParsePolicy resolves a policy by display name, in any case: "GreenWeb-I",
+// "greenweb-u", "perf", "EBS", and the evaluation's other governors
+// ("GreenWeb-I-staged", the single-cluster variants).
+func ParsePolicy(name string) (Policy, error) {
+	k, err := harness.ParseKind(name)
+	if err != nil {
+		return Policy{}, fmt.Errorf("greenweb: unknown policy %q", name)
+	}
+	return Policy{k}, nil
+}
 
 // GreenWebPolicy is the paper's contribution: the annotation-driven runtime
 // under the given scenario.
 func GreenWebPolicy(s Scenario) Policy {
-	suffix := "I"
 	if s == Usable {
-		suffix = "U"
+		return Policy{harness.GreenWebU}
 	}
-	return Policy{
-		name:     "GreenWeb-" + suffix,
-		scenario: s,
-		build: func(p Policy) browser.Governor {
-			return core.New(core.DefaultOptions(p.scenario))
-		},
-	}
+	return Policy{harness.GreenWebI}
 }
 
 // PerfPolicy pins peak performance (best QoS, worst energy).
-func PerfPolicy() Policy {
-	return Policy{name: "Perf", build: func(Policy) browser.Governor { return governor.NewPerf() }}
-}
+func PerfPolicy() Policy { return Policy{harness.Perf} }
 
 // InteractivePolicy models Android's default interactive governor.
-func InteractivePolicy() Policy {
-	return Policy{name: "Interactive", build: func(Policy) browser.Governor {
-		return governor.NewInteractive(governor.DefaultInteractiveParams())
-	}}
-}
+func InteractivePolicy() Policy { return Policy{harness.Interactive} }
 
 // OndemandPolicy models the classic Linux ondemand governor.
-func OndemandPolicy() Policy {
-	return Policy{name: "Ondemand", build: func(Policy) browser.Governor { return governor.NewOndemand() }}
-}
+func OndemandPolicy() Policy { return Policy{harness.Ondemand} }
 
 // PowersavePolicy pins the lowest-power configuration.
-func PowersavePolicy() Policy {
-	return Policy{name: "Powersave", build: func(Policy) browser.Governor { return governor.NewPowersave() }}
-}
+func PowersavePolicy() Policy { return Policy{harness.Powersave} }
 
 // EBSPolicy models annotation-free event-based scheduling (the related-work
 // system of paper Sec. 9), which guesses user tolerance from measured event
 // latency instead of reading annotations.
-func EBSPolicy() Policy {
-	return Policy{name: "EBS", build: func(Policy) browser.Governor { return governor.NewEBS() }}
-}
+func EBSPolicy() Policy { return Policy{harness.EBSKind} }
 
 // Session is one loaded application on one simulated device.
 type Session struct {
-	simu   *sim.Simulator
-	cpu    *acmp.CPU
-	engine *browser.Engine
-	gov    browser.Governor
-	colI   *metrics.Collector
-	colU   *metrics.Collector
-	policy Policy
+	dev        *device.Device
+	colI, colU *metrics.Collector
 }
 
 // Open loads the HTML application under the policy and runs the loading
 // phase to completion (through the first meaningful frame).
 func Open(html string, policy Policy) (*Session, error) {
-	if policy.build == nil {
-		return nil, fmt.Errorf("greenweb: zero Policy; use GreenWebPolicy or a baseline constructor")
+	if policy.kind == "" {
+		return nil, fmt.Errorf("greenweb: zero Policy; use GreenWebPolicy, a baseline constructor or ParsePolicy")
 	}
-	s := &Session{simu: sim.New(), policy: policy}
-	s.cpu = acmp.NewCPU(s.simu, acmp.DefaultPower())
-	s.engine = browser.New(s.simu, s.cpu, nil)
-	s.gov = policy.build(policy)
-	s.engine.SetGovernor(s.gov)
-	if _, err := s.engine.LoadPage(html); err != nil {
+	dev, err := device.New(harness.NewGovernor(policy.kind), 0, nil, 0)
+	if err != nil {
 		return nil, err
 	}
-	cols := metrics.NewCollectors(s.engine, Imperceptible, Usable)
+	if _, err := dev.Engine.LoadPage(html); err != nil {
+		dev.Close()
+		return nil, err
+	}
+	s := &Session{dev: dev}
+	cols := metrics.NewCollectors(dev.Engine, Imperceptible, Usable)
 	s.colI, s.colU = cols[0], cols[1]
 	s.Settle()
 	return s, nil
 }
 
 // Now reports the session's virtual time.
-func (s *Session) Now() sim.Time { return s.simu.Now() }
+func (s *Session) Now() sim.Time { return s.dev.Sim.Now() }
 
 // Tap performs a tapping interaction (touchstart, touchend, click) on the
 // element with the given id, starting a small delay from now.
 func (s *Session) Tap(targetID string) {
-	at := s.simu.Now().Add(10 * sim.Millisecond)
-	s.engine.Inject(at, "touchstart", targetID, nil)
-	s.engine.Inject(at.Add(80*sim.Millisecond), "touchend", targetID, nil)
-	s.engine.Inject(at.Add(85*sim.Millisecond), "click", targetID, nil)
-	s.simu.RunUntil(at.Add(86 * sim.Millisecond))
+	e, at := s.dev.Engine, s.Now().Add(10*sim.Millisecond)
+	e.Inject(at, "touchstart", targetID, nil)
+	e.Inject(at.Add(80*sim.Millisecond), "touchend", targetID, nil)
+	e.Inject(at.Add(85*sim.Millisecond), "click", targetID, nil)
+	s.dev.Sim.RunUntil(at.Add(86 * sim.Millisecond))
 }
 
 // Swipe performs a moving interaction: touchstart, n touchmove samples gap
 // apart, touchend.
 func (s *Session) Swipe(targetID string, n int, gap sim.Duration) {
-	at := s.simu.Now().Add(10 * sim.Millisecond)
-	s.engine.Inject(at, "touchstart", targetID, nil)
+	e, at := s.dev.Engine, s.Now().Add(10*sim.Millisecond)
+	e.Inject(at, "touchstart", targetID, nil)
 	for i := 0; i < n; i++ {
-		s.engine.Inject(at.Add(sim.Duration(i+1)*gap), "touchmove", targetID,
+		e.Inject(at.Add(sim.Duration(i+1)*gap), "touchmove", targetID,
 			map[string]float64{"deltaY": 24})
 	}
-	s.engine.Inject(at.Add(sim.Duration(n+1)*gap), "touchend", targetID, nil)
-	s.simu.RunUntil(at.Add(sim.Duration(n+1) * gap))
+	e.Inject(at.Add(sim.Duration(n+1)*gap), "touchend", targetID, nil)
+	s.dev.Sim.RunUntil(at.Add(sim.Duration(n+1) * gap))
 }
 
 // RunFor advances virtual time by d, processing whatever is scheduled.
-func (s *Session) RunFor(d sim.Duration) { s.simu.RunFor(d) }
+func (s *Session) RunFor(d sim.Duration) { s.dev.Sim.RunFor(d) }
 
 // Settle runs until the engine is quiescent (all frames produced, no
-// pending animation), bounded at 60 virtual seconds.
-func (s *Session) Settle() {
-	deadline := s.simu.Now().Add(60 * sim.Second)
-	for s.simu.Now() < deadline {
-		s.simu.RunUntil(s.simu.Now().Add(20 * sim.Millisecond))
-		if s.engine.Quiescent() && !s.cpu.Busy() {
-			return
-		}
-	}
-}
+// pending animation), bounded at 60 virtual seconds. It cannot fail: nothing
+// cancels a session's context.
+func (s *Session) Settle() { _ = s.dev.Settle(context.Background(), 60*sim.Second) }
 
 // Energy reports total CPU energy consumed so far, in joules.
-func (s *Session) Energy() float64 { return float64(s.cpu.Energy()) }
+func (s *Session) Energy() float64 { return float64(s.dev.CPU.Energy()) }
 
 // Frames reports the frames produced so far.
-func (s *Session) Frames() []browser.FrameResult { return s.engine.Results() }
+func (s *Session) Frames() []browser.FrameResult { return s.dev.Engine.Results() }
 
 // Violation reports the run's QoS violation percentage (geometric mean
 // over annotated frames) judged under the given scenario.
@@ -190,7 +169,7 @@ func (s *Session) Violation(sc Scenario) float64 {
 
 // LoadLatency reports the first-meaningful-frame latency of the load.
 func (s *Session) LoadLatency() sim.Duration {
-	frames := s.engine.Results()
+	frames := s.dev.Engine.Results()
 	if len(frames) == 0 || len(frames[0].Inputs) == 0 {
 		return 0
 	}
@@ -199,13 +178,13 @@ func (s *Session) LoadLatency() sim.Duration {
 
 // Config reports the current CPU execution configuration as a string
 // (e.g. "big@1800MHz").
-func (s *Session) Config() string { return s.cpu.Config().String() }
+func (s *Session) Config() string { return s.dev.CPU.Config().String() }
 
 // Residency reports the fraction of time spent per configuration.
 func (s *Session) Residency() map[string]float64 {
 	out := map[string]float64{}
 	var total float64
-	res := s.cpu.Residency()
+	res := s.dev.CPU.Residency()
 	for _, d := range res {
 		total += d.Seconds()
 	}
@@ -221,29 +200,33 @@ func (s *Session) Residency() map[string]float64 {
 // Switches reports configuration changes so far (frequency switches and
 // cluster migrations).
 func (s *Session) Switches() (freqSwitches, migrations int) {
-	st := s.cpu.Stats()
+	st := s.dev.CPU.Stats()
 	return st.FreqSwitches, st.Migrations
 }
 
 // ConsoleLines returns the application's console output.
-func (s *Session) ConsoleLines() []string { return s.engine.ConsoleLines() }
+func (s *Session) ConsoleLines() []string { return s.dev.Engine.ConsoleLines() }
 
 // ScriptErrors returns any script failures (logged, not fatal).
-func (s *Session) ScriptErrors() []error { return s.engine.ScriptErrors() }
+func (s *Session) ScriptErrors() []error { return s.dev.Engine.ScriptErrors() }
 
-// Stop releases governor timers so the simulation can drain; the session
-// remains readable.
-func (s *Session) Stop() {
-	if st, ok := s.gov.(interface{ Stop() }); ok {
-		st.Stop()
-	}
+// Stop ends the session's measurement: it releases governor timers so the
+// simulation can drain, and closes the session's energy ledger, returning
+// its conservation check (every joule the meter counted must be attributed
+// to exactly one frame or idle span). The session stays readable and can
+// still be driven; energy drawn afterwards is metered but not attributed.
+// Stopping again returns nil.
+func (s *Session) Stop() error {
+	_, _, err := s.dev.Close()
+	return err
 }
 
 // Annotations lists the GreenWeb annotations that resolve against the
 // loaded document, as human-readable strings.
 func (s *Session) Annotations() []string {
 	var out []string
-	for _, na := range s.engine.Annotations().Annotations(s.engine.Doc()) {
+	e := s.dev.Engine
+	for _, na := range e.Annotations().Annotations(e.Doc()) {
 		out = append(out, na.Node.Path()+" { "+na.Annotation.String()+" }")
 	}
 	return out

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/wattwiseweb/greenweb/internal/harness"
 	"github.com/wattwiseweb/greenweb/internal/sim"
 )
 
@@ -233,5 +234,50 @@ func TestPolicyNames(t *testing.T) {
 		if p.Name() != want {
 			t.Errorf("Name = %q, want %q", p.Name(), want)
 		}
+	}
+}
+
+// TestParsePolicy: every governor the evaluation runs is a policy by its
+// display name, in any case, and unknown names are rejected.
+func TestParsePolicy(t *testing.T) {
+	for _, k := range harness.Kinds() {
+		for _, name := range []string{string(k), strings.ToLower(string(k)), strings.ToUpper(string(k))} {
+			p, err := ParsePolicy(name)
+			if err != nil {
+				t.Fatalf("ParsePolicy(%q): %v", name, err)
+			}
+			if p.Name() != string(k) {
+				t.Errorf("ParsePolicy(%q).Name() = %q, want %q", name, p.Name(), k)
+			}
+		}
+	}
+	if _, err := ParsePolicy("nope"); err == nil {
+		t.Fatal("unknown policy accepted")
+	}
+}
+
+// TestStopClosesLedger: Stop closes the session's ledger with conservation
+// intact and may run twice; the session then still taps, settles and
+// accrues energy.
+func TestStopClosesLedger(t *testing.T) {
+	s, err := Open(demoPage, InteractivePolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Tap("btn")
+	s.Settle()
+	for i := 0; i < 2; i++ {
+		if err := s.Stop(); err != nil {
+			t.Fatalf("Stop #%d: %v", i+1, err)
+		}
+	}
+	energy, frames := s.Energy(), len(s.Frames())
+	s.Tap("btn")
+	s.Settle()
+	if len(s.Frames()) <= frames {
+		t.Fatal("tap after Stop produced no frame")
+	}
+	if s.Energy() <= energy {
+		t.Fatal("no energy accrued after Stop")
 	}
 }

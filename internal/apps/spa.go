@@ -4,7 +4,7 @@ package apps
 // paper's Table 3 catalog — All()/Names() and every default report iterate
 // the Table 3 registry only, so adding family members here never perturbs
 // existing byte-pinned outputs. They live in their own registry, reachable
-// by name (ByName searches both) and through SPAApps/SPANames, and exist to
+// by name (ByName searches both) and through SPAApps, and exist to
 // exercise the staged rendering pipeline: a component tree built by script
 // (state-driven rerenders against the DOM API) whose per-frame cost is
 // dominated by style/layout/paint over thousands of nodes rather than by
@@ -29,15 +29,6 @@ func init() {
 func SPAApps() []*App {
 	out := make([]*App, len(spaRegistry))
 	copy(out, spaRegistry)
-	return out
-}
-
-// SPANames lists the SPA family names in order.
-func SPANames() []string {
-	out := make([]string, len(spaRegistry))
-	for i, a := range spaRegistry {
-		out[i] = a.Name
-	}
 	return out
 }
 

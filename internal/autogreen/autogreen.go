@@ -3,8 +3,8 @@
 //
 // The three phases of the paper's workflow map onto this package directly:
 //
-//   - Instrumentation/discovery: load the application in a scratch browser
-//     engine, let its scripts register their listeners, and enumerate every
+//   - Instrumentation/discovery: load the application on a scratch device,
+//     let its scripts register their listeners, and enumerate every
 //     (DOM node, event) pair bound to a mobile-interaction event.
 //   - Profiling: explicitly trigger each event's callback and observe
 //     whether it starts a requestAnimationFrame chain, calls animate(), or
@@ -24,10 +24,11 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/browser"
 	"github.com/wattwiseweb/greenweb/internal/css"
+	"github.com/wattwiseweb/greenweb/internal/device"
 	"github.com/wattwiseweb/greenweb/internal/dom"
+	"github.com/wattwiseweb/greenweb/internal/governor"
 	"github.com/wattwiseweb/greenweb/internal/html"
 	"github.com/wattwiseweb/greenweb/internal/qos"
 	"github.com/wattwiseweb/greenweb/internal/sim"
@@ -68,29 +69,20 @@ func (r *Report) Rules() (*css.Stylesheet, error) {
 	return sheet, nil
 }
 
-// nopGovernor pins peak; profiling runs care about behaviour, not energy.
-type nopGovernor struct{}
-
-func (nopGovernor) Name() string                           { return "autogreen-profile" }
-func (nopGovernor) Attach(e *browser.Engine)               { e.CPU().SetConfig(acmp.PeakConfig()) }
-func (nopGovernor) OnInput(browser.InputRecord, *dom.Node) {}
-func (nopGovernor) OnFrameStart(int, browser.Provenance)   {}
-func (nopGovernor) OnFrameEnd(*browser.FrameResult)        {}
-func (nopGovernor) OnEventComplete(browser.UID)            {}
-
-// bootEngine loads the page in a scratch engine and runs until quiescent.
-func bootEngine(src string) (*browser.Engine, error) {
-	s := sim.New()
-	cpu := acmp.NewCPU(s, acmp.DefaultPower())
-	e := browser.New(s, cpu, nil)
-	e.SetGovernor(nopGovernor{})
-	if _, err := e.LoadPage(src); err != nil {
+// boot loads the page on a fresh device pinned at peak (profiling cares
+// about behaviour, not energy) and runs the load plus any initial
+// animations, bounded in case scripts animate forever.
+func boot(src string) (*device.Device, error) {
+	dev, err := device.New(governor.NewPerf(), 0, nil, 0)
+	if err != nil {
 		return nil, err
 	}
-	// Loading plus any initial animations; bounded in case scripts
-	// animate forever.
-	s.RunUntil(sim.Time(10 * sim.Second))
-	return e, nil
+	if _, err := dev.Engine.LoadPage(src); err != nil {
+		dev.Close()
+		return nil, err
+	}
+	dev.Sim.RunUntil(sim.Time(10 * sim.Second))
+	return dev, nil
 }
 
 // selectorFor builds a stable selector for a node: its id when present,
@@ -111,12 +103,15 @@ func selectorFor(n *dom.Node) (string, bool) {
 // Analyze runs discovery and profiling on an application's HTML source and
 // returns the classification report without modifying the source.
 func Analyze(src string) (*Report, error) {
-	// Discovery engine: enumerate listener targets after load.
-	disc, err := bootEngine(src)
+	// Discovery device: enumerate listener targets after load.
+	disc, err := boot(src)
 	if err != nil {
 		return nil, err
 	}
-	targets := disc.Doc().ListenerTargets()
+	targets := disc.Engine.Doc().ListenerTargets()
+	if _, _, err := disc.Close(); err != nil {
+		return nil, err
+	}
 
 	report := &Report{}
 
@@ -140,42 +135,55 @@ func Analyze(src string) (*Report, error) {
 		if l.Event == dom.EventLoad {
 			continue // covered by the body rule
 		}
-		// Profile in a fresh engine so each event observes pristine
-		// application state (the paper instruments and re-runs similarly).
-		prof, err := bootEngine(src)
-		if err != nil {
+		if err := report.profileListener(src, l, seen); err != nil {
 			return nil, err
 		}
-		node := findCounterpart(prof.Doc(), l.Node)
-		if node == nil {
-			report.Skipped = append(report.Skipped, l.Node.Path()+"@"+l.Event)
-			continue
-		}
-		sel, ok := selectorFor(node)
-		if !ok {
-			report.Skipped = append(report.Skipped, node.Path()+"@"+l.Event)
-			continue
-		}
-		key := sel + "@" + l.Event
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-
-		res := prof.ProfileEvent(node, l.Event, profileData(l.Event))
-		ann := classify(l.Event, res)
-		report.Findings = append(report.Findings, Finding{
-			Selector:   sel,
-			Path:       node.Path(),
-			Event:      l.Event,
-			Annotation: ann,
-			RAF:        res.RAFRegistered,
-			Animate:    res.AnimateCalled,
-			Transition: res.TransitionStarted,
-			HandlerOps: res.Ops,
-		})
 	}
 	return report, nil
+}
+
+// profileListener profiles one discovered listener in a fresh device, so
+// each event observes pristine application state (the paper instruments and
+// re-runs similarly), and records its finding, or why it was skipped, unless
+// an earlier listener already produced its selector and event.
+func (r *Report) profileListener(src string, l *dom.Listener, seen map[string]bool) (err error) {
+	prof, err := boot(src)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if _, _, cerr := prof.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	node := findCounterpart(prof.Engine.Doc(), l.Node)
+	if node == nil {
+		r.Skipped = append(r.Skipped, l.Node.Path()+"@"+l.Event)
+		return nil
+	}
+	sel, ok := selectorFor(node)
+	if !ok {
+		r.Skipped = append(r.Skipped, node.Path()+"@"+l.Event)
+		return nil
+	}
+	key := sel + "@" + l.Event
+	if seen[key] {
+		return nil
+	}
+	seen[key] = true
+
+	res := prof.Engine.ProfileEvent(node, l.Event, profileData(l.Event))
+	r.Findings = append(r.Findings, Finding{
+		Selector:   sel,
+		Path:       node.Path(),
+		Event:      l.Event,
+		Annotation: classify(l.Event, res),
+		RAF:        res.RAFRegistered,
+		Animate:    res.AnimateCalled,
+		Transition: res.TransitionStarted,
+		HandlerOps: res.Ops,
+	})
+	return nil
 }
 
 // classify implements the paper's detection rule: an event is "continuous"

@@ -82,12 +82,15 @@ func TestWholeCatalogAnnotates(t *testing.T) {
 			if !strings.Contains(annotated, "onload-qos") {
 				t.Fatal("load rule missing")
 			}
-			e, err := bootEngine(annotated)
+			dev, err := boot(annotated)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if errs := e.ScriptErrors(); len(errs) > 0 {
+			if errs := dev.Engine.ScriptErrors(); len(errs) > 0 {
 				t.Fatalf("annotated app errors: %v", errs)
+			}
+			if _, _, err := dev.Close(); err != nil {
+				t.Fatal(err)
 			}
 			// The catalog's continuous-microbenchmark apps must have at
 			// least one continuous finding.

@@ -132,16 +132,20 @@ func TestAnnotatedPageStillRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The annotated application must still boot and behave.
-	e, err := bootEngine(annotated)
+	dev, err := boot(annotated)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := dev.Engine
 	if len(e.ScriptErrors()) > 0 {
 		t.Fatalf("annotated page script errors: %v", e.ScriptErrors())
 	}
 	res := e.ProfileEvent(e.Doc().GetElementByID("plain"), "click", nil)
 	if res.HandlersRun != 1 {
 		t.Fatalf("handlers = %d", res.HandlersRun)
+	}
+	if _, _, err := dev.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

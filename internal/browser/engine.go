@@ -198,9 +198,6 @@ func (e *Engine) Bindings() *webapi.Bindings { return e.bind }
 // Annotations returns the GreenWeb annotation resolver for the page.
 func (e *Engine) Annotations() *css.AnnotationSet { return e.anns }
 
-// AddAnnotationSheet appends extra GreenWeb rules (AUTOGREEN's output).
-func (e *Engine) AddAnnotationSheet(sheet *css.Stylesheet) { e.anns.AddSheet(sheet) }
-
 // Results returns the frames produced so far.
 func (e *Engine) Results() []FrameResult { return e.results }
 

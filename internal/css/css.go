@@ -282,12 +282,6 @@ func ParseDuration(s string) (sim.Duration, error) {
 	return sim.Duration(f * mult), nil
 }
 
-// FormatDuration renders a duration as a CSS time value in ms.
-func FormatDuration(d sim.Duration) string {
-	ms := d.Milliseconds()
-	return strconv.FormatFloat(ms, 'f', -1, 64) + "ms"
-}
-
 // Transition is one parsed "transition: <property> <duration>" entry.
 type Transition struct {
 	Property string

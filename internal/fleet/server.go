@@ -261,9 +261,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // what is already in flight. Idempotent.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Registry returns the server's own metric registry (cluster and sweep
 // gauges); /metrics merges it with obs.Default().
 func (s *Server) Registry() *obs.Registry { return s.reg }

@@ -54,11 +54,7 @@ func TestDecisionsGolden(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s not registered", c.app)
 		}
-		trace := app.Full
-		if c.micro {
-			trace = app.Micro
-		}
-		r, err := ExecuteFaultedContext(c.ctx, app, c.kind, trace, c.spec)
+		r, err := ExecuteCell(c.ctx, Cell{App: app, Kind: c.kind, Full: !c.micro, Repeats: 1, Faults: c.spec})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

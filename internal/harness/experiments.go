@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/apps"
 	"github.com/wattwiseweb/greenweb/internal/autogreen"
-	"github.com/wattwiseweb/greenweb/internal/browser"
+	"github.com/wattwiseweb/greenweb/internal/device"
 	"github.com/wattwiseweb/greenweb/internal/governor"
 	"github.com/wattwiseweb/greenweb/internal/metrics"
 	"github.com/wattwiseweb/greenweb/internal/qos"
@@ -88,15 +87,23 @@ func Table3() ([]Table3Row, error) {
 	return rows, nil
 }
 
-func annotationCoverage(a *apps.App) (float64, error) {
-	s := sim.New()
-	cpu := acmp.NewCPU(s, acmp.DefaultPower())
-	e := browser.New(s, cpu, nil)
-	e.SetGovernor(governor.NewPerf())
+// annotationCoverage loads the app under Perf and reports the share of its
+// full trace's events whose target carries a GreenWeb annotation.
+func annotationCoverage(a *apps.App) (cov float64, err error) {
+	dev, err := device.New(governor.NewPerf(), 0, nil, 0)
+	if err != nil {
+		return 0, err
+	}
+	defer func() {
+		if _, _, cerr := dev.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	e := dev.Engine
 	if _, err := e.LoadPage(a.HTML()); err != nil {
 		return 0, err
 	}
-	if err := settle(context.Background(), s, e, 60*sim.Second); err != nil {
+	if err := dev.Settle(context.Background(), 60*sim.Second); err != nil {
 		return 0, err
 	}
 	if a.Full.Events() == 0 {
@@ -398,7 +405,7 @@ func (s *Suite) AblationPredictor() ([]PredictorRow, error) {
 		if cold.models == nil {
 			return fmt.Errorf("harness: %s/%s: run carries no trained models", a.Name, GreenWebI)
 		}
-		trained, err := executeSeeded(s.ctx(), a, GreenWebI, a.Full, cold.models, nil)
+		trained, err := execute(s.ctx(), a, a.HTML(), GreenWebI, a.Full, cold.models, nil, false)
 		if err != nil {
 			return err
 		}
@@ -501,7 +508,7 @@ func (s *Suite) ComparisonAutoGreen() ([]AutoGreenRow, error) {
 		if err != nil {
 			return err
 		}
-		auto, err := executeHTML(s.ctx(), a, annotated, GreenWebI, a.Full, nil, nil)
+		auto, err := execute(s.ctx(), a, annotated, GreenWebI, a.Full, nil, nil, false)
 		if err != nil {
 			return err
 		}
@@ -519,10 +526,4 @@ func (s *Suite) ComparisonAutoGreen() ([]AutoGreenRow, error) {
 		return nil, err
 	}
 	return rows, nil
-}
-
-// String renders a run compactly for logs.
-func (r *Run) String() string {
-	return fmt.Sprintf("%s/%s: %.3f J, %d frames, violI=%.2f%% violU=%.2f%%",
-		r.App.Name, r.Kind, float64(r.Energy), r.Frames, r.ViolationI, r.ViolationU)
 }

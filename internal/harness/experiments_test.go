@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/apps"
+	"github.com/wattwiseweb/greenweb/internal/metrics"
 	"github.com/wattwiseweb/greenweb/internal/qos"
 	"github.com/wattwiseweb/greenweb/internal/sim"
 )
@@ -372,24 +375,34 @@ func TestExperimentBackgroundShape(t *testing.T) {
 	}
 }
 
+// TestExperimentVariation reproduces the paper's measurement-noise
+// statement ("we find the run-to-run variations are usually about 5%, and do
+// not affect our conclusions"). The simulation itself is exact, so the
+// noise source is reintroduced by jittering input timings, the dominant
+// variability under record/replay: with ±25 ms jitter, energy varies but
+// stays in that regime.
 func TestExperimentVariation(t *testing.T) {
-	// The paper: "run-to-run variations are usually about 5%". With ±25 ms
-	// input-timing jitter, energy varies but stays in that regime.
-	energies, maxDev, err := ExperimentVariation("MSN", GreenWebI, 3, 25*sim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	app, _ := apps.ByName("MSN")
+	var energies []float64
+	for i := int64(1); i <= 3; i++ {
+		// The repetition index seeds the jitter; Jitter mixes in the trace's
+		// intrinsic seed, so each app gets its own noise stream.
+		trace := app.Full.Jitter(i, 25*sim.Millisecond)
+		run, err := ExecuteFaultedRepeatedContext(context.Background(), app, GreenWebI, trace, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		energies = append(energies, float64(run.Energy))
 	}
-	if len(energies) != 3 {
-		t.Fatalf("energies = %v", energies)
+	mean, maxDev := metrics.Mean(energies), 0.0
+	for _, e := range energies {
+		maxDev = max(maxDev, math.Abs(e-mean)/mean*100)
 	}
 	if maxDev > 8 {
 		t.Errorf("run-to-run variation %.1f%%, paper reports ~5%%", maxDev)
 	}
 	if maxDev == 0 {
 		t.Error("jittered runs identical; jitter had no effect")
-	}
-	if _, _, err := ExperimentVariation("nope", GreenWebI, 2, 0); err == nil {
-		t.Error("unknown app accepted")
 	}
 }
 
@@ -399,7 +412,7 @@ func TestExecuteRejectsUnknownKind(t *testing.T) {
 			t.Fatal("unknown kind did not panic")
 		}
 	}()
-	newGovernor(Kind("nope"))
+	NewGovernor(Kind("nope"))
 }
 
 func TestRunAccessors(t *testing.T) {
@@ -413,9 +426,6 @@ func TestRunAccessors(t *testing.T) {
 	}
 	if r.LoadLatency <= 0 {
 		t.Fatal("load latency missing")
-	}
-	if r.String() == "" {
-		t.Fatal("String empty")
 	}
 	// Residency must sum to a positive duration on valid configs.
 	for cfg := range r.Residency {
@@ -435,11 +445,11 @@ func TestRunAccessors(t *testing.T) {
 func TestEndToEndDeterminism(t *testing.T) {
 	for _, kind := range []Kind{Perf, Interactive, GreenWebI} {
 		app, _ := apps.ByName("Goo.ne.jp")
-		a, err := Execute(app, kind, app.Full)
+		a, err := ExecuteCell(context.Background(), Cell{App: app, Kind: kind, Full: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Execute(app, kind, app.Full)
+		b, err := ExecuteCell(context.Background(), Cell{App: app, Kind: kind, Full: true})
 		if err != nil {
 			t.Fatal(err)
 		}

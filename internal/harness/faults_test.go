@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -25,11 +26,11 @@ func TestFaultSweepGreenWebBeatsPerfUnderThermalCap(t *testing.T) {
 	app, _ := apps.ByName("MSN")
 	spec := thermalOnlySpec()
 
-	perf, err := ExecuteFaulted(app, Perf, app.Full, spec)
+	perf, err := ExecuteCell(context.Background(), Cell{App: app, Kind: Perf, Full: true, Faults: spec})
 	if err != nil {
 		t.Fatalf("Perf: %v", err)
 	}
-	green, err := ExecuteFaulted(app, GreenWebI, app.Full, spec)
+	green, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebI, Full: true, Faults: spec})
 	if err != nil {
 		t.Fatalf("GreenWeb-I: %v", err)
 	}
@@ -42,7 +43,7 @@ func TestFaultSweepGreenWebBeatsPerfUnderThermalCap(t *testing.T) {
 		t.Fatalf("GreenWeb-I %.3f J not below Perf %.3f J under a thermal cap",
 			float64(green.Energy), float64(perf.Energy))
 	}
-	// Attribution must still balance on a faulted device (Execute enforces
+	// Attribution must still balance on a faulted device (ExecuteCell enforces
 	// ledger conservation internally; re-assert the split here).
 	for _, r := range []*Run{perf, green} {
 		if diff := r.TotalEnergy - (r.FrameEnergy + r.IdleEnergy); diff > ledger.ConservationTolerance || diff < -ledger.ConservationTolerance {
@@ -57,11 +58,11 @@ func TestFaultSweepGreenWebBeatsPerfUnderThermalCap(t *testing.T) {
 func TestFaultedRunDeterminism(t *testing.T) {
 	app, _ := apps.ByName("Goo.ne.jp")
 	spec := faults.Default(7)
-	a, err := ExecuteFaulted(app, GreenWebI, app.Full, spec)
+	a, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebI, Full: true, Faults: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ExecuteFaulted(app, GreenWebI, app.Full, spec)
+	b, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebI, Full: true, Faults: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +94,11 @@ func TestFaultedRunDeterminism(t *testing.T) {
 // patterns (the DVFS decision streams must not collapse).
 func TestFaultSpecSeedChangesTimeline(t *testing.T) {
 	app, _ := apps.ByName("Goo.ne.jp")
-	a, err := ExecuteFaulted(app, GreenWebI, app.Full, faults.Default(1))
+	a, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebI, Full: true, Faults: faults.Default(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ExecuteFaulted(app, GreenWebI, app.Full, faults.Default(2))
+	b, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebI, Full: true, Faults: faults.Default(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,15 +108,16 @@ func TestFaultSpecSeedChangesTimeline(t *testing.T) {
 	}
 }
 
-// TestNilSpecMatchesUnfaultedRun: the faulted path with no spec must be
-// byte-identical to the plain path — the fault layer is pay-for-what-you-use.
+// TestNilSpecMatchesUnfaultedRun: a spec that injects nothing must leave the
+// run byte-identical to an unfaulted one — the fault layer is
+// pay-for-what-you-use.
 func TestNilSpecMatchesUnfaultedRun(t *testing.T) {
 	app, _ := apps.ByName("Todo")
-	plain, err := Execute(app, GreenWebU, app.Full)
+	plain, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebU, Full: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, err := ExecuteFaulted(app, GreenWebU, app.Full, nil)
+	faulted, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebU, Full: true, Faults: &faults.Spec{Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +139,13 @@ func TestFaultStormAbortsRun(t *testing.T) {
 		DVFS:       &faults.DVFSSpec{DenyProb: 1},
 		StormAbort: 1,
 	}
-	_, err := ExecuteFaulted(app, GreenWebI, app.Full, spec)
+	_, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebI, Full: true, Faults: spec})
 	if !errors.Is(err, faults.ErrStorm) {
 		t.Fatalf("err = %v, want ErrStorm", err)
 	}
 	// Below the threshold the same pattern completes.
 	spec.StormAbort = 1 << 30
-	if _, err := ExecuteFaulted(app, GreenWebI, app.Full, spec); err != nil {
+	if _, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebI, Full: true, Faults: spec}); err != nil {
 		t.Fatalf("sub-threshold run failed: %v", err)
 	}
 }
@@ -153,7 +155,7 @@ func TestFaultStormAbortsRun(t *testing.T) {
 func TestFaultedRunInvalidSpecRejected(t *testing.T) {
 	app, _ := apps.ByName("Todo")
 	spec := &faults.Spec{DVFS: &faults.DVFSSpec{DenyProb: 2}}
-	if _, err := ExecuteFaulted(app, GreenWebI, app.Full, spec); err == nil {
+	if _, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebI, Full: true, Faults: spec}); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
 }

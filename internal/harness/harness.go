@@ -19,6 +19,7 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/apps"
 	"github.com/wattwiseweb/greenweb/internal/browser"
 	"github.com/wattwiseweb/greenweb/internal/core"
+	"github.com/wattwiseweb/greenweb/internal/device"
 	"github.com/wattwiseweb/greenweb/internal/faults"
 	"github.com/wattwiseweb/greenweb/internal/governor"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
@@ -64,7 +65,7 @@ const (
 	EBSKind Kind = "EBS"
 )
 
-// Kinds returns every governor kind Execute accepts, in evaluation order.
+// Kinds returns every governor kind NewGovernor accepts, in evaluation order.
 func Kinds() []Kind {
 	return []Kind{
 		Perf, Interactive, Ondemand, Powersave,
@@ -75,8 +76,8 @@ func Kinds() []Kind {
 }
 
 // ParseKind resolves a kind name case-insensitively, so callers accepting
-// external input (the job server, CLI flags) can validate before Execute —
-// which panics on unknown kinds — ever runs.
+// external input (the job server, CLI flags) can validate before
+// NewGovernor — which panics on unknown kinds — ever runs.
 func ParseKind(name string) (Kind, error) {
 	for _, k := range Kinds() {
 		if strings.EqualFold(name, string(k)) {
@@ -86,8 +87,10 @@ func ParseKind(name string) (Kind, error) {
 	return "", fmt.Errorf("harness: unknown governor kind %q", name)
 }
 
-// newGovernor builds a fresh governor instance.
-func newGovernor(kind Kind) browser.Governor {
+// NewGovernor builds a fresh governor of the given kind; an unknown kind
+// panics (validate external input with ParseKind). It is the one place a
+// kind becomes a governor.
+func NewGovernor(kind Kind) browser.Governor {
 	switch kind {
 	case Perf:
 		return governor.NewPerf()
@@ -193,42 +196,8 @@ type Run struct {
 
 	// models are the GreenWeb runtime's trained per-class models at the end
 	// of the run (nil under baseline governors), which can seed a later run
-	// (ExecuteRepeated, AblationPredictor). They stay in this process.
+	// (the repeated protocol, AblationPredictor). They stay in this process.
 	models map[string]*core.Model
-}
-
-// settle advances the simulation until the engine is quiescent, cap elapses,
-// or ctx is cancelled (governor timers may keep the event queue non-empty
-// forever, so quiescence is polled, not inferred from queue drain).
-func settle(ctx context.Context, s *sim.Simulator, e *browser.Engine, cap sim.Duration) error {
-	deadline := s.Now().Add(cap)
-	for s.Now() < deadline {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		s.RunUntil(s.Now().Add(20 * sim.Millisecond))
-		if e.Quiescent() && !e.CPU().Busy() {
-			return nil
-		}
-	}
-	return ctx.Err()
-}
-
-// runUntil advances the simulation to deadline in small chunks, checking ctx
-// between chunks so a fleet worker can abandon a runaway cell mid-replay.
-func runUntil(ctx context.Context, s *sim.Simulator, deadline sim.Time) error {
-	const chunk = 100 * sim.Millisecond
-	for s.Now() < deadline {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		next := s.Now().Add(chunk)
-		if next > deadline {
-			next = deadline
-		}
-		s.RunUntil(next)
-	}
-	return ctx.Err()
 }
 
 // subtractResidency computes the per-config residency accrued between two
@@ -243,55 +212,22 @@ func subtractResidency(after, before map[acmp.Config]sim.Duration) map[acmp.Conf
 	return out
 }
 
-// Execute runs one (app, governor, trace) combination cold and measures
-// it. A nil or empty trace measures the loading phase itself (the loading
-// microbenchmark).
-func Execute(app *apps.App, kind Kind, trace *replay.Trace) (*Run, error) {
-	return ExecuteContext(context.Background(), app, kind, trace)
-}
-
-// ExecuteContext is Execute with cancellation: the simulation is abandoned
-// at the next scheduling chunk once ctx is done, and the ctx error is
-// returned wrapped (errors.Is-able against context.Canceled /
-// DeadlineExceeded). Fleet workers use this for per-job timeouts.
-func ExecuteContext(ctx context.Context, app *apps.App, kind Kind, trace *replay.Trace) (*Run, error) {
-	return executeSeeded(ctx, app, kind, trace, nil, nil)
-}
-
-// ExecuteFaulted is Execute on a faulted device: spec's adversities (thermal
-// throttling, DVFS transition failures, DAQ dropout) are injected with a
-// fault pattern seeded by spec.Seed mixed with the trace's intrinsic seed,
-// so each cell's faults are stable across repetitions, machines, and fleet
-// worker counts. A nil or empty spec degenerates to Execute exactly.
-func ExecuteFaulted(app *apps.App, kind Kind, trace *replay.Trace, spec *faults.Spec) (*Run, error) {
-	return ExecuteFaultedContext(context.Background(), app, kind, trace, spec)
-}
-
-// ExecuteFaultedContext is ExecuteFaulted with cancellation.
-func ExecuteFaultedContext(ctx context.Context, app *apps.App, kind Kind, trace *replay.Trace, spec *faults.Spec) (*Run, error) {
-	return executeSeeded(ctx, app, kind, trace, nil, spec)
-}
-
-// ExecuteRepeated reproduces the paper's measurement protocol ("we repeat
-// every experiment 3 times ... the results we report are the median"): the
-// experiment runs n times on a runtime whose per-class models persist
-// across repetitions, as they do on a device. Energy is the median run's;
-// violations are averaged across repetitions, so the profiling runs'
-// violations (the paper's MSN/LZMA-JS/BBC story) remain visible.
-func ExecuteRepeated(app *apps.App, kind Kind, trace *replay.Trace, n int) (*Run, error) {
-	return ExecuteRepeatedContext(context.Background(), app, kind, trace, n)
-}
-
-// ExecuteRepeatedContext is ExecuteRepeated with cancellation (see
-// ExecuteContext).
-func ExecuteRepeatedContext(ctx context.Context, app *apps.App, kind Kind, trace *replay.Trace, n int) (*Run, error) {
-	return ExecuteFaultedRepeatedContext(ctx, app, kind, trace, n, nil)
-}
-
-// ExecuteFaultedRepeatedContext is ExecuteRepeatedContext on a faulted
-// device (see ExecuteFaulted). Every repetition replays the identical fault
-// pattern: the injector is a pure function of (spec seed, trace seed,
-// virtual time), and each repetition restarts virtual time.
+// ExecuteFaultedRepeatedContext runs one (app, governor, trace) experiment
+// under the paper's measurement protocol ("we repeat every experiment 3
+// times ... the results we report are the median"): n runs on a runtime
+// whose per-class models persist across repetitions, as they do on a
+// device. Energy is the median run's; violations are averaged across
+// repetitions, so the profiling runs' violations (the paper's
+// MSN/LZMA-JS/BBC story) remain visible. A nil or empty trace measures the
+// loading phase itself (the loading microbenchmark).
+//
+// A non-nil spec runs every repetition on a faulted device (thermal
+// throttling, DVFS transition failures, DAQ dropout) with the identical
+// fault pattern: the injector is a pure function of (spec seed, trace seed,
+// virtual time), and each repetition restarts virtual time. Once ctx is done
+// the simulation is abandoned at the next scheduling chunk and the ctx error
+// is returned wrapped (errors.Is-able against context.Canceled /
+// DeadlineExceeded).
 func ExecuteFaultedRepeatedContext(ctx context.Context, app *apps.App, kind Kind, trace *replay.Trace, n int, spec *faults.Spec) (*Run, error) {
 	if n < 1 {
 		n = 1
@@ -299,7 +235,7 @@ func ExecuteFaultedRepeatedContext(ctx context.Context, app *apps.App, kind Kind
 	var runs []*Run
 	var models map[string]*core.Model
 	for i := 0; i < n; i++ {
-		run, err := executeSeeded(ctx, app, kind, trace, models, spec)
+		run, err := execute(ctx, app, app.HTML(), kind, trace, models, spec, false)
 		if err != nil {
 			return nil, err
 		}
@@ -321,95 +257,86 @@ func ExecuteFaultedRepeatedContext(ctx context.Context, app *apps.App, kind Kind
 	return med, nil
 }
 
-func executeSeeded(ctx context.Context, app *apps.App, kind Kind, trace *replay.Trace, seed map[string]*core.Model, spec *faults.Spec) (*Run, error) {
-	return executeHTML(ctx, app, app.HTML(), kind, trace, seed, spec)
-}
-
-// executeHTML runs an explicit page source (e.g. an AUTOGREEN-annotated
-// variant of an application) through the same measurement pipeline.
-func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, trace *replay.Trace, seed map[string]*core.Model, spec *faults.Spec) (*Run, error) {
-	s := sim.New()
-	cpu := acmp.NewCPU(s, acmp.DefaultPower())
-	var inj *faults.Injector
-	var daq *acmp.DAQ
-	if spec.Enabled() || (spec != nil && spec.StormAbort > 0) {
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
-		}
-		var traceSeed int64
-		if trace != nil {
-			traceSeed = trace.Seed()
-		}
-		inj = spec.NewInjector(traceSeed)
-		inj.Attach(cpu)
-		if spec.DAQ != nil {
-			daq = acmp.NewDAQ(s, sim.Millisecond, cpu.Power)
-			inj.AttachDAQ(daq)
-		}
-	}
-	e := browser.New(s, cpu, nil)
-	// Stage-worker configuration must precede LoadPage (stage threads feed
-	// the idle-power model). Zero/one leaves the engine serial.
-	if n := StageWorkersIn(ctx); n > 0 {
-		e.SetStageWorkers(n)
-	}
-	led := ledger.New(cpu)
-	e.SetLedger(led)
-	gov := newGovernor(kind)
-	var rt *core.Runtime
-	if r, ok := gov.(*core.Runtime); ok {
-		rt = r
-		if seed != nil {
-			rt.ImportModels(seed)
-		}
-	}
-	e.SetGovernor(gov)
-	if _, err := e.LoadPage(html); err != nil {
+// execute is the one measured run every experiment comes down to. It loads
+// html (the app's page, or a variant of it such as AUTOGREEN's output) on a
+// fresh device under kind, whose runtime starts from the seed models, with
+// spec's faults injected; settles the load; replays trace from 100 ms after
+// the load settles and settles again; then closes the device's ledger,
+// failing the run if conservation does not hold. With background set, a
+// background application shares the SoC from the page load on, and the run
+// ends 2 s after the trace instead of settling, because the background pump
+// never quiesces. ctx carries the stage-worker count (WithStageWorkers) and
+// cancels the run.
+func execute(ctx context.Context, app *apps.App, html string, kind Kind, trace *replay.Trace, seed map[string]*core.Model, spec *faults.Spec, background bool) (*Run, error) {
+	fail := func(err error) (*Run, error) {
 		return nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
+	}
+	gov := NewGovernor(kind)
+	rt, _ := gov.(*core.Runtime)
+	if rt != nil && seed != nil {
+		rt.ImportModels(seed)
+	}
+	var traceSeed int64
+	if trace != nil {
+		traceSeed = trace.Seed()
+	}
+	dev, err := device.New(gov, StageWorkersIn(ctx), spec, traceSeed)
+	if err != nil {
+		return fail(err)
+	}
+	// The measured path closes the ledger itself; this closes it on the
+	// early returns.
+	defer dev.Close()
+	s, cpu, e := dev.Sim, dev.CPU, dev.Engine
+	if _, err := e.LoadPage(html); err != nil {
+		return fail(err)
 	}
 	cols := metrics.NewCollectors(e, qos.Imperceptible, qos.Usable)
 	colI, colU := cols[0], cols[1]
+	stopBackground := func() {}
+	if background {
+		stopBackground = startBackground(s, cpu)
+	}
 
 	run := &Run{App: app, Kind: kind}
 
 	// Phase 1: load.
-	if err := settle(ctx, s, e, 60*sim.Second); err != nil {
-		return nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
+	if err := dev.Settle(ctx, 60*sim.Second); err != nil {
+		return fail(err)
 	}
 	if frames := e.Results(); len(frames) > 0 && len(frames[0].Inputs) > 0 {
 		run.LoadLatency = frames[0].Inputs[0].Latency
 	}
 
 	loadOnly := trace == nil || trace.Events() == 0
-	e0 := cpu.Energy()
-	res0 := cpu.Residency()
-	sw0 := cpu.Stats()
-	f0 := len(e.Results())
+	e0, res0, sw0, f0 := cpu.Energy(), cpu.Residency(), cpu.Stats(), len(e.Results())
 	t0 := s.Now().Add(100 * sim.Millisecond)
 
 	// Phase 2: interaction.
 	if !loadOnly {
 		trace.Replay(e, t0)
-		if err := runUntil(ctx, s, t0.Add(trace.Duration())); err != nil {
-			return nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
+		end := t0.Add(trace.Duration())
+		if background {
+			end = end.Add(2 * sim.Second)
 		}
-		if err := settle(ctx, s, e, 60*sim.Second); err != nil {
-			return nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
+		if err := dev.RunUntil(ctx, end); err != nil {
+			return fail(err)
+		}
+		if !background {
+			if err := dev.Settle(ctx, 60*sim.Second); err != nil {
+				return fail(err)
+			}
 		}
 	}
 
-	if st, ok := gov.(interface{ Stop() }); ok {
-		st.Stop()
-	}
+	stopBackground()
+	dev.Stop()
 
 	// Fault storm: a cell whose DVFS denial count reached the threshold is a
 	// failed job (deterministically — the pattern is a pure function of the
 	// seeds), exercising the fleet's retry and quarantine machinery.
-	if inj != nil {
-		if lim := inj.StormAbort(); lim > 0 && cpu.FaultStats().Denied >= lim {
-			return nil, fmt.Errorf("harness: %s/%s: %w (%d DVFS transitions denied)",
-				app.Name, kind, faults.ErrStorm, cpu.FaultStats().Denied)
-		}
+	if lim, denied := dev.Faults.StormAbort(), cpu.FaultStats().Denied; lim > 0 && denied >= lim {
+		return fail(fmt.Errorf("%w (%d DVFS transitions denied)", faults.ErrStorm, denied))
 	}
 
 	if loadOnly {
@@ -434,19 +361,27 @@ func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, tra
 	}
 	run.TotalEnergy = cpu.Energy()
 	run.FrameResults = e.Results()
-	if err := run.closeLedger(led); err != nil {
-		return nil, fmt.Errorf("harness: %s/%s: %w", app.Name, kind, err)
+	// Every joule the meter integrated must appear in exactly one frame/idle
+	// span, so an attribution bug fails the run instead of silently skewing
+	// the numbers. The totals and the exported timeline come from one span
+	// snapshot.
+	spans, t, err := dev.Close()
+	if err != nil {
+		return fail(err)
 	}
+	run.FrameEnergy, run.IdleEnergy, run.EventEnergy, run.StageEnergy = t.Frame, t.Idle, t.Event, t.Stage
+	run.Spans = spans
+	run.ConfigMarks = dev.Ledger.Marks()
 	// The decision log is a projection of the closed frame spans, derived
 	// once per run. -no-obs contexts (greensrv/greenbench -no-obs) skip it.
 	if obs.EnabledIn(ctx) {
 		run.Decisions = obs.DecisionsOf(run.Spans)
 	}
-	if daq != nil {
+	if daq := dev.DAQ; daq != nil {
 		daq.Stop()
 		run.DAQSamples, run.DAQDropped, run.MeteredEnergy = daq.Samples(), daq.Dropped(), daq.Energy()
 	}
-	if inj != nil {
+	if dev.Faults != nil {
 		fs := cpu.FaultStats()
 		run.ThermalTrips, run.DVFSDenied, run.DVFSDelayed = fs.Trips, fs.Denied, fs.Delayed
 		obsThermalTrips.Add(int64(fs.Trips))
@@ -454,31 +389,13 @@ func executeHTML(ctx context.Context, app *apps.App, html string, kind Kind, tra
 	if rt != nil {
 		st := rt.Stats()
 		run.CapClamps, run.Degradations, run.Recoveries = st.CapClamps, st.Degradations, st.Recoveries
+		run.models = rt.ExportModels()
 	}
 	if errs := e.ScriptErrors(); len(errs) > 0 {
-		return nil, fmt.Errorf("harness: %s/%s: script errors: %v", app.Name, kind, errs[0])
-	}
-	if rt != nil {
-		run.models = rt.ExportModels()
+		return fail(fmt.Errorf("script errors: %v", errs[0]))
 	}
 	obsRuns.With(string(kind)).Inc()
 	return run, nil
-}
-
-// closeLedger closes out the run's attribution ledger and enforces
-// conservation: every joule the meter integrated must appear in exactly one
-// frame/idle span, so an attribution bug fails the run instead of silently
-// skewing the numbers. The totals and the exported timeline all come from
-// one span snapshot.
-func (run *Run) closeLedger(led *ledger.Ledger) error {
-	spans, t, err := led.Close()
-	if err != nil {
-		return err
-	}
-	run.FrameEnergy, run.IdleEnergy, run.EventEnergy, run.StageEnergy = t.Frame, t.Idle, t.Event, t.Stage
-	run.Spans = spans
-	run.ConfigMarks = led.Marks()
-	return nil
 }
 
 // violationsOf extracts violation percentages for frames completing at or
@@ -553,8 +470,9 @@ type Cell struct {
 
 // ExecuteCell runs the cell under the paper's measurement protocol: a full
 // interaction is one cold run, a microbenchmark MicroRepeats runs on
-// persisting models (see ExecuteRepeated). Every suite and fleet execution
-// of a cell comes through here, so they are interchangeable bit for bit.
+// persisting models (see ExecuteFaultedRepeatedContext). Every suite and
+// fleet execution of a cell comes through here, so they are interchangeable
+// bit for bit.
 func ExecuteCell(ctx context.Context, c Cell) (*Run, error) {
 	if c.StageWorkers > 0 {
 		ctx = WithStageWorkers(ctx, c.StageWorkers)
@@ -694,28 +612,24 @@ const MicroRepeats = 3
 // Micro returns (running and caching) the microbenchmark execution, using
 // the repeated-measurement protocol.
 func (s *Suite) Micro(app *apps.App, kind Kind) (*Run, error) {
-	k := s.key(app, kind)
-	if r, ok := s.micro[k]; ok {
-		return r, nil
-	}
-	r, err := ExecuteCell(s.ctx(), Cell{App: app, Kind: kind})
-	if err != nil {
-		return nil, err
-	}
-	s.micro[k] = r
-	return r, nil
+	return s.run(Cell{App: app, Kind: kind})
 }
 
 // Full returns (running and caching) the full-interaction execution.
 func (s *Suite) Full(app *apps.App, kind Kind) (*Run, error) {
-	k := s.key(app, kind)
-	if r, ok := s.full[k]; ok {
+	return s.run(Cell{App: app, Kind: kind, Full: true})
+}
+
+// run returns the cell's cached execution, computing it on a miss.
+func (s *Suite) run(c Cell) (*Run, error) {
+	k := s.key(c.App, c.Kind)
+	if r, ok := s.cache(c)[k]; ok {
 		return r, nil
 	}
-	r, err := ExecuteCell(s.ctx(), Cell{App: app, Kind: kind, Full: true})
+	r, err := ExecuteCell(s.ctx(), c)
 	if err != nil {
 		return nil, err
 	}
-	s.full[k] = r
+	s.cache(c)[k] = r
 	return r, nil
 }

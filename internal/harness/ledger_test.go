@@ -16,7 +16,7 @@ import (
 // attribution ledger: across the full Table 3 sweep (every application under
 // the paper's two baselines and both GreenWeb scenarios), the frame+idle
 // span energies must sum to the meter integral within the conservation
-// tolerance, and the span timeline must be structurally sound. Execute
+// tolerance, and the span timeline must be structurally sound. ExecuteCell
 // already fails any run whose ledger misaccounts; this test additionally
 // cross-checks the exported summary against the raw spans.
 func TestLedgerConservationFullSweep(t *testing.T) {
@@ -26,7 +26,7 @@ func TestLedgerConservationFullSweep(t *testing.T) {
 			app, kind := app, kind
 			t.Run(app.Name+"/"+string(kind), func(t *testing.T) {
 				t.Parallel()
-				run, err := Execute(app, kind, app.Full)
+				run, err := ExecuteCell(context.Background(), Cell{App: app, Kind: kind, Full: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,7 +80,7 @@ func TestLedgerConservationFullSweep(t *testing.T) {
 // serve).
 func TestRunTraceExport(t *testing.T) {
 	app := apps.All()[0]
-	run, err := Execute(app, GreenWebU, app.Full)
+	run, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebU, Full: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRunTraceExport(t *testing.T) {
 // annotations on at least one frame.
 func TestGreenWebRunAnnotatesSpans(t *testing.T) {
 	app := apps.All()[0]
-	run, err := Execute(app, GreenWebU, app.Full)
+	run, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebU, Full: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +159,19 @@ func TestGreenWebRunAnnotatesSpans(t *testing.T) {
 	}
 }
 
+// executeLoaded is ExperimentBackground's loaded run: app's full interaction
+// under GreenWeb-I with the background application sharing the SoC.
+func executeLoaded(ctx context.Context, app *apps.App) (*Run, error) {
+	return execute(ctx, app, app.HTML(), GreenWebI, app.Full, nil, nil, true)
+}
+
 // TestBackgroundRunConservation holds runs that share the SoC with a
 // background app to the invariant every other run meets: frame + idle
 // energy partition the whole-run meter integral, the background app's
 // draw included.
 func TestBackgroundRunConservation(t *testing.T) {
 	app, _ := apps.ByName("MSN")
-	run, err := ExecuteWithBackground(context.Background(), app, GreenWebI, DefaultBackgroundLoad())
+	run, err := executeLoaded(context.Background(), app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +190,14 @@ func TestBackgroundRunConservation(t *testing.T) {
 // is compared with, and stops when the context is cancelled.
 func TestBackgroundRunHonorsStageWorkers(t *testing.T) {
 	app, _ := apps.ByName("MSN")
-	staged, err := ExecuteWithBackground(WithStageWorkers(context.Background(), 4), app, GreenWebI, DefaultBackgroundLoad())
+	staged, err := executeLoaded(WithStageWorkers(context.Background(), 4), app)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if staged.StageEnergy <= 0 {
 		t.Fatalf("loaded run at 4 stage workers attributed %v J to stages, want > 0", staged.StageEnergy)
 	}
-	serial, err := ExecuteWithBackground(context.Background(), app, GreenWebI, DefaultBackgroundLoad())
+	serial, err := executeLoaded(context.Background(), app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +207,7 @@ func TestBackgroundRunHonorsStageWorkers(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ExecuteWithBackground(ctx, app, GreenWebI, DefaultBackgroundLoad()); !errors.Is(err, context.Canceled) {
+	if _, err := executeLoaded(ctx, app); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
 	}
 }

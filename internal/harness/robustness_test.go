@@ -8,14 +8,15 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/apps"
 	"github.com/wattwiseweb/greenweb/internal/browser"
+	"github.com/wattwiseweb/greenweb/internal/device"
 	"github.com/wattwiseweb/greenweb/internal/sim"
 )
 
 // TestRandomInputStorm fires randomized event storms — arbitrary events,
 // arbitrary (sometimes nonexistent) targets, arbitrary timing — at real
 // catalog applications under every governor. Nothing may panic, script
-// errors may not appear, energy must accrue monotonically, and frame
-// attribution invariants must hold.
+// errors may not appear, energy must accrue monotonically, the ledger must
+// conserve energy, and frame attribution invariants must hold.
 func TestRandomInputStorm(t *testing.T) {
 	events := []string{"click", "touchstart", "touchend", "touchmove", "scroll"}
 	appNames := []string{"MSN", "Goo.ne.jp", "Todo", "Craigslist"}
@@ -25,15 +26,15 @@ func TestRandomInputStorm(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		app, _ := apps.ByName(appNames[trial%len(appNames)])
 		kind := kinds[trial%len(kinds)]
-		s := sim.New()
-		cpu := acmp.NewCPU(s, acmp.DefaultPower())
-		e := browser.New(s, cpu, nil)
-		gov := newGovernor(kind)
-		e.SetGovernor(gov)
+		dev, err := device.New(NewGovernor(kind), 0, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, cpu, e := dev.Sim, dev.CPU, dev.Engine
 		if _, err := e.LoadPage(app.HTML()); err != nil {
 			t.Fatal(err)
 		}
-		settle(context.Background(), s, e, 60*sim.Second)
+		dev.Settle(context.Background(), 60*sim.Second)
 
 		// Collect plausible and implausible targets.
 		var ids []string
@@ -57,9 +58,10 @@ func TestRandomInputStorm(t *testing.T) {
 			e.Inject(at, ev, target, data)
 		}
 		s.RunUntil(at.Add(2 * sim.Second))
-		settle(context.Background(), s, e, 30*sim.Second)
-		if st, ok := gov.(interface{ Stop() }); ok {
-			st.Stop()
+		dev.Settle(context.Background(), 30*sim.Second)
+		// Energy conservation holds under the storm too.
+		if _, _, err := dev.Close(); err != nil {
+			t.Fatalf("trial %d (%s/%s): %v", trial, app.Name, kind, err)
 		}
 
 		if errs := e.ScriptErrors(); len(errs) > 0 {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -13,12 +14,13 @@ func TestSmokeSingleApp(t *testing.T) {
 	app, _ := apps.ByName("MSN")
 	for _, kind := range []Kind{Perf, Interactive, GreenWebI, GreenWebU} {
 		start := time.Now()
-		r, err := Execute(app, kind, app.Full)
+		r, err := ExecuteCell(context.Background(), Cell{App: app, Kind: kind, Full: true})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		wall := time.Since(start)
-		t.Logf("%s (wall %v)", r, wall)
+		t.Logf("%s: %.3f J, %d frames, violI=%.2f%% violU=%.2f%% (wall %v)",
+			kind, float64(r.Energy), r.Frames, r.ViolationI, r.ViolationU, wall)
 		if r.Energy <= 0 || r.Frames <= 0 {
 			t.Fatalf("%s: empty measurement: %+v", kind, r)
 		}
@@ -33,7 +35,7 @@ func TestSmokeSingleApp(t *testing.T) {
 func BenchmarkFullInteractionMSN(b *testing.B) {
 	app, _ := apps.ByName("MSN")
 	for i := 0; i < b.N; i++ {
-		if _, err := Execute(app, GreenWebI, app.Full); err != nil {
+		if _, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebI, Full: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,7 +28,7 @@ func TestSPAGolden(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			ctx := WithStageWorkers(context.Background(), workers)
-			r, err := ExecuteContext(ctx, app, GreenWebI, app.Micro)
+			r, err := ExecuteCell(ctx, Cell{App: app, Kind: GreenWebI, Repeats: 1})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}

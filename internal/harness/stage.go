@@ -9,7 +9,7 @@ import (
 // The stage-worker count of a run is carried on the context like the obs
 // gate (obs.EnabledIn): callers that want a staged engine wrap the run's
 // context (fleet workers from Job.StageWorkers, the suite from its own
-// count), and executeHTML applies it to the engine before LoadPage.
+// count), and the run builds its device with it (device.New).
 
 type stageWorkersKey struct{}
 

@@ -78,11 +78,11 @@ func TestPR9Metrics(t *testing.T) {
 	stagedCtx := WithStageWorkers(context.Background(), 4)
 
 	// Modeled frame latency, serial vs staged, at the same governor.
-	serial, err := ExecuteContext(serialCtx, app, GreenWebI, app.Micro)
+	serial, err := ExecuteCell(serialCtx, Cell{App: app, Kind: GreenWebI, Repeats: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	staged, err := ExecuteContext(stagedCtx, app, GreenWebI, app.Micro)
+	staged, err := ExecuteCell(stagedCtx, Cell{App: app, Kind: GreenWebI, Repeats: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +91,11 @@ func TestPR9Metrics(t *testing.T) {
 
 	// Energy at fixed QoS: uniform GreenWeb-I vs the per-stage vector, both
 	// on the 4-core staged pipeline, repeated-measurement protocol.
-	uni, err := ExecuteRepeatedContext(stagedCtx, app, GreenWebI, app.Micro, MicroRepeats)
+	uni, err := ExecuteCell(stagedCtx, Cell{App: app, Kind: GreenWebI})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec, err := ExecuteRepeatedContext(stagedCtx, app, GreenWebIStaged, app.Micro, MicroRepeats)
+	vec, err := ExecuteCell(stagedCtx, Cell{App: app, Kind: GreenWebIStaged})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func runFingerprint(r *Run) string {
 func stagedRun(t *testing.T, app *apps.App, kind Kind, workers int, spec *faults.Spec) *Run {
 	t.Helper()
 	ctx := WithStageWorkers(context.Background(), workers)
-	run, err := ExecuteFaultedContext(ctx, app, kind, app.Micro, spec)
+	run, err := ExecuteCell(ctx, Cell{App: app, Kind: kind, Repeats: 1, Faults: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestStageSerialParity(t *testing.T) {
 		}
 		// workers=1 (explicit serial) vs workers unset (default serial).
 		forced := stagedRun(t, app, GreenWebI, 1, nil)
-		plain, err := ExecuteContext(context.Background(), app, GreenWebI, app.Micro)
+		plain, err := ExecuteCell(context.Background(), Cell{App: app, Kind: GreenWebI, Repeats: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestStageSchedulerRace(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			ctx := WithStageWorkers(context.Background(), 4)
-			run, err := ExecuteContext(ctx, app, GreenWebIStaged, app.Micro)
+			run, err := ExecuteCell(ctx, Cell{App: app, Kind: GreenWebIStaged, Repeats: 1})
 			if err != nil {
 				t.Error(err)
 				return
@@ -184,11 +184,11 @@ func TestStageSchedulerRace(t *testing.T) {
 func TestStagedVectorEnergyAtEqualQoS(t *testing.T) {
 	app, _ := apps.ByName("SPA-Feed")
 	ctx := WithStageWorkers(context.Background(), 4)
-	uni, err := ExecuteRepeatedContext(ctx, app, GreenWebI, app.Micro, MicroRepeats)
+	uni, err := ExecuteCell(ctx, Cell{App: app, Kind: GreenWebI})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ExecuteRepeatedContext(ctx, app, GreenWebIStaged, app.Micro, MicroRepeats)
+	st, err := ExecuteCell(ctx, Cell{App: app, Kind: GreenWebIStaged})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,3 +136,28 @@ func TestCloseSpansSurviveBufferReuse(t *testing.T) {
 		}
 	}
 }
+
+// A closed ledger stays closed: the meter keeps integrating (and the CPU
+// keeps changing configuration) after Close, and the ledger ignores both;
+// closing it again returns nothing.
+func TestClosedLedgerIgnoresMeter(t *testing.T) {
+	r := newRig()
+	closeScript(r)
+	if _, _, err := r.led.Close(); err != nil {
+		t.Fatal(err)
+	}
+	marks := len(r.led.Marks())
+	r.cpu.SetConfig(acmp.Config{Cluster: acmp.Little, MHz: acmp.LittleMinMHz})
+	r.burn(500_000)
+	r.s.Run()
+	if got := r.cpu.Energy(); got <= 0 {
+		t.Fatalf("meter stopped: %v J", got)
+	}
+	if got := len(r.led.Marks()); got != marks {
+		t.Errorf("closed ledger recorded %d more config marks", got-marks)
+	}
+	spans, tot, err := r.led.Close()
+	if spans != nil || tot != (Totals{}) || err != nil {
+		t.Fatalf("second Close = %v, %+v, %v; want nothing", spans, tot, err)
+	}
+}

@@ -163,10 +163,16 @@ func New(cpu *acmp.CPU) *Ledger {
 	l.curBusy0 = cpu.UnionBusyTime()
 	cpu.Meter().OnTransition(l.onTransition)
 	cpu.OnConfigChange(func(from, to acmp.Config) {
-		l.marks = append(l.marks, ConfigMark{At: l.simu.Now(), From: from, To: to})
+		if !l.closed() {
+			l.marks = append(l.marks, ConfigMark{At: l.simu.Now(), From: from, To: to})
+		}
 	})
 	return l
 }
+
+// closed reports whether Close has run (it hands the span buffer back). The
+// meter and CPU keep calling a closed ledger, which ignores them.
+func (l *Ledger) closed() bool { return l.buf == nil }
 
 // open gives a new span the next ID and slot, starting now.
 func (l *Ledger) open(kind Kind, name string) int {
@@ -180,6 +186,9 @@ func (l *Ledger) open(kind Kind, name string) int {
 // ledger only changes the open slice at instants where it has just forced a
 // meter sync, so each interval falls entirely within one slice.
 func (l *Ledger) onTransition(from, to sim.Time, rail acmp.Cluster, e acmp.Joules) {
+	if l.closed() {
+		return
+	}
 	l.charge(l.cur, rail, e)
 	for _, ev := range l.events {
 		l.charge(ev.slot, rail, e)
@@ -448,8 +457,12 @@ func nests(stage, frame *Span, staged acmp.Joules) error {
 // conservation and the stage sub-partition on the per-kind totals. It
 // returns the same spans Finish followed by Spans would, in a slice of
 // exactly their length that the caller owns, and recycles the ledger's own
-// buffer (spanBufs). The ledger must not be used after Close.
+// buffer (spanBufs). A closed ledger ignores the meter, and closing it again
+// returns nothing; any other use after Close is a bug.
 func (l *Ledger) Close() ([]Span, Totals, error) {
+	if l.closed() {
+		return nil, Totals{}, nil
+	}
 	l.Finish()
 	now, busy := l.simu.Now(), l.cpu.UnionBusyTime()
 	l.end(l.cur, now, busy, l.curBusy0)
