@@ -115,8 +115,8 @@ type Engine struct {
 	frameSeq  int
 	fw        frameWork
 
-	beginRun, styleRun, layoutRun, paintRun, housekeepRun func() acmp.Work
-	beginCommit, paintCommit, composited, shardDone       func()
+	beginRun, styleRun, layoutRun, paintRun, housekeepRun  func() acmp.Work
+	beginCommit, paintCommit, composited, shardDone, vsync func()
 
 	transitions  []*cssTransition
 	applyingTick bool
@@ -169,6 +169,7 @@ func New(s *sim.Simulator, cpu *acmp.CPU, cost *CostModel) *Engine {
 	e.paintRun, e.paintCommit = e.runPaint, e.composite
 	e.composited, e.shardDone = e.frameComplete, e.stageShardDone
 	e.housekeepRun = e.runHousekeeping
+	e.vsync = e.vsyncTick
 	e.browserThread = cpu.NewThread("browser")
 	e.mainThread = cpu.NewThread("renderer-main")
 	e.compositorThread = cpu.NewThread("compositor")
@@ -710,7 +711,7 @@ func (e *Engine) ensureVSync() {
 	period := e.cost.VSyncPeriod
 	now := e.simu.Now()
 	next := sim.Time((int64(now)/int64(period) + 1) * int64(period))
-	e.simu.At(next, "vsync", e.vsyncTick)
+	e.simu.At(next, "vsync", e.vsync)
 }
 
 func (e *Engine) vsyncTick() {

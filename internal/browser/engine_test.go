@@ -467,6 +467,21 @@ func TestProvenanceHelpers(t *testing.T) {
 	_ = sink
 }
 
+// TestVSyncArmingAllocatesNothing: arming the next VSync hands the simulator
+// the callback New bound, so a VSync costs no method-value closure.
+func TestVSyncArmingAllocatesNothing(t *testing.T) {
+	s := sim.New()
+	e := New(s, acmp.NewCPU(s, acmp.DefaultPower()), nil)
+	tick := func() {
+		e.ensureVSync()
+		s.Step() // an idle engine's VSync finds no frame work
+	}
+	tick()
+	if n := testing.AllocsPerRun(100, tick); n != 0 {
+		t.Fatalf("arming and firing a VSync allocates %v times", n)
+	}
+}
+
 // BenchmarkSimulatedAnimation measures simulator throughput: how fast the
 // full stack (interpreter, pipeline, VSync, hardware model) chews through
 // a 60-frame animation.

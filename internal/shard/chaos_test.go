@@ -62,7 +62,7 @@ func chaosSweep(t *testing.T, spec ChaosSpec, jobs []fleet.Job, exec func(contex
 		}
 		nodes = append(nodes, n)
 	}
-	out := render(t, fleet.NewWithNodes(nodes, 0), jobs)
+	out := ndjson(t, sweep(fleet.NewWithNodes(nodes, 0), jobs))
 	var reconnects int64
 	for _, n := range nodes {
 		reconnects += n.(*RemoteNode).Health().Reconnects
@@ -87,7 +87,7 @@ func TestChaosTransportDeterminism(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = fleet.Job{App: fmt.Sprintf("cell-%02d", i), Kind: harness.Perf, Phase: fleet.Full}
 	}
-	want := reference(t, fleet.Options{Execute: exec}, jobs)
+	want := ndjson(t, reference(fleet.Options{Execute: exec}, jobs))
 
 	spec := ChaosSpec{
 		Seed:      9,

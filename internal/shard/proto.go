@@ -9,8 +9,8 @@
 // are observable to transport wrappers (the chaos injector keys its faults
 // on the write-side frame index). Frame types:
 //
-//	client → worker   {"t":"hello","proto":2,"trace":true}
-//	worker → client   {"t":"welcome","proto":2,"workers":N,"name":"...",
+//	client → worker   {"t":"hello","proto":3,"trace":true}
+//	worker → client   {"t":"welcome","proto":3,"workers":N,"name":"...",
 //	                   "trace":true,"now_us":T,"pid":P}
 //	client → worker   {"t":"job","id":SEQ,"job":{...fleet.Job}}
 //	worker → client   {"t":"result","id":SEQ,"result":{...wireResult}}
@@ -20,7 +20,9 @@
 //
 // Job and result frames are multiplexed by id; pings flow on the same
 // connection while jobs execute, so heartbeat RTT measures the transport,
-// not the work queue.
+// not the work queue. A result frame carries its run's ledger spans, their
+// frame decisions and its config marks as one binary timeline block
+// (timeline.go), base64 inside the JSON, rather than as reflective JSON.
 //
 // Tracing is feature-negotiated, not versioned: the hello's trace field
 // advertises that the client can propagate span contexts, and a worker that
@@ -44,12 +46,15 @@ import (
 // protoVersion is the handshake version; a worker refuses a mismatched
 // client so a silent semantic skew cannot masquerade as a flaky network.
 // Version 2: spans carry typed frame decision records, and results no
-// longer ship the decision log derived from them.
-const protoVersion = 2
+// longer ship the decision log derived from them. Version 3: a run's spans,
+// decisions and config marks travel as one binary timeline block.
+const protoVersion = 3
 
 // maxFramePayload bounds one frame. The largest legitimate payload — a
-// result carrying a full-trace run's ledger spans — is a few megabytes;
-// 64 MiB keeps a corrupt length prefix from buffering the heap away.
+// result carrying a full-trace run's timeline — is under half a megabyte
+// (388 KB: W3Schools' full trace under GreenWeb-I-staged at 4 stage
+// workers); 64 MiB keeps a corrupt length prefix from buffering the heap
+// away.
 const maxFramePayload = 64 << 20
 
 // Frame type tags.

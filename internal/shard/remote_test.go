@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -44,26 +45,24 @@ func topologyJobs() []fleet.Job {
 	return jobs
 }
 
-// render runs the sweep on a cluster, closes it, and returns the
-// deterministic NDJSON.
-func render(t *testing.T, c *fleet.Cluster, jobs []fleet.Job) string {
-	t.Helper()
+// sweep runs the jobs on a cluster, closes it, and returns the results in
+// submission order.
+func sweep(c *fleet.Cluster, jobs []fleet.Job) []fleet.Result {
 	defer c.Close()
-	return ndjson(t, c.RunSweep(context.Background(), jobs))
+	return c.RunSweep(context.Background(), jobs)
 }
 
-// reference renders the sweep through one LocalNode's Run in a plain loop —
-// no queue, no pullers — so parity tests compare the cluster against a
+// reference runs the jobs through one LocalNode's Run in a plain loop — no
+// queue, no pullers — so parity tests compare the cluster against a
 // scheduler-free oracle whose retry and quarantine provenance still comes
 // from the same ladder.
-func reference(t *testing.T, opts fleet.Options, jobs []fleet.Job) string {
-	t.Helper()
+func reference(opts fleet.Options, jobs []fleet.Job) []fleet.Result {
 	n := fleet.NewLocalNode(0, opts)
 	res := make([]fleet.Result, len(jobs))
 	for i, j := range jobs {
 		res[i] = n.Run(context.Background(), 0, j)
 	}
-	return ndjson(t, res)
+	return res
 }
 
 func ndjson(t *testing.T, res []fleet.Result) string {
@@ -107,14 +106,16 @@ func startWorker(t *testing.T, opts WorkerOptions) (*Worker, string) {
 // TestRemoteSweepMatchesLocal pins the wire codec against real harness
 // execution: a full faulted sweep through a greennode-style worker renders
 // byte-identically to the sequential in-process path — including retry and
-// quarantine provenance, which round-trips the wire too.
+// quarantine provenance, which round-trips the wire too — and every job's
+// timeline (ledger spans, config marks, decision log) arrives deeply equal.
 func TestRemoteSweepMatchesLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-trace sweep ×2 paths")
 	}
 	jobs := topologyJobs()
 	opts := fleet.Options{MaxAttempts: 2, RetryBaseDelay: time.Millisecond}
-	want := reference(t, opts, jobs)
+	ref := reference(opts, jobs)
+	want := ndjson(t, ref)
 
 	opts.Workers = 4
 	_, addr := startWorker(t, WorkerOptions{Cluster: opts})
@@ -129,9 +130,38 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := render(t, fleet.NewWithNodes([]fleet.Node{n}, 0), jobs)
-	if got != want {
+	res := sweep(fleet.NewWithNodes([]fleet.Node{n}, 0), jobs)
+	if got := ndjson(t, res); got != want {
 		t.Fatalf("remote sweep diverged from sequential output:\n--- got\n%s--- want\n%s", got, want)
+	}
+	decided := false
+	for i, j := range jobs {
+		got, want := res[i].Run, ref[i].Run
+		if (got == nil) != (want == nil) {
+			t.Fatalf("job %d (%s %s): remote run %v, reference run %v", i, j.App, j.Kind, got != nil, want != nil)
+		}
+		if want == nil {
+			continue
+		}
+		if !reflect.DeepEqual(got.Spans, want.Spans) {
+			t.Errorf("job %d (%s %s): ledger spans differ from the reference", i, j.App, j.Kind)
+		}
+		if !reflect.DeepEqual(got.ConfigMarks, want.ConfigMarks) {
+			t.Errorf("job %d (%s %s): config marks differ from the reference", i, j.App, j.Kind)
+		}
+		if !reflect.DeepEqual(got.Decisions, want.Decisions) {
+			t.Errorf("job %d (%s %s): decision log differs from the reference", i, j.App, j.Kind)
+		}
+		if len(want.Spans) == 0 || len(want.ConfigMarks) == 0 {
+			t.Errorf("job %d (%s %s): reference run has %d spans and %d config marks; the comparison needs both",
+				i, j.App, j.Kind, len(want.Spans), len(want.ConfigMarks))
+		}
+		for _, d := range want.Decisions {
+			decided = decided || d.Set != 0
+		}
+	}
+	if !decided {
+		t.Error("no reference run recorded a frame decision; the decision comparison is vacuous")
 	}
 }
 
@@ -155,7 +185,7 @@ func TestKillMidSweepDeterminism(t *testing.T) {
 		jobs[i] = fleet.Job{App: fmt.Sprintf("app-%d", i), Kind: harness.Perf, Phase: fleet.Full}
 	}
 
-	want := reference(t, fleet.Options{Execute: exec}, jobs)
+	want := ndjson(t, reference(fleet.Options{Execute: exec}, jobs))
 
 	// Worker 0 kills itself while executing its fifth job, so that job (and
 	// any sibling in flight) can never write a result frame back.
@@ -186,7 +216,7 @@ func TestKillMidSweepDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := fleet.NewWithNodes([]fleet.Node{n0, n1}, 0)
-	got := render(t, c, jobs)
+	got := ndjson(t, sweep(c, jobs))
 	if got != want {
 		t.Fatalf("kill-mid-sweep output diverged from the pristine reference:\n--- got\n%s--- want\n%s", got, want)
 	}
@@ -297,27 +327,30 @@ func TestRemoteHealthMetricsExposition(t *testing.T) {
 }
 
 // TestWorkerRefusesProtocolMismatch: a hello with the wrong protocol version
-// is answered with a refusal welcome, and NewRemoteNode surfaces it.
+// — an older peer's (v2 shipped spans as JSON) or a newer one's — is
+// answered with a refusal welcome, and NewRemoteNode surfaces it.
 func TestWorkerRefusesProtocolMismatch(t *testing.T) {
 	_, addr := startWorker(t, WorkerOptions{Cluster: fleet.Options{Workers: 1,
 		Execute: func(ctx context.Context, j fleet.Job) (*harness.Run, error) { return &harness.Run{}, nil }}})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := writeFrame(conn, frame{T: frameHello, Proto: protoVersion + 1}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.T != frameWelcome || f.Err == "" {
-		t.Fatalf("mismatched hello answered %+v, want refusal welcome", f)
-	}
-	if !strings.Contains(f.Err, "proto") {
-		t.Fatalf("refusal %q does not name the protocol", f.Err)
+	for _, proto := range []int{2, protoVersion + 1} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := writeFrame(conn, frame{T: frameHello, Proto: proto}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := readFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.T != frameWelcome || f.Err == "" {
+			t.Fatalf("proto %d hello answered %+v, want refusal welcome", proto, f)
+		}
+		if !strings.Contains(f.Err, "proto") {
+			t.Fatalf("refusal %q does not name the protocol", f.Err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"time"
 
@@ -9,7 +10,6 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/apps"
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/harness"
-	"github.com/wattwiseweb/greenweb/internal/ledger"
 	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 	"github.com/wattwiseweb/greenweb/internal/sim"
@@ -41,23 +41,15 @@ type wireResidency struct {
 	Dur    sim.Duration `json:"dur_us"`
 }
 
-// wireConfigMark mirrors ledger.ConfigMark, whose From/To fields are
-// deliberately excluded from its own JSON form.
-type wireConfigMark struct {
-	At          sim.Time `json:"at_us"`
-	FromCluster int      `json:"fc"`
-	FromMHz     int      `json:"fm"`
-	ToCluster   int      `json:"tc"`
-	ToMHz       int      `json:"tm"`
-}
-
 // wireRun carries every harness.Run field greensrv's result, event, and
-// trace endpoints read — the ResultRow scalars and the ledger spans — plus
-// the residency histogram. The decision log is a projection of the spans,
-// so it is not shipped: Decided says the node recorded one (-no-obs nodes
-// do not), and the receiving side derives it again. FrameResults (the raw
-// per-frame timeline) is deliberately not shipped: nothing behind the
-// fleet.Runner seam reads it, and it dominates payload size.
+// trace endpoints read — the ResultRow scalars, and the ledger spans with
+// their frame decisions and the config marks as one binary Timeline block
+// (timeline.go) — plus the residency histogram. The decision log is a
+// projection of the spans, so it is not shipped: Decided says the node
+// recorded one (-no-obs nodes do not), and the receiving side derives it
+// again. FrameResults (the raw per-frame timeline) is deliberately not
+// shipped: nothing behind the fleet.Runner seam reads it, and it dominates
+// payload size.
 type wireRun struct {
 	Kind harness.Kind `json:"kind"`
 
@@ -71,13 +63,14 @@ type wireRun struct {
 	TotalEnergy acmp.Joules  `json:"total_energy_j"`
 	LoadLatency sim.Duration `json:"load_latency_us"`
 
-	FrameEnergy acmp.Joules      `json:"frame_energy_j"`
-	IdleEnergy  acmp.Joules      `json:"idle_energy_j"`
-	EventEnergy acmp.Joules      `json:"event_energy_j"`
-	StageEnergy acmp.Joules      `json:"stage_energy_j,omitempty"`
-	Spans       []ledger.Span    `json:"spans,omitempty"`
-	ConfigMarks []wireConfigMark `json:"config_marks,omitempty"`
-	Decided     bool             `json:"decided,omitempty"`
+	FrameEnergy acmp.Joules `json:"frame_energy_j"`
+	IdleEnergy  acmp.Joules `json:"idle_energy_j"`
+	EventEnergy acmp.Joules `json:"event_energy_j"`
+	StageEnergy acmp.Joules `json:"stage_energy_j,omitempty"`
+	// Timeline is appendTimeline's block of the run's spans and config
+	// marks, absent when both are empty; JSON carries it as base64.
+	Timeline []byte `json:"timeline,omitempty"`
+	Decided  bool   `json:"decided,omitempty"`
 
 	ThermalTrips  int         `json:"thermal_trips,omitempty"`
 	DVFSDenied    int         `json:"dvfs_denied,omitempty"`
@@ -111,7 +104,8 @@ func encodeResult(r fleet.Result) *wireResult {
 }
 
 // decodeResult reconstructs a fleet.Result, reattaching the client's copy
-// of the job.
+// of the job. A run that does not decode fails the result with an error
+// wrapping errBadRun, and the result carries no run.
 func decodeResult(w *wireResult, job fleet.Job) fleet.Result {
 	r := fleet.Result{
 		Job:         job,
@@ -127,7 +121,10 @@ func decodeResult(w *wireResult, job fleet.Job) fleet.Result {
 		r.Err = errors.New(w.Err)
 	}
 	if w.Run != nil {
-		r.Run = decodeRun(w.Run, job)
+		var err error
+		if r.Run, err = decodeRun(w.Run, job); err != nil {
+			r.Err = err
+		}
 	}
 	return r
 }
@@ -146,7 +143,6 @@ func encodeRun(run *harness.Run) *wireRun {
 		IdleEnergy:    run.IdleEnergy,
 		EventEnergy:   run.EventEnergy,
 		StageEnergy:   run.StageEnergy,
-		Spans:         run.Spans,
 		Decided:       run.Decisions != nil,
 		ThermalTrips:  run.ThermalTrips,
 		DVFSDenied:    run.DVFSDenied,
@@ -158,12 +154,8 @@ func encodeRun(run *harness.Run) *wireRun {
 		Degradations:  run.Degradations,
 		Recoveries:    run.Recoveries,
 	}
-	for _, m := range run.ConfigMarks {
-		w.ConfigMarks = append(w.ConfigMarks, wireConfigMark{
-			At:          m.At,
-			FromCluster: int(m.From.Cluster), FromMHz: m.From.MHz,
-			ToCluster: int(m.To.Cluster), ToMHz: m.To.MHz,
-		})
+	if len(run.Spans) > 0 || len(run.ConfigMarks) > 0 {
+		w.Timeline = appendTimeline(nil, run.Spans, run.ConfigMarks)
 	}
 	// Residency flattens to (config index, duration) pairs sorted by index,
 	// so the wire form of one run is itself deterministic.
@@ -174,7 +166,7 @@ func encodeRun(run *harness.Run) *wireRun {
 	return w
 }
 
-func decodeRun(w *wireRun, job fleet.Job) *harness.Run {
+func decodeRun(w *wireRun, job fleet.Job) (*harness.Run, error) {
 	run := &harness.Run{
 		Kind:          w.Kind,
 		Energy:        w.Energy,
@@ -188,7 +180,6 @@ func decodeRun(w *wireRun, job fleet.Job) *harness.Run {
 		IdleEnergy:    w.IdleEnergy,
 		EventEnergy:   w.EventEnergy,
 		StageEnergy:   w.StageEnergy,
-		Spans:         w.Spans,
 		ThermalTrips:  w.ThermalTrips,
 		DVFSDenied:    w.DVFSDenied,
 		DVFSDelayed:   w.DVFSDelayed,
@@ -199,24 +190,26 @@ func decodeRun(w *wireRun, job fleet.Job) *harness.Run {
 		Degradations:  w.Degradations,
 		Recoveries:    w.Recoveries,
 	}
+	if len(w.Residency) > 0 {
+		run.Residency = make(map[acmp.Config]sim.Duration, len(w.Residency))
+		for _, r := range w.Residency {
+			if r.Config < 0 || r.Config >= acmp.NumConfigs() {
+				return nil, fmt.Errorf("%w: residency config index %d out of range", errBadRun, r.Config)
+			}
+			run.Residency[acmp.ConfigAt(r.Config)] = r.Dur
+		}
+	}
+	if len(w.Timeline) > 0 {
+		var err error
+		if run.Spans, run.ConfigMarks, err = decodeTimeline(w.Timeline); err != nil {
+			return nil, err
+		}
+	}
 	if w.Decided {
-		run.Decisions = obs.DecisionsOf(w.Spans)
+		run.Decisions = obs.DecisionsOf(run.Spans)
 	}
 	if app, ok := apps.ByName(job.App); ok {
 		run.App = app
 	}
-	for _, m := range w.ConfigMarks {
-		run.ConfigMarks = append(run.ConfigMarks, ledger.ConfigMark{
-			At:   m.At,
-			From: acmp.Config{Cluster: acmp.Cluster(m.FromCluster), MHz: m.FromMHz},
-			To:   acmp.Config{Cluster: acmp.Cluster(m.ToCluster), MHz: m.ToMHz},
-		})
-	}
-	if len(w.Residency) > 0 {
-		run.Residency = make(map[acmp.Config]sim.Duration, len(w.Residency))
-		for _, r := range w.Residency {
-			run.Residency[acmp.ConfigAt(r.Config)] = r.Dur
-		}
-	}
-	return run
+	return run, nil
 }
