@@ -150,6 +150,14 @@ type Result struct {
 	// sweep-level cancellation are failed but not quarantined.
 	Quarantined bool
 
+	// Timeline is the run's ledger spans, with their frame decisions, and
+	// config marks as one ledger.AppendTimeline block, and Decided reports
+	// whether the run derived its decision log (obs.EnabledIn). A node that
+	// receives runs encoded (a remote worker's) sets both and leaves Run's
+	// Spans, ConfigMarks and Decisions empty; a LocalNode leaves both zero.
+	Timeline []byte
+	Decided  bool
+
 	// Spans carries the executing process's trace spans for a traced job
 	// (execute attempts, backoff sleeps), shipped alongside the result —
 	// never inside any byte-compared output. SpanDrops counts spans the

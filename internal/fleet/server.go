@@ -435,11 +435,10 @@ func NewServer(m *Manager) *Server {
 		// Submission order: row i is not emitted before rows 0..i-1, so
 		// the stream is the sweep's deterministic merge.
 		for i := 0; i < s.Len(); i++ {
-			res, err := s.Result(r.Context(), i)
+			row, err := s.Row(r.Context(), i)
 			if err != nil {
 				return // client went away
 			}
-			row := rowOf(i, res)
 			if deterministic {
 				row.LatencyMS = 0
 			}
@@ -467,18 +466,21 @@ func NewServer(m *Manager) *Server {
 		w.WriteHeader(http.StatusOK)
 		flusher, _ := w.(http.Flusher)
 		enc := json.NewEncoder(w)
-		// Per-job decision logs in submission order, each flushed as its job
-		// finishes. Failed jobs (and -no-obs runs) contribute no rows.
+		// Per-job decision logs in submission order, each decoded from the
+		// job's timeline and flushed as its job finishes. Failed jobs (and
+		// -no-obs runs) contribute no rows.
 		for i := 0; i < s.Len(); i++ {
-			res, err := s.Result(r.Context(), i)
+			rec, err := s.wait(r.Context(), i)
 			if err != nil {
 				return // client went away
 			}
-			if res.Err != nil || res.Run == nil {
+			if !rec.decided {
 				continue
 			}
-			for j := range res.Run.Decisions {
-				row := eventRow{Index: i, App: res.Job.App, Kind: res.Job.Kind, DecisionRow: res.Run.Decisions[j].Row()}
+			spans, _ := rec.decode()
+			decisions := obs.DecisionsOf(spans)
+			for j := range decisions {
+				row := eventRow{Index: i, App: rec.row.App, Kind: rec.row.Kind, DecisionRow: decisions[j].Row()}
 				if err := enc.Encode(row); err != nil {
 					return
 				}
@@ -523,22 +525,24 @@ func NewServer(m *Manager) *Server {
 			trace.WriteFleetTrace(w, string(s.ID), spans, drops)
 			return
 		}
-		// One trace process per job (pid = index+1), waiting for each result
-		// in submission order — the trace covers the finished sweep.
+		// One trace process per finished job (pid = index+1), waiting for
+		// each in submission order and decoding its timeline — the trace
+		// covers the finished sweep.
 		var procs []ledger.Process
 		for i := 0; i < s.Len(); i++ {
-			res, err := s.Result(r.Context(), i)
+			rec, err := s.wait(r.Context(), i)
 			if err != nil {
 				return // client went away
 			}
-			if res.Err != nil || res.Run == nil {
+			if rec.row.State != StateDone {
 				continue
 			}
+			spans, marks := rec.decode()
 			procs = append(procs, ledger.Process{
 				PID:   i + 1,
-				Name:  fmt.Sprintf("%s/%s/%s", res.Job.App, res.Job.Kind, res.Job.Phase),
-				Spans: res.Run.Spans,
-				Marks: res.Run.ConfigMarks,
+				Name:  fmt.Sprintf("%s/%s/%s", rec.row.App, rec.row.Kind, rec.row.Phase),
+				Spans: spans,
+				Marks: marks,
 			})
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -2,13 +2,16 @@ package fleet
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -234,12 +237,14 @@ func TestSweepRequestRejectsBadPhaseAndRepeats(t *testing.T) {
 }
 
 // TestServerTraceEndpoint checks GET /v1/sweeps/{id}/trace: it waits for
-// the sweep, merges each job's spans into one Chrome trace (one process
-// per job), and skips failed jobs rather than erroring.
+// the sweep and decodes each finished job's kept timeline into one Chrome
+// trace (one process per job, a job with an empty timeline included), the
+// bytes ledger.WriteTrace writes for the jobs' own runs, and it skips
+// failed jobs rather than erroring.
 func TestServerTraceEndpoint(t *testing.T) {
-	exec := func(ctx context.Context, j Job) (*harness.Run, error) {
-		if j.App == "Google" {
-			return nil, context.Canceled // a failed job must be skipped, not fatal
+	runOf := func(j Job) *harness.Run {
+		if j.App == "MSN" {
+			return &harness.Run{} // done, with nothing on its timeline
 		}
 		return &harness.Run{
 			Frames: 1,
@@ -248,11 +253,17 @@ func TestServerTraceEndpoint(t *testing.T) {
 				{ID: 2, Kind: ledger.KindFrame, Name: "frame 1", Seq: 1, Start: 1000, End: 2000, Energy: 0.002},
 			},
 			ConfigMarks: []ledger.ConfigMark{{At: 1000, From: acmp.LowestConfig(), To: acmp.PeakConfig()}},
-		}, nil
+		}
+	}
+	exec := func(ctx context.Context, j Job) (*harness.Run, error) {
+		if j.App == "Google" {
+			return nil, context.Canceled // a failed job must be skipped, not fatal
+		}
+		return runOf(j), nil
 	}
 	srv, _ := newTestServer(t, Options{Workers: 2, Execute: exec})
 
-	ack := postSweep(t, srv, `{"apps":["Todo","Google"],"kinds":["Perf"]}`)
+	ack := postSweep(t, srv, `{"apps":["Todo","Google","MSN"],"kinds":["Perf"]}`)
 	resp, err := http.Get(srv.URL + "/v1/sweeps/" + ack["id"].(string) + "/trace")
 	if err != nil {
 		t.Fatal(err)
@@ -264,13 +275,28 @@ func TestServerTraceEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Fatalf("trace Content-Type = %q", ct)
 	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	todo, msn := Job{App: "Todo", Kind: harness.Perf}, Job{App: "MSN", Kind: harness.Perf}
+	if err := ledger.WriteTrace(&want,
+		ledger.Process{PID: 1, Name: "Todo/Perf/full", Spans: runOf(todo).Spans, Marks: runOf(todo).ConfigMarks},
+		ledger.Process{PID: 3, Name: "MSN/Perf/full", Spans: runOf(msn).Spans, Marks: runOf(msn).ConfigMarks},
+	); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Errorf("trace body differs from ledger.WriteTrace of the jobs' runs:\n--- got\n%s--- want\n%s", body, want.Bytes())
+	}
 	var tf struct {
 		TraceEvents []struct {
 			Ph  string `json:"ph"`
 			PID int    `json:"pid"`
 		} `json:"traceEvents"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&tf); err != nil {
+	if err := json.Unmarshal(body, &tf); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
 	var complete int
@@ -456,11 +482,29 @@ func TestServerPprofSmoke(t *testing.T) {
 
 // GET /v1/sweeps/{id}/events streams the per-frame decision log as NDJSON:
 // one row per frame span, tagged with the job index and app, energies summing
-// to each run's frame-energy total.
+// to each run's frame-energy total. Decoded from each job's kept timeline,
+// the rows are the bytes the jobs' own runs' decision logs render; a failed
+// job and a job with an empty timeline contribute none.
 func TestServerEventsEndpoint(t *testing.T) {
-	srv, _ := newTestServer(t, Options{Workers: 2})
+	var mu sync.Mutex
+	runs := make(map[string]*harness.Run)
+	exec := func(ctx context.Context, j Job) (*harness.Run, error) {
+		switch j.App {
+		case "Google":
+			return nil, errors.New("injected failure")
+		case "BBC":
+			return &harness.Run{Kind: j.Kind}, nil
+		}
+		run, err := j.execute(ctx)
+		mu.Lock()
+		runs[j.String()] = run
+		mu.Unlock()
+		return run, err
+	}
+	srv, _ := newTestServer(t, Options{Workers: 2, Execute: exec})
 
-	ack := postSweep(t, srv, `{"apps":["Todo"],"kinds":["Perf","GreenWeb-U"],"phase":"micro"}`)
+	req := SweepRequest{Apps: []string{"Todo", "Google", "BBC"}, Kinds: []string{"Perf", "GreenWeb-U"}, Phase: "micro"}
+	ack := postSweep(t, srv, `{"apps":["Todo","Google","BBC"],"kinds":["Perf","GreenWeb-U"],"phase":"micro"}`)
 	id := ack["id"].(string)
 
 	resp, err := http.Get(srv.URL + "/v1/sweeps/" + id + "/events")
@@ -474,6 +518,32 @@ func TestServerEventsEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("events Content-Type = %q", ct)
 	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := req.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	mu.Lock()
+	defer mu.Unlock()
+	for i, j := range jobs {
+		run := runs[j.String()]
+		if run == nil {
+			continue
+		}
+		for k := range run.Decisions {
+			if err := enc.Encode(eventRow{Index: i, App: j.App, Kind: j.Kind, DecisionRow: run.Decisions[k].Row()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Errorf("events body differs from the jobs' own decision logs:\n--- got\n%s--- want\n%s", body, want.Bytes())
+	}
 	type row struct {
 		Index   int     `json:"index"`
 		App     string  `json:"app"`
@@ -483,7 +553,7 @@ func TestServerEventsEndpoint(t *testing.T) {
 		EnergyJ float64 `json:"energy_j"`
 	}
 	perJob := make(map[int]int)
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(bytes.NewReader(body))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		var r row
@@ -610,12 +680,12 @@ func TestManagerDrainDeadlineCancels(t *testing.T) {
 	default:
 		t.Fatal("sweep not terminal after expired drain")
 	}
-	r, err := s.Result(context.Background(), 0)
+	r, err := s.Row(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Err == nil {
-		t.Fatalf("cancelled job result = %+v, want error", r)
+	if r.State != StateFailed || r.Error == "" {
+		t.Fatalf("cancelled job row = %+v, want a failure", r)
 	}
 }
 

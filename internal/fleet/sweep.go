@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/wattwiseweb/greenweb/internal/harness"
+	"github.com/wattwiseweb/greenweb/internal/ledger"
 	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 	"github.com/wattwiseweb/greenweb/internal/store"
@@ -18,16 +19,17 @@ import (
 // SweepID identifies an enqueued sweep.
 type SweepID string
 
-// Sweep tracks one enqueued batch of jobs: per-job states, results indexed
-// by submission position (the deterministic merge the server streams), and
-// completion signals for status polling and NDJSON streaming.
+// Sweep tracks one enqueued batch of jobs: per-job states, finished jobs'
+// records indexed by submission position (the deterministic merge the
+// server streams), and completion signals for status polling and NDJSON
+// streaming.
 type Sweep struct {
 	ID      SweepID
 	Created time.Time
 
 	mu      sync.Mutex
 	jobs    []Job
-	results []Result
+	records []record
 	state   []State
 	rowDone []chan struct{} // closed as each job reaches a terminal state
 	pending int
@@ -63,26 +65,77 @@ func (s *Sweep) Done() <-chan struct{} { return s.allDone }
 // values and the rest fail with context.Canceled.
 func (s *Sweep) Cancel() { s.cancel() }
 
-// Result blocks until job i finishes (or ctx is done) and returns its
-// result.
-func (s *Sweep) Result(ctx context.Context, i int) (Result, error) {
+// record is what a sweep keeps of a finished job: the row that /results,
+// the status and the store serve, and the timeline that /trace and /events
+// decode on request. Keeping no *harness.Run lets a server hold many
+// finished sweeps: a run's frame results, span structs, decision log and
+// residency map cost several times its block.
+type record struct {
+	row ResultRow
+	// timeline is the job's ledger.AppendTimeline block, exact size; nil
+	// for a failed job or an empty timeline.
+	timeline []byte
+	decided  bool // the run derived a decision log (observability on)
+}
+
+// recordOf keeps the endpoints' share of job i's result. A remote node's
+// result carries its timeline block already; a local run's is encoded here,
+// once, so executions outside a sweep (greenbench's fault sweep) pay nothing.
+func recordOf(i int, r Result) record {
+	rec := record{row: rowOf(i, r)}
+	if r.Err != nil {
+		return rec
+	}
+	rec.timeline, rec.decided = r.Timeline, r.Decided
+	if run := r.Run; run != nil && (len(run.Spans) > 0 || len(run.ConfigMarks) > 0) {
+		rec.timeline = bytes.Clone(ledger.AppendTimeline(nil, run.Spans, run.ConfigMarks))
+		rec.decided = run.Decisions != nil
+	}
+	return rec
+}
+
+// decode returns the kept timeline's spans and marks. Every kept block was
+// either written by ledger.AppendTimeline in this process or checked by
+// ledger.CheckTimeline on receipt, so a block that fails to decode now is a
+// bug.
+func (r record) decode() ([]ledger.Span, []ledger.ConfigMark) {
+	if len(r.timeline) == 0 {
+		return nil, nil
+	}
+	spans, marks, err := ledger.DecodeTimeline(r.timeline)
+	if err != nil {
+		panic(fmt.Sprintf("fleet: job %d's kept timeline does not decode: %v", r.row.Index, err))
+	}
+	return spans, marks
+}
+
+// Row blocks until job i finishes (or ctx is done) and returns its result
+// row.
+func (s *Sweep) Row(ctx context.Context, i int) (ResultRow, error) {
+	rec, err := s.wait(ctx, i)
+	return rec.row, err
+}
+
+// wait blocks until job i finishes (or ctx is done) and returns its record.
+func (s *Sweep) wait(ctx context.Context, i int) (record, error) {
 	if i < 0 || i >= len(s.jobs) {
-		return Result{}, fmt.Errorf("fleet: job index %d out of range", i)
+		return record{}, fmt.Errorf("fleet: job index %d out of range", i)
 	}
 	select {
 	case <-s.rowDone[i]:
 	case <-ctx.Done():
-		return Result{}, ctx.Err()
+		return record{}, ctx.Err()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.results[i], nil
+	return s.records[i], nil
 }
 
 func (s *Sweep) finish(i int, r Result) {
+	rec := recordOf(i, r)
 	s.mu.Lock()
-	s.results[i] = r
-	s.state[i] = r.State()
+	s.records[i] = rec
+	s.state[i] = rec.row.State
 	s.pending--
 	last := s.pending == 0
 	s.mu.Unlock()
@@ -134,6 +187,7 @@ func (s *Sweep) Status() SweepStatus {
 		Finished: s.pending == 0, Persisted: persisted}
 	for i, j := range s.jobs {
 		js := JobStatus{Index: i, App: j.App, Kind: j.Kind, Phase: j.Phase, State: s.state[i]}
+		row := &s.records[i].row
 		switch s.state[i] {
 		case StateQueued:
 			st.Queued++
@@ -141,18 +195,11 @@ func (s *Sweep) Status() SweepStatus {
 			st.Running++
 		case StateDone:
 			st.Done++
-			js.LatencyMS = float64(s.results[i].Latency) / float64(time.Millisecond)
-			if s.results[i].Attempts > 1 {
-				js.Attempts = s.results[i].Attempts
-			}
+			js.LatencyMS, js.Attempts = row.LatencyMS, row.Attempts
 		case StateFailed:
 			st.Failed++
-			js.LatencyMS = float64(s.results[i].Latency) / float64(time.Millisecond)
-			js.Error = s.results[i].Err.Error()
-			if s.results[i].Attempts > 1 {
-				js.Attempts = s.results[i].Attempts
-			}
-			js.Quarantined = s.results[i].Quarantined
+			js.LatencyMS, js.Attempts = row.LatencyMS, row.Attempts
+			js.Error, js.Quarantined = row.Error, row.Quarantined
 		}
 		st.Jobs = append(st.Jobs, js)
 	}
@@ -235,12 +282,12 @@ func (m *Manager) persist(s *Sweep) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for i := 0; i < s.Len(); i++ {
-		res, err := s.Result(m.ctx, i)
+		row, err := s.Row(m.ctx, i)
 		if err != nil {
 			return // server shutting down
 		}
 		buf.Reset()
-		if err := enc.Encode(rowOf(i, res)); err != nil {
+		if err := enc.Encode(row); err != nil {
 			return
 		}
 		line := append([]byte(nil), bytes.TrimSuffix(buf.Bytes(), []byte("\n"))...)
@@ -320,7 +367,7 @@ func (m *Manager) Enqueue(jobs []Job) (*Sweep, error) {
 		ID:      SweepID(fmt.Sprintf("s-%06d", m.seq.Add(1))),
 		Created: time.Now(),
 		jobs:    append([]Job(nil), jobs...),
-		results: make([]Result, len(jobs)),
+		records: make([]record, len(jobs)),
 		state:   make([]State, len(jobs)),
 		rowDone: make([]chan struct{}, len(jobs)),
 		pending: len(jobs),

@@ -1,4 +1,4 @@
-package shard
+package ledger
 
 import (
 	"encoding/binary"
@@ -8,13 +8,13 @@ import (
 	"slices"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
-	"github.com/wattwiseweb/greenweb/internal/ledger"
 	"github.com/wattwiseweb/greenweb/internal/sim"
 )
 
 // A run's timeline — its ledger spans, their frame decision records and its
-// configuration marks — crosses the wire as one binary block in
-// wireRun.Timeline:
+// configuration marks — encodes to one pointer-free binary block. A remote
+// worker ships each run's timeline to the coordinator in this form, and the
+// job server keeps every finished job's timeline in it, decoding on request:
 //
 //	block    = uvarint(#spans) uvarint(#decisions) uvarint(#marks) span* mark*
 //	span     = int(ID − previous ID − 1) str(Kind) str(Name) int(Seq) uvarint(UID)
@@ -40,9 +40,8 @@ import (
 // spans, trailing bytes), so a block that decodes re-encodes to the same
 // bytes.
 
-// errBadRun fails a result whose run does not decode: the job gets this error
-// instead of a partial run.
-var errBadRun = errors.New("shard: malformed run")
+// ErrBadTimeline marks a block DecodeTimeline refused.
+var ErrBadTimeline = errors.New("ledger: malformed timeline")
 
 // The fewest bytes a span, a decision and a mark encode to: every varint,
 // string reference and flag takes at least one byte, each float eight.
@@ -52,8 +51,8 @@ const (
 	minMarkBytes     = 5
 )
 
-// appendTimeline appends the block for spans and marks to dst.
-func appendTimeline(dst []byte, spans []ledger.Span, marks []ledger.ConfigMark) []byte {
+// AppendTimeline appends the block for spans and marks to dst.
+func AppendTimeline(dst []byte, spans []Span, marks []ConfigMark) []byte {
 	decisions := 0
 	for i := range spans {
 		if spans[i].Decision != nil {
@@ -105,7 +104,7 @@ type timelineEncoder struct {
 	refs map[string]uint64 // string → its table reference
 }
 
-func (e *timelineEncoder) decision(d *ledger.FrameDecision) {
+func (e *timelineEncoder) decision(d *FrameDecision) {
 	e.uvarint(uint64(d.Set))
 	e.b = append(e.b, byte(d.Verdict), byte(d.Mode), flagByte(d.Violated), flagByte(d.Reprofile))
 	e.str(d.Governor)
@@ -160,11 +159,24 @@ func flagByte(v bool) byte {
 	return 0
 }
 
-// decodeTimeline decodes a block appendTimeline wrote. Empty span and mark
+// DecodeTimeline decodes a block AppendTimeline wrote. Empty span and mark
 // lists decode as nil. Every span's decision points into one slice. A block
-// that does not decode returns an error wrapping errBadRun; its counts are
-// checked against the bytes left before anything is allocated.
-func decodeTimeline(b []byte) ([]ledger.Span, []ledger.ConfigMark, error) {
+// that does not decode returns an error wrapping ErrBadTimeline and no
+// timeline; its counts are checked against the bytes left before anything is
+// allocated.
+func DecodeTimeline(b []byte) ([]Span, []ConfigMark, error) {
+	return decodeTimeline(b, true)
+}
+
+// CheckTimeline returns the error DecodeTimeline would, without building
+// the timeline: it reads every span, decision and mark into one scratch
+// value each.
+func CheckTimeline(b []byte) error {
+	_, _, err := decodeTimeline(b, false)
+	return err
+}
+
+func decodeTimeline(b []byte, build bool) ([]Span, []ConfigMark, error) {
 	d := timelineDecoder{b: b}
 	nSpans, nDecisions, nMarks := d.uvarint(), d.uvarint(), d.uvarint()
 	if d.err != nil {
@@ -177,26 +189,35 @@ func decodeTimeline(b []byte) ([]ledger.Span, []ledger.ConfigMark, error) {
 		return nil, nil, d.err
 	}
 	var (
-		spans     []ledger.Span
-		decisions []ledger.FrameDecision
-		marks     []ledger.ConfigMark
+		spans     []Span
+		decisions []FrameDecision
+		marks     []ConfigMark
+		scratch   struct {
+			span Span
+			dec  FrameDecision
+			mark ConfigMark
+		}
 	)
-	if nSpans > 0 {
-		spans = make([]ledger.Span, nSpans)
+	if build && nSpans > 0 {
+		spans = make([]Span, nSpans)
 	}
-	if nDecisions > 0 {
-		decisions = make([]ledger.FrameDecision, 0, nDecisions)
+	if build && nDecisions > 0 {
+		decisions = make([]FrameDecision, nDecisions)
 	}
-	if nMarks > 0 {
-		marks = make([]ledger.ConfigMark, nMarks)
+	if build && nMarks > 0 {
+		marks = make([]ConfigMark, nMarks)
 	}
 
 	prevID, prevStart := int64(-1), sim.Time(0)
-	for i := range spans {
-		sp := &spans[i]
+	decided := uint64(0)
+	for i := uint64(0); i < nSpans; i++ {
+		sp := &scratch.span
+		if build {
+			sp = &spans[i]
+		}
 		id := prevID + 1 + d.int()
 		sp.ID = d.fitInt(id)
-		sp.Kind = ledger.Kind(d.str())
+		sp.Kind = Kind(d.str())
 		sp.Name = d.str()
 		sp.Seq = d.fitInt(d.int())
 		sp.UID = d.uvarint()
@@ -209,25 +230,32 @@ func decodeTimeline(b []byte) ([]ledger.Span, []ledger.ConfigMark, error) {
 		sp.Config = d.str()
 		prevID, prevStart = id, sp.Start
 		if d.flag() {
-			if len(decisions) == cap(decisions) {
+			if decided == nDecisions {
 				d.fail("more decisions than counted")
 			} else {
-				decisions = decisions[:len(decisions)+1]
-				sp.Decision = &decisions[len(decisions)-1]
-				d.decision(sp.Decision)
+				dec := &scratch.dec
+				if build {
+					dec = &decisions[decided]
+					sp.Decision = dec
+				}
+				decided++
+				d.decision(dec)
 			}
 		}
 		if d.err != nil {
 			return nil, nil, d.err
 		}
 	}
-	if len(decisions) != cap(decisions) {
+	if decided != nDecisions {
 		d.fail("fewer decisions than counted")
 	}
 
 	prevAt := sim.Time(0)
-	for i := range marks {
-		m := &marks[i]
+	for i := uint64(0); i < nMarks; i++ {
+		m := &scratch.mark
+		if build {
+			m = &marks[i]
+		}
 		m.At = prevAt + sim.Time(d.int())
 		m.From = d.config()
 		m.To = d.config()
@@ -255,19 +283,19 @@ type timelineDecoder struct {
 
 func (d *timelineDecoder) fail(what string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: timeline: %s at byte %d", errBadRun, what, d.off)
+		d.err = fmt.Errorf("%w: %s at byte %d", ErrBadTimeline, what, d.off)
 	}
 	d.off = len(d.b)
 }
 
-func (d *timelineDecoder) decision(dec *ledger.FrameDecision) {
+func (d *timelineDecoder) decision(dec *FrameDecision) {
 	set := d.uvarint()
 	if set > math.MaxUint16 {
 		d.fail("decision field set out of range")
 	}
-	dec.Set = ledger.Field(set)
-	dec.Verdict = ledger.Verdict(d.u8())
-	dec.Mode = ledger.Mode(d.u8())
+	dec.Set = Field(set)
+	dec.Verdict = Verdict(d.u8())
+	dec.Mode = Mode(d.u8())
 	dec.Violated = d.flag()
 	dec.Reprofile = d.flag()
 	dec.Governor = d.str()

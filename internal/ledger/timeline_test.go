@@ -1,7 +1,8 @@
-package shard
+package ledger_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -10,45 +11,37 @@ import (
 	"unsafe"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
+	"github.com/wattwiseweb/greenweb/internal/apps"
 	"github.com/wattwiseweb/greenweb/internal/faults"
-	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/harness"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
 	"github.com/wattwiseweb/greenweb/internal/sim"
 )
 
-// realResults executes micro cells that between them record every kind of
-// span and decision: a baseline governor (no decisions), both GreenWeb
-// runtimes, staged frames, and a faulted run.
-func realResults(tb testing.TB) []fleet.Result {
+// realRuns executes micro cells that between them record every kind of span
+// and decision: a baseline governor (no decisions), both GreenWeb runtimes,
+// staged frames, and a faulted run.
+func realRuns(tb testing.TB) []*harness.Run {
 	tb.Helper()
-	jobs := []fleet.Job{
-		{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro},
-		{App: "Todo", Kind: harness.GreenWebI, Phase: fleet.Micro},
-		{App: "MSN", Kind: harness.GreenWebU, Phase: fleet.Micro, StageWorkers: 4},
-		{App: "MSN", Kind: harness.GreenWebI, Phase: fleet.Micro, Faults: faults.Default(21)},
+	cells := []struct {
+		app  string
+		cell harness.Cell
+	}{
+		{"Todo", harness.Cell{Kind: harness.Perf}},
+		{"Todo", harness.Cell{Kind: harness.GreenWebI}},
+		{"MSN", harness.Cell{Kind: harness.GreenWebU, StageWorkers: 4}},
+		{"MSN", harness.Cell{Kind: harness.GreenWebI, Faults: faults.Default(21)}},
 	}
-	res := reference(fleet.Options{}, jobs)
-	for _, r := range res {
-		if r.Err != nil {
-			tb.Fatalf("%s %s: %v", r.Job.App, r.Job.Kind, r.Err)
+	runs := make([]*harness.Run, len(cells))
+	for i, c := range cells {
+		c.cell.App, _ = apps.ByName(c.app)
+		run, err := harness.ExecuteCell(context.Background(), c.cell)
+		if err != nil {
+			tb.Fatalf("%s %s: %v", c.app, c.cell.Kind, err)
 		}
+		runs[i] = run
 	}
-	return res
-}
-
-// fuzzResults are realResults with each run cut to its first spans and
-// marks: real timelines, a few hundred bytes each, which the fuzzers mutate
-// and minimize far faster than whole runs.
-func fuzzResults(tb testing.TB) []fleet.Result {
-	res := realResults(tb)
-	for i := range res {
-		run := *res[i].Run
-		run.Spans = run.Spans[:min(len(run.Spans), 12)]
-		run.ConfigMarks = run.ConfigMarks[:min(len(run.ConfigMarks), 4)]
-		res[i].Run = &run
-	}
-	return res
+	return runs
 }
 
 // everyField is a timeline in which every field of every span, decision and
@@ -101,8 +94,8 @@ func everyField(t *testing.T) ([]ledger.Span, []ledger.ConfigMark) {
 
 func TestTimelineRoundTripsEveryField(t *testing.T) {
 	spans, marks := everyField(t)
-	block := appendTimeline(nil, spans, marks)
-	gotSpans, gotMarks, err := decodeTimeline(block)
+	block := ledger.AppendTimeline(nil, spans, marks)
+	gotSpans, gotMarks, err := ledger.DecodeTimeline(block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,27 +108,26 @@ func TestTimelineRoundTripsEveryField(t *testing.T) {
 	if !reflect.DeepEqual(gotMarks, marks) {
 		t.Errorf("marks:\n got %+v\nwant %+v", gotMarks, marks)
 	}
-	if again := appendTimeline(nil, gotSpans, gotMarks); !bytes.Equal(again, block) {
+	if again := ledger.AppendTimeline(nil, gotSpans, gotMarks); !bytes.Equal(again, block) {
 		t.Errorf("re-encoding changed the block:\n got %x\nwant %x", again, block)
 	}
 	// Appending keeps what dst already holds.
-	if out := appendTimeline([]byte("head"), spans, marks); !bytes.Equal(out, append([]byte("head"), block...)) {
-		t.Error("appendTimeline did not append to dst")
+	if out := ledger.AppendTimeline([]byte("head"), spans, marks); !bytes.Equal(out, append([]byte("head"), block...)) {
+		t.Error("ledger.AppendTimeline did not append to dst")
 	}
 }
 
 // TestTimelineRoundTripsRealRuns: real runs' timelines come back deeply
 // equal, and their decisions share one slice.
 func TestTimelineRoundTripsRealRuns(t *testing.T) {
-	for _, r := range realResults(t) {
-		run := r.Run
-		block := appendTimeline(nil, run.Spans, run.ConfigMarks)
-		spans, marks, err := decodeTimeline(block)
+	for _, run := range realRuns(t) {
+		block := ledger.AppendTimeline(nil, run.Spans, run.ConfigMarks)
+		spans, marks, err := ledger.DecodeTimeline(block)
 		if err != nil {
-			t.Fatalf("%s %s: %v", r.Job.App, r.Job.Kind, err)
+			t.Fatalf("%s %s: %v", run.App.Name, run.Kind, err)
 		}
 		if !reflect.DeepEqual(spans, run.Spans) || !reflect.DeepEqual(marks, run.ConfigMarks) {
-			t.Fatalf("%s %s: timeline changed in the round trip", r.Job.App, r.Job.Kind)
+			t.Fatalf("%s %s: timeline changed in the round trip", run.App.Name, run.Kind)
 		}
 		var first uintptr
 		k := uintptr(0)
@@ -149,7 +141,7 @@ func TestTimelineRoundTripsRealRuns(t *testing.T) {
 				first = at
 			}
 			if at != first+k*unsafe.Sizeof(*d) {
-				t.Fatalf("%s %s: span %d's decision is not element %d of one slice", r.Job.App, r.Job.Kind, i, k)
+				t.Fatalf("%s %s: span %d's decision is not element %d of one slice", run.App.Name, run.Kind, i, k)
 			}
 			k++
 		}
@@ -157,17 +149,17 @@ func TestTimelineRoundTripsRealRuns(t *testing.T) {
 }
 
 func TestTimelineEmpty(t *testing.T) {
-	spans, marks, err := decodeTimeline(appendTimeline(nil, nil, nil))
+	spans, marks, err := ledger.DecodeTimeline(ledger.AppendTimeline(nil, nil, nil))
 	if err != nil || spans != nil || marks != nil {
 		t.Fatalf("empty block decoded to %v, %v, %v; want nil, nil, nil", spans, marks, err)
 	}
 }
 
 // TestDecodeTimelineRejects: every way a block can be malformed or
-// non-canonical is an errBadRun error, never a panic or a partial timeline.
+// non-canonical is an ledger.ErrBadTimeline error, never a panic or a partial timeline.
 func TestDecodeTimelineRejects(t *testing.T) {
 	spans, marks := everyField(t)
-	good := appendTimeline(nil, spans, marks)
+	good := ledger.AppendTimeline(nil, spans, marks)
 	// Offsets into good: the three counts, then the first span's ID delta,
 	// its kind literal (0x00, length, bytes), and so on.
 	with := func(i int, b ...byte) []byte {
@@ -192,9 +184,12 @@ func TestDecodeTimelineRejects(t *testing.T) {
 		{"more decisions than counted", "more decisions", with(1, 0)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, m, err := decodeTimeline(tc.block)
-			if !errors.Is(err, errBadRun) || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v, want errBadRun with %q", err, tc.want)
+			s, m, err := ledger.DecodeTimeline(tc.block)
+			if !errors.Is(err, ledger.ErrBadTimeline) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want ledger.ErrBadTimeline with %q", err, tc.want)
+			}
+			if check := ledger.CheckTimeline(tc.block); check == nil || check.Error() != err.Error() {
+				t.Fatalf("CheckTimeline = %v, want %v", check, err)
 			}
 			if s != nil || m != nil {
 				t.Fatal("a failed decode returned a partial timeline")
@@ -213,43 +208,52 @@ func TestDecodeTimelineRejects(t *testing.T) {
 		return append(b, 0, 1, flag) // busy, config → table entry 0, flag
 	}
 	literal := []byte{0, 1, 'x'}
-	if _, _, err := decodeTimeline(span(literal, []byte{1}, 0)); err != nil {
+	if _, _, err := ledger.DecodeTimeline(span(literal, []byte{1}, 0)); err != nil {
 		t.Fatalf("hand-built span does not decode: %v", err)
 	}
 	for want, block := range map[string][]byte{
 		"literal repeated": span(literal, literal, 0),
 		"flag byte above":  span(literal, []byte{1}, 2),
 	} {
-		if _, _, err := decodeTimeline(block); !errors.Is(err, errBadRun) || !strings.Contains(err.Error(), want) {
-			t.Errorf("err = %v, want errBadRun with %q", err, want)
+		if _, _, err := ledger.DecodeTimeline(block); !errors.Is(err, ledger.ErrBadTimeline) || !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %v, want ledger.ErrBadTimeline with %q", err, want)
 		}
 	}
 }
 
 // FuzzDecodeTimeline: arbitrary bytes never panic the decoder; a block that
-// decodes re-encodes to the same bytes; and a block's count prefixes cannot
-// make the decoder allocate more than a small multiple of its length.
+// decodes re-encodes to the same bytes; a block's count prefixes cannot make
+// the decoder allocate more than a small multiple of its length; and
+// CheckTimeline accepts exactly the blocks DecodeTimeline does.
 func FuzzDecodeTimeline(f *testing.F) {
-	for _, r := range fuzzResults(f) {
-		f.Add(appendTimeline(nil, r.Run.Spans, r.Run.ConfigMarks))
+	// Real runs cut to their first spans and marks: real timelines, a few
+	// hundred bytes each, which the fuzzer mutates and minimizes far faster
+	// than whole runs.
+	for _, run := range realRuns(f) {
+		f.Add(ledger.AppendTimeline(nil, run.Spans[:min(len(run.Spans), 12)],
+			run.ConfigMarks[:min(len(run.ConfigMarks), 4)]))
 	}
-	f.Add(appendTimeline(nil, nil, nil))
+	f.Add(ledger.AppendTimeline(nil, nil, nil))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0})
 	f.Fuzz(func(t *testing.T, block []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		spans, marks, err := decodeTimeline(block)
+		spans, marks, err := ledger.DecodeTimeline(block)
 		runtime.ReadMemStats(&after)
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(16*len(block)+64<<10) {
 			t.Fatalf("decoding %d bytes allocated %d", len(block), alloc)
 		}
+		if check := ledger.CheckTimeline(block); (check == nil) != (err == nil) ||
+			check != nil && check.Error() != err.Error() {
+			t.Fatalf("CheckTimeline = %v, DecodeTimeline = %v", check, err)
+		}
 		if err != nil {
-			if !errors.Is(err, errBadRun) || spans != nil || marks != nil {
+			if !errors.Is(err, ledger.ErrBadTimeline) || spans != nil || marks != nil {
 				t.Fatalf("failed decode returned %d spans, %d marks, err %v", len(spans), len(marks), err)
 			}
 			return
 		}
-		if again := appendTimeline(nil, spans, marks); !bytes.Equal(again, block) {
+		if again := ledger.AppendTimeline(nil, spans, marks); !bytes.Equal(again, block) {
 			t.Fatalf("re-encoding changed the block:\n got %x\nwant %x", again, block)
 		}
 	})

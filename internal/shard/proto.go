@@ -22,7 +22,8 @@
 // connection while jobs execute, so heartbeat RTT measures the transport,
 // not the work queue. A result frame carries its run's ledger spans, their
 // frame decisions and its config marks as one binary timeline block
-// (timeline.go), base64 inside the JSON, rather than as reflective JSON.
+// (ledger.AppendTimeline), base64 inside the JSON, rather than as reflective
+// JSON.
 //
 // Tracing is feature-negotiated, not versioned: the hello's trace field
 // advertises that the client can propagate span contexts, and a worker that

@@ -9,8 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/wattwiseweb/greenweb/internal/faults"
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/harness"
+	"github.com/wattwiseweb/greenweb/internal/ledger"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
@@ -57,18 +59,96 @@ func TestBadResidencyFailsTheJob(t *testing.T) {
 }
 
 // TestBadTimelineFailsTheJob: a result whose timeline block does not decode
-// fails with the decode error and carries no run; the other result fields
-// still arrive.
+// fails with the decode error, wrapped in errBadRun, and carries neither a
+// run nor the block; the other result fields still arrive.
 func TestBadTimelineFailsTheJob(t *testing.T) {
 	w := encodeResult(realResults(t)[1])
 	w.Run.Timeline = w.Run.Timeline[:len(w.Run.Timeline)/2]
 	res := decodeResult(w, fleet.Job{App: "Todo", Kind: harness.GreenWebI})
-	if !errors.Is(res.Err, errBadRun) || res.Run != nil {
-		t.Fatalf("truncated timeline decoded to run %v, err %v; want no run and errBadRun", res.Run, res.Err)
+	if !errors.Is(res.Err, errBadRun) || !errors.Is(res.Err, ledger.ErrBadTimeline) ||
+		res.Run != nil || res.Timeline != nil {
+		t.Fatalf("truncated timeline decoded to run %v, block %d bytes, err %v; want errBadRun alone",
+			res.Run, len(res.Timeline), res.Err)
 	}
 	if res.Worker != w.Worker || res.Attempts != w.Attempts {
 		t.Fatalf("result lost its provenance: %+v", res)
 	}
+}
+
+// TestTooManySpansFailsTheJob: a result may carry as many worker trace
+// spans as a job records and no more; one past the budget fails the job
+// with errTooManySpans, and a 10,000-span array is refused before any
+// element is decoded, so the frame costs a few times its bytes rather than
+// 10,000 trace.Spans.
+func TestTooManySpansFailsTheJob(t *testing.T) {
+	frameOf := func(n int) []byte {
+		return rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1,"run":{"kind":"Perf"},` +
+			`"spans":[{"name":"execute"}` + strings.Repeat(`,{"name":"execute"}`, n-1) + `]}}`)
+	}
+	job := fleet.Job{App: "Todo", Kind: harness.Perf}
+	read := func(b []byte) fleet.Result {
+		t.Helper()
+		f, err := readFrame(bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decodeResult(f.Result, job)
+	}
+	if res := read(frameOf(trace.DefaultJobBudget)); res.Err != nil || res.Run == nil ||
+		len(res.Spans) != trace.DefaultJobBudget {
+		t.Fatalf("a result at the span budget: err %v, run %v, %d spans", res.Err, res.Run != nil, len(res.Spans))
+	}
+	if res := read(frameOf(trace.DefaultJobBudget + 1)); !errors.Is(res.Err, errTooManySpans) ||
+		res.Run != nil || res.Spans != nil {
+		t.Fatalf("a result past the span budget: err %v, run %v, %d spans; want errTooManySpans alone",
+			res.Err, res.Run != nil, len(res.Spans))
+	}
+
+	big := frameOf(10_000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := read(big)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(res.Err, errTooManySpans) {
+		t.Fatalf("err = %v, want errTooManySpans", res.Err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(8*len(big)) {
+		t.Fatalf("refusing a %d-byte frame of 10,000 spans allocated %d bytes", len(big), alloc)
+	}
+}
+
+// realResults executes micro cells that between them record every kind of
+// span and decision: a baseline governor (no decisions), both GreenWeb
+// runtimes, staged frames, and a faulted run.
+func realResults(tb testing.TB) []fleet.Result {
+	tb.Helper()
+	jobs := []fleet.Job{
+		{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro},
+		{App: "Todo", Kind: harness.GreenWebI, Phase: fleet.Micro},
+		{App: "MSN", Kind: harness.GreenWebU, Phase: fleet.Micro, StageWorkers: 4},
+		{App: "MSN", Kind: harness.GreenWebI, Phase: fleet.Micro, Faults: faults.Default(21)},
+	}
+	res := reference(fleet.Options{}, jobs)
+	for _, r := range res {
+		if r.Err != nil {
+			tb.Fatalf("%s %s: %v", r.Job.App, r.Job.Kind, r.Err)
+		}
+	}
+	return res
+}
+
+// fuzzResults are realResults with each run cut to its first spans and
+// marks: real timelines, a few hundred bytes each, which the fuzzer mutates
+// and minimizes far faster than whole runs.
+func fuzzResults(tb testing.TB) []fleet.Result {
+	res := realResults(tb)
+	for i := range res {
+		run := *res[i].Run
+		run.Spans = run.Spans[:min(len(run.Spans), 12)]
+		run.ConfigMarks = run.ConfigMarks[:min(len(run.ConfigMarks), 4)]
+		res[i].Run = &run
+	}
+	return res
 }
 
 // rawFrame is payload behind its length prefix.
@@ -101,13 +181,15 @@ func frameSeeds(tb testing.TB) []frame {
 }
 
 // FuzzReadFrame: arbitrary bytes through readFrame, and every result frame
-// through decodeResult, never panic; a run that does not decode leaves the
-// result without one; and the reader allocates within a constant factor of
-// the bytes that arrive, whatever the length prefixes and counts claim.
+// through decodeResult, never panic; a result that does not decode carries
+// no run; and the reader allocates within a constant factor of the bytes
+// that arrive, whatever the length prefixes and counts claim.
 //
-// The factor is encoding/json's: its densest input is a result's worker
-// trace spans as empty objects, where each 3-byte "{}," becomes a 112-byte
-// trace.Span in a slice grown by append, about 150 bytes per byte.
+// The factor is encoding/json's (worker trace spans are counted before they
+// are decoded). Its densest input is an array of a result's history or run
+// residency whose elements have the wrong type: each 2-byte "0," costs a
+// slot of the append-grown slice plus an error value, about 90 bytes per
+// byte.
 func FuzzReadFrame(f *testing.F) {
 	var stream bytes.Buffer // several frames back to back
 	for _, fr := range frameSeeds(f) {
@@ -136,12 +218,12 @@ func FuzzReadFrame(f *testing.F) {
 				continue
 			}
 			res := decodeResult(fr.Result, fleet.Job{App: "Todo", Kind: harness.GreenWebI})
-			if errors.Is(res.Err, errBadRun) && res.Run != nil {
-				t.Fatal("a result whose run did not decode carries a run")
+			if (errors.Is(res.Err, errBadRun) || errors.Is(res.Err, errTooManySpans)) && res.Run != nil {
+				t.Fatal("a result that did not decode carries a run")
 			}
 		}
 		runtime.ReadMemStats(&after)
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(256*len(b)+256<<10) {
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(128*len(b)+256<<10) {
 			t.Fatalf("reading %d bytes allocated %d", len(b), alloc)
 		}
 	})

@@ -16,6 +16,7 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/faults"
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/harness"
+	"github.com/wattwiseweb/greenweb/internal/ledger"
 	"github.com/wattwiseweb/greenweb/internal/obs"
 )
 
@@ -136,20 +137,33 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 	}
 	decided := false
 	for i, j := range jobs {
-		got, want := res[i].Run, ref[i].Run
-		if (got == nil) != (want == nil) {
-			t.Fatalf("job %d (%s %s): remote run %v, reference run %v", i, j.App, j.Kind, got != nil, want != nil)
+		got, want := res[i], ref[i].Run
+		if (got.Run == nil) != (want == nil) {
+			t.Fatalf("job %d (%s %s): remote run %v, reference run %v", i, j.App, j.Kind, got.Run != nil, want != nil)
 		}
 		if want == nil {
 			continue
 		}
-		if !reflect.DeepEqual(got.Spans, want.Spans) {
+		// The remote run arrives without its timeline; the result carries
+		// the block, which must decode to the reference run's own.
+		if got.Run.Spans != nil || got.Run.ConfigMarks != nil || got.Run.Decisions != nil {
+			t.Errorf("job %d (%s %s): remote run carries a decoded timeline", i, j.App, j.Kind)
+		}
+		spans, marks, err := ledger.DecodeTimeline(got.Timeline)
+		if err != nil {
+			t.Fatalf("job %d (%s %s): %v", i, j.App, j.Kind, err)
+		}
+		var decisions []obs.Decision
+		if got.Decided {
+			decisions = obs.DecisionsOf(spans)
+		}
+		if !reflect.DeepEqual(spans, want.Spans) {
 			t.Errorf("job %d (%s %s): ledger spans differ from the reference", i, j.App, j.Kind)
 		}
-		if !reflect.DeepEqual(got.ConfigMarks, want.ConfigMarks) {
+		if !reflect.DeepEqual(marks, want.ConfigMarks) {
 			t.Errorf("job %d (%s %s): config marks differ from the reference", i, j.App, j.Kind)
 		}
-		if !reflect.DeepEqual(got.Decisions, want.Decisions) {
+		if !reflect.DeepEqual(decisions, want.Decisions) {
 			t.Errorf("job %d (%s %s): decision log differs from the reference", i, j.App, j.Kind)
 		}
 		if len(want.Spans) == 0 || len(want.ConfigMarks) == 0 {

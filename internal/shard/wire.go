@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -10,10 +11,18 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/apps"
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/harness"
-	"github.com/wattwiseweb/greenweb/internal/obs"
+	"github.com/wattwiseweb/greenweb/internal/ledger"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 	"github.com/wattwiseweb/greenweb/internal/sim"
 )
+
+// errBadRun fails a result whose run does not decode: the job gets this error
+// instead of a partial run.
+var errBadRun = errors.New("shard: malformed run")
+
+// errTooManySpans fails a result that carries more worker trace spans than a
+// worker records for one job (trace.DefaultJobBudget).
+var errTooManySpans = errors.New("shard: too many trace spans")
 
 // wireResult is fleet.Result in JSON-serializable form. The job itself is
 // not carried: the client keyed the call by frame id and reattaches its own
@@ -27,11 +36,12 @@ type wireResult struct {
 	History     []string `json:"history,omitempty"`
 	Quarantined bool     `json:"quarantined,omitempty"`
 	// Spans piggybacks the worker's trace spans for a traced job (on the
-	// worker's clock; the client aligns them), with the worker-side
-	// dropped-span count. Empty for untraced jobs, so the wire cost is zero
-	// when tracing is off.
-	Spans     []trace.Span `json:"spans,omitempty"`
-	SpanDrops int          `json:"span_drops,omitempty"`
+	// worker's clock; the client aligns them) as a JSON array, with the
+	// worker-side dropped-span count. Empty for untraced jobs, so the wire
+	// cost is zero when tracing is off. It stays raw until decodeResult has
+	// counted its elements.
+	Spans     json.RawMessage `json:"spans,omitempty"`
+	SpanDrops int             `json:"span_drops,omitempty"`
 }
 
 // wireResidency is one entry of the per-configuration residency map,
@@ -44,12 +54,12 @@ type wireResidency struct {
 // wireRun carries every harness.Run field greensrv's result, event, and
 // trace endpoints read — the ResultRow scalars, and the ledger spans with
 // their frame decisions and the config marks as one binary Timeline block
-// (timeline.go) — plus the residency histogram. The decision log is a
-// projection of the spans, so it is not shipped: Decided says the node
-// recorded one (-no-obs nodes do not), and the receiving side derives it
-// again. FrameResults (the raw per-frame timeline) is deliberately not
-// shipped: nothing behind the fleet.Runner seam reads it, and it dominates
-// payload size.
+// (ledger.AppendTimeline) — plus the residency histogram. The decision log
+// is a projection of the spans, so it is not shipped: Decided says the node
+// recorded one (-no-obs nodes do not). The receiving side keeps the block
+// as it arrived and derives the log from it on request. FrameResults (the
+// raw per-frame timeline) is deliberately not shipped: nothing behind the
+// fleet.Node seam reads it, and it dominates payload size.
 type wireRun struct {
 	Kind harness.Kind `json:"kind"`
 
@@ -67,8 +77,8 @@ type wireRun struct {
 	IdleEnergy  acmp.Joules `json:"idle_energy_j"`
 	EventEnergy acmp.Joules `json:"event_energy_j"`
 	StageEnergy acmp.Joules `json:"stage_energy_j,omitempty"`
-	// Timeline is appendTimeline's block of the run's spans and config
-	// marks, absent when both are empty; JSON carries it as base64.
+	// Timeline is ledger.AppendTimeline's block of the run's spans and
+	// config marks, absent when both are empty; JSON carries it as base64.
 	Timeline []byte `json:"timeline,omitempty"`
 	Decided  bool   `json:"decided,omitempty"`
 
@@ -91,8 +101,11 @@ func encodeResult(r fleet.Result) *wireResult {
 		Attempts:    r.Attempts,
 		History:     r.History,
 		Quarantined: r.Quarantined,
-		Spans:       r.Spans,
 		SpanDrops:   r.SpanDrops,
+	}
+	if len(r.Spans) > 0 {
+		// A trace.Span is plain fields and a string map: it always encodes.
+		w.Spans, _ = json.Marshal(r.Spans)
 	}
 	if r.Err != nil {
 		w.Err = r.Err.Error()
@@ -104,8 +117,11 @@ func encodeResult(r fleet.Result) *wireResult {
 }
 
 // decodeResult reconstructs a fleet.Result, reattaching the client's copy
-// of the job. A run that does not decode fails the result with an error
-// wrapping errBadRun, and the result carries no run.
+// of the job. The run arrives without its timeline: the result carries the
+// validated block in Timeline. A run that does not decode fails the result
+// with an error wrapping errBadRun, and more worker trace spans than a job
+// records fail it with errTooManySpans; either way the result carries no
+// run.
 func decodeResult(w *wireResult, job fleet.Job) fleet.Result {
 	r := fleet.Result{
 		Job:         job,
@@ -114,19 +130,70 @@ func decodeResult(w *wireResult, job fleet.Job) fleet.Result {
 		Attempts:    w.Attempts,
 		History:     w.History,
 		Quarantined: w.Quarantined,
-		Spans:       w.Spans,
 		SpanDrops:   w.SpanDrops,
 	}
 	if w.Err != "" {
 		r.Err = errors.New(w.Err)
 	}
+	var err error
+	if r.Spans, err = decodeSpans(w.Spans); err != nil {
+		r.Err = err
+		return r
+	}
 	if w.Run != nil {
-		var err error
 		if r.Run, err = decodeRun(w.Run, job); err != nil {
 			r.Err = err
+			return r
 		}
+		r.Timeline, r.Decided = w.Run.Timeline, w.Run.Decided
 	}
 	return r
+}
+
+// decodeSpans decodes a result's worker trace spans. It counts the array's
+// elements first and refuses more than trace.DefaultJobBudget before
+// decoding any: a worker's recorder never ships more, and each 3-byte "{},"
+// would otherwise cost a whole trace.Span.
+func decodeSpans(raw json.RawMessage) ([]trace.Span, error) {
+	if len(raw) == 0 {
+		return nil, nil
+	}
+	// encoding/json validated raw with the frame, so each comma at depth one
+	// outside a string separates two elements.
+	depth, commas, inString, escaped := 0, 0, false, false
+	for _, c := range raw {
+		if inString {
+			switch {
+			case escaped:
+				escaped = false
+			case c == '\\':
+				escaped = true
+			case c == '"':
+				inString = false
+			}
+			continue
+		}
+		switch c {
+		case '"':
+			inString = true
+		case '[', '{':
+			depth++
+		case ']', '}':
+			depth--
+		case ',':
+			if depth == 1 {
+				commas++
+			}
+		}
+	}
+	if commas >= trace.DefaultJobBudget {
+		return nil, fmt.Errorf("%w: %d, more than %d", errTooManySpans, commas+1, trace.DefaultJobBudget)
+	}
+	var spans []trace.Span
+	if err := json.Unmarshal(raw, &spans); err != nil {
+		return nil, fmt.Errorf("%w: trace spans: %v", errBadRun, err)
+	}
+	return spans, nil
 }
 
 func encodeRun(run *harness.Run) *wireRun {
@@ -155,7 +222,7 @@ func encodeRun(run *harness.Run) *wireRun {
 		Recoveries:    run.Recoveries,
 	}
 	if len(run.Spans) > 0 || len(run.ConfigMarks) > 0 {
-		w.Timeline = appendTimeline(nil, run.Spans, run.ConfigMarks)
+		w.Timeline = ledger.AppendTimeline(nil, run.Spans, run.ConfigMarks)
 	}
 	// Residency flattens to (config index, duration) pairs sorted by index,
 	// so the wire form of one run is itself deterministic.
@@ -166,6 +233,8 @@ func encodeRun(run *harness.Run) *wireRun {
 	return w
 }
 
+// decodeRun rebuilds a run from everything but its timeline, which it only
+// checks (ledger.CheckTimeline): the block must decode.
 func decodeRun(w *wireRun, job fleet.Job) (*harness.Run, error) {
 	run := &harness.Run{
 		Kind:          w.Kind,
@@ -200,13 +269,9 @@ func decodeRun(w *wireRun, job fleet.Job) (*harness.Run, error) {
 		}
 	}
 	if len(w.Timeline) > 0 {
-		var err error
-		if run.Spans, run.ConfigMarks, err = decodeTimeline(w.Timeline); err != nil {
-			return nil, err
+		if err := ledger.CheckTimeline(w.Timeline); err != nil {
+			return nil, fmt.Errorf("%w: %w", errBadRun, err)
 		}
-	}
-	if w.Decided {
-		run.Decisions = obs.DecisionsOf(run.Spans)
 	}
 	if app, ok := apps.ByName(job.App); ok {
 		run.App = app
