@@ -1,29 +1,23 @@
-// Command greenload replays high-volume sweep submissions against a live
-// greensrv and reports the client-side latency distribution: submission
-// RTT and end-to-end sweep completion, p50/p99/p999 from obs histograms,
-// plus throughput in sweeps/sec and jobs/sec.
+// Command greenload drives a live greensrv with sweep submissions. Each
+// worker submits a sweep, reads its NDJSON results to the last row, and
+// counts the rows whose job failed. greenload measures nothing: load is
+// measured by the benchmark (bash bench/run.sh -workload sweep|sweep-remote).
 //
 // Usage:
 //
 //	greenload [-addr http://127.0.0.1:8080] [-sweeps N] [-concurrency C]
 //	          [-apps csv] [-kinds csv] [-phase micro|full] [-repeats N]
-//	          [-faults JSON] [-client-id ID] [-poll 25ms] [-timeout 2m]
-//	          [-max-retries 50] [-wait-persisted] [-trace-sample N]
-//	          [-json FILE]
+//	          [-faults JSON] [-client-id ID] [-timeout 2m]
+//	          [-max-retries 50] [-wait-persisted] [-json FILE]
 //
 // greenload is an honest client: a 429/503 rejection is parsed for its
 // retry_after_ms (falling back to the Retry-After header) and the
-// submission retried after that backoff, up to -max-retries times.
-// -wait-persisted additionally waits for each sweep's status to report
+// submission retried after that backoff, up to -max-retries times. A sweep
+// fails when its submission gives up, when its result stream ends short of
+// the jobs the server acknowledged, or when it misses -timeout.
+// -wait-persisted then reads each sweep's status until it reports
 // persisted=true — the handshake the CI distributed-smoke job uses before
-// SIGKILLing the server.
-//
-// -trace-sample N fetches the fleet trace (GET .../trace?fleet=1) for the
-// first N completed sweeps and splits the end-to-end latency into phases —
-// queue-wait (admission to first execution) and execute (job wall time on
-// its worker) — reported as their own quantile ladders next to submit RTT,
-// plus the sweeps' cumulative span_drops so a truncated trace is visible in
-// the report. Requires the server to run with tracing enabled.
+// SIGKILLing the server. greenload exits 1 when any sweep failed.
 package main
 
 import (
@@ -39,23 +33,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/wattwiseweb/greenweb/internal/obs"
 )
 
-// loadBounds suits client-observed latencies: 100 µs submission RTTs up to
-// minute-long sweep completions.
-var loadBounds = []float64{
-	0.0001, 0.0002, 0.0005, 0.001, 0.002, 0.005,
-	0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 30, 60,
-}
+// persistPoll is the status read interval of -wait-persisted. A sweep's end
+// record is fsynced right after its last row, so the wait is short.
+const persistPoll = 10 * time.Millisecond
 
 // rejection mirrors the server's 429/503 body.
 type rejection struct {
-	Error        string `json:"error"`
-	Code         string `json:"code"`
-	RetryAfterMS int64  `json:"retry_after_ms"`
-	QueueDepth   int64  `json:"queue_depth"`
+	RetryAfterMS int64 `json:"retry_after_ms"`
 }
 
 // sweepAck mirrors the 202 body.
@@ -64,163 +50,111 @@ type sweepAck struct {
 	Jobs int    `json:"jobs"`
 }
 
-// sweepStatus is the slice of GET /v1/sweeps/{id} greenload reads.
-type sweepStatus struct {
-	Done      int  `json:"done"`
-	Failed    int  `json:"failed"`
-	Finished  bool `json:"finished"`
-	Persisted bool `json:"persisted"`
-}
-
 // report is the machine-readable summary (-json).
 type report struct {
-	Sweeps        int       `json:"sweeps"`
-	Jobs          int64     `json:"jobs"`
-	FailedJobs    int64     `json:"failed_jobs"`
-	FailedSweeps  int64     `json:"failed_sweeps"`
-	Rejections    int64     `json:"rejections"` // 429/503 answers absorbed by backoff
-	WallS         float64   `json:"wall_s"`
-	SweepsPerSec  float64   `json:"sweeps_per_sec"`
-	JobsPerSec    float64   `json:"jobs_per_sec"`
-	SubmitMS      quantiles `json:"submit_ms"`
-	EndToEndMS    quantiles `json:"e2e_ms"`
-	SweepIDs      []string  `json:"sweep_ids"`
-	WaitPersisted bool      `json:"wait_persisted,omitempty"`
-
-	// Per-phase breakdown from sampled fleet traces (-trace-sample N).
-	TraceSampled int        `json:"trace_sampled,omitempty"`
-	SpanDrops    int64      `json:"span_drops"`
-	QueueMS      *quantiles `json:"queue_ms,omitempty"`
-	ExecuteMS    *quantiles `json:"execute_ms,omitempty"`
+	Sweeps       int      `json:"sweeps"`
+	Jobs         int64    `json:"jobs"` // acknowledged by the server
+	FailedJobs   int64    `json:"failed_jobs"`
+	FailedSweeps int64    `json:"failed_sweeps"`
+	Rejections   int64    `json:"rejections"` // 429/503 answers absorbed by backoff
+	SweepIDs     []string `json:"sweep_ids"`
 }
 
-// quantiles are histogram-interpolated estimates in milliseconds; -1 means
-// the quantile landed in the overflow bucket (beyond the bound ladder).
-type quantiles struct {
-	P50  float64 `json:"p50"`
-	P99  float64 `json:"p99"`
-	P999 float64 `json:"p999"`
-}
+// loader is one greenload run's client and the tallies its workers share.
+type loader struct {
+	client        *http.Client
+	addr          string
+	clientID      string
+	body          []byte
+	maxRetries    int
+	timeout       time.Duration
+	waitPersisted bool
 
-func quantilesOf(s obs.HistogramSnapshot) quantiles {
-	ms := func(q float64) float64 {
-		v := s.Quantile(q)
-		if v < 0 {
-			return -1
-		}
-		return v * 1000
-	}
-	return quantiles{P50: ms(0.5), P99: ms(0.99), P999: ms(0.999)}
+	jobs, failedJobs, failedSweeps, rejections atomic.Int64
+
+	mu  sync.Mutex
+	ids []string
 }
 
 func main() {
-	addr := flag.String("addr", "http://127.0.0.1:8080", "greensrv base URL")
-	sweeps := flag.Int("sweeps", 100, "sweep submissions to replay")
-	concurrency := flag.Int("concurrency", 8, "concurrent client connections")
-	apps := flag.String("apps", "Todo", "comma-separated app names (empty = server default grid)")
-	kinds := flag.String("kinds", "Perf,GreenWeb-U", "comma-separated governor kinds (empty = server default)")
-	phase := flag.String("phase", "micro", "trace phase: micro or full")
-	repeats := flag.Int("repeats", 0, "per-job repeats (0 = phase default)")
-	faults := flag.String("faults", "", `fault-injection spec merged into each sweep request, e.g. '{"seed":3,"dvfs":{"deny_prob":0.2}}'`)
-	clientID := flag.String("client-id", "", "X-Client-ID header (admission token-bucket key)")
-	poll := flag.Duration("poll", 25*time.Millisecond, "status poll interval")
-	timeout := flag.Duration("timeout", 2*time.Minute, "per-sweep completion deadline")
-	maxRetries := flag.Int("max-retries", 50, "submission retries on 429/503 before giving up")
-	waitPersisted := flag.Bool("wait-persisted", false, "wait for persisted=true in each sweep's status")
-	traceSample := flag.Int("trace-sample", 0, "fetch fleet traces for this many completed sweeps and report per-phase latency")
-	jsonOut := flag.String("json", "", "write the machine-readable report to this file")
-	flag.Parse()
-
-	body, err := json.Marshal(sweepRequest(*apps, *kinds, *phase, *repeats, *faults))
+	rep, err := run(os.Args[1:], os.Stdout)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "greenload:", err)
+		os.Exit(1)
 	}
+	if rep.FailedSweeps > 0 {
+		os.Exit(1)
+	}
+}
 
-	var (
-		submitHist = obs.NewHistogram(loadBounds)
-		e2eHist    = obs.NewHistogram(loadBounds)
-		jobs       atomic.Int64
-		failedJobs atomic.Int64
-		failedSw   atomic.Int64
-		rejections atomic.Int64
-		mu         sync.Mutex
-		ids        []string
-	)
-	client := &http.Client{Timeout: *timeout}
+// run drives the sweeps args describe, prints the summary to stdout, and
+// writes the -json report.
+func run(args []string, stdout io.Writer) (report, error) {
+	fs := flag.NewFlagSet("greenload", flag.ExitOnError)
+	addr := fs.String("addr", "http://127.0.0.1:8080", "greensrv base URL")
+	sweeps := fs.Int("sweeps", 100, "sweep submissions to replay")
+	concurrency := fs.Int("concurrency", 8, "concurrent client connections")
+	apps := fs.String("apps", "Todo", "comma-separated app names (empty = server default grid)")
+	kinds := fs.String("kinds", "Perf,GreenWeb-U", "comma-separated governor kinds (empty = server default)")
+	phase := fs.String("phase", "micro", "trace phase: micro or full")
+	repeats := fs.Int("repeats", 0, "per-job repeats (0 = phase default)")
+	faults := fs.String("faults", "", `fault-injection spec merged into each sweep request, e.g. '{"seed":3,"dvfs":{"deny_prob":0.2}}'`)
+	clientID := fs.String("client-id", "", "X-Client-ID header (admission token-bucket key)")
+	timeout := fs.Duration("timeout", 2*time.Minute, "per-sweep completion deadline")
+	maxRetries := fs.Int("max-retries", 50, "submission retries on 429/503 before giving up")
+	waitPersisted := fs.Bool("wait-persisted", false, "wait for persisted=true in each sweep's status")
+	jsonOut := fs.String("json", "", "write the machine-readable report to this file")
+	fs.Parse(args)
 
-	work := make(chan int)
+	req, err := sweepRequest(*apps, *kinds, *phase, *repeats, *faults)
+	if err != nil {
+		return report{}, err
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		return report{}, err
+	}
+	l := &loader{
+		client: &http.Client{Timeout: *timeout}, addr: *addr, clientID: *clientID, body: body,
+		maxRetries: *maxRetries, timeout: *timeout, waitPersisted: *waitPersisted,
+	}
+	work := make(chan struct{})
 	var wg sync.WaitGroup
-	start := time.Now()
 	for c := 0; c < *concurrency; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for range work {
-				t0 := time.Now()
-				id, n, ok := submit(client, *addr, *clientID, body, *maxRetries, submitHist, &rejections)
-				if !ok {
-					failedSw.Add(1)
-					continue
+				if err := l.sweep(); err != nil {
+					fmt.Fprintln(os.Stderr, "greenload:", err)
+					l.failedSweeps.Add(1)
 				}
-				jobs.Add(int64(n))
-				mu.Lock()
-				ids = append(ids, id)
-				mu.Unlock()
-				st, ok := await(client, *addr, id, *poll, *timeout, *waitPersisted)
-				if !ok {
-					failedSw.Add(1)
-					continue
-				}
-				failedJobs.Add(int64(st.Failed))
-				// End-to-end: first POST (including any rejection backoff)
-				// to finished — what a submitting client actually waits.
-				e2eHist.Observe(time.Since(t0).Seconds())
 			}
 		}()
 	}
 	for i := 0; i < *sweeps; i++ {
-		work <- i
+		work <- struct{}{}
 	}
 	close(work)
 	wg.Wait()
-	wall := time.Since(start)
 
-	rep := report{
-		Sweeps:        *sweeps,
-		Jobs:          jobs.Load(),
-		FailedJobs:    failedJobs.Load(),
-		FailedSweeps:  failedSw.Load(),
-		Rejections:    rejections.Load(),
-		WallS:         wall.Seconds(),
-		SweepsPerSec:  float64(*sweeps-int(failedSw.Load())) / wall.Seconds(),
-		JobsPerSec:    float64(jobs.Load()) / wall.Seconds(),
-		SubmitMS:      quantilesOf(submitHist.Snapshot()),
-		EndToEndMS:    quantilesOf(e2eHist.Snapshot()),
-		SweepIDs:      ids,
-		WaitPersisted: *waitPersisted,
-	}
-	if *traceSample > 0 {
-		sampleTraces(client, *addr, ids, *traceSample, &rep)
-	}
-	printReport(rep)
+	rep := report{Sweeps: *sweeps, Jobs: l.jobs.Load(), FailedJobs: l.failedJobs.Load(),
+		FailedSweeps: l.failedSweeps.Load(), Rejections: l.rejections.Load(), SweepIDs: l.ids}
+	fmt.Fprintf(stdout, "greenload: %d sweeps (%d jobs): %d failed sweeps, %d failed jobs, %d rejections absorbed\n",
+		rep.Sweeps, rep.Jobs, rep.FailedSweeps, rep.FailedJobs, rep.Rejections)
 	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
+		out, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			fatal(err)
+			return rep, err
 		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
+		if err := os.WriteFile(*jsonOut, append(out, '\n'), 0o644); err != nil {
+			return rep, err
 		}
-		f.Close()
 	}
-	if failedSw.Load() > 0 {
-		os.Exit(1)
-	}
+	return rep, nil
 }
 
-func sweepRequest(apps, kinds, phase string, repeats int, faults string) map[string]any {
+func sweepRequest(apps, kinds, phase string, repeats int, faults string) (map[string]any, error) {
 	req := map[string]any{"phase": phase}
 	if apps != "" {
 		req["apps"] = strings.Split(apps, ",")
@@ -237,56 +171,77 @@ func sweepRequest(apps, kinds, phase string, repeats int, faults string) map[str
 		// with a 400, loudly).
 		var spec json.RawMessage
 		if err := json.Unmarshal([]byte(faults), &spec); err != nil {
-			fatal(fmt.Errorf("-faults is not valid JSON: %w", err))
+			return nil, fmt.Errorf("-faults is not valid JSON: %w", err)
 		}
 		req["faults"] = spec
 	}
-	return req
+	return req, nil
+}
+
+// sweep drives one sweep from submission to its last result row and, with
+// -wait-persisted, on until the server reports it durable.
+func (l *loader) sweep() error {
+	ack, err := l.submit()
+	if err != nil {
+		return err
+	}
+	deadline := time.Now().Add(l.timeout)
+	l.jobs.Add(int64(ack.Jobs))
+	l.mu.Lock()
+	l.ids = append(l.ids, ack.ID)
+	l.mu.Unlock()
+	if err := l.stream(ack); err != nil {
+		return err
+	}
+	for l.waitPersisted {
+		persisted, err := l.persisted(ack.ID)
+		if err != nil || persisted {
+			return err
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("sweep %s not persisted within %v", ack.ID, l.timeout)
+		}
+		time.Sleep(persistPoll)
+	}
+	return nil
 }
 
 // submit POSTs one sweep, honoring rejection backoff.
-func submit(client *http.Client, addr, clientID string, body []byte, maxRetries int,
-	hist *obs.Histogram, rejections *atomic.Int64) (string, int, bool) {
+func (l *loader) submit() (sweepAck, error) {
 	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequest(http.MethodPost, addr+"/v1/sweeps", bytes.NewReader(body))
+		req, err := http.NewRequest(http.MethodPost, l.addr+"/v1/sweeps", bytes.NewReader(l.body))
 		if err != nil {
-			fatal(err)
+			return sweepAck{}, err
 		}
 		req.Header.Set("Content-Type", "application/json")
-		if clientID != "" {
-			req.Header.Set("X-Client-ID", clientID)
+		if l.clientID != "" {
+			req.Header.Set("X-Client-ID", l.clientID)
 		}
-		t0 := time.Now()
-		resp, err := client.Do(req)
+		resp, err := l.client.Do(req)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "greenload: submit:", err)
-			return "", 0, false
+			return sweepAck{}, fmt.Errorf("submit: %w", err)
 		}
 		switch resp.StatusCode {
 		case http.StatusAccepted:
-			hist.Observe(time.Since(t0).Seconds())
 			var ack sweepAck
 			err := json.NewDecoder(resp.Body).Decode(&ack)
 			resp.Body.Close()
 			if err != nil || ack.ID == "" {
-				fmt.Fprintln(os.Stderr, "greenload: bad 202 body:", err)
-				return "", 0, false
+				return sweepAck{}, fmt.Errorf("bad 202 body: %v", err)
 			}
-			return ack.ID, ack.Jobs, true
+			return ack, nil
 		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			rejections.Add(1)
 			backoff := rejectionBackoff(resp)
 			resp.Body.Close()
-			if attempt >= maxRetries {
-				fmt.Fprintf(os.Stderr, "greenload: gave up after %d rejections\n", attempt+1)
-				return "", 0, false
+			l.rejections.Add(1)
+			if attempt >= l.maxRetries {
+				return sweepAck{}, fmt.Errorf("gave up after %d rejections", attempt+1)
 			}
 			time.Sleep(backoff)
 		default:
 			slurp, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 			resp.Body.Close()
-			fmt.Fprintf(os.Stderr, "greenload: submit = %d: %s\n", resp.StatusCode, slurp)
-			return "", 0, false
+			return sweepAck{}, fmt.Errorf("submit = %d: %s", resp.StatusCode, slurp)
 		}
 	}
 }
@@ -306,127 +261,55 @@ func rejectionBackoff(resp *http.Response) time.Duration {
 	return 100 * time.Millisecond
 }
 
-// await polls a sweep's status until it is finished (and, when asked,
-// persisted) or the deadline passes.
-func await(client *http.Client, addr, id string, poll, timeout time.Duration, persisted bool) (sweepStatus, bool) {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := client.Get(addr + "/v1/sweeps/" + id)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "greenload: status:", err)
-			return sweepStatus{}, false
-		}
-		var st sweepStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "greenload: status body:", err)
-			return sweepStatus{}, false
-		}
-		if st.Finished && (!persisted || st.Persisted) {
-			return st, true
-		}
-		if time.Now().After(deadline) {
-			fmt.Fprintf(os.Stderr, "greenload: sweep %s missed the %v deadline\n", id, timeout)
-			return sweepStatus{}, false
-		}
-		time.Sleep(poll)
+// stream reads a sweep's result rows to the end, counting failed jobs. The
+// server streams one row per acknowledged job, so a stream that ends short
+// of them fails the sweep.
+func (l *loader) stream(ack sweepAck) error {
+	resp, err := l.client.Get(l.addr + "/v1/sweeps/" + ack.ID + "/results")
+	if err != nil {
+		return fmt.Errorf("results: %w", err)
 	}
-}
-
-// fleetTrace is the slice of the Chrome trace_event artifact greenload
-// reads: complete-event names/durations plus the drop counter.
-type fleetTrace struct {
-	TraceEvents []struct {
-		Name string `json:"name"`
-		Ph   string `json:"ph"`
-		Dur  int64  `json:"dur"`
-	} `json:"traceEvents"`
-	OtherData struct {
-		SpanDrops int64 `json:"span_drops"`
-	} `json:"otherData"`
-}
-
-// sampleTraces fetches up to n completed sweeps' fleet traces and folds
-// their queue-wait and execute span durations into per-phase histograms.
-// A 404 (tracing off server-side, or the trace evicted) skips that sweep
-// with a warning rather than failing the run — the load numbers stand on
-// their own.
-func sampleTraces(client *http.Client, addr string, ids []string, n int, rep *report) {
-	queueHist := obs.NewHistogram(loadBounds)
-	execHist := obs.NewHistogram(loadBounds)
-	sampled := 0
-	for _, id := range ids {
-		if sampled >= n {
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("results %s = %d", ack.ID, resp.StatusCode)
+	}
+	dec := json.NewDecoder(resp.Body)
+	rows := 0
+	for {
+		var row struct {
+			State string `json:"state"`
+		}
+		err := dec.Decode(&row)
+		if err == io.EOF {
 			break
 		}
-		resp, err := client.Get(addr + "/v1/sweeps/" + id + "/trace?fleet=1")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "greenload: trace:", err)
-			return
+			return fmt.Errorf("sweep %s results, row %d: %w", ack.ID, rows, err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
-			resp.Body.Close()
-			fmt.Fprintf(os.Stderr, "greenload: trace %s = %d (tracing off?)\n", id, resp.StatusCode)
-			continue
+		rows++
+		if row.State != "done" {
+			l.failedJobs.Add(1)
 		}
-		var tf fleetTrace
-		err = json.NewDecoder(resp.Body).Decode(&tf)
-		resp.Body.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "greenload: trace body:", err)
-			continue
-		}
-		for _, ev := range tf.TraceEvents {
-			if ev.Ph != "X" {
-				continue
-			}
-			switch ev.Name {
-			case "queue-wait":
-				queueHist.Observe(float64(ev.Dur) / 1e6)
-			case "execute":
-				execHist.Observe(float64(ev.Dur) / 1e6)
-			}
-		}
-		rep.SpanDrops += tf.OtherData.SpanDrops
-		sampled++
 	}
-	rep.TraceSampled = sampled
-	if sampled > 0 {
-		q := quantilesOf(queueHist.Snapshot())
-		e := quantilesOf(execHist.Snapshot())
-		rep.QueueMS, rep.ExecuteMS = &q, &e
+	if rows != ack.Jobs {
+		return fmt.Errorf("sweep %s streamed %d rows for %d jobs", ack.ID, rows, ack.Jobs)
 	}
+	return nil
 }
 
-func printReport(rep report) {
-	fmt.Printf("greenload: %d sweeps (%d jobs) in %.2fs — %.1f sweeps/s, %.1f jobs/s\n",
-		rep.Sweeps, rep.Jobs, rep.WallS, rep.SweepsPerSec, rep.JobsPerSec)
-	fmt.Printf("  rejections absorbed: %d   failed sweeps: %d   failed jobs: %d\n",
-		rep.Rejections, rep.FailedSweeps, rep.FailedJobs)
-	fmt.Printf("  submit  p50 %s  p99 %s  p999 %s\n",
-		fmtMS(rep.SubmitMS.P50), fmtMS(rep.SubmitMS.P99), fmtMS(rep.SubmitMS.P999))
-	fmt.Printf("  e2e     p50 %s  p99 %s  p999 %s\n",
-		fmtMS(rep.EndToEndMS.P50), fmtMS(rep.EndToEndMS.P99), fmtMS(rep.EndToEndMS.P999))
-	if rep.TraceSampled > 0 {
-		fmt.Printf("  phase breakdown from %d traced sweep(s), %d span(s) dropped:\n",
-			rep.TraceSampled, rep.SpanDrops)
-		fmt.Printf("  queue   p50 %s  p99 %s  p999 %s\n",
-			fmtMS(rep.QueueMS.P50), fmtMS(rep.QueueMS.P99), fmtMS(rep.QueueMS.P999))
-		fmt.Printf("  execute p50 %s  p99 %s  p999 %s\n",
-			fmtMS(rep.ExecuteMS.P50), fmtMS(rep.ExecuteMS.P99), fmtMS(rep.ExecuteMS.P999))
+// persisted reads whether a sweep's status reports it durable.
+func (l *loader) persisted(id string) (bool, error) {
+	resp, err := l.client.Get(l.addr + "/v1/sweeps/" + id)
+	if err != nil {
+		return false, fmt.Errorf("status: %w", err)
 	}
-}
-
-func fmtMS(v float64) string {
-	if v < 0 {
-		return ">60000ms"
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return false, fmt.Errorf("status %s = %d", id, resp.StatusCode)
 	}
-	return fmt.Sprintf("%.2fms", v)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "greenload:", err)
-	os.Exit(1)
+	var st struct {
+		Persisted bool `json:"persisted"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	return st.Persisted, err
 }

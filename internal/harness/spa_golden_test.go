@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/wattwiseweb/greenweb/internal/apps"
+	"github.com/wattwiseweb/greenweb/internal/sim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
@@ -18,9 +19,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 // The checked-in report covers only the Table-3 apps, so without this file
 // nothing pins the script↔DOM binding path these cells spend their time in.
 // Every float is printed round-trip exact (%.17g): a binding change that
-// alters one charged op shows up here.
+// alters one charged op shows up here. It also checks that stage
+// parallelism shortens SPA-Feed's modeled frames by at least 1.3×.
 func TestSPAGolden(t *testing.T) {
 	var got bytes.Buffer
+	feedMS := map[int]float64{} // SPA-Feed's mean interaction-frame latency by stage workers
 	for _, name := range []string{"SPA-Feed", "SPA-Board"} {
 		app, ok := apps.ByName(name)
 		if !ok {
@@ -37,7 +40,14 @@ func TestSPAGolden(t *testing.T) {
 				float64(r.Energy), float64(r.TotalEnergy), r.Frames)
 			fmt.Fprintf(&got, "  violation_i=%.17g violation_u=%.17g\n", r.ViolationI, r.ViolationU)
 			fmt.Fprintf(&got, "  frame=%.17g stage=%.17g\n", float64(r.FrameEnergy), float64(r.StageEnergy))
+			if name == "SPA-Feed" {
+				feedMS[workers] = meanInteractionLatencyMS(r)
+			}
 		}
+	}
+	if feedMS[1]/feedMS[4] < 1.3 {
+		t.Errorf("SPA-Feed modeled frame latency: serial %.1f ms, 4-stage %.1f ms, a %.2f× improvement below 1.3×",
+			feedMS[1], feedMS[4], feedMS[1]/feedMS[4])
 	}
 	path := filepath.Join("testdata", "spa.golden")
 	if *updateGolden {
@@ -55,4 +65,19 @@ func TestSPAGolden(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("SPA modeled outputs changed (run with -update to regenerate)\n got:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
+}
+
+// meanInteractionLatencyMS averages ProductionLatency over the interaction
+// frames (skipping the load frame), in milliseconds of virtual time.
+func meanInteractionLatencyMS(r *Run) float64 {
+	var sum sim.Duration
+	n := 0
+	for _, fr := range r.FrameResults[1:] {
+		sum += fr.ProductionLatency
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum.Seconds() * 1e3 / float64(n)
 }

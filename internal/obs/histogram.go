@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -58,8 +56,8 @@ type HistogramBucket struct {
 
 // HistogramSnapshot is a consistent copy of the histogram state. Buckets
 // holds only occupied buckets (compact for logs/JSON); Bounds holds the full
-// bound ladder so quantile interpolation and Prometheus cumulative export
-// can recover each bucket's lower edge and the empty buckets in between.
+// bound ladder so Prometheus cumulative export can recover the empty
+// buckets in between.
 type HistogramSnapshot struct {
 	Buckets []HistogramBucket `json:"buckets"`
 	Bounds  []float64         `json:"bounds,omitempty"`
@@ -83,99 +81,4 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Buckets = append(s.Buckets, HistogramBucket{LE: le, Count: c})
 	}
 	return s
-}
-
-// Mean reports the average observation (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
-// lowerEdge reports the lower edge of the bucket whose upper bound is le,
-// using the full bound ladder. The first bucket's lower edge is pinned to 0
-// (observations are non-negative in every histogram we keep). Snapshots
-// without Bounds (decoded from pre-obs JSON) fall back to the previous
-// occupied bucket's bound.
-func (s HistogramSnapshot) lowerEdge(le float64) float64 {
-	prev := 0.0
-	if len(s.Bounds) == 0 {
-		for _, b := range s.Buckets {
-			if b.LE == le {
-				return prev
-			}
-			prev = b.LE
-		}
-		return prev
-	}
-	for _, b := range s.Bounds {
-		if b == le {
-			return prev
-		}
-		prev = b
-	}
-	return prev // le == -1 (overflow): lower edge is the last bound
-}
-
-// Quantile estimates the q-quantile by linear interpolation within the
-// bucket containing rank q·Count, assuming observations are uniformly
-// spread inside each bucket. Pinned behavior at the edges:
-//
-//   - Empty histogram: 0 for every q.
-//   - q ≤ 0: the lower edge of the first occupied bucket (0 when the first
-//     bucket is occupied — the histogram cannot see below a bucket edge).
-//   - q ≥ 1: the upper bound of the last occupied bucket, or -1 (unbounded)
-//     when the overflow bucket is occupied.
-//   - Any rank landing in the overflow bucket: -1 — the overflow bucket has
-//     no upper edge, so no finite estimate is honest.
-//   - Single-sample histogram: lo + q·(hi−lo) across its bucket — the
-//     degenerate case of the uniform-spread assumption, NOT the sample
-//     value, which the histogram no longer knows.
-//
-// Snapshots taken before Bounds existed (zero value, old persisted JSON)
-// degrade to the occupied buckets' own edges: interpolation then uses the
-// previous occupied bound as the lower edge.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	first := s.Buckets[0]
-	last := s.Buckets[len(s.Buckets)-1]
-	if q <= 0 {
-		if first.LE < 0 {
-			return s.lowerEdge(-1)
-		}
-		return s.lowerEdge(first.LE)
-	}
-	if q >= 1 {
-		return last.LE // -1 when the overflow bucket is occupied
-	}
-	target := q * float64(s.Count)
-	var cum float64
-	for _, b := range s.Buckets {
-		cumBefore := cum
-		cum += float64(b.Count)
-		if cum >= target {
-			if b.LE < 0 {
-				return -1
-			}
-			lo := s.lowerEdge(b.LE)
-			return lo + (target-cumBefore)/float64(b.Count)*(b.LE-lo)
-		}
-	}
-	return last.LE
-}
-
-// String renders the snapshot compactly for logs: "n=5 mean=12ms [≤0.01:3 ≤0.02:2]".
-func (s HistogramSnapshot) String() string {
-	parts := make([]string, 0, len(s.Buckets))
-	for _, b := range s.Buckets {
-		label := fmt.Sprintf("≤%g", b.LE)
-		if b.LE < 0 {
-			label = ">max"
-		}
-		parts = append(parts, fmt.Sprintf("%s:%d", label, b.Count))
-	}
-	return fmt.Sprintf("n=%d mean=%.3fs [%s]", s.Count, s.Mean(), strings.Join(parts, " "))
 }

@@ -117,6 +117,43 @@ func TestTooManySpansFailsTheJob(t *testing.T) {
 	}
 }
 
+// TestWrongTypedArraysFailTheJob: a result whose attempt history or run
+// residency is an array of elements of the wrong type fails the job with
+// errBadRun and carries no run. Both arrays are checked before any element
+// is decoded, so a 300 KB frame of 150,000 zeros costs a few times its
+// bytes rather than an encoding/json error value per zero (90×).
+func TestWrongTypedArraysFailTheJob(t *testing.T) {
+	for _, field := range []string{"history", "residency"} {
+		t.Run(field, func(t *testing.T) {
+			b := zerosFrame(field, 150_000)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f, err := readFrame(bytes.NewReader(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := decodeResult(f.Result, fleet.Job{App: "Todo", Kind: harness.Perf})
+			runtime.ReadMemStats(&after)
+			if !errors.Is(res.Err, errBadRun) || res.Run != nil {
+				t.Fatalf("err %v, run %v; want errBadRun alone", res.Err, res.Run != nil)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(8*len(b)) {
+				t.Fatalf("refusing a %d-byte frame of 150,000 zeros allocated %d bytes", len(b), alloc)
+			}
+		})
+	}
+}
+
+// zerosFrame is a result frame whose attempt history (field "history") or
+// run residency ("residency") is n zeros, elements of the wrong type.
+func zerosFrame(field string, n int) []byte {
+	arr := `"` + field + `":[0` + strings.Repeat(",0", n-1) + `]`
+	if field == "residency" {
+		arr = `"run":{"kind":"Perf",` + arr + `}`
+	}
+	return rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1,` + arr + `}}`)
+}
+
 // realResults executes micro cells that between them record every kind of
 // span and decision: a baseline governor (no decisions), both GreenWeb
 // runtimes, staged frames, and a faulted run.
@@ -185,11 +222,11 @@ func frameSeeds(tb testing.TB) []frame {
 // no run; and the reader allocates within a constant factor of the bytes
 // that arrive, whatever the length prefixes and counts claim.
 //
-// The factor is encoding/json's (worker trace spans are counted before they
-// are decoded). Its densest input is an array of a result's history or run
-// residency whose elements have the wrong type: each 2-byte "0," costs a
-// slot of the append-grown slice plus an error value, about 90 bytes per
-// byte.
+// The factor is encoding/json's: a result's trace spans, attempt history
+// and run residency are counted or type-checked before they are decoded.
+// Its densest input is a run of minimal frames: each 6-byte "{}" frame
+// costs one json.Unmarshal of decoder state, about 45 bytes per byte. A
+// history of empty strings follows at about 33.
 func FuzzReadFrame(f *testing.F) {
 	var stream bytes.Buffer // several frames back to back
 	for _, fr := range frameSeeds(f) {
@@ -205,6 +242,8 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(stream.Bytes())
 	f.Add(rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1,"spans":[{}` +
 		strings.Repeat(",{}", 999) + `]}}`))
+	f.Add(zerosFrame("history", 25_000))
+	f.Add(zerosFrame("residency", 25_000))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -223,7 +262,7 @@ func FuzzReadFrame(f *testing.F) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(128*len(b)+256<<10) {
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(64*len(b)+256<<10) {
 			t.Fatalf("reading %d bytes allocated %d", len(b), alloc)
 		}
 	})

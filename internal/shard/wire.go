@@ -28,13 +28,15 @@ var errTooManySpans = errors.New("shard: too many trace spans")
 // not carried: the client keyed the call by frame id and reattaches its own
 // copy, so the wire never round-trips what both sides already know.
 type wireResult struct {
-	Run         *wireRun `json:"run,omitempty"`
-	Err         string   `json:"err,omitempty"`
-	Worker      int      `json:"worker"`
-	LatencyNS   int64    `json:"latency_ns"`
-	Attempts    int      `json:"attempts,omitempty"`
-	History     []string `json:"history,omitempty"`
-	Quarantined bool     `json:"quarantined,omitempty"`
+	Run       *wireRun `json:"run,omitempty"`
+	Err       string   `json:"err,omitempty"`
+	Worker    int      `json:"worker"`
+	LatencyNS int64    `json:"latency_ns"`
+	Attempts  int      `json:"attempts,omitempty"`
+	// History is the failed attempts' errors, a JSON array of strings kept
+	// raw until decodeResult has checked that every element is a string.
+	History     json.RawMessage `json:"history,omitempty"`
+	Quarantined bool            `json:"quarantined,omitempty"`
 	// Spans piggybacks the worker's trace spans for a traced job (on the
 	// worker's clock; the client aligns them) as a JSON array, with the
 	// worker-side dropped-span count. Empty for untraced jobs, so the wire
@@ -63,12 +65,14 @@ type wireResidency struct {
 type wireRun struct {
 	Kind harness.Kind `json:"kind"`
 
-	Energy     acmp.Joules      `json:"energy_j"`
-	Frames     int              `json:"frames"`
-	Switches   acmp.SwitchStats `json:"switches"`
-	Residency  []wireResidency  `json:"residency,omitempty"`
-	ViolationI float64          `json:"violation_i"`
-	ViolationU float64          `json:"violation_u"`
+	Energy   acmp.Joules      `json:"energy_j"`
+	Frames   int              `json:"frames"`
+	Switches acmp.SwitchStats `json:"switches"`
+	// Residency is a JSON array of wireResidency, kept raw until decodeRun
+	// has counted its elements.
+	Residency  json.RawMessage `json:"residency,omitempty"`
+	ViolationI float64         `json:"violation_i"`
+	ViolationU float64         `json:"violation_u"`
 
 	TotalEnergy acmp.Joules  `json:"total_energy_j"`
 	LoadLatency sim.Duration `json:"load_latency_us"`
@@ -99,12 +103,15 @@ func encodeResult(r fleet.Result) *wireResult {
 		Worker:      r.Worker,
 		LatencyNS:   int64(r.Latency),
 		Attempts:    r.Attempts,
-		History:     r.History,
 		Quarantined: r.Quarantined,
 		SpanDrops:   r.SpanDrops,
 	}
+	// Strings, and trace.Spans of plain fields and a string map, always
+	// encode.
+	if len(r.History) > 0 {
+		w.History, _ = json.Marshal(r.History)
+	}
 	if len(r.Spans) > 0 {
-		// A trace.Span is plain fields and a string map: it always encodes.
 		w.Spans, _ = json.Marshal(r.Spans)
 	}
 	if r.Err != nil {
@@ -118,22 +125,29 @@ func encodeResult(r fleet.Result) *wireResult {
 
 // decodeResult reconstructs a fleet.Result, reattaching the client's copy
 // of the job. The run arrives without its timeline: the result carries the
-// validated block in Timeline. A run that does not decode fails the result
-// with an error wrapping errBadRun, and more worker trace spans than a job
-// records fail it with errTooManySpans; either way the result carries no
-// run.
+// validated block in Timeline. A run or attempt history that does not
+// decode fails the result with an error wrapping errBadRun, and more worker
+// trace spans than a job records fail it with errTooManySpans; either way
+// the result carries no run.
 func decodeResult(w *wireResult, job fleet.Job) fleet.Result {
 	r := fleet.Result{
 		Job:         job,
 		Worker:      w.Worker,
 		Latency:     time.Duration(w.LatencyNS),
 		Attempts:    w.Attempts,
-		History:     w.History,
 		Quarantined: w.Quarantined,
 		SpanDrops:   w.SpanDrops,
 	}
 	if w.Err != "" {
 		r.Err = errors.New(w.Err)
+	}
+	if len(w.History) > 0 {
+		// Elements are type-checked before any is decoded: encoding/json
+		// would allocate an error for every one of the wrong type.
+		if _, strs := countElements(w.History); !strs || json.Unmarshal(w.History, &r.History) != nil {
+			r.Err = fmt.Errorf("%w: attempt history is not an array of strings", errBadRun)
+			return r
+		}
 	}
 	var err error
 	if r.Spans, err = decodeSpans(w.Spans); err != nil {
@@ -158,9 +172,23 @@ func decodeSpans(raw json.RawMessage) ([]trace.Span, error) {
 	if len(raw) == 0 {
 		return nil, nil
 	}
-	// encoding/json validated raw with the frame, so each comma at depth one
-	// outside a string separates two elements.
-	depth, commas, inString, escaped := 0, 0, false, false
+	if n, _ := countElements(raw); n > trace.DefaultJobBudget {
+		return nil, fmt.Errorf("%w: %d, more than %d", errTooManySpans, n, trace.DefaultJobBudget)
+	}
+	var spans []trace.Span
+	if err := json.Unmarshal(raw, &spans); err != nil {
+		return nil, fmt.Errorf("%w: trace spans: %v", errBadRun, err)
+	}
+	return spans, nil
+}
+
+// countElements counts the elements of raw, a JSON array, and reports
+// whether every one is a string, without decoding or allocating anything.
+// encoding/json validated raw with the frame, so each element starts at the
+// first byte after the array's '[' or a comma at depth one outside a string.
+func countElements(raw json.RawMessage) (n int, strs bool) {
+	depth, start, inString, escaped := 0, false, false, false
+	strs = true
 	for _, c := range raw {
 		if inString {
 			switch {
@@ -173,27 +201,27 @@ func decodeSpans(raw json.RawMessage) ([]trace.Span, error) {
 			}
 			continue
 		}
+		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
+			continue
+		}
+		if start && c != ']' {
+			n++
+			strs = strs && c == '"'
+		}
+		start = false
 		switch c {
 		case '"':
 			inString = true
 		case '[', '{':
 			depth++
+			start = depth == 1 && c == '['
 		case ']', '}':
 			depth--
 		case ',':
-			if depth == 1 {
-				commas++
-			}
+			start = depth == 1
 		}
 	}
-	if commas >= trace.DefaultJobBudget {
-		return nil, fmt.Errorf("%w: %d, more than %d", errTooManySpans, commas+1, trace.DefaultJobBudget)
-	}
-	var spans []trace.Span
-	if err := json.Unmarshal(raw, &spans); err != nil {
-		return nil, fmt.Errorf("%w: trace spans: %v", errBadRun, err)
-	}
-	return spans, nil
+	return n, strs
 }
 
 func encodeRun(run *harness.Run) *wireRun {
@@ -226,10 +254,14 @@ func encodeRun(run *harness.Run) *wireRun {
 	}
 	// Residency flattens to (config index, duration) pairs sorted by index,
 	// so the wire form of one run is itself deterministic.
+	var res []wireResidency
 	for cfg, d := range run.Residency {
-		w.Residency = append(w.Residency, wireResidency{Config: cfg.Index(), Dur: d})
+		res = append(res, wireResidency{Config: cfg.Index(), Dur: d})
 	}
-	sort.Slice(w.Residency, func(i, j int) bool { return w.Residency[i].Config < w.Residency[j].Config })
+	sort.Slice(res, func(i, j int) bool { return res[i].Config < res[j].Config })
+	if len(res) > 0 {
+		w.Residency, _ = json.Marshal(res) // plain ints always encode
+	}
 	return w
 }
 
@@ -260,8 +292,17 @@ func decodeRun(w *wireRun, job fleet.Job) (*harness.Run, error) {
 		Recoveries:    w.Recoveries,
 	}
 	if len(w.Residency) > 0 {
-		run.Residency = make(map[acmp.Config]sim.Duration, len(w.Residency))
-		for _, r := range w.Residency {
+		// One entry per configuration at most: counted before decoding, since
+		// encoding/json would allocate an error for every wrong-typed one.
+		if n, _ := countElements(w.Residency); n > acmp.NumConfigs() {
+			return nil, fmt.Errorf("%w: %d residency entries for %d configs", errBadRun, n, acmp.NumConfigs())
+		}
+		var res []wireResidency
+		if err := json.Unmarshal(w.Residency, &res); err != nil {
+			return nil, fmt.Errorf("%w: residency: %v", errBadRun, err)
+		}
+		run.Residency = make(map[acmp.Config]sim.Duration, len(res))
+		for _, r := range res {
 			if r.Config < 0 || r.Config >= acmp.NumConfigs() {
 				return nil, fmt.Errorf("%w: residency config index %d out of range", errBadRun, r.Config)
 			}
