@@ -19,10 +19,10 @@
 //	GET /healthz  liveness — 200 while the process accepts connections
 //	GET /readyz   readiness — 200 once the frame listener is bound
 //
-// Tracing: when a connecting greensrv negotiates tracing (and this process
-// has obs enabled), executed jobs record spans that ship back piggybacked on
-// result frames. -no-obs opts the worker out — the handshake then omits
-// trace support and the server degrades gracefully.
+// Tracing: when this process has obs enabled, executed jobs that a greensrv
+// traces record spans that ship back piggybacked on result frames. -no-obs
+// opts the worker out: its jobs record no spans, and the server's fleet
+// trace lacks only this node's interior spans.
 //
 // On SIGINT/SIGTERM the worker stops accepting, closes its connections
 // (cancelling their in-flight jobs; the server re-homes them), and exits.

@@ -132,7 +132,7 @@ const (
 // Result is one finished job.
 type Result struct {
 	Job    Job
-	Run    *harness.Run // nil when Err != nil
+	Run    *harness.Run // nil when Err != nil, and on a remote node's result
 	Err    error
 	Worker int // cluster-global slot index of the puller that ran the job (-1 if never scheduled)
 	// Latency is the wall-clock execution time, excluding queueing (all
@@ -150,11 +150,14 @@ type Result struct {
 	// sweep-level cancellation are failed but not quarantined.
 	Quarantined bool
 
-	// Timeline is the run's ledger spans, with their frame decisions, and
-	// config marks as one ledger.AppendTimeline block, and Decided reports
-	// whether the run derived its decision log (obs.EnabledIn). A node that
-	// receives runs encoded (a remote worker's) sets both and leaves Run's
-	// Spans, ConfigMarks and Decisions empty; a LocalNode leaves both zero.
+	// Row, Timeline and Decided stand in for Run on a remote node's
+	// result: Row holds the run's columns as the worker projected them
+	// (RowOf), Timeline the run's ledger spans, with their frame decisions,
+	// and config marks as one ledger.AppendTimeline block, and Decided
+	// whether the run derived its decision log (obs.EnabledIn). A remote
+	// result's Attempts and History are the row's, so they are zero for a
+	// job that did not retry. A LocalNode leaves all three zero.
+	Row      *ResultRow
 	Timeline []byte
 	Decided  bool
 
@@ -209,9 +212,6 @@ type Options struct {
 	// Execute overrides the cell executor; tests use it to inject slow,
 	// panicking, or instant jobs. nil → the real harness execution.
 	Execute func(ctx context.Context, j Job) (*harness.Run, error)
-	// SpanBudget caps one traced job's recorded spans; 0 →
-	// trace.DefaultJobBudget. Overflow increments the result's SpanDrops.
-	SpanBudget int
 }
 
 // LocalNode is the in-process Node: each Run executes one job through the
@@ -229,6 +229,12 @@ type LocalNode struct {
 func NewLocalNode(id int, opts Options) *LocalNode {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
+	}
+	if opts.RetryBaseDelay <= 0 {
+		opts.RetryBaseDelay = 50 * time.Millisecond
+	}
+	if opts.RetryMaxDelay <= 0 {
+		opts.RetryMaxDelay = 2 * time.Second
 	}
 	if opts.Execute == nil {
 		opts.Execute = func(ctx context.Context, j Job) (*harness.Run, error) { return j.execute(ctx) }
@@ -266,7 +272,7 @@ func (n *LocalNode) Run(ctx context.Context, slot int, job Job) Result {
 	// recorder (untraced, or obs off) records nothing.
 	var rec *trace.JobRecorder
 	if job.Trace != nil && obs.EnabledIn(ctx) {
-		rec = trace.NewJobRecorder(*job.Trace, n.opts.SpanBudget)
+		rec = trace.NewJobRecorder(*job.Trace)
 	}
 	max := n.opts.MaxAttempts
 	if max < 1 {
@@ -296,9 +302,10 @@ func (n *LocalNode) Run(ctx context.Context, slot int, job Job) Result {
 			break
 		}
 		n.retried.Add(1)
+		wait := Backoff(n.opts.RetryBaseDelay, n.opts.RetryMaxDelay, n.opts.RetrySeed, job.String(), attempt)
 		t0 = time.Now()
 		select {
-		case <-time.After(n.backoff(job, attempt)):
+		case <-time.After(wait):
 		case <-ctx.Done():
 			// The sweep died while we waited; the attempt's own error
 			// stands as the job's cause of death.
@@ -330,31 +337,22 @@ func (n *LocalNode) attempt(ctx context.Context, job Job) (run *harness.Run, err
 	return n.opts.Execute(ctx, job)
 }
 
-// backoff computes the sleep before retrying a job after its attempt-th
-// failure: base·2^(attempt-1) capped at the max, scaled by a deterministic
-// jitter in [0.75, 1.25) hashed from (seed, job, attempt) so concurrent
-// retries de-synchronize identically on every run.
-func (n *LocalNode) backoff(job Job, attempt int) time.Duration {
-	base := n.opts.RetryBaseDelay
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	max := n.opts.RetryMaxDelay
-	if max <= 0 {
-		max = 2 * time.Second
-	}
+// Backoff is a caller's sleep after its attempt-th consecutive failure:
+// base·2^(attempt-1) capped at max, scaled by a deterministic jitter in
+// [0.75, 1.25) hashed from (seed, key, attempt), so concurrent callers
+// de-synchronize identically on every run. The retry ladder keys it by job,
+// the remote transport's reconnect loop by node.
+func Backoff(base, max time.Duration, seed int64, key string, attempt int) time.Duration {
 	d := base
 	for i := 1; i < attempt && d < max; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
+	d = min(d, max)
 	h := fnv.New64a()
 	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(n.opts.RetrySeed))
+	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
 	h.Write(buf[:])
-	io.WriteString(h, job.String())
+	io.WriteString(h, key)
 	binary.LittleEndian.PutUint64(buf[:], uint64(attempt))
 	h.Write(buf[:])
 	frac := float64(h.Sum64()>>11) / (1 << 53)

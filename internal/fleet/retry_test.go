@@ -138,30 +138,34 @@ func TestCancelledSweepIsNotQuarantined(t *testing.T) {
 	}
 }
 
+// TestBackoffDeterministicCappedAndJittered: both of Backoff's uses — the
+// retry ladder keyed by job, the remote transport's reconnect loop keyed by
+// node — get a delay that is deterministic, doubles per attempt up to the
+// cap within ±25% jitter, and differs between two keys.
 func TestBackoffDeterministicCappedAndJittered(t *testing.T) {
-	p := NewLocalNode(0, Options{RetryBaseDelay: 10 * time.Millisecond,
-		RetryMaxDelay: 80 * time.Millisecond, RetrySeed: 42})
-	job := Job{App: "a", Kind: harness.Perf, Phase: Full}
-	for attempt := 1; attempt <= 8; attempt++ {
-		d1 := p.backoff(job, attempt)
-		d2 := p.backoff(job, attempt)
-		if d1 != d2 {
-			t.Fatalf("attempt %d: backoff not deterministic (%v vs %v)", attempt, d1, d2)
+	const base, max = 10 * time.Millisecond, 80 * time.Millisecond
+	for _, keys := range [][2]string{
+		{Job{App: "a", Kind: harness.Perf, Phase: Full}.String(), Job{App: "b", Kind: harness.Perf, Phase: Full}.String()},
+		{"reconnect 0", "reconnect 1"},
+	} {
+		key := keys[0]
+		for attempt := 1; attempt <= 8; attempt++ {
+			d1 := Backoff(base, max, 42, key, attempt)
+			d2 := Backoff(base, max, 42, key, attempt)
+			if d1 != d2 {
+				t.Fatalf("%s attempt %d: backoff not deterministic (%v vs %v)", key, attempt, d1, d2)
+			}
+			// Nominal delay doubles per attempt, capped at the max; jitter
+			// keeps the realized delay within ±25% of nominal.
+			nominal := min(base<<(attempt-1), max)
+			lo, hi := nominal*3/4, nominal*5/4
+			if d1 < lo || d1 > hi {
+				t.Fatalf("%s attempt %d: backoff %v outside [%v, %v]", key, attempt, d1, lo, hi)
+			}
 		}
-		// Nominal delay doubles per attempt, capped at the max; jitter keeps
-		// the realized delay within ±25% of nominal.
-		nominal := 10 * time.Millisecond << (attempt - 1)
-		if nominal > 80*time.Millisecond {
-			nominal = 80 * time.Millisecond
+		if Backoff(base, max, 42, key, 1) == Backoff(base, max, 42, keys[1], 1) {
+			t.Fatalf("%s and %s share a backoff; jitter is not keyed", key, keys[1])
 		}
-		lo, hi := nominal*3/4, nominal*5/4
-		if d1 < lo || d1 > hi {
-			t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d1, lo, hi)
-		}
-	}
-	// Different jobs de-synchronize.
-	if p.backoff(job, 1) == p.backoff(Job{App: "b", Kind: harness.Perf, Phase: Full}, 1) {
-		t.Fatal("distinct jobs share a backoff; jitter is not job-keyed")
 	}
 }
 

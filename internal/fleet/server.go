@@ -40,9 +40,13 @@ type SweepRequest struct {
 // DefaultKinds is the sweep the evaluation section revolves around.
 var DefaultKinds = []harness.Kind{harness.Perf, harness.Interactive, harness.GreenWebI, harness.GreenWebU}
 
-// Jobs expands the request into the job grid (apps × kinds). Request-level
-// fields are validated before grid expansion, so a bad phase or repeat count
-// fails once with a request-shaped error instead of per generated job.
+// Jobs expands the request into the job grid (apps × kinds × stage-worker
+// counts). Request-level fields are validated before grid expansion, so a
+// bad phase or repeat count fails once with a request-shaped error instead of
+// per generated job. A dimension that lists a value twice is refused: its
+// cells would run twice, and duplicates let a kilobyte body expand to half a
+// million jobs. Without them a grid holds at most every app × every kind ×
+// every stage-worker count.
 func (r SweepRequest) Jobs() ([]Job, error) {
 	if r.Repeats < 0 {
 		return nil, fmt.Errorf("fleet: negative repeats %d", r.Repeats)
@@ -84,6 +88,24 @@ func (r SweepRequest) Jobs() ([]Job, error) {
 			return nil, fmt.Errorf("fleet: stage workers %d out of range", n)
 		}
 	}
+	// Apps compare by catalog name: ByName resolves any case.
+	resolved := make([]string, len(names))
+	for i, name := range names {
+		app, ok := apps.ByName(name)
+		if !ok {
+			return nil, fmt.Errorf("fleet: unknown app %q", name)
+		}
+		resolved[i] = app.Name
+	}
+	if app, ok := repeated(resolved); ok {
+		return nil, fmt.Errorf("fleet: app %q listed twice", app)
+	}
+	if kind, ok := repeated(kinds); ok {
+		return nil, fmt.Errorf("fleet: kind %q listed twice", kind)
+	}
+	if n, ok := repeated(stageWorkers); ok {
+		return nil, fmt.Errorf("fleet: stage workers %d listed twice", n)
+	}
 	var jobs []Job
 	for _, name := range names {
 		for _, kind := range kinds {
@@ -98,6 +120,19 @@ func (r SweepRequest) Jobs() ([]Job, error) {
 		}
 	}
 	return jobs, nil
+}
+
+// repeated returns the first element of xs that an earlier one equals.
+func repeated[K comparable](xs []K) (K, bool) {
+	seen := make(map[K]bool, len(xs))
+	for _, x := range xs {
+		if seen[x] {
+			return x, true
+		}
+		seen[x] = true
+	}
+	var zero K
+	return zero, false
 }
 
 // ResultRow is the NDJSON wire form of one finished job, streamed by
@@ -146,45 +181,61 @@ type ResultRow struct {
 	Error        string `json:"error,omitempty"`
 }
 
-func rowOf(index int, r Result) ResultRow {
-	row := ResultRow{
-		Index:     index,
-		App:       r.Job.App,
-		Kind:      r.Job.Kind,
-		Phase:     r.Job.Phase,
-		State:     r.State(),
-		LatencyMS: float64(r.Latency) / float64(time.Millisecond),
+// RowOf projects job index's result onto its row, the one projection every
+// row greensrv serves or stores goes through. The run's columns come from
+// Run or, on a remote node's result, from the row the worker projected with
+// this same function; the job's coordinates, state, latency, retry and error
+// columns always come from r itself, so a worker's row cannot restate what
+// the server knows.
+func RowOf(index int, r Result) ResultRow {
+	var row ResultRow
+	switch {
+	case r.Err != nil:
+	case r.Run != nil:
+		row = runColumns(r.Run)
+	case r.Row != nil:
+		row = *r.Row
 	}
+	row.Index = index
+	row.App, row.Kind, row.Phase = r.Job.App, r.Job.Kind, r.Job.Phase
 	row.StageWorkers = r.Job.StageWorkers
+	row.State = r.State()
+	row.LatencyMS = float64(r.Latency) / float64(time.Millisecond)
+	row.Attempts, row.AttemptErrors = 0, nil
 	if r.Attempts > 1 {
-		row.Attempts = r.Attempts
-		row.AttemptErrors = r.History
+		row.Attempts, row.AttemptErrors = r.Attempts, r.History
 	}
 	row.Quarantined = r.Quarantined
+	row.Error = ""
 	if r.Err != nil {
 		row.Error = r.Err.Error()
-		return row
 	}
-	run := r.Run
-	row.EnergyJ = float64(run.Energy)
-	row.Frames = run.Frames
-	row.ViolationI = run.ViolationI
-	row.ViolationU = run.ViolationU
-	row.LoadMS = run.LoadLatency.Milliseconds()
-	row.FreqSwitches = run.Switches.FreqSwitches
-	row.Migrations = run.Switches.Migrations
-	row.FrameEnergyJ = float64(run.FrameEnergy)
-	row.IdleEnergyJ = float64(run.IdleEnergy)
-	row.EventEnergyJ = float64(run.EventEnergy)
-	row.StageEnergyJ = float64(run.StageEnergy)
-	row.ThermalTrips = run.ThermalTrips
-	row.DVFSDenied = run.DVFSDenied
-	row.DVFSDelayed = run.DVFSDelayed
-	row.DAQDropped = run.DAQDropped
-	row.CapClamps = run.CapClamps
-	row.Degradations = run.Degradations
-	row.Recoveries = run.Recoveries
 	return row
+}
+
+// runColumns is the row's share of a run: every column but the job's
+// coordinates and the result's envelope.
+func runColumns(run *harness.Run) ResultRow {
+	return ResultRow{
+		EnergyJ:      float64(run.Energy),
+		Frames:       run.Frames,
+		ViolationI:   run.ViolationI,
+		ViolationU:   run.ViolationU,
+		LoadMS:       run.LoadLatency.Milliseconds(),
+		FreqSwitches: run.Switches.FreqSwitches,
+		Migrations:   run.Switches.Migrations,
+		FrameEnergyJ: float64(run.FrameEnergy),
+		IdleEnergyJ:  float64(run.IdleEnergy),
+		EventEnergyJ: float64(run.EventEnergy),
+		StageEnergyJ: float64(run.StageEnergy),
+		ThermalTrips: run.ThermalTrips,
+		DVFSDenied:   run.DVFSDenied,
+		DVFSDelayed:  run.DVFSDelayed,
+		DAQDropped:   run.DAQDropped,
+		CapClamps:    run.CapClamps,
+		Degradations: run.Degradations,
+		Recoveries:   run.Recoveries,
+	}
 }
 
 // WriteResults renders a finished sweep's results as NDJSON — byte-for-byte
@@ -194,7 +245,7 @@ func rowOf(index int, r Result) ResultRow {
 func WriteResults(w io.Writer, results []Result, deterministic bool) error {
 	enc := json.NewEncoder(w)
 	for i, r := range results {
-		row := rowOf(i, r)
+		row := RowOf(i, r)
 		if deterministic {
 			row.LatencyMS = 0
 		}

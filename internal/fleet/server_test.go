@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
+	"github.com/wattwiseweb/greenweb/internal/apps"
+	"github.com/wattwiseweb/greenweb/internal/browser"
 	"github.com/wattwiseweb/greenweb/internal/harness"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
@@ -183,16 +185,24 @@ func TestServerResultsStreamBeforeCompletion(t *testing.T) {
 	}
 }
 
+// invalidSweepBodies each answer 400 invalid_request. The last, 1,334
+// bytes, would expand to 80³ = 512,000 jobs if duplicates were accepted.
+var invalidSweepBodies = []string{
+	`{bad json`,
+	`{"apps":["NoSuchApp"]}`,
+	`{"kinds":["Warp9"]}`,
+	`{"phase":"half"}`,
+	`{"repeats":-3}`,
+	`{"apps":["Todo","todo"]}`,
+	`{"kinds":["Perf","GreenWeb-I","perf"]}`,
+	`{"stage_workers":[4,1,4]}`,
+	`{"apps":["Todo"` + strings.Repeat(`,"Todo"`, 79) + `],"kinds":["Perf"` + strings.Repeat(`,"Perf"`, 79) +
+		`],"stage_workers":[0` + strings.Repeat(`,0`, 79) + `],"phase":"micro"}`,
+}
+
 func TestServerValidationErrors(t *testing.T) {
 	srv, _ := newTestServer(t, Options{Workers: 1})
-	cases := []string{
-		`{bad json`,
-		`{"apps":["NoSuchApp"]}`,
-		`{"kinds":["Warp9"]}`,
-		`{"phase":"half"}`,
-		`{"repeats":-3}`,
-	}
-	for _, body := range cases {
+	for _, body := range invalidSweepBodies {
 		resp, err := http.Post(srv.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -216,6 +226,35 @@ func TestServerValidationErrors(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
+}
+
+// FuzzSweepRequest: arbitrary bytes decoded as a POST /v1/sweeps body, as
+// the server decodes one, and expanded by Jobs never panic, and a grid Jobs
+// accepts holds at most one job per app × kind × stage-worker count.
+func FuzzSweepRequest(f *testing.F) {
+	for _, body := range invalidSweepBodies {
+		f.Add([]byte(body))
+	}
+	for _, body := range []string{
+		`{}`,
+		`{"apps":["Todo","MSN"],"kinds":["Perf","GreenWeb-U"]}`,
+		`{"apps":["Todo","Google","BBC"],"kinds":["Perf","GreenWeb-U"],"phase":"micro"}`,
+		`{"apps":["Todo"],"kinds":["Perf"],"faults":{"seed":9,"dvfs":{"deny_prob":0.1}}}`,
+		`{"apps":["Todo"],"kinds":["Perf"],"faults":{"dvfs":{"deny_prob":2}}}`,
+		`{"apps":["Todo"],"kinds":["GreenWeb-I"],"phase":"full","repeats":2,"stage_workers":[0,4]}`,
+	} {
+		f.Add([]byte(body))
+	}
+	limit := (len(apps.All()) + len(apps.SPAApps())) * len(harness.Kinds()) * (browser.MaxStageWorkers + 1)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var req SweepRequest
+		if json.NewDecoder(bytes.NewReader(b)).Decode(&req) != nil {
+			return
+		}
+		if jobs, err := req.Jobs(); err == nil && len(jobs) > limit {
+			t.Fatalf("%d jobs from a %d-byte request, more than %d", len(jobs), len(b), limit)
+		}
+	})
 }
 
 // Unknown phases and negative repeat counts must be rejected before the

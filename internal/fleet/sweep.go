@@ -78,20 +78,32 @@ type record struct {
 	decided  bool // the run derived a decision log (observability on)
 }
 
-// recordOf keeps the endpoints' share of job i's result. A remote node's
-// result carries its timeline block already; a local run's is encoded here,
-// once, so executions outside a sweep (greenbench's fault sweep) pay nothing.
+// recordOf keeps the endpoints' share of job i's result, projected here,
+// once, so executions outside a sweep (greenbench's fault sweep) pay
+// nothing.
 func recordOf(i int, r Result) record {
-	rec := record{row: rowOf(i, r)}
-	if r.Err != nil {
-		return rec
-	}
-	rec.timeline, rec.decided = r.Timeline, r.Decided
-	if run := r.Run; run != nil && (len(run.Spans) > 0 || len(run.ConfigMarks) > 0) {
-		rec.timeline = bytes.Clone(ledger.AppendTimeline(nil, run.Spans, run.ConfigMarks))
-		rec.decided = run.Decisions != nil
+	rec := record{row: RowOf(i, r)}
+	if r.Err == nil {
+		rec.timeline, rec.decided = r.TimelineBlock()
 	}
 	return rec
+}
+
+// TimelineBlock returns the run's ledger spans, with their frame decisions,
+// and config marks as one ledger.AppendTimeline block of exact size, nil
+// when both are empty, and whether the run derived its decision log
+// (obs.EnabledIn). A remote node's result carries both as they arrived; a
+// local run's block is encoded on each call.
+func (r Result) TimelineBlock() ([]byte, bool) {
+	run := r.Run
+	if run == nil {
+		return r.Timeline, r.Decided
+	}
+	var block []byte
+	if len(run.Spans) > 0 || len(run.ConfigMarks) > 0 {
+		block = bytes.Clone(ledger.AppendTimeline(nil, run.Spans, run.ConfigMarks))
+	}
+	return block, run.Decisions != nil
 }
 
 // decode returns the kept timeline's spans and marks. Every kept block was

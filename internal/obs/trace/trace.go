@@ -85,18 +85,14 @@ type JobRecorder struct {
 	mu      sync.Mutex
 	ctx     Context
 	pid     int
-	budget  int
 	spans   []Span
 	dropped int
 }
 
-// NewJobRecorder builds a recorder for the job's context. budget ≤ 0 takes
-// DefaultJobBudget.
-func NewJobRecorder(ctx Context, budget int) *JobRecorder {
-	if budget <= 0 {
-		budget = DefaultJobBudget
-	}
-	return &JobRecorder{ctx: ctx, pid: os.Getpid(), budget: budget}
+// NewJobRecorder builds a recorder for the job's context that keeps at most
+// DefaultJobBudget spans, the count a remote result's decoder accepts.
+func NewJobRecorder(ctx Context) *JobRecorder {
+	return &JobRecorder{ctx: ctx, pid: os.Getpid()}
 }
 
 // Context returns the recorder's trace context.
@@ -115,7 +111,7 @@ func (r *JobRecorder) Record(name, cat string, start time.Time, dur time.Duratio
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.spans) >= r.budget {
+	if len(r.spans) >= DefaultJobBudget {
 		r.dropped++
 		return
 	}

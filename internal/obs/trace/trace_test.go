@@ -10,14 +10,16 @@ import (
 )
 
 func TestJobRecorderBudgetAndDrain(t *testing.T) {
-	rec := NewJobRecorder(Context{Sweep: "s-1", Job: 3, Parent: 42}, 2)
+	rec := NewJobRecorder(Context{Sweep: "s-1", Job: 3, Parent: 42})
 	base := time.Now()
 	rec.Record("execute", "execute", base, time.Millisecond, map[string]string{"attempt": "1"})
-	rec.Record("backoff", "backoff", base, time.Millisecond, nil)
+	for i := 1; i < DefaultJobBudget; i++ {
+		rec.Record("backoff", "backoff", base, time.Millisecond, nil)
+	}
 	rec.Record("execute", "execute", base, time.Millisecond, nil) // over budget
 	spans, dropped := rec.Drain()
-	if len(spans) != 2 {
-		t.Fatalf("spans = %d, want 2", len(spans))
+	if len(spans) != DefaultJobBudget {
+		t.Fatalf("spans = %d, want %d", len(spans), DefaultJobBudget)
 	}
 	if dropped != 1 {
 		t.Fatalf("dropped = %d, want 1", dropped)

@@ -9,9 +9,9 @@
 // are observable to transport wrappers (the chaos injector keys its faults
 // on the write-side frame index). Frame types:
 //
-//	client → worker   {"t":"hello","proto":3,"trace":true}
-//	worker → client   {"t":"welcome","proto":3,"workers":N,"name":"...",
-//	                   "trace":true,"now_us":T,"pid":P}
+//	client → worker   {"t":"hello","proto":4}
+//	worker → client   {"t":"welcome","proto":4,"workers":N,"name":"...",
+//	                   "now_us":T,"pid":P}
 //	client → worker   {"t":"job","id":SEQ,"job":{...fleet.Job}}
 //	worker → client   {"t":"result","id":SEQ,"result":{...wireResult}}
 //	client → worker   {"t":"ping","id":SEQ}
@@ -20,19 +20,16 @@
 //
 // Job and result frames are multiplexed by id; pings flow on the same
 // connection while jobs execute, so heartbeat RTT measures the transport,
-// not the work queue. A result frame carries its run's ledger spans, their
-// frame decisions and its config marks as one binary timeline block
-// (ledger.AppendTimeline), base64 inside the JSON, rather than as reflective
-// JSON.
+// not the work queue. A result frame carries the row greensrv would serve
+// for the job, as the worker's fleet projected it, plus its run's ledger
+// spans, their frame decisions and its config marks as one binary timeline
+// block (ledger.AppendTimeline), base64 inside the JSON.
 //
-// Tracing is feature-negotiated, not versioned: the hello's trace field
-// advertises that the client can propagate span contexts, and a worker that
-// understands (and has obs enabled) echoes trace:true plus its clock
-// (now_us, for handshake-time offset estimation) and pid (the merged
-// trace's process row key) in the welcome. A worker that predates the field
-// simply omits it — JSON ignores unknown hello fields — and the client then
-// strips trace contexts from jobs it ships there, so mixed-version fleets
-// keep working with tracing degraded to the nodes that support it.
+// Every welcome carries the worker's pid and its clock (now_us), from which
+// the client estimates the clock offset that aligns the trace spans the
+// worker ships back. A worker refuses any hello whose proto differs from
+// its own, so both ends always share one feature set: nothing is
+// negotiated, and a fleet runs one protocol version.
 package shard
 
 import (
@@ -48,8 +45,10 @@ import (
 // client so a silent semantic skew cannot masquerade as a flaky network.
 // Version 2: spans carry typed frame decision records, and results no
 // longer ship the decision log derived from them. Version 3: a run's spans,
-// decisions and config marks travel as one binary timeline block.
-const protoVersion = 3
+// decisions and config marks travel as one binary timeline block. Version
+// 4: a result is its row plus that block, not a copy of the run, and every
+// welcome carries the worker's clock and pid.
+const protoVersion = 4
 
 // maxFramePayload bounds one frame. The largest legitimate payload — a
 // result carrying a full-trace run's timeline — is under half a megabyte
@@ -76,7 +75,6 @@ type frame struct {
 	Proto   int         `json:"proto,omitempty"`   // hello/welcome
 	Workers int         `json:"workers,omitempty"` // welcome
 	Name    string      `json:"name,omitempty"`    // welcome: worker identity
-	Trace   bool        `json:"trace,omitempty"`   // hello/welcome: tracing negotiated
 	Now     int64       `json:"now_us,omitempty"`  // welcome: worker clock, unix µs
 	PID     int         `json:"pid,omitempty"`     // welcome: worker process id
 	Job     *fleet.Job  `json:"job,omitempty"`

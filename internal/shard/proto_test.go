@@ -40,35 +40,17 @@ func TestReadFrameAllocatesOnlyWhatArrives(t *testing.T) {
 	}
 }
 
-// TestBadResidencyFailsTheJob: a result frame whose residency names a
-// configuration index outside the table fails that job's result instead of
-// panicking the session's reader goroutine.
-func TestBadResidencyFailsTheJob(t *testing.T) {
-	f, err := readFrame(bytes.NewReader(rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1,` +
-		`"run":{"kind":"Perf","frames":1,"residency":[{"config":999,"dur_us":5}]}}}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := decodeResult(f.Result, fleet.Job{App: "Todo", Kind: harness.Perf})
-	if res.Err == nil || !strings.Contains(res.Err.Error(), "config index 999") {
-		t.Fatalf("result err = %v, want the bad residency index named", res.Err)
-	}
-	if res.Run != nil {
-		t.Fatal("a result that failed to decode carries a run")
-	}
-}
-
 // TestBadTimelineFailsTheJob: a result whose timeline block does not decode
 // fails with the decode error, wrapped in errBadRun, and carries neither a
-// run nor the block; the other result fields still arrive.
+// row nor the block; the other result fields still arrive.
 func TestBadTimelineFailsTheJob(t *testing.T) {
 	w := encodeResult(realResults(t)[1])
-	w.Run.Timeline = w.Run.Timeline[:len(w.Run.Timeline)/2]
+	w.Timeline = w.Timeline[:len(w.Timeline)/2]
 	res := decodeResult(w, fleet.Job{App: "Todo", Kind: harness.GreenWebI})
 	if !errors.Is(res.Err, errBadRun) || !errors.Is(res.Err, ledger.ErrBadTimeline) ||
-		res.Run != nil || res.Timeline != nil {
-		t.Fatalf("truncated timeline decoded to run %v, block %d bytes, err %v; want errBadRun alone",
-			res.Run, len(res.Timeline), res.Err)
+		res.Row != nil || res.Timeline != nil {
+		t.Fatalf("truncated timeline decoded to row %v, block %d bytes, err %v; want errBadRun alone",
+			res.Row, len(res.Timeline), res.Err)
 	}
 	if res.Worker != w.Worker || res.Attempts != w.Attempts {
 		t.Fatalf("result lost its provenance: %+v", res)
@@ -82,7 +64,7 @@ func TestBadTimelineFailsTheJob(t *testing.T) {
 // 10,000 trace.Spans.
 func TestTooManySpansFailsTheJob(t *testing.T) {
 	frameOf := func(n int) []byte {
-		return rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1,"run":{"kind":"Perf"},` +
+		return rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1,"state":"done",` +
 			`"spans":[{"name":"execute"}` + strings.Repeat(`,{"name":"execute"}`, n-1) + `]}}`)
 	}
 	job := fleet.Job{App: "Todo", Kind: harness.Perf}
@@ -94,14 +76,14 @@ func TestTooManySpansFailsTheJob(t *testing.T) {
 		}
 		return decodeResult(f.Result, job)
 	}
-	if res := read(frameOf(trace.DefaultJobBudget)); res.Err != nil || res.Run == nil ||
+	if res := read(frameOf(trace.DefaultJobBudget)); res.Err != nil || res.Row == nil ||
 		len(res.Spans) != trace.DefaultJobBudget {
-		t.Fatalf("a result at the span budget: err %v, run %v, %d spans", res.Err, res.Run != nil, len(res.Spans))
+		t.Fatalf("a result at the span budget: err %v, row %v, %d spans", res.Err, res.Row != nil, len(res.Spans))
 	}
 	if res := read(frameOf(trace.DefaultJobBudget + 1)); !errors.Is(res.Err, errTooManySpans) ||
-		res.Run != nil || res.Spans != nil {
-		t.Fatalf("a result past the span budget: err %v, run %v, %d spans; want errTooManySpans alone",
-			res.Err, res.Run != nil, len(res.Spans))
+		res.Row != nil || res.Spans != nil {
+		t.Fatalf("a result past the span budget: err %v, row %v, %d spans; want errTooManySpans alone",
+			res.Err, res.Row != nil, len(res.Spans))
 	}
 
 	big := frameOf(10_000)
@@ -117,15 +99,22 @@ func TestTooManySpansFailsTheJob(t *testing.T) {
 	}
 }
 
-// TestWrongTypedArraysFailTheJob: a result whose attempt history or run
-// residency is an array of elements of the wrong type fails the job with
-// errBadRun and carries no run. Both arrays are checked before any element
-// is decoded, so a 300 KB frame of 150,000 zeros costs a few times its
-// bytes rather than an encoding/json error value per zero (90×).
+// TestWrongTypedArraysFailTheJob: a result whose attempt history or trace
+// spans are an array of elements of the wrong type fails the job — errBadRun
+// for the history, errTooManySpans for spans past the budget — and carries
+// no row. Both arrays are checked before any element is decoded, so a 300 KB
+// frame of 150,000 zeros costs a few times its bytes rather than an
+// encoding/json error value per zero (90×).
 func TestWrongTypedArraysFailTheJob(t *testing.T) {
-	for _, field := range []string{"history", "residency"} {
-		t.Run(field, func(t *testing.T) {
-			b := zerosFrame(field, 150_000)
+	for _, tc := range []struct {
+		name, field string
+		want        error
+	}{
+		{"history", "attempt_errors", errBadRun},
+		{"spans", "spans", errTooManySpans},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := zerosFrame(tc.field, 150_000)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			f, err := readFrame(bytes.NewReader(b))
@@ -134,8 +123,8 @@ func TestWrongTypedArraysFailTheJob(t *testing.T) {
 			}
 			res := decodeResult(f.Result, fleet.Job{App: "Todo", Kind: harness.Perf})
 			runtime.ReadMemStats(&after)
-			if !errors.Is(res.Err, errBadRun) || res.Run != nil {
-				t.Fatalf("err %v, run %v; want errBadRun alone", res.Err, res.Run != nil)
+			if !errors.Is(res.Err, tc.want) || res.Row != nil {
+				t.Fatalf("err %v, row %v; want %v alone", res.Err, res.Row != nil, tc.want)
 			}
 			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(8*len(b)) {
 				t.Fatalf("refusing a %d-byte frame of 150,000 zeros allocated %d bytes", len(b), alloc)
@@ -144,14 +133,11 @@ func TestWrongTypedArraysFailTheJob(t *testing.T) {
 	}
 }
 
-// zerosFrame is a result frame whose attempt history (field "history") or
-// run residency ("residency") is n zeros, elements of the wrong type.
+// zerosFrame is a result frame, with a row, whose array field is n zeros:
+// elements of the wrong type for attempt_errors and spans alike.
 func zerosFrame(field string, n int) []byte {
-	arr := `"` + field + `":[0` + strings.Repeat(",0", n-1) + `]`
-	if field == "residency" {
-		arr = `"run":{"kind":"Perf",` + arr + `}`
-	}
-	return rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1,` + arr + `}}`)
+	return rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1,"attempts":2,` +
+		`"` + field + `":[0` + strings.Repeat(",0", n-1) + `]}}`)
 }
 
 // realResults executes micro cells that between them record every kind of
@@ -193,14 +179,15 @@ func rawFrame(payload string) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
-// frameSeeds is one frame of every type, with result frames carrying real
-// v3 runs (baseline and GreenWeb timelines), a failure, and worker spans.
+// frameSeeds is one frame of every type, with result frames carrying the
+// rows and timelines of real runs (baseline and GreenWeb), a failure, and
+// worker spans.
 func frameSeeds(tb testing.TB) []frame {
 	job := fleet.Job{App: "Todo", Kind: harness.GreenWebI, Phase: fleet.Full,
 		Trace: &trace.Context{Sweep: "s-000001", Job: 2, Parent: 7}}
 	seeds := []frame{
-		{T: frameHello, Proto: protoVersion, Trace: true},
-		{T: frameWelcome, Proto: protoVersion, Workers: 2, Name: "alpha", Trace: true, Now: 1, PID: 2},
+		{T: frameHello, Proto: protoVersion},
+		{T: frameWelcome, Proto: protoVersion, Workers: 2, Name: "alpha", Now: 1, PID: 2},
 		{T: frameWelcome, Err: "unsupported handshake"},
 		{T: frameJob, ID: 1, Job: &job},
 		{T: framePing, ID: 2},
@@ -217,16 +204,17 @@ func frameSeeds(tb testing.TB) []frame {
 	return seeds
 }
 
-// FuzzReadFrame: arbitrary bytes through readFrame, and every result frame
-// through decodeResult, never panic; a result that does not decode carries
-// no run; and the reader allocates within a constant factor of the bytes
-// that arrive, whatever the length prefixes and counts claim.
+// FuzzReadFrame: arbitrary bytes through readFrame, every result frame
+// through decodeResult, and every decoded result through the rows greensrv
+// serves (fleet.WriteResults), never panic; a result that does not decode
+// carries no row; and the reader allocates within a constant factor of the
+// bytes that arrive, whatever the length prefixes and counts claim.
 //
-// The factor is encoding/json's: a result's trace spans, attempt history
-// and run residency are counted or type-checked before they are decoded.
-// Its densest input is a run of minimal frames: each 6-byte "{}" frame
-// costs one json.Unmarshal of decoder state, about 45 bytes per byte. A
-// history of empty strings follows at about 33.
+// The factor is encoding/json's: a result's trace spans and attempt errors
+// are counted or type-checked before they are decoded. Its densest input is
+// a run of minimal frames: each 6-byte "{}" frame costs one json.Unmarshal
+// of decoder state, about 45 bytes per byte. Attempt errors of empty
+// strings follow at about 33.
 func FuzzReadFrame(f *testing.F) {
 	var stream bytes.Buffer // several frames back to back
 	for _, fr := range frameSeeds(f) {
@@ -242,8 +230,9 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(stream.Bytes())
 	f.Add(rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1,"spans":[{}` +
 		strings.Repeat(",{}", 999) + `]}}`))
-	f.Add(zerosFrame("history", 25_000))
-	f.Add(zerosFrame("residency", 25_000))
+	f.Add(zerosFrame("attempt_errors", 25_000))
+	f.Add(zerosFrame("spans", 25_000))
+	f.Add(rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1}}`)) // neither an error nor a row
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -253,12 +242,15 @@ func FuzzReadFrame(f *testing.F) {
 			if err != nil {
 				break
 			}
-			if fr.T != frameResult || fr.Result == nil {
+			if fr.T != frameResult {
 				continue
 			}
 			res := decodeResult(fr.Result, fleet.Job{App: "Todo", Kind: harness.GreenWebI})
-			if (errors.Is(res.Err, errBadRun) || errors.Is(res.Err, errTooManySpans)) && res.Run != nil {
-				t.Fatal("a result that did not decode carries a run")
+			if (errors.Is(res.Err, errBadRun) || errors.Is(res.Err, errTooManySpans)) && res.Row != nil {
+				t.Fatal("a result that did not decode carries a row")
+			}
+			if err := fleet.WriteResults(io.Discard, []fleet.Result{res}, false); err != nil {
+				t.Fatal(err)
 			}
 		}
 		runtime.ReadMemStats(&after)

@@ -9,11 +9,9 @@ package shard
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,8 +49,8 @@ type RemoteOptions struct {
 	// between reconnect attempts. 0 → 100ms / 5s.
 	ReconnectBase time.Duration
 	ReconnectMax  time.Duration
-	// Seed drives the deterministic backoff jitter (±25%, hashed from
-	// seed × node × attempt), mirroring the fleet retry ladder.
+	// Seed drives the deterministic backoff jitter (fleet.Backoff, keyed by
+	// node), the formula the fleet retry ladder uses.
 	Seed int64
 }
 
@@ -88,13 +86,10 @@ func (o *RemoteOptions) fill() {
 type session struct {
 	conn net.Conn
 
-	// Tracing negotiation, fixed at handshake: whether the worker echoed
-	// trace support, the handshake-estimated clock offset (worker − us,
-	// µs), the worker's pid, and its advertised name — everything needed to
-	// align and attribute the spans its results ship back.
-	traceOK  bool
+	// Fixed at handshake: the estimated clock offset (worker − us, µs) and
+	// the worker's advertised name, which align and attribute the spans its
+	// results ship back.
 	offsetUS int64
-	pid      int
 	name     string
 
 	writeMu sync.Mutex
@@ -352,7 +347,7 @@ func (n *RemoteNode) dialAndShake() (*session, int, string, error) {
 	// t0/t1 bracket the exchange for the clock-offset estimate: the
 	// worker's now_us was read between our send and our receive.
 	t0 := time.Now()
-	if err := writeFrame(conn, frame{T: frameHello, Proto: protoVersion, Trace: true}); err != nil {
+	if err := writeFrame(conn, frame{T: frameHello, Proto: protoVersion}); err != nil {
 		conn.Close()
 		return nil, 0, "", fmt.Errorf("handshake: %w", err)
 	}
@@ -372,20 +367,17 @@ func (n *RemoteNode) dialAndShake() (*session, int, string, error) {
 	conn.SetDeadline(time.Time{})
 	sess := &session{
 		conn:  conn,
+		name:  f.Name,
 		wt:    n.opts.WriteTimeout,
 		calls: map[uint64]chan fleet.Result{},
 		jobs:  map[uint64]fleet.Job{},
-		name:  f.Name,
 	}
-	// A worker that echoed trace support sent its clock and pid; a worker
-	// that predates the field (or runs -no-obs) did not, and this session
-	// will strip trace contexts from the jobs it ships.
-	if f.Trace {
-		sess.traceOK = true
-		sess.pid = f.PID
+	// A welcome without a clock, which no greennode sends, leaves the offset
+	// 0 rather than the distance to the epoch.
+	if f.Now != 0 {
 		sess.offsetUS = trace.EstimateOffsetUS(t0, t1, f.Now)
-		n.offsetUS.Store(sess.offsetUS)
 	}
+	n.offsetUS.Store(sess.offsetUS)
 	return sess, f.Workers, f.Name, nil
 }
 
@@ -409,7 +401,8 @@ func (n *RemoteNode) loop(sess *session) {
 
 		ok := false
 		for attempt := 1; attempt <= n.opts.MaxReconnects; attempt++ {
-			time.Sleep(n.backoff(attempt))
+			time.Sleep(fleet.Backoff(n.opts.ReconnectBase, n.opts.ReconnectMax, n.opts.Seed,
+				"reconnect "+strconv.Itoa(n.id), attempt))
 			if n.isClosed() {
 				return
 			}
@@ -442,9 +435,7 @@ func (n *RemoteNode) runSession(sess *session) error {
 			}
 			switch f.T {
 			case frameResult:
-				if f.Result != nil {
-					sess.deliver(f.ID, f.Result)
-				}
+				sess.deliver(f.ID, f.Result)
 			case framePong:
 				select {
 				case pongs <- f.ID:
@@ -493,29 +484,6 @@ func (n *RemoteNode) runSession(sess *session) error {
 	}
 }
 
-// backoff is the reconnect sleep before the attempt-th re-dial: capped
-// exponential, deterministically jittered from (seed, node, attempt).
-func (n *RemoteNode) backoff(attempt int) time.Duration {
-	d := n.opts.ReconnectBase
-	for i := 1; i < attempt && d < n.opts.ReconnectMax; i++ {
-		d *= 2
-	}
-	if d > n.opts.ReconnectMax {
-		d = n.opts.ReconnectMax
-	}
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(n.opts.Seed))
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(n.id))
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(attempt))
-	h.Write(buf[:])
-	io.WriteString(h, "reconnect")
-	frac := float64(h.Sum64()>>11) / (1 << 53)
-	return time.Duration(float64(d) * (0.75 + 0.5*frac))
-}
-
 // Run implements fleet.Node: ship the job, wait for its result, and stamp
 // it with the calling puller's slot. While the node is disconnected but not
 // yet dead, Run parks until the reconnect resolves — so a transient blip
@@ -543,14 +511,7 @@ func (n *RemoteNode) Run(ctx context.Context, slot int, job fleet.Job) fleet.Res
 		if !sess.register(id, job, ch) {
 			continue // session broke between lookup and register
 		}
-		// A session that did not negotiate tracing ships the job without
-		// its trace context — old or obs-disabled workers must never see
-		// (and choke on, or half-honor) fields they did not agree to.
-		wireJob := job
-		if wireJob.Trace != nil && !sess.traceOK {
-			wireJob.Trace = nil
-		}
-		if err := sess.write(frame{T: frameJob, ID: id, Job: &wireJob}); err != nil {
+		if err := sess.write(frame{T: frameJob, ID: id, Job: &job}); err != nil {
 			sess.unregister(id)
 			sess.conn.Close() // wake the reader; the loop handles teardown
 			return fleet.Result{Job: job, Worker: -1,

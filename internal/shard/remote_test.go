@@ -18,6 +18,7 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/harness"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
 	"github.com/wattwiseweb/greenweb/internal/obs"
+	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
 // topologyJobs is a sweep that exercises the paper grid AND the fault
@@ -138,16 +139,16 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 	decided := false
 	for i, j := range jobs {
 		got, want := res[i], ref[i].Run
-		if (got.Run == nil) != (want == nil) {
-			t.Fatalf("job %d (%s %s): remote run %v, reference run %v", i, j.App, j.Kind, got.Run != nil, want != nil)
+		if (got.Row == nil) != (want == nil) {
+			t.Fatalf("job %d (%s %s): remote row %v, reference run %v", i, j.App, j.Kind, got.Row != nil, want != nil)
 		}
 		if want == nil {
 			continue
 		}
-		// The remote run arrives without its timeline; the result carries
-		// the block, which must decode to the reference run's own.
-		if got.Run.Spans != nil || got.Run.ConfigMarks != nil || got.Run.Decisions != nil {
-			t.Errorf("job %d (%s %s): remote run carries a decoded timeline", i, j.App, j.Kind)
+		// A remote result carries no run: its row and timeline block stand
+		// in for it, and the block must decode to the reference run's own.
+		if got.Run != nil {
+			t.Errorf("job %d (%s %s): remote result carries a run", i, j.App, j.Kind)
 		}
 		spans, marks, err := ledger.DecodeTimeline(got.Timeline)
 		if err != nil {
@@ -341,12 +342,13 @@ func TestRemoteHealthMetricsExposition(t *testing.T) {
 }
 
 // TestWorkerRefusesProtocolMismatch: a hello with the wrong protocol version
-// — an older peer's (v2 shipped spans as JSON) or a newer one's — is
-// answered with a refusal welcome, and NewRemoteNode surfaces it.
+// — an older peer's (v2 shipped spans as JSON, v3 a copy of each run) or a
+// newer one's — is answered with a refusal welcome, and NewRemoteNode
+// surfaces it.
 func TestWorkerRefusesProtocolMismatch(t *testing.T) {
 	_, addr := startWorker(t, WorkerOptions{Cluster: fleet.Options{Workers: 1,
 		Execute: func(ctx context.Context, j fleet.Job) (*harness.Run, error) { return &harness.Run{}, nil }}})
-	for _, proto := range []int{2, protoVersion + 1} {
+	for _, proto := range []int{2, 3, protoVersion + 1} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -408,5 +410,39 @@ func TestRemoteNodeCancelPropagates(t *testing.T) {
 	case <-aborted:
 	case <-time.After(2 * time.Second):
 		t.Fatal("worker-side execution never saw the cancellation")
+	}
+}
+
+// TestRunlessResultFailsItsJob: a worker that answers a job with a result
+// carrying neither an error nor a row, or with a result frame carrying no
+// result, fails that job with errBadRun, and the server keeps serving: the
+// same puller takes the next job, and the sweep's rows say why both failed.
+func TestRunlessResultFailsItsJob(t *testing.T) {
+	n, err := NewRemoteNode(0, fastRemote(fakeWorker(t, frame{T: frameWelcome, Proto: protoVersion, Workers: 1})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := fleet.NewWithNodes([]fleet.Node{n}, 0)
+	defer c.Close()
+	// The sweep's context bounds a call that no frame answers.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	m := fleet.NewManager(ctx, c)
+	m.SetTraceCollector(trace.NewCollector())
+	s, err := m.Enqueue([]fleet.Job{
+		{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro},
+		{App: "MSN", Kind: harness.GreenWebI, Phase: fleet.Micro},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < s.Len(); i++ {
+		row, err := s.Row(ctx, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.State != fleet.StateFailed || !strings.Contains(row.Error, errBadRun.Error()) {
+			t.Fatalf("row %d: state %s, error %q; want failed with %q", i, row.State, row.Error, errBadRun)
+		}
 	}
 }

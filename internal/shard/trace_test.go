@@ -12,9 +12,9 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
-// TestRemoteTraceNegotiation pins the happy path: a current worker echoes
-// trace support, executes a traced job, and ships its spans back on the
-// result frame, where the client stamps them with the node's identity.
+// TestRemoteTraceNegotiation pins the happy path: a worker executes a
+// traced job and ships its spans back on the result frame, where the client
+// stamps them with the node's identity.
 func TestRemoteTraceNegotiation(t *testing.T) {
 	exec := func(ctx context.Context, j fleet.Job) (*harness.Run, error) {
 		return &harness.Run{Frames: 1, Energy: acmp.Joules(1)}, nil
@@ -61,10 +61,11 @@ func TestRemoteTraceNegotiation(t *testing.T) {
 	}
 }
 
-// fakeWorker is a hand-rolled frame server for negotiation edge cases: it
-// answers the handshake with the caller's welcome frame, then serves job
-// frames with canned results, reporting each received job for inspection.
-func fakeWorker(t *testing.T, welcome frame, gotJobs chan<- fleet.Job) string {
+// fakeWorker is a hand-rolled frame server: it answers the handshake with
+// the caller's welcome frame, pongs pings, and answers job frames, in turn,
+// with a result that carries neither an error nor a row and with a result
+// frame that carries no result at all.
+func fakeWorker(t *testing.T, welcome frame) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -85,6 +86,7 @@ func fakeWorker(t *testing.T, welcome frame, gotJobs chan<- fleet.Job) string {
 				if writeFrame(conn, welcome) != nil {
 					return
 				}
+				bodyless := false
 				for {
 					f, err := readFrame(conn)
 					if err != nil {
@@ -94,9 +96,12 @@ func fakeWorker(t *testing.T, welcome frame, gotJobs chan<- fleet.Job) string {
 					case framePing:
 						writeFrame(conn, frame{T: framePong, ID: f.ID})
 					case frameJob:
-						gotJobs <- *f.Job
-						writeFrame(conn, frame{T: frameResult, ID: f.ID,
-							Result: encodeResult(fleet.Result{Job: *f.Job, Worker: 0})})
+						res := &wireResult{LatencyNS: 1}
+						if bodyless {
+							res = nil
+						}
+						bodyless = !bodyless
+						writeFrame(conn, frame{T: frameResult, ID: f.ID, Result: res})
 					}
 				}
 			}()
@@ -105,47 +110,14 @@ func fakeWorker(t *testing.T, welcome frame, gotJobs chan<- fleet.Job) string {
 	return l.Addr().String()
 }
 
-// TestLegacyWorkerGetsStrippedTrace: a worker that does not echo trace
-// support (an old binary, or greennode -no-obs) must never receive trace
-// contexts — the client strips them per session, and the job still runs.
-func TestLegacyWorkerGetsStrippedTrace(t *testing.T) {
-	gotJobs := make(chan fleet.Job, 1)
-	addr := fakeWorker(t, frame{T: frameWelcome, Proto: protoVersion,
-		Workers: 1, Name: "legacy"}, gotJobs)
-	n, err := NewRemoteNode(0, fastRemote(addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-
-	job := fleet.Job{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro,
-		Trace: &trace.Context{Sweep: "s-test", Job: 0, Parent: 7}}
-	res := n.Run(context.Background(), 0, job)
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	got := <-gotJobs
-	if got.Trace != nil {
-		t.Fatalf("legacy worker received trace context %+v, want stripped", got.Trace)
-	}
-	// The caller's own job copy keeps its context — stripping is wire-only.
-	if job.Trace == nil {
-		t.Fatal("client-side job lost its trace context")
-	}
-	if off := n.Health().ClockOffsetUS; off != 0 {
-		t.Errorf("un-negotiated session reported clock offset %d, want 0", off)
-	}
-}
-
 // TestHandshakeClockOffset: a worker whose welcome clock is skewed five
 // seconds ahead yields a matching handshake offset estimate, and shipped
-// spans are rebased into the client's timeline on delivery.
+// spans are rebased into the client's timeline on delivery; a welcome
+// without a clock yields none.
 func TestHandshakeClockOffset(t *testing.T) {
 	const skewUS = 5_000_000
-	gotJobs := make(chan fleet.Job, 1)
 	addr := fakeWorker(t, frame{T: frameWelcome, Proto: protoVersion,
-		Workers: 1, Name: "skewed", Trace: true, PID: 999,
-		Now: time.Now().UnixMicro() + skewUS}, gotJobs)
+		Workers: 1, Name: "skewed", PID: 999, Now: time.Now().UnixMicro() + skewUS})
 	n, err := NewRemoteNode(0, fastRemote(addr))
 	if err != nil {
 		t.Fatal(err)
@@ -157,5 +129,16 @@ func TestHandshakeClockOffset(t *testing.T) {
 	// estimate must land within that of the injected skew.
 	if off < skewUS-100_000 || off > skewUS+100_000 {
 		t.Fatalf("clock offset = %dµs, want ≈%dµs", off, skewUS)
+	}
+
+	// A welcome without a clock yields no offset, not the distance to the
+	// epoch.
+	clockless, err := NewRemoteNode(1, fastRemote(fakeWorker(t, frame{T: frameWelcome, Proto: protoVersion, Workers: 1})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clockless.Close()
+	if off := clockless.Health().ClockOffsetUS; off != 0 {
+		t.Errorf("a welcome without now_us gave clock offset %dµs, want 0", off)
 	}
 }

@@ -4,39 +4,44 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
-	"github.com/wattwiseweb/greenweb/internal/acmp"
-	"github.com/wattwiseweb/greenweb/internal/apps"
 	"github.com/wattwiseweb/greenweb/internal/fleet"
-	"github.com/wattwiseweb/greenweb/internal/harness"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
-	"github.com/wattwiseweb/greenweb/internal/sim"
 )
 
-// errBadRun fails a result whose run does not decode: the job gets this error
-// instead of a partial run.
+// errBadRun fails a result that does not decode, or that carries neither an
+// error nor a row: the job gets this error instead of a partial row.
 var errBadRun = errors.New("shard: malformed run")
 
 // errTooManySpans fails a result that carries more worker trace spans than a
 // worker records for one job (trace.DefaultJobBudget).
 var errTooManySpans = errors.New("shard: too many trace spans")
 
-// wireResult is fleet.Result in JSON-serializable form. The job itself is
-// not carried: the client keyed the call by frame id and reattaches its own
+// wireResult is a finished job on the wire: the row the worker's fleet
+// projected for it (fleet.RowOf), which carries the run's columns and the
+// error and retry fields, plus what a row leaves out. The job itself is not
+// carried: the client keyed the call by frame id and reattaches its own
 // copy, so the wire never round-trips what both sides already know.
+//
+// A row field present in the frame allocates the embedded row, and a worker
+// always ships one, so a nil row means the result carries neither an error
+// nor a run.
 type wireResult struct {
-	Run       *wireRun `json:"run,omitempty"`
-	Err       string   `json:"err,omitempty"`
-	Worker    int      `json:"worker"`
-	LatencyNS int64    `json:"latency_ns"`
-	Attempts  int      `json:"attempts,omitempty"`
-	// History is the failed attempts' errors, a JSON array of strings kept
-	// raw until decodeResult has checked that every element is a string.
-	History     json.RawMessage `json:"history,omitempty"`
-	Quarantined bool            `json:"quarantined,omitempty"`
+	*fleet.ResultRow
+	// AttemptErrors shadows the row's: a JSON array of strings kept raw until
+	// decodeResult has checked that every element is a string.
+	AttemptErrors json.RawMessage `json:"attempt_errors,omitempty"`
+	Worker        int             `json:"worker"`
+	LatencyNS     int64           `json:"latency_ns"`
+	// Timeline is ledger.AppendTimeline's block of the run's spans, with
+	// their frame decisions, and config marks, absent when both are empty;
+	// JSON carries it as base64. Decided says the run derived its decision
+	// log (-no-obs nodes do not); the receiving side keeps the block as it
+	// arrived and derives the log from it on request.
+	Timeline []byte `json:"timeline,omitempty"`
+	Decided  bool   `json:"decided,omitempty"`
 	// Spans piggybacks the worker's trace spans for a traced job (on the
 	// worker's clock; the client aligns them) as a JSON array, with the
 	// worker-side dropped-span count. Empty for untraced jobs, so the wire
@@ -46,106 +51,59 @@ type wireResult struct {
 	SpanDrops int             `json:"span_drops,omitempty"`
 }
 
-// wireResidency is one entry of the per-configuration residency map,
-// flattened because acmp.Config is a struct key JSON cannot express.
-type wireResidency struct {
-	Config int          `json:"config"` // acmp config index
-	Dur    sim.Duration `json:"dur_us"`
-}
-
-// wireRun carries every harness.Run field greensrv's result, event, and
-// trace endpoints read — the ResultRow scalars, and the ledger spans with
-// their frame decisions and the config marks as one binary Timeline block
-// (ledger.AppendTimeline) — plus the residency histogram. The decision log
-// is a projection of the spans, so it is not shipped: Decided says the node
-// recorded one (-no-obs nodes do not). The receiving side keeps the block
-// as it arrived and derives the log from it on request. FrameResults (the
-// raw per-frame timeline) is deliberately not shipped: nothing behind the
-// fleet.Node seam reads it, and it dominates payload size.
-type wireRun struct {
-	Kind harness.Kind `json:"kind"`
-
-	Energy   acmp.Joules      `json:"energy_j"`
-	Frames   int              `json:"frames"`
-	Switches acmp.SwitchStats `json:"switches"`
-	// Residency is a JSON array of wireResidency, kept raw until decodeRun
-	// has counted its elements.
-	Residency  json.RawMessage `json:"residency,omitempty"`
-	ViolationI float64         `json:"violation_i"`
-	ViolationU float64         `json:"violation_u"`
-
-	TotalEnergy acmp.Joules  `json:"total_energy_j"`
-	LoadLatency sim.Duration `json:"load_latency_us"`
-
-	FrameEnergy acmp.Joules `json:"frame_energy_j"`
-	IdleEnergy  acmp.Joules `json:"idle_energy_j"`
-	EventEnergy acmp.Joules `json:"event_energy_j"`
-	StageEnergy acmp.Joules `json:"stage_energy_j,omitempty"`
-	// Timeline is ledger.AppendTimeline's block of the run's spans and
-	// config marks, absent when both are empty; JSON carries it as base64.
-	Timeline []byte `json:"timeline,omitempty"`
-	Decided  bool   `json:"decided,omitempty"`
-
-	ThermalTrips  int         `json:"thermal_trips,omitempty"`
-	DVFSDenied    int         `json:"dvfs_denied,omitempty"`
-	DVFSDelayed   int         `json:"dvfs_delayed,omitempty"`
-	DAQSamples    int         `json:"daq_samples,omitempty"`
-	DAQDropped    int         `json:"daq_dropped,omitempty"`
-	MeteredEnergy acmp.Joules `json:"metered_energy_j,omitempty"`
-	CapClamps     int         `json:"cap_clamps,omitempty"`
-	Degradations  int         `json:"degradations,omitempty"`
-	Recoveries    int         `json:"recoveries,omitempty"`
-}
-
-// encodeResult projects a fleet.Result onto the wire.
+// encodeResult projects a fleet.Result onto the wire with the projections
+// a sweep keeps of a local job: its row and its timeline block. The run's
+// raw per-frame results are deliberately not shipped: nothing behind the
+// fleet.Node seam reads them, and they dominate a run's size.
 func encodeResult(r fleet.Result) *wireResult {
+	row := fleet.RowOf(0, r)
 	w := &wireResult{
-		Worker:      r.Worker,
-		LatencyNS:   int64(r.Latency),
-		Attempts:    r.Attempts,
-		Quarantined: r.Quarantined,
-		SpanDrops:   r.SpanDrops,
+		ResultRow: &row,
+		Worker:    r.Worker,
+		LatencyNS: int64(r.Latency),
+		SpanDrops: r.SpanDrops,
 	}
+	w.Timeline, w.Decided = r.TimelineBlock()
 	// Strings, and trace.Spans of plain fields and a string map, always
 	// encode.
-	if len(r.History) > 0 {
-		w.History, _ = json.Marshal(r.History)
+	if len(row.AttemptErrors) > 0 {
+		w.AttemptErrors, _ = json.Marshal(row.AttemptErrors)
 	}
 	if len(r.Spans) > 0 {
 		w.Spans, _ = json.Marshal(r.Spans)
-	}
-	if r.Err != nil {
-		w.Err = r.Err.Error()
-	}
-	if r.Run != nil {
-		w.Run = encodeRun(r.Run)
 	}
 	return w
 }
 
 // decodeResult reconstructs a fleet.Result, reattaching the client's copy
-// of the job. The run arrives without its timeline: the result carries the
-// validated block in Timeline. A run or attempt history that does not
-// decode fails the result with an error wrapping errBadRun, and more worker
-// trace spans than a job records fail it with errTooManySpans; either way
-// the result carries no run.
+// of the job: a failed result carries the row's error, a finished one the
+// row and the timeline block, which decodeResult only checks
+// (ledger.CheckTimeline). A result that has no row (w is nil when the frame
+// carried no result) or whose attempt errors or timeline do not decode
+// fails with an error wrapping errBadRun, and more worker trace spans than
+// a job records fail it with errTooManySpans; either way the result carries
+// no row.
 func decodeResult(w *wireResult, job fleet.Job) fleet.Result {
+	if w == nil {
+		w = new(wireResult)
+	}
 	r := fleet.Result{
-		Job:         job,
-		Worker:      w.Worker,
-		Latency:     time.Duration(w.LatencyNS),
-		Attempts:    w.Attempts,
-		Quarantined: w.Quarantined,
-		SpanDrops:   w.SpanDrops,
+		Job:       job,
+		Worker:    w.Worker,
+		Latency:   time.Duration(w.LatencyNS),
+		SpanDrops: w.SpanDrops,
 	}
-	if w.Err != "" {
-		r.Err = errors.New(w.Err)
+	row := w.ResultRow
+	if row == nil {
+		r.Err = fmt.Errorf("%w: a result with neither an error nor a row", errBadRun)
+		return r
 	}
-	if len(w.History) > 0 {
+	r.Attempts, r.Quarantined = row.Attempts, row.Quarantined
+	if len(w.AttemptErrors) > 0 {
 		// Elements are type-checked before any is decoded: encoding/json
 		// would allocate an error for every one of the wrong type.
-		if _, strs := countElements(w.History); !strs || json.Unmarshal(w.History, &r.History) != nil {
-			r.Err = fmt.Errorf("%w: attempt history is not an array of strings", errBadRun)
+		if _, strs := countElements(w.AttemptErrors); !strs || json.Unmarshal(w.AttemptErrors, &r.History) != nil {
+			r.Err = fmt.Errorf("%w: attempt errors are not an array of strings", errBadRun)
 			return r
 		}
 	}
@@ -154,13 +112,17 @@ func decodeResult(w *wireResult, job fleet.Job) fleet.Result {
 		r.Err = err
 		return r
 	}
-	if w.Run != nil {
-		if r.Run, err = decodeRun(w.Run, job); err != nil {
-			r.Err = err
+	if row.Error != "" {
+		r.Err = errors.New(row.Error)
+		return r
+	}
+	if len(w.Timeline) > 0 {
+		if err := ledger.CheckTimeline(w.Timeline); err != nil {
+			r.Err = fmt.Errorf("%w: %w", errBadRun, err)
 			return r
 		}
-		r.Timeline, r.Decided = w.Run.Timeline, w.Run.Decided
 	}
+	r.Row, r.Timeline, r.Decided = row, w.Timeline, w.Decided
 	return r
 }
 
@@ -222,100 +184,4 @@ func countElements(raw json.RawMessage) (n int, strs bool) {
 		}
 	}
 	return n, strs
-}
-
-func encodeRun(run *harness.Run) *wireRun {
-	w := &wireRun{
-		Kind:          run.Kind,
-		Energy:        run.Energy,
-		Frames:        run.Frames,
-		Switches:      run.Switches,
-		ViolationI:    run.ViolationI,
-		ViolationU:    run.ViolationU,
-		TotalEnergy:   run.TotalEnergy,
-		LoadLatency:   run.LoadLatency,
-		FrameEnergy:   run.FrameEnergy,
-		IdleEnergy:    run.IdleEnergy,
-		EventEnergy:   run.EventEnergy,
-		StageEnergy:   run.StageEnergy,
-		Decided:       run.Decisions != nil,
-		ThermalTrips:  run.ThermalTrips,
-		DVFSDenied:    run.DVFSDenied,
-		DVFSDelayed:   run.DVFSDelayed,
-		DAQSamples:    run.DAQSamples,
-		DAQDropped:    run.DAQDropped,
-		MeteredEnergy: run.MeteredEnergy,
-		CapClamps:     run.CapClamps,
-		Degradations:  run.Degradations,
-		Recoveries:    run.Recoveries,
-	}
-	if len(run.Spans) > 0 || len(run.ConfigMarks) > 0 {
-		w.Timeline = ledger.AppendTimeline(nil, run.Spans, run.ConfigMarks)
-	}
-	// Residency flattens to (config index, duration) pairs sorted by index,
-	// so the wire form of one run is itself deterministic.
-	var res []wireResidency
-	for cfg, d := range run.Residency {
-		res = append(res, wireResidency{Config: cfg.Index(), Dur: d})
-	}
-	sort.Slice(res, func(i, j int) bool { return res[i].Config < res[j].Config })
-	if len(res) > 0 {
-		w.Residency, _ = json.Marshal(res) // plain ints always encode
-	}
-	return w
-}
-
-// decodeRun rebuilds a run from everything but its timeline, which it only
-// checks (ledger.CheckTimeline): the block must decode.
-func decodeRun(w *wireRun, job fleet.Job) (*harness.Run, error) {
-	run := &harness.Run{
-		Kind:          w.Kind,
-		Energy:        w.Energy,
-		Frames:        w.Frames,
-		Switches:      w.Switches,
-		ViolationI:    w.ViolationI,
-		ViolationU:    w.ViolationU,
-		TotalEnergy:   w.TotalEnergy,
-		LoadLatency:   w.LoadLatency,
-		FrameEnergy:   w.FrameEnergy,
-		IdleEnergy:    w.IdleEnergy,
-		EventEnergy:   w.EventEnergy,
-		StageEnergy:   w.StageEnergy,
-		ThermalTrips:  w.ThermalTrips,
-		DVFSDenied:    w.DVFSDenied,
-		DVFSDelayed:   w.DVFSDelayed,
-		DAQSamples:    w.DAQSamples,
-		DAQDropped:    w.DAQDropped,
-		MeteredEnergy: w.MeteredEnergy,
-		CapClamps:     w.CapClamps,
-		Degradations:  w.Degradations,
-		Recoveries:    w.Recoveries,
-	}
-	if len(w.Residency) > 0 {
-		// One entry per configuration at most: counted before decoding, since
-		// encoding/json would allocate an error for every wrong-typed one.
-		if n, _ := countElements(w.Residency); n > acmp.NumConfigs() {
-			return nil, fmt.Errorf("%w: %d residency entries for %d configs", errBadRun, n, acmp.NumConfigs())
-		}
-		var res []wireResidency
-		if err := json.Unmarshal(w.Residency, &res); err != nil {
-			return nil, fmt.Errorf("%w: residency: %v", errBadRun, err)
-		}
-		run.Residency = make(map[acmp.Config]sim.Duration, len(res))
-		for _, r := range res {
-			if r.Config < 0 || r.Config >= acmp.NumConfigs() {
-				return nil, fmt.Errorf("%w: residency config index %d out of range", errBadRun, r.Config)
-			}
-			run.Residency[acmp.ConfigAt(r.Config)] = r.Dur
-		}
-	}
-	if len(w.Timeline) > 0 {
-		if err := ledger.CheckTimeline(w.Timeline); err != nil {
-			return nil, fmt.Errorf("%w: %w", errBadRun, err)
-		}
-	}
-	if app, ok := apps.ByName(job.App); ok {
-		run.App = app
-	}
-	return run, nil
 }

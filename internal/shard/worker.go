@@ -184,19 +184,10 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn, name string) {
 			hello.T, hello.Proto, frameHello, protoVersion)})
 		return
 	}
-	// Tracing negotiation: echo trace only when the client asked for it and
-	// this process has obs enabled (greennode -no-obs keeps the fleet trace
-	// honest about which nodes contributed). The clock read (now_us) is
-	// taken as late as possible so the client's offset estimate brackets
-	// it; pid keys this worker's process row in the merged trace.
-	welcome := frame{T: frameWelcome, Proto: protoVersion,
-		Workers: w.cluster.Workers(), Name: name}
-	if hello.Trace && obs.Enabled() {
-		welcome.Trace = true
-		welcome.PID = os.Getpid()
-		welcome.Now = time.Now().UnixMicro()
-	}
-	if err := write(welcome); err != nil {
+	// The clock read (now_us) is taken as late as possible so the client's
+	// offset estimate brackets it.
+	if err := write(frame{T: frameWelcome, Proto: protoVersion, Workers: w.cluster.Workers(),
+		Name: name, PID: os.Getpid(), Now: time.Now().UnixMicro()}); err != nil {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
