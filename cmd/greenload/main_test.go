@@ -16,7 +16,6 @@ import (
 
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/harness"
-	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 	"github.com/wattwiseweb/greenweb/internal/store"
 )
 
@@ -36,9 +35,8 @@ func stubAPI(t *testing.T, st *store.Store) (*fleet.Manager, *fleet.Server) {
 	cluster := fleet.New(fleet.Options{Workers: 2, Execute: instant})
 	t.Cleanup(cluster.Close)
 	m := fleet.NewManager(context.Background(), cluster)
-	m.SetTraceCollector(trace.NewCollector())
 	if st != nil {
-		m.SetStore(st)
+		m.SetStore(st, nil)
 	}
 	return m, fleet.NewServer(m)
 }
@@ -105,7 +103,7 @@ func TestFailedRowsAreCounted(t *testing.T) {
 // TestWaitPersisted: with a durable store behind the server, -wait-persisted
 // returns only once each sweep's status says persisted.
 func TestWaitPersisted(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+	st, _, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@
 //	greensrv [-addr :8080] [-nodes N] [-workers N] [-queue DEPTH] [-job-timeout 2m]
 //	         [-max-attempts N] [-retry-base 50ms] [-retry-max 2s] [-retry-seed S]
 //	         [-remote-nodes host:port,host:port,...]
-//	         [-store DIR] [-store-compact BYTES]
+//	         [-store DIR]
 //	         [-admit-queue N] [-admit-rate R] [-admit-burst B]
 //	         [-read-header-timeout 10s] [-log-level LEVEL]
 //	         [-no-obs] [-drain-timeout 30s] [-obs-dump FILE]
@@ -44,8 +44,9 @@
 //	GET  /debug/pprof/           runtime profiles
 //
 // On SIGINT/SIGTERM the server drains: new submissions answer 503, in-flight
-// sweeps get -drain-timeout to finish (then are cancelled), the final metrics
-// snapshot is flushed to -obs-dump (or stderr), and the process exits.
+// sweeps get -drain-timeout to finish (then are cancelled), every sweep's
+// persistence ends before the store closes, the final metrics snapshot is
+// flushed to -obs-dump (or stderr), and the process exits.
 package main
 
 import (
@@ -78,7 +79,6 @@ func main() {
 	retrySeed := flag.Int64("retry-seed", 0, "seed for deterministic backoff jitter")
 	remoteNodes := flag.String("remote-nodes", "", "comma-separated greennode addresses; jobs run on these remote workers instead of in-process nodes")
 	storeDir := flag.String("store", "", "durable sweep store directory (empty = in-memory only)")
-	storeCompact := flag.Int64("store-compact", 64<<20, "auto-compact the WAL past this many bytes (0 = manual)")
 	admitQueue := flag.Int("admit-queue", 0, "reject new sweeps (429) while this many jobs are queued (0 = off)")
 	admitRate := flag.Float64("admit-rate", 0, "per-client sweep submissions per second (0 = off)")
 	admitBurst := flag.Int("admit-burst", 10, "per-client token-bucket burst")
@@ -160,15 +160,18 @@ func main() {
 
 	var st *store.Store
 	if *storeDir != "" {
+		var recovered []store.SweepRecord
 		var err error
-		st, err = store.Open(*storeDir)
+		st, recovered, err = store.Open(*storeDir)
 		if err != nil {
 			log.Error("store open failed", "dir", *storeDir, "err", err)
 			os.Exit(1)
 		}
-		st.SetCompactThreshold(*storeCompact)
-		manager.SetStore(st)
-		log.Info("store recovered", "dir", *storeDir, "sweeps", len(st.IDs()),
+		refused := manager.SetStore(st, recovered)
+		for _, id := range refused {
+			log.Warn("recovered sweep not served: a row is not a result row it can re-encode", "sweep", id)
+		}
+		log.Info("store recovered", "dir", *storeDir, "sweeps", len(recovered)-len(refused),
 			"torn_records", st.Torn(), "dropped_sweeps", st.Dropped())
 	}
 

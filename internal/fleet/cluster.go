@@ -33,8 +33,8 @@ type Node interface {
 // suspicion, node declared dead). The cluster treats it as re-homeable: the
 // job goes back on the queue instead of being delivered as a failure.
 // Re-execution is safe because every cell is a deterministic function of
-// its job, and the store absorbs any replayed row idempotently keyed on
-// (sweep, index).
+// its job, and only the final result is delivered: each job once, so a
+// sweep persists each row once.
 var ErrNodeDown = errors.New("shard: node down")
 
 // ErrNoNodes is delivered when a job cannot be queued or re-homed because
@@ -252,9 +252,6 @@ type Cluster struct {
 	nodes []Node
 	q     *queue
 	wg    sync.WaitGroup
-	// traces is where scheduling spans (dispatch, re-home) of traced jobs
-	// are recorded; a Manager points it at its own collector.
-	traces *trace.Collector
 
 	running   atomic.Int64
 	done      atomic.Int64
@@ -297,7 +294,6 @@ func NewWithNodes(nodes []Node, queueDepth int) *Cluster {
 	c := &Cluster{
 		nodes:     nodes,
 		q:         newQueue(len(nodes), queueDepth),
-		traces:    trace.Default(),
 		pulled:    make([]atomic.Int64, len(nodes)),
 		rehomed:   make([]atomic.Int64, len(nodes)),
 		spanDrops: make([]atomic.Int64, len(nodes)),
@@ -358,19 +354,6 @@ func (c *Cluster) Evictions() int64 { return c.evictions.Load() }
 // its transport died under them.
 func (c *Cluster) Rehomed(id int) int64 { return c.rehomed[id].Load() }
 
-// sweepTrace resolves a traced job's server-side span buffer; nil for
-// untraced jobs (or a trace already evicted from the collector), so every
-// call site stays a single nil check.
-func (c *Cluster) sweepTrace(job Job) *trace.SweepTrace {
-	if job.Trace == nil {
-		return nil
-	}
-	if tr, ok := c.traces.Get(job.Trace.Sweep); ok {
-		return tr
-	}
-	return nil
-}
-
 // puller is one node execution slot: pop the oldest job, run it on the
 // owning node, deliver — or re-home it when the node died under the job.
 func (c *Cluster) puller(n Node, slot int) {
@@ -380,7 +363,7 @@ func (c *Cluster) puller(n Node, slot int) {
 		if !ok {
 			return
 		}
-		tr := c.sweepTrace(it.job)
+		tr := trace.SweepIn(it.ctx) // nil for an untraced job
 		c.pulled[n.ID()].Add(1)
 		if it.started != nil {
 			it.started()
@@ -404,8 +387,7 @@ func (c *Cluster) puller(n Node, slot int) {
 			// The transport died under the job, not the job under the node.
 			// Re-home instead of delivering a failure: the cell is a
 			// deterministic function of the job, so re-execution elsewhere
-			// produces the identical result, and the WAL absorbs any
-			// replayed row idempotently keyed on (sweep, index).
+			// produces the identical result, delivered once like any other.
 			if it.job.Trace != nil {
 				// Bump the attempt on a fresh context copy so the job's next
 				// home records spans under the new attempt number, leaving
@@ -444,7 +426,9 @@ func (c *Cluster) puller(n Node, slot int) {
 // ctx; it returns ErrClosed after Close, and ErrNoNodes once every node has
 // been evicted. deliver is called exactly once, from a puller goroutine,
 // with the job's terminal Result — including failure and cancellation;
-// started, if non-nil, fires when the job leaves the queue for a node.
+// started, if non-nil, fires when the job leaves the queue for a node. A
+// traced job's ctx carries its sweep's trace (trace.WithSweep), where the
+// puller records the dispatch and re-home spans under job.Trace.
 func (c *Cluster) Start(ctx context.Context, job Job, started func(), deliver func(Result)) error {
 	if ctx == nil {
 		ctx = context.Background()

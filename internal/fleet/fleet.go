@@ -70,11 +70,10 @@ type Job struct {
 	// the field crosses the wire to remote workers, never the context.
 	StageWorkers int `json:"stage_workers,omitempty"`
 	// Trace is the distributed-tracing context (sweep id, job index,
-	// attempt, parent span id), stamped by the manager on traced sweeps.
-	// Out-of-band by construction: no output path reads it, the WAL never
-	// persists it (the manager strips it before persistMeta), and the shard
-	// transport strips it for workers that did not negotiate tracing in the
-	// handshake.
+	// attempt, parent span id), stamped by the manager on the copy of each
+	// job of a traced sweep that it starts on the cluster, and shipped with
+	// the job to remote workers. Out-of-band by construction: no output path
+	// reads it, and the WAL, which persists result rows only, never sees it.
 	Trace *trace.Context `json:"trace,omitempty"`
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/wattwiseweb/greenweb/internal/harness"
-	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
 // TestFinishedJobRetention: a finished sweep keeps each job's row and
@@ -29,7 +28,6 @@ func TestFinishedJobRetention(t *testing.T) {
 	cluster := New(Options{Workers: 2})
 	defer cluster.Close()
 	m := NewManager(context.Background(), cluster)
-	m.SetTraceCollector(trace.NewCollector())
 	run := func() {
 		s, err := m.Enqueue(jobs)
 		if err != nil {

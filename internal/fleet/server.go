@@ -413,7 +413,7 @@ func NewServer(m *Manager) *Server {
 		}
 		// Sweep-level admission span (job -1 → the trace's "sweep" lane):
 		// the HTTP-side cost of validating and registering the sweep.
-		if tr, ok := m.Traces().Get(string(s.ID)); ok {
+		if tr := s.fleetTrace.Load(); tr != nil {
 			tr.Record(-1, 0, "admission", "admission", admitted, time.Since(admitted),
 				map[string]string{"jobs": fmt.Sprintf("%d", s.Len()), "client": clientKey(r)})
 		}
@@ -425,60 +425,24 @@ func NewServer(m *Manager) *Server {
 		})
 	})
 
+	// A replayed sweep takes the live paths: the status and the results
+	// stream read its rows like any finished sweep's.
 	mux.HandleFunc("GET /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id := SweepID(r.PathValue("id"))
-		s, ok := m.Get(id)
-		if !ok {
-			// A sweep from before this process's lifetime replays from the
-			// durable store.
-			if st, stored := m.StoredStatus(id); stored {
-				writeJSON(w, http.StatusOK, st)
-				return
-			}
-			httpError(w, http.StatusNotFound, CodeUnknownSweep, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
-			return
+		if s, ok := lookup(m, w, r, ""); ok {
+			writeJSON(w, http.StatusOK, s.Status())
 		}
-		writeJSON(w, http.StatusOK, s.Status())
 	})
 
 	mux.HandleFunc("GET /v1/sweeps/{id}/results", func(w http.ResponseWriter, r *http.Request) {
-		id := SweepID(r.PathValue("id"))
+		s, ok := lookup(m, w, r, "")
+		if !ok {
+			return
+		}
 		// ?deterministic=1 zeroes the wall-clock latency column — the only
 		// nondeterministic byte in a row — so streams from different
 		// topologies (node counts, remote workers, mid-sweep failures) can be
 		// compared byte-for-byte. The CI chaos smoke diffs exactly this.
 		deterministic := r.URL.Query().Get("deterministic") == "1"
-		s, ok := m.Get(id)
-		if !ok {
-			// Replay the persisted NDJSON byte-for-byte from the store.
-			if rows, stored := m.StoredRows(id); stored {
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				w.WriteHeader(http.StatusOK)
-				if !deterministic {
-					for _, row := range rows {
-						w.Write(row)
-						io.WriteString(w, "\n")
-					}
-					return
-				}
-				// Persisted rows were encoded from ResultRow, so decode,
-				// zero, re-encode reproduces the live deterministic bytes.
-				enc := json.NewEncoder(w)
-				for _, raw := range rows {
-					var row ResultRow
-					if err := json.Unmarshal(raw, &row); err != nil {
-						return
-					}
-					row.LatencyMS = 0
-					if err := enc.Encode(row); err != nil {
-						return
-					}
-				}
-				return
-			}
-			httpError(w, http.StatusNotFound, CodeUnknownSweep, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
-			return
-		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
 		flusher, _ := w.(http.Flusher)
@@ -503,14 +467,8 @@ func NewServer(m *Manager) *Server {
 	})
 
 	mux.HandleFunc("GET /v1/sweeps/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		s, ok := m.Get(SweepID(r.PathValue("id")))
+		s, ok := lookup(m, w, r, "decision events")
 		if !ok {
-			if _, stored := m.StoredRows(SweepID(r.PathValue("id"))); stored {
-				httpError(w, http.StatusNotFound, CodeReplayedNoTrace, fmt.Errorf(
-					"sweep %q was replayed from the store; decision events are not persisted", r.PathValue("id")))
-				return
-			}
-			httpError(w, http.StatusNotFound, CodeUnknownSweep, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -543,14 +501,8 @@ func NewServer(m *Manager) *Server {
 	})
 
 	mux.HandleFunc("GET /v1/sweeps/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
-		s, ok := m.Get(SweepID(r.PathValue("id")))
+		s, ok := lookup(m, w, r, "trace spans")
 		if !ok {
-			if _, stored := m.StoredRows(SweepID(r.PathValue("id"))); stored {
-				httpError(w, http.StatusNotFound, CodeReplayedNoTrace, fmt.Errorf(
-					"sweep %q was replayed from the store; trace spans are not persisted", r.PathValue("id")))
-				return
-			}
-			httpError(w, http.StatusNotFound, CodeUnknownSweep, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
 			return
 		}
 		// ?fleet=1 serves the distributed trace: the server's merged span
@@ -558,8 +510,8 @@ func NewServer(m *Manager) *Server {
 		// every worker's shipped spans, clock-aligned, one Chrome trace
 		// process row per real OS process.
 		if r.URL.Query().Get("fleet") == "1" {
-			tr, ok := m.Traces().Get(string(s.ID))
-			if !ok {
+			tr := s.fleetTrace.Load()
+			if tr == nil {
 				httpError(w, http.StatusNotFound, CodeNoFleetTrace, fmt.Errorf(
 					"sweep %q has no fleet trace (tracing disabled, -no-obs, or the buffer was evicted)", s.ID))
 				return
@@ -608,6 +560,23 @@ func NewServer(m *Manager) *Server {
 	return srv
 }
 
+// lookup resolves the request's sweep, answering unknown_sweep when no
+// sweep has its ID. overlay names what an endpoint reads beyond the rows
+// ("" for none): a replayed sweep answers replayed_no_trace for it, since
+// the store keeps rows only.
+func lookup(m *Manager, w http.ResponseWriter, r *http.Request, overlay string) (*Sweep, bool) {
+	s, ok := m.Get(SweepID(r.PathValue("id")))
+	switch {
+	case !ok:
+		httpError(w, http.StatusNotFound, CodeUnknownSweep, fmt.Errorf("unknown sweep %q", r.PathValue("id")))
+	case s.replayed && overlay != "":
+		httpError(w, http.StatusNotFound, CodeReplayedNoTrace, fmt.Errorf(
+			"sweep %q was replayed from the store; %s are not persisted", s.ID, overlay))
+		return nil, false
+	}
+	return s, ok
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -628,12 +597,12 @@ const (
 	// count, an out-of-range stage-worker count or an invalid fault spec.
 	CodeInvalidRequest       = "invalid_request"
 	CodeUnsupportedMediaType = "unsupported_media_type" // 415: the body is not application/json
-	CodeUnknownSweep         = "unknown_sweep"          // 404: no live or stored sweep has the id
+	CodeUnknownSweep         = "unknown_sweep"          // 404: no live or replayed sweep has the id
 	// CodeReplayedNoTrace (404): the sweep exists but was replayed from the
 	// WAL, which persists result rows, not the trace/event overlay.
 	CodeReplayedNoTrace = "replayed_no_trace"
 	// CodeNoFleetTrace (404): the sweep ran without fleet tracing (disabled,
-	// or -no-obs) or its span buffer aged out of the collector.
+	// or -no-obs) or newer sweeps took its span buffer's place.
 	CodeNoFleetTrace = "no_fleet_trace"
 )
 

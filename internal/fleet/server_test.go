@@ -20,7 +20,6 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/browser"
 	"github.com/wattwiseweb/greenweb/internal/harness"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
-	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
 func newTestServer(t *testing.T, opts Options) (*httptest.Server, *Manager) {
@@ -33,9 +32,6 @@ func newTestServerCtx(t *testing.T, ctx context.Context, opts Options) (*httptes
 	t.Helper()
 	cluster := New(opts)
 	m := NewManager(ctx, cluster)
-	// Isolated trace registry: managers share per-manager sequential sweep
-	// ids, so tests sharing the process-global collector would collide.
-	m.SetTraceCollector(trace.NewCollector())
 	srv := httptest.NewServer(NewServer(m))
 	t.Cleanup(func() {
 		srv.Close()

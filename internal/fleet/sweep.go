@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,16 +20,18 @@ import (
 // SweepID identifies an enqueued sweep.
 type SweepID string
 
-// Sweep tracks one enqueued batch of jobs: per-job states, finished jobs'
-// records indexed by submission position (the deterministic merge the
-// server streams), and completion signals for status polling and NDJSON
-// streaming.
+// Sweep tracks one batch of jobs: per-job states, finished jobs' records
+// indexed by submission position (the deterministic merge the server
+// streams), and completion signals for status polling and NDJSON
+// streaming. A sweep enqueued by this process fills in as its jobs finish;
+// one replayed from the store at startup is finished when registered.
 type Sweep struct {
 	ID      SweepID
 	Created time.Time
 
-	mu      sync.Mutex
-	jobs    []Job
+	mu sync.Mutex
+	// records holds each job's record; until the job finishes, its row
+	// carries only the job's coordinates, which the status reports.
 	records []record
 	state   []State
 	rowDone []chan struct{} // closed as each job reaches a terminal state
@@ -36,27 +39,48 @@ type Sweep struct {
 	allDone chan struct{}
 	cancel  context.CancelFunc
 
-	// persisted is closed once the sweep's end record has been fsynced to
-	// the manager's store; nil when the manager has no store.
-	persisted chan struct{}
+	// persistDone is closed once the manager's store has taken the sweep's
+	// end record (durable) or persisting it failed; nil without a store.
+	persistDone chan struct{}
+	durable     bool // set before persistDone closes
+	// replayed marks a sweep recovered from the store: rows only, no
+	// timelines and no fleet trace.
+	replayed bool
+	// fleetTrace is the sweep's fleet span buffer: nil when the sweep is
+	// untraced, or once newer sweeps took its place (maxTracedSweeps).
+	fleetTrace atomic.Pointer[trace.SweepTrace]
+}
+
+// newSweep builds a sweep of n pending jobs.
+func newSweep(id SweepID, created time.Time, n int) *Sweep {
+	return &Sweep{
+		ID:      id,
+		Created: created,
+		records: make([]record, n),
+		state:   make([]State, n),
+		rowDone: make([]chan struct{}, n),
+		pending: n,
+		allDone: make(chan struct{}),
+		cancel:  func() {},
+	}
 }
 
 // Persisted reports whether the sweep is durable in the manager's store (a
 // restarted server can replay it). Always false without a store.
 func (s *Sweep) Persisted() bool {
-	if s.persisted == nil {
+	if s.persistDone == nil {
 		return false
 	}
 	select {
-	case <-s.persisted:
-		return true
+	case <-s.persistDone:
+		return s.durable
 	default:
 		return false
 	}
 }
 
 // Len reports the job count.
-func (s *Sweep) Len() int { return len(s.jobs) }
+func (s *Sweep) Len() int { return len(s.records) }
 
 // Done is closed once every job has a terminal state.
 func (s *Sweep) Done() <-chan struct{} { return s.allDone }
@@ -130,7 +154,7 @@ func (s *Sweep) Row(ctx context.Context, i int) (ResultRow, error) {
 
 // wait blocks until job i finishes (or ctx is done) and returns its record.
 func (s *Sweep) wait(ctx context.Context, i int) (record, error) {
-	if i < 0 || i >= len(s.jobs) {
+	if i < 0 || i >= len(s.records) {
 		return record{}, fmt.Errorf("fleet: job index %d out of range", i)
 	}
 	select {
@@ -185,7 +209,7 @@ type SweepStatus struct {
 	// Persisted is true once the sweep is durable in the server's store
 	// (omitted entirely when the server runs without one).
 	Persisted bool `json:"persisted,omitempty"`
-	// Replayed marks a status reconstructed from the store after a restart.
+	// Replayed marks a sweep recovered from the store after a restart.
 	Replayed bool        `json:"replayed,omitempty"`
 	Jobs     []JobStatus `json:"jobs"`
 }
@@ -195,11 +219,11 @@ func (s *Sweep) Status() SweepStatus {
 	persisted := s.Persisted()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := SweepStatus{ID: s.ID, Created: s.Created, Total: len(s.jobs),
-		Finished: s.pending == 0, Persisted: persisted}
-	for i, j := range s.jobs {
-		js := JobStatus{Index: i, App: j.App, Kind: j.Kind, Phase: j.Phase, State: s.state[i]}
+	st := SweepStatus{ID: s.ID, Created: s.Created, Total: len(s.records),
+		Finished: s.pending == 0, Persisted: persisted, Replayed: s.replayed}
+	for i := range s.records {
 		row := &s.records[i].row
+		js := JobStatus{Index: i, App: row.App, Kind: row.Kind, Phase: row.Phase, State: s.state[i]}
 		switch s.state[i] {
 		case StateQueued:
 			st.Queued++
@@ -220,9 +244,10 @@ func (s *Sweep) Status() SweepStatus {
 
 // Manager owns the cluster-facing sweep lifecycle for the job server: it
 // assigns IDs, submits jobs asynchronously (absorbing queue backpressure
-// off the HTTP handler), resolves IDs through its registry, and — when
-// given a store — persists every finished sweep and replays persisted ones
-// that predate this process.
+// off the HTTP handler), and resolves IDs through its registry, the only
+// one a sweep lives in. Given a store, it persists every sweep it enqueues
+// and registers the sweeps the store recovered, which predate this
+// process.
 type Manager struct {
 	ctx     context.Context // parents every sweep; server lifetime
 	cluster *Cluster
@@ -230,7 +255,17 @@ type Manager struct {
 	seq     atomic.Uint64
 	mu      sync.RWMutex
 	sweeps  map[SweepID]*Sweep // guarded by mu
+	// traced rings the last maxTracedSweeps sweeps given a fleet trace;
+	// tracing one more drops the trace of the sweep it replaces. Guarded
+	// by mu.
+	traced     [maxTracedSweeps]*Sweep
+	tracedNext int
 }
+
+// maxTracedSweeps bounds how many sweeps keep their fleet trace: a traced
+// micro job's spans cost about as much as everything else the server keeps
+// of it.
+const maxTracedSweeps = 1024
 
 // TracingEnabled reports whether new sweeps will be traced: unless the
 // manager's context disables observability (greensrv -no-obs).
@@ -245,50 +280,68 @@ func NewManager(ctx context.Context, c *Cluster) *Manager {
 	return &Manager{ctx: ctx, cluster: c, sweeps: make(map[SweepID]*Sweep)}
 }
 
-// SetTraceCollector swaps the trace registry that sweeps register in and
-// the cluster records scheduling spans into. Production uses the process-
-// global trace.Default(); tests inject isolated collectors because managers
-// sharing a process would collide on their per-manager sequential sweep
-// ids. Call before the first Enqueue.
-func (m *Manager) SetTraceCollector(c *trace.Collector) { m.cluster.traces = c }
-
-// Traces exposes the manager's trace registry (the /trace?fleet=1 handler
-// reads it).
-func (m *Manager) Traces() *trace.Collector { return m.cluster.traces }
-
 // Cluster exposes the scheduler (for /metrics, /v1/nodes and admission).
 func (m *Manager) Cluster() *Cluster { return m.cluster }
 
 // Store exposes the durable sweep store (nil without one).
 func (m *Manager) Store() *store.Store { return m.st }
 
-// SetStore attaches the durable store. Must be called before the first
-// Enqueue. The ID sequence skips past every persisted sweep so restarted
-// servers never mint a colliding ID.
-func (m *Manager) SetStore(st *store.Store) {
+// SetStore attaches the durable store and registers the sweeps it
+// recovered (store.Open's) as finished, replayed sweeps. Must be called
+// before the first Enqueue. The ID sequence skips past every recovered
+// sweep so a restarted server never mints a colliding ID. It returns the
+// IDs of the recovered sweeps it could not register, whose rows it could
+// not serve byte for byte (see replay).
+func (m *Manager) SetStore(st *store.Store, recovered []store.SweepRecord) (refused []SweepID) {
 	m.st = st
-	for _, id := range st.IDs() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, sr := range recovered {
 		var n uint64
-		if _, err := fmt.Sscanf(id, "s-%d", &n); err == nil && n > m.seq.Load() {
+		if _, err := fmt.Sscanf(sr.ID, "s-%d", &n); err == nil && n > m.seq.Load() {
 			m.seq.Store(n)
 		}
+		s, ok := replay(sr)
+		if !ok {
+			refused = append(refused, SweepID(sr.ID))
+			continue
+		}
+		m.sweeps[s.ID] = s
 	}
+	return refused
 }
 
-// persistMeta is the store's opaque registration payload for a sweep.
-type persistMeta struct {
-	Jobs []Job `json:"jobs"`
+// replay rebuilds a recovered sweep as a finished, persisted one, each row
+// decoded once. A row that is not a finished job's ResultRow, or that does
+// not encode back to its stored bytes, refuses the whole sweep: the
+// results stream could not reproduce what was persisted.
+func replay(sr store.SweepRecord) (*Sweep, bool) {
+	s := newSweep(SweepID(sr.ID), sr.Created, len(sr.Rows))
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for i, raw := range sr.Rows {
+		row := &s.records[i].row
+		buf.Reset()
+		if json.Unmarshal(raw, row) != nil || (row.State != StateDone && row.State != StateFailed) ||
+			enc.Encode(row) != nil || !bytes.Equal(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), raw) {
+			return nil, false
+		}
+		s.state[i] = row.State
+		s.rowDone[i] = s.allDone
+	}
+	close(s.allDone)
+	s.pending, s.replayed, s.durable = 0, true, true
+	s.persistDone = s.allDone // closed: the sweep is durable
+	return s, true
 }
 
 // persist streams the sweep's rows into the store as they finish (in
 // submission order — the same deterministic merge the HTTP stream serves)
-// and fsyncs the end record, then marks the sweep persisted.
+// and fsyncs the end record, then marks the sweep durable. Each row is
+// appended once: the cluster delivers each job once.
 func (m *Manager) persist(s *Sweep) {
-	meta, err := json.Marshal(persistMeta{Jobs: s.jobs})
-	if err != nil {
-		return
-	}
-	if err := m.st.Begin(string(s.ID), s.Created, meta); err != nil {
+	defer close(s.persistDone)
+	if err := m.st.Begin(string(s.ID), s.Created); err != nil {
 		return
 	}
 	var buf bytes.Buffer
@@ -302,59 +355,14 @@ func (m *Manager) persist(s *Sweep) {
 		if err := enc.Encode(row); err != nil {
 			return
 		}
-		line := append([]byte(nil), bytes.TrimSuffix(buf.Bytes(), []byte("\n"))...)
-		if err := m.st.AppendRow(string(s.ID), i, line); err != nil {
+		if err := m.st.AppendRow(string(s.ID), i, bytes.TrimSuffix(buf.Bytes(), []byte("\n"))); err != nil {
 			return
 		}
 	}
 	if err := m.st.End(string(s.ID)); err != nil {
 		return
 	}
-	close(s.persisted)
-}
-
-// StoredStatus reconstructs a replayed sweep's status from the store. It
-// answers for completed sweeps from before this process's lifetime.
-func (m *Manager) StoredStatus(id SweepID) (SweepStatus, bool) {
-	if m.st == nil {
-		return SweepStatus{}, false
-	}
-	rec, ok := m.st.Get(string(id))
-	if !ok {
-		return SweepStatus{}, false
-	}
-	st := SweepStatus{ID: id, Created: rec.Created, Total: len(rec.Rows),
-		Finished: true, Persisted: true, Replayed: true}
-	for i, raw := range rec.Rows {
-		var row ResultRow
-		if err := json.Unmarshal(raw, &row); err != nil {
-			continue
-		}
-		js := JobStatus{Index: i, App: row.App, Kind: row.Kind, Phase: row.Phase,
-			State: row.State, LatencyMS: row.LatencyMS, Quarantined: row.Quarantined, Error: row.Error}
-		if row.Attempts > 1 {
-			js.Attempts = row.Attempts
-		}
-		if row.State == StateFailed {
-			st.Failed++
-		} else {
-			st.Done++
-		}
-		st.Jobs = append(st.Jobs, js)
-	}
-	return st, true
-}
-
-// StoredRows returns a replayed sweep's NDJSON result lines.
-func (m *Manager) StoredRows(id SweepID) ([]json.RawMessage, bool) {
-	if m.st == nil {
-		return nil, false
-	}
-	rec, ok := m.st.Get(string(id))
-	if !ok {
-		return nil, false
-	}
-	return rec.Rows, true
+	s.durable = true
 }
 
 // Get resolves a sweep ID.
@@ -374,44 +382,47 @@ func (m *Manager) Enqueue(jobs []Job) (*Sweep, error) {
 			return nil, fmt.Errorf("job %d: %w", i, err)
 		}
 	}
+	jobs = slices.Clone(jobs)
 	ctx, cancel := context.WithCancel(m.ctx)
-	s := &Sweep{
-		ID:      SweepID(fmt.Sprintf("s-%06d", m.seq.Add(1))),
-		Created: time.Now(),
-		jobs:    append([]Job(nil), jobs...),
-		records: make([]record, len(jobs)),
-		state:   make([]State, len(jobs)),
-		rowDone: make([]chan struct{}, len(jobs)),
-		pending: len(jobs),
-		allDone: make(chan struct{}),
-		cancel:  cancel,
-	}
-	for i := range s.state {
+	s := newSweep(SweepID(fmt.Sprintf("s-%06d", m.seq.Add(1))), time.Now(), len(jobs))
+	s.cancel = cancel
+	for i, j := range jobs {
+		s.records[i].row = ResultRow{Index: i, App: j.App, Kind: j.Kind, Phase: j.Phase}
 		s.state[i] = StateQueued
 		s.rowDone[i] = make(chan struct{})
 	}
 	if m.st != nil {
-		s.persisted = make(chan struct{})
+		s.persistDone = make(chan struct{})
 	}
 	if len(jobs) == 0 {
 		close(s.allDone)
 	}
+	// A traced sweep gets a merged span buffer, which rides the context its
+	// jobs start with to the cluster's pullers. The context is derived
+	// after the cancel context, which the sweep keeps, so the buffer is
+	// garbage once the sweep's jobs are done and its trace was dropped.
+	var tr *trace.SweepTrace
+	if m.TracingEnabled() && len(jobs) > 0 {
+		tr = trace.NewSweepTrace(len(jobs))
+		s.fleetTrace.Store(tr)
+		ctx = trace.WithSweep(ctx, tr)
+	}
 	m.mu.Lock()
 	m.sweeps[s.ID] = s
+	if tr != nil {
+		if old := m.traced[m.tracedNext]; old != nil {
+			old.fleetTrace.Store(nil)
+		}
+		m.traced[m.tracedNext] = s
+		m.tracedNext = (m.tracedNext + 1) % maxTracedSweeps
+	}
 	m.mu.Unlock()
 
 	if m.st != nil {
 		go m.persist(s)
 	}
-	// Traced sweeps get a merged span buffer; each job is fed to the cluster
-	// as a copy carrying its trace context, so s.jobs (and therefore the
-	// WAL's persistMeta bytes) never see tracing fields.
-	var tr *trace.SweepTrace
-	if m.TracingEnabled() && len(jobs) > 0 {
-		tr = m.cluster.traces.Register(string(s.ID), len(jobs))
-	}
 	go func() {
-		for i, job := range s.jobs {
+		for i, job := range jobs {
 			i := i
 			started := func() {
 				s.mu.Lock()
@@ -423,8 +434,9 @@ func (m *Manager) Enqueue(jobs []Job) (*Sweep, error) {
 			deliver := func(r Result) { s.finish(i, r) }
 			if tr != nil {
 				// Root span id is minted up front so queue-wait, worker
-				// spans, and the root itself all agree on parentage.
-				rootID := tr.NewID()
+				// spans, and the root itself all agree on parentage. Each
+				// job goes to the cluster as a copy carrying its context.
+				rootID := trace.NewSpanID()
 				job.Trace = &trace.Context{Sweep: string(s.ID), Job: i, Parent: rootID}
 				submitted := time.Now()
 				innerStarted := started
@@ -454,27 +466,39 @@ func (m *Manager) Enqueue(jobs []Job) (*Sweep, error) {
 	return s, nil
 }
 
-// Drain blocks until every registered sweep has finished, or ctx expires.
-// On expiry the stragglers are cancelled and Drain waits for their jobs to
-// deliver (cancellation propagates at simulation-chunk granularity inside
-// the harness, so this wait is bounded), then returns ctx's error. greensrv
-// runs this between "stop accepting sweeps" and "shut the cluster down".
+// Drain blocks until every registered sweep has finished and, with a
+// store, its persistence has ended (durable, or failed and counted in
+// greenweb_store_errors_total), or ctx expires. On expiry the stragglers
+// are cancelled and Drain waits for their jobs to deliver (cancellation
+// propagates at simulation-chunk granularity inside the harness, so this
+// wait is bounded) and persist, then returns ctx's error. greensrv runs
+// this between "stop accepting sweeps" and "shut the cluster and the store
+// down". It waits sweep by sweep, so a sweep enqueued late is waited for
+// if it is listed when Drain reaches it.
 func (m *Manager) Drain(ctx context.Context) error {
+	settled := func(s *Sweep, ctx context.Context) bool {
+		for _, c := range []<-chan struct{}{s.allDone, s.persistDone} {
+			if c == nil {
+				continue
+			}
+			select {
+			case <-c:
+			case <-ctx.Done():
+				return false
+			}
+		}
+		return true
+	}
 	for _, s := range m.Sweeps() {
-		select {
-		case <-s.Done():
-		case <-ctx.Done():
+		if !settled(s, ctx) {
 			// Deadline passed: cancel everything still in flight, then wait
-			// for the cancellations to deliver so the cluster can close cleanly.
+			// for the cancellations to deliver and persist so the cluster
+			// and the store can close cleanly.
 			for _, s2 := range m.Sweeps() {
-				select {
-				case <-s2.Done():
-				default:
-					s2.Cancel()
-				}
+				s2.Cancel()
 			}
 			for _, s2 := range m.Sweeps() {
-				<-s2.Done()
+				settled(s2, context.Background())
 			}
 			return ctx.Err()
 		}
@@ -482,10 +506,14 @@ func (m *Manager) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Counts reports how many sweeps are registered and how many have finished,
-// for metrics exposition.
+// Counts reports how many sweeps this process registered and how many of
+// them have finished, for metrics exposition; replayed sweeps are not
+// counted.
 func (m *Manager) Counts() (total, finished int) {
 	for _, s := range m.Sweeps() {
+		if s.replayed {
+			continue
+		}
 		total++
 		select {
 		case <-s.Done():

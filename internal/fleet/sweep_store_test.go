@@ -6,10 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/wattwiseweb/greenweb/internal/harness"
 	"github.com/wattwiseweb/greenweb/internal/store"
 )
 
@@ -29,16 +31,19 @@ func getBody(t *testing.T, url string) (int, string) {
 }
 
 // storeServer stands up a manager + HTTP server over a durable store rooted
-// at dir, returning a teardown that closes everything in order.
-func storeServer(t *testing.T, dir string) (*httptest.Server, *Manager, func()) {
+// at dir, returning a teardown that closes everything in order. It fails
+// the test if the manager refuses a recovered sweep other than refuse's.
+func storeServer(t *testing.T, dir string, refuse ...SweepID) (*httptest.Server, *Manager, func()) {
 	t.Helper()
 	cluster := New(Options{Workers: 2})
 	m := NewManager(context.Background(), cluster)
-	st, err := store.Open(dir)
+	st, recovered, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetStore(st)
+	if refused := m.SetStore(st, recovered); !slices.Equal(refused, refuse) {
+		t.Fatalf("manager refused recovered sweeps %v, want %v", refused, refuse)
+	}
 	srv := httptest.NewServer(NewServer(m))
 	return srv, m, func() {
 		srv.Close()
@@ -75,7 +80,8 @@ func waitPersisted(t *testing.T, srv *httptest.Server, id string) {
 
 // TestStoreReplayByteIdentical is the restart guarantee end to end: results
 // streamed live, then replayed from disk by a fresh process, must be the
-// same bytes.
+// same bytes. A recovered sweep whose row is not a result row is not
+// served at all.
 func TestStoreReplayByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	srv, _, shutdown := storeServer(t, dir)
@@ -93,9 +99,31 @@ func TestStoreReplayByteIdentical(t *testing.T) {
 	}
 	shutdown()
 
+	// A sweep persisted with a row that does not decode as a ResultRow.
+	st, _, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []func() error{
+		func() error { return st.Begin("s-000777", time.Now()) },
+		func() error { return st.AppendRow("s-000777", 0, json.RawMessage(`{"index":"zero"}`)) },
+		func() error { return st.End("s-000777") },
+		st.Close,
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	// "Restart": a brand-new manager over the same directory.
-	srv2, m2, shutdown2 := storeServer(t, dir)
+	srv2, m2, shutdown2 := storeServer(t, dir, "s-000777")
 	defer shutdown2()
+	for _, ep := range []string{"", "/results"} {
+		if code, body := getBody(t, srv2.URL+"/v1/sweeps/s-000777"+ep); code != http.StatusNotFound ||
+			!strings.Contains(body, CodeUnknownSweep) {
+			t.Fatalf("sweep with a bad row: GET %q = %d %q, want 404 unknown_sweep", ep, code, body)
+		}
+	}
 
 	code, replayed := getBody(t, srv2.URL+"/v1/sweeps/"+id+"/results")
 	if code != http.StatusOK {
@@ -120,10 +148,11 @@ func TestStoreReplayByteIdentical(t *testing.T) {
 		}
 	}
 
-	// The restarted manager must not reissue the persisted sweep's ID.
+	// The restarted manager must not reissue a persisted sweep's ID, the
+	// refused one's included.
 	ack2 := postSweep(t, srv2, `{"apps":["Todo"],"kinds":["Perf"],"phase":"micro"}`)
-	if id2 := ack2["id"].(string); id2 == id {
-		t.Fatalf("restarted manager reissued sweep ID %s", id)
+	if id2 := ack2["id"].(string); id2 != "s-000778" {
+		t.Fatalf("restarted manager minted %s after s-000777", id2)
 	}
 	s2, ok := m2.Get(SweepID(ack2["id"].(string)))
 	if !ok {
@@ -192,4 +221,48 @@ func TestDeterministicResultsParam(t *testing.T) {
 	if replay != live {
 		t.Fatalf("store replay with deterministic=1 diverged from live stream:\n--- replay\n%s--- live\n%s", replay, live)
 	}
+}
+
+// TestDrainPersistsFinishedSweeps: Drain returns only once every sweep is
+// durable, so a server that closes its store right after Drain, as greensrv
+// does, finds every sweep at the next Open. Jobs finish instantly, so each
+// sweep's persistence is still running when its last job delivers.
+func TestDrainPersistsFinishedSweeps(t *testing.T) {
+	const trials, sweeps = 20, 8
+	jobs := []Job{{App: "Todo", Kind: harness.Perf, Phase: Micro}, {App: "MSN", Kind: harness.Perf, Phase: Micro}}
+	for trial := 0; trial < trials; trial++ {
+		dir := t.TempDir()
+		st, _, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cluster := New(Options{Workers: 2, Execute: instantRun})
+		m := NewManager(context.Background(), cluster)
+		m.SetStore(st, nil)
+		for i := 0; i < sweeps; i++ {
+			if _, err := m.Enqueue(jobs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		cluster.Close()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, recovered, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		if len(recovered) != sweeps {
+			t.Fatalf("trial %d: %d of %d drained sweeps recovered", trial, len(recovered), sweeps)
+		}
+	}
+}
+
+// instantRun completes every job at once with an empty run.
+func instantRun(_ context.Context, j Job) (*harness.Run, error) {
+	return &harness.Run{Kind: j.Kind}, nil
 }

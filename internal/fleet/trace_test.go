@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/wattwiseweb/greenweb/internal/harness"
 	"github.com/wattwiseweb/greenweb/internal/obs"
 )
 
@@ -160,5 +161,43 @@ func TestNodesEndpoint(t *testing.T) {
 	n := out.Nodes[0]
 	if n.Kind != "local" || !n.Up || n.Workers != 2 || n.Jobs < 1 {
 		t.Errorf("node row = %+v, want up local node with finished jobs", n)
+	}
+}
+
+// TestFleetTraceBound: a manager keeps the fleet traces of its last
+// maxTracedSweeps traced sweeps. Once that many newer sweeps hold one, the
+// first sweep answers no_fleet_trace, while its status and results still
+// serve.
+func TestFleetTraceBound(t *testing.T) {
+	srv, m := newTestServer(t, Options{Workers: 2, Execute: instantRun})
+	var sweeps []*Sweep
+	for i := 0; i <= maxTracedSweeps; i++ {
+		s, err := m.Enqueue([]Job{{App: "Todo", Kind: harness.Perf, Phase: Micro}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweeps = append(sweeps, s)
+	}
+	for _, s := range sweeps {
+		<-s.Done()
+	}
+	get := func(s *Sweep, ep string) (int, string) {
+		t.Helper()
+		return getBody(t, srv.URL+"/v1/sweeps/"+string(s.ID)+ep)
+	}
+	first, second, last := sweeps[0], sweeps[1], sweeps[maxTracedSweeps]
+	if code, body := get(first, "/trace?fleet=1"); code != http.StatusNotFound || !strings.Contains(body, CodeNoFleetTrace) {
+		t.Fatalf("first of %d sweeps: fleet trace = %d %q, want 404 no_fleet_trace", len(sweeps), code, body)
+	}
+	if code, _ := get(first, ""); code != http.StatusOK {
+		t.Fatalf("first sweep's status = %d, want 200", code)
+	}
+	if code, body := get(first, "/results"); code != http.StatusOK || strings.Count(body, "\n") != 1 {
+		t.Fatalf("first sweep's results = %d %q, want its one row", code, body)
+	}
+	for _, s := range []*Sweep{second, last} {
+		if code, body := get(s, "/trace?fleet=1"); code != http.StatusOK || !strings.Contains(body, `"queue-wait"`) {
+			t.Fatalf("sweep %s: fleet trace = %d %.200q, want its spans", s.ID, code, body)
+		}
 	}
 }

@@ -28,8 +28,8 @@ import (
 
 // Context is the propagated trace context: enough to correlate any span,
 // log line, or wire frame back to one job of one sweep. It rides in
-// fleet.Job's Trace field (stripped before WAL persistence and before
-// shipping to workers that did not negotiate tracing).
+// fleet.Job's Trace field, over the wire to remote workers too; the WAL
+// never sees it, since the store persists result rows only.
 type Context struct {
 	Sweep string `json:"sweep"`
 	Job   int    `json:"job"`

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"strings"
@@ -65,12 +66,11 @@ func TestEstimateOffsetUS(t *testing.T) {
 	}
 }
 
-func TestCollectorBudgetAndSnapshot(t *testing.T) {
-	c := &Collector{sweeps: map[string]*SweepTrace{}, max: 2}
-	tr := c.Register("s-1", 1)
-	if tr2 := c.Register("s-1", 1); tr2 != tr {
-		t.Fatal("re-register returned a different trace")
-	}
+// TestSweepTraceBudgetAndSnapshot: a sweep's buffer keeps its spans and
+// counts drops, and rides a context to the scheduler. The manager's bound
+// on how many sweeps keep one is fleet's TestFleetTraceBound.
+func TestSweepTraceBudgetAndSnapshot(t *testing.T) {
+	tr := NewSweepTrace(1)
 	start := time.Now()
 	id := tr.Record(0, 0, "queue-wait", "queue", start, time.Millisecond, nil)
 	if id == 0 {
@@ -81,14 +81,16 @@ func TestCollectorBudgetAndSnapshot(t *testing.T) {
 	if len(spans) != 2 || dropped != 3 {
 		t.Fatalf("snapshot = %d spans, %d dropped; want 2, 3", len(spans), dropped)
 	}
-	// FIFO eviction past the bound.
-	c.Register("s-2", 1)
-	c.Register("s-3", 1)
-	if _, ok := c.Get("s-1"); ok {
-		t.Fatal("oldest sweep not evicted")
+	// One job's buffer holds the 512-span floor; past it spans are counted.
+	for i := len(spans); i < 513; i++ {
+		tr.RecordSpan(Span{Name: "backoff", Job: 0})
 	}
-	if _, ok := c.Get("s-3"); !ok {
-		t.Fatal("newest sweep missing")
+	if spans, dropped := tr.Snapshot(); len(spans) != 512 || dropped != 4 {
+		t.Fatalf("past the budget: %d spans, %d dropped; want 512, 4", len(spans), dropped)
+	}
+	ctx := context.Background()
+	if SweepIn(ctx) != nil || SweepIn(WithSweep(ctx, tr)) != tr {
+		t.Fatal("the context does not carry the sweep trace")
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/harness"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
 	"github.com/wattwiseweb/greenweb/internal/obs"
-	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
 // topologyJobs is a sweep that exercises the paper grid AND the fault
@@ -428,7 +427,6 @@ func TestRunlessResultFailsItsJob(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	m := fleet.NewManager(ctx, c)
-	m.SetTraceCollector(trace.NewCollector())
 	s, err := m.Enqueue([]fleet.Job{
 		{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro},
 		{App: "MSN", Kind: harness.GreenWebI, Phase: fleet.Micro},

@@ -1,7 +1,8 @@
-// Package store is the durable sweep store behind greensrv: an append-only
-// write-ahead log of sweep lifecycle records plus a crash-safe snapshot, so
-// a finished sweep survives a server restart (or a SIGKILL) and
-// GET /v1/sweeps/{id} replays its NDJSON byte-for-byte from disk.
+// Package store is the write-ahead log behind greensrv: an append-only log
+// of sweep lifecycle records, so a finished sweep survives a server restart
+// (or a SIGKILL) and GET /v1/sweeps/{id} replays its NDJSON byte for byte.
+// Open hands the recovered sweeps to the caller, which serves them; the
+// store itself keeps only what appending needs.
 //
 // # WAL record format
 //
@@ -18,31 +19,33 @@
 //
 // Three record types spell a sweep's life:
 //
-//	{"t":"begin","sweep":ID,"created":...,"meta":{...}}   registration
-//	{"t":"row","sweep":ID,"index":i,"row":{...}}          one finished job,
-//	                                                      payload = the exact
-//	                                                      NDJSON result line
-//	{"t":"end","sweep":ID}                                all rows written
+//	{"t":"begin","sweep":ID,"created":...}         registration
+//	{"t":"row","sweep":ID,"index":i,"row":{...}}   one finished job,
+//	                                               payload = the exact
+//	                                               NDJSON result line
+//	{"t":"end","sweep":ID}                         all rows written
 //
-// Rows are appended in submission order, so replaying a completed sweep's
-// Rows in sequence reproduces the deterministic merge byte-identically. The
-// WAL is fsynced at every "end" record (and at compaction); a sweep is
-// reported persisted only after its end-record fsync returns.
+// Begin records written by older servers also carry the job grid as
+// "meta"; replay ignores it. Rows are appended in submission order, so
+// replaying a completed sweep's Rows in sequence reproduces the
+// deterministic merge byte-identically. The WAL is fsynced at every "end"
+// record; a sweep is reported persisted only after its end-record fsync
+// returns.
 //
-// # Recovery and compaction
+// # Recovery
 //
-// Open replays snapshot then WAL. A sweep with no "end" record is dropped:
-// its jobs died with the process and the sweep never reported finished to
-// any client. Compact writes every completed sweep to a temporary snapshot,
-// fsyncs and atomically renames it over the old one, then truncates the WAL
-// and re-appends the records of sweeps still being persisted. A crash
-// between the snapshot rename and the WAL truncate leaves duplicate records,
-// which replay dedupes (first completion wins — the records are identical).
+// Open replays snapshot.log, which older servers wrote when they compacted
+// the WAL, then wal.log. A sweep with no "end" record is dropped: its jobs
+// died with the process and the sweep never reported finished to any
+// client. A sweep that completes twice (in both files, from a crash
+// between an older server's snapshot rename and its WAL truncate) keeps
+// its first completion. Before it appends, Open cuts wal.log back to the
+// end of its last record that replayed, so a torn tail cannot swallow the
+// records written after it.
 package store
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -60,132 +63,132 @@ import (
 
 const (
 	walName      = "wal.log"
-	snapshotName = "snapshot.log"
+	snapshotName = "snapshot.log" // replayed, never written
 )
 
-// record is one WAL/snapshot entry.
+// record is one WAL entry.
 type record struct {
 	T       string          `json:"t"` // "begin" | "row" | "end"
 	Sweep   string          `json:"sweep"`
 	Created time.Time       `json:"created,omitempty"` // begin
-	Meta    json.RawMessage `json:"meta,omitempty"`    // begin
 	Index   int             `json:"index,omitempty"`   // row
 	Row     json.RawMessage `json:"row,omitempty"`     // row
 }
 
-// SweepRecord is one sweep's durable state. Rows holds the exact NDJSON
-// result lines (sans trailing newline) in submission order; Meta is the
-// opaque registration payload the caller stored at Begin (greensrv stores
-// the job grid).
+// SweepRecord is one recovered sweep. Rows holds the exact NDJSON result
+// lines (sans trailing newline) in submission order.
 type SweepRecord struct {
 	ID      string
 	Created time.Time
-	Meta    json.RawMessage
 	Rows    []json.RawMessage
 }
 
-// Store owns the WAL and the recovered sweep set. All methods are safe for
-// concurrent use.
+// Store owns the WAL. All methods are safe for concurrent use.
 type Store struct {
-	dir string
+	mu       sync.Mutex
+	wal      *os.File
+	bw       *bufio.Writer
+	walBytes int64
+	next     map[string]int  // open sweep → index of its next row
+	known    map[string]bool // every recovered or begun sweep: Begin refuses them
 
-	mu        sync.Mutex
-	wal       *os.File
-	bw        *bufio.Writer
-	walBytes  int64
-	completed map[string]*SweepRecord
-	open      map[string]*SweepRecord
-	order     []string // completed IDs in completion order
-
-	// CompactThreshold, when positive, triggers an automatic Compact after
-	// any End that leaves the WAL larger than this many bytes. Set before
-	// serving traffic; read under mu.
-	compactThreshold int64
-
-	fsyncHist   *obs.Histogram
-	torn        atomic.Int64
-	persisted   atomic.Int64
-	compactions atomic.Int64
-	dropped     atomic.Int64 // incomplete sweeps discarded at recovery
-	errs        atomic.Int64 // WAL/snapshot write and fsync failures
+	fsyncHist *obs.Histogram
+	torn      atomic.Int64
+	persisted atomic.Int64
+	dropped   atomic.Int64 // incomplete sweeps discarded at recovery
+	errs      atomic.Int64 // WAL write and fsync failures
 }
 
 // Open recovers the store from dir (creating it if needed) and opens the
-// WAL for append. Incomplete sweeps found during recovery are discarded.
-func Open(dir string) (*Store, error) {
+// WAL for append. It returns the completed sweeps in completion order;
+// incomplete ones are discarded.
+func Open(dir string) (*Store, []SweepRecord, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, nil, fmt.Errorf("store: %w", err)
+	}
+	rc := recovery{open: map[string]*SweepRecord{}, known: map[string]bool{}}
+	if _, err := rc.replay(filepath.Join(dir, snapshotName)); err != nil {
+		return nil, nil, err
+	}
+	good, err := rc.replay(filepath.Join(dir, walName))
+	if err != nil {
+		return nil, nil, err
+	}
+	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: %w", err)
+	}
+	if rc.torn > 0 {
+		// Appends land at the new end: O_APPEND writes follow the file size.
+		err := f.Truncate(good)
+		if err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("store: cutting the torn tail: %w", err)
+		}
 	}
 	s := &Store{
-		dir:       dir,
-		completed: make(map[string]*SweepRecord),
-		open:      make(map[string]*SweepRecord),
+		wal:      f,
+		bw:       bufio.NewWriter(f),
+		walBytes: good,
+		next:     make(map[string]int),
+		known:    rc.known,
 		fsyncHist: obs.NewHistogram([]float64{
 			1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4,
 			0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.5, 1,
 		}),
 	}
-	for _, name := range []string{snapshotName, walName} {
-		if err := s.replayFile(filepath.Join(dir, name)); err != nil {
-			return nil, err
-		}
-	}
+	s.torn.Store(rc.torn)
 	// Whatever is still open after replay died with the previous process.
-	for id := range s.open {
-		delete(s.open, id)
-		s.dropped.Add(1)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	s.wal, s.bw, s.walBytes = f, bufio.NewWriter(f), st.Size()
-	return s, nil
+	s.dropped.Store(rc.dropped + int64(len(rc.open)))
+	return s, rc.done, nil
 }
 
-// SetCompactThreshold enables automatic compaction once the WAL exceeds n
-// bytes (0 disables; compaction then only happens via Compact).
-func (s *Store) SetCompactThreshold(n int64) {
-	s.mu.Lock()
-	s.compactThreshold = n
-	s.mu.Unlock()
+// recovery is Open's replay state.
+type recovery struct {
+	open    map[string]*SweepRecord // begun, not yet ended
+	done    []SweepRecord           // completed, in completion order
+	known   map[string]bool         // IDs in done
+	torn    int64
+	dropped int64
 }
 
-// replayFile loads one log file, tolerating a torn tail.
-func (s *Store) replayFile(path string) error {
+// replay folds one log file into the recovery, stopping at its first torn
+// or corrupt record, and returns the byte length of the records it
+// replayed.
+func (rc *recovery) replay(path string) (int64, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return 0, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
 	r := bufio.NewReader(f)
+	var good int64
 	for {
 		line, err := r.ReadString('\n')
 		if err == io.EOF {
 			if line != "" {
-				s.torn.Add(1) // crash mid-append: no newline
+				rc.torn++ // crash mid-append: no newline
 			}
-			return nil
+			return good, nil
 		}
 		if err != nil {
-			return fmt.Errorf("store: reading %s: %w", path, err)
+			return 0, fmt.Errorf("store: reading %s: %w", path, err)
 		}
 		rec, ok := parseRecord(strings.TrimSuffix(line, "\n"))
 		if !ok {
 			// Bad prefix, length mismatch, or bad JSON: the rest of the
 			// file is untrustworthy — discard it, as one torn tail.
-			s.torn.Add(1)
-			return nil
+			rc.torn++
+			return good, nil
 		}
-		s.apply(rec)
+		rc.apply(rec)
+		good += int64(len(line))
 	}
 }
 
@@ -206,37 +209,37 @@ func parseRecord(line string) (record, bool) {
 	return rec, true
 }
 
-// apply folds one replayed record into the recovered state, deduping
-// records already absorbed via the snapshot.
-func (s *Store) apply(rec record) {
+// apply folds one replayed record into the recovered state, skipping the
+// records of sweeps already completed.
+func (rc *recovery) apply(rec record) {
 	switch rec.T {
 	case "begin":
-		if _, done := s.completed[rec.Sweep]; done {
-			return // duplicate from the compaction crash window
+		if rc.known[rec.Sweep] {
+			return
 		}
-		s.open[rec.Sweep] = &SweepRecord{ID: rec.Sweep, Created: rec.Created, Meta: rec.Meta}
+		rc.open[rec.Sweep] = &SweepRecord{ID: rec.Sweep, Created: rec.Created}
 	case "row":
-		sr := s.open[rec.Sweep]
+		sr := rc.open[rec.Sweep]
 		if sr == nil || rec.Index != len(sr.Rows) {
 			if sr != nil { // out-of-order row: the sweep is untrustworthy
-				delete(s.open, rec.Sweep)
-				s.dropped.Add(1)
+				delete(rc.open, rec.Sweep)
+				rc.dropped++
 			}
 			return
 		}
 		sr.Rows = append(sr.Rows, rec.Row)
 	case "end":
-		sr := s.open[rec.Sweep]
+		sr := rc.open[rec.Sweep]
 		if sr == nil {
 			return
 		}
-		delete(s.open, rec.Sweep)
-		s.completed[rec.Sweep] = sr
-		s.order = append(s.order, rec.Sweep)
+		delete(rc.open, rec.Sweep)
+		rc.known[rec.Sweep] = true
+		rc.done = append(rc.done, *sr)
 	}
 }
 
-// ioErr counts a WAL/snapshot write or fsync failure (the
+// ioErr counts a WAL write or fsync failure (the
 // greenweb_store_errors_total counter) and passes the error through.
 func (s *Store) ioErr(err error) error {
 	if err != nil {
@@ -269,52 +272,43 @@ func (s *Store) sync() error {
 	return s.ioErr(err)
 }
 
-// Begin registers a sweep for persistence. meta is opaque to the store and
-// returned verbatim from Get.
-func (s *Store) Begin(id string, created time.Time, meta json.RawMessage) error {
+// Begin registers a sweep for persistence. An ID that was recovered or
+// begun before is refused.
+func (s *Store) Begin(id string, created time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.open[id] != nil || s.completed[id] != nil {
+	if s.known[id] {
 		return fmt.Errorf("store: sweep %q already exists", id)
 	}
-	s.open[id] = &SweepRecord{ID: id, Created: created, Meta: meta}
-	return s.append(record{T: "begin", Sweep: id, Created: created, Meta: meta})
+	s.known[id] = true
+	s.next[id] = 0
+	return s.append(record{T: "begin", Sweep: id, Created: created})
 }
 
-// AppendRow persists the next result row (the exact NDJSON line, no
-// trailing newline). Rows must arrive in submission order. Re-appending an
-// index already persisted with identical bytes is a no-op — defense in
-// depth for replayed deliveries (a job re-executed after its node died is
-// deterministic, so its row is byte-identical); divergent bytes at a known
-// index are an error, because they would break the replay contract.
+// AppendRow persists the sweep's next result row (the exact NDJSON line,
+// no trailing newline). Rows arrive in submission order, each index once;
+// any other index is an out-of-order error.
 func (s *Store) AppendRow(id string, index int, row json.RawMessage) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sr := s.open[id]
-	if sr == nil {
+	next, ok := s.next[id]
+	if !ok {
 		return fmt.Errorf("store: sweep %q not open", id)
 	}
-	if index < len(sr.Rows) {
-		if bytes.Equal(sr.Rows[index], row) {
-			return nil
-		}
-		return fmt.Errorf("store: sweep %q row %d rewritten with different bytes", id, index)
+	if index != next {
+		return fmt.Errorf("store: sweep %q row %d out of order (want %d)", id, index, next)
 	}
-	if index != len(sr.Rows) {
-		return fmt.Errorf("store: sweep %q row %d out of order (want %d)", id, index, len(sr.Rows))
-	}
-	sr.Rows = append(sr.Rows, row)
+	s.next[id]++
 	return s.append(record{T: "row", Sweep: id, Index: index, Row: row})
 }
 
 // End marks the sweep complete and makes it durable: the end record is
 // appended and the WAL fsynced before End returns. After End the sweep is
-// servable from Get — including by a future process.
+// among those a future Open returns.
 func (s *Store) End(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sr := s.open[id]
-	if sr == nil {
+	if _, ok := s.next[id]; !ok {
 		return fmt.Errorf("store: sweep %q not open", id)
 	}
 	if err := s.append(record{T: "end", Sweep: id}); err != nil {
@@ -323,30 +317,9 @@ func (s *Store) End(id string) error {
 	if err := s.sync(); err != nil {
 		return err
 	}
-	delete(s.open, id)
-	s.completed[id] = sr
-	s.order = append(s.order, id)
+	delete(s.next, id)
 	s.persisted.Add(1)
-	if s.compactThreshold > 0 && s.walBytes > s.compactThreshold {
-		return s.compactLocked()
-	}
 	return nil
-}
-
-// Get returns a completed sweep's durable record. Callers must not mutate
-// the returned slices.
-func (s *Store) Get(id string) (*SweepRecord, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sr, ok := s.completed[id]
-	return sr, ok
-}
-
-// IDs lists completed sweep IDs in completion order.
-func (s *Store) IDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.order...)
 }
 
 // Torn reports how many torn/corrupt record tails recovery has discarded.
@@ -355,106 +328,8 @@ func (s *Store) Torn() int64 { return s.torn.Load() }
 // Dropped reports how many incomplete sweeps recovery has discarded.
 func (s *Store) Dropped() int64 { return s.dropped.Load() }
 
-// Errors reports how many WAL/snapshot write or fsync failures have occurred.
+// Errors reports how many WAL write or fsync failures have occurred.
 func (s *Store) Errors() int64 { return s.errs.Load() }
-
-// Compact rewrites every completed sweep into a fresh snapshot and resets
-// the WAL, carrying the records of still-open sweeps forward so their
-// persistence continues uninterrupted.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactLocked()
-}
-
-func (s *Store) compactLocked() error {
-	if err := s.sync(); err != nil {
-		return err
-	}
-	// 1. Durable snapshot of every completed sweep, atomically swapped in.
-	tmp := filepath.Join(s.dir, snapshotName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	writeRec := func(rec record) error {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(bw, "%d %s\n", len(payload), payload)
-		return err
-	}
-	for _, id := range s.order {
-		sr := s.completed[id]
-		if err := writeRec(record{T: "begin", Sweep: id, Created: sr.Created, Meta: sr.Meta}); err != nil {
-			f.Close()
-			return fmt.Errorf("store: %w", err)
-		}
-		for i, row := range sr.Rows {
-			if err := writeRec(record{T: "row", Sweep: id, Index: i, Row: row}); err != nil {
-				f.Close()
-				return fmt.Errorf("store: %w", err)
-			}
-		}
-		if err := writeRec(record{T: "end", Sweep: id}); err != nil {
-			f.Close()
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	start := time.Now()
-	err = f.Sync()
-	s.fsyncHist.Observe(time.Since(start).Seconds())
-	if err != nil {
-		f.Close()
-		return s.ioErr(fmt.Errorf("store: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapshotName)); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.syncDir()
-	// 2. Reset the WAL. A crash before this point replays snapshot + old
-	// WAL and dedupes; after it, snapshot + fresh WAL.
-	s.wal.Close()
-	f, err = os.OpenFile(filepath.Join(s.dir, walName), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.wal, s.bw, s.walBytes = f, bufio.NewWriter(f), 0
-	// 3. Carry still-open sweeps into the fresh WAL.
-	for id, sr := range s.open {
-		if err := s.append(record{T: "begin", Sweep: id, Created: sr.Created, Meta: sr.Meta}); err != nil {
-			return err
-		}
-		for i, row := range sr.Rows {
-			if err := s.append(record{T: "row", Sweep: id, Index: i, Row: row}); err != nil {
-				return err
-			}
-		}
-	}
-	if err := s.bw.Flush(); err != nil {
-		return err
-	}
-	s.compactions.Add(1)
-	return nil
-}
-
-// syncDir fsyncs the store directory so renames are durable. Best-effort:
-// some filesystems refuse directory fsync.
-func (s *Store) syncDir() {
-	if d, err := os.Open(s.dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-}
 
 // Close flushes and closes the WAL.
 func (s *Store) Close() error {
@@ -475,7 +350,7 @@ func (s *Store) Close() error {
 // greenweb_store_* names.
 func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	reg.AttachHistogram("greenweb_store_fsync_seconds",
-		"WAL/snapshot fsync latency in seconds", s.fsyncHist)
+		"WAL fsync latency in seconds", s.fsyncHist)
 	reg.GaugeFunc("greenweb_store_wal_bytes",
 		"Current WAL size in bytes", func() float64 {
 			s.mu.Lock()
@@ -486,10 +361,8 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 		"Sweeps made durable (end record fsynced)", func() float64 { return float64(s.persisted.Load()) })
 	reg.CounterFunc("greenweb_store_torn_records_total",
 		"Torn/corrupt WAL tails discarded during recovery", func() float64 { return float64(s.torn.Load()) })
-	reg.CounterFunc("greenweb_store_compactions_total",
-		"Snapshot compactions performed", func() float64 { return float64(s.compactions.Load()) })
 	reg.CounterFunc("greenweb_store_dropped_sweeps_total",
 		"Incomplete sweeps discarded during recovery", func() float64 { return float64(s.dropped.Load()) })
 	reg.CounterFunc("greenweb_store_errors_total",
-		"WAL/snapshot write and fsync failures", func() float64 { return float64(s.errs.Load()) })
+		"WAL write and fsync failures", func() float64 { return float64(s.errs.Load()) })
 }
