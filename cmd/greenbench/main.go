@@ -23,17 +23,12 @@
 // sweep's jobs, and the -trace run — on the staged pipeline with N stage
 // threads (0 or 1 = serial frame production, the default).
 //
-// Profiling and observability (see EXPERIMENTS.md):
-//
-//   - -cpuprofile f / -memprofile f write standard pprof profiles of the
-//     run for `go tool pprof`;
-//   - -no-obs disables the observability layer (metrics counters and the
-//     per-frame decision recorder). It is out-of-band: report and sweep
-//     bytes are identical with obs on or off (CI diffs them).
+// Profiling (see EXPERIMENTS.md): -cpuprofile f / -memprofile f write
+// standard pprof profiles of the run for `go tool pprof`.
 //
 // Usage:
 //
-//	greenbench [-o report.txt] [-workers N] [-stage-workers N] [-no-obs]
+//	greenbench [-o report.txt] [-workers N] [-stage-workers N]
 //	greenbench [-cpuprofile cpu.pb] [-memprofile mem.pb] ...
 //	greenbench -faults default|JSON|@file [-fault-seed S] [-o rows.ndjson]
 //	greenbench -trace out.json [-trace-app NAME] [-trace-kind KIND]
@@ -56,7 +51,6 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/harness"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 )
 
 func main() {
@@ -75,13 +69,9 @@ func run() int {
 	faultSeed := flag.Int64("fault-seed", 0, "override the fault spec's seed (0 = keep the spec's own)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to a file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to a file (go tool pprof)")
-	noObs := flag.Bool("no-obs", false, "disable metrics and decision recording (output must be identical)")
 	stageWorkers := flag.Int("stage-workers", 0, "render-pipeline stage threads per engine (0 or 1 = serial frame production)")
 	flag.Parse()
 
-	if *noObs {
-		obs.SetEnabled(false)
-	}
 	if !harness.ValidStageWorkers(*stageWorkers) {
 		fmt.Fprintf(os.Stderr, "greenbench: -stage-workers %d out of range [0, %d]\n", *stageWorkers, browser.MaxStageWorkers)
 		return 1

@@ -10,7 +10,6 @@
 //	greennode [-addr :9090] [-workers N] [-name NAME] [-job-timeout 2m]
 //	          [-max-attempts N] [-retry-base 50ms] [-retry-max 2s]
 //	          [-retry-seed S] [-http ADDR] [-log-level LEVEL]
-//	          [-no-obs]
 //
 // With -http ADDR the worker serves its own health surface:
 //
@@ -19,10 +18,10 @@
 //	GET /healthz  liveness — 200 while the process accepts connections
 //	GET /readyz   readiness — 200 once the frame listener is bound
 //
-// Tracing: when this process has obs enabled, executed jobs that a greensrv
-// traces record spans that ship back piggybacked on result frames. -no-obs
-// opts the worker out: its jobs record no spans, and the server's fleet
-// trace lacks only this node's interior spans.
+// Tracing: a job that greensrv traces arrives carrying its trace context,
+// and its execute and backoff spans ship back piggybacked on its result
+// frame. Whether a job is traced is the server's decision (greensrv
+// -no-obs traces none).
 //
 // On SIGINT/SIGTERM the worker stops accepting, closes its connections
 // (cancelling their in-flight jobs; the server re-homes them), and exits.
@@ -56,7 +55,6 @@ func main() {
 	retrySeed := flag.Int64("retry-seed", 0, "seed for deterministic backoff jitter")
 	httpAddr := flag.String("http", "", "health/metrics listen address (empty = no health surface)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
-	noObs := flag.Bool("no-obs", false, "disable decision recording and tracing (outputs must be byte-identical either way)")
 	flag.Parse()
 
 	var lvl slog.Level
@@ -74,9 +72,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "greennode: -max-attempts must be >= 1")
 		os.Exit(1)
 	}
-	if *noObs {
-		obs.SetEnabled(false)
-	}
 
 	w := shard.NewWorker(shard.WorkerOptions{
 		Name: *name,
@@ -91,8 +86,7 @@ func main() {
 		log.Error("listen failed", "addr", *addr, "err", err)
 		os.Exit(1)
 	}
-	log.Info("listening", "addr", l.Addr(), "workers", w.Workers(),
-		"pid", os.Getpid(), "obs", obs.Enabled())
+	log.Info("listening", "addr", l.Addr(), "workers", w.Workers(), "pid", os.Getpid())
 
 	// The health surface is a separate listener so scraping and probing
 	// never compete with the frame protocol, and a worker behind a private

@@ -20,7 +20,14 @@
 // reached over TCP instead of in-process nodes: jobs ship as length-prefixed
 // JSON frames, heartbeats watch each link, and a node that dies mid-sweep is
 // evicted, the jobs it was running re-homed onto the survivors — sweep
-// bytes are identical either way.
+// bytes are identical either way. Each greennode runs the retry ladder with
+// its own flags, so greensrv refuses -workers, -job-timeout, -max-attempts,
+// -retry-base and -retry-max beside -remote-nodes; -queue and -retry-seed
+// (the reconnect jitter) still apply.
+//
+// -no-obs turns fleet tracing off: sweeps get no /trace?fleet=1 artifact
+// (it answers no_fleet_trace) and their jobs record no spans. Result rows,
+// /events and /trace are the same bytes either way.
 //
 // API:
 //
@@ -84,7 +91,7 @@ func main() {
 	admitBurst := flag.Int("admit-burst", 10, "per-client token-bucket burst")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "cap on reading a request's headers (slowloris guard)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
-	noObs := flag.Bool("no-obs", false, "disable decision recording and tracing (outputs must be byte-identical either way)")
+	noObs := flag.Bool("no-obs", false, "disable fleet tracing (outputs must be byte-identical either way)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight sweeps on SIGINT/SIGTERM before cancellation")
 	obsDump := flag.String("obs-dump", "", "file for the final metrics snapshot on shutdown (default stderr)")
 	flag.Parse()
@@ -120,16 +127,15 @@ func main() {
 	case *remoteNodes != "" && *nodes > 1:
 		fail("-remote-nodes and -nodes > 1 are mutually exclusive (the remote list fixes the node count)")
 	}
-
-	// The sweep context is deliberately NOT the signal context: a signal
-	// must stop intake and start the drain, not kill every running sweep on
-	// the spot. Cancellation of stragglers happens inside Drain, after the
-	// grace period.
-	baseCtx := context.Background()
-	if *noObs {
-		obs.SetEnabled(false)
-		baseCtx = obs.ContextWithObs(baseCtx, false)
+	if *remoteNodes != "" {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "workers", "job-timeout", "max-attempts", "retry-base", "retry-max":
+				fail("-" + f.Name + " does not apply with -remote-nodes; set it on each greennode")
+			}
+		})
 	}
+
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -156,7 +162,12 @@ func main() {
 			RetryBaseDelay: *retryBase, RetryMaxDelay: *retryMax, RetrySeed: *retrySeed,
 		})
 	}
-	manager := fleet.NewManager(baseCtx, cluster)
+	// The sweep context is deliberately NOT the signal context: a signal
+	// must stop intake and start the drain, not kill every running sweep on
+	// the spot. Cancellation of stragglers happens inside Drain, after the
+	// grace period.
+	manager := fleet.NewManager(context.Background(), cluster)
+	manager.SetTracing(!*noObs)
 
 	var st *store.Store
 	if *storeDir != "" {

@@ -26,6 +26,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -39,6 +40,7 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/apps"
 	"github.com/wattwiseweb/greenweb/internal/faults"
 	"github.com/wattwiseweb/greenweb/internal/harness"
+	"github.com/wattwiseweb/greenweb/internal/ledger"
 	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
@@ -128,10 +130,11 @@ const (
 	StateFailed  State = "failed"
 )
 
-// Result is one finished job.
+// Result is one finished job. Every node hands a finished run over as the
+// same two projections, made once on the goroutine that ran it: Row and
+// Timeline.
 type Result struct {
 	Job    Job
-	Run    *harness.Run // nil when Err != nil, and on a remote node's result
 	Err    error
 	Worker int // cluster-global slot index of the puller that ran the job (-1 if never scheduled)
 	// Latency is the wall-clock execution time, excluding queueing (all
@@ -149,16 +152,13 @@ type Result struct {
 	// sweep-level cancellation are failed but not quarantined.
 	Quarantined bool
 
-	// Row, Timeline and Decided stand in for Run on a remote node's
-	// result: Row holds the run's columns as the worker projected them
-	// (RowOf), Timeline the run's ledger spans, with their frame decisions,
-	// and config marks as one ledger.AppendTimeline block, and Decided
-	// whether the run derived its decision log (obs.EnabledIn). A remote
-	// result's Attempts and History are the row's, so they are zero for a
-	// job that did not retry. A LocalNode leaves all three zero.
+	// Row holds the run's columns (RowOf reads them) and Timeline the run's
+	// ledger spans, with their frame decisions, and config marks as one
+	// exact-size ledger.AppendTimeline block, nil when both are empty. Both
+	// are nil when Err != nil. A remote result's Attempts and History are
+	// its row's, so they are zero for a job that did not retry.
 	Row      *ResultRow
 	Timeline []byte
-	Decided  bool
 
 	// Spans carries the executing process's trace spans for a traced job
 	// (execute attempts, backoff sleeps), shipped alongside the result —
@@ -267,10 +267,10 @@ func (n *LocalNode) Run(ctx context.Context, slot int, job Job) Result {
 	start := time.Now()
 	res := Result{Job: job, Worker: slot}
 	// A traced job records its execute attempts and backoff sleeps into a
-	// bounded per-job recorder; the spans ride back beside the result. Nil
-	// recorder (untraced, or obs off) records nothing.
+	// bounded per-job recorder; the spans ride back beside the result. An
+	// untraced job's nil recorder records nothing.
 	var rec *trace.JobRecorder
-	if job.Trace != nil && obs.EnabledIn(ctx) {
+	if job.Trace != nil {
 		rec = trace.NewJobRecorder(*job.Trace)
 	}
 	max := n.opts.MaxAttempts
@@ -287,7 +287,8 @@ func (n *LocalNode) Run(ctx context.Context, slot int, job Job) Result {
 		}
 		rec.Record("execute", "execute", t0, time.Since(t0), attrs)
 		if err == nil {
-			res.Run, res.Err = run, nil
+			res.Err = nil
+			res.Row, res.Timeline = project(run)
 			break
 		}
 		res.Err = err
@@ -315,6 +316,19 @@ func (n *LocalNode) Run(ctx context.Context, slot int, job Job) Result {
 	res.Spans, res.SpanDrops = rec.Drain()
 	res.Latency = time.Since(start)
 	return res
+}
+
+// project is what a result keeps of a finished run: the row's run columns
+// and the run's timeline block, exact size. Nothing past the node keeps the
+// run itself, so a server can hold many finished sweeps: a run's frame
+// results, span structs, decision log and residency map cost several times
+// its block.
+func project(run *harness.Run) (*ResultRow, []byte) {
+	row := runColumns(run)
+	if len(run.Spans) == 0 && len(run.ConfigMarks) == 0 {
+		return &row, nil
+	}
+	return &row, bytes.Clone(ledger.AppendTimeline(nil, run.Spans, run.ConfigMarks))
 }
 
 // attempt is one isolated execution: its own recovery scope (so a panicking

@@ -1,8 +1,8 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -153,40 +153,25 @@ func table3Jobs() []Job {
 	return jobs
 }
 
-// marshalRuns canonicalizes runs for byte-for-byte comparison. FrameResults
-// and Residency carry the full per-frame timeline; JSON round-trips them
-// deterministically except map order, so residency is flattened sorted by
-// the deterministic Config index upstream (Distribution) — here we compare
-// the scalar measurements plus frame count, which pin down the run.
+// marshalRuns canonicalizes results for byte-for-byte comparison: the
+// sweep's deterministic NDJSON rows, then every job's timeline block, which
+// pins each run's spans, decisions and config marks down to the float bits.
 func marshalRuns(t *testing.T, res []Result) []byte {
 	t.Helper()
-	type row struct {
-		App, Kind  string
-		Energy     float64
-		Frames     int
-		ViolI      float64
-		ViolU      float64
-		Freq, Migr int
-		LoadUS     int64
+	var buf bytes.Buffer
+	if err := WriteResults(&buf, res, true); err != nil {
+		t.Fatal(err)
 	}
-	var rows []row
 	for _, r := range res {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Job, r.Err)
 		}
-		rows = append(rows, row{
-			App: r.Job.App, Kind: string(r.Job.Kind),
-			Energy: float64(r.Run.Energy), Frames: r.Run.Frames,
-			ViolI: r.Run.ViolationI, ViolU: r.Run.ViolationU,
-			Freq: r.Run.Switches.FreqSwitches, Migr: r.Run.Switches.Migrations,
-			LoadUS: int64(r.Run.LoadLatency),
-		})
+		if len(r.Timeline) == 0 {
+			t.Fatalf("%s: empty timeline", r.Job)
+		}
+		buf.Write(r.Timeline)
 	}
-	b, err := json.Marshal(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return buf.Bytes()
 }
 
 // TestParallelSweepMatchesSequentialByteForByte runs the full Table 3
@@ -203,7 +188,11 @@ func TestParallelSweepMatchesSequentialByteForByte(t *testing.T) {
 	for _, j := range jobs {
 		app, _ := apps.ByName(j.App)
 		run, err := harness.ExecuteCell(context.Background(), harness.Cell{App: app, Kind: j.Kind, Full: true})
-		seq = append(seq, Result{Job: j, Run: run, Err: err})
+		if err != nil {
+			t.Fatalf("%s: %v", j, err)
+		}
+		row, block := project(run)
+		seq = append(seq, Result{Job: j, Row: row, Timeline: block})
 	}
 	want := marshalRuns(t, seq)
 

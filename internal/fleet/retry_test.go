@@ -249,12 +249,12 @@ func TestFaultSweepThermalCapZeroQuarantines(t *testing.T) {
 	}
 	for i := 0; i < len(res); i += 2 {
 		perf, green := res[i], res[i+1]
-		if perf.Run.ThermalTrips == 0 {
+		if perf.Row.ThermalTrips == 0 {
 			t.Fatalf("%s: Perf never tripped the thermal governor", perf.Job.App)
 		}
-		if green.Run.Energy >= perf.Run.Energy {
+		if green.Row.EnergyJ >= perf.Row.EnergyJ {
 			t.Fatalf("%s: GreenWeb-I %.3f J not below Perf %.3f J under thermal cap",
-				green.Job.App, float64(green.Run.Energy), float64(perf.Run.Energy))
+				green.Job.App, green.Row.EnergyJ, perf.Row.EnergyJ)
 		}
 	}
 }

@@ -183,17 +183,13 @@ type ResultRow struct {
 
 // RowOf projects job index's result onto its row, the one projection every
 // row greensrv serves or stores goes through. The run's columns come from
-// Run or, on a remote node's result, from the row the worker projected with
-// this same function; the job's coordinates, state, latency, retry and error
+// r.Row, which the node that ran the job filled (a remote worker with this
+// same function); the job's coordinates, state, latency, retry and error
 // columns always come from r itself, so a worker's row cannot restate what
 // the server knows.
 func RowOf(index int, r Result) ResultRow {
 	var row ResultRow
-	switch {
-	case r.Err != nil:
-	case r.Run != nil:
-		row = runColumns(r.Run)
-	case r.Row != nil:
+	if r.Err == nil && r.Row != nil {
 		row = *r.Row
 	}
 	row.Index = index
@@ -475,16 +471,13 @@ func NewServer(m *Manager) *Server {
 		w.WriteHeader(http.StatusOK)
 		flusher, _ := w.(http.Flusher)
 		enc := json.NewEncoder(w)
-		// Per-job decision logs in submission order, each decoded from the
-		// job's timeline and flushed as its job finishes. Failed jobs (and
-		// -no-obs runs) contribute no rows.
+		// Per-job decision logs in submission order, each derived from the
+		// job's timeline and flushed as its job finishes. Failed jobs
+		// contribute no rows.
 		for i := 0; i < s.Len(); i++ {
 			rec, err := s.wait(r.Context(), i)
 			if err != nil {
 				return // client went away
-			}
-			if !rec.decided {
-				continue
 			}
 			spans, _ := rec.decode()
 			decisions := obs.DecisionsOf(spans)
@@ -601,8 +594,8 @@ const (
 	// CodeReplayedNoTrace (404): the sweep exists but was replayed from the
 	// WAL, which persists result rows, not the trace/event overlay.
 	CodeReplayedNoTrace = "replayed_no_trace"
-	// CodeNoFleetTrace (404): the sweep ran without fleet tracing (disabled,
-	// or -no-obs) or newer sweeps took its span buffer's place.
+	// CodeNoFleetTrace (404): the sweep ran without fleet tracing (greensrv
+	// -no-obs) or newer sweeps took its span buffer's place.
 	CodeNoFleetTrace = "no_fleet_trace"
 )
 

@@ -24,14 +24,8 @@ import (
 
 func newTestServer(t *testing.T, opts Options) (*httptest.Server, *Manager) {
 	t.Helper()
-	return newTestServerCtx(t, context.Background(), opts)
-}
-
-// newTestServerCtx is newTestServer with ctx as the manager's base context.
-func newTestServerCtx(t *testing.T, ctx context.Context, opts Options) (*httptest.Server, *Manager) {
-	t.Helper()
 	cluster := New(opts)
-	m := NewManager(ctx, cluster)
+	m := NewManager(context.Background(), cluster)
 	srv := httptest.NewServer(NewServer(m))
 	t.Cleanup(func() {
 		srv.Close()

@@ -12,7 +12,6 @@ import (
 
 	"github.com/wattwiseweb/greenweb/internal/harness"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 	"github.com/wattwiseweb/greenweb/internal/store"
 )
@@ -91,43 +90,12 @@ func (s *Sweep) Cancel() { s.cancel() }
 
 // record is what a sweep keeps of a finished job: the row that /results,
 // the status and the store serve, and the timeline that /trace and /events
-// decode on request. Keeping no *harness.Run lets a server hold many
-// finished sweeps: a run's frame results, span structs, decision log and
-// residency map cost several times its block.
+// decode on request.
 type record struct {
 	row ResultRow
 	// timeline is the job's ledger.AppendTimeline block, exact size; nil
 	// for a failed job or an empty timeline.
 	timeline []byte
-	decided  bool // the run derived a decision log (observability on)
-}
-
-// recordOf keeps the endpoints' share of job i's result, projected here,
-// once, so executions outside a sweep (greenbench's fault sweep) pay
-// nothing.
-func recordOf(i int, r Result) record {
-	rec := record{row: RowOf(i, r)}
-	if r.Err == nil {
-		rec.timeline, rec.decided = r.TimelineBlock()
-	}
-	return rec
-}
-
-// TimelineBlock returns the run's ledger spans, with their frame decisions,
-// and config marks as one ledger.AppendTimeline block of exact size, nil
-// when both are empty, and whether the run derived its decision log
-// (obs.EnabledIn). A remote node's result carries both as they arrived; a
-// local run's block is encoded on each call.
-func (r Result) TimelineBlock() ([]byte, bool) {
-	run := r.Run
-	if run == nil {
-		return r.Timeline, r.Decided
-	}
-	var block []byte
-	if len(run.Spans) > 0 || len(run.ConfigMarks) > 0 {
-		block = bytes.Clone(ledger.AppendTimeline(nil, run.Spans, run.ConfigMarks))
-	}
-	return block, run.Decisions != nil
 }
 
 // decode returns the kept timeline's spans and marks. Every kept block was
@@ -168,7 +136,7 @@ func (s *Sweep) wait(ctx context.Context, i int) (record, error) {
 }
 
 func (s *Sweep) finish(i int, r Result) {
-	rec := recordOf(i, r)
+	rec := record{row: RowOf(i, r), timeline: r.Timeline}
 	s.mu.Lock()
 	s.records[i] = rec
 	s.state[i] = rec.row.State
@@ -252,6 +220,7 @@ type Manager struct {
 	ctx     context.Context // parents every sweep; server lifetime
 	cluster *Cluster
 	st      *store.Store // nil → in-memory only
+	tracing bool         // new sweeps get a fleet trace; see SetTracing
 	seq     atomic.Uint64
 	mu      sync.RWMutex
 	sweeps  map[SweepID]*Sweep // guarded by mu
@@ -267,9 +236,15 @@ type Manager struct {
 // of it.
 const maxTracedSweeps = 1024
 
-// TracingEnabled reports whether new sweeps will be traced: unless the
-// manager's context disables observability (greensrv -no-obs).
-func (m *Manager) TracingEnabled() bool { return obs.EnabledIn(m.ctx) }
+// TracingEnabled reports whether new sweeps will be traced.
+func (m *Manager) TracingEnabled() bool { return m.tracing }
+
+// SetTracing switches fleet tracing for the sweeps the manager enqueues: on
+// by default, off under greensrv -no-obs. An untraced sweep's jobs carry no
+// Job.Trace, so no node records spans for them, and its /trace?fleet=1
+// answers no_fleet_trace; its rows, decision log and energy trace are the
+// same either way. Must be called before the first Enqueue.
+func (m *Manager) SetTracing(on bool) { m.tracing = on }
 
 // NewManager builds a manager over a cluster; ctx bounds the lifetime of
 // every sweep it enqueues (pass the server's base context).
@@ -277,7 +252,7 @@ func NewManager(ctx context.Context, c *Cluster) *Manager {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Manager{ctx: ctx, cluster: c, sweeps: make(map[SweepID]*Sweep)}
+	return &Manager{ctx: ctx, cluster: c, tracing: true, sweeps: make(map[SweepID]*Sweep)}
 }
 
 // Cluster exposes the scheduler (for /metrics, /v1/nodes and admission).
@@ -288,19 +263,22 @@ func (m *Manager) Store() *store.Store { return m.st }
 
 // SetStore attaches the durable store and registers the sweeps it
 // recovered (store.Open's) as finished, replayed sweeps. Must be called
-// before the first Enqueue. The ID sequence skips past every recovered
-// sweep so a restarted server never mints a colliding ID. It returns the
-// IDs of the recovered sweeps it could not register, whose rows it could
-// not serve byte for byte (see replay).
+// before the first Enqueue. The ID sequence skips past every ID the store
+// refuses to begin, a dropped sweep's too, so a restarted server never
+// mints an ID that a client may still poll. It returns the IDs of the
+// recovered sweeps it could not register, whose rows it could not serve
+// byte for byte (see replay).
 func (m *Manager) SetStore(st *store.Store, recovered []store.SweepRecord) (refused []SweepID) {
 	m.st = st
+	for _, id := range st.Known() {
+		var n uint64
+		if _, err := fmt.Sscanf(id, "s-%d", &n); err == nil && n > m.seq.Load() {
+			m.seq.Store(n)
+		}
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, sr := range recovered {
-		var n uint64
-		if _, err := fmt.Sscanf(sr.ID, "s-%d", &n); err == nil && n > m.seq.Load() {
-			m.seq.Store(n)
-		}
 		s, ok := replay(sr)
 		if !ok {
 			refused = append(refused, SweepID(sr.ID))

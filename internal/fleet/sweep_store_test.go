@@ -161,6 +161,39 @@ func TestStoreReplayByteIdentical(t *testing.T) {
 	<-s2.Done()
 }
 
+// TestDroppedSweepIDIsNeverReminted: a sweep that began but never ended
+// (its server died mid-run) is dropped at recovery, yet a client may still
+// poll its ID. A restarted manager mints past it, so that client reads
+// unknown_sweep rather than another sweep's rows.
+func TestDroppedSweepIDIsNeverReminted(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Begin("s-000001", time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, m, shutdown := storeServer(t, dir)
+	defer shutdown()
+	if d := m.Store().Dropped(); d != 1 {
+		t.Fatalf("dropped sweeps = %d, want 1", d)
+	}
+	id := postSweep(t, srv, `{"apps":["Todo"],"kinds":["Perf"],"phase":"micro"}`)["id"].(string)
+	if id != "s-000002" {
+		t.Fatalf("restarted manager minted %s, want s-000002 past the dropped s-000001", id)
+	}
+	waitPersisted(t, srv, id)
+	if code, body := getBody(t, srv.URL+"/v1/sweeps/s-000001"); code != http.StatusNotFound ||
+		!strings.Contains(body, CodeUnknownSweep) {
+		t.Fatalf("dropped sweep's ID = %d %q, want 404 unknown_sweep", code, body)
+	}
+}
+
 // TestStoreSurvivesManagerWithoutStore: managers without a store keep the
 // PR 1–5 behaviour — no persisted field, 404 after restart.
 func TestStoreSurvivesManagerWithoutStore(t *testing.T) {

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"github.com/wattwiseweb/greenweb/internal/harness"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 )
 
 // fleetTraceDoc is the slice of the Chrome trace artifact these tests read.
@@ -85,24 +83,26 @@ func TestFleetTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestTracingOffReturnsNoFleetTrace: a manager whose context disables
-// observability (greensrv -no-obs) traces nothing, answers the fleet-trace
-// endpoint with the structured no_fleet_trace 404, and streams results
-// byte-identical to a traced server's.
+// TestTracingOffReturnsNoFleetTrace: a manager with tracing off (greensrv
+// -no-obs) traces nothing and answers the fleet-trace endpoint with the
+// structured no_fleet_trace 404, while its results stream, its decision log
+// and its energy trace are byte-identical to a traced server's, and the
+// last two are not empty.
 func TestTracingOffReturnsNoFleetTrace(t *testing.T) {
 	on, _ := newTestServer(t, Options{Workers: 2})
-	off, m := newTestServerCtx(t, obs.ContextWithObs(context.Background(), false), Options{Workers: 2})
+	off, m := newTestServer(t, Options{Workers: 2})
+	m.SetTracing(false)
 	if m.TracingEnabled() {
-		t.Fatal("manager traces with observability off in its context")
+		t.Fatal("manager traces after SetTracing(false)")
 	}
 
 	const body = `{"apps":["Todo","BBC"],"kinds":["Perf","GreenWeb-U"],"phase":"micro"}`
 	idOn := postSweep(t, on, body)["id"].(string)
 	idOff := postSweep(t, off, body)["id"].(string)
 
-	stream := func(srv *httptest.Server, id string) string {
+	get := func(srv *httptest.Server, id, path string) string {
 		t.Helper()
-		resp, err := http.Get(srv.URL + "/v1/sweeps/" + id + "/results?deterministic=1")
+		resp, err := http.Get(srv.URL + "/v1/sweeps/" + id + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,11 +111,25 @@ func TestTracingOffReturnsNoFleetTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", path, resp.StatusCode, b)
+		}
 		return string(b)
 	}
-	traced, untraced := stream(on, idOn), stream(off, idOff)
-	if traced != untraced {
-		t.Fatalf("tracing changed sweep bytes:\n--- tracing on\n%s--- tracing off\n%s", traced, untraced)
+	// Each body must hold what makes it non-empty: a finished row, a
+	// decision row, a decision span.
+	for _, c := range []struct{ path, want string }{
+		{"/results?deterministic=1", `"state":"done"`},
+		{"/events", `"decision":`},
+		{"/trace", `"decide:`},
+	} {
+		traced, untraced := get(on, idOn, c.path), get(off, idOff, c.path)
+		if traced != untraced {
+			t.Fatalf("tracing changed %s:\n--- tracing on\n%s--- tracing off\n%s", c.path, traced, untraced)
+		}
+		if !strings.Contains(untraced, c.want) {
+			t.Fatalf("%s with tracing off holds no %s: %.300s", c.path, c.want, untraced)
+		}
 	}
 
 	resp, err := http.Get(off.URL + "/v1/sweeps/" + idOff + "/trace?fleet=1")

@@ -171,9 +171,7 @@ type Run struct {
 	ConfigMarks []ledger.ConfigMark
 
 	// Decisions is the per-frame decision log, obs.DecisionsOf(Spans): one
-	// entry per frame span, in production order. Empty when observability
-	// is disabled for the run's context (obs.EnabledIn); everything else in
-	// Run is unaffected either way, which CI enforces byte-for-byte.
+	// entry per frame span, in production order.
 	Decisions []obs.Decision
 
 	// Fault-adversity observability, all zero on an unfaulted run: injected
@@ -373,10 +371,8 @@ func execute(ctx context.Context, app *apps.App, html string, kind Kind, trace *
 	run.Spans = spans
 	run.ConfigMarks = dev.Ledger.Marks()
 	// The decision log is a projection of the closed frame spans, derived
-	// once per run. -no-obs contexts (greensrv/greenbench -no-obs) skip it.
-	if obs.EnabledIn(ctx) {
-		run.Decisions = obs.DecisionsOf(run.Spans)
-	}
+	// once per run.
+	run.Decisions = obs.DecisionsOf(run.Spans)
 	if daq := dev.DAQ; daq != nil {
 		daq.Stop()
 		run.DAQSamples, run.DAQDropped, run.MeteredEnergy = daq.Samples(), daq.Dropped(), daq.Energy()

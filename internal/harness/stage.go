@@ -6,10 +6,10 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/browser"
 )
 
-// The stage-worker count of a run is carried on the context like the obs
-// gate (obs.EnabledIn): callers that want a staged engine wrap the run's
-// context (fleet workers from Job.StageWorkers, the suite from its own
-// count), and the run builds its device with it (device.New).
+// The stage-worker count of a run is carried on the context: callers that
+// want a staged engine wrap the run's context (fleet workers from
+// Job.StageWorkers, the suite from its own count), and the run builds its
+// device with it (device.New).
 
 type stageWorkersKey struct{}
 

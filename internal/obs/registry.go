@@ -1,3 +1,26 @@
+// Package obs is the unified observability layer: a label-aware metrics
+// registry with Prometheus text exposition, and the decision log, which
+// projects the energy ledger's frame spans onto a structured per-decision
+// event log (NDJSON).
+//
+// Design constraints, in order:
+//
+//  1. Byte-identical outputs. Observability must never change a report,
+//     fault sweep, or NDJSON result row by one byte. Everything here is
+//     therefore attached out-of-band: counters are process-local atomics
+//     that no simulation code reads back, and the decision log is derived
+//     from ledger spans the run already produced — it observes the
+//     simulation, it never participates in it.
+//  2. Lock-cheap hot path. Incrementing a counter is one atomic add.
+//     Labeled instruments resolve their child once (callers cache the
+//     returned *Counter) so per-frame code never touches a map or mutex.
+//  3. Bounded memory. Label cardinality is capped per family (overflowing
+//     children collapse into an "overflow" child).
+//
+// Nothing here is switched off: counters cost one atomic add each, and
+// every run derives its decision log once, after its ledger closes. The
+// one observability switch, greensrv -no-obs, turns off fleet tracing
+// (package trace).
 package obs
 
 import (

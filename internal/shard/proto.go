@@ -9,8 +9,8 @@
 // are observable to transport wrappers (the chaos injector keys its faults
 // on the write-side frame index). Frame types:
 //
-//	client → worker   {"t":"hello","proto":4}
-//	worker → client   {"t":"welcome","proto":4,"workers":N,"name":"...",
+//	client → worker   {"t":"hello","proto":5}
+//	worker → client   {"t":"welcome","proto":5,"workers":N,"name":"...",
 //	                   "now_us":T,"pid":P}
 //	client → worker   {"t":"job","id":SEQ,"job":{...fleet.Job}}
 //	worker → client   {"t":"result","id":SEQ,"result":{...wireResult}}
@@ -47,8 +47,11 @@ import (
 // longer ship the decision log derived from them. Version 3: a run's spans,
 // decisions and config marks travel as one binary timeline block. Version
 // 4: a result is its row plus that block, not a copy of the run, and every
-// welcome carries the worker's clock and pid.
-const protoVersion = 4
+// welcome carries the worker's clock and pid. Version 5: a result no longer
+// says whether its run derived a decision log; the receiver derives it from
+// every block. A version-4 server would read every version-5 result as
+// undecided and serve an empty decision log.
+const protoVersion = 5
 
 // maxFramePayload bounds one frame. The largest legitimate payload — a
 // result carrying a full-trace run's timeline — is under half a megabyte

@@ -160,16 +160,17 @@ func realResults(tb testing.TB) []fleet.Result {
 	return res
 }
 
-// fuzzResults are realResults with each run cut to its first spans and
-// marks: real timelines, a few hundred bytes each, which the fuzzer mutates
-// and minimizes far faster than whole runs.
+// fuzzResults are realResults with each timeline cut to its first spans
+// and marks: real timelines, a few hundred bytes each, which the fuzzer
+// mutates and minimizes far faster than whole runs.
 func fuzzResults(tb testing.TB) []fleet.Result {
 	res := realResults(tb)
 	for i := range res {
-		run := *res[i].Run
-		run.Spans = run.Spans[:min(len(run.Spans), 12)]
-		run.ConfigMarks = run.ConfigMarks[:min(len(run.ConfigMarks), 4)]
-		res[i].Run = &run
+		spans, marks, err := ledger.DecodeTimeline(res[i].Timeline)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		res[i].Timeline = ledger.AppendTimeline(nil, spans[:min(len(spans), 12)], marks[:min(len(marks), 4)])
 	}
 	return res
 }
@@ -195,7 +196,7 @@ func frameSeeds(tb testing.TB) []frame {
 		{T: frameCancel, ID: 1},
 		{T: frameResult, ID: 3, Result: encodeResult(fleet.Result{Job: job, Worker: -1,
 			Err: errors.New("fault storm"), Attempts: 2, History: []string{"a", "b"}, Quarantined: true})},
-		{T: frameResult, ID: 4, Result: encodeResult(fleet.Result{Job: job, Run: &harness.Run{},
+		{T: frameResult, ID: 4, Result: encodeResult(fleet.Result{Job: job, Row: &fleet.ResultRow{},
 			Spans: []trace.Span{{ID: 1, Name: "execute", Job: 2, StartUS: 5, DurUS: 9}}, SpanDrops: 1})},
 	}
 	for i, r := range fuzzResults(tb) {

@@ -37,11 +37,9 @@ type wireResult struct {
 	LatencyNS     int64           `json:"latency_ns"`
 	// Timeline is ledger.AppendTimeline's block of the run's spans, with
 	// their frame decisions, and config marks, absent when both are empty;
-	// JSON carries it as base64. Decided says the run derived its decision
-	// log (-no-obs nodes do not); the receiving side keeps the block as it
-	// arrived and derives the log from it on request.
+	// JSON carries it as base64. The receiving side keeps the block as it
+	// arrived and derives the decision log from it on request.
 	Timeline []byte `json:"timeline,omitempty"`
-	Decided  bool   `json:"decided,omitempty"`
 	// Spans piggybacks the worker's trace spans for a traced job (on the
 	// worker's clock; the client aligns them) as a JSON array, with the
 	// worker-side dropped-span count. Empty for untraced jobs, so the wire
@@ -51,19 +49,19 @@ type wireResult struct {
 	SpanDrops int             `json:"span_drops,omitempty"`
 }
 
-// encodeResult projects a fleet.Result onto the wire with the projections
-// a sweep keeps of a local job: its row and its timeline block. The run's
-// raw per-frame results are deliberately not shipped: nothing behind the
-// fleet.Node seam reads them, and they dominate a run's size.
+// encodeResult puts a fleet.Result on the wire as the worker's LocalNode
+// projected it: its row, through fleet.RowOf, and its timeline block as it
+// is. The run's raw per-frame results never reach the wire: the node keeps
+// only these two projections of a run.
 func encodeResult(r fleet.Result) *wireResult {
 	row := fleet.RowOf(0, r)
 	w := &wireResult{
 		ResultRow: &row,
 		Worker:    r.Worker,
 		LatencyNS: int64(r.Latency),
+		Timeline:  r.Timeline,
 		SpanDrops: r.SpanDrops,
 	}
-	w.Timeline, w.Decided = r.TimelineBlock()
 	// Strings, and trace.Spans of plain fields and a string map, always
 	// encode.
 	if len(row.AttemptErrors) > 0 {
@@ -122,7 +120,7 @@ func decodeResult(w *wireResult, job fleet.Job) fleet.Result {
 			return r
 		}
 	}
-	r.Row, r.Timeline, r.Decided = row, w.Timeline, w.Decided
+	r.Row, r.Timeline = row, w.Timeline
 	return r
 }
 

@@ -37,9 +37,11 @@
 // Open replays snapshot.log, which older servers wrote when they compacted
 // the WAL, then wal.log. A sweep with no "end" record is dropped: its jobs
 // died with the process and the sweep never reported finished to any
-// client. A sweep that completes twice (in both files, from a crash
-// between an older server's snapshot rename and its WAL truncate) keeps
-// its first completion. Before it appends, Open cuts wal.log back to the
+// client. Its ID stays taken, though, since a client may still poll it:
+// Begin refuses every ID a begin record named (Known lists them). A sweep
+// that completes twice (in both files, from a crash between an older
+// server's snapshot rename and its WAL truncate) keeps its first
+// completion. Before it appends, Open cuts wal.log back to the
 // end of its last record that replayed, so a torn tail cannot swallow the
 // records written after it.
 package store
@@ -90,7 +92,7 @@ type Store struct {
 	bw       *bufio.Writer
 	walBytes int64
 	next     map[string]int  // open sweep → index of its next row
-	known    map[string]bool // every recovered or begun sweep: Begin refuses them
+	known    map[string]bool // every ID a begin record named: Begin refuses them
 
 	fsyncHist *obs.Histogram
 	torn      atomic.Int64
@@ -106,7 +108,7 @@ func Open(dir string) (*Store, []SweepRecord, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
-	rc := recovery{open: map[string]*SweepRecord{}, known: map[string]bool{}}
+	rc := recovery{open: map[string]*SweepRecord{}, completed: map[string]bool{}, known: map[string]bool{}}
 	if _, err := rc.replay(filepath.Join(dir, snapshotName)); err != nil {
 		return nil, nil, err
 	}
@@ -148,9 +150,12 @@ func Open(dir string) (*Store, []SweepRecord, error) {
 
 // recovery is Open's replay state.
 type recovery struct {
-	open    map[string]*SweepRecord // begun, not yet ended
-	done    []SweepRecord           // completed, in completion order
-	known   map[string]bool         // IDs in done
+	open      map[string]*SweepRecord // begun, not yet ended
+	done      []SweepRecord           // completed, in completion order
+	completed map[string]bool         // IDs in done
+	// known holds every ID a begin record named, completed or dropped: a
+	// client may still hold any of them.
+	known   map[string]bool
 	torn    int64
 	dropped int64
 }
@@ -210,12 +215,18 @@ func parseRecord(line string) (record, bool) {
 }
 
 // apply folds one replayed record into the recovered state, skipping the
-// records of sweeps already completed.
+// records of sweeps already completed. A begin for a dropped sweep's ID,
+// which older servers could write, drops the open sweep and opens a new one
+// under the ID.
 func (rc *recovery) apply(rec record) {
 	switch rec.T {
 	case "begin":
-		if rc.known[rec.Sweep] {
+		rc.known[rec.Sweep] = true
+		if rc.completed[rec.Sweep] {
 			return
+		}
+		if rc.open[rec.Sweep] != nil {
+			rc.dropped++
 		}
 		rc.open[rec.Sweep] = &SweepRecord{ID: rec.Sweep, Created: rec.Created}
 	case "row":
@@ -234,7 +245,7 @@ func (rc *recovery) apply(rec record) {
 			return
 		}
 		delete(rc.open, rec.Sweep)
-		rc.known[rec.Sweep] = true
+		rc.completed[rec.Sweep] = true
 		rc.done = append(rc.done, *sr)
 	}
 }
@@ -272,8 +283,8 @@ func (s *Store) sync() error {
 	return s.ioErr(err)
 }
 
-// Begin registers a sweep for persistence. An ID that was recovered or
-// begun before is refused.
+// Begin registers a sweep for persistence. An ID that a recovered begin
+// record named, or that was begun before, is refused.
 func (s *Store) Begin(id string, created time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -320,6 +331,19 @@ func (s *Store) End(id string) error {
 	delete(s.next, id)
 	s.persisted.Add(1)
 	return nil
+}
+
+// Known lists every ID Begin refuses, in no particular order: those that
+// recovered begin records named, whether their sweeps completed or were
+// dropped, and those begun since.
+func (s *Store) Known() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ids := make([]string, 0, len(s.known))
+	for id := range s.known {
+		ids = append(ids, id)
+	}
+	return ids
 }
 
 // Torn reports how many torn/corrupt record tails recovery has discarded.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -119,6 +120,59 @@ func TestIncompleteSweepDroppedOnRecovery(t *testing.T) {
 	checkSweep(t, recovered, "s-000001", 2)
 	if s2.Dropped() != 1 {
 		t.Fatalf("dropped = %d, want 1", s2.Dropped())
+	}
+	// A client may still poll the dropped sweep's ID: it stays taken.
+	if err := s2.Begin("s-000002", t0); err == nil {
+		t.Fatal("Begin took a dropped sweep's ID again")
+	}
+	known := s2.Known()
+	slices.Sort(known)
+	if !slices.Equal(known, []string{"s-000001", "s-000002"}) {
+		t.Fatalf("known IDs = %v, want the completed and the dropped sweep's", known)
+	}
+}
+
+// TestReusedDroppedIDStillReplays: in a WAL where an older server began a
+// dropped sweep's ID afresh and completed it, recovery still serves that
+// completed sweep, counts the first one dropped, and keeps the ID refused.
+func TestReusedDroppedIDStillReplays(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := open(t, dir)
+	if err := s.Begin("s-000001", t0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendRow("s-000001", 0, rowOf(0)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close() // no end record: the process died mid-sweep
+
+	// The records an older server wrote after its restart, appended past
+	// Begin's check as that server's Begin did.
+	s2, _ := open(t, dir)
+	s2.mu.Lock()
+	for _, rec := range []record{
+		{T: "begin", Sweep: "s-000001", Created: t0},
+		{T: "row", Sweep: "s-000001", Index: 0, Row: rowOf(0)},
+		{T: "row", Sweep: "s-000001", Index: 1, Row: rowOf(1)},
+		{T: "end", Sweep: "s-000001"},
+	} {
+		if err := s2.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2.mu.Unlock()
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s3, recovered := open(t, dir)
+	defer s3.Close()
+	checkSweep(t, recovered, "s-000001", 2)
+	if s3.Dropped() != 1 {
+		t.Fatalf("dropped = %d, want 1: the first sweep under the ID never ended", s3.Dropped())
+	}
+	if err := s3.Begin("s-000001", t0); err == nil {
+		t.Fatal("Begin took a recovered sweep's ID again")
 	}
 }
 
