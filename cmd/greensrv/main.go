@@ -2,13 +2,15 @@
 // app × governor sweeps as jobs, poll their status, and stream results as
 // NDJSON while workers — one isolated simulated device each — chew through
 // the queue in parallel. The workers are spread across -nodes in-process
-// nodes that all pull from one FIFO job queue; with -store DIR
+// nodes that all pull from one FIFO job queue, which holds every accepted
+// sweep's waiting jobs (-admit-queue sheds new sweeps while it holds that
+// many); with -store DIR
 // every finished sweep is made durable in a write-ahead log and survives
 // restarts (GET /v1/sweeps/{id} replays from disk).
 //
 // Usage:
 //
-//	greensrv [-addr :8080] [-nodes N] [-workers N] [-queue DEPTH] [-job-timeout 2m]
+//	greensrv [-addr :8080] [-nodes N] [-workers N] [-job-timeout 2m]
 //	         [-max-attempts N] [-retry-base 50ms] [-retry-max 2s] [-retry-seed S]
 //	         [-remote-nodes host:port,host:port,...]
 //	         [-store DIR]
@@ -22,8 +24,8 @@
 // evicted, the jobs it was running re-homed onto the survivors — sweep
 // bytes are identical either way. Each greennode runs the retry ladder with
 // its own flags, so greensrv refuses -workers, -job-timeout, -max-attempts,
-// -retry-base and -retry-max beside -remote-nodes; -queue and -retry-seed
-// (the reconnect jitter) still apply.
+// -retry-base and -retry-max beside -remote-nodes; -retry-seed (the
+// reconnect jitter) still applies.
 //
 // -no-obs turns fleet tracing off: sweeps get no /trace?fleet=1 artifact
 // (it answers no_fleet_trace) and their jobs record no spans. Result rows,
@@ -78,7 +80,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	nodes := flag.Int("nodes", 1, "in-process node count; all nodes' workers share one job queue")
 	workers := flag.Int("workers", 0, "worker count per node (0 = GOMAXPROCS split across nodes)")
-	queue := flag.Int("queue", 0, "job queue depth (0 = 4×workers)")
 	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "per-attempt execution cap (0 = none)")
 	maxAttempts := flag.Int("max-attempts", 3, "executions per failing job before quarantine (1 = no retry)")
 	retryBase := flag.Duration("retry-base", 50*time.Millisecond, "first retry backoff (doubled per attempt)")
@@ -98,8 +99,8 @@ func main() {
 
 	// Catch configuration mistakes at startup with a one-line error instead
 	// of surfacing them later as confusing runtime behavior. Zero stays legal
-	// where it is a documented default (-workers, -queue, -admit-queue,
-	// -admit-rate mean "auto"/"off" at 0).
+	// where it is a documented default (-workers, -admit-queue, -admit-rate
+	// mean "auto"/"off" at 0).
 	fail := func(msg string) {
 		fmt.Fprintln(os.Stderr, "greensrv:", msg)
 		os.Exit(1)
@@ -114,8 +115,6 @@ func main() {
 		fail("-nodes must be >= 1")
 	case *workers < 0:
 		fail("-workers must be >= 0 (0 = GOMAXPROCS)")
-	case *queue < 0:
-		fail("-queue must be >= 0 (0 = 4×workers)")
 	case *maxAttempts < 1:
 		fail("-max-attempts must be >= 1")
 	case *admitQueue < 0:
@@ -154,10 +153,10 @@ func main() {
 			}
 			ns = append(ns, n)
 		}
-		cluster = fleet.NewWithNodes(ns, *queue)
+		cluster = fleet.NewWithNodes(ns)
 	} else {
 		cluster = fleet.New(fleet.Options{
-			Nodes: *nodes, Workers: *workers, QueueDepth: *queue,
+			Nodes: *nodes, Workers: *workers,
 			JobTimeout: *jobTimeout, MaxAttempts: *maxAttempts,
 			RetryBaseDelay: *retryBase, RetryMaxDelay: *retryMax, RetrySeed: *retrySeed,
 		})

@@ -13,8 +13,9 @@ import (
 // Both mechanisms answer 429 with a machine-parsable body (see rejection)
 // and a positive-integer Retry-After header.
 type AdmissionOptions struct {
-	// MaxQueueDepth rejects new sweeps while the cluster's queue holds at
-	// least this many jobs; 0 disables the queue gate.
+	// MaxQueueDepth rejects new sweeps while at least this many jobs wait in
+	// the cluster's queue, which holds the whole backlog; 0 disables the
+	// queue gate.
 	MaxQueueDepth int
 	// RatePerSec is each client's sustained sweep-submission budget
 	// (token-bucket refill rate); 0 disables per-client limiting.
@@ -22,13 +23,14 @@ type AdmissionOptions struct {
 	// Burst is the token-bucket capacity (instantaneous burst allowance);
 	// 0 → 10.
 	Burst int
-	// MaxClients bounds the tracked client buckets; past it, new clients
-	// share one overflow bucket (mirrors the obs cardinality bound). 0 → 1024.
-	MaxClients int
 
 	// now overrides the clock for tests.
 	now func() time.Time
 }
+
+// maxClients bounds the tracked client buckets; past it, new clients share
+// one overflow bucket (mirrors the obs cardinality bound).
+const maxClients = 1024
 
 // rejection is the JSON body of every 429/503 the server sends for a sweep
 // submission: enough for a client to implement honest backoff without
@@ -60,9 +62,6 @@ type admission struct {
 func newAdmission(opts AdmissionOptions) *admission {
 	if opts.Burst <= 0 {
 		opts.Burst = 10
-	}
-	if opts.MaxClients <= 0 {
-		opts.MaxClients = 1024
 	}
 	now := opts.now
 	if now == nil {
@@ -123,7 +122,7 @@ func (a *admission) take(client string) (time.Duration, bool) {
 	defer a.mu.Unlock()
 	b, ok := a.buckets[client]
 	if !ok {
-		if len(a.buckets) >= a.opts.MaxClients {
+		if len(a.buckets) >= maxClients {
 			if a.overflow == nil {
 				a.overflow = &bucket{tokens: float64(a.opts.Burst), last: a.now()}
 			}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -13,12 +14,17 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/harness"
 )
 
-// postRaw submits a sweep without asserting on the status code, with an
-// optional client identity.
-func postSweepRaw(t *testing.T, srv *httptest.Server, clientID string) (*http.Response, rejection) {
+// Sweep request bodies of one job and of four (2 apps × 2 kinds).
+const (
+	oneJob   = `{"apps":["Todo"],"kinds":["Perf"]}`
+	fourJobs = `{"apps":["Todo","MSN"],"kinds":["Perf","GreenWeb-U"]}`
+)
+
+// postSweepRaw submits a sweep without asserting on the status code, with
+// an optional client identity.
+func postSweepRaw(t *testing.T, srv *httptest.Server, clientID, body string) (*http.Response, rejection) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/sweeps",
-		strings.NewReader(`{"apps":["Todo"],"kinds":["Perf"]}`))
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/sweeps", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,25 +107,28 @@ func TestTokenBucketRefill(t *testing.T) {
 	}
 }
 
-// TestAdmissionClientCardinalityBound: past MaxClients distinct identities,
+// TestAdmissionClientCardinalityBound: past maxClients distinct identities,
 // new clients share one overflow bucket instead of growing the map.
 func TestAdmissionClientCardinalityBound(t *testing.T) {
 	clock := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
 	a := newAdmission(AdmissionOptions{
-		RatePerSec: 1, Burst: 1, MaxClients: 2,
+		RatePerSec: 1, Burst: 1,
 		now: func() time.Time { return clock },
 	})
-	a.admit("c1", 0)
-	a.admit("c2", 0)
-	if rej := a.admit("c3", 0); rej != nil {
+	for i := 0; i < maxClients; i++ {
+		if rej := a.admit(fmt.Sprintf("c%d", i), 0); rej != nil {
+			t.Fatalf("client %d's first submission rejected: %+v", i, rej)
+		}
+	}
+	if rej := a.admit("first-overflow", 0); rej != nil {
 		t.Fatalf("first overflow submission rejected: %+v", rej)
 	}
-	// c4 shares c3's overflow bucket, which is now dry.
-	if rej := a.admit("c4", 0); rej == nil || rej.Code != CodeRateLimited {
+	// The next new client shares the overflow bucket, which is now dry.
+	if rej := a.admit("second-overflow", 0); rej == nil || rej.Code != CodeRateLimited {
 		t.Fatalf("overflow bucket not shared, rej = %+v", rej)
 	}
-	if len(a.buckets) != 2 {
-		t.Fatalf("bucket map grew to %d, want capped at 2", len(a.buckets))
+	if len(a.buckets) != maxClients {
+		t.Fatalf("bucket map grew to %d, want capped at %d", len(a.buckets), maxClients)
 	}
 }
 
@@ -136,10 +145,10 @@ func TestServerRateLimitRejection(t *testing.T) {
 		cluster.Close()
 	})
 
-	if resp, _ := postSweepRaw(t, srv, "loadgen-a"); resp.StatusCode != http.StatusAccepted {
+	if resp, _ := postSweepRaw(t, srv, "loadgen-a", oneJob); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first submission = %d, want 202", resp.StatusCode)
 	}
-	resp, rej := postSweepRaw(t, srv, "loadgen-a")
+	resp, rej := postSweepRaw(t, srv, "loadgen-a", oneJob)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-budget submission = %d, want 429", resp.StatusCode)
 	}
@@ -149,14 +158,15 @@ func TestServerRateLimitRejection(t *testing.T) {
 	checkRetryAfter(t, resp, rej)
 
 	// A different client identity is not collateral damage.
-	if resp, _ := postSweepRaw(t, srv, "loadgen-b"); resp.StatusCode != http.StatusAccepted {
+	if resp, _ := postSweepRaw(t, srv, "loadgen-b", oneJob); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("other client = %d, want 202", resp.StatusCode)
 	}
 }
 
 // TestServerQueueDepthRejection: with workers wedged and the queue past the
 // admission ceiling, submissions shed with 429 queue_full and report the
-// observed depth.
+// observed depth. The 202 follows the push, so the first sweep's jobs are
+// queued when it returns.
 func TestServerQueueDepthRejection(t *testing.T) {
 	release := make(chan struct{})
 	exec := func(ctx context.Context, j Job) (*harness.Run, error) {
@@ -167,7 +177,7 @@ func TestServerQueueDepthRejection(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	cluster := New(Options{Workers: 1, QueueDepth: 64, Execute: exec})
+	cluster := New(Options{Workers: 1, Execute: exec})
 	m := NewManager(context.Background(), cluster)
 	api := NewServer(m)
 	api.ConfigureAdmission(AdmissionOptions{MaxQueueDepth: 2})
@@ -178,27 +188,13 @@ func TestServerQueueDepthRejection(t *testing.T) {
 		cluster.Close()
 	})
 
-	// Each accepted sweep enqueues 4 jobs (2 apps × 2 kinds); the first wedges
-	// the lone worker and leaves 3 queued, past the ceiling of 2.
-	req := `{"apps":["Todo","MSN"],"kinds":["Perf","GreenWeb-U"]}`
-	resp, err := http.Post(srv.URL+"/v1/sweeps", "application/json", strings.NewReader(req))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
+	// The first sweep's 4 jobs wedge the lone worker and leave 3 queued,
+	// past the ceiling of 2.
+	if resp, _ := postSweepRaw(t, srv, "", fourJobs); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first sweep = %d, want 202", resp.StatusCode)
 	}
-	// Submission is async to enqueueing; wait for the queue to fill.
-	deadline := time.Now().Add(2 * time.Second)
-	for m.Cluster().Stats().Queued < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never filled: %+v", m.Cluster().Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
 
-	resp2, rej := postSweepRaw(t, srv, "")
+	resp2, rej := postSweepRaw(t, srv, "", oneJob)
 	if resp2.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("submission over full queue = %d, want 429", resp2.StatusCode)
 	}
@@ -209,6 +205,39 @@ func TestServerQueueDepthRejection(t *testing.T) {
 		t.Fatalf("queue_depth = %d, want >= 2", rej.QueueDepth)
 	}
 	checkRetryAfter(t, resp2, rej)
+}
+
+// TestQueueGateSeesWholeBacklog: the queue gate reads every waiting job,
+// however many sweeps queued them. With one wedged worker and a ceiling of
+// 8, three 4-job sweeps leave 11 jobs waiting, so the fourth is shed.
+func TestQueueGateSeesWholeBacklog(t *testing.T) {
+	started := make(chan Job, 16)
+	release := make(chan struct{})
+	cluster := New(Options{Workers: 1, Execute: fakeExec(started, release)})
+	api := NewServer(NewManager(context.Background(), cluster))
+	api.ConfigureAdmission(AdmissionOptions{MaxQueueDepth: 8})
+	srv := httptest.NewServer(api)
+	t.Cleanup(func() {
+		close(release)
+		srv.Close()
+		cluster.Close()
+	})
+
+	for i := 1; i <= 3; i++ {
+		if resp, _ := postSweepRaw(t, srv, "", fourJobs); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("sweep %d = %d, want 202", i, resp.StatusCode)
+		}
+		if i == 1 {
+			<-started // the worker holds one job; 3 wait
+		}
+	}
+	resp, rej := postSweepRaw(t, srv, "", fourJobs)
+	if resp.StatusCode != http.StatusTooManyRequests || rej.Code != CodeQueueFull {
+		t.Fatalf("sweep 4 = %d %q, want 429 %q", resp.StatusCode, rej.Code, CodeQueueFull)
+	}
+	if rej.QueueDepth != 11 {
+		t.Fatalf("queue_depth = %d, want 11", rej.QueueDepth)
+	}
 }
 
 // TestDrainRejectionBody: the PR 5 drain path now speaks the same JSON
@@ -225,7 +254,7 @@ func TestDrainRejectionBody(t *testing.T) {
 	})
 
 	api.StartDrain()
-	resp, rej := postSweepRaw(t, srv, "")
+	resp, rej := postSweepRaw(t, srv, "", oneJob)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submission while draining = %d, want 503", resp.StatusCode)
 	}

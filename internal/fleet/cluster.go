@@ -66,6 +66,14 @@ type deathNotifier interface {
 	OnDead(fn func())
 }
 
+// waiter is the optional Node facet a puller consults before it takes a
+// job: Wait blocks while the node cannot run one (a remote node
+// reconnecting) and reports false once it never will (dead or closed), or
+// once done closes. A node without it is always ready.
+type waiter interface {
+	Wait(done <-chan struct{}) bool
+}
+
 // NodeInfo is one execution node's row in the GET /v1/nodes federation:
 // identity, liveness, transport health (remote nodes), and work/trace
 // accounting.
@@ -103,64 +111,46 @@ type item struct {
 	deliver func(Result)
 }
 
-// queue is the cluster's one bounded FIFO, shared by every node's pullers
-// and guarded by one mutex (contention is negligible next to job
-// execution, which runs a whole simulated device). Admission waits on
-// nonFull, pullers on nonEmpty.
+// queue is the cluster's one FIFO, shared by every node's pullers and
+// guarded by one mutex (contention is negligible next to job execution,
+// which runs a whole simulated device). It is the only place a waiting job
+// lives: push never blocks, so its length is the whole backlog, which
+// admission control reads. Pullers wait on nonEmpty.
 type queue struct {
 	mu       sync.Mutex
 	nonEmpty *sync.Cond
-	nonFull  *sync.Cond
 	items    []item
-	bound    int
 	evicted  []bool // per node: its pullers exit
 	live     int    // nodes not yet evicted
 	closed   bool
+	done     chan struct{} // closed by close
 }
 
-func newQueue(nodes, bound int) *queue {
-	q := &queue{bound: bound, evicted: make([]bool, nodes), live: nodes}
+func newQueue(nodes int) *queue {
+	q := &queue{evicted: make([]bool, nodes), live: nodes, done: make(chan struct{})}
 	q.nonEmpty = sync.NewCond(&q.mu)
-	q.nonFull = sync.NewCond(&q.mu)
 	return q
 }
 
-// push appends an admitted item, waiting while the queue holds bound items.
-// It fails with ErrClosed after close, ErrNoNodes once every node is
-// evicted, or ctx's error if ctx ends while it waits.
-func (q *queue) push(ctx context.Context, it item) error {
+// push appends an admitted item. It fails with ErrClosed after close, and
+// ErrNoNodes once every node is evicted.
+func (q *queue) push(it item) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var stop func() bool
-	for {
-		switch {
-		case q.closed:
-			return ErrClosed
-		case q.live == 0:
-			return ErrNoNodes
-		case len(q.items) < q.bound:
-			q.items = append(q.items, it)
-			q.nonEmpty.Signal()
-			return nil
-		case ctx.Err() != nil:
-			return ctx.Err()
-		}
-		if stop == nil {
-			// Taking the lock orders the wake-up after this goroutine parks.
-			stop = context.AfterFunc(ctx, func() {
-				q.mu.Lock()
-				q.nonFull.Broadcast()
-				q.mu.Unlock()
-			})
-			defer stop()
-		}
-		q.nonFull.Wait()
+	switch {
+	case q.closed:
+		return ErrClosed
+	case q.live == 0:
+		return ErrNoNodes
 	}
+	q.items = append(q.items, it)
+	q.nonEmpty.Signal()
+	return nil
 }
 
-// requeue puts back a job whose node died under it: past the bound, since
-// it was admitted once already, and at the head, since it was admitted
-// before the jobs still waiting. False once every node is evicted.
+// requeue puts back a job whose node died under it: at the head, since it
+// was admitted before the jobs still waiting, and even after close, since
+// it was admitted once already. False once every node is evicted.
 func (q *queue) requeue(it item) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -182,7 +172,6 @@ func (q *queue) pop(node int) (item, bool) {
 			it := q.items[0]
 			q.items[0] = item{} // the backing array must not pin a finished job
 			q.items = q.items[1:]
-			q.nonFull.Signal()
 			return it, true
 		}
 		if q.closed {
@@ -205,7 +194,6 @@ func (q *queue) evict(node int) (ok bool, stranded []item) {
 	q.live--
 	if q.live == 0 {
 		stranded, q.items = q.items, nil
-		q.nonFull.Broadcast() // waiting admissions fail with ErrNoNodes
 	}
 	q.nonEmpty.Broadcast()
 	return true, stranded
@@ -220,9 +208,18 @@ func (q *queue) close() bool {
 		return false
 	}
 	q.closed = true
+	close(q.done)
 	q.nonEmpty.Broadcast()
-	q.nonFull.Broadcast()
 	return true
+}
+
+// drain empties the queue and returns what it held.
+func (q *queue) drain() []item {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	its := q.items
+	q.items = nil
+	return its
 }
 
 func (q *queue) len() int {
@@ -232,8 +229,8 @@ func (q *queue) len() int {
 }
 
 // Cluster is the fleet's scheduler: it fans jobs out across N nodes —
-// each an execution backend with its own slots — through one bounded FIFO
-// that every node's pullers share, so a free slot on any node takes the
+// each an execution backend with its own slots — through one FIFO that
+// every node's pullers share, so a free slot on any node takes the
 // oldest waiting job. Submission-order merge is a property of delivery
 // indexing, not of which node ran a job, so sweep output is byte-identical
 // at any node×worker topology.
@@ -244,8 +241,10 @@ func (q *queue) len() int {
 // deterministic cell re-executes elsewhere with an identical result. A node
 // declared dead (a remote node's heartbeat suspicion through the full
 // reconnect budget) is evicted: its pullers exit, and the live nodes'
-// pullers take what is queued. Sweep bytes therefore do not depend on which
-// nodes survived — the determinism contract holds through node death.
+// pullers take what is queued. While a node reconnects, its pullers take
+// nothing, so the live nodes run what waits. Sweep bytes therefore do not
+// depend on which nodes survived — the determinism contract holds through
+// node death.
 //
 // Create with New or NewWithNodes, stop with Close.
 type Cluster struct {
@@ -277,23 +276,16 @@ func New(opts Options) *Cluster {
 	for i := range nodes {
 		nodes[i] = NewLocalNode(i, opts)
 	}
-	return NewWithNodes(nodes, opts.QueueDepth)
+	return NewWithNodes(nodes)
 }
 
 // NewWithNodes builds a cluster over caller-supplied nodes (remote workers,
 // or instrumented test nodes) and starts its pullers. Node IDs must equal
-// their slice index. queueDepth 0 → 4× the total workers.
-func NewWithNodes(nodes []Node, queueDepth int) *Cluster {
-	total := 0
-	for _, n := range nodes {
-		total += n.Workers()
-	}
-	if queueDepth <= 0 {
-		queueDepth = 4 * total
-	}
+// their slice index.
+func NewWithNodes(nodes []Node) *Cluster {
 	c := &Cluster{
 		nodes:     nodes,
-		q:         newQueue(len(nodes), queueDepth),
+		q:         newQueue(len(nodes)),
 		pulled:    make([]atomic.Int64, len(nodes)),
 		rehomed:   make([]atomic.Int64, len(nodes)),
 		spanDrops: make([]atomic.Int64, len(nodes)),
@@ -337,14 +329,18 @@ func (c *Cluster) Evict(id int) {
 	c.evictions.Add(1)
 	// Stranded failures surface before the node close, which may block
 	// draining the dead node's in-flight work.
-	for _, it := range stranded {
+	c.fail(stranded, fmt.Errorf("%w: node %d evicted last", ErrNoNodes, id))
+	c.nodes[id].Close()
+}
+
+// fail delivers err to queued items that no node will run.
+func (c *Cluster) fail(its []item, err error) {
+	for _, it := range its {
 		c.failed.Add(1)
 		if it.deliver != nil {
-			it.deliver(Result{Job: it.job, Worker: -1,
-				Err: fmt.Errorf("%w: node %d evicted last", ErrNoNodes, id)})
+			it.deliver(Result{Job: it.job, Worker: -1, Err: err})
 		}
 	}
-	c.nodes[id].Close()
 }
 
 // Evictions reports how many nodes have been evicted.
@@ -354,11 +350,16 @@ func (c *Cluster) Evictions() int64 { return c.evictions.Load() }
 // its transport died under them.
 func (c *Cluster) Rehomed(id int) int64 { return c.rehomed[id].Load() }
 
-// puller is one node execution slot: pop the oldest job, run it on the
-// owning node, deliver — or re-home it when the node died under the job.
+// puller is one node execution slot: wait until the node can run a job,
+// pop the oldest, run it on the node, deliver — or re-home it when the node
+// died under the job.
 func (c *Cluster) puller(n Node, slot int) {
 	defer c.wg.Done()
+	w, _ := n.(waiter)
 	for {
+		if w != nil && !w.Wait(c.q.done) {
+			return
+		}
 		it, ok := c.q.pop(n.ID())
 		if !ok {
 			return
@@ -422,18 +423,19 @@ func (c *Cluster) puller(n Node, slot int) {
 	}
 }
 
-// Start enqueues one job, blocking while the queue is full and aborting on
-// ctx; it returns ErrClosed after Close, and ErrNoNodes once every node has
-// been evicted. deliver is called exactly once, from a puller goroutine,
-// with the job's terminal Result — including failure and cancellation;
-// started, if non-nil, fires when the job leaves the queue for a node. A
-// traced job's ctx carries its sweep's trace (trace.WithSweep), where the
-// puller records the dispatch and re-home spans under job.Trace.
+// Start enqueues one job without blocking; it returns ErrClosed after
+// Close, and ErrNoNodes once every node has been evicted. ctx is the job's:
+// its end cancels the job, queued or running. deliver is called exactly
+// once, never inside Start, with the job's terminal Result — including
+// failure and cancellation; started, if non-nil, fires when the job leaves
+// the queue for a node. A traced job's ctx carries its sweep's trace
+// (trace.WithSweep), where the puller records the dispatch and re-home
+// spans under job.Trace.
 func (c *Cluster) Start(ctx context.Context, job Job, started func(), deliver func(Result)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return c.q.push(ctx, item{job: job, ctx: ctx, started: started, deliver: deliver})
+	return c.q.push(item{job: job, ctx: ctx, started: started, deliver: deliver})
 }
 
 // RunSweep fans the jobs out and blocks until every one has a result. The
@@ -505,13 +507,15 @@ func (c *Cluster) NodeInfos() []NodeInfo {
 	return infos
 }
 
-// Close stops intake, drains queued jobs, waits for the pullers, and shuts
-// the nodes down.
+// Close stops intake, runs the queued jobs on the nodes that can take them,
+// waits for the pullers, fails what no node took (every node reconnecting)
+// with ErrClosed, and shuts the nodes down.
 func (c *Cluster) Close() {
 	if !c.q.close() {
 		return
 	}
 	c.wg.Wait()
+	c.fail(c.q.drain(), ErrClosed)
 	for _, n := range c.nodes {
 		n.Close()
 	}

@@ -106,7 +106,7 @@ func TestClusterServesOldestFirst(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	c := New(Options{Nodes: 2, Workers: 1, QueueDepth: n, Execute: exec})
+	c := New(Options{Nodes: 2, Workers: 1, Execute: exec})
 	defer c.Close()
 	// On failure, cancelling unblocks the held jobs so Close can drain.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -159,7 +159,7 @@ func TestClusterSlotsDistinctAcrossUnevenNodes(t *testing.T) {
 	c := NewWithNodes([]Node{
 		NewLocalNode(0, Options{Workers: 2, Execute: exec}),
 		NewLocalNode(1, Options{Workers: 1, Execute: exec}),
-	}, 0)
+	})
 	defer c.Close()
 	done := make(chan []Result, 1)
 	go func() { done <- c.RunSweep(context.Background(), make([]Job, 3)) }()
@@ -182,31 +182,76 @@ func TestClusterSlotsDistinctAcrossUnevenNodes(t *testing.T) {
 	}
 }
 
-// TestClusterBackpressureAndClose: a full cluster queue blocks Start until
-// ctx cancels; Close rejects further submissions and drains what is queued.
-func TestClusterBackpressureAndClose(t *testing.T) {
+// TestClusterCloseDrainsAndRefuses: Close runs what is queued before it
+// returns, and refuses further submissions with ErrClosed.
+func TestClusterCloseDrainsAndRefuses(t *testing.T) {
 	block := make(chan struct{})
-	c := New(Options{Nodes: 2, Workers: 1, QueueDepth: 2, Execute: fakeExec(nil, block)})
+	c := New(Options{Nodes: 2, Workers: 1, Execute: fakeExec(nil, block)})
 
-	var wg sync.WaitGroup
-	deliver := func(Result) { wg.Done() }
-	// 2 running + 2 queued fill the cluster.
+	var done atomic.Int64
+	deliver := func(r Result) {
+		if r.Err == nil {
+			done.Add(1)
+		}
+	}
+	// 2 running + 2 queued.
 	for i := 0; i < 4; i++ {
-		wg.Add(1)
 		if err := c.Start(context.Background(), Job{App: "a"}, nil, deliver); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := c.Start(ctx, Job{App: "b"}, nil, nil); err != context.DeadlineExceeded {
-		t.Fatalf("Start on full queue = %v, want DeadlineExceeded", err)
-	}
+	closed := make(chan struct{})
+	go func() {
+		c.Close()
+		close(closed)
+	}()
 	close(block)
-	wg.Wait()
-	c.Close()
+	<-closed
+	if got := done.Load(); got != 4 {
+		t.Fatalf("Close returned with %d of 4 jobs done", got)
+	}
 	if err := c.Start(context.Background(), Job{App: "c"}, nil, nil); err != ErrClosed {
 		t.Fatalf("Start after Close = %v, want ErrClosed", err)
+	}
+}
+
+// waitingNode is a LocalNode whose pullers' Wait blocks until done closes,
+// like a remote node that reconnects for longer than the test runs.
+type waitingNode struct{ *LocalNode }
+
+func (waitingNode) Wait(done <-chan struct{}) bool {
+	<-done
+	return false
+}
+
+// TestClusterCloseSkipsWaitingNode: a node that cannot take jobs holds its
+// pullers off the queue, so the live node runs every job, and Close neither
+// waits for the node nor loses a job: what no node took fails with
+// ErrClosed.
+func TestClusterCloseSkipsWaitingNode(t *testing.T) {
+	exec := fakeExec(nil, closedChan())
+	live := NewLocalNode(0, Options{Workers: 1, Execute: exec})
+	c := NewWithNodes([]Node{live, waitingNode{NewLocalNode(1, Options{Workers: 2, Execute: exec})}})
+	for i, r := range c.RunSweep(context.Background(), make([]Job, 6)) {
+		if r.Err != nil || r.Worker != 0 {
+			t.Fatalf("job %d: worker %d, err %v; want the live node's slot 0", i, r.Worker, r.Err)
+		}
+	}
+	c.Close()
+
+	lone := NewWithNodes([]Node{waitingNode{NewLocalNode(0, Options{Workers: 1, Execute: exec})}})
+	res := make(chan Result, 1)
+	if err := lone.Start(context.Background(), Job{App: "a"}, nil, func(r Result) { res <- r }); err != nil {
+		t.Fatal(err)
+	}
+	lone.Close()
+	select {
+	case r := <-res:
+		if !errors.Is(r.Err, ErrClosed) {
+			t.Fatalf("untaken job: err %v, want ErrClosed", r.Err)
+		}
+	default:
+		t.Fatal("Close returned without delivering the job no node took")
 	}
 }
 
@@ -276,11 +321,11 @@ func TestClusterDeliverExactlyOnceUnderCancel(t *testing.T) {
 	}
 }
 
-// TestClusterCloseRacesSubmissions: Close while submitters hammer Start
-// against a full queue. Every accepted submission must deliver exactly
-// once, every post-close Start must return the typed ErrClosed, and no
-// goroutine may outlive the cluster. Meaningful under -race, which the CI
-// test job runs.
+// TestClusterCloseRacesSubmissions: Close while submitters hammer Start,
+// together keeping up to 16 jobs in flight. Every accepted submission must
+// deliver exactly once, every post-close Start must return the typed
+// ErrClosed, and no goroutine may outlive the cluster. Meaningful under
+// -race, which the CI test job runs.
 func TestClusterCloseRacesSubmissions(t *testing.T) {
 	before := runtime.NumGoroutine()
 	exec := func(ctx context.Context, j Job) (*harness.Run, error) {
@@ -295,11 +340,14 @@ func TestClusterCloseRacesSubmissions(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	c := New(Options{Nodes: 3, Workers: 2, QueueDepth: 16, Execute: exec})
+	c := New(Options{Nodes: 3, Workers: 2, Execute: exec})
 
 	var accepted, delivered, rejected atomic.Int64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	// The queue never blocks, so the submitters bound their own backlog:
+	// a slot is taken per Start and given back on delivery.
+	window := make(chan struct{}, 16)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -308,24 +356,25 @@ func TestClusterCloseRacesSubmissions(t *testing.T) {
 				select {
 				case <-stop:
 					return
-				default:
+				case window <- struct{}{}:
 				}
 				app := "fast"
 				if (g+i)%3 == 0 {
 					app = "slow" // uneven latency staggers the pullers' pops
 				}
-				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-				err := c.Start(ctx, Job{App: app}, nil, func(Result) { delivered.Add(1) })
-				cancel()
+				err := c.Start(context.Background(), Job{App: app}, nil, func(Result) {
+					delivered.Add(1)
+					<-window
+				})
 				switch {
 				case err == nil:
 					accepted.Add(1)
 				case errors.Is(err, ErrClosed):
+					<-window
 					rejected.Add(1)
 					return
-				case errors.Is(err, context.DeadlineExceeded):
-					// queue stayed full through the timeout; keep going
 				default:
+					<-window
 					t.Errorf("Start returned unexpected error: %v", err)
 					return
 				}
@@ -365,7 +414,7 @@ func TestClusterCloseRacesSubmissions(t *testing.T) {
 // node never existed.
 func TestEvictLeavesQueuedJobsToLiveNodes(t *testing.T) {
 	block := make(chan struct{})
-	c := New(Options{Nodes: 2, Workers: 1, QueueDepth: 16, Execute: fakeExec(nil, block)})
+	c := New(Options{Nodes: 2, Workers: 1, Execute: fakeExec(nil, block)})
 	defer c.Close()
 
 	var wg sync.WaitGroup
@@ -398,7 +447,7 @@ func TestEvictLeavesQueuedJobsToLiveNodes(t *testing.T) {
 // with the same error.
 func TestEvictLastNodeStrandsJobs(t *testing.T) {
 	block := make(chan struct{})
-	c := New(Options{Nodes: 1, Workers: 1, QueueDepth: 8, Execute: fakeExec(nil, block)})
+	c := New(Options{Nodes: 1, Workers: 1, Execute: fakeExec(nil, block)})
 	defer c.Close()
 
 	results := make(chan Result, 3)

@@ -6,8 +6,9 @@
 // The scheduler provides the guarantees a sweep needs to be both fast and
 // trustworthy:
 //
-//   - one bounded FIFO job queue that every node's workers share (Start
-//     blocks when full, and a free worker always takes the oldest job);
+//   - one FIFO job queue that every node's workers share (Start never
+//     blocks, a free worker always takes the oldest job, and the queue's
+//     length is the whole backlog, which admission control reads);
 //   - per-job timeout and cancellation via context.Context, checked at
 //     simulation-chunk granularity inside the harness;
 //   - panic recovery and a retry and quarantine ladder, converting a
@@ -186,10 +187,6 @@ type Options struct {
 	// Workers is each node's concurrent simulated devices; 0 →
 	// max(1, GOMAXPROCS/Nodes).
 	Workers int
-	// QueueDepth bounds the jobs waiting in the cluster's queue; 0 → 4× the
-	// total workers. Start blocks while the queue is full (admission control
-	// reads this backpressure).
-	QueueDepth int
 	// JobTimeout caps one job attempt's execution; 0 disables. An expired
 	// attempt becomes a failed attempt (context.DeadlineExceeded), not a
 	// dead worker — and is retried like any other failure.
@@ -224,7 +221,7 @@ type LocalNode struct {
 }
 
 // NewLocalNode builds node id from opts' ladder settings. opts.Workers
-// defaults to 1; Nodes and QueueDepth are the cluster's, not the node's.
+// defaults to 1; Nodes is the cluster's, not the node's.
 func NewLocalNode(id int, opts Options) *LocalNode {
 	if opts.Workers <= 0 {
 		opts.Workers = 1

@@ -99,7 +99,7 @@ func TestCancellationMidSweep(t *testing.T) {
 	started := make(chan Job, 4)
 	release := make(chan struct{})
 	defer close(release)
-	p := New(Options{Workers: 2, QueueDepth: 2, Execute: fakeExec(started, release)})
+	p := New(Options{Workers: 2, Execute: fakeExec(started, release)})
 	defer p.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -110,7 +110,7 @@ func TestCancellationMidSweep(t *testing.T) {
 	resc := make(chan []Result, 1)
 	go func() { resc <- p.RunSweep(ctx, jobs) }()
 	<-started
-	<-started // both workers busy, queue full, submitter blocked
+	<-started // both workers busy, the other six jobs queued
 	cancel()
 
 	select {
@@ -250,7 +250,7 @@ func TestJobValidate(t *testing.T) {
 // Deliver must be called exactly once per job even under heavy concurrent
 // submission (run with -race).
 func TestDeliverExactlyOnce(t *testing.T) {
-	p := New(Options{Workers: 4, QueueDepth: 2, Execute: func(ctx context.Context, j Job) (*harness.Run, error) {
+	p := New(Options{Workers: 4, Execute: func(ctx context.Context, j Job) (*harness.Run, error) {
 		return &harness.Run{}, nil
 	}})
 	defer p.Close()

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -211,11 +210,10 @@ func (s *Sweep) Status() SweepStatus {
 }
 
 // Manager owns the cluster-facing sweep lifecycle for the job server: it
-// assigns IDs, submits jobs asynchronously (absorbing queue backpressure
-// off the HTTP handler), and resolves IDs through its registry, the only
-// one a sweep lives in. Given a store, it persists every sweep it enqueues
-// and registers the sweeps the store recovered, which predate this
-// process.
+// assigns IDs, puts every job of a sweep on the cluster's queue, and
+// resolves IDs through its registry, the only one a sweep lives in. Given
+// a store, it persists every sweep it enqueues and registers the sweeps the
+// store recovered, which predate this process.
 type Manager struct {
 	ctx     context.Context // parents every sweep; server lifetime
 	cluster *Cluster
@@ -351,16 +349,15 @@ func (m *Manager) Get(id SweepID) (*Sweep, bool) {
 	return s, ok
 }
 
-// Enqueue validates the jobs, registers a sweep, and starts feeding the
-// cluster in the background. It returns as soon as the sweep is registered;
-// queue backpressure is absorbed by the feeding goroutine, not the caller.
+// Enqueue validates the jobs, registers a sweep, and puts every job on the
+// cluster's queue, which never blocks, so the sweep's whole backlog is
+// queued (and visible to admission control) when Enqueue returns.
 func (m *Manager) Enqueue(jobs []Job) (*Sweep, error) {
 	for i, j := range jobs {
 		if err := j.Validate(); err != nil {
 			return nil, fmt.Errorf("job %d: %w", i, err)
 		}
 	}
-	jobs = slices.Clone(jobs)
 	ctx, cancel := context.WithCancel(m.ctx)
 	s := newSweep(SweepID(fmt.Sprintf("s-%06d", m.seq.Add(1))), time.Now(), len(jobs))
 	s.cancel = cancel
@@ -399,48 +396,44 @@ func (m *Manager) Enqueue(jobs []Job) (*Sweep, error) {
 	if m.st != nil {
 		go m.persist(s)
 	}
-	go func() {
-		for i, job := range jobs {
-			i := i
-			started := func() {
-				s.mu.Lock()
-				if s.state[i] == StateQueued {
-					s.state[i] = StateRunning
-				}
-				s.mu.Unlock()
+	for i, job := range jobs {
+		started := func() {
+			s.mu.Lock()
+			if s.state[i] == StateQueued {
+				s.state[i] = StateRunning
 			}
-			deliver := func(r Result) { s.finish(i, r) }
-			if tr != nil {
-				// Root span id is minted up front so queue-wait, worker
-				// spans, and the root itself all agree on parentage. Each
-				// job goes to the cluster as a copy carrying its context.
-				rootID := trace.NewSpanID()
-				job.Trace = &trace.Context{Sweep: string(s.ID), Job: i, Parent: rootID}
-				submitted := time.Now()
-				innerStarted := started
-				started = func() {
-					tr.Record(i, rootID, "queue-wait", "queue", submitted, time.Since(submitted), nil)
-					innerStarted()
-				}
-				deliver = func(r Result) {
-					tr.AddSpans(r.Spans, r.SpanDrops)
-					tr.RecordSpan(trace.Span{
-						ID: rootID, Name: "job", Cat: "job", Job: i,
-						StartUS: submitted.UnixMicro(),
-						DurUS:   int64(time.Since(submitted) / time.Microsecond),
-						Attrs: map[string]string{
-							"app": job.App, "kind": string(job.Kind), "state": string(r.State()),
-						},
-					})
-					s.finish(i, r)
-				}
+			s.mu.Unlock()
+		}
+		deliver := func(r Result) { s.finish(i, r) }
+		if tr != nil {
+			// Root span id is minted up front so queue-wait, worker spans,
+			// and the root itself all agree on parentage. Each job goes to
+			// the cluster as a copy carrying its context.
+			rootID := trace.NewSpanID()
+			job.Trace = &trace.Context{Sweep: string(s.ID), Job: i, Parent: rootID}
+			submitted := time.Now()
+			innerStarted := started
+			started = func() {
+				tr.Record(i, rootID, "queue-wait", "queue", submitted, time.Since(submitted), nil)
+				innerStarted()
 			}
-			err := m.cluster.Start(ctx, job, started, deliver)
-			if err != nil {
-				s.finish(i, Result{Job: job, Worker: -1, Err: err})
+			deliver = func(r Result) {
+				tr.AddSpans(r.Spans, r.SpanDrops)
+				tr.RecordSpan(trace.Span{
+					ID: rootID, Name: "job", Cat: "job", Job: i,
+					StartUS: submitted.UnixMicro(),
+					DurUS:   int64(time.Since(submitted) / time.Microsecond),
+					Attrs: map[string]string{
+						"app": job.App, "kind": string(job.Kind), "state": string(r.State()),
+					},
+				})
+				s.finish(i, r)
 			}
 		}
-	}()
+		if err := m.cluster.Start(ctx, job, started, deliver); err != nil {
+			s.finish(i, Result{Job: job, Worker: -1, Err: err})
+		}
+	}
 	return s, nil
 }
 

@@ -62,7 +62,7 @@ func chaosSweep(t *testing.T, spec ChaosSpec, jobs []fleet.Job, exec func(contex
 		}
 		nodes = append(nodes, n)
 	}
-	out := ndjson(t, sweep(fleet.NewWithNodes(nodes, 0), jobs))
+	out := ndjson(t, sweep(fleet.NewWithNodes(nodes), jobs))
 	var reconnects int64
 	for _, n := range nodes {
 		reconnects += n.(*RemoteNode).Health().Reconnects

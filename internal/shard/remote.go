@@ -177,9 +177,11 @@ func (s *session) fail(reason error) {
 // unanswered ping past HeartbeatTimeout is a miss; SuspectAfter consecutive
 // misses (or any read/write error) breaks the session, failing in-flight
 // calls with fleet.ErrNodeDown and entering the reconnect loop — bounded
-// attempts with seeded, jittered exponential backoff. MaxReconnects
-// consecutive failures declare the node dead: OnDead subscribers fire (the
-// cluster evicts the node) and every future Run fails fast.
+// attempts with seeded, jittered exponential backoff. While it reconnects,
+// Wait holds the node's cluster pullers off the queue and Run fails fast,
+// so the live nodes take the waiting jobs. MaxReconnects consecutive
+// failures declare the node dead: OnDead subscribers fire (the cluster
+// evicts the node), and Wait reports false from then on.
 type RemoteNode struct {
 	id      int
 	opts    RemoteOptions
@@ -190,7 +192,7 @@ type RemoteNode struct {
 	sess   *session
 	change chan struct{} // closed and replaced on every connect/disconnect/death
 	dead   bool
-	closed bool
+	quit   chan struct{} // closed by Close
 	onDead []func()
 
 	seq        atomic.Uint64
@@ -211,6 +213,7 @@ func NewRemoteNode(id int, opts RemoteOptions) (*RemoteNode, error) {
 		id:       id,
 		opts:     opts,
 		change:   make(chan struct{}),
+		quit:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
 	sess, workers, name, err := n.dialAndShake()
@@ -269,38 +272,37 @@ func (n *RemoteNode) OnDead(fn func()) {
 	}
 }
 
-// Close stops the connection manager and closes the connection. In-flight
-// Run calls return fleet.ErrNodeDown. Idempotent.
+// Close stops the connection manager, cutting a reconnect backoff short,
+// and closes the connection. In-flight Run calls return fleet.ErrNodeDown.
+// Idempotent.
 func (n *RemoteNode) Close() {
 	n.mu.Lock()
-	if n.closed {
+	if n.isClosed() {
 		n.mu.Unlock()
 		return
 	}
-	n.closed = true
+	close(n.quit)
 	sess := n.sess
 	n.mu.Unlock()
 	if sess != nil {
 		sess.conn.Close()
 	}
-	n.bump() // wake Run waiters
 	<-n.loopDone
 }
 
-// bump closes and replaces the state-change channel, waking every waiter.
-func (n *RemoteNode) bump() {
+// setSession installs s (nil while reconnecting) and wakes Wait. It
+// reports false, installing nothing, once the node is closed: Close has
+// already closed the session it saw.
+func (n *RemoteNode) setSession(s *session) bool {
 	n.mu.Lock()
-	close(n.change)
-	n.change = make(chan struct{})
-	n.mu.Unlock()
-}
-
-func (n *RemoteNode) setSession(s *session) {
-	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.isClosed() {
+		return false
+	}
 	n.sess = s
 	close(n.change)
 	n.change = make(chan struct{})
-	n.mu.Unlock()
+	return true
 }
 
 // die declares the node dead and fires the eviction subscribers.
@@ -322,9 +324,35 @@ func (n *RemoteNode) die() {
 }
 
 func (n *RemoteNode) isClosed() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.closed
+	select {
+	case <-n.quit:
+		return true
+	default:
+		return false
+	}
+}
+
+// Wait implements the cluster's waiter facet: it blocks while the node
+// reconnects and reports whether the node can take a job, false once it is
+// dead or closed, or once done closes.
+func (n *RemoteNode) Wait(done <-chan struct{}) bool {
+	for {
+		n.mu.Lock()
+		up, dead, change := n.sess != nil, n.dead, n.change
+		n.mu.Unlock()
+		switch {
+		case dead || n.isClosed():
+			return false
+		case up:
+			return true
+		}
+		select {
+		case <-change:
+		case <-n.quit:
+		case <-done:
+			return false
+		}
+	}
 }
 
 // dialAndShake establishes one connection: dial, hello, welcome.
@@ -390,20 +418,16 @@ func (n *RemoteNode) loop(sess *session) {
 		reason := n.runSession(sess)
 		sess.conn.Close()
 		sess.fail(reason)
-		if n.isClosed() {
+		if !n.setSession(nil) {
 			return
 		}
-		n.mu.Lock()
-		n.sess = nil
-		close(n.change)
-		n.change = make(chan struct{})
-		n.mu.Unlock()
 
 		ok := false
 		for attempt := 1; attempt <= n.opts.MaxReconnects; attempt++ {
-			time.Sleep(fleet.Backoff(n.opts.ReconnectBase, n.opts.ReconnectMax, n.opts.Seed,
-				"reconnect "+strconv.Itoa(n.id), attempt))
-			if n.isClosed() {
+			select {
+			case <-time.After(fleet.Backoff(n.opts.ReconnectBase, n.opts.ReconnectMax, n.opts.Seed,
+				"reconnect "+strconv.Itoa(n.id), attempt)):
+			case <-n.quit:
 				return
 			}
 			s, _, _, err := n.dialAndShake()
@@ -417,7 +441,10 @@ func (n *RemoteNode) loop(sess *session) {
 			n.die()
 			return
 		}
-		n.setSession(sess)
+		if !n.setSession(sess) {
+			sess.conn.Close()
+			return
+		}
 	}
 }
 
@@ -485,48 +512,38 @@ func (n *RemoteNode) runSession(sess *session) error {
 }
 
 // Run implements fleet.Node: ship the job, wait for its result, and stamp
-// it with the calling puller's slot. While the node is disconnected but not
-// yet dead, Run parks until the reconnect resolves — so a transient blip
-// stalls rather than fails the puller. A broken session mid-call returns
-// fleet.ErrNodeDown, which the cluster re-homes.
+// it with the calling puller's slot. A node with no session (reconnecting,
+// dead or closed) fails the job at once with fleet.ErrNodeDown, as does a
+// session that breaks mid-call, and the cluster re-homes it: no job waits
+// out a reconnect.
 func (n *RemoteNode) Run(ctx context.Context, slot int, job fleet.Job) fleet.Result {
-	for {
-		n.mu.Lock()
-		sess, change, dead, closed := n.sess, n.change, n.dead, n.closed
-		n.mu.Unlock()
-		if dead || closed {
-			return fleet.Result{Job: job, Worker: -1,
-				Err: fmt.Errorf("%w: node %d dead", fleet.ErrNodeDown, n.id)}
+	if err := ctx.Err(); err != nil {
+		return fleet.Result{Job: job, Worker: -1, Err: err}
+	}
+	n.mu.Lock()
+	sess := n.sess
+	n.mu.Unlock()
+	id := n.seq.Add(1)
+	ch := make(chan fleet.Result, 1)
+	if sess == nil || !sess.register(id, job, ch) {
+		return fleet.Result{Job: job, Worker: -1,
+			Err: fmt.Errorf("%w: node %d has no session", fleet.ErrNodeDown, n.id)}
+	}
+	if err := sess.write(frame{T: frameJob, ID: id, Job: &job}); err != nil {
+		sess.unregister(id)
+		sess.conn.Close() // wake the reader; the loop handles teardown
+		return fleet.Result{Job: job, Worker: -1,
+			Err: fmt.Errorf("%w: %v", fleet.ErrNodeDown, err)}
+	}
+	select {
+	case r := <-ch:
+		if r.Worker >= 0 {
+			r.Worker = slot
 		}
-		if sess == nil {
-			select {
-			case <-change:
-				continue
-			case <-ctx.Done():
-				return fleet.Result{Job: job, Worker: -1, Err: ctx.Err()}
-			}
-		}
-		id := n.seq.Add(1)
-		ch := make(chan fleet.Result, 1)
-		if !sess.register(id, job, ch) {
-			continue // session broke between lookup and register
-		}
-		if err := sess.write(frame{T: frameJob, ID: id, Job: &job}); err != nil {
-			sess.unregister(id)
-			sess.conn.Close() // wake the reader; the loop handles teardown
-			return fleet.Result{Job: job, Worker: -1,
-				Err: fmt.Errorf("%w: %v", fleet.ErrNodeDown, err)}
-		}
-		select {
-		case r := <-ch:
-			if r.Worker >= 0 {
-				r.Worker = slot
-			}
-			return r
-		case <-ctx.Done():
-			sess.unregister(id)
-			sess.write(frame{T: frameCancel, ID: id}) // best-effort
-			return fleet.Result{Job: job, Worker: -1, Err: ctx.Err()}
-		}
+		return r
+	case <-ctx.Done():
+		sess.unregister(id)
+		sess.write(frame{T: frameCancel, ID: id}) // best-effort
+		return fleet.Result{Job: job, Worker: -1, Err: ctx.Err()}
 	}
 }

@@ -131,7 +131,7 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sweep(fleet.NewWithNodes([]fleet.Node{n}, 0), jobs)
+	res := sweep(fleet.NewWithNodes([]fleet.Node{n}), jobs)
 	if got := ndjson(t, res); got != want {
 		t.Fatalf("remote sweep diverged from sequential output:\n--- got\n%s--- want\n%s", got, want)
 	}
@@ -172,7 +172,8 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 // still streams bytes identical to the pristine sequential reference. Jobs
 // in flight on the dying node come back as ErrNodeDown and re-home onto the
 // shared queue, where the live node takes them and every still-queued job;
-// all re-execute deterministically.
+// all re-execute deterministically. The sweep does not wait for the dead
+// node, so the test waits for its eviction.
 func TestKillMidSweepDeterminism(t *testing.T) {
 	exec := func(ctx context.Context, j fleet.Job) (*harness.Run, error) {
 		select {
@@ -217,16 +218,106 @@ func TestKillMidSweepDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := fleet.NewWithNodes([]fleet.Node{n0, n1}, 0)
-	got := ndjson(t, sweep(c, jobs))
+	c := fleet.NewWithNodes([]fleet.Node{n0, n1})
+	defer c.Close()
+	got := ndjson(t, c.RunSweep(context.Background(), jobs))
 	if got != want {
 		t.Fatalf("kill-mid-sweep output diverged from the pristine reference:\n--- got\n%s--- want\n%s", got, want)
+	}
+	for deadline := time.Now().Add(5 * time.Second); c.Evictions() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	if c.Evictions() != 1 {
 		t.Fatalf("evictions = %d, want 1", c.Evictions())
 	}
 	if c.Rehomed(0) == 0 {
 		t.Fatal("no jobs were re-homed off the killed node")
+	}
+}
+
+// TestReconnectingNodeHoldsNoJob: while a node whose worker died
+// reconnects, its pullers take no job, so the live node runs the whole
+// sweep at once, and Close does not wait out the reconnect budget either.
+// Parking a job on the reconnecting node would hold the sweep for the
+// budget, about 4.5 s here.
+func TestReconnectingNodeHoldsNoJob(t *testing.T) {
+	exec := func(ctx context.Context, j fleet.Job) (*harness.Run, error) { return &harness.Run{}, nil }
+	w0, addr0 := startWorker(t, WorkerOptions{Cluster: fleet.Options{Workers: 1, Execute: exec}})
+	_, addr1 := startWorker(t, WorkerOptions{Cluster: fleet.Options{Workers: 1, Execute: exec}})
+	slow := fastRemote(addr0)
+	slow.ReconnectBase, slow.ReconnectMax, slow.MaxReconnects = 300*time.Millisecond, 5*time.Second, 4
+	n0, err := NewRemoteNode(0, slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n1, err := NewRemoteNode(1, fastRemote(addr1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w0.Kill()
+	for deadline := time.Now().Add(5 * time.Second); n0.Health().Connected; {
+		if time.Now().After(deadline) {
+			t.Fatal("node 0 never saw its worker die")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	c := fleet.NewWithNodes([]fleet.Node{n0, n1})
+	start := time.Now()
+	for i, r := range c.RunSweep(context.Background(), make([]fleet.Job, 6)) {
+		if r.Err != nil {
+			t.Fatalf("job %d: %v", i, r.Err)
+		}
+	}
+	swept := time.Since(start)
+	c.Close()
+	if closed := time.Since(start); closed > time.Second {
+		t.Fatalf("6 instant jobs took %v and Close another %v; want both within 1s", swept, closed-swept)
+	}
+}
+
+// TestCloseDuringRedial: a Close that lands while the node re-dials returns
+// once that dial does, closing the session the dial made instead of
+// serving it.
+func TestCloseDuringRedial(t *testing.T) {
+	exec := func(ctx context.Context, j fleet.Job) (*harness.Run, error) { return &harness.Run{}, nil }
+	_, addr := startWorker(t, WorkerOptions{Cluster: fleet.Options{Workers: 1, Execute: exec}})
+	var dials atomic.Int64
+	var first net.Conn
+	redialing, release := make(chan struct{}), make(chan struct{})
+	opts := fastRemote(addr)
+	opts.Dial = func(ctx context.Context) (net.Conn, error) {
+		dial := dials.Add(1)
+		if dial == 2 {
+			close(redialing)
+			<-release
+		}
+		var d net.Dialer
+		conn, err := d.DialContext(ctx, "tcp", addr)
+		if dial == 1 {
+			first = conn
+		}
+		return conn, err
+	}
+	n, err := NewRemoteNode(0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Close() // break the session; the node re-dials
+	<-redialing
+	closed := make(chan struct{})
+	go func() {
+		n.Close()
+		close(closed)
+	}()
+	for !n.isClosed() {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close never returned: the node serves the session its last dial made")
 	}
 }
 
@@ -304,7 +395,7 @@ func TestRemoteHealthMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := fleet.NewWithNodes([]fleet.Node{n}, 0)
+	c := fleet.NewWithNodes([]fleet.Node{n})
 	defer c.Close()
 	reg := obs.NewRegistry()
 	c.RegisterMetrics(reg)
@@ -409,7 +500,7 @@ func TestRunlessResultFailsItsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := fleet.NewWithNodes([]fleet.Node{n}, 0)
+	c := fleet.NewWithNodes([]fleet.Node{n})
 	defer c.Close()
 	// The sweep's context bounds a call that no frame answers.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

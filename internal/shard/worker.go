@@ -31,11 +31,12 @@ type WorkerOptions struct {
 // remote job's terminal result is indistinguishable from a local one.
 //
 // Each accepted connection is handshaken (hello/welcome with a protocol
-// version check), then serves a multiplexed stream: job frames start
-// cluster executions whose results are written back keyed by frame id, ping
-// frames are answered immediately (heartbeats measure the transport even
-// while every slot is busy), and cancel frames abort the matching job's
-// context. A broken connection cancels that connection's in-flight jobs.
+// version check), then serves a multiplexed stream on its read loop: job
+// frames go on the cluster's queue, and their results are written back
+// keyed by frame id, ping frames are answered immediately (heartbeats
+// measure the transport even while every slot is busy), and cancel frames
+// abort the matching job's context. A broken connection cancels that
+// connection's in-flight jobs.
 type Worker struct {
 	opts    WorkerOptions
 	cluster *fleet.Cluster
@@ -228,27 +229,19 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn, name string) {
 			jobMu.Lock()
 			cancels[id] = cancel
 			jobMu.Unlock()
-			// Start from a goroutine so a saturated cluster exerts
-			// backpressure on this job alone, never on the read loop —
-			// pings must keep flowing while every slot is busy.
-			go func() {
-				err := w.cluster.Start(jobCtx, job, nil, func(r fleet.Result) {
-					jobMu.Lock()
-					delete(cancels, id)
-					jobMu.Unlock()
-					cancel()
-					w.spanDrops.Add(int64(r.SpanDrops))
-					write(frame{T: frameResult, ID: id, Result: encodeResult(r)})
-				})
-				if err != nil {
-					jobMu.Lock()
-					delete(cancels, id)
-					jobMu.Unlock()
-					cancel()
-					write(frame{T: frameResult, ID: id, Result: encodeResult(
-						fleet.Result{Job: job, Worker: -1, Err: err})})
-				}
-			}()
+			// Start never blocks, so the read loop starts every job itself
+			// and pings keep flowing while every slot is busy.
+			reply := func(r fleet.Result) {
+				jobMu.Lock()
+				delete(cancels, id)
+				jobMu.Unlock()
+				cancel()
+				w.spanDrops.Add(int64(r.SpanDrops))
+				write(frame{T: frameResult, ID: id, Result: encodeResult(r)})
+			}
+			if err := w.cluster.Start(jobCtx, job, nil, reply); err != nil {
+				reply(fleet.Result{Job: job, Worker: -1, Err: err})
+			}
 		}
 	}
 }
