@@ -13,15 +13,16 @@
 //
 // With -http ADDR the worker serves its own health surface:
 //
-//	GET /metrics  Prometheus text exposition (cluster + transport counters,
-//	              span-drop totals)
+//	GET /metrics  Prometheus text exposition (cluster, transport and trace
+//	              counters)
 //	GET /healthz  liveness — 200 while the process accepts connections
 //	GET /readyz   readiness — 200 once the frame listener is bound
 //
 // Tracing: a job that greensrv traces arrives carrying its trace context,
-// and its execute and backoff spans ship back piggybacked on its result
-// frame. Whether a job is traced is the server's decision (greensrv
-// -no-obs traces none).
+// and the worker records its execute and backoff spans into a buffer of
+// the job's own (64 spans; greenweb_trace_span_drops_total counts the
+// rest), which ships back piggybacked on its result frame. Whether a job is
+// traced is the server's decision (greensrv -no-obs traces none).
 //
 // On SIGINT/SIGTERM the worker stops accepting, closes its connections
 // (cancelling their in-flight jobs; the server re-homes them), and exits.

@@ -25,11 +25,16 @@
 // bytes are identical either way. Each greennode runs the retry ladder with
 // its own flags, so greensrv refuses -workers, -job-timeout, -max-attempts,
 // -retry-base and -retry-max beside -remote-nodes; -retry-seed (the
-// reconnect jitter) still applies.
+// reconnect jitter) still applies. greensrv counts retries and quarantines
+// (greenweb_fleet_retries_total, _quarantines_total) from the results it
+// delivers, so they read the same on either topology.
 //
 // -no-obs turns fleet tracing off: sweeps get no /trace?fleet=1 artifact
-// (it answers no_fleet_trace) and their jobs record no spans. Result rows,
-// /events and /trace are the same bytes either way.
+// (it answers no_fleet_trace) and their jobs record no spans. Otherwise a
+// sweep's one span buffer takes every span of its jobs, a greennode's
+// shipped with each result; greenweb_trace_span_drops_total and the
+// artifact's otherData.span_drops count what it had no room for. Result
+// rows, /events and /trace are the same bytes either way.
 //
 // API:
 //
@@ -46,8 +51,9 @@
 //	                             ?fleet=1 → the fleet-level distributed trace
 //	                             (admission, queue, dispatch, re-home, and
 //	                             per-node execute spans, clock-aligned)
-//	GET  /v1/nodes               execution node federation: liveness,
-//	                             heartbeat RTT, jobs, span drops
+//	GET  /v1/nodes               execution node federation: liveness (an
+//	                             evicted node reads down), heartbeat RTT,
+//	                             jobs, re-homes
 //	GET  /healthz                liveness (503 while draining)
 //	GET  /metrics                Prometheus text exposition
 //	GET  /debug/pprof/           runtime profiles

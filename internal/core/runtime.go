@@ -71,8 +71,6 @@ type Options struct {
 	// the degradation ladder under thermal throttling or DVFS faults. The
 	// class recovers (and reprofiles) after the same count of clean frames.
 	DegradeAfter int
-	// Trace, when non-nil, receives a line per scheduling decision.
-	Trace func(string)
 }
 
 // DefaultOptions returns the configuration used in the evaluation.
@@ -105,6 +103,10 @@ type Stats struct {
 	CapClamps    int
 	Degradations int
 	Recoveries   int
+	// Ungranted counts configuration requests the CPU did not grant as
+	// asked: denied by an injected DVFS fault, or clamped to a thermal
+	// ceiling the request exceeded, which the runtime never asks for.
+	Ungranted int
 }
 
 // Runtime is the GreenWeb runtime: a browser.Governor that consumes the
@@ -311,7 +313,6 @@ func (r *Runtime) reschedule() {
 			// for nothing and inflate the migration count (cf. Fig. 12,
 			// where frequency switches dwarf migrations).
 			idle := acmp.MinConfig(r.cpu.Config().Cluster)
-			r.tracef("idle demotion to %v", idle)
 			r.cpu.SetConfig(r.clamp(idle))
 			if r.opts.DeepIdleAfter <= 0 || idle.Cluster == r.opts.IdleConfig.Cluster {
 				return
@@ -321,7 +322,6 @@ func (r *Runtime) reschedule() {
 			// cheaply.
 			r.idleTimer = r.e.Sim().After(r.opts.DeepIdleAfter, "greenweb:deep-idle", func() {
 				if len(r.active) == 0 {
-					r.tracef("deep idle to %v", r.opts.IdleConfig)
 					r.cpu.SetConfig(r.clamp(r.opts.IdleConfig))
 				}
 			})
@@ -344,19 +344,12 @@ func (r *Runtime) reschedule() {
 	if !have {
 		best = r.opts.IdleConfig
 	}
-	r.tracef("reschedule: %v (%d active)", best, len(r.active))
 	want := r.clamp(best)
 	r.cpu.SetConfig(want)
-	if g := r.cpu.Granted(); g != want {
+	if r.cpu.Granted() != want {
 		// An injected DVFS fault denied the transition; the feedback loop
 		// will observe the stale configuration on the next frame.
-		r.tracef("granted %v for requested %v", g, want)
-	}
-}
-
-func (r *Runtime) tracef(format string, args ...any) {
-	if r.opts.Trace != nil {
-		r.opts.Trace(fmt.Sprintf(format, args...))
+		r.stats.Ungranted++
 	}
 }
 
@@ -505,7 +498,6 @@ func (r *Runtime) OnFrameEnd(fr *browser.FrameResult) {
 	}
 	if !m.Ready() {
 		m.RecordProfile(measured, fr.Config)
-		r.tracef("profile %s: %v at %v", m.Key, measured, fr.Config)
 		r.stats.ProfilingFrames++
 		r.cProf.Inc()
 		violated := measured > r.deadline(m.Ann)
@@ -522,8 +514,6 @@ func (r *Runtime) OnFrameEnd(fr *browser.FrameResult) {
 	r.stats.PredictedFrames++
 	r.cPred.Inc()
 	violated, reprofile := m.Feedback(measured, r.deadline(m.Ann), fr.Config, r.opts.MispredictLimit)
-	r.tracef("feedback %s: measured %v vs deadline %v at %v (violated=%v reprofile=%v)",
-		m.Key, measured, r.deadline(m.Ann), fr.Config, violated, reprofile)
 	if violated {
 		r.stats.Violations++
 		r.cViol.Inc()
@@ -570,8 +560,6 @@ func (r *Runtime) divergedUnderCap(m *Model, measured sim.Duration, executed acm
 	if r.capDiverge[m.Key] <= r.opts.MispredictLimit {
 		return false
 	}
-	r.tracef("reprofile %s: measured %v vs predicted %v diverged under cap %v",
-		m.Key, measured, pred, r.cpu.Ceiling())
 	return true
 }
 
@@ -598,7 +586,6 @@ func (r *Runtime) noteOutcome(m *Model, violated bool) {
 			r.violStreak[key] = 0
 			r.stats.Degradations++
 			r.cDegr.Inc()
-			r.tracef("degrade %s: %d consecutive violations, pinning Perf-within-cap", key, r.opts.DegradeAfter)
 			if d := r.decision(); d != nil {
 				d.Degrade = r.opts.DegradeAfter
 				d.Set |= ledger.FieldDegrade
@@ -619,7 +606,6 @@ func (r *Runtime) noteOutcome(m *Model, violated bool) {
 		r.stats.Reprofiles++
 		r.cReprof.Inc()
 		m.Reset()
-		r.tracef("recover %s: %d clean frames, back to model control via reprofiling", key, r.opts.DegradeAfter)
 		if d := r.decision(); d != nil {
 			d.Recover = r.opts.DegradeAfter
 			d.Set |= ledger.FieldRecover

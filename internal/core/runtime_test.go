@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
@@ -428,14 +427,7 @@ func TestDivergenceUnderCapTriggersReprofile(t *testing.T) {
 }
 
 func TestRuntimeStaysLegalUnderThermalCap(t *testing.T) {
-	var illegal []string
-	opts := DefaultOptions(qos.Imperceptible)
-	opts.Trace = func(line string) {
-		if strings.HasPrefix(line, "granted ") {
-			illegal = append(illegal, line)
-		}
-	}
-	r := New(opts)
+	r := New(DefaultOptions(qos.Imperceptible))
 
 	s := sim.New()
 	cpu := acmp.NewCPU(s, acmp.DefaultPower())
@@ -455,8 +447,8 @@ func TestRuntimeStaysLegalUnderThermalCap(t *testing.T) {
 	}
 	// With no DVFS faults injected, every request the runtime makes is
 	// granted verbatim — unless it asked for something above the ceiling.
-	if len(illegal) > 0 {
-		t.Fatalf("runtime requested illegal configurations: %v", illegal)
+	if st := r.Stats(); st.Ungranted > 0 {
+		t.Fatalf("runtime requested %d illegal configurations: %+v", st.Ungranted, st)
 	}
 	// After the (near-instant) trip, no frame may execute above the cap.
 	cap := acmp.Config{Cluster: acmp.Big, MHz: aggressiveThermal().CapMHz}

@@ -15,16 +15,16 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
-// Node is one execution backend of the cluster. Run executes a single job
-// to its terminal Result (retries, panic recovery, and timeouts happen
-// inside), and is called by at most Workers() cluster pullers concurrently;
-// slot is the calling puller's cluster-global index, which becomes the
-// result's Worker. Stats need only fill Retried and Quarantined.
+// Node is one execution backend of the cluster, which knows it by its index
+// in NewWithNodes. Run executes a single job to its terminal Result
+// (retries, panic recovery, and timeouts happen inside), and is called by
+// at most Workers() cluster pullers concurrently; slot is the calling
+// puller's cluster-global index, which becomes the result's Worker. A
+// traced job's Run records its spans into the buffer its context carries
+// (trace.SweepIn).
 type Node interface {
-	ID() int
 	Workers() int
 	Run(ctx context.Context, slot int, job Job) Result
-	Stats() Stats
 	Close()
 }
 
@@ -75,15 +75,16 @@ type waiter interface {
 }
 
 // NodeInfo is one execution node's row in the GET /v1/nodes federation:
-// identity, liveness, transport health (remote nodes), and work/trace
-// accounting.
+// identity, liveness, transport health (remote nodes), and work accounting.
 type NodeInfo struct {
 	ID      int    `json:"id"`
 	Kind    string `json:"kind"` // "local" | "remote"
 	Name    string `json:"name,omitempty"`
 	Workers int    `json:"workers"`
-	Up      bool   `json:"up"`
-	Dead    bool   `json:"dead,omitempty"`
+	// Up is false once the node is evicted, and while a remote node's
+	// transport session is down.
+	Up   bool `json:"up"`
+	Dead bool `json:"dead,omitempty"`
 
 	// Transport health — remote nodes only.
 	HeartbeatRTTMS  float64 `json:"heartbeat_rtt_ms,omitempty"`
@@ -97,10 +98,6 @@ type NodeInfo struct {
 	// Work accounting.
 	Jobs    int64 `json:"jobs"`
 	Rehomed int64 `json:"rehomed,omitempty"`
-	// SpanDrops counts trace spans this node's jobs discarded to budget
-	// pressure (worker-side drops surface here even though the spans never
-	// reached the server).
-	SpanDrops int64 `json:"span_drops,omitempty"`
 }
 
 // item is one queued submission.
@@ -182,6 +179,13 @@ func (q *queue) pop(node int) (item, bool) {
 	return item{}, false
 }
 
+// gone reports whether node was evicted.
+func (q *queue) gone(node int) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.evicted[node]
+}
+
 // evict makes node's pullers exit; false when node was already evicted.
 // Evicting the last live node empties the queue and returns what it held.
 func (q *queue) evict(node int) (ok bool, stranded []item) {
@@ -251,17 +255,23 @@ type Cluster struct {
 	nodes []Node
 	q     *queue
 	wg    sync.WaitGroup
+	// managed is set by NewManager: the pullers then record the server's
+	// scheduling spans (dispatch, re-home) of each traced job. A greennode's
+	// cluster serves no manager, so the span buffer of a traced job there
+	// holds only its node's spans, which the worker ships.
+	managed atomic.Bool
 
-	running   atomic.Int64
-	done      atomic.Int64
-	failed    atomic.Int64
-	pulled    []atomic.Int64 // jobs executed per node
-	rehomed   []atomic.Int64 // in-flight jobs re-homed off each node
-	spanDrops []atomic.Int64 // worker-side trace span drops per node
-	evictions atomic.Int64
-	start     time.Time
-	busy      atomic.Int64
-	hist      *obs.Histogram
+	running     atomic.Int64
+	done        atomic.Int64
+	failed      atomic.Int64
+	retried     atomic.Int64   // attempts beyond each delivered job's first
+	quarantined atomic.Int64   // delivered jobs that exhausted every attempt
+	pulled      []atomic.Int64 // jobs executed per node
+	rehomed     []atomic.Int64 // in-flight jobs re-homed off each node
+	evictions   atomic.Int64
+	start       time.Time
+	busy        atomic.Int64
+	hist        *obs.Histogram
 }
 
 // New builds a cluster of LocalNodes and starts its pullers.
@@ -274,29 +284,28 @@ func New(opts Options) *Cluster {
 	}
 	nodes := make([]Node, opts.Nodes)
 	for i := range nodes {
-		nodes[i] = NewLocalNode(i, opts)
+		nodes[i] = NewLocalNode(opts)
 	}
 	return NewWithNodes(nodes)
 }
 
 // NewWithNodes builds a cluster over caller-supplied nodes (remote workers,
-// or instrumented test nodes) and starts its pullers. Node IDs must equal
-// their slice index.
+// or instrumented test nodes) and starts its pullers. A node's index in
+// nodes is its ID in Evict, NodeInfos and the per-node metrics.
 func NewWithNodes(nodes []Node) *Cluster {
 	c := &Cluster{
-		nodes:     nodes,
-		q:         newQueue(len(nodes)),
-		pulled:    make([]atomic.Int64, len(nodes)),
-		rehomed:   make([]atomic.Int64, len(nodes)),
-		spanDrops: make([]atomic.Int64, len(nodes)),
-		start:     time.Now(),
-		hist:      obs.NewLatencyHistogram(),
+		nodes:   nodes,
+		q:       newQueue(len(nodes)),
+		pulled:  make([]atomic.Int64, len(nodes)),
+		rehomed: make([]atomic.Int64, len(nodes)),
+		start:   time.Now(),
+		hist:    obs.NewLatencyHistogram(),
 	}
 	slot := 0
-	for _, n := range nodes {
+	for i, n := range nodes {
 		for w := 0; w < n.Workers(); w++ {
 			c.wg.Add(1)
-			go c.puller(n, slot)
+			go c.puller(i, slot)
 			slot++
 		}
 	}
@@ -350,22 +359,27 @@ func (c *Cluster) Evictions() int64 { return c.evictions.Load() }
 // its transport died under them.
 func (c *Cluster) Rehomed(id int) int64 { return c.rehomed[id].Load() }
 
-// puller is one node execution slot: wait until the node can run a job,
+// puller is one execution slot of node: wait until the node can run a job,
 // pop the oldest, run it on the node, deliver — or re-home it when the node
-// died under the job.
-func (c *Cluster) puller(n Node, slot int) {
+// died under the job. It counts retries and quarantines from the results it
+// delivers, so local and remote nodes are counted alike.
+func (c *Cluster) puller(node, slot int) {
 	defer c.wg.Done()
+	n := c.nodes[node]
 	w, _ := n.(waiter)
 	for {
 		if w != nil && !w.Wait(c.q.done) {
 			return
 		}
-		it, ok := c.q.pop(n.ID())
+		it, ok := c.q.pop(node)
 		if !ok {
 			return
 		}
-		tr := trace.SweepIn(it.ctx) // nil for an untraced job
-		c.pulled[n.ID()].Add(1)
+		var tr *trace.SweepTrace // nil for an untraced job
+		if it.job.Trace != nil && c.managed.Load() {
+			tr = trace.SweepIn(it.ctx)
+		}
+		c.pulled[node].Add(1)
 		if it.started != nil {
 			it.started()
 			it.started = nil // fires once, even across re-homes
@@ -378,12 +392,9 @@ func (c *Cluster) puller(n Node, slot int) {
 			// The dispatch span brackets the node call as the server saw
 			// it; for a remote node, the gap between it and the worker's
 			// execute span is transport plus worker-side queueing.
-			tr.Record(it.job.Trace.Job, it.job.Trace.Parent, "dispatch", "sched",
-				dispatched, time.Since(dispatched), map[string]string{
-					"node": strconv.Itoa(n.ID()),
-				})
+			tr.Record(*it.job.Trace, "dispatch", "sched", dispatched, time.Since(dispatched),
+				map[string]string{"node": strconv.Itoa(node)})
 		}
-		c.spanDrops[n.ID()].Add(int64(res.SpanDrops))
 		if errors.Is(res.Err, ErrNodeDown) && it.ctx.Err() == nil {
 			// The transport died under the job, not the job under the node.
 			// Re-home instead of delivering a failure: the cell is a
@@ -397,21 +408,22 @@ func (c *Cluster) puller(n Node, slot int) {
 				tc.Attempt++
 				it.job.Trace = &tc
 				if tr != nil {
-					tr.Record(tc.Job, tc.Parent, "re-home", "sched",
-						time.Now(), 0, map[string]string{
-							"from":    strconv.Itoa(n.ID()),
-							"attempt": strconv.Itoa(tc.Attempt),
-						})
+					tr.Record(tc, "re-home", "sched", time.Now(), 0,
+						map[string]string{"from": strconv.Itoa(node)})
 				}
 			}
 			if c.q.requeue(it) {
-				c.rehomed[n.ID()].Add(1)
+				c.rehomed[node].Add(1)
 				continue
 			}
 			res.Err = fmt.Errorf("%w: %v", ErrNoNodes, res.Err)
 		}
 		c.busy.Add(int64(res.Latency))
 		c.hist.Observe(res.Latency.Seconds())
+		c.retried.Add(int64(max(0, res.Attempts-1)))
+		if res.Quarantined {
+			c.quarantined.Add(1)
+		}
 		if res.Err != nil {
 			c.failed.Add(1)
 		} else {
@@ -428,9 +440,9 @@ func (c *Cluster) puller(n Node, slot int) {
 // its end cancels the job, queued or running. deliver is called exactly
 // once, never inside Start, with the job's terminal Result — including
 // failure and cancellation; started, if non-nil, fires when the job leaves
-// the queue for a node. A traced job's ctx carries its sweep's trace
-// (trace.WithSweep), where the puller records the dispatch and re-home
-// spans under job.Trace.
+// the queue for a node. A traced job's ctx carries its span buffer
+// (trace.WithSweep), where its node records under job.Trace, and so does a
+// managed cluster's puller.
 func (c *Cluster) Start(ctx context.Context, job Job, started func(), deliver func(Result)) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -481,18 +493,16 @@ func (c *Cluster) NodeInfos() []NodeInfo {
 	infos := make([]NodeInfo, len(c.nodes))
 	for i, n := range c.nodes {
 		info := NodeInfo{
-			ID:        i,
-			Kind:      "local",
-			Workers:   n.Workers(),
-			Up:        true,
-			Jobs:      c.pulled[i].Load(),
-			Rehomed:   c.rehomed[i].Load(),
-			SpanDrops: c.spanDrops[i].Load(),
+			ID:      i,
+			Kind:    "local",
+			Workers: n.Workers(),
+			Up:      c.up(i),
+			Jobs:    c.pulled[i].Load(),
+			Rehomed: c.rehomed[i].Load(),
 		}
 		if hr, ok := n.(healthReporter); ok {
 			h := hr.Health()
 			info.Kind = "remote"
-			info.Up = h.Connected
 			info.Dead = h.Dead
 			info.HeartbeatRTTMS = float64(h.LastRTT) / float64(time.Millisecond)
 			info.Reconnects = h.Reconnects
@@ -505,6 +515,17 @@ func (c *Cluster) NodeInfos() []NodeInfo {
 		infos[i] = info
 	}
 	return infos
+}
+
+// up reports whether node i takes jobs: it was not evicted and, for a
+// remote node, its transport session is connected. Eviction is the
+// cluster's own state: an evicted remote node may keep its last session.
+func (c *Cluster) up(i int) bool {
+	if c.q.gone(i) {
+		return false
+	}
+	hr, ok := c.nodes[i].(healthReporter)
+	return !ok || hr.Health().Connected
 }
 
 // Close stops intake, runs the queued jobs on the nodes that can take them,
@@ -521,15 +542,8 @@ func (c *Cluster) Close() {
 	}
 }
 
-// Stats snapshots the cluster-level counters plus the retry and quarantine
-// tallies aggregated from the nodes.
+// Stats snapshots the cluster's counters.
 func (c *Cluster) Stats() Stats {
-	var retried, quarantined int64
-	for _, n := range c.nodes {
-		ns := n.Stats()
-		retried += ns.Retried
-		quarantined += ns.Quarantined
-	}
 	elapsed := time.Since(c.start)
 	util := 0.0
 	if w := c.Workers(); w > 0 && elapsed > 0 {
@@ -541,15 +555,15 @@ func (c *Cluster) Stats() Stats {
 		Running:     c.running.Load(),
 		Done:        c.done.Load(),
 		Failed:      c.failed.Load(),
-		Retried:     retried,
-		Quarantined: quarantined,
+		Retried:     c.retried.Load(),
+		Quarantined: c.quarantined.Load(),
 		Utilization: util,
 		Latency:     c.hist.Snapshot(),
 	}
 }
 
 // RegisterMetrics exposes the cluster's live counters on an obs registry:
-// the greenweb_fleet_* family, plus per-node job, re-home and span-drop
+// the greenweb_fleet_* family, plus per-node liveness, job and re-home
 // counters and remote transport health (greenweb_shard_*). Values are read
 // at scrape time — no shadow counters to keep in sync. Register on a per-server
 // registry (not obs.Default) so multiple clusters in one process (tests) do
@@ -566,9 +580,9 @@ func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("greenweb_fleet_jobs_failed_total",
 		"Jobs that ended in failure (including cancellation)", func() float64 { return float64(c.failed.Load()) })
 	reg.CounterFunc("greenweb_fleet_retries_total",
-		"Job attempts beyond each job's first", func() float64 { return float64(c.Stats().Retried) })
+		"Job attempts beyond each job's first", func() float64 { return float64(c.retried.Load()) })
 	reg.CounterFunc("greenweb_fleet_quarantines_total",
-		"Jobs that exhausted every allowed attempt", func() float64 { return float64(c.Stats().Quarantined) })
+		"Jobs that exhausted every allowed attempt", func() float64 { return float64(c.quarantined.Load()) })
 	reg.GaugeFunc("greenweb_fleet_utilization",
 		"Busy worker-time over available worker-time since start", func() float64 { return c.Stats().Utilization })
 	reg.AttachHistogram("greenweb_fleet_job_latency_seconds",
@@ -576,34 +590,37 @@ func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
 
 	reg.GaugeFunc("greenweb_shard_nodes", "Nodes in the cluster",
 		func() float64 { return float64(len(c.nodes)) })
+	upVec := reg.GaugeVec("greenweb_shard_node_up",
+		"1 while the node takes jobs: not evicted and, if remote, connected", "node")
 	jobsVec := reg.CounterVec("greenweb_shard_node_jobs_total",
 		"Jobs executed per node", "node")
 	rehomeVec := reg.CounterVec("greenweb_shard_rehomed_jobs_total",
 		"In-flight jobs re-homed off each node after its transport died", "node")
-	dropVec := reg.CounterVec("greenweb_shard_span_drops_total",
-		"Trace spans each node's jobs dropped to budget pressure", "node")
 	for i := range c.nodes {
 		i := i
 		label := strconv.Itoa(i)
+		upVec.Func(func() float64 {
+			if c.up(i) {
+				return 1
+			}
+			return 0
+		}, label)
 		jobsVec.Func(func() float64 { return float64(c.pulled[i].Load()) }, label)
 		rehomeVec.Func(func() float64 { return float64(c.rehomed[i].Load()) }, label)
-		dropVec.Func(func() float64 { return float64(c.spanDrops[i].Load()) }, label)
 	}
 	reg.CounterFunc("greenweb_shard_evictions_total",
 		"Nodes evicted after being declared dead",
 		func() float64 { return float64(c.evictions.Load()) })
 
 	// Remote nodes expose transport health; local nodes have none to report.
-	var upVec, rttVec *obs.GaugeVec
+	var rttVec *obs.GaugeVec
 	var reconnVec, missVec *obs.CounterVec
 	for i, n := range c.nodes {
 		hr, ok := n.(healthReporter)
 		if !ok {
 			continue
 		}
-		if upVec == nil {
-			upVec = reg.GaugeVec("greenweb_shard_node_up",
-				"1 while the node's transport session is connected", "node")
+		if rttVec == nil {
 			rttVec = reg.GaugeVec("greenweb_shard_heartbeat_rtt_seconds",
 				"Most recent heartbeat round-trip time per node", "node")
 			reconnVec = reg.CounterVec("greenweb_shard_reconnects_total",
@@ -612,12 +629,6 @@ func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
 				"Heartbeats that went unanswered past the timeout", "node")
 		}
 		label := strconv.Itoa(i)
-		upVec.Func(func() float64 {
-			if h := hr.Health(); h.Connected {
-				return 1
-			}
-			return 0
-		}, label)
 		rttVec.Func(func() float64 { return hr.Health().LastRTT.Seconds() }, label)
 		reconnVec.Func(func() float64 { return float64(hr.Health().Reconnects) }, label)
 		missVec.Func(func() float64 { return float64(hr.Health().HeartbeatMisses) }, label)

@@ -65,7 +65,7 @@ func TestTopologyDeterminism(t *testing.T) {
 
 	// The reference runs one LocalNode's ladder in a plain loop — no queue,
 	// no pullers.
-	n := NewLocalNode(0, opts)
+	n := NewLocalNode(opts)
 	ref := make([]Result, len(jobs))
 	for i, j := range jobs {
 		ref[i] = n.Run(context.Background(), 0, j)
@@ -157,8 +157,8 @@ func TestClusterSlotsDistinctAcrossUnevenNodes(t *testing.T) {
 	release := make(chan struct{})
 	exec := fakeExec(started, release)
 	c := NewWithNodes([]Node{
-		NewLocalNode(0, Options{Workers: 2, Execute: exec}),
-		NewLocalNode(1, Options{Workers: 1, Execute: exec}),
+		NewLocalNode(Options{Workers: 2, Execute: exec}),
+		NewLocalNode(Options{Workers: 1, Execute: exec}),
 	})
 	defer c.Close()
 	done := make(chan []Result, 1)
@@ -230,8 +230,8 @@ func (waitingNode) Wait(done <-chan struct{}) bool {
 // ErrClosed.
 func TestClusterCloseSkipsWaitingNode(t *testing.T) {
 	exec := fakeExec(nil, closedChan())
-	live := NewLocalNode(0, Options{Workers: 1, Execute: exec})
-	c := NewWithNodes([]Node{live, waitingNode{NewLocalNode(1, Options{Workers: 2, Execute: exec})}})
+	live := NewLocalNode(Options{Workers: 1, Execute: exec})
+	c := NewWithNodes([]Node{live, waitingNode{NewLocalNode(Options{Workers: 2, Execute: exec})}})
 	for i, r := range c.RunSweep(context.Background(), make([]Job, 6)) {
 		if r.Err != nil || r.Worker != 0 {
 			t.Fatalf("job %d: worker %d, err %v; want the live node's slot 0", i, r.Worker, r.Err)
@@ -239,7 +239,7 @@ func TestClusterCloseSkipsWaitingNode(t *testing.T) {
 	}
 	c.Close()
 
-	lone := NewWithNodes([]Node{waitingNode{NewLocalNode(0, Options{Workers: 1, Execute: exec})}})
+	lone := NewWithNodes([]Node{waitingNode{NewLocalNode(Options{Workers: 1, Execute: exec})}})
 	res := make(chan Result, 1)
 	if err := lone.Start(context.Background(), Job{App: "a"}, nil, func(r Result) { res <- r }); err != nil {
 		t.Fatal(err)

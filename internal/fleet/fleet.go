@@ -35,7 +35,6 @@ import (
 	"hash/fnv"
 	"io"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"github.com/wattwiseweb/greenweb/internal/apps"
@@ -160,13 +159,6 @@ type Result struct {
 	// its row's, so they are zero for a job that did not retry.
 	Row      *ResultRow
 	Timeline []byte
-
-	// Spans carries the executing process's trace spans for a traced job
-	// (execute attempts, backoff sleeps), shipped alongside the result —
-	// never inside any byte-compared output. SpanDrops counts spans the
-	// per-job budget discarded.
-	Spans     []trace.Span
-	SpanDrops int
 }
 
 // State reports the terminal state the result represents.
@@ -214,15 +206,12 @@ type Options struct {
 // retry and quarantine ladder on the calling puller's goroutine, so a
 // "node" is Workers cluster pullers sharing one retry configuration.
 type LocalNode struct {
-	id          int
-	opts        Options
-	retried     atomic.Int64 // attempts beyond each job's first
-	quarantined atomic.Int64 // jobs that exhausted every attempt
+	opts Options
 }
 
-// NewLocalNode builds node id from opts' ladder settings. opts.Workers
+// NewLocalNode builds a node from opts' ladder settings. opts.Workers
 // defaults to 1; Nodes is the cluster's, not the node's.
-func NewLocalNode(id int, opts Options) *LocalNode {
+func NewLocalNode(opts Options) *LocalNode {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}
@@ -235,20 +224,11 @@ func NewLocalNode(id int, opts Options) *LocalNode {
 	if opts.Execute == nil {
 		opts.Execute = func(ctx context.Context, j Job) (*harness.Run, error) { return j.execute(ctx) }
 	}
-	return &LocalNode{id: id, opts: opts}
+	return &LocalNode{opts: opts}
 }
-
-// ID reports the node index.
-func (n *LocalNode) ID() int { return n.id }
 
 // Workers reports the node's concurrent execution slots.
 func (n *LocalNode) Workers() int { return n.opts.Workers }
-
-// Stats reports the node's retry and quarantine tallies; the cluster keeps
-// every other counter itself.
-func (n *LocalNode) Stats() Stats {
-	return Stats{Workers: n.opts.Workers, Retried: n.retried.Load(), Quarantined: n.quarantined.Load()}
-}
 
 // Close is a no-op: a local node holds nothing beyond its pullers, which
 // the cluster owns. An evicted node's in-flight jobs finish normally.
@@ -263,12 +243,12 @@ func (n *LocalNode) Close() {}
 func (n *LocalNode) Run(ctx context.Context, slot int, job Job) Result {
 	start := time.Now()
 	res := Result{Job: job, Worker: slot}
-	// A traced job records its execute attempts and backoff sleeps into a
-	// bounded per-job recorder; the spans ride back beside the result. An
-	// untraced job's nil recorder records nothing.
-	var rec *trace.JobRecorder
+	// A traced job records its execute attempts and backoff sleeps into the
+	// span buffer its context carries: its sweep's on the server, its own on
+	// a worker, which ships it with the result.
+	var tr *trace.SweepTrace
 	if job.Trace != nil {
-		rec = trace.NewJobRecorder(*job.Trace)
+		tr = trace.SweepIn(ctx)
 	}
 	max := n.opts.MaxAttempts
 	if max < 1 {
@@ -278,11 +258,13 @@ func (n *LocalNode) Run(ctx context.Context, slot int, job Job) Result {
 		res.Attempts = attempt
 		t0 := time.Now()
 		run, err := n.attempt(ctx, job)
-		attrs := map[string]string{"try": strconv.Itoa(attempt), "worker": strconv.Itoa(slot)}
-		if err != nil {
-			attrs["err"] = err.Error()
+		if tr != nil {
+			attrs := map[string]string{"try": strconv.Itoa(attempt), "worker": strconv.Itoa(slot)}
+			if err != nil {
+				attrs["err"] = err.Error()
+			}
+			tr.Record(*job.Trace, "execute", "execute", t0, time.Since(t0), attrs)
 		}
-		rec.Record("execute", "execute", t0, time.Since(t0), attrs)
 		if err == nil {
 			res.Err = nil
 			res.Row, res.Timeline = project(run)
@@ -295,10 +277,8 @@ func (n *LocalNode) Run(ctx context.Context, slot int, job Job) Result {
 		}
 		if attempt == max {
 			res.Quarantined = true
-			n.quarantined.Add(1)
 			break
 		}
-		n.retried.Add(1)
 		wait := Backoff(n.opts.RetryBaseDelay, n.opts.RetryMaxDelay, n.opts.RetrySeed, job.String(), attempt)
 		t0 = time.Now()
 		select {
@@ -307,10 +287,11 @@ func (n *LocalNode) Run(ctx context.Context, slot int, job Job) Result {
 			// The sweep died while we waited; the attempt's own error
 			// stands as the job's cause of death.
 		}
-		rec.Record("backoff", "backoff", t0, time.Since(t0),
-			map[string]string{"try": strconv.Itoa(attempt)})
+		if tr != nil {
+			tr.Record(*job.Trace, "backoff", "backoff", t0, time.Since(t0),
+				map[string]string{"try": strconv.Itoa(attempt)})
+		}
 	}
-	res.Spans, res.SpanDrops = rec.Drain()
 	res.Latency = time.Since(start)
 	return res
 }

@@ -274,16 +274,24 @@ func TestDeliverExactlyOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// The cluster counts a job done just before it delivers it, so wait for
+	// the deliveries themselves.
 	deadline := time.After(10 * time.Second)
 	for {
-		if st := p.Stats(); st.Done == n {
+		mu.Lock()
+		delivered := len(counts)
+		mu.Unlock()
+		if delivered == n {
 			break
 		}
 		select {
 		case <-deadline:
-			t.Fatalf("jobs did not drain: %+v", p.Stats())
+			t.Fatalf("jobs did not drain: %d delivered, %+v", delivered, p.Stats())
 		case <-time.After(time.Millisecond):
 		}
+	}
+	if st := p.Stats(); st.Done != n {
+		t.Fatalf("done = %d, want %d", st.Done, n)
 	}
 	mu.Lock()
 	defer mu.Unlock()

@@ -410,7 +410,7 @@ func NewServer(m *Manager) *Server {
 		// Sweep-level admission span (job -1 → the trace's "sweep" lane):
 		// the HTTP-side cost of validating and registering the sweep.
 		if tr := s.fleetTrace.Load(); tr != nil {
-			tr.Record(-1, 0, "admission", "admission", admitted, time.Since(admitted),
+			tr.Record(trace.Context{Job: -1}, "admission", "admission", admitted, time.Since(admitted),
 				map[string]string{"jobs": fmt.Sprintf("%d", s.Len()), "client": clientKey(r)})
 		}
 		writeJSON(w, http.StatusAccepted, map[string]any{

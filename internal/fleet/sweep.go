@@ -244,12 +244,14 @@ func (m *Manager) TracingEnabled() bool { return m.tracing }
 // same either way. Must be called before the first Enqueue.
 func (m *Manager) SetTracing(on bool) { m.tracing = on }
 
-// NewManager builds a manager over a cluster; ctx bounds the lifetime of
-// every sweep it enqueues (pass the server's base context).
+// NewManager builds a manager over a cluster, whose pullers then record
+// the scheduling spans of traced sweeps; ctx bounds the lifetime of every
+// sweep it enqueues (pass the server's base context).
 func NewManager(ctx context.Context, c *Cluster) *Manager {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	c.managed.Store(true)
 	return &Manager{ctx: ctx, cluster: c, tracing: true, sweeps: make(map[SweepID]*Sweep)}
 }
 
@@ -372,13 +374,15 @@ func (m *Manager) Enqueue(jobs []Job) (*Sweep, error) {
 	if len(jobs) == 0 {
 		close(s.allDone)
 	}
-	// A traced sweep gets a merged span buffer, which rides the context its
-	// jobs start with to the cluster's pullers. The context is derived
-	// after the cancel context, which the sweep keeps, so the buffer is
-	// garbage once the sweep's jobs are done and its trace was dropped.
+	// A traced sweep gets a span buffer, which rides the context its jobs
+	// start with to the cluster's pullers and nodes. It holds every phase of
+	// every job with retry headroom (96 spans a job, at least 512), so one
+	// sweep's trace stays a few MB at most. The context is derived after the
+	// cancel context, which the sweep keeps, so the buffer is garbage once
+	// the sweep's jobs are done and its trace was dropped.
 	var tr *trace.SweepTrace
 	if m.TracingEnabled() && len(jobs) > 0 {
-		tr = trace.NewSweepTrace(len(jobs))
+		tr = trace.NewSweepTrace(max(96*len(jobs), 512))
 		s.fleetTrace.Store(tr)
 		ctx = trace.WithSweep(ctx, tr)
 	}
@@ -406,27 +410,27 @@ func (m *Manager) Enqueue(jobs []Job) (*Sweep, error) {
 		}
 		deliver := func(r Result) { s.finish(i, r) }
 		if tr != nil {
-			// Root span id is minted up front so queue-wait, worker spans,
+			// Root span id is minted up front so queue-wait, node spans,
 			// and the root itself all agree on parentage. Each job goes to
 			// the cluster as a copy carrying its context.
 			rootID := trace.NewSpanID()
-			job.Trace = &trace.Context{Sweep: string(s.ID), Job: i, Parent: rootID}
+			tc := trace.Context{Sweep: string(s.ID), Job: i, Parent: rootID}
+			job.Trace = &tc
 			submitted := time.Now()
 			innerStarted := started
 			started = func() {
-				tr.Record(i, rootID, "queue-wait", "queue", submitted, time.Since(submitted), nil)
+				tr.Record(tc, "queue-wait", "queue", submitted, time.Since(submitted), nil)
 				innerStarted()
 			}
 			deliver = func(r Result) {
-				tr.AddSpans(r.Spans, r.SpanDrops)
-				tr.RecordSpan(trace.Span{
+				tr.Add([]trace.Span{{
 					ID: rootID, Name: "job", Cat: "job", Job: i,
 					StartUS: submitted.UnixMicro(),
 					DurUS:   int64(time.Since(submitted) / time.Microsecond),
 					Attrs: map[string]string{
 						"app": job.App, "kind": string(job.Kind), "state": string(r.State()),
 					},
-				})
+				}}, 0)
 				s.finish(i, r)
 			}
 		}

@@ -9,11 +9,13 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/obs"
 )
 
-// SweepTrace is one sweep's merged span buffer on the server: server-side
-// phase spans (admission, queue-wait, dispatch, re-home, the job root) are
-// recorded directly; worker spans are folded in as results arrive. The
-// buffer is bounded; overflow increments the drop counter instead of
-// growing.
+// SweepTrace is the one bounded span buffer. On the server it is a sweep's:
+// the manager records admission, queue-wait and each job's root span, the
+// cluster dispatch and re-home, and the nodes each job's execute and backoff
+// spans, a remote node adding those its worker shipped. On a greennode it is
+// one traced job's, which the worker ships in the job's result frame. Past
+// its size a span is counted, not stored. A nil SweepTrace records nothing,
+// so call sites stay unconditional.
 type SweepTrace struct {
 	mu      sync.Mutex
 	spans   []Span
@@ -21,16 +23,12 @@ type SweepTrace struct {
 	dropped int64
 }
 
-// perJobSpanBudget scales a sweep's buffer: enough for every phase of every
-// job with retry headroom, while keeping one sweep's trace a few MB at most.
-const perJobSpanBudget = 96
-
-// NewSweepTrace builds the span buffer of a sweep of the given job count.
-func NewSweepTrace(jobs int) *SweepTrace {
-	return &SweepTrace{budget: max(perJobSpanBudget*jobs, 512)}
+// NewSweepTrace builds a buffer that keeps at most spans spans.
+func NewSweepTrace(spans int) *SweepTrace {
+	return &SweepTrace{budget: spans}
 }
 
-// Counters surfaced on obs.Default: how many spans the process has merged
+// Counters surfaced on obs.Default: how many spans the process has kept
 // and how many it has dropped to budget pressure.
 var (
 	spansTotal = obs.Default().Counter("greenweb_trace_spans_total",
@@ -39,60 +37,56 @@ var (
 		"Trace spans dropped to per-job or per-sweep budget pressure")
 )
 
-// Record appends one completed server-side span and returns its id.
-func (t *SweepTrace) Record(job int, parent uint64, name, cat string, start time.Time, dur time.Duration, attrs map[string]string) uint64 {
-	sp := Span{
+// Record appends one completed span of the job tc names, stamped with its
+// coordinates and this process's pid under a fresh span id.
+func (t *SweepTrace) Record(tc Context, name, cat string, start time.Time, dur time.Duration, attrs map[string]string) {
+	if t == nil {
+		return
+	}
+	t.Add([]Span{{
 		ID:      NewSpanID(),
-		Parent:  parent,
+		Parent:  tc.Parent,
 		Name:    name,
 		Cat:     cat,
-		Job:     job,
-		PID:     pid,
+		Job:     tc.Job,
+		Attempt: tc.Attempt,
 		StartUS: start.UnixMicro(),
 		DurUS:   int64(dur / time.Microsecond),
 		Attrs:   attrs,
-	}
-	t.RecordSpan(sp)
-	return sp.ID
+	}}, 0)
 }
 
-// RecordSpan appends a fully formed span (the caller minted its id). Spans
-// without a PID are stamped with this process's.
-func (t *SweepTrace) RecordSpan(sp Span) {
-	if sp.PID == 0 {
-		sp.PID = pid
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.spans) >= t.budget {
-		t.dropped++
-		dropsTotal.Inc()
+// Add appends fully formed spans (a job root whose id was minted up front,
+// or a worker's shipped spans, already clock-aligned) and counts dropped,
+// the spans their recorder dropped before they got here. Spans without a
+// PID are stamped with this process's.
+func (t *SweepTrace) Add(spans []Span, dropped int) {
+	if t == nil {
 		return
 	}
-	t.spans = append(t.spans, sp)
-	spansTotal.Inc()
-}
-
-// AddSpans folds worker-shipped spans (already clock-aligned by the
-// transport) into the sweep, plus the worker-side drop count.
-func (t *SweepTrace) AddSpans(spans []Span, dropped int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.dropped += int64(dropped)
+	dropsTotal.Add(int64(dropped))
 	for _, sp := range spans {
 		if len(t.spans) >= t.budget {
 			t.dropped++
 			dropsTotal.Inc()
 			continue
 		}
+		if sp.PID == 0 {
+			sp.PID = pid
+		}
 		t.spans = append(t.spans, sp)
 		spansTotal.Inc()
 	}
-	dropsTotal.Add(int64(dropped))
 }
 
-// Snapshot copies the merged spans and the cumulative drop count.
+// Snapshot copies the kept spans and the cumulative drop count.
 func (t *SweepTrace) Snapshot() ([]Span, int64) {
+	if t == nil {
+		return nil, 0
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]Span(nil), t.spans...), t.dropped
@@ -100,18 +94,18 @@ func (t *SweepTrace) Snapshot() ([]Span, int64) {
 
 var pid = os.Getpid()
 
-// A sweep's trace rides the context its jobs are started with, the way
-// harness.WithStageWorkers carries the stage count, so the cluster records
-// its scheduling spans (dispatch, re-home) into the buffer of the sweep
-// that submitted each job.
+// A span buffer rides the context its job runs with, the way
+// harness.WithStageWorkers carries the stage count: the cluster and the
+// node that run the job record into the buffer of the sweep (or, on a
+// worker, of the job) that submitted it.
 type sweepKey struct{}
 
-// WithSweep returns a context carrying the sweep trace t.
+// WithSweep returns a context carrying the span buffer t.
 func WithSweep(ctx context.Context, t *SweepTrace) context.Context {
 	return context.WithValue(ctx, sweepKey{}, t)
 }
 
-// SweepIn returns the sweep trace ctx carries, nil when it carries none.
+// SweepIn returns the span buffer ctx carries, nil when it carries none.
 func SweepIn(ctx context.Context) *SweepTrace {
 	t, _ := ctx.Value(sweepKey{}).(*SweepTrace)
 	return t

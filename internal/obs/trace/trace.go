@@ -10,9 +10,9 @@
 //  1. Out-of-band. Tracing must never change a report, NDJSON row, ledger,
 //     or fault-sweep byte. Contexts ride in fields every output path
 //     ignores; spans are carried next to results, never inside them.
-//  2. Bounded memory. Each job records into a fixed span budget with an
-//     explicit dropped-span counter, and each sweep's merged buffer is
-//     bounded the same way — a pathological cell cannot balloon the server.
+//  2. Bounded memory. Every span lands in a SweepTrace, a buffer of fixed
+//     size with an explicit dropped-span counter: a sweep's on the server,
+//     one job's on a worker — a pathological cell cannot balloon either.
 //  3. Clock honesty. Worker spans are stamped on the worker's clock and
 //     aligned at merge time using the offset estimated during the
 //     hello/welcome handshake (see EstimateOffsetUS); the exporter then
@@ -21,7 +21,6 @@ package trace
 
 import (
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -75,72 +74,11 @@ func NewSpanID() uint64 {
 	return uint64(os.Getpid()&0xffff)<<48 | (spanSeq.Add(1) & (1<<48 - 1))
 }
 
-// DefaultJobBudget bounds one job's recorded spans (a traced job is a
-// handful of phases; retries multiply them, so leave generous headroom).
+// DefaultJobBudget bounds one traced job's spans on a worker: the buffer a
+// greennode records each traced job into (a traced job is a handful of
+// phases; retries multiply them, so leave generous headroom), and so the
+// span count a remote result's decoder accepts.
 const DefaultJobBudget = 64
-
-// JobRecorder accumulates one job's spans under a fixed budget. A nil
-// recorder is valid and records nothing — call sites stay unconditional.
-type JobRecorder struct {
-	mu      sync.Mutex
-	ctx     Context
-	pid     int
-	spans   []Span
-	dropped int
-}
-
-// NewJobRecorder builds a recorder for the job's context that keeps at most
-// DefaultJobBudget spans, the count a remote result's decoder accepts.
-func NewJobRecorder(ctx Context) *JobRecorder {
-	return &JobRecorder{ctx: ctx, pid: os.Getpid()}
-}
-
-// Context returns the recorder's trace context.
-func (r *JobRecorder) Context() Context {
-	if r == nil {
-		return Context{}
-	}
-	return r.ctx
-}
-
-// Record appends one completed span, stamped with the job's coordinates and
-// this process's pid. Past the budget the span is counted, not stored.
-func (r *JobRecorder) Record(name, cat string, start time.Time, dur time.Duration, attrs map[string]string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.spans) >= DefaultJobBudget {
-		r.dropped++
-		return
-	}
-	r.spans = append(r.spans, Span{
-		ID:      NewSpanID(),
-		Parent:  r.ctx.Parent,
-		Name:    name,
-		Cat:     cat,
-		Job:     r.ctx.Job,
-		Attempt: r.ctx.Attempt,
-		PID:     r.pid,
-		StartUS: start.UnixMicro(),
-		DurUS:   int64(dur / time.Microsecond),
-		Attrs:   attrs,
-	})
-}
-
-// Drain returns the recorded spans and the dropped count, resetting the
-// recorder. Safe on nil.
-func (r *JobRecorder) Drain() ([]Span, int) {
-	if r == nil {
-		return nil, 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	spans, dropped := r.spans, r.dropped
-	r.spans, r.dropped = nil, 0
-	return spans, dropped
-}
 
 // EstimateOffsetUS estimates a remote clock's offset from ours, in
 // microseconds, from one handshake exchange: t0 is our clock when the hello

@@ -10,43 +10,45 @@ import (
 	"time"
 )
 
-func TestJobRecorderBudgetAndDrain(t *testing.T) {
-	rec := NewJobRecorder(Context{Sweep: "s-1", Job: 3, Parent: 42})
+// TestJobBufferBudget: a worker's buffer for one job keeps
+// DefaultJobBudget spans, each stamped with the job's coordinates, this
+// process's pid and a fresh id, and counts the spans past the budget.
+func TestJobBufferBudget(t *testing.T) {
+	tr := NewSweepTrace(DefaultJobBudget)
+	tc := Context{Sweep: "s-1", Job: 3, Attempt: 1, Parent: 42}
 	base := time.Now()
-	rec.Record("execute", "execute", base, time.Millisecond, map[string]string{"attempt": "1"})
+	tr.Record(tc, "execute", "execute", base, time.Millisecond, map[string]string{"try": "1"})
 	for i := 1; i < DefaultJobBudget; i++ {
-		rec.Record("backoff", "backoff", base, time.Millisecond, nil)
+		tr.Record(tc, "backoff", "backoff", base, time.Millisecond, nil)
 	}
-	rec.Record("execute", "execute", base, time.Millisecond, nil) // over budget
-	spans, dropped := rec.Drain()
+	tr.Record(tc, "execute", "execute", base, time.Millisecond, nil) // over budget
+	spans, dropped := tr.Snapshot()
 	if len(spans) != DefaultJobBudget {
 		t.Fatalf("spans = %d, want %d", len(spans), DefaultJobBudget)
 	}
 	if dropped != 1 {
 		t.Fatalf("dropped = %d, want 1", dropped)
 	}
+	ids := map[uint64]bool{}
 	for _, sp := range spans {
-		if sp.Job != 3 || sp.Parent != 42 || sp.PID != os.Getpid() {
+		if sp.Job != 3 || sp.Attempt != 1 || sp.Parent != 42 || sp.PID != os.Getpid() {
 			t.Fatalf("span coordinates not stamped: %+v", sp)
 		}
-		if sp.ID == 0 {
-			t.Fatalf("span id not minted: %+v", sp)
+		if sp.ID == 0 || ids[sp.ID] {
+			t.Fatalf("span id not minted afresh: %+v", sp)
 		}
-	}
-	// Drain resets.
-	if spans, dropped := rec.Drain(); len(spans) != 0 || dropped != 0 {
-		t.Fatalf("second drain = %d spans, %d dropped; want empty", len(spans), dropped)
+		ids[sp.ID] = true
 	}
 }
 
-func TestNilRecorderIsSafe(t *testing.T) {
-	var rec *JobRecorder
-	rec.Record("execute", "execute", time.Now(), time.Millisecond, nil)
-	if spans, dropped := rec.Drain(); spans != nil || dropped != 0 {
-		t.Fatal("nil recorder recorded something")
-	}
-	if rec.Context() != (Context{}) {
-		t.Fatal("nil recorder has a context")
+// TestNilSweepTraceIsSafe: an untraced job's nil buffer records and keeps
+// nothing, so call sites stay unconditional.
+func TestNilSweepTraceIsSafe(t *testing.T) {
+	var tr *SweepTrace
+	tr.Record(Context{Job: 1}, "execute", "execute", time.Now(), time.Millisecond, nil)
+	tr.Add([]Span{{Name: "execute"}}, 2)
+	if spans, dropped := tr.Snapshot(); spans != nil || dropped != 0 {
+		t.Fatal("nil buffer recorded something")
 	}
 }
 
@@ -67,23 +69,23 @@ func TestEstimateOffsetUS(t *testing.T) {
 }
 
 // TestSweepTraceBudgetAndSnapshot: a sweep's buffer keeps its spans and
-// counts drops, and rides a context to the scheduler. The manager's bound
-// on how many sweeps keep one is fleet's TestFleetTraceBound.
+// counts drops, its own and those a worker shipped, and rides a context to
+// the scheduler. The manager's bound on how many sweeps keep one is
+// fleet's TestFleetTraceBound.
 func TestSweepTraceBudgetAndSnapshot(t *testing.T) {
-	tr := NewSweepTrace(1)
-	start := time.Now()
-	id := tr.Record(0, 0, "queue-wait", "queue", start, time.Millisecond, nil)
-	if id == 0 {
-		t.Fatal("Record minted id 0")
-	}
-	tr.AddSpans([]Span{{Name: "execute", Cat: "execute", Job: 0, PID: 999}}, 3)
+	tr := NewSweepTrace(512)
+	tr.Record(Context{Job: 0}, "queue-wait", "queue", time.Now(), time.Millisecond, nil)
+	tr.Add([]Span{{Name: "execute", Cat: "execute", Job: 0, PID: 999}}, 3)
 	spans, dropped := tr.Snapshot()
 	if len(spans) != 2 || dropped != 3 {
 		t.Fatalf("snapshot = %d spans, %d dropped; want 2, 3", len(spans), dropped)
 	}
-	// One job's buffer holds the 512-span floor; past it spans are counted.
+	if spans[0].PID != os.Getpid() || spans[1].PID != 999 {
+		t.Fatalf("pids = %d, %d; want this process's, then the shipped span's 999", spans[0].PID, spans[1].PID)
+	}
+	// Past its size, spans are counted.
 	for i := len(spans); i < 513; i++ {
-		tr.RecordSpan(Span{Name: "backoff", Job: 0})
+		tr.Add([]Span{{Name: "backoff", Job: 0}}, 0)
 	}
 	if spans, dropped := tr.Snapshot(); len(spans) != 512 || dropped != 4 {
 		t.Fatalf("past the budget: %d spans, %d dropped; want 512, 4", len(spans), dropped)

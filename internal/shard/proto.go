@@ -37,6 +37,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"time"
 
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 )
@@ -52,6 +53,10 @@ import (
 // every block. A version-4 server would read every version-5 result as
 // undecided and serve an empty decision log.
 const protoVersion = 5
+
+// writeTimeout caps one frame write, on either end, so a dead peer cannot
+// wedge the writer forever.
+const writeTimeout = 10 * time.Second
 
 // maxFramePayload bounds one frame. The largest legitimate payload — a
 // result carrying a full-trace run's timeline — is under half a megabyte

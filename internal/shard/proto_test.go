@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/wattwiseweb/greenweb/internal/faults"
 	"github.com/wattwiseweb/greenweb/internal/fleet"
@@ -44,9 +45,9 @@ func TestReadFrameAllocatesOnlyWhatArrives(t *testing.T) {
 // fails with the decode error, wrapped in errBadRun, and carries neither a
 // row nor the block; the other result fields still arrive.
 func TestBadTimelineFailsTheJob(t *testing.T) {
-	w := encodeResult(realResults(t)[1])
+	w := encodeResult(realResults(t)[1], nil)
 	w.Timeline = w.Timeline[:len(w.Timeline)/2]
-	res := decodeResult(w, fleet.Job{App: "Todo", Kind: harness.GreenWebI})
+	res, _, _ := decodeResult(w, fleet.Job{App: "Todo", Kind: harness.GreenWebI})
 	if !errors.Is(res.Err, errBadRun) || !errors.Is(res.Err, ledger.ErrBadTimeline) ||
 		res.Row != nil || res.Timeline != nil {
 		t.Fatalf("truncated timeline decoded to row %v, block %d bytes, err %v; want errBadRun alone",
@@ -68,28 +69,29 @@ func TestTooManySpansFailsTheJob(t *testing.T) {
 			`"spans":[{"name":"execute"}` + strings.Repeat(`,{"name":"execute"}`, n-1) + `]}}`)
 	}
 	job := fleet.Job{App: "Todo", Kind: harness.Perf}
-	read := func(b []byte) fleet.Result {
+	read := func(b []byte) (fleet.Result, []trace.Span) {
 		t.Helper()
 		f, err := readFrame(bytes.NewReader(b))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return decodeResult(f.Result, job)
+		res, spans, _ := decodeResult(f.Result, job)
+		return res, spans
 	}
-	if res := read(frameOf(trace.DefaultJobBudget)); res.Err != nil || res.Row == nil ||
-		len(res.Spans) != trace.DefaultJobBudget {
-		t.Fatalf("a result at the span budget: err %v, row %v, %d spans", res.Err, res.Row != nil, len(res.Spans))
+	if res, spans := read(frameOf(trace.DefaultJobBudget)); res.Err != nil || res.Row == nil ||
+		len(spans) != trace.DefaultJobBudget {
+		t.Fatalf("a result at the span budget: err %v, row %v, %d spans", res.Err, res.Row != nil, len(spans))
 	}
-	if res := read(frameOf(trace.DefaultJobBudget + 1)); !errors.Is(res.Err, errTooManySpans) ||
-		res.Row != nil || res.Spans != nil {
+	if res, spans := read(frameOf(trace.DefaultJobBudget + 1)); !errors.Is(res.Err, errTooManySpans) ||
+		res.Row != nil || spans != nil {
 		t.Fatalf("a result past the span budget: err %v, row %v, %d spans; want errTooManySpans alone",
-			res.Err, res.Row != nil, len(res.Spans))
+			res.Err, res.Row != nil, len(spans))
 	}
 
 	big := frameOf(10_000)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res := read(big)
+	res, _ := read(big)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(res.Err, errTooManySpans) {
 		t.Fatalf("err = %v, want errTooManySpans", res.Err)
@@ -121,7 +123,7 @@ func TestWrongTypedArraysFailTheJob(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := decodeResult(f.Result, fleet.Job{App: "Todo", Kind: harness.Perf})
+			res, _, _ := decodeResult(f.Result, fleet.Job{App: "Todo", Kind: harness.Perf})
 			runtime.ReadMemStats(&after)
 			if !errors.Is(res.Err, tc.want) || res.Row != nil {
 				t.Fatalf("err %v, row %v; want %v alone", res.Err, res.Row != nil, tc.want)
@@ -182,10 +184,13 @@ func rawFrame(payload string) []byte {
 
 // frameSeeds is one frame of every type, with result frames carrying the
 // rows and timelines of real runs (baseline and GreenWeb), a failure, and
-// worker spans.
+// a job's span buffer.
 func frameSeeds(tb testing.TB) []frame {
 	job := fleet.Job{App: "Todo", Kind: harness.GreenWebI, Phase: fleet.Full,
 		Trace: &trace.Context{Sweep: "s-000001", Job: 2, Parent: 7}}
+	spans := trace.NewSweepTrace(1)
+	spans.Record(*job.Trace, "execute", "execute", time.UnixMicro(5), 9*time.Microsecond, nil)
+	spans.Record(*job.Trace, "backoff", "backoff", time.UnixMicro(14), time.Microsecond, nil) // dropped
 	seeds := []frame{
 		{T: frameHello, Proto: protoVersion},
 		{T: frameWelcome, Proto: protoVersion, Workers: 2, Name: "alpha", Now: 1, PID: 2},
@@ -195,12 +200,11 @@ func frameSeeds(tb testing.TB) []frame {
 		{T: framePong, ID: 2},
 		{T: frameCancel, ID: 1},
 		{T: frameResult, ID: 3, Result: encodeResult(fleet.Result{Job: job, Worker: -1,
-			Err: errors.New("fault storm"), Attempts: 2, History: []string{"a", "b"}, Quarantined: true})},
-		{T: frameResult, ID: 4, Result: encodeResult(fleet.Result{Job: job, Row: &fleet.ResultRow{},
-			Spans: []trace.Span{{ID: 1, Name: "execute", Job: 2, StartUS: 5, DurUS: 9}}, SpanDrops: 1})},
+			Err: errors.New("fault storm"), Attempts: 2, History: []string{"a", "b"}, Quarantined: true}, nil)},
+		{T: frameResult, ID: 4, Result: encodeResult(fleet.Result{Job: job, Row: &fleet.ResultRow{}}, spans)},
 	}
 	for i, r := range fuzzResults(tb) {
-		seeds = append(seeds, frame{T: frameResult, ID: uint64(10 + i), Result: encodeResult(r)})
+		seeds = append(seeds, frame{T: frameResult, ID: uint64(10 + i), Result: encodeResult(r, nil)})
 	}
 	return seeds
 }
@@ -246,7 +250,7 @@ func FuzzReadFrame(f *testing.F) {
 			if fr.T != frameResult {
 				continue
 			}
-			res := decodeResult(fr.Result, fleet.Job{App: "Todo", Kind: harness.GreenWebI})
+			res, _, _ := decodeResult(fr.Result, fleet.Job{App: "Todo", Kind: harness.GreenWebI})
 			if (errors.Is(res.Err, errBadRun) || errors.Is(res.Err, errTooManySpans)) && res.Row != nil {
 				t.Fatal("a result that did not decode carries a row")
 			}

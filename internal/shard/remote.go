@@ -29,9 +29,6 @@ type RemoteOptions struct {
 	Dial func(ctx context.Context) (net.Conn, error)
 	// DialTimeout caps one dial + handshake attempt. 0 → 5s.
 	DialTimeout time.Duration
-	// WriteTimeout caps one frame write so a dead peer cannot wedge the
-	// writer forever. 0 → 10s.
-	WriteTimeout time.Duration
 
 	// HeartbeatInterval is the ping cadence. 0 → 1s.
 	HeartbeatInterval time.Duration
@@ -57,9 +54,6 @@ type RemoteOptions struct {
 func (o *RemoteOptions) fill() {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
 	}
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = time.Second
@@ -93,78 +87,65 @@ type session struct {
 	name     string
 
 	writeMu sync.Mutex
-	wt      time.Duration
 
-	mu     sync.Mutex
-	calls  map[uint64]chan fleet.Result
-	jobs   map[uint64]fleet.Job
-	broken bool
+	mu    sync.Mutex
+	calls map[uint64]chan *wireResult
+	err   error // why the session broke; nil while it serves
 }
 
 func (s *session) write(f frame) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	if s.wt > 0 {
-		s.conn.SetWriteDeadline(time.Now().Add(s.wt))
-	}
+	s.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	return writeFrame(s.conn, f)
 }
 
 // register parks a call; fail-all on session teardown answers it if the
 // result frame never arrives.
-func (s *session) register(id uint64, job fleet.Job, ch chan fleet.Result) bool {
+func (s *session) register(id uint64, ch chan *wireResult) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.broken {
+	if s.err != nil {
 		return false
 	}
 	s.calls[id] = ch
-	s.jobs[id] = job
 	return true
 }
 
 func (s *session) unregister(id uint64) {
 	s.mu.Lock()
 	delete(s.calls, id)
-	delete(s.jobs, id)
 	s.mu.Unlock()
 }
 
-// deliver answers a parked call; unknown ids (cancelled calls, a prior
-// session's stragglers) are dropped.
+// deliver hands a parked call its result as it arrived; unknown ids
+// (cancelled calls, a prior session's stragglers) are dropped.
 func (s *session) deliver(id uint64, w *wireResult) {
 	s.mu.Lock()
 	ch, ok := s.calls[id]
-	job := s.jobs[id]
-	if ok {
-		delete(s.calls, id)
-		delete(s.jobs, id)
-	}
+	delete(s.calls, id)
 	s.mu.Unlock()
 	if ok {
-		r := decodeResult(w, job)
-		// Worker spans arrive on the worker's clock; rebase them into the
-		// server timeline with the handshake offset and stamp the node
-		// identity only this side knows.
-		if len(r.Spans) > 0 {
-			trace.AlignSpans(r.Spans, s.offsetUS, s.name)
-		}
-		ch <- r
+		ch <- w
 	}
 }
 
-// fail tears the call table down: every in-flight call gets
-// fleet.ErrNodeDown and will be re-homed by its cluster puller.
+// fail tears the call table down: every in-flight call's channel closes, so
+// its Run returns fleet.ErrNodeDown and its cluster puller re-homes the job.
 func (s *session) fail(reason error) {
 	s.mu.Lock()
-	s.broken = true
-	calls, jobs := s.calls, s.jobs
-	s.calls, s.jobs = map[uint64]chan fleet.Result{}, map[uint64]fleet.Job{}
+	s.err = reason
+	calls := s.calls
+	s.calls = map[uint64]chan *wireResult{}
 	s.mu.Unlock()
-	for id, ch := range calls {
-		ch <- fleet.Result{Job: jobs[id], Worker: -1,
-			Err: fmt.Errorf("%w: %v", fleet.ErrNodeDown, reason)}
+	for _, ch := range calls {
+		close(ch)
 	}
+}
+
+// down is a job's result when the transport failed under it.
+func down(job fleet.Job, cause any) fleet.Result {
+	return fleet.Result{Job: job, Worker: -1, Err: fmt.Errorf("%w: %v", fleet.ErrNodeDown, cause)}
 }
 
 // RemoteNode is a fleet.Node whose execution backend is a greennode worker
@@ -229,16 +210,9 @@ func NewRemoteNode(id int, opts RemoteOptions) (*RemoteNode, error) {
 	return n, nil
 }
 
-// ID reports the node index.
-func (n *RemoteNode) ID() int { return n.id }
-
 // Workers reports the worker's advertised execution slots (from the
 // handshake), which is how many cluster pullers drive this node.
 func (n *RemoteNode) Workers() int { return n.workers }
-
-// Stats: the remote protocol does not stream the worker's retry counters;
-// the cluster's own accounting covers the fleet stats surface.
-func (n *RemoteNode) Stats() fleet.Stats { return fleet.Stats{Workers: n.workers} }
 
 // Health snapshots the transport state.
 func (n *RemoteNode) Health() fleet.NodeHealth {
@@ -393,13 +367,7 @@ func (n *RemoteNode) dialAndShake() (*session, int, string, error) {
 		return nil, 0, "", fmt.Errorf("handshake: unexpected %q frame", f.T)
 	}
 	conn.SetDeadline(time.Time{})
-	sess := &session{
-		conn:  conn,
-		name:  f.Name,
-		wt:    n.opts.WriteTimeout,
-		calls: map[uint64]chan fleet.Result{},
-		jobs:  map[uint64]fleet.Job{},
-	}
+	sess := &session{conn: conn, name: f.Name, calls: map[uint64]chan *wireResult{}}
 	// A welcome without a clock, which no greennode sends, leaves the offset
 	// 0 rather than the distance to the epoch.
 	if f.Now != 0 {
@@ -511,8 +479,9 @@ func (n *RemoteNode) runSession(sess *session) error {
 	}
 }
 
-// Run implements fleet.Node: ship the job, wait for its result, and stamp
-// it with the calling puller's slot. A node with no session (reconnecting,
+// Run implements fleet.Node: ship the job, wait for its result, decode it
+// and stamp it with the calling puller's slot. A traced job's worker spans
+// join the span buffer ctx carries. A node with no session (reconnecting,
 // dead or closed) fails the job at once with fleet.ErrNodeDown, as does a
 // session that breaks mid-call, and the cluster re-homes it: no job waits
 // out a reconnect.
@@ -524,21 +493,30 @@ func (n *RemoteNode) Run(ctx context.Context, slot int, job fleet.Job) fleet.Res
 	sess := n.sess
 	n.mu.Unlock()
 	id := n.seq.Add(1)
-	ch := make(chan fleet.Result, 1)
-	if sess == nil || !sess.register(id, job, ch) {
-		return fleet.Result{Job: job, Worker: -1,
-			Err: fmt.Errorf("%w: node %d has no session", fleet.ErrNodeDown, n.id)}
+	ch := make(chan *wireResult, 1)
+	if sess == nil || !sess.register(id, ch) {
+		return down(job, fmt.Sprintf("node %d has no session", n.id))
 	}
 	if err := sess.write(frame{T: frameJob, ID: id, Job: &job}); err != nil {
 		sess.unregister(id)
 		sess.conn.Close() // wake the reader; the loop handles teardown
-		return fleet.Result{Job: job, Worker: -1,
-			Err: fmt.Errorf("%w: %v", fleet.ErrNodeDown, err)}
+		return down(job, err)
 	}
 	select {
-	case r := <-ch:
+	case w, ok := <-ch:
+		if !ok {
+			return down(job, sess.err) // fail set err before it closed ch
+		}
+		r, spans, dropped := decodeResult(w, job)
 		if r.Worker >= 0 {
 			r.Worker = slot
+		}
+		if tr := trace.SweepIn(ctx); tr != nil {
+			// Worker spans arrive on the worker's clock; rebase them into
+			// this timeline with the handshake offset and stamp the node
+			// identity only this side knows.
+			trace.AlignSpans(spans, sess.offsetUS, sess.name)
+			tr.Add(spans, dropped)
 		}
 		return r
 	case <-ctx.Done():

@@ -57,7 +57,7 @@ func sweep(c *fleet.Cluster, jobs []fleet.Job) []fleet.Result {
 // scheduler-free oracle whose retry and quarantine provenance still comes
 // from the same ladder.
 func reference(opts fleet.Options, jobs []fleet.Job) []fleet.Result {
-	n := fleet.NewLocalNode(0, opts)
+	n := fleet.NewLocalNode(opts)
 	res := make([]fleet.Result, len(jobs))
 	for i, j := range jobs {
 		res[i] = n.Run(context.Background(), 0, j)
@@ -520,6 +520,115 @@ func TestRunlessResultFailsItsJob(t *testing.T) {
 		}
 		if row.State != fleet.StateFailed || !strings.Contains(row.Error, errBadRun.Error()) {
 			t.Fatalf("row %d: state %s, error %q; want failed with %q", i, row.State, row.Error, errBadRun)
+		}
+	}
+}
+
+// TestRemoteRetriesCounted: the cluster counts retries and quarantines from
+// the results it delivers, so a remote node's count as a local node's do.
+// Behind a RemoteNode, a worker retries one job once and runs another
+// through every allowed attempt; the cluster's Stats and its /metrics
+// exposition equal Σ(attempts−1) and the quarantined count of the rows.
+func TestRemoteRetriesCounted(t *testing.T) {
+	var flaky atomic.Int64
+	exec := func(ctx context.Context, j fleet.Job) (*harness.Run, error) {
+		switch {
+		case j.App == "Todo" && flaky.Add(1) == 1:
+			return nil, errors.New("first attempt fails")
+		case j.App == "MSN":
+			return nil, errors.New("every attempt fails")
+		}
+		return &harness.Run{}, nil
+	}
+	_, addr := startWorker(t, WorkerOptions{Cluster: fleet.Options{Workers: 2, Execute: exec,
+		MaxAttempts: 3, RetryBaseDelay: time.Millisecond, RetryMaxDelay: time.Millisecond}})
+	n, err := NewRemoteNode(0, fastRemote(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := fleet.NewWithNodes([]fleet.Node{n})
+	defer c.Close()
+	reg := obs.NewRegistry()
+	c.RegisterMetrics(reg)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	s, err := fleet.NewManager(ctx, c).Enqueue([]fleet.Job{
+		{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro},
+		{App: "MSN", Kind: harness.Perf, Phase: fleet.Micro},
+		{App: "BBC", Kind: harness.Perf, Phase: fleet.Micro},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var retried, quarantined int64
+	for i := 0; i < s.Len(); i++ {
+		row, err := s.Row(ctx, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retried += int64(max(0, row.Attempts-1))
+		if row.Quarantined {
+			quarantined++
+		}
+	}
+	if retried != 3 || quarantined != 1 {
+		t.Fatalf("rows: %d retries, %d quarantined; want 1+2 retries and 1 quarantined", retried, quarantined)
+	}
+	if st := c.Stats(); st.Retried != retried || st.Quarantined != quarantined {
+		t.Fatalf("cluster Stats: %d retried, %d quarantined; the rows say %d and %d",
+			st.Retried, st.Quarantined, retried, quarantined)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("greenweb_fleet_retries_total %d\n", retried),
+		fmt.Sprintf("greenweb_fleet_quarantines_total %d\n", quarantined),
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestEvictedNodesReadDown: a node evicted while it could still serve (an
+// administrative drain of a live remote node, or of a local node) reads
+// down on /v1/nodes and on greenweb_shard_node_up, while the node left in
+// service reads up.
+func TestEvictedNodesReadDown(t *testing.T) {
+	exec := func(ctx context.Context, j fleet.Job) (*harness.Run, error) { return &harness.Run{}, nil }
+	var nodes []fleet.Node
+	for i := 0; i < 2; i++ {
+		_, addr := startWorker(t, WorkerOptions{Cluster: fleet.Options{Workers: 1, Execute: exec}})
+		n, err := NewRemoteNode(i, fastRemote(addr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, n)
+	}
+	nodes = append(nodes, fleet.NewLocalNode(fleet.Options{Execute: exec}))
+	c := fleet.NewWithNodes(nodes)
+	defer c.Close()
+	reg := obs.NewRegistry()
+	c.RegisterMetrics(reg)
+	c.Evict(0)
+	c.Evict(2)
+
+	want := []bool{false, true, false}
+	for i, info := range c.NodeInfos() {
+		if info.Up != want[i] {
+			t.Errorf("node %d (%s): up %v, want %v", i, info.Kind, info.Up, want[i])
+		}
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for i, up := range want {
+		line := fmt.Sprintf("greenweb_shard_node_up{node=%q} %d\n", fmt.Sprint(i), map[bool]int{false: 0, true: 1}[up])
+		if !strings.Contains(buf.String(), line) {
+			t.Errorf("exposition missing %q", line)
 		}
 	}
 }

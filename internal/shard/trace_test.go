@@ -14,7 +14,8 @@ import (
 
 // TestRemoteTraceNegotiation pins the happy path: a worker executes a
 // traced job and ships its spans back on the result frame, where the client
-// stamps them with the node's identity.
+// stamps them with the node's identity and adds them to the span buffer
+// the job's context carries.
 func TestRemoteTraceNegotiation(t *testing.T) {
 	exec := func(ctx context.Context, j fleet.Job) (*harness.Run, error) {
 		return &harness.Run{Frames: 1, Energy: acmp.Joules(1)}, nil
@@ -34,15 +35,17 @@ func TestRemoteTraceNegotiation(t *testing.T) {
 
 	job := fleet.Job{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro,
 		Trace: &trace.Context{Sweep: "s-test", Job: 3, Parent: 42}}
-	res := n.Run(context.Background(), 0, job)
+	tr := trace.NewSweepTrace(trace.DefaultJobBudget)
+	res := n.Run(trace.WithSweep(context.Background(), tr), 0, job)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if len(res.Spans) == 0 {
-		t.Fatal("traced job came back with no worker spans")
+	spans, drops := tr.Snapshot()
+	if len(spans) == 0 || drops != 0 {
+		t.Fatalf("traced job came back with %d worker spans and %d drops; want spans and no drops", len(spans), drops)
 	}
 	sawExecute := false
-	for _, sp := range res.Spans {
+	for _, sp := range spans {
 		if sp.Node != "nodeA" {
 			t.Errorf("span %q node = %q, want nodeA (stamped on delivery)", sp.Name, sp.Node)
 		}
@@ -57,7 +60,7 @@ func TestRemoteTraceNegotiation(t *testing.T) {
 		}
 	}
 	if !sawExecute {
-		t.Errorf("no execute span in %+v", res.Spans)
+		t.Errorf("no execute span in %+v", spans)
 	}
 }
 

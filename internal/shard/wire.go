@@ -40,35 +40,37 @@ type wireResult struct {
 	// JSON carries it as base64. The receiving side keeps the block as it
 	// arrived and derives the decision log from it on request.
 	Timeline []byte `json:"timeline,omitempty"`
-	// Spans piggybacks the worker's trace spans for a traced job (on the
-	// worker's clock; the client aligns them) as a JSON array, with the
-	// worker-side dropped-span count. Empty for untraced jobs, so the wire
-	// cost is zero when tracing is off. It stays raw until decodeResult has
-	// counted its elements.
+	// Spans piggybacks the span buffer the worker recorded a traced job into
+	// (on the worker's clock; the client aligns them) as a JSON array, with
+	// the count of spans the buffer dropped. Empty for untraced jobs, so the
+	// wire cost is zero when tracing is off. It stays raw until decodeResult
+	// has counted its elements.
 	Spans     json.RawMessage `json:"spans,omitempty"`
 	SpanDrops int             `json:"span_drops,omitempty"`
 }
 
 // encodeResult puts a fleet.Result on the wire as the worker's LocalNode
 // projected it: its row, through fleet.RowOf, and its timeline block as it
-// is. The run's raw per-frame results never reach the wire: the node keeps
-// only these two projections of a run.
-func encodeResult(r fleet.Result) *wireResult {
+// is, plus the spans of tr, the job's span buffer (nil for an untraced
+// job). The run's raw per-frame results never reach the wire: the node
+// keeps only these two projections of a run.
+func encodeResult(r fleet.Result, tr *trace.SweepTrace) *wireResult {
 	row := fleet.RowOf(0, r)
+	spans, dropped := tr.Snapshot()
 	w := &wireResult{
 		ResultRow: &row,
 		Worker:    r.Worker,
 		LatencyNS: int64(r.Latency),
 		Timeline:  r.Timeline,
-		SpanDrops: r.SpanDrops,
+		SpanDrops: int(dropped),
 	}
 	// Strings, and trace.Spans of plain fields and a string map, always
 	// encode.
 	if len(row.AttemptErrors) > 0 {
 		w.AttemptErrors, _ = json.Marshal(row.AttemptErrors)
 	}
-	if len(r.Spans) > 0 {
-		w.Spans, _ = json.Marshal(r.Spans)
+	if len(spans) > 0 {
+		w.Spans, _ = json.Marshal(spans)
 	}
 	return w
 }
@@ -76,25 +78,22 @@ func encodeResult(r fleet.Result) *wireResult {
 // decodeResult reconstructs a fleet.Result, reattaching the client's copy
 // of the job: a failed result carries the row's error, a finished one the
 // row and the timeline block, which decodeResult only checks
-// (ledger.CheckTimeline). A result that has no row (w is nil when the frame
-// carried no result) or whose attempt errors or timeline do not decode
-// fails with an error wrapping errBadRun, and more worker trace spans than
-// a job records fail it with errTooManySpans; either way the result carries
-// no row.
-func decodeResult(w *wireResult, job fleet.Job) fleet.Result {
+// (ledger.CheckTimeline). It also returns the worker's trace spans and the
+// count its buffer dropped. A result that has no row (w is nil when the
+// frame carried no result) or whose attempt errors or timeline do not
+// decode fails with an error wrapping errBadRun, and more worker trace
+// spans than a job records fail it with errTooManySpans; either way the
+// result carries no row.
+func decodeResult(w *wireResult, job fleet.Job) (r fleet.Result, spans []trace.Span, dropped int) {
 	if w == nil {
 		w = new(wireResult)
 	}
-	r := fleet.Result{
-		Job:       job,
-		Worker:    w.Worker,
-		Latency:   time.Duration(w.LatencyNS),
-		SpanDrops: w.SpanDrops,
-	}
+	r = fleet.Result{Job: job, Worker: w.Worker, Latency: time.Duration(w.LatencyNS)}
+	dropped = w.SpanDrops
 	row := w.ResultRow
 	if row == nil {
 		r.Err = fmt.Errorf("%w: a result with neither an error nor a row", errBadRun)
-		return r
+		return
 	}
 	r.Attempts, r.Quarantined = row.Attempts, row.Quarantined
 	if len(w.AttemptErrors) > 0 {
@@ -102,32 +101,32 @@ func decodeResult(w *wireResult, job fleet.Job) fleet.Result {
 		// would allocate an error for every one of the wrong type.
 		if _, strs := countElements(w.AttemptErrors); !strs || json.Unmarshal(w.AttemptErrors, &r.History) != nil {
 			r.Err = fmt.Errorf("%w: attempt errors are not an array of strings", errBadRun)
-			return r
+			return
 		}
 	}
 	var err error
-	if r.Spans, err = decodeSpans(w.Spans); err != nil {
+	if spans, err = decodeSpans(w.Spans); err != nil {
 		r.Err = err
-		return r
+		return
 	}
 	if row.Error != "" {
 		r.Err = errors.New(row.Error)
-		return r
+		return
 	}
 	if len(w.Timeline) > 0 {
 		if err := ledger.CheckTimeline(w.Timeline); err != nil {
 			r.Err = fmt.Errorf("%w: %w", errBadRun, err)
-			return r
+			return
 		}
 	}
 	r.Row, r.Timeline = row, w.Timeline
-	return r
+	return
 }
 
 // decodeSpans decodes a result's worker trace spans. It counts the array's
 // elements first and refuses more than trace.DefaultJobBudget before
-// decoding any: a worker's recorder never ships more, and each 3-byte "{},"
-// would otherwise cost a whole trace.Span.
+// decoding any: a worker's job buffer never ships more, and each 3-byte
+// "{}," would otherwise cost a whole trace.Span.
 func decodeSpans(raw json.RawMessage) ([]trace.Span, error) {
 	if len(raw) == 0 {
 		return nil, nil

@@ -12,6 +12,7 @@ import (
 
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/obs"
+	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
 // WorkerOptions configures a Worker process (the greennode side of the
@@ -22,13 +23,13 @@ type WorkerOptions struct {
 	// Cluster configures the worker's own fleet.Cluster: worker count,
 	// retry ladder, timeouts, and — in tests — the Execute override.
 	Cluster fleet.Options
-	// WriteTimeout caps one result/pong frame write. 0 → 10s.
-	WriteTimeout time.Duration
 }
 
 // Worker executes jobs shipped over the frame protocol on a local
 // fleet.Cluster: the full retry/quarantine ladder runs worker-side, so a
-// remote job's terminal result is indistinguishable from a local one.
+// remote job's terminal result is indistinguishable from a local one. A
+// traced job runs with a span buffer of its own (trace.DefaultJobBudget
+// spans), which its result frame ships back.
 //
 // Each accepted connection is handshaken (hello/welcome with a protocol
 // version check), then serves a multiplexed stream on its read loop: job
@@ -49,14 +50,10 @@ type Worker struct {
 
 	connsTotal atomic.Int64 // connections ever accepted
 	jobsTotal  atomic.Int64 // job frames executed
-	spanDrops  atomic.Int64 // trace spans dropped to per-job budgets
 }
 
 // NewWorker builds the worker and its cluster.
 func NewWorker(opts WorkerOptions) *Worker {
-	if opts.WriteTimeout <= 0 {
-		opts.WriteTimeout = 10 * time.Second
-	}
 	return &Worker{
 		opts:    opts,
 		cluster: fleet.New(opts.Cluster),
@@ -83,8 +80,6 @@ func (w *Worker) RegisterMetrics(reg *obs.Registry) {
 		"Client connections ever accepted", func() float64 { return float64(w.connsTotal.Load()) })
 	reg.CounterFunc("greenweb_node_jobs_total",
 		"Job frames executed", func() float64 { return float64(w.jobsTotal.Load()) })
-	reg.CounterFunc("greenweb_node_span_drops_total",
-		"Trace spans dropped to per-job budgets", func() float64 { return float64(w.spanDrops.Load()) })
 }
 
 // Serve accepts connections on l until Close (or Kill). It returns the
@@ -176,7 +171,7 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn, name string) {
 	write := func(f frame) error {
 		writeMu.Lock()
 		defer writeMu.Unlock()
-		conn.SetWriteDeadline(time.Now().Add(w.opts.WriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		return writeFrame(conn, f)
 	}
 	if hello.T != frameHello || hello.Proto != protoVersion {
@@ -226,6 +221,11 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn, name string) {
 			id, job := f.ID, *f.Job
 			w.jobsTotal.Add(1)
 			jobCtx, cancel := context.WithCancel(ctx)
+			var spans *trace.SweepTrace // the traced job's, nil otherwise
+			if job.Trace != nil {
+				spans = trace.NewSweepTrace(trace.DefaultJobBudget)
+				jobCtx = trace.WithSweep(jobCtx, spans)
+			}
 			jobMu.Lock()
 			cancels[id] = cancel
 			jobMu.Unlock()
@@ -236,8 +236,7 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn, name string) {
 				delete(cancels, id)
 				jobMu.Unlock()
 				cancel()
-				w.spanDrops.Add(int64(r.SpanDrops))
-				write(frame{T: frameResult, ID: id, Result: encodeResult(r)})
+				write(frame{T: frameResult, ID: id, Result: encodeResult(r, spans)})
 			}
 			if err := w.cluster.Start(jobCtx, job, nil, reply); err != nil {
 				reply(fleet.Result{Job: job, Worker: -1, Err: err})
