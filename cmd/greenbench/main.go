@@ -15,9 +15,9 @@
 // With -faults, greenbench runs a deterministic fault sweep instead of the
 // report: every catalog app under Perf, GreenWeb-I, and GreenWeb-U with the
 // given fault spec active, streamed as one NDJSON row per cell (fault
-// counters, retry provenance, quarantine state). The spec is "default", an
-// inline JSON object, or @file; a fixed -fault-seed makes the output
-// byte-reproducible. -trace honors -faults too, tracing one faulted run.
+// counters, or the error of a cell the faults failed). The spec is
+// "default", an inline JSON object, or @file; a fixed -fault-seed makes the
+// output byte-reproducible. -trace honors -faults too, tracing one faulted run.
 //
 // -stage-workers N renders every execution — the report's cells, the fault
 // sweep's jobs, and the -trace run — on the staged pipeline with N stage
@@ -196,7 +196,7 @@ func faultSweep(ctx context.Context, w io.Writer, spec *faults.Spec, workers int
 			jobs = append(jobs, fleet.Job{App: name, Kind: k, Phase: fleet.Full, Faults: spec})
 		}
 	}
-	c := fleet.New(fleet.Options{Workers: workers, MaxAttempts: 3})
+	c := fleet.New(fleet.Options{Workers: workers})
 	defer c.Close()
 	// The stage-worker count rides on ctx rather than Job.StageWorkers:
 	// rows echo a job's own count, and these rows carry no stage column.

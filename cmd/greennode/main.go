@@ -1,15 +1,14 @@
 // Command greennode is a remote shard worker: it listens for greensrv
 // connections speaking the length-prefixed frame protocol and executes
-// shipped jobs on a local one-node fleet cluster — the full retry/quarantine
-// ladder runs here, so a remote job's terminal result is indistinguishable
-// from a local one. Several greensrv sessions may share one greennode; each
+// shipped jobs on a local one-node fleet cluster, each once under
+// -job-timeout, so a remote job's terminal result is indistinguishable from
+// a local one. Several greensrv sessions may share one greennode; each
 // connection is handshaken and multiplexed independently.
 //
 // Usage:
 //
 //	greennode [-addr :9090] [-workers N] [-name NAME] [-job-timeout 2m]
-//	          [-max-attempts N] [-retry-base 50ms] [-retry-max 2s]
-//	          [-retry-seed S] [-http ADDR] [-log-level LEVEL]
+//	          [-http ADDR] [-log-level LEVEL]
 //
 // With -http ADDR the worker serves its own health surface:
 //
@@ -19,8 +18,8 @@
 //	GET /readyz   readiness — 200 once the frame listener is bound
 //
 // Tracing: a job that greensrv traces arrives carrying its trace context,
-// and the worker records its execute and backoff spans into a buffer of
-// the job's own (64 spans; greenweb_trace_span_drops_total counts the
+// and the worker records its execute span into a buffer of the job's own
+// (64 spans; greenweb_trace_span_drops_total counts the
 // rest), which ships back piggybacked on its result frame. Whether a job is
 // traced is the server's decision (greensrv -no-obs traces none).
 //
@@ -49,11 +48,7 @@ func main() {
 	addr := flag.String("addr", ":9090", "listen address")
 	workers := flag.Int("workers", 0, "execution slots (0 = GOMAXPROCS)")
 	name := flag.String("name", "", "name advertised in the handshake (default listen address)")
-	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "per-attempt execution cap (0 = none)")
-	maxAttempts := flag.Int("max-attempts", 3, "executions per failing job before quarantine (1 = no retry)")
-	retryBase := flag.Duration("retry-base", 50*time.Millisecond, "first retry backoff (doubled per attempt)")
-	retryMax := flag.Duration("retry-max", 2*time.Second, "backoff cap")
-	retrySeed := flag.Int64("retry-seed", 0, "seed for deterministic backoff jitter")
+	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "per-job execution cap (0 = none)")
 	httpAddr := flag.String("http", "", "health/metrics listen address (empty = no health surface)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	flag.Parse()
@@ -69,17 +64,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "greennode: -workers must be >= 0 (0 = GOMAXPROCS)")
 		os.Exit(1)
 	}
-	if *maxAttempts < 1 {
-		fmt.Fprintln(os.Stderr, "greennode: -max-attempts must be >= 1")
-		os.Exit(1)
-	}
 
 	w := shard.NewWorker(shard.WorkerOptions{
-		Name: *name,
-		Cluster: fleet.Options{
-			Workers: *workers, JobTimeout: *jobTimeout, MaxAttempts: *maxAttempts,
-			RetryBaseDelay: *retryBase, RetryMaxDelay: *retryMax, RetrySeed: *retrySeed,
-		},
+		Name:    *name,
+		Cluster: fleet.Options{Workers: *workers, JobTimeout: *jobTimeout},
 	})
 
 	l, err := net.Listen("tcp", *addr)

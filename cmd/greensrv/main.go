@@ -11,7 +11,6 @@
 // Usage:
 //
 //	greensrv [-addr :8080] [-nodes N] [-workers N] [-job-timeout 2m]
-//	         [-max-attempts N] [-retry-base 50ms] [-retry-max 2s] [-retry-seed S]
 //	         [-remote-nodes host:port,host:port,...]
 //	         [-store DIR]
 //	         [-admit-queue N] [-admit-rate R] [-admit-burst B]
@@ -22,12 +21,13 @@
 // reached over TCP instead of in-process nodes: jobs ship as length-prefixed
 // JSON frames, heartbeats watch each link, and a node that dies mid-sweep is
 // evicted, the jobs it was running re-homed onto the survivors — sweep
-// bytes are identical either way. Each greennode runs the retry ladder with
-// its own flags, so greensrv refuses -workers, -job-timeout, -max-attempts,
-// -retry-base and -retry-max beside -remote-nodes; -retry-seed (the
-// reconnect jitter) still applies. greensrv counts retries and quarantines
-// (greenweb_fleet_retries_total, _quarantines_total) from the results it
-// delivers, so they read the same on either topology.
+// bytes are identical either way. Each greennode runs its jobs with its own
+// -workers and -job-timeout, so greensrv refuses both beside -remote-nodes.
+//
+// Every job runs once: a failed cell's row is "failed" with the cell's own
+// error, since every cell is a deterministic function of its job and would
+// fail the same way again. Only a job whose node died under it runs again,
+// on another node.
 //
 // -no-obs turns fleet tracing off: sweeps get no /trace?fleet=1 artifact
 // (it answers no_fleet_trace) and their jobs record no spans. Otherwise a
@@ -86,11 +86,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	nodes := flag.Int("nodes", 1, "in-process node count; all nodes' workers share one job queue")
 	workers := flag.Int("workers", 0, "worker count per node (0 = GOMAXPROCS split across nodes)")
-	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "per-attempt execution cap (0 = none)")
-	maxAttempts := flag.Int("max-attempts", 3, "executions per failing job before quarantine (1 = no retry)")
-	retryBase := flag.Duration("retry-base", 50*time.Millisecond, "first retry backoff (doubled per attempt)")
-	retryMax := flag.Duration("retry-max", 2*time.Second, "backoff cap")
-	retrySeed := flag.Int64("retry-seed", 0, "seed for deterministic backoff jitter")
+	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "per-job execution cap (0 = none)")
 	remoteNodes := flag.String("remote-nodes", "", "comma-separated greennode addresses; jobs run on these remote workers instead of in-process nodes")
 	storeDir := flag.String("store", "", "durable sweep store directory (empty = in-memory only)")
 	admitQueue := flag.Int("admit-queue", 0, "reject new sweeps (429) while this many jobs are queued (0 = off)")
@@ -121,8 +117,6 @@ func main() {
 		fail("-nodes must be >= 1")
 	case *workers < 0:
 		fail("-workers must be >= 0 (0 = GOMAXPROCS)")
-	case *maxAttempts < 1:
-		fail("-max-attempts must be >= 1")
 	case *admitQueue < 0:
 		fail("-admit-queue must be >= 0 (0 = off)")
 	case *admitRate < 0:
@@ -135,7 +129,7 @@ func main() {
 	if *remoteNodes != "" {
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "workers", "job-timeout", "max-attempts", "retry-base", "retry-max":
+			case "workers", "job-timeout":
 				fail("-" + f.Name + " does not apply with -remote-nodes; set it on each greennode")
 			}
 		})
@@ -153,7 +147,7 @@ func main() {
 			if a == "" {
 				fail("-remote-nodes: empty address in list")
 			}
-			n, err := shard.NewRemoteNode(i, shard.RemoteOptions{Addr: a, Seed: *retrySeed})
+			n, err := shard.NewRemoteNode(i, shard.RemoteOptions{Addr: a})
 			if err != nil {
 				fail(err.Error())
 			}
@@ -161,11 +155,7 @@ func main() {
 		}
 		cluster = fleet.NewWithNodes(ns)
 	} else {
-		cluster = fleet.New(fleet.Options{
-			Nodes: *nodes, Workers: *workers,
-			JobTimeout: *jobTimeout, MaxAttempts: *maxAttempts,
-			RetryBaseDelay: *retryBase, RetryMaxDelay: *retryMax, RetrySeed: *retrySeed,
-		})
+		cluster = fleet.New(fleet.Options{Nodes: *nodes, Workers: *workers, JobTimeout: *jobTimeout})
 	}
 	// The sweep context is deliberately NOT the signal context: a signal
 	// must stop intake and start the drain, not kill every running sweep on

@@ -31,9 +31,9 @@ var obsInjections = obs.Default().CounterVec("greenweb_faults_injections_total",
 	"Injected faults by kind across all runs", "kind")
 
 // ErrStorm marks a run aborted because its DVFS denial count reached the
-// spec's StormAbort threshold — the deterministic "unlucky cell" the fleet's
-// retry and quarantine machinery exists for. Callers detect it with
-// errors.Is.
+// spec's StormAbort threshold — the deterministic "unlucky cell": the same
+// cell aborts the same way on every run, so the fleet delivers it as a
+// failed job and never runs it again. Callers detect it with errors.Is.
 var ErrStorm = errors.New("faults: fault storm")
 
 // DVFSSpec injects configuration-transition failures: each effective
@@ -64,7 +64,7 @@ type Spec struct {
 
 	// StormAbort, when positive, aborts a run whose DVFS denial count
 	// reaches it — the "fault storm" that turns an experiment cell into a
-	// failed job the fleet must retry and eventually quarantine.
+	// failed job.
 	StormAbort int `json:"storm_abort,omitempty"`
 }
 

@@ -16,8 +16,8 @@ import (
 )
 
 // Node is one execution backend of the cluster, which knows it by its index
-// in NewWithNodes. Run executes a single job to its terminal Result
-// (retries, panic recovery, and timeouts happen inside), and is called by
+// in NewWithNodes. Run executes a single job once, to its terminal Result
+// (panic recovery and timeouts happen inside), and is called by
 // at most Workers() cluster pullers concurrently; slot is the calling
 // puller's cluster-global index, which becomes the result's Worker. A
 // traced job's Run records its spans into the buffer its context carries
@@ -34,7 +34,8 @@ type Node interface {
 // job goes back on the queue instead of being delivered as a failure.
 // Re-execution is safe because every cell is a deterministic function of
 // its job, and only the final result is delivered: each job once, so a
-// sweep persists each row once.
+// sweep persists each row once. It is the only error that runs a job again:
+// any other failure would recur.
 var ErrNodeDown = errors.New("shard: node down")
 
 // ErrNoNodes is delivered when a job cannot be queued or re-homed because
@@ -261,17 +262,15 @@ type Cluster struct {
 	// holds only its node's spans, which the worker ships.
 	managed atomic.Bool
 
-	running     atomic.Int64
-	done        atomic.Int64
-	failed      atomic.Int64
-	retried     atomic.Int64   // attempts beyond each delivered job's first
-	quarantined atomic.Int64   // delivered jobs that exhausted every attempt
-	pulled      []atomic.Int64 // jobs executed per node
-	rehomed     []atomic.Int64 // in-flight jobs re-homed off each node
-	evictions   atomic.Int64
-	start       time.Time
-	busy        atomic.Int64
-	hist        *obs.Histogram
+	running   atomic.Int64
+	done      atomic.Int64
+	failed    atomic.Int64
+	pulled    []atomic.Int64 // jobs executed per node
+	rehomed   []atomic.Int64 // in-flight jobs re-homed off each node
+	evictions atomic.Int64
+	start     time.Time
+	busy      atomic.Int64
+	hist      *obs.Histogram
 }
 
 // New builds a cluster of LocalNodes and starts its pullers.
@@ -361,8 +360,7 @@ func (c *Cluster) Rehomed(id int) int64 { return c.rehomed[id].Load() }
 
 // puller is one execution slot of node: wait until the node can run a job,
 // pop the oldest, run it on the node, deliver — or re-home it when the node
-// died under the job. It counts retries and quarantines from the results it
-// delivers, so local and remote nodes are counted alike.
+// died under the job.
 func (c *Cluster) puller(node, slot int) {
 	defer c.wg.Done()
 	n := c.nodes[node]
@@ -420,10 +418,6 @@ func (c *Cluster) puller(node, slot int) {
 		}
 		c.busy.Add(int64(res.Latency))
 		c.hist.Observe(res.Latency.Seconds())
-		c.retried.Add(int64(max(0, res.Attempts-1)))
-		if res.Quarantined {
-			c.quarantined.Add(1)
-		}
 		if res.Err != nil {
 			c.failed.Add(1)
 		} else {
@@ -542,24 +536,14 @@ func (c *Cluster) Close() {
 	}
 }
 
-// Stats snapshots the cluster's counters.
-func (c *Cluster) Stats() Stats {
-	elapsed := time.Since(c.start)
-	util := 0.0
-	if w := c.Workers(); w > 0 && elapsed > 0 {
-		util = float64(c.busy.Load()) / (float64(elapsed) * float64(w))
+// utilization is busy worker-time over available worker-time since the
+// cluster started.
+func (c *Cluster) utilization() float64 {
+	elapsed, w := time.Since(c.start), c.Workers()
+	if w == 0 || elapsed <= 0 {
+		return 0
 	}
-	return Stats{
-		Workers:     c.Workers(),
-		Queued:      int64(c.q.len()),
-		Running:     c.running.Load(),
-		Done:        c.done.Load(),
-		Failed:      c.failed.Load(),
-		Retried:     c.retried.Load(),
-		Quarantined: c.quarantined.Load(),
-		Utilization: util,
-		Latency:     c.hist.Snapshot(),
-	}
+	return float64(c.busy.Load()) / (float64(elapsed) * float64(w))
 }
 
 // RegisterMetrics exposes the cluster's live counters on an obs registry:
@@ -579,14 +563,10 @@ func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
 		"Jobs finished successfully", func() float64 { return float64(c.done.Load()) })
 	reg.CounterFunc("greenweb_fleet_jobs_failed_total",
 		"Jobs that ended in failure (including cancellation)", func() float64 { return float64(c.failed.Load()) })
-	reg.CounterFunc("greenweb_fleet_retries_total",
-		"Job attempts beyond each job's first", func() float64 { return float64(c.retried.Load()) })
-	reg.CounterFunc("greenweb_fleet_quarantines_total",
-		"Jobs that exhausted every allowed attempt", func() float64 { return float64(c.quarantined.Load()) })
 	reg.GaugeFunc("greenweb_fleet_utilization",
-		"Busy worker-time over available worker-time since start", func() float64 { return c.Stats().Utilization })
+		"Busy worker-time over available worker-time since start", c.utilization)
 	reg.AttachHistogram("greenweb_fleet_job_latency_seconds",
-		"Wall-clock job latency in seconds (all attempts incl. backoff)", c.hist)
+		"Wall-clock job execution latency in seconds", c.hist)
 
 	reg.GaugeFunc("greenweb_shard_nodes", "Nodes in the cluster",
 		func() float64 { return float64(len(c.nodes)) })

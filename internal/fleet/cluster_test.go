@@ -19,13 +19,8 @@ import (
 
 // topologyJobs is a sweep that exercises the paper grid AND the fault
 // machinery: clean cells, thermally capped cells, and storm-doomed cells
-// whose retry/quarantine interleavings must not depend on topology.
+// whose failed rows must not depend on topology.
 func topologyJobs() []Job {
-	doomed := &faults.Spec{
-		Seed:       3,
-		DVFS:       &faults.DVFSSpec{DenyProb: 0.95},
-		StormAbort: 3,
-	}
 	capped := faults.Default(21)
 	var jobs []Job
 	for _, app := range []string{"MSN", "Todo"} {
@@ -33,8 +28,6 @@ func topologyJobs() []Job {
 			jobs = append(jobs, Job{App: app, Kind: kind, Phase: Full})
 			jobs = append(jobs, Job{App: app, Kind: kind, Phase: Full, Faults: capped})
 		}
-		// GreenWeb-I requests frequency switches constantly, so the 0.95
-		// deny probability crosses the storm threshold within a few frames.
 		jobs = append(jobs, Job{App: app, Kind: harness.GreenWebI, Phase: Full, Faults: doomed})
 	}
 	// A staged cell: its stage count and per-stage energy must not depend
@@ -53,26 +46,26 @@ func ndjson(t *testing.T, res []Result) string {
 }
 
 // TestTopologyDeterminism pins the standing guarantee at every tested
-// node×worker count: sweep NDJSON — including a faulted sweep's retry and
-// quarantine provenance — is byte-identical to the sequential reference at
-// 1×1, 2×4, and 4×2.
+// node×worker count: sweep NDJSON — including a faulted sweep's failed
+// rows — is byte-identical to the sequential reference at 1×1, 2×4, and
+// 4×2.
 func TestTopologyDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-trace sweep ×4 topologies")
 	}
 	jobs := topologyJobs()
-	opts := Options{MaxAttempts: 2, RetryBaseDelay: time.Millisecond}
+	var opts Options
 
-	// The reference runs one LocalNode's ladder in a plain loop — no queue,
-	// no pullers.
+	// The reference runs one LocalNode in a plain loop — no queue, no
+	// pullers.
 	n := NewLocalNode(opts)
 	ref := make([]Result, len(jobs))
 	for i, j := range jobs {
 		ref[i] = n.Run(context.Background(), 0, j)
 	}
 	want := ndjson(t, ref)
-	if !strings.Contains(want, `"quarantined":true`) {
-		t.Fatalf("sweep exercised no quarantine; doomed spec too weak:\n%s", want)
+	if !strings.Contains(want, faults.ErrStorm.Error()) {
+		t.Fatalf("sweep exercised no fault storm; doomed spec too weak:\n%s", want)
 	}
 
 	for _, topo := range []struct{ nodes, workers int }{{1, 1}, {2, 4}, {4, 2}} {
@@ -461,7 +454,7 @@ func TestEvictLastNodeStrandsJobs(t *testing.T) {
 	// Wait for the single puller to hold one job in flight; the other two
 	// are queued and will strand.
 	deadline := time.Now().Add(2 * time.Second)
-	for c.Stats().Running == 0 && time.Now().Before(deadline) {
+	for c.running.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	go c.Evict(0)

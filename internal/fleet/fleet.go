@@ -11,8 +11,10 @@
 //     length is the whole backlog, which admission control reads);
 //   - per-job timeout and cancellation via context.Context, checked at
 //     simulation-chunk granularity inside the harness;
-//   - panic recovery and a retry and quarantine ladder, converting a
-//     crashed cell into a failed-job Result instead of killing the sweep;
+//   - panic recovery, converting a crashed cell into a failed-job Result
+//     instead of killing the sweep; a failed cell runs once, since every
+//     cell is a deterministic function of its job and fails the same way
+//     again;
 //   - a deterministic merge: RunSweep returns results in submission order
 //     regardless of completion order or of which node ran a job, and every
 //     cell executes through harness.ExecuteCell on a private device, so
@@ -29,11 +31,8 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"strconv"
 	"time"
 
@@ -41,7 +40,6 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/faults"
 	"github.com/wattwiseweb/greenweb/internal/harness"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
@@ -137,26 +135,13 @@ type Result struct {
 	Job    Job
 	Err    error
 	Worker int // cluster-global slot index of the puller that ran the job (-1 if never scheduled)
-	// Latency is the wall-clock execution time, excluding queueing (all
-	// attempts, including backoff sleeps).
+	// Latency is the wall-clock execution time, excluding queueing.
 	Latency time.Duration
-
-	// Attempts is how many executions the job consumed (1 for a clean
-	// first run; up to Options.MaxAttempts for a flaky or doomed one).
-	Attempts int
-	// History holds each failed attempt's error string, in attempt order —
-	// the quarantine record, and the provenance of a retried success.
-	History []string
-	// Quarantined marks a job that failed on its own account (panic,
-	// timeout, fault storm) through every allowed attempt. Jobs killed by
-	// sweep-level cancellation are failed but not quarantined.
-	Quarantined bool
 
 	// Row holds the run's columns (RowOf reads them) and Timeline the run's
 	// ledger spans, with their frame decisions, and config marks as one
 	// exact-size ledger.AppendTimeline block, nil when both are empty. Both
-	// are nil when Err != nil. A remote result's Attempts and History are
-	// its row's, so they are zero for a job that did not retry.
+	// are nil when Err != nil.
 	Row      *ResultRow
 	Timeline []byte
 }
@@ -179,47 +164,27 @@ type Options struct {
 	// Workers is each node's concurrent simulated devices; 0 →
 	// max(1, GOMAXPROCS/Nodes).
 	Workers int
-	// JobTimeout caps one job attempt's execution; 0 disables. An expired
-	// attempt becomes a failed attempt (context.DeadlineExceeded), not a
-	// dead worker — and is retried like any other failure.
+	// JobTimeout caps one job's execution; 0 disables. An expired job fails
+	// with context.DeadlineExceeded, like any other failed cell, and the
+	// worker takes the next job.
 	JobTimeout time.Duration
-	// MaxAttempts is the total executions a failing job may consume before
-	// quarantine (1 = no retry); 0 → 1. Failures covered: panics, per-
-	// attempt timeouts, and harness errors such as injected fault storms.
-	MaxAttempts int
-	// RetryBaseDelay is the first retry's backoff (doubled per further
-	// attempt, capped at RetryMaxDelay). 0 → 50ms. The worker sleeps the
-	// backoff in place: a quarantine-bound cell should not hammer the CPU.
-	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the exponential backoff. 0 → 2s.
-	RetryMaxDelay time.Duration
-	// RetrySeed drives the deterministic backoff jitter (±25%, an FNV hash
-	// of seed × job × attempt — no global randomness, so a replayed sweep
-	// backs off identically).
-	RetrySeed int64
 	// Execute overrides the cell executor; tests use it to inject slow,
 	// panicking, or instant jobs. nil → the real harness execution.
 	Execute func(ctx context.Context, j Job) (*harness.Run, error)
 }
 
-// LocalNode is the in-process Node: each Run executes one job through the
-// retry and quarantine ladder on the calling puller's goroutine, so a
-// "node" is Workers cluster pullers sharing one retry configuration.
+// LocalNode is the in-process Node: each Run executes one job on the
+// calling puller's goroutine, so a "node" is Workers cluster pullers
+// sharing one executor and timeout.
 type LocalNode struct {
 	opts Options
 }
 
-// NewLocalNode builds a node from opts' ladder settings. opts.Workers
+// NewLocalNode builds a node from opts' executor and timeout. opts.Workers
 // defaults to 1; Nodes is the cluster's, not the node's.
 func NewLocalNode(opts Options) *LocalNode {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
-	}
-	if opts.RetryBaseDelay <= 0 {
-		opts.RetryBaseDelay = 50 * time.Millisecond
-	}
-	if opts.RetryMaxDelay <= 0 {
-		opts.RetryMaxDelay = 2 * time.Second
 	}
 	if opts.Execute == nil {
 		opts.Execute = func(ctx context.Context, j Job) (*harness.Run, error) { return j.execute(ctx) }
@@ -234,63 +199,26 @@ func (n *LocalNode) Workers() int { return n.opts.Workers }
 // the cluster owns. An evicted node's in-flight jobs finish normally.
 func (n *LocalNode) Close() {}
 
-// Run executes one job through the retry ladder: each attempt runs with
-// panic recovery and the per-attempt timeout; failed attempts back off
-// (capped exponential, deterministically jittered) and retry until success,
-// MaxAttempts exhaustion (→ quarantine), or sweep-level cancellation. slot
-// is the calling puller's cluster-global index, recorded as the result's
-// Worker.
+// Run executes the job once, with panic recovery and the JobTimeout cap. A
+// failed cell is not run again: every cell is a deterministic function of
+// its job, so a second run fails the same way. slot is the calling puller's
+// cluster-global index, recorded as the result's Worker. A traced job
+// records its execute span into the span buffer its context carries: its
+// sweep's on the server, its own on a worker, which ships it with the
+// result.
 func (n *LocalNode) Run(ctx context.Context, slot int, job Job) Result {
 	start := time.Now()
-	res := Result{Job: job, Worker: slot}
-	// A traced job records its execute attempts and backoff sleeps into the
-	// span buffer its context carries: its sweep's on the server, its own on
-	// a worker, which ships it with the result.
-	var tr *trace.SweepTrace
+	run, err := n.execute(ctx, job)
 	if job.Trace != nil {
-		tr = trace.SweepIn(ctx)
+		attrs := map[string]string{"worker": strconv.Itoa(slot)}
+		if err != nil {
+			attrs["err"] = err.Error()
+		}
+		trace.SweepIn(ctx).Record(*job.Trace, "execute", "execute", start, time.Since(start), attrs)
 	}
-	max := n.opts.MaxAttempts
-	if max < 1 {
-		max = 1
-	}
-	for attempt := 1; attempt <= max; attempt++ {
-		res.Attempts = attempt
-		t0 := time.Now()
-		run, err := n.attempt(ctx, job)
-		if tr != nil {
-			attrs := map[string]string{"try": strconv.Itoa(attempt), "worker": strconv.Itoa(slot)}
-			if err != nil {
-				attrs["err"] = err.Error()
-			}
-			tr.Record(*job.Trace, "execute", "execute", t0, time.Since(t0), attrs)
-		}
-		if err == nil {
-			res.Err = nil
-			res.Row, res.Timeline = project(run)
-			break
-		}
-		res.Err = err
-		res.History = append(res.History, err.Error())
-		if ctx.Err() != nil {
-			break
-		}
-		if attempt == max {
-			res.Quarantined = true
-			break
-		}
-		wait := Backoff(n.opts.RetryBaseDelay, n.opts.RetryMaxDelay, n.opts.RetrySeed, job.String(), attempt)
-		t0 = time.Now()
-		select {
-		case <-time.After(wait):
-		case <-ctx.Done():
-			// The sweep died while we waited; the attempt's own error
-			// stands as the job's cause of death.
-		}
-		if tr != nil {
-			tr.Record(*job.Trace, "backoff", "backoff", t0, time.Since(t0),
-				map[string]string{"try": strconv.Itoa(attempt)})
-		}
+	res := Result{Job: job, Worker: slot, Err: err}
+	if err == nil {
+		res.Row, res.Timeline = project(run)
 	}
 	res.Latency = time.Since(start)
 	return res
@@ -309,9 +237,9 @@ func project(run *harness.Run) (*ResultRow, []byte) {
 	return &row, bytes.Clone(ledger.AppendTimeline(nil, run.Spans, run.ConfigMarks))
 }
 
-// attempt is one isolated execution: its own recovery scope (so a panicking
-// cell is retryable) and its own timeout budget.
-func (n *LocalNode) attempt(ctx context.Context, job Job) (run *harness.Run, err error) {
+// execute runs the job in its own recovery scope, so a panicking cell
+// fails its job, not the worker, and under its own timeout.
+func (n *LocalNode) execute(ctx context.Context, job Job) (run *harness.Run, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			run, err = nil, fmt.Errorf("fleet: %s panicked: %v", job, r)
@@ -326,39 +254,4 @@ func (n *LocalNode) attempt(ctx context.Context, job Job) (run *harness.Run, err
 		defer cancel()
 	}
 	return n.opts.Execute(ctx, job)
-}
-
-// Backoff is a caller's sleep after its attempt-th consecutive failure:
-// base·2^(attempt-1) capped at max, scaled by a deterministic jitter in
-// [0.75, 1.25) hashed from (seed, key, attempt), so concurrent callers
-// de-synchronize identically on every run. The retry ladder keys it by job,
-// the remote transport's reconnect loop by node.
-func Backoff(base, max time.Duration, seed int64, key string, attempt int) time.Duration {
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	d = min(d, max)
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	io.WriteString(h, key)
-	binary.LittleEndian.PutUint64(buf[:], uint64(attempt))
-	h.Write(buf[:])
-	frac := float64(h.Sum64()>>11) / (1 << 53)
-	return time.Duration(float64(d) * (0.75 + 0.5*frac))
-}
-
-// Stats is a snapshot of the fleet counters, served by /metrics.
-type Stats struct {
-	Workers     int                   `json:"workers"`
-	Queued      int64                 `json:"queued"`
-	Running     int64                 `json:"running"`
-	Done        int64                 `json:"done"`
-	Failed      int64                 `json:"failed"`
-	Retried     int64                 `json:"retried"`     // attempts beyond each job's first
-	Quarantined int64                 `json:"quarantined"` // jobs that exhausted every attempt
-	Utilization float64               `json:"utilization"` // busy worker-time / available worker-time since start
-	Latency     obs.HistogramSnapshot `json:"latency"`     // wall-clock job latency, seconds
 }

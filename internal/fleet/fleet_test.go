@@ -79,8 +79,8 @@ func TestJobPanicBecomesFailedResult(t *testing.T) {
 	if again[0].Err != nil {
 		t.Fatalf("cluster dead after panic: %v", again[0].Err)
 	}
-	if st := p.Stats(); st.Failed != 1 || st.Done != 3 {
-		t.Fatalf("stats done=%d failed=%d, want 3/1", st.Done, st.Failed)
+	if d, f := p.done.Load(), p.failed.Load(); f != 1 || d != 3 {
+		t.Fatalf("counters done=%d failed=%d, want 3/1", d, f)
 	}
 }
 
@@ -216,15 +216,14 @@ func TestStatsCounters(t *testing.T) {
 			t.Fatal("missing job latency")
 		}
 	}
-	st := p.Stats()
-	if st.Done != 2 || st.Failed != 0 || st.Queued != 0 || st.Running != 0 {
-		t.Fatalf("stats = %+v", st)
+	if d, f, q, r := p.done.Load(), p.failed.Load(), p.q.len(), p.running.Load(); d != 2 || f != 0 || q != 0 || r != 0 {
+		t.Fatalf("done=%d failed=%d queued=%d running=%d, want 2/0/0/0", d, f, q, r)
 	}
-	if st.Latency.Count != 2 {
-		t.Fatalf("latency histogram count = %d, want 2", st.Latency.Count)
+	if n := p.hist.Snapshot().Count; n != 2 {
+		t.Fatalf("latency histogram count = %d, want 2", n)
 	}
-	if st.Utilization <= 0 || st.Utilization > 1 {
-		t.Fatalf("utilization = %v", st.Utilization)
+	if u := p.utilization(); u <= 0 || u > 1 {
+		t.Fatalf("utilization = %v", u)
 	}
 }
 
@@ -286,12 +285,12 @@ func TestDeliverExactlyOnce(t *testing.T) {
 		}
 		select {
 		case <-deadline:
-			t.Fatalf("jobs did not drain: %d delivered, %+v", delivered, p.Stats())
+			t.Fatalf("jobs did not drain: %d of %d delivered", delivered, n)
 		case <-time.After(time.Millisecond):
 		}
 	}
-	if st := p.Stats(); st.Done != n {
-		t.Fatalf("done = %d, want %d", st.Done, n)
+	if d := p.done.Load(); d != n {
+		t.Fatalf("done = %d, want %d", d, n)
 	}
 	mu.Lock()
 	defer mu.Unlock()

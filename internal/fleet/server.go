@@ -163,13 +163,6 @@ type ResultRow struct {
 	// StageEnergyJ sums the per-stage overlay spans of staged frame
 	// production; zero (and omitted) on serial-pipeline jobs.
 	StageEnergyJ float64 `json:"stage_energy_j,omitempty"`
-	// Retry provenance: executions consumed (only when >1) and each failed
-	// attempt's error. A quarantined row is a failure that exhausted every
-	// allowed attempt. All omitted for clean first-try rows, so unfaulted
-	// sweeps stay byte-identical to pre-retry output.
-	Attempts      int      `json:"attempts,omitempty"`
-	AttemptErrors []string `json:"attempt_errors,omitempty"`
-	Quarantined   bool     `json:"quarantined,omitempty"`
 	// Fault-adversity columns (zero, and omitted, on pristine hardware).
 	ThermalTrips int    `json:"thermal_trips,omitempty"`
 	DVFSDenied   int    `json:"dvfs_denied,omitempty"`
@@ -184,9 +177,9 @@ type ResultRow struct {
 // RowOf projects job index's result onto its row, the one projection every
 // row greensrv serves or stores goes through. The run's columns come from
 // r.Row, which the node that ran the job filled (a remote worker with this
-// same function); the job's coordinates, state, latency, retry and error
-// columns always come from r itself, so a worker's row cannot restate what
-// the server knows.
+// same function); the job's coordinates, state, latency and error columns
+// always come from r itself, so a worker's row cannot restate what the
+// server knows.
 func RowOf(index int, r Result) ResultRow {
 	var row ResultRow
 	if r.Err == nil && r.Row != nil {
@@ -197,11 +190,6 @@ func RowOf(index int, r Result) ResultRow {
 	row.StageWorkers = r.Job.StageWorkers
 	row.State = r.State()
 	row.LatencyMS = float64(r.Latency) / float64(time.Millisecond)
-	row.Attempts, row.AttemptErrors = 0, nil
-	if r.Attempts > 1 {
-		row.Attempts, row.AttemptErrors = r.Attempts, r.History
-	}
-	row.Quarantined = r.Quarantined
 	row.Error = ""
 	if r.Err != nil {
 		row.Error = r.Err.Error()
@@ -268,7 +256,7 @@ const maxSweepRequestBytes = 1 << 20
 //	GET  /v1/sweeps/{id}/events  NDJSON per-frame decision log, streamed per job
 //	GET  /v1/sweeps/{id}/trace   Chrome trace-event JSON of the whole sweep
 //	                             (?fleet=1 serves the distributed fleet trace:
-//	                             admission/queue/dispatch/re-home/retry/execute
+//	                             admission/queue/dispatch/re-home/execute
 //	                             spans merged across server and worker
 //	                             processes, clock-aligned)
 //	GET  /v1/nodes               per-node liveness, heartbeat RTT, job and
@@ -358,7 +346,7 @@ func NewServer(m *Manager) *Server {
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		queued := m.Cluster().Stats().Queued
+		queued := int64(m.cluster.q.len())
 		if srv.draining.Load() {
 			writeRejection(w, http.StatusServiceUnavailable, &rejection{
 				Error:        "server is draining; not accepting new sweeps",

@@ -156,11 +156,7 @@ type JobStatus struct {
 	Phase     Phase        `json:"phase"`
 	State     State        `json:"state"`
 	LatencyMS float64      `json:"latency_ms,omitempty"`
-	// Attempts surfaces retries (only when >1); Quarantined marks a job
-	// that failed through every allowed attempt.
-	Attempts    int    `json:"attempts,omitempty"`
-	Quarantined bool   `json:"quarantined,omitempty"`
-	Error       string `json:"error,omitempty"`
+	Error     string       `json:"error,omitempty"`
 }
 
 // SweepStatus is the GET /v1/sweeps/{id} body.
@@ -198,11 +194,10 @@ func (s *Sweep) Status() SweepStatus {
 			st.Running++
 		case StateDone:
 			st.Done++
-			js.LatencyMS, js.Attempts = row.LatencyMS, row.Attempts
+			js.LatencyMS = row.LatencyMS
 		case StateFailed:
 			st.Failed++
-			js.LatencyMS, js.Attempts = row.LatencyMS, row.Attempts
-			js.Error, js.Quarantined = row.Error, row.Quarantined
+			js.LatencyMS, js.Error = row.LatencyMS, row.Error
 		}
 		st.Jobs = append(st.Jobs, js)
 	}
@@ -376,7 +371,7 @@ func (m *Manager) Enqueue(jobs []Job) (*Sweep, error) {
 	}
 	// A traced sweep gets a span buffer, which rides the context its jobs
 	// start with to the cluster's pullers and nodes. It holds every phase of
-	// every job with retry headroom (96 spans a job, at least 512), so one
+	// every job with re-home headroom (96 spans a job, at least 512), so one
 	// sweep's trace stays a few MB at most. The context is derived after the
 	// cancel context, which the sweep keeps, so the buffer is garbage once
 	// the sweep's jobs are done and its trace was dropped.

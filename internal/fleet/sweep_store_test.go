@@ -80,8 +80,9 @@ func waitPersisted(t *testing.T, srv *httptest.Server, id string) {
 
 // TestStoreReplayByteIdentical is the restart guarantee end to end: results
 // streamed live, then replayed from disk by a fresh process, must be the
-// same bytes. A recovered sweep whose row is not a result row is not
-// served at all.
+// same bytes. A recovered sweep whose row is not a result row, or carries
+// columns a row no longer has (the retired retry columns), is not served at
+// all: serving it would drop those columns from the bytes it persisted.
 func TestStoreReplayByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	srv, _, shutdown := storeServer(t, dir)
@@ -99,29 +100,50 @@ func TestStoreReplayByteIdentical(t *testing.T) {
 	}
 	shutdown()
 
-	// A sweep persisted with a row that does not decode as a ResultRow.
+	// Two sweeps persisted with a row greensrv cannot serve byte for byte:
+	// one that does not decode as a ResultRow, and one written with the
+	// retired retry columns, which re-encodes byte for byte once they are
+	// cut out.
+	const kept = `{"index":0,"app":"Todo","kind":"GreenWeb-I","phase":"full","state":"failed",` +
+		`"latency_ms":153.07,"error":"fault storm"}`
+	retired := strings.Replace(kept, `"error"`,
+		`"attempts":3,"attempt_errors":["fault storm","fault storm","fault storm"],"quarantined":true,"error"`, 1)
+	var row ResultRow
+	if err := json.Unmarshal([]byte(kept), &row); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := json.Marshal(row); err != nil || string(b) != kept {
+		t.Fatalf("the retired row without its retry columns re-encodes to %s, want %s", b, kept)
+	}
+	bad := map[string]string{"s-000777": `{"index":"zero"}`, "s-000778": retired}
 	st, _, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, step := range []func() error{
-		func() error { return st.Begin("s-000777", time.Now()) },
-		func() error { return st.AppendRow("s-000777", 0, json.RawMessage(`{"index":"zero"}`)) },
-		func() error { return st.End("s-000777") },
-		st.Close,
-	} {
-		if err := step(); err != nil {
+	for _, id := range []string{"s-000777", "s-000778"} {
+		if err := st.Begin(id, time.Now()); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.AppendRow(id, 0, json.RawMessage(bad[id])); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.End(id); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// "Restart": a brand-new manager over the same directory.
-	srv2, m2, shutdown2 := storeServer(t, dir, "s-000777")
+	srv2, m2, shutdown2 := storeServer(t, dir, "s-000777", "s-000778")
 	defer shutdown2()
-	for _, ep := range []string{"", "/results"} {
-		if code, body := getBody(t, srv2.URL+"/v1/sweeps/s-000777"+ep); code != http.StatusNotFound ||
-			!strings.Contains(body, CodeUnknownSweep) {
-			t.Fatalf("sweep with a bad row: GET %q = %d %q, want 404 unknown_sweep", ep, code, body)
+	for id := range bad {
+		for _, ep := range []string{"", "/results"} {
+			if code, body := getBody(t, srv2.URL+"/v1/sweeps/"+id+ep); code != http.StatusNotFound ||
+				!strings.Contains(body, CodeUnknownSweep) {
+				t.Fatalf("sweep %s with a bad row: GET %q = %d %q, want 404 unknown_sweep", id, ep, code, body)
+			}
 		}
 	}
 
@@ -149,10 +171,10 @@ func TestStoreReplayByteIdentical(t *testing.T) {
 	}
 
 	// The restarted manager must not reissue a persisted sweep's ID, the
-	// refused one's included.
+	// refused ones' included.
 	ack2 := postSweep(t, srv2, `{"apps":["Todo"],"kinds":["Perf"],"phase":"micro"}`)
-	if id2 := ack2["id"].(string); id2 != "s-000778" {
-		t.Fatalf("restarted manager minted %s after s-000777", id2)
+	if id2 := ack2["id"].(string); id2 != "s-000779" {
+		t.Fatalf("restarted manager minted %s after s-000778", id2)
 	}
 	s2, ok := m2.Get(SweepID(ack2["id"].(string)))
 	if !ok {

@@ -331,8 +331,8 @@ func execute(ctx context.Context, app *apps.App, html string, kind Kind, trace *
 	dev.Stop()
 
 	// Fault storm: a cell whose DVFS denial count reached the threshold is a
-	// failed job (deterministically — the pattern is a pure function of the
-	// seeds), exercising the fleet's retry and quarantine machinery.
+	// failed job, deterministically: the pattern is a pure function of the
+	// seeds, so a re-run would fail the same way.
 	if lim, denied := dev.Faults.StormAbort(), cpu.FaultStats().Denied; lim > 0 && denied >= lim {
 		return fail(fmt.Errorf("%w (%d DVFS transitions denied)", faults.ErrStorm, denied))
 	}

@@ -11,8 +11,8 @@ import (
 
 // SweepTrace is the one bounded span buffer. On the server it is a sweep's:
 // the manager records admission, queue-wait and each job's root span, the
-// cluster dispatch and re-home, and the nodes each job's execute and backoff
-// spans, a remote node adding those its worker shipped. On a greennode it is
+// cluster dispatch and re-home, and the nodes each job's execute span, a
+// remote node adding those its worker shipped. On a greennode it is
 // one traced job's, which the worker ships in the job's result frame. Past
 // its size a span is counted, not stored. A nil SweepTrace records nothing,
 // so call sites stay unconditional.

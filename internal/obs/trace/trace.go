@@ -2,7 +2,7 @@
 // span context propagated with every traced job — through fleet.Job, over
 // the shard wire protocol, into greennode worker processes — and the span
 // records that flow back, so one sweep's full story (HTTP admission, queue
-// wait, dispatch, re-home, retry, backoff, execution) merges into a single
+// wait, dispatch, re-home, execution) merges into a single
 // Chrome trace_event artifact regardless of how many processes ran it.
 //
 // Design constraints, matching the rest of internal/obs:
@@ -47,7 +47,7 @@ type Span struct {
 	Parent uint64 `json:"par,omitempty"`
 	Name   string `json:"name"`
 	// Cat groups spans into phases: admission, queue, sched (dispatch and
-	// re-home), execute, backoff, job.
+	// re-home), execute, job.
 	Cat     string `json:"cat,omitempty"`
 	Job     int    `json:"job"`
 	Attempt int    `json:"att,omitempty"`
@@ -75,9 +75,9 @@ func NewSpanID() uint64 {
 }
 
 // DefaultJobBudget bounds one traced job's spans on a worker: the buffer a
-// greennode records each traced job into (a traced job is a handful of
-// phases; retries multiply them, so leave generous headroom), and so the
-// span count a remote result's decoder accepts.
+// greennode records each traced job into (a worker records one execute
+// span per job; the rest is headroom), and so the span count a remote
+// result's decoder accepts.
 const DefaultJobBudget = 64
 
 // EstimateOffsetUS estimates a remote clock's offset from ours, in

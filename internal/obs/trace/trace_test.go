@@ -17,9 +17,9 @@ func TestJobBufferBudget(t *testing.T) {
 	tr := NewSweepTrace(DefaultJobBudget)
 	tc := Context{Sweep: "s-1", Job: 3, Attempt: 1, Parent: 42}
 	base := time.Now()
-	tr.Record(tc, "execute", "execute", base, time.Millisecond, map[string]string{"try": "1"})
+	tr.Record(tc, "execute", "execute", base, time.Millisecond, map[string]string{"worker": "1"})
 	for i := 1; i < DefaultJobBudget; i++ {
-		tr.Record(tc, "backoff", "backoff", base, time.Millisecond, nil)
+		tr.Record(tc, "execute", "execute", base, time.Millisecond, nil)
 	}
 	tr.Record(tc, "execute", "execute", base, time.Millisecond, nil) // over budget
 	spans, dropped := tr.Snapshot()
@@ -85,7 +85,7 @@ func TestSweepTraceBudgetAndSnapshot(t *testing.T) {
 	}
 	// Past its size, spans are counted.
 	for i := len(spans); i < 513; i++ {
-		tr.Add([]Span{{Name: "backoff", Job: 0}}, 0)
+		tr.Add([]Span{{Name: "execute", Job: 0}}, 0)
 	}
 	if spans, dropped := tr.Snapshot(); len(spans) != 512 || dropped != 4 {
 		t.Fatalf("past the budget: %d spans, %d dropped; want 512, 4", len(spans), dropped)

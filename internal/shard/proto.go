@@ -9,8 +9,8 @@
 // are observable to transport wrappers (the chaos injector keys its faults
 // on the write-side frame index). Frame types:
 //
-//	client → worker   {"t":"hello","proto":5}
-//	worker → client   {"t":"welcome","proto":5,"workers":N,"name":"...",
+//	client → worker   {"t":"hello","proto":6}
+//	worker → client   {"t":"welcome","proto":6,"workers":N,"name":"...",
 //	                   "now_us":T,"pid":P}
 //	client → worker   {"t":"job","id":SEQ,"job":{...fleet.Job}}
 //	worker → client   {"t":"result","id":SEQ,"result":{...wireResult}}
@@ -51,8 +51,10 @@ import (
 // welcome carries the worker's clock and pid. Version 5: a result no longer
 // says whether its run derived a decision log; the receiver derives it from
 // every block. A version-4 server would read every version-5 result as
-// undecided and serve an empty decision log.
-const protoVersion = 5
+// undecided and serve an empty decision log. Version 6: a worker runs each
+// job once and results carry no attempt history; a version-5 worker would
+// still retry a failed cell.
+const protoVersion = 6
 
 // writeTimeout caps one frame write, on either end, so a dead peer cannot
 // wedge the writer forever.
@@ -64,6 +66,13 @@ const writeTimeout = 10 * time.Second
 // workers); 64 MiB keeps a corrupt length prefix from buffering the heap
 // away.
 const maxFramePayload = 64 << 20
+
+// minFramePayload bounds one frame from below: the shortest payload either
+// end writes is a ping or pong with a one-digit id, {"t":"ping","id":1}, 19
+// bytes. readFrame refuses anything shorter by its length prefix, before
+// reading or decoding it, so a peer cannot make the reader spend a
+// decoder's state on every few bytes it sends.
+const minFramePayload = 19
 
 // Frame type tags.
 const (
@@ -113,7 +122,7 @@ func readFrame(r io.Reader) (frame, error) {
 		return frame{}, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFramePayload {
+	if n < minFramePayload || n > maxFramePayload {
 		return frame{}, fmt.Errorf("shard: frame length %d out of range", n)
 	}
 	// The buffer doubles, up to n, only as payload bytes arrive, so a length

@@ -53,7 +53,7 @@ func TestBadTimelineFailsTheJob(t *testing.T) {
 		t.Fatalf("truncated timeline decoded to row %v, block %d bytes, err %v; want errBadRun alone",
 			res.Row, len(res.Timeline), res.Err)
 	}
-	if res.Worker != w.Worker || res.Attempts != w.Attempts {
+	if res.Worker != w.Worker || res.Latency != time.Duration(w.LatencyNS) {
 		t.Fatalf("result lost its provenance: %+v", res)
 	}
 }
@@ -101,45 +101,69 @@ func TestTooManySpansFailsTheJob(t *testing.T) {
 	}
 }
 
-// TestWrongTypedArraysFailTheJob: a result whose attempt history or trace
-// spans are an array of elements of the wrong type fails the job — errBadRun
-// for the history, errTooManySpans for spans past the budget — and carries
-// no row. Both arrays are checked before any element is decoded, so a 300 KB
-// frame of 150,000 zeros costs a few times its bytes rather than an
-// encoding/json error value per zero (90×).
+// TestWrongTypedArraysFailTheJob: a result whose trace spans are an array
+// of elements of the wrong type, past the budget, fails the job with
+// errTooManySpans and carries no row. The array is counted before any
+// element is decoded, so a 300 KB frame of 150,000 zeros costs a few times
+// its bytes rather than an encoding/json error value per zero (90×).
 func TestWrongTypedArraysFailTheJob(t *testing.T) {
-	for _, tc := range []struct {
-		name, field string
-		want        error
-	}{
-		{"history", "attempt_errors", errBadRun},
-		{"spans", "spans", errTooManySpans},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			b := zerosFrame(tc.field, 150_000)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			f, err := readFrame(bytes.NewReader(b))
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, _, _ := decodeResult(f.Result, fleet.Job{App: "Todo", Kind: harness.Perf})
-			runtime.ReadMemStats(&after)
-			if !errors.Is(res.Err, tc.want) || res.Row != nil {
-				t.Fatalf("err %v, row %v; want %v alone", res.Err, res.Row != nil, tc.want)
-			}
-			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(8*len(b)) {
-				t.Fatalf("refusing a %d-byte frame of 150,000 zeros allocated %d bytes", len(b), alloc)
-			}
-		})
-	}
+	t.Run("spans", func(t *testing.T) {
+		b := zerosFrame(150_000)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f, err := readFrame(bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, _ := decodeResult(f.Result, fleet.Job{App: "Todo", Kind: harness.Perf})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(res.Err, errTooManySpans) || res.Row != nil {
+			t.Fatalf("err %v, row %v; want errTooManySpans alone", res.Err, res.Row != nil)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(8*len(b)) {
+			t.Fatalf("refusing a %d-byte frame of 150,000 zeros allocated %d bytes", len(b), alloc)
+		}
+	})
 }
 
-// zerosFrame is a result frame, with a row, whose array field is n zeros:
-// elements of the wrong type for attempt_errors and spans alike.
-func zerosFrame(field string, n int) []byte {
-	return rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1,"attempts":2,` +
-		`"` + field + `":[0` + strings.Repeat(",0", n-1) + `]}}`)
+// zerosFrame is a result frame, with a row, whose trace spans are n zeros:
+// elements of the wrong type.
+func zerosFrame(n int) []byte {
+	return rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1,"state":"done",` +
+		`"spans":[0` + strings.Repeat(",0", n-1) + `]}}`)
+}
+
+// TestSmallestFramesFitTheMinimum: the smallest frame of each type either
+// end writes is at least minFramePayload bytes, and a ping with a one-digit
+// id is exactly that; readFrame refuses a payload one byte shorter by its
+// length prefix, and reads a minimal one.
+func TestSmallestFramesFitTheMinimum(t *testing.T) {
+	smallest := []frame{
+		{T: frameHello, Proto: protoVersion},
+		{T: frameWelcome, Proto: protoVersion, Workers: 1, Now: 1, PID: 1},
+		{T: frameWelcome, Err: "x"},
+		{T: frameJob, ID: 1, Job: &fleet.Job{}},
+		{T: frameResult, ID: 1, Result: &wireResult{}},
+		{T: framePing, ID: 1},
+		{T: framePong, ID: 1},
+		{T: frameCancel, ID: 1},
+	}
+	for _, f := range smallest {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, f); err != nil {
+			t.Fatal(err)
+		}
+		if n := buf.Len() - 4; n < minFramePayload || f.T == framePing && n != minFramePayload {
+			t.Errorf("%s frame %s is %d bytes; the minimum is %d", f.T, buf.Bytes()[4:], n, minFramePayload)
+		}
+	}
+	if _, err := readFrame(bytes.NewReader(rawFrame(`{"t":"ping","id":1}`))); err != nil {
+		t.Fatalf("a minimal frame: %v", err)
+	}
+	if _, err := readFrame(bytes.NewReader(rawFrame(`{"t":"ping","id":1`))); err == nil ||
+		!strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("a frame one byte short of the minimum: %v, want refused by length", err)
+	}
 }
 
 // realResults executes micro cells that between them record every kind of
@@ -190,7 +214,7 @@ func frameSeeds(tb testing.TB) []frame {
 		Trace: &trace.Context{Sweep: "s-000001", Job: 2, Parent: 7}}
 	spans := trace.NewSweepTrace(1)
 	spans.Record(*job.Trace, "execute", "execute", time.UnixMicro(5), 9*time.Microsecond, nil)
-	spans.Record(*job.Trace, "backoff", "backoff", time.UnixMicro(14), time.Microsecond, nil) // dropped
+	spans.Record(*job.Trace, "execute", "execute", time.UnixMicro(14), time.Microsecond, nil) // dropped
 	seeds := []frame{
 		{T: frameHello, Proto: protoVersion},
 		{T: frameWelcome, Proto: protoVersion, Workers: 2, Name: "alpha", Now: 1, PID: 2},
@@ -200,7 +224,7 @@ func frameSeeds(tb testing.TB) []frame {
 		{T: framePong, ID: 2},
 		{T: frameCancel, ID: 1},
 		{T: frameResult, ID: 3, Result: encodeResult(fleet.Result{Job: job, Worker: -1,
-			Err: errors.New("fault storm"), Attempts: 2, History: []string{"a", "b"}, Quarantined: true}, nil)},
+			Err: errors.New("fault storm")}, nil)},
 		{T: frameResult, ID: 4, Result: encodeResult(fleet.Result{Job: job, Row: &fleet.ResultRow{}}, spans)},
 	}
 	for i, r := range fuzzResults(tb) {
@@ -215,11 +239,13 @@ func frameSeeds(tb testing.TB) []frame {
 // carries no row; and the reader allocates within a constant factor of the
 // bytes that arrive, whatever the length prefixes and counts claim.
 //
-// The factor is encoding/json's: a result's trace spans and attempt errors
-// are counted or type-checked before they are decoded. Its densest input is
-// a run of minimal frames: each 6-byte "{}" frame costs one json.Unmarshal
-// of decoder state, about 45 bytes per byte. Attempt errors of empty
-// strings follow at about 33.
+// The factor is encoding/json's: a result's trace spans are counted before
+// they are decoded, and a frame shorter than minFramePayload is refused
+// unread. Its densest input is a run of result frames that each carry a
+// row and 64 empty spans, the most a result may carry: each 3-byte "{},"
+// decodes to a whole trace.Span, about 41 bytes allocated per byte
+// (runtime.ReadMemStats over 200 such frames). A run of minimal ping frames
+// costs about 16.
 func FuzzReadFrame(f *testing.F) {
 	var stream bytes.Buffer // several frames back to back
 	for _, fr := range frameSeeds(f) {
@@ -235,9 +261,11 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(stream.Bytes())
 	f.Add(rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1,"spans":[{}` +
 		strings.Repeat(",{}", 999) + `]}}`))
-	f.Add(zerosFrame("attempt_errors", 25_000))
-	f.Add(zerosFrame("spans", 25_000))
+	f.Add(bytes.Repeat(rawFrame(`{"t":"result","id":1,"result":{"state":"done","spans":[{}`+
+		strings.Repeat(",{}", trace.DefaultJobBudget-1)+`]}}`), 200))
+	f.Add(zerosFrame(25_000))
 	f.Add(rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1}}`)) // neither an error nor a row
+	f.Add(bytes.Repeat(rawFrame(`{}`), 1000))                                     // shorter than any frame
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

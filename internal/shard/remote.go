@@ -9,9 +9,10 @@ package shard
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,12 +44,9 @@ type RemoteOptions struct {
 	// node is declared dead and the cluster evicts it. 0 → 5.
 	MaxReconnects int
 	// ReconnectBase/ReconnectMax shape the capped exponential backoff
-	// between reconnect attempts. 0 → 100ms / 5s.
+	// between reconnect attempts (see backoff). 0 → 100ms / 5s.
 	ReconnectBase time.Duration
 	ReconnectMax  time.Duration
-	// Seed drives the deterministic backoff jitter (fleet.Backoff, keyed by
-	// node), the formula the fleet retry ladder uses.
-	Seed int64
 }
 
 func (o *RemoteOptions) fill() {
@@ -158,7 +156,8 @@ func down(job fleet.Job, cause any) fleet.Result {
 // unanswered ping past HeartbeatTimeout is a miss; SuspectAfter consecutive
 // misses (or any read/write error) breaks the session, failing in-flight
 // calls with fleet.ErrNodeDown and entering the reconnect loop — bounded
-// attempts with seeded, jittered exponential backoff. While it reconnects,
+// attempts with deterministically jittered exponential backoff. While it
+// reconnects,
 // Wait holds the node's cluster pullers off the queue and Run fails fast,
 // so the live nodes take the waiting jobs. MaxReconnects consecutive
 // failures declare the node dead: OnDead subscribers fire (the cluster
@@ -378,8 +377,8 @@ func (n *RemoteNode) dialAndShake() (*session, int, string, error) {
 }
 
 // loop is the connection manager: it runs the current session until it
-// breaks, then reconnects with bounded seeded backoff, declaring the node
-// dead when the budget is exhausted.
+// breaks, then reconnects with bounded backoff, declaring the node dead
+// when the budget is exhausted.
 func (n *RemoteNode) loop(sess *session) {
 	defer close(n.loopDone)
 	for {
@@ -393,8 +392,7 @@ func (n *RemoteNode) loop(sess *session) {
 		ok := false
 		for attempt := 1; attempt <= n.opts.MaxReconnects; attempt++ {
 			select {
-			case <-time.After(fleet.Backoff(n.opts.ReconnectBase, n.opts.ReconnectMax, n.opts.Seed,
-				"reconnect "+strconv.Itoa(n.id), attempt)):
+			case <-time.After(backoff(n.opts.ReconnectBase, n.opts.ReconnectMax, n.id, attempt)):
 			case <-n.quit:
 				return
 			}
@@ -414,6 +412,26 @@ func (n *RemoteNode) loop(sess *session) {
 			return
 		}
 	}
+}
+
+// backoff is the reconnect loop's sleep before its attempt-th consecutive
+// re-dial of node id: base·2^(attempt-1) capped at limit, scaled by a
+// deterministic jitter in [0.75, 1.25) hashed from (id, attempt), so the
+// nodes of a cluster whose workers died together re-dial apart, and
+// identically on every run.
+func backoff(base, limit time.Duration, id, attempt int) time.Duration {
+	d := base
+	for i := 1; i < attempt && d < limit; i++ {
+		d *= 2
+	}
+	d = min(d, limit)
+	var key [16]byte
+	binary.LittleEndian.PutUint64(key[:8], uint64(id))
+	binary.LittleEndian.PutUint64(key[8:], uint64(attempt))
+	h := fnv.New64a()
+	h.Write(key[:])
+	frac := float64(h.Sum64()>>11) / (1 << 53)
+	return time.Duration(float64(d) * (0.75 + 0.5*frac))
 }
 
 // runSession reads frames and drives the heartbeat until the session

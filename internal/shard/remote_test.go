@@ -3,15 +3,18 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
+	"github.com/wattwiseweb/greenweb/internal/apps"
 	"github.com/wattwiseweb/greenweb/internal/faults"
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/harness"
@@ -19,15 +22,15 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/obs"
 )
 
+// doomed is a fault spec under which GreenWeb-I cells hit a fault storm:
+// GreenWeb-I requests frequency switches constantly, so the 0.95 deny
+// probability crosses the storm threshold within a few frames.
+var doomed = &faults.Spec{Seed: 3, DVFS: &faults.DVFSSpec{DenyProb: 0.95}, StormAbort: 3}
+
 // topologyJobs is a sweep that exercises the paper grid AND the fault
 // machinery: clean cells, thermally capped cells, and storm-doomed cells
-// whose retry/quarantine provenance must survive the wire.
+// whose failed rows must survive the wire.
 func topologyJobs() []fleet.Job {
-	doomed := &faults.Spec{
-		Seed:       3,
-		DVFS:       &faults.DVFSSpec{DenyProb: 0.95},
-		StormAbort: 3,
-	}
 	capped := faults.Default(21)
 	var jobs []fleet.Job
 	for _, app := range []string{"MSN", "Todo"} {
@@ -35,8 +38,6 @@ func topologyJobs() []fleet.Job {
 			jobs = append(jobs, fleet.Job{App: app, Kind: kind, Phase: fleet.Full})
 			jobs = append(jobs, fleet.Job{App: app, Kind: kind, Phase: fleet.Full, Faults: capped})
 		}
-		// GreenWeb-I requests frequency switches constantly, so the 0.95
-		// deny probability crosses the storm threshold within a few frames.
 		jobs = append(jobs, fleet.Job{App: app, Kind: harness.GreenWebI, Phase: fleet.Full, Faults: doomed})
 	}
 	// A staged cell: its stage count and per-stage energy must survive the
@@ -54,8 +55,7 @@ func sweep(c *fleet.Cluster, jobs []fleet.Job) []fleet.Result {
 
 // reference runs the jobs through one LocalNode's Run in a plain loop — no
 // queue, no pullers — so parity tests compare the cluster against a
-// scheduler-free oracle whose retry and quarantine provenance still comes
-// from the same ladder.
+// scheduler-free oracle.
 func reference(opts fleet.Options, jobs []fleet.Job) []fleet.Result {
 	n := fleet.NewLocalNode(opts)
 	res := make([]fleet.Result, len(jobs))
@@ -86,7 +86,6 @@ func fastRemote(addr string) RemoteOptions {
 		MaxReconnects:     3,
 		ReconnectBase:     5 * time.Millisecond,
 		ReconnectMax:      20 * time.Millisecond,
-		Seed:              1,
 	}
 }
 
@@ -105,21 +104,19 @@ func startWorker(t *testing.T, opts WorkerOptions) (*Worker, string) {
 
 // TestRemoteSweepMatchesLocal pins the wire codec against real harness
 // execution: a full faulted sweep through a greennode-style worker renders
-// byte-identically to the sequential in-process path — including retry and
-// quarantine provenance, which round-trips the wire too — and every job's
-// timeline block (ledger spans, their frame decisions, config marks)
-// arrives byte for byte as the in-process LocalNode projected it.
+// byte-identically to the sequential in-process path — the storm-doomed
+// cells' failed rows and errors included — and every job's timeline block
+// (ledger spans, their frame decisions, config marks) arrives byte for byte
+// as the in-process LocalNode projected it.
 func TestRemoteSweepMatchesLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-trace sweep ×2 paths")
 	}
 	jobs := topologyJobs()
-	opts := fleet.Options{MaxAttempts: 2, RetryBaseDelay: time.Millisecond}
-	ref := reference(opts, jobs)
+	ref := reference(fleet.Options{}, jobs)
 	want := ndjson(t, ref)
 
-	opts.Workers = 4
-	_, addr := startWorker(t, WorkerOptions{Cluster: opts})
+	_, addr := startWorker(t, WorkerOptions{Cluster: fleet.Options{Workers: 4}})
 	// Lenient heartbeat: full-trace cells saturate the CPU (drastically so
 	// under -race), and this test pins codec parity, not failure timing — a
 	// starved heartbeat loop must not break the session and force re-homes.
@@ -524,24 +521,24 @@ func TestRunlessResultFailsItsJob(t *testing.T) {
 	}
 }
 
-// TestRemoteRetriesCounted: the cluster counts retries and quarantines from
-// the results it delivers, so a remote node's count as a local node's do.
-// Behind a RemoteNode, a worker retries one job once and runs another
-// through every allowed attempt; the cluster's Stats and its /metrics
-// exposition equal Σ(attempts−1) and the quarantined count of the rows.
-func TestRemoteRetriesCounted(t *testing.T) {
-	var flaky atomic.Int64
+// TestRemoteFailedJobRunsOnce: through a greennode-style worker, a
+// storm-doomed cell and a panicking cell each execute once, and their rows
+// are failed with the cell's own error and carry no retry columns; the
+// cluster counts both failures, as it counts a local node's.
+func TestRemoteFailedJobRunsOnce(t *testing.T) {
+	var mu sync.Mutex
+	runs := map[string]int{}
 	exec := func(ctx context.Context, j fleet.Job) (*harness.Run, error) {
-		switch {
-		case j.App == "Todo" && flaky.Add(1) == 1:
-			return nil, errors.New("first attempt fails")
-		case j.App == "MSN":
-			return nil, errors.New("every attempt fails")
+		mu.Lock()
+		runs[j.App]++
+		mu.Unlock()
+		if j.Kind == harness.Perf {
+			panic("cell crashed")
 		}
-		return &harness.Run{}, nil
+		app, _ := apps.ByName(j.App)
+		return harness.ExecuteCell(ctx, harness.Cell{App: app, Kind: j.Kind, Full: j.Phase == fleet.Full, Faults: j.Faults})
 	}
-	_, addr := startWorker(t, WorkerOptions{Cluster: fleet.Options{Workers: 2, Execute: exec,
-		MaxAttempts: 3, RetryBaseDelay: time.Millisecond, RetryMaxDelay: time.Millisecond}})
+	_, addr := startWorker(t, WorkerOptions{Cluster: fleet.Options{Workers: 2, Execute: exec}})
 	n, err := NewRemoteNode(0, fastRemote(addr))
 	if err != nil {
 		t.Fatal(err)
@@ -552,43 +549,68 @@ func TestRemoteRetriesCounted(t *testing.T) {
 	c.RegisterMetrics(reg)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	s, err := fleet.NewManager(ctx, c).Enqueue([]fleet.Job{
-		{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro},
-		{App: "MSN", Kind: harness.Perf, Phase: fleet.Micro},
-		{App: "BBC", Kind: harness.Perf, Phase: fleet.Micro},
-	})
+	jobs := []fleet.Job{
+		{App: "Todo", Kind: harness.GreenWebI, Phase: fleet.Full, Faults: doomed},
+		{App: "MSN", Kind: harness.Perf, Phase: fleet.Full},
+		{App: "BBC", Kind: harness.GreenWebI, Phase: fleet.Micro},
+	}
+	s, err := fleet.NewManager(ctx, c).Enqueue(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var retried, quarantined int64
-	for i := 0; i < s.Len(); i++ {
+	for i, want := range []string{faults.ErrStorm.Error(), "fleet: MSN/Perf/full panicked: cell crashed", ""} {
 		row, err := s.Row(ctx, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		retried += int64(max(0, row.Attempts-1))
-		if row.Quarantined {
-			quarantined++
+		if (want == "") != (row.State == fleet.StateDone) || !strings.Contains(row.Error, want) {
+			t.Errorf("row %d: state %q, error %q; want error %q", i, row.State, row.Error, want)
+		}
+		b, err := json.Marshal(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, col := range []string{"attempts", "attempt_errors", "quarantined"} {
+			if bytes.Contains(b, []byte(`"`+col+`"`)) {
+				t.Errorf("row %d carries the retry column %q: %s", i, col, b)
+			}
 		}
 	}
-	if retried != 3 || quarantined != 1 {
-		t.Fatalf("rows: %d retries, %d quarantined; want 1+2 retries and 1 quarantined", retried, quarantined)
+	mu.Lock()
+	for _, j := range jobs {
+		if runs[j.App] != 1 {
+			t.Errorf("%s executed %d times, want once", j, runs[j.App])
+		}
 	}
-	if st := c.Stats(); st.Retried != retried || st.Quarantined != quarantined {
-		t.Fatalf("cluster Stats: %d retried, %d quarantined; the rows say %d and %d",
-			st.Retried, st.Quarantined, retried, quarantined)
-	}
+	mu.Unlock()
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		fmt.Sprintf("greenweb_fleet_retries_total %d\n", retried),
-		fmt.Sprintf("greenweb_fleet_quarantines_total %d\n", quarantined),
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("exposition missing %q:\n%s", want, buf.String())
+	if want := "greenweb_fleet_jobs_failed_total 2\n"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("exposition missing %q:\n%s", want, buf.String())
+	}
+}
+
+// TestBackoffDeterministicCappedAndJittered: the reconnect loop's delay is
+// deterministic, doubles per attempt up to the cap within ±25% jitter, and
+// differs between two nodes.
+func TestBackoffDeterministicCappedAndJittered(t *testing.T) {
+	const base, limit = 10 * time.Millisecond, 80 * time.Millisecond
+	for attempt := 1; attempt <= 8; attempt++ {
+		d := backoff(base, limit, 0, attempt)
+		if again := backoff(base, limit, 0, attempt); d != again {
+			t.Fatalf("attempt %d: backoff not deterministic (%v vs %v)", attempt, d, again)
 		}
+		// Nominal delay doubles per attempt, capped at the limit; jitter
+		// keeps the realized delay within ±25% of nominal.
+		nominal := min(base<<(attempt-1), limit)
+		if lo, hi := nominal*3/4, nominal*5/4; d < lo || d > hi {
+			t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, lo, hi)
+		}
+	}
+	if backoff(base, limit, 0, 1) == backoff(base, limit, 1, 1) {
+		t.Fatal("nodes 0 and 1 share a backoff; jitter is not keyed by node")
 	}
 }
 

@@ -21,7 +21,7 @@ var errTooManySpans = errors.New("shard: too many trace spans")
 
 // wireResult is a finished job on the wire: the row the worker's fleet
 // projected for it (fleet.RowOf), which carries the run's columns and the
-// error and retry fields, plus what a row leaves out. The job itself is not
+// error, plus what a row leaves out. The job itself is not
 // carried: the client keyed the call by frame id and reattaches its own
 // copy, so the wire never round-trips what both sides already know.
 //
@@ -30,11 +30,8 @@ var errTooManySpans = errors.New("shard: too many trace spans")
 // nor a run.
 type wireResult struct {
 	*fleet.ResultRow
-	// AttemptErrors shadows the row's: a JSON array of strings kept raw until
-	// decodeResult has checked that every element is a string.
-	AttemptErrors json.RawMessage `json:"attempt_errors,omitempty"`
-	Worker        int             `json:"worker"`
-	LatencyNS     int64           `json:"latency_ns"`
+	Worker    int   `json:"worker"`
+	LatencyNS int64 `json:"latency_ns"`
 	// Timeline is ledger.AppendTimeline's block of the run's spans, with
 	// their frame decisions, and config marks, absent when both are empty;
 	// JSON carries it as base64. The receiving side keeps the block as it
@@ -64,11 +61,7 @@ func encodeResult(r fleet.Result, tr *trace.SweepTrace) *wireResult {
 		Timeline:  r.Timeline,
 		SpanDrops: int(dropped),
 	}
-	// Strings, and trace.Spans of plain fields and a string map, always
-	// encode.
-	if len(row.AttemptErrors) > 0 {
-		w.AttemptErrors, _ = json.Marshal(row.AttemptErrors)
-	}
+	// trace.Spans, of plain fields and a string map, always encode.
 	if len(spans) > 0 {
 		w.Spans, _ = json.Marshal(spans)
 	}
@@ -80,8 +73,8 @@ func encodeResult(r fleet.Result, tr *trace.SweepTrace) *wireResult {
 // row and the timeline block, which decodeResult only checks
 // (ledger.CheckTimeline). It also returns the worker's trace spans and the
 // count its buffer dropped. A result that has no row (w is nil when the
-// frame carried no result) or whose attempt errors or timeline do not
-// decode fails with an error wrapping errBadRun, and more worker trace
+// frame carried no result) or whose timeline or trace spans do not decode
+// fails with an error wrapping errBadRun, and more worker trace
 // spans than a job records fail it with errTooManySpans; either way the
 // result carries no row.
 func decodeResult(w *wireResult, job fleet.Job) (r fleet.Result, spans []trace.Span, dropped int) {
@@ -94,15 +87,6 @@ func decodeResult(w *wireResult, job fleet.Job) (r fleet.Result, spans []trace.S
 	if row == nil {
 		r.Err = fmt.Errorf("%w: a result with neither an error nor a row", errBadRun)
 		return
-	}
-	r.Attempts, r.Quarantined = row.Attempts, row.Quarantined
-	if len(w.AttemptErrors) > 0 {
-		// Elements are type-checked before any is decoded: encoding/json
-		// would allocate an error for every one of the wrong type.
-		if _, strs := countElements(w.AttemptErrors); !strs || json.Unmarshal(w.AttemptErrors, &r.History) != nil {
-			r.Err = fmt.Errorf("%w: attempt errors are not an array of strings", errBadRun)
-			return
-		}
 	}
 	var err error
 	if spans, err = decodeSpans(w.Spans); err != nil {
@@ -126,28 +110,29 @@ func decodeResult(w *wireResult, job fleet.Job) (r fleet.Result, spans []trace.S
 // decodeSpans decodes a result's worker trace spans. It counts the array's
 // elements first and refuses more than trace.DefaultJobBudget before
 // decoding any: a worker's job buffer never ships more, and each 3-byte
-// "{}," would otherwise cost a whole trace.Span.
+// "{}," would otherwise cost a whole trace.Span. The count also sizes the
+// slice, which encoding/json would otherwise grow by doubling.
 func decodeSpans(raw json.RawMessage) ([]trace.Span, error) {
 	if len(raw) == 0 {
 		return nil, nil
 	}
-	if n, _ := countElements(raw); n > trace.DefaultJobBudget {
+	n := countElements(raw)
+	if n > trace.DefaultJobBudget {
 		return nil, fmt.Errorf("%w: %d, more than %d", errTooManySpans, n, trace.DefaultJobBudget)
 	}
-	var spans []trace.Span
+	spans := make([]trace.Span, 0, n)
 	if err := json.Unmarshal(raw, &spans); err != nil {
 		return nil, fmt.Errorf("%w: trace spans: %v", errBadRun, err)
 	}
 	return spans, nil
 }
 
-// countElements counts the elements of raw, a JSON array, and reports
-// whether every one is a string, without decoding or allocating anything.
-// encoding/json validated raw with the frame, so each element starts at the
-// first byte after the array's '[' or a comma at depth one outside a string.
-func countElements(raw json.RawMessage) (n int, strs bool) {
+// countElements counts the elements of raw, a JSON array, without decoding
+// or allocating anything. encoding/json validated raw with the frame, so
+// each element starts at the first byte after the array's '[' or a comma at
+// depth one outside a string.
+func countElements(raw json.RawMessage) (n int) {
 	depth, start, inString, escaped := 0, false, false, false
-	strs = true
 	for _, c := range raw {
 		if inString {
 			switch {
@@ -165,7 +150,6 @@ func countElements(raw json.RawMessage) (n int, strs bool) {
 		}
 		if start && c != ']' {
 			n++
-			strs = strs && c == '"'
 		}
 		start = false
 		switch c {
@@ -180,5 +164,5 @@ func countElements(raw json.RawMessage) (n int, strs bool) {
 			start = depth == 1
 		}
 	}
-	return n, strs
+	return n
 }

@@ -20,14 +20,14 @@ import (
 type WorkerOptions struct {
 	// Name identifies the worker in its welcome frame (host:port by default).
 	Name string
-	// Cluster configures the worker's own fleet.Cluster: worker count,
-	// retry ladder, timeouts, and — in tests — the Execute override.
+	// Cluster configures the worker's own fleet.Cluster: worker count, job
+	// timeout, and — in tests — the Execute override.
 	Cluster fleet.Options
 }
 
 // Worker executes jobs shipped over the frame protocol on a local
-// fleet.Cluster: the full retry/quarantine ladder runs worker-side, so a
-// remote job's terminal result is indistinguishable from a local one. A
+// fleet.Cluster, each once, as a local node would, so a remote job's
+// terminal result is indistinguishable from a local one. A
 // traced job runs with a span buffer of its own (trace.DefaultJobBudget
 // spans), which its result frame ships back.
 //
