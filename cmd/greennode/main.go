@@ -12,16 +12,17 @@
 //
 // With -http ADDR the worker serves its own health surface:
 //
-//	GET /metrics  Prometheus text exposition (cluster, transport and trace
-//	              counters)
+//	GET /metrics  Prometheus text exposition of the worker's own state:
+//	              its cluster (greenweb_fleet_*, greenweb_shard_*) and its
+//	              connections (greenweb_node_*)
 //	GET /healthz  liveness — 200 while the process accepts connections
 //	GET /readyz   readiness — 200 once the frame listener is bound
 //
 // Tracing: a job that greensrv traces arrives carrying its trace context,
-// and the worker records its execute span into a buffer of the job's own
-// (64 spans; greenweb_trace_span_drops_total counts the
-// rest), which ships back piggybacked on its result frame. Whether a job is
-// traced is the server's decision (greensrv -no-obs traces none).
+// and the worker records its one execute span into a buffer of the job's
+// own (trace.DefaultJobBudget spans), which ships back piggybacked on its
+// result frame, with the count of any it dropped. Whether a job is traced
+// is the server's decision (greensrv -no-obs traces none).
 //
 // On SIGINT/SIGTERM the worker stops accepting, closes its connections
 // (cancelling their in-flight jobs; the server re-homes them), and exits.
@@ -89,7 +90,7 @@ func main() {
 		mux := http.NewServeMux()
 		mux.HandleFunc("GET /metrics", func(rw http.ResponseWriter, r *http.Request) {
 			rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			obs.WriteAll(rw, reg, obs.Default())
+			reg.WritePrometheus(rw)
 		})
 		mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
 			rw.WriteHeader(http.StatusOK)

@@ -32,9 +32,9 @@
 // -no-obs turns fleet tracing off: sweeps get no /trace?fleet=1 artifact
 // (it answers no_fleet_trace) and their jobs record no spans. Otherwise a
 // sweep's one span buffer takes every span of its jobs, a greennode's
-// shipped with each result; greenweb_trace_span_drops_total and the
-// artifact's otherData.span_drops count what it had no room for. Result
-// rows, /events and /trace are the same bytes either way.
+// shipped with each result; the artifact's otherData.span_drops counts
+// what it had no room for. Result rows, /events and /trace are the same
+// bytes either way.
 //
 // API:
 //
@@ -55,7 +55,11 @@
 //	                             evicted node reads down), heartbeat RTT,
 //	                             jobs, re-homes
 //	GET  /healthz                liveness (503 while draining)
-//	GET  /metrics                Prometheus text exposition
+//	GET  /metrics                Prometheus text exposition of the server's
+//	                             own state: greenweb_fleet_* (jobs, queue,
+//	                             latency), greenweb_shard_* (nodes) and,
+//	                             with -store, greenweb_store_*; the per-frame
+//	                             facts are in rows and /events
 //	GET  /debug/pprof/           runtime profiles
 //
 // On SIGINT/SIGTERM the server drains: new submissions answer 503, in-flight
@@ -77,7 +81,6 @@ import (
 	"time"
 
 	"github.com/wattwiseweb/greenweb/internal/fleet"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/shard"
 	"github.com/wattwiseweb/greenweb/internal/store"
 )
@@ -245,7 +248,7 @@ func flushMetrics(api *fleet.Server, path string) {
 	if out == os.Stderr {
 		fmt.Fprintln(out, "greensrv: final metrics snapshot:")
 	}
-	if err := obs.WriteAll(out, api.Registry(), obs.Default()); err != nil {
+	if err := api.Registry().WritePrometheus(out); err != nil {
 		fmt.Fprintln(os.Stderr, "greensrv: obs-dump:", err)
 	}
 }

@@ -7,14 +7,7 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/dom"
 	"github.com/wattwiseweb/greenweb/internal/html"
 	"github.com/wattwiseweb/greenweb/internal/js"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 )
-
-// obsScriptCompiles counts bytecode compiles performed while building page
-// assets. It stays at one per distinct script; a climbing rate means pages
-// are being churned.
-var obsScriptCompiles = obs.Default().Counter("greenweb_assets_script_compiles_total",
-	"Scripts compiled to bytecode while building page assets")
 
 // pageAssets is the parse-once product of one page source: the HTML document
 // as an immutable template, the parsed stylesheets, and the compiled
@@ -71,7 +64,6 @@ func buildAssets(src string) *pageAssets {
 			continue
 		}
 		a.compiled[i] = js.Compile(prog)
-		obsScriptCompiles.Inc()
 	}
 	return a
 }

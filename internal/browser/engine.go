@@ -9,26 +9,8 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/dom"
 	"github.com/wattwiseweb/greenweb/internal/js"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/sim"
 	"github.com/wattwiseweb/greenweb/internal/webapi"
-)
-
-// Process-wide engine counters. These are pure observability — simulation
-// code never reads them back, so they cannot perturb outputs.
-var (
-	obsFrames = obs.Default().Counter("greenweb_engine_frames_total",
-		"Committed frames produced across all engine instances")
-	obsInputs = obs.Default().Counter("greenweb_engine_inputs_total",
-		"Input events received across all engine instances (including page loads)")
-	obsAssetHits = obs.Default().Counter("greenweb_engine_asset_cache_hits_total",
-		"Page loads served from the parse-once asset cache")
-	obsAssetMisses = obs.Default().Counter("greenweb_engine_asset_cache_misses_total",
-		"Page loads that built assets fresh (cold cache)")
-	obsDroppedCSS = obs.Default().Counter("greenweb_engine_dropped_css_rules_total",
-		"Malformed CSS rules skipped by the tolerant parser across page loads")
-	obsVMScripts = obs.Default().Counter("greenweb_engine_vm_scripts_total",
-		"Startup scripts executed on the bytecode VM")
 )
 
 // Governor decides execution configurations. The baselines (Perf,
@@ -353,14 +335,8 @@ func (e *Engine) LoadPage(src string) (UID, error) {
 	assets, hit := assetsFor(src)
 	e.doc = assets.tmpl.Clone()
 	e.loadStats.AssetCacheHit = hit
-	if hit {
-		obsAssetHits.Inc()
-	} else {
-		obsAssetMisses.Inc()
-	}
 	e.sheets = assets.sheets
 	e.loadStats.DroppedCSSRules = assets.dropped
-	obsDroppedCSS.Add(int64(assets.dropped))
 	e.interp = js.NewInterp()
 	e.bind = webapi.Install(e.interp, e.doc, e)
 	e.installPrelude()
@@ -412,7 +388,6 @@ func (e *Engine) LoadPage(src string) (UID, error) {
 						e.scriptErrs = append(e.scriptErrs, assets.parseErrs[i])
 					} else {
 						e.loadStats.VMScripts++
-						obsVMScripts.Inc()
 						if err := e.interp.RunCompiled(cp); err != nil {
 							e.scriptErrs = append(e.scriptErrs, err)
 						}
@@ -496,7 +471,6 @@ func (e *Engine) newInput(event, target string) UID {
 	uid := e.uidSeq
 	e.inputs[uid] = InputRecord{UID: uid, Event: event, Target: target, Start: e.simu.Now()}
 	e.ref(uid, +1) // in-flight input processing
-	obsInputs.Inc()
 	if e.led != nil {
 		e.led.BeginEvent(uint64(uid), event+" "+target)
 	}
@@ -754,11 +728,10 @@ type frameWork struct {
 
 	// Staged production (stage.go): the phase in flight, its shards still
 	// running, and the phases done.
-	stage    StageTiming
-	pending  int
-	critWork int64
-	stages   []StageTiming
-	shards   []int64
+	stage   StageTiming
+	pending int
+	stages  []StageTiming
+	shards  []int64
 }
 
 // beginFrame runs the BeginFrame sequence of Fig. 7: rAF callbacks, CSS
@@ -952,7 +925,6 @@ func (e *Engine) frameComplete() {
 	for _, fn := range e.onFrame {
 		fn(fr)
 	}
-	obsFrames.Inc()
 	// Close the frame's energy span after OnFrameEnd so the governor's
 	// feedback annotations land on it; its rescheduling here is zero-width
 	// in virtual time and charges nothing to the closing span.

@@ -6,7 +6,6 @@ import (
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/sim"
 )
 
@@ -87,23 +86,6 @@ func (st StageTiming) Duration() sim.Duration { return st.End.Sub(st.Start) }
 // reject typos, not allocate a thousand simulated cores.
 const MaxStageWorkers = 16
 
-// Staged render observability. Pure output: simulation code never reads
-// these back, so they cannot perturb results.
-var (
-	obsStageSeconds = obs.Default().HistogramVec("greenweb_browser_stage_seconds",
-		"Virtual-time duration of each staged render phase",
-		[]float64{0.0002, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1}, "stage")
-	obsStageHists = [NumRenderStages]*obs.Histogram{
-		obsStageSeconds.With(StageStyle.String()),
-		obsStageSeconds.With(StageLayout.String()),
-		obsStageSeconds.With(StagePaint.String()),
-	}
-	obsStageSpeedup = obs.Default().Gauge("greenweb_browser_stage_speedup",
-		"Serial-sum over critical-path cycles of the last staged frame (modeled pipeline speedup)")
-	obsStageOverlap = obs.Default().Counter("greenweb_browser_stage_overlap_total",
-		"Staged render phases whose shards ran concurrently on two or more stage cores")
-)
-
 // SetStageWorkers configures this engine for staged frame production with n
 // stage threads (0 or 1 leaves the engine serial). It must be called before
 // LoadPage — stage threads change the core count the idle-power model sees,
@@ -166,7 +148,7 @@ func shardCycles(out []int64, base, par int64, workers int) []int64 {
 func (e *Engine) produceFrameStaged() {
 	f := &e.fw
 	f.stages = make([]StageTiming, 0, NumRenderStages)
-	f.mainWork, f.critWork = 0, 0
+	f.mainWork = 0
 	e.runStage(StageStyle)
 }
 
@@ -214,9 +196,6 @@ func (e *Engine) runStage(s RenderStage) {
 	if e.led != nil {
 		e.led.BeginStage(f.seq, s.String())
 	}
-	if f.pending > 1 {
-		obsStageOverlap.Inc()
-	}
 	if f.pending == 0 {
 		// A zero-cost phase (impossible under the default cost model,
 		// which charges per node) still closes its span and advances.
@@ -250,15 +229,10 @@ func (e *Engine) stageShardDone() {
 	if e.led != nil {
 		e.led.EndStage()
 	}
-	obsStageHists[st.Stage].Observe(st.End.Sub(st.Start).Seconds())
 	f.stages = append(f.stages, st)
-	f.critWork += st.CritCycles
 	if st.Stage != StagePaint {
 		e.runStage(st.Stage + 1)
 		return
-	}
-	if f.critWork > 0 {
-		obsStageSpeedup.Set(float64(f.mainWork) / float64(f.critWork))
 	}
 	// Composite runs on the compositor thread, partially on GPU — same as
 	// the serial path.

@@ -22,18 +22,8 @@ import (
 	"fmt"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/qos"
 	"github.com/wattwiseweb/greenweb/internal/sim"
-)
-
-// Sweep-memo effectiveness counters: SelectWithin answers most per-frame
-// queries from its memo; these expose the hit rate the memoization claims.
-var (
-	obsMemoHits = obs.Default().Counter("greenweb_runtime_sweep_memo_hits_total",
-		"SelectWithin calls answered from the memoized sweep result")
-	obsMemoMisses = obs.Default().Counter("greenweb_runtime_sweep_memo_misses_total",
-		"SelectWithin calls that re-ran the configuration sweep")
 )
 
 // AssumedMicroArchRatio is the runtime's built-in estimate of how many
@@ -262,10 +252,8 @@ func (m *Model) SelectWithin(deadline sim.Duration, pm *acmp.PowerModel, safety 
 	if m.sel.valid && m.sel.version == m.version &&
 		m.sel.deadline == deadline && m.sel.safety == safety &&
 		m.sel.ceiling == ceiling && m.sel.pm == pm {
-		obsMemoHits.Inc()
 		return m.sel.result
 	}
-	obsMemoMisses.Inc()
 	bound := sim.Duration(float64(deadline) * safety)
 	ceilIdx := ceiling.Index()
 	best := ceiling

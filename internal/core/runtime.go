@@ -8,27 +8,8 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/browser"
 	"github.com/wattwiseweb/greenweb/internal/dom"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/qos"
 	"github.com/wattwiseweb/greenweb/internal/sim"
-)
-
-// Process-wide runtime counters, labeled by governor (GreenWeb-I vs -U).
-// Each Runtime caches its children at Attach so the frame path pays one
-// atomic add, never a map lookup.
-var (
-	obsViolations = obs.Default().CounterVec("greenweb_runtime_qos_violations_total",
-		"Frames whose measured latency exceeded the annotation deadline", "governor")
-	obsReprofiles = obs.Default().CounterVec("greenweb_runtime_reprofiles_total",
-		"Per-class model resets (misprediction streaks, cap divergence, recoveries)", "governor")
-	obsDegradations = obs.Default().CounterVec("greenweb_runtime_degradations_total",
-		"Classes pinned to Perf-within-cap after consecutive violations", "governor")
-	obsRecoveries = obs.Default().CounterVec("greenweb_runtime_recoveries_total",
-		"Degraded classes handed back to model control", "governor")
-	obsProfilingFrames = obs.Default().CounterVec("greenweb_runtime_profiling_frames_total",
-		"Frames executed at a profiling point while identifying a class model", "governor")
-	obsPredictedFrames = obs.Default().CounterVec("greenweb_runtime_predicted_frames_total",
-		"Frames executed at a model-predicted configuration", "governor")
 )
 
 // Options tune the runtime.
@@ -144,10 +125,6 @@ type Runtime struct {
 	curStageOK  bool
 
 	stats Stats
-
-	// Cached obs counter children for this runtime's governor label,
-	// resolved once at Attach (see the package-level CounterVecs).
-	cViol, cReprof, cDegr, cRecov, cProf, cPred *obs.Counter
 }
 
 // New returns a runtime with the given options.
@@ -200,13 +177,6 @@ func (r *Runtime) Attach(e *browser.Engine) {
 	r.e = e
 	r.cpu = e.CPU()
 	r.pm = e.CPU().PowerModel()
-	gov := r.Name()
-	r.cViol = obsViolations.With(gov)
-	r.cReprof = obsReprofiles.With(gov)
-	r.cDegr = obsDegradations.With(gov)
-	r.cRecov = obsRecoveries.With(gov)
-	r.cProf = obsProfilingFrames.With(gov)
-	r.cPred = obsPredictedFrames.With(gov)
 	r.cpu.SetConfig(r.clamp(r.opts.IdleConfig))
 	if r.opts.UAI != nil {
 		r.opts.UAI.attach(e)
@@ -489,7 +459,6 @@ func (r *Runtime) OnFrameEnd(fr *browser.FrameResult) {
 		violated := measured > r.deadline(m.Ann)
 		if violated {
 			r.stats.Violations++
-			r.cViol.Inc()
 		}
 		r.noteOutcome(m, violated)
 		r.annotateFeedback(measured, violated, false, ledger.ModeDegraded)
@@ -499,11 +468,9 @@ func (r *Runtime) OnFrameEnd(fr *browser.FrameResult) {
 	if !m.Ready() {
 		m.RecordProfile(measured, fr.Config)
 		r.stats.ProfilingFrames++
-		r.cProf.Inc()
 		violated := measured > r.deadline(m.Ann)
 		if violated {
 			r.stats.Violations++
-			r.cViol.Inc()
 		}
 		r.annotateFeedback(measured, violated, false, ledger.ModeProfiled)
 		// Move to the next profiling point (or first prediction) for any
@@ -512,11 +479,9 @@ func (r *Runtime) OnFrameEnd(fr *browser.FrameResult) {
 		return
 	}
 	r.stats.PredictedFrames++
-	r.cPred.Inc()
 	violated, reprofile := m.Feedback(measured, r.deadline(m.Ann), fr.Config, r.opts.MispredictLimit)
 	if violated {
 		r.stats.Violations++
-		r.cViol.Inc()
 	}
 	if !reprofile && r.divergedUnderCap(m, measured, fr.Config) {
 		reprofile = true
@@ -524,7 +489,6 @@ func (r *Runtime) OnFrameEnd(fr *browser.FrameResult) {
 	if reprofile {
 		m.Reset()
 		r.stats.Reprofiles++
-		r.cReprof.Inc()
 		r.capDiverge[m.Key] = 0
 	}
 	r.noteOutcome(m, violated)
@@ -585,7 +549,6 @@ func (r *Runtime) noteOutcome(m *Model, violated bool) {
 			r.degraded[key] = true
 			r.violStreak[key] = 0
 			r.stats.Degradations++
-			r.cDegr.Inc()
 			if d := r.decision(); d != nil {
 				d.Degrade = r.opts.DegradeAfter
 				d.Set |= ledger.FieldDegrade
@@ -602,9 +565,7 @@ func (r *Runtime) noteOutcome(m *Model, violated bool) {
 		r.degraded[key] = false
 		r.cleanStreak[key] = 0
 		r.stats.Recoveries++
-		r.cRecov.Inc()
 		r.stats.Reprofiles++
-		r.cReprof.Inc()
 		m.Reset()
 		if d := r.decision(); d != nil {
 			d.Recover = r.opts.DegradeAfter

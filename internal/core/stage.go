@@ -23,21 +23,11 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/acmp"
 	"github.com/wattwiseweb/greenweb/internal/browser"
 	"github.com/wattwiseweb/greenweb/internal/ledger"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/sim"
 )
 
 // NumStages is the number of staged render phases a vector assigns.
 const NumStages = browser.NumRenderStages
-
-// Stage-vector memo effectiveness, the per-stage analogue of the SelectWithin
-// counters.
-var (
-	obsStageMemoHits = obs.Default().Counter("greenweb_runtime_stage_memo_hits_total",
-		"SelectStageVector calls answered from the memoized greedy descent")
-	obsStageMemoMisses = obs.Default().Counter("greenweb_runtime_stage_memo_misses_total",
-		"SelectStageVector calls that re-ran the greedy descent")
-)
 
 // StageVector assigns one execution configuration to each staged render
 // phase, indexed by browser.RenderStage. It is the ledger's type, so a frame's
@@ -177,10 +167,8 @@ func (m *Model) SelectStageVector(deadline sim.Duration, pm *acmp.PowerModel, sa
 		m.stageSel.stageVersion == m.stageVersion &&
 		m.stageSel.deadline == deadline && m.stageSel.safety == safety &&
 		m.stageSel.ceiling == ceiling && m.stageSel.pm == pm {
-		obsStageMemoHits.Inc()
 		return m.stageSel.result, true
 	}
-	obsStageMemoMisses.Inc()
 	boundSec := sim.Duration(float64(deadline) * safety).Seconds()
 	vec := uniform
 	curE := m.stageEnergyScore(base, vec, pm, deadline)

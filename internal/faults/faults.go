@@ -20,15 +20,8 @@ import (
 	"io"
 
 	"github.com/wattwiseweb/greenweb/internal/acmp"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/sim"
 )
-
-// Process-wide injection counters, labeled by fault kind. Observability
-// only: the injector's decisions are a pure function of (seed, time) and
-// never read these back.
-var obsInjections = obs.Default().CounterVec("greenweb_faults_injections_total",
-	"Injected faults by kind across all runs", "kind")
 
 // ErrStorm marks a run aborted because its DVFS denial count reached the
 // spec's StormAbort threshold — the deterministic "unlucky cell": the same
@@ -125,9 +118,6 @@ type Injector struct {
 	spec Spec
 	seed int64
 	seq  map[string]uint64
-
-	// Cached obs counter children, resolved once per injector.
-	cDeny, cDelay, cDrop *obs.Counter
 }
 
 // NewInjector builds the injector for one run. extraSeed is mixed into the
@@ -137,12 +127,7 @@ func (s *Spec) NewInjector(extraSeed int64) *Injector {
 	if s == nil {
 		return nil
 	}
-	return &Injector{
-		spec: *s, seed: s.Seed ^ extraSeed, seq: make(map[string]uint64),
-		cDeny:  obsInjections.With("dvfs_deny"),
-		cDelay: obsInjections.With("dvfs_delay"),
-		cDrop:  obsInjections.With("daq_drop"),
-	}
+	return &Injector{spec: *s, seed: s.Seed ^ extraSeed, seq: make(map[string]uint64)}
 }
 
 // Attach wires the injector's fault models into the CPU: the thermal
@@ -193,11 +178,9 @@ func (in *Injector) Transition(now sim.Time) (deny bool, delay sim.Duration) {
 		return false, 0
 	}
 	if d.DenyProb > 0 && in.draw("dvfs-deny", now) < d.DenyProb {
-		in.cDeny.Inc()
 		return true, 0
 	}
 	if d.DelayProb > 0 && in.draw("dvfs-delay", now) < d.DelayProb {
-		in.cDelay.Inc()
 		return false, d.Delay
 	}
 	return false, 0
@@ -207,7 +190,6 @@ func (in *Injector) Transition(now sim.Time) (deny bool, delay sim.Duration) {
 func (in *Injector) DropSample(now sim.Time) bool {
 	q := in.spec.DAQ
 	if q != nil && q.DropProb > 0 && in.draw("daq-drop", now) < q.DropProb {
-		in.cDrop.Inc()
 		return true
 	}
 	return false

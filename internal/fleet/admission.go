@@ -29,7 +29,8 @@ type AdmissionOptions struct {
 }
 
 // maxClients bounds the tracked client buckets; past it, new clients share
-// one overflow bucket (mirrors the obs cardinality bound).
+// one overflow bucket. Client addresses arrive from outside, so only a cap
+// bounds how many there are.
 const maxClients = 1024
 
 // rejection is the JSON body of every 429/503 the server sends for a sweep

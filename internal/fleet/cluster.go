@@ -549,9 +549,9 @@ func (c *Cluster) utilization() float64 {
 // RegisterMetrics exposes the cluster's live counters on an obs registry:
 // the greenweb_fleet_* family, plus per-node liveness, job and re-home
 // counters and remote transport health (greenweb_shard_*). Values are read
-// at scrape time — no shadow counters to keep in sync. Register on a per-server
-// registry (not obs.Default) so multiple clusters in one process (tests) do
-// not fight over sources.
+// at scrape time — no shadow counters to keep in sync. Each server
+// registers on a registry of its own, so clusters in one process (tests)
+// do not fight over sources.
 func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("greenweb_fleet_workers",
 		"Total execution slots across all nodes", func() float64 { return float64(c.Workers()) })
@@ -593,8 +593,7 @@ func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(c.evictions.Load()) })
 
 	// Remote nodes expose transport health; local nodes have none to report.
-	var rttVec *obs.GaugeVec
-	var reconnVec, missVec *obs.CounterVec
+	var rttVec, reconnVec, missVec *obs.Vec
 	for i, n := range c.nodes {
 		hr, ok := n.(healthReporter)
 		if !ok {

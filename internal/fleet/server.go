@@ -296,8 +296,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // what is already in flight. Idempotent.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Registry returns the server's own metric registry (cluster and sweep
-// gauges); /metrics merges it with obs.Default().
+// Registry returns the server's metric registry (cluster, store and sweep
+// families); /metrics serves exactly it.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // eventRow is one NDJSON line of GET /v1/sweeps/{id}/events: the job's
@@ -334,7 +334,7 @@ func NewServer(m *Manager) *Server {
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		obs.WriteAll(w, srv.reg, obs.Default())
+		srv.reg.WritePrometheus(w)
 	})
 
 	// Profiling endpoints. pprof.Index dispatches /debug/pprof/<name> to the

@@ -30,14 +30,6 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/sim"
 )
 
-// Process-wide harness counters.
-var (
-	obsRuns = obs.Default().CounterVec("greenweb_harness_runs_total",
-		"Completed measured executions by governor kind", "governor")
-	obsThermalTrips = obs.Default().CounterVec("greenweb_faults_injections_total",
-		"Injected faults by kind across all runs", "kind").With("thermal_trip")
-)
-
 // Kind names the schedulers under evaluation.
 type Kind string
 
@@ -380,7 +372,6 @@ func execute(ctx context.Context, app *apps.App, html string, kind Kind, trace *
 	if dev.Faults != nil {
 		fs := cpu.FaultStats()
 		run.ThermalTrips, run.DVFSDenied, run.DVFSDelayed = fs.Trips, fs.Denied, fs.Delayed
-		obsThermalTrips.Add(int64(fs.Trips))
 	}
 	if rt != nil {
 		st := rt.Stats()
@@ -390,7 +381,6 @@ func execute(ctx context.Context, app *apps.App, html string, kind Kind, trace *
 	if errs := e.ScriptErrors(); len(errs) > 0 {
 		return fail(fmt.Errorf("script errors: %v", errs[0]))
 	}
-	obsRuns.With(string(kind)).Inc()
 	return run, nil
 }
 

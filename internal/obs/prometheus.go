@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -31,12 +30,8 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// labelSet renders {k="v",...} for parallel name/value slices; extra is an
-// optional pre-rendered pair (the histogram "le" label) appended last.
-func labelSet(names, values []string, extra string) string {
-	if len(names) == 0 && extra == "" {
-		return ""
-	}
+// labelSet renders {k="v",...} for parallel name/value slices.
+func labelSet(names, values []string) string {
 	var b strings.Builder
 	b.WriteByte('{')
 	for i, n := range names {
@@ -47,12 +42,6 @@ func labelSet(names, values []string, extra string) string {
 		b.WriteString(`="`)
 		b.WriteString(escapeLabel(values[i]))
 		b.WriteByte('"')
-	}
-	if extra != "" {
-		if len(names) > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(extra)
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -65,42 +54,22 @@ func writeFamily(w *bufio.Writer, f *family) {
 	}
 	w.WriteString("# TYPE " + f.name + " " + f.typ + "\n")
 
+	fn, hist, children := f.sources()
 	switch {
-	case f.hist != nil:
-		writeHistogram(w, f.name, nil, nil, f.hist.Snapshot())
-	case f.labels != nil:
-		for _, ch := range f.sortedChildren() {
-			if ch.hist != nil {
-				writeHistogram(w, f.name, f.labels, ch.values, ch.hist.Snapshot())
-				continue
-			}
-			w.WriteString(f.name + labelSet(f.labels, ch.values, "") + " ")
-			switch {
-			case ch.fn != nil:
-				w.WriteString(formatValue(ch.fn()))
-			case f.typ == typeGauge:
-				w.WriteString(formatValue(ch.g.Value()))
-			default:
-				w.WriteString(strconv.FormatInt(ch.c.Value(), 10))
-			}
-			w.WriteByte('\n')
-		}
-	case f.fn != nil:
-		w.WriteString(f.name + " " + formatValue(f.fn()) + "\n")
-	case f.g != nil:
-		w.WriteString(f.name + " " + formatValue(f.g.Value()) + "\n")
-	case f.c != nil:
-		w.WriteString(f.name + " " + strconv.FormatInt(f.c.Value(), 10) + "\n")
-	default:
-		w.WriteString(f.name + " 0\n")
+	case hist != nil:
+		writeHistogram(w, f.name, hist.Snapshot())
+	case fn != nil:
+		w.WriteString(f.name + " " + formatValue(fn()) + "\n")
+	}
+	for _, ch := range children {
+		w.WriteString(f.name + labelSet(f.labels, ch.values) + " " + formatValue(ch.fn()) + "\n")
 	}
 }
 
 // writeHistogram renders the cumulative bucket series, including empty
 // buckets (Prometheus quantile math needs the full ladder), then sum and
-// count. names/values carry the child's label set for HistogramVec children
-// (nil for the unlabeled case).
-func writeHistogram(w *bufio.Writer, name string, names, values []string, s HistogramSnapshot) {
+// count.
+func writeHistogram(w *bufio.Writer, name string, s HistogramSnapshot) {
 	perBucket := make(map[float64]uint64, len(s.Buckets))
 	var overflow uint64
 	for _, b := range s.Buckets {
@@ -110,47 +79,23 @@ func writeHistogram(w *bufio.Writer, name string, names, values []string, s Hist
 			perBucket[b.LE] = b.Count
 		}
 	}
-	plain := labelSet(names, values, "")
 	var cum uint64
 	for _, le := range s.Bounds {
 		cum += perBucket[le]
-		w.WriteString(name + "_bucket" + labelSet(names, values, `le="`+formatValue(le)+`"`) + " " +
-			strconv.FormatUint(cum, 10) + "\n")
+		w.WriteString(name + `_bucket{le="` + formatValue(le) + `"} ` + strconv.FormatUint(cum, 10) + "\n")
 	}
 	cum += overflow
-	w.WriteString(name + "_bucket" + labelSet(names, values, `le="+Inf"`) + " " +
-		strconv.FormatUint(cum, 10) + "\n")
-	w.WriteString(name + "_sum" + plain + " " + formatValue(s.Sum) + "\n")
-	w.WriteString(name + "_count" + plain + " " + strconv.FormatUint(s.Count, 10) + "\n")
+	w.WriteString(name + `_bucket{le="+Inf"} ` + strconv.FormatUint(cum, 10) + "\n")
+	w.WriteString(name + "_sum " + formatValue(s.Sum) + "\n")
+	w.WriteString(name + "_count " + strconv.FormatUint(s.Count, 10) + "\n")
 }
 
 // WritePrometheus renders the registry in Prometheus text format, families
 // sorted by name, labeled children sorted by label values. Output is
 // deterministic for a given registry state.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	return WriteAll(w, r)
-}
-
-// WriteAll renders several registries as one exposition, merging their
-// family sets. On a name collision the earliest registry wins — greensrv
-// merges its per-server registry with the process default, and the
-// per-server view (which knows the live pool) takes precedence.
-func WriteAll(w io.Writer, regs ...*Registry) error {
 	bw := bufio.NewWriter(w)
-	seen := make(map[string]bool)
-	var fams []*family
-	for _, r := range regs {
-		for _, f := range r.sortedFamilies() {
-			if seen[f.name] {
-				continue
-			}
-			seen[f.name] = true
-			fams = append(fams, f)
-		}
-	}
-	// Re-sort the merged set: registries may interleave name ranges.
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	for _, f := range fams {
+	for _, f := range r.sortedFamilies() {
 		writeFamily(bw, f)
 	}
 	return bw.Flush()

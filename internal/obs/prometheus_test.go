@@ -5,47 +5,38 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// goldenRegistry exercises every exposition shape: unlabeled counter/gauge,
-// func-backed value, labeled children needing escaping and ordering, and a
-// histogram with an empty interior bucket and an overflow.
+// goldenRegistry exercises every exposition shape: unlabeled func counter
+// and gauge, labeled func children needing escaping and ordering, and an
+// attached histogram with an empty interior bucket and an overflow.
 func goldenRegistry() *Registry {
 	r := NewRegistry()
-	r.Counter("app_requests_total", "Total requests.").Add(12)
-	r.Gauge("app_temp", "Temperature.").Set(-3.5)
-	r.GaugeFunc("app_func", "Func-backed gauge.", func() float64 { return 42.5 })
+	r.CounterFunc("app_requests_total", "Total requests.", func() float64 { return 12 })
+	r.GaugeFunc("app_temp", "Temperature.", func() float64 { return -3.5 })
 
+	// Children bound out of order render sorted by label values.
 	v := r.CounterVec("app_errors_total", "Errors by code.", "code")
-	v.With("500").Add(7)
-	v.With(`4"04`).Add(2) // label value escaping: quote and backslash
-	v.With(`back\slash`).Inc()
+	v.Func(func() float64 { return 1 }, `back\slash`) // label value escaping: backslash
+	v.Func(func() float64 { return 7 }, "500")
+	v.Func(func() float64 { return 2 }, `4"04`) // and quote
+	v.Func(func() float64 { return 3 }, "line\nbreak")
 
-	// Help-string escaping: literal newline must render as \n.
-	h := r.Histogram("app_latency_seconds", "Latency.\nSecond line.", []float64{0.1, 0.5, 1})
+	gv := r.GaugeVec("app_queue_depth", "Queue depth by node and state.", "node", "state")
+	gv.Func(func() float64 { return 5 }, "1", "running")
+	gv.Func(func() float64 { return 3 }, "0", "waiting")
+	gv.Func(func() float64 { return 0.5 }, "0", "running")
+
+	// Help-string escaping: literal newline and backslash must render as
+	// \n and \\.
+	h := NewHistogram([]float64{0.1, 0.5, 1})
+	r.AttachHistogram("app_latency_seconds", "Latency.\nSecond line, C:\\tmp.", h)
 	h.Observe(0.0625) // binary-exact values keep _sum's rendering stable
 	h.Observe(0.25)
-	h.Observe(2) // overflow
-
-	// Vec cardinality overflow: maxCard forced low (in-package) so further
-	// distinct label values collapse into the shared "overflow" child, which
-	// must render once, last, and accumulate every collapsed sample.
-	gv := r.GaugeVec("app_queue_depth", "Queue depth by shard.", "shard")
-	gv.f.maxCard = 2
-	gv.With("0").Set(3)
-	gv.With("1").Set(5)
-	gv.With("7").Set(2)  // past the bound: lands on the overflow child
-	gv.With("9").Add(-1) // distinct value, same overflow child → 1
-
-	hv := r.HistogramVec("app_rtt_seconds", "RTT by node.", []float64{0.1, 1}, "node")
-	hv.f.maxCard = 1
-	hv.With("a").Observe(0.0625)
-	hv.With("b").Observe(0.25) // past the bound: overflow child
-	hv.With("c").Observe(2)    // distinct value, same overflow child
+	h.Observe(2) // overflow; the 1 bucket stays empty
 	return r
 }
 
@@ -85,31 +76,5 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("two renders of one registry differ")
-	}
-}
-
-// WriteAll merges registries with earliest-wins collision semantics and
-// re-sorts the merged family set by name.
-func TestWriteAllMerge(t *testing.T) {
-	r1 := NewRegistry()
-	r1.Gauge("dup", "").Set(1)
-	r1.Counter("zz_total", "").Inc()
-	r2 := NewRegistry()
-	r2.Gauge("dup", "").Set(2)
-	r2.Counter("aa_total", "").Inc()
-
-	var buf bytes.Buffer
-	if err := WriteAll(&buf, r1, r2); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "dup 1\n") || strings.Contains(out, "dup 2") {
-		t.Errorf("collision should resolve to the first registry:\n%s", out)
-	}
-	if !strings.Contains(out, "aa_total 1\n") || !strings.Contains(out, "zz_total 1\n") {
-		t.Errorf("merged families missing:\n%s", out)
-	}
-	if strings.Index(out, "aa_total") > strings.Index(out, "zz_total") {
-		t.Errorf("merged set not re-sorted by name:\n%s", out)
 	}
 }

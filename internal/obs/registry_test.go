@@ -1,74 +1,114 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"strings"
 	"sync"
 	"testing"
 )
 
+// TestCounterAndGauge: an unlabeled counter or gauge renders its func's
+// value as of each scrape, under its own TYPE line.
 func TestCounterAndGauge(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	c.Add(-100) // counters only go up; negative deltas are ignored
-	if got := c.Value(); got != 5 {
-		t.Errorf("counter = %d, want 5", got)
+	r := NewRegistry()
+	var done, depth float64
+	r.CounterFunc("jobs_done_total", "", func() float64 { return done })
+	r.GaugeFunc("queue_depth", "", func() float64 { return depth })
+	scrape := func() string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
 	}
-
-	var g Gauge
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Errorf("gauge = %v, want 1.5", got)
+	done, depth = 5, 1.5
+	if out := scrape(); !strings.Contains(out, "# TYPE jobs_done_total counter\njobs_done_total 5\n") ||
+		!strings.Contains(out, "# TYPE queue_depth gauge\nqueue_depth 1.5\n") {
+		t.Errorf("exposition:\n%s", out)
+	}
+	done, depth = 6, 0
+	if out := scrape(); !strings.Contains(out, "jobs_done_total 6\n") || !strings.Contains(out, "queue_depth 0\n") {
+		t.Errorf("funcs not re-read on the second scrape:\n%s", out)
 	}
 }
 
+// TestCounterConcurrent: owners bind counter children and rebind funcs
+// while a scraper renders, as a cluster registering its nodes does under a
+// live /metrics; run under -race. Every child bound shows up once.
 func TestCounterConcurrent(t *testing.T) {
-	var c Counter
+	r := NewRegistry()
+	v := r.CounterVec("jobs_total", "", "node")
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
+			for i := 0; i < 100; i++ {
+				v.Func(func() float64 { return float64(i) }, fmt.Sprintf("%d-%d", g, i))
+				r.CounterFunc("evictions_total", "", func() float64 { return float64(g) })
 			}
-		}()
+		}(g)
 	}
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := r.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	wg.Wait()
-	if got := c.Value(); got != 8000 {
-		t.Errorf("counter = %d, want 8000", got)
+	close(stop)
+	<-scraped
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(buf.String(), "jobs_total{"); got != 800 {
+		t.Errorf("%d samples, want 800", got)
 	}
 }
 
 func TestRegistryIdempotentGetters(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("x_total", "help")
-	b := r.Counter("x_total", "help")
-	if a != b {
-		t.Error("same name returned distinct counters")
+	a := r.CounterVec("x_total", "help", "node")
+	b := r.CounterVec("x_total", "help", "node")
+	if a.f != b.f {
+		t.Error("same name returned distinct counter families")
 	}
-	g1 := r.Gauge("g", "")
-	g2 := r.Gauge("g", "")
-	if g1 != g2 {
-		t.Error("same name returned distinct gauges")
+	g1 := r.GaugeVec("g", "", "node")
+	g2 := r.GaugeVec("g", "", "node")
+	if g1.f != g2.f {
+		t.Error("same name returned distinct gauge families")
 	}
-	h1 := r.Histogram("h", "", []float64{1, 2})
-	h2 := r.Histogram("h", "", []float64{5}) // bounds of the first registration win
-	if h1 != h2 {
-		t.Error("same name returned distinct histograms")
+	h1, h2 := NewHistogram([]float64{1, 2}), NewHistogram([]float64{5})
+	r.AttachHistogram("h", "", h1)
+	r.AttachHistogram("h", "", h2) // re-attaching replaces the source
+	if _, hist, _ := r.fams["h"].sources(); hist != h2 {
+		t.Error("re-attached histogram not in effect")
 	}
 }
 
 func TestRegistryTypeMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "")
-	mustPanic(t, "counter re-registered as gauge", func() { r.Gauge("x_total", "") })
+	r.CounterFunc("x_total", "", func() float64 { return 0 })
+	mustPanic(t, "counter re-registered as gauge", func() { r.GaugeFunc("x_total", "", func() float64 { return 0 }) })
+	mustPanic(t, "counter re-registered as histogram", func() { r.AttachHistogram("x_total", "", NewLatencyHistogram()) })
 	r.CounterVec("v_total", "", "kind")
 	mustPanic(t, "label-set change", func() { r.CounterVec("v_total", "", "kind", "extra") })
-	mustPanic(t, "labeled re-registered unlabeled", func() { r.Counter("v_total", "") })
-	r.CounterFunc("f_total", "", func() float64 { return 0 })
-	mustPanic(t, "func-backed via Counter", func() { r.Counter("f_total", "") })
+	mustPanic(t, "labeled re-registered unlabeled", func() { r.CounterFunc("v_total", "", func() float64 { return 0 }) })
+	mustPanic(t, "labeled counter re-registered as gauge", func() { r.GaugeVec("v_total", "", "kind") })
 	mustPanic(t, "CounterVec with no labels", func() { r.CounterVec("nolabels", "") })
 }
 
@@ -82,38 +122,22 @@ func mustPanic(t *testing.T, name string, f func()) {
 	f()
 }
 
-func TestCounterVecChildrenAndOverflow(t *testing.T) {
+// TestVecFuncRebindAndArity: binding a child's label values again replaces
+// its func (one sample, the last source), and a label-value count that
+// disagrees with the family's labels panics.
+func TestVecFuncRebindAndArity(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("errs_total", "", "code")
-	a := v.With("500")
-	b := v.With("500")
-	if a != b {
-		t.Error("same label values resolved to distinct children")
+	v.Func(func() float64 { return 1 }, "500")
+	v.Func(func() float64 { return 2 }, "500")
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
 	}
-	a.Inc()
-	if b.Value() != 1 {
-		t.Error("children with equal labels do not share state")
+	if out := buf.String(); strings.Count(out, "errs_total{") != 1 || !strings.Contains(out, `errs_total{code="500"} 2`) {
+		t.Errorf("rebound child should render once with the last func:\n%s", out)
 	}
-	mustPanic(t, "wrong arity", func() { v.With("a", "b") })
-
-	// Past the cardinality cap, every new combination collapses into one
-	// shared overflow child; existing children keep working.
-	fam := v.f
-	fam.maxCard = 2
-	v.With("501")
-	o1 := v.With("502")
-	o2 := v.With("503")
-	if o1 != o2 {
-		t.Error("overflow combinations did not share a child")
-	}
-	o1.Inc()
-	o2.Inc()
-	if o1.Value() != 2 {
-		t.Errorf("overflow counter = %d, want 2", o1.Value())
-	}
-	if v.With("500") != a {
-		t.Error("pre-overflow child lost after cap hit")
-	}
+	mustPanic(t, "wrong arity", func() { v.Func(func() float64 { return 0 }, "a", "b") })
 }
 
 func TestFuncBackedLastWins(t *testing.T) {
@@ -126,17 +150,27 @@ func TestFuncBackedLastWins(t *testing.T) {
 	}
 }
 
-func TestDefaultCardinalityBound(t *testing.T) {
+// TestFuncChildrenPastSixtyFour: a family holds one child per label-value
+// set its owner binds, however many nodes the owner has. A cluster of 70
+// nodes exports 70 samples per per-node family, each with its own value.
+func TestFuncChildrenPastSixtyFour(t *testing.T) {
+	const nodes = 70
 	r := NewRegistry()
-	v := r.CounterVec("many_total", "", "k")
-	var children []*Counter
-	for i := 0; i < DefaultMaxCardinality+10; i++ {
-		children = append(children, v.With(fmt.Sprintf("v%03d", i)))
+	v := r.GaugeVec("node_up", "", "node")
+	for i := 0; i < nodes; i++ {
+		v.Func(func() float64 { return float64(i) }, fmt.Sprint(i))
 	}
-	over := children[DefaultMaxCardinality]
-	for _, c := range children[DefaultMaxCardinality:] {
-		if c != over {
-			t.Fatal("children past the cap are not collapsed")
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if got := strings.Count(out, "node_up{"); got != nodes {
+		t.Errorf("%d samples, want %d:\n%s", got, nodes, out)
+	}
+	for i := 0; i < nodes; i++ {
+		if want := fmt.Sprintf("node_up{node=\"%d\"} %d\n", i, i); !strings.Contains(out, want) {
+			t.Errorf("missing sample %q", want)
 		}
 	}
 }

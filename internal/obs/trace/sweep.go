@@ -5,8 +5,6 @@ import (
 	"os"
 	"sync"
 	"time"
-
-	"github.com/wattwiseweb/greenweb/internal/obs"
 )
 
 // SweepTrace is the one bounded span buffer. On the server it is a sweep's:
@@ -27,15 +25,6 @@ type SweepTrace struct {
 func NewSweepTrace(spans int) *SweepTrace {
 	return &SweepTrace{budget: spans}
 }
-
-// Counters surfaced on obs.Default: how many spans the process has kept
-// and how many it has dropped to budget pressure.
-var (
-	spansTotal = obs.Default().Counter("greenweb_trace_spans_total",
-		"Trace spans recorded or merged by this process")
-	dropsTotal = obs.Default().Counter("greenweb_trace_span_drops_total",
-		"Trace spans dropped to per-job or per-sweep budget pressure")
-)
 
 // Record appends one completed span of the job tc names, stamped with its
 // coordinates and this process's pid under a fresh span id.
@@ -67,18 +56,15 @@ func (t *SweepTrace) Add(spans []Span, dropped int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.dropped += int64(dropped)
-	dropsTotal.Add(int64(dropped))
 	for _, sp := range spans {
 		if len(t.spans) >= t.budget {
 			t.dropped++
-			dropsTotal.Inc()
 			continue
 		}
 		if sp.PID == 0 {
 			sp.PID = pid
 		}
 		t.spans = append(t.spans, sp)
-		spansTotal.Inc()
 	}
 }
 

@@ -75,10 +75,12 @@ func NewSpanID() uint64 {
 }
 
 // DefaultJobBudget bounds one traced job's spans on a worker: the buffer a
-// greennode records each traced job into (a worker records one execute
-// span per job; the rest is headroom), and so the span count a remote
-// result's decoder accepts.
-const DefaultJobBudget = 64
+// greennode records each traced job into, and so the span count a remote
+// result's decoder accepts. A worker's cluster is not managed, so it records
+// no dispatch or re-home spans: each traced job gets exactly one execute
+// span. The few slots past it are headroom, kept small because every slot
+// widens what a hostile worker can make the server decode.
+const DefaultJobBudget = 4
 
 // EstimateOffsetUS estimates a remote clock's offset from ours, in
 // microseconds, from one handshake exchange: t0 is our clock when the hello

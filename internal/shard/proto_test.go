@@ -242,10 +242,10 @@ func frameSeeds(tb testing.TB) []frame {
 // The factor is encoding/json's: a result's trace spans are counted before
 // they are decoded, and a frame shorter than minFramePayload is refused
 // unread. Its densest input is a run of result frames that each carry a
-// row and 64 empty spans, the most a result may carry: each 3-byte "{},"
-// decodes to a whole trace.Span, about 41 bytes allocated per byte
-// (runtime.ReadMemStats over 200 such frames). A run of minimal ping frames
-// costs about 16.
+// minimal row and trace.DefaultJobBudget (4) empty spans, the most a result
+// may carry: each 3-byte "{}," decodes to a whole trace.Span, and the run
+// allocates about 30 bytes per byte (runtime.ReadMemStats over 200 such
+// frames). A run of minimal ping frames costs about 16.
 func FuzzReadFrame(f *testing.F) {
 	var stream bytes.Buffer // several frames back to back
 	for _, fr := range frameSeeds(f) {
@@ -261,7 +261,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(stream.Bytes())
 	f.Add(rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1,"spans":[{}` +
 		strings.Repeat(",{}", 999) + `]}}`))
-	f.Add(bytes.Repeat(rawFrame(`{"t":"result","id":1,"result":{"state":"done","spans":[{}`+
+	f.Add(bytes.Repeat(rawFrame(`{"t":"result","result":{"app":"","spans":[{}`+
 		strings.Repeat(",{}", trace.DefaultJobBudget-1)+`]}}`), 200))
 	f.Add(zerosFrame(25_000))
 	f.Add(rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1}}`)) // neither an error nor a row
