@@ -18,11 +18,11 @@
 //	GET /healthz  liveness — 200 while the process accepts connections
 //	GET /readyz   readiness — 200 once the frame listener is bound
 //
-// Tracing: a job that greensrv traces arrives carrying its trace context,
-// and the worker records its one execute span into a buffer of the job's
-// own (trace.DefaultJobBudget spans), which ships back piggybacked on its
-// result frame, with the count of any it dropped. Whether a job is traced
-// is the server's decision (greensrv -no-obs traces none).
+// Tracing: the worker records no spans. Every result frame says when its
+// job ran (start_us, on this process's clock, and latency_ns), and greensrv
+// draws a traced job's execute span from that, under this process's pid.
+// Whether a job is traced is the server's alone (greensrv -no-obs traces
+// none); a job frame never says.
 //
 // On SIGINT/SIGTERM the worker stops accepting, closes its connections
 // (cancelling their in-flight jobs; the server re-homes them), and exits.

@@ -31,10 +31,11 @@
 //
 // -no-obs turns fleet tracing off: sweeps get no /trace?fleet=1 artifact
 // (it answers no_fleet_trace) and their jobs record no spans. Otherwise a
-// sweep's one span buffer takes every span of its jobs, a greennode's
-// shipped with each result; the artifact's otherData.span_drops counts
-// what it had no room for. Result rows, /events and /trace are the same
-// bytes either way.
+// sweep's one span buffer takes every span of its jobs, all recorded in
+// this process: a greennode's job gets the execute span greensrv draws
+// from when its result says it ran. The artifact's otherData.span_drops
+// counts what the buffer had no room for. Result rows, /events and /trace
+// are the same bytes either way.
 //
 // API:
 //

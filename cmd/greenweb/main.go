@@ -9,7 +9,9 @@
 //
 // -policy takes any governor of the evaluation by name, in any case (perf,
 // interactive, ondemand, powersave, greenweb-i, greenweb-u, ebs, ...), for
-// catalog applications and files alike.
+// catalog applications and files alike, except GreenWeb-I-staged: greenweb
+// renders serially, and greenbench -stage-workers or a greensrv sweep's
+// stage_workers runs the staged runtime.
 package main
 
 import (
@@ -30,9 +32,11 @@ import (
 )
 
 func main() {
-	kinds := make([]string, len(harness.Kinds()))
-	for i, k := range harness.Kinds() {
-		kinds[i] = string(k)
+	var kinds []string
+	for _, k := range harness.Kinds() {
+		if _, err := greenweb.ParsePolicy(string(k)); err == nil {
+			kinds = append(kinds, string(k))
+		}
 	}
 	appName := flag.String("app", "", "evaluation application name (see -list)")
 	file := flag.String("file", "", "run an HTML file instead of a catalog application")
@@ -49,15 +53,17 @@ func main() {
 		return
 	}
 
+	p, err := greenweb.ParsePolicy(*policy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	if *file != "" {
-		runFile(*file, *policy)
+		runFile(*file, p)
 		return
 	}
 
-	kind, err := harness.ParseKind(*policy)
-	if err != nil {
-		fail("unknown policy %q", *policy)
-	}
+	kind := harness.Kind(p.Name())
 	app, ok := apps.ByName(*appName)
 	if !ok {
 		fail("unknown app %q (use -list)", *appName)
@@ -123,14 +129,10 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
-func runFile(path, policy string) {
+func runFile(path string, p greenweb.Policy) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fail("%v", err)
-	}
-	p, err := greenweb.ParsePolicy(policy)
-	if err != nil {
-		fail("unknown policy %q", policy)
 	}
 	s, err := greenweb.Open(string(data), p)
 	if err != nil {

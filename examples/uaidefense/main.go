@@ -40,8 +40,7 @@ const misannotated = `<html><head><style>
 </body></html>`
 
 func run(uai *core.UAIPolicy) (joules float64, suppressed []string) {
-	opts := core.DefaultOptions(qos.Imperceptible)
-	opts.UAI = uai
+	opts := core.Options{Scenario: qos.Imperceptible, UAI: uai}
 	dev, err := device.New(core.New(opts), 0, nil, 0)
 	if err != nil {
 		log.Fatal(err)

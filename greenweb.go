@@ -55,12 +55,18 @@ type Policy struct{ kind harness.Kind }
 func (p Policy) Name() string { return string(p.kind) }
 
 // ParsePolicy resolves a policy by display name, in any case: "GreenWeb-I",
-// "greenweb-u", "perf", "EBS", and the evaluation's other governors
-// ("GreenWeb-I-staged", the single-cluster variants).
+// "greenweb-u", "perf", "EBS", and the evaluation's other governors (the
+// single-cluster variants). It refuses "GreenWeb-I-staged": a Session
+// renders every frame serially, so the staged runtime would have no stages
+// to schedule and would run as GreenWeb-I.
 func ParsePolicy(name string) (Policy, error) {
 	k, err := harness.ParseKind(name)
 	if err != nil {
 		return Policy{}, fmt.Errorf("greenweb: unknown policy %q", name)
+	}
+	if k == harness.GreenWebIStaged {
+		return Policy{}, fmt.Errorf("greenweb: policy %s needs a staged render pipeline, and a session renders serially; "+
+			"run it with greenbench -stage-workers or a greensrv sweep's stage_workers", k)
 	}
 	return Policy{k}, nil
 }

@@ -238,11 +238,19 @@ func TestPolicyNames(t *testing.T) {
 }
 
 // TestParsePolicy: every governor the evaluation runs is a policy by its
-// display name, in any case, and unknown names are rejected.
+// display name, in any case, except the staged runtime, which a session
+// cannot stage; the refusal says where it runs. Unknown names are rejected.
 func TestParsePolicy(t *testing.T) {
 	for _, k := range harness.Kinds() {
 		for _, name := range []string{string(k), strings.ToLower(string(k)), strings.ToUpper(string(k))} {
 			p, err := ParsePolicy(name)
+			if k == harness.GreenWebIStaged {
+				if err == nil || !strings.Contains(err.Error(), "greenbench -stage-workers") ||
+					!strings.Contains(err.Error(), "stage_workers") {
+					t.Fatalf("ParsePolicy(%q) = %v, %v; want refused, naming -stage-workers and stage_workers", name, p, err)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatalf("ParsePolicy(%q): %v", name, err)
 			}

@@ -12,59 +12,52 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/sim"
 )
 
-// Options tune the runtime.
-type Options struct {
-	// Scenario selects TI (imperceptible) or TU (usable) as the deadline.
-	Scenario qos.Scenario
-	// Safety scales deadlines during selection to leave headroom.
-	Safety float64
-	// MispredictLimit is the consecutive-misprediction count that triggers
+// The runtime's tuning, as used in the evaluation.
+const (
+	// safety scales deadlines during selection to leave headroom.
+	safety = 0.9
+	// mispredictLimit is the consecutive-misprediction count that triggers
 	// re-profiling.
-	MispredictLimit int
-	// IdleConfig is used when no annotated event is active.
-	IdleConfig acmp.Config
-	// UAI optionally enables the Sec. 8 mis-annotation defense.
-	UAI *UAIPolicy
-	// BigOnly/LittleOnly restrict the configuration space to one cluster,
-	// modelling the paper's single-cluster DVFS alternative (Sec. 10).
-	BigOnly, LittleOnly bool
-	// IdleGrace delays the first demotion (to the current cluster's
+	mispredictLimit = 3
+	// idleGrace delays the first demotion (to the current cluster's
 	// frequency floor) after the last annotated event completes.
 	// Interaction events arrive in bursts (a tap is touchstart/touchend/
 	// click within ~100 ms); demoting instantly between them would thrash
 	// configurations (and pay the switch stalls) for no energy benefit,
 	// since an idle CPU sleeps regardless of the programmed frequency.
-	IdleGrace sim.Duration
-	// DeepIdleAfter is the sustained-idle delay before the second-stage
-	// demotion to IdleConfig (migrating off the big cluster), so that
+	idleGrace = 120 * sim.Millisecond
+	// deepIdleAfter is the sustained-idle delay before the second-stage
+	// demotion to idleConfig (migrating off the big cluster), so that
 	// unannotated activity arriving much later runs at the low-power
 	// default rather than the parked big floor.
-	DeepIdleAfter sim.Duration
+	deepIdleAfter = 800 * sim.Millisecond
+	// degradeAfter is the consecutive-violation count at which a class
+	// stops trusting its model and falls back to the best configuration
+	// the hardware currently allows (Perf-within-cap) — the last rung of
+	// the degradation ladder under thermal throttling or DVFS faults. The
+	// class recovers (and reprofiles) after the same count of clean frames.
+	degradeAfter = 4
+)
+
+// idleConfig is used when no annotated event is active: the overall
+// lowest-power configuration.
+var idleConfig = acmp.LowestConfig()
+
+// Options tune the runtime.
+type Options struct {
+	// Scenario selects TI (imperceptible) or TU (usable) as the deadline.
+	Scenario qos.Scenario
+	// UAI optionally enables the Sec. 8 mis-annotation defense.
+	UAI *UAIPolicy
+	// BigOnly/LittleOnly restrict the configuration space to one cluster,
+	// modelling the paper's single-cluster DVFS alternative (Sec. 10).
+	BigOnly, LittleOnly bool
 	// StageAware enables the per-stage configuration dimension (stage.go):
 	// when the browser produces frames through the staged pipeline, the
 	// runtime prepares a StageVector per frame and re-asserts it at each
 	// phase barrier via OnRenderStage. Off, the runtime behaves exactly as
 	// before — OnRenderStage becomes a no-op even on a staged engine.
 	StageAware bool
-	// DegradeAfter is the consecutive-violation count at which a class
-	// stops trusting its model and falls back to the best configuration
-	// the hardware currently allows (Perf-within-cap) — the last rung of
-	// the degradation ladder under thermal throttling or DVFS faults. The
-	// class recovers (and reprofiles) after the same count of clean frames.
-	DegradeAfter int
-}
-
-// DefaultOptions returns the configuration used in the evaluation.
-func DefaultOptions(s qos.Scenario) Options {
-	return Options{
-		Scenario:        s,
-		Safety:          0.9,
-		MispredictLimit: 3,
-		IdleConfig:      acmp.LowestConfig(),
-		IdleGrace:       120 * sim.Millisecond,
-		DeepIdleAfter:   800 * sim.Millisecond,
-		DegradeAfter:    4,
-	}
 }
 
 // Stats counts runtime activity for reports and tests.
@@ -129,18 +122,6 @@ type Runtime struct {
 
 // New returns a runtime with the given options.
 func New(opts Options) *Runtime {
-	if opts.Safety <= 0 {
-		opts.Safety = 0.9
-	}
-	if opts.MispredictLimit <= 0 {
-		opts.MispredictLimit = 3
-	}
-	if !opts.IdleConfig.Valid() {
-		opts.IdleConfig = acmp.LowestConfig()
-	}
-	if opts.DegradeAfter <= 0 {
-		opts.DegradeAfter = 4
-	}
 	return &Runtime{
 		opts:        opts,
 		models:      make(map[string]*Model),
@@ -169,15 +150,12 @@ func (r *Runtime) Name() string {
 // Stats returns runtime activity counters.
 func (r *Runtime) Stats() Stats { return r.stats }
 
-// Options returns the runtime's configuration.
-func (r *Runtime) Options() Options { return r.opts }
-
 // Attach implements browser.Governor.
 func (r *Runtime) Attach(e *browser.Engine) {
 	r.e = e
 	r.cpu = e.CPU()
 	r.pm = e.CPU().PowerModel()
-	r.cpu.SetConfig(r.clamp(r.opts.IdleConfig))
+	r.cpu.SetConfig(r.clamp(idleConfig))
 	if r.opts.UAI != nil {
 		r.opts.UAI.attach(e)
 	}
@@ -246,7 +224,7 @@ func (r *Runtime) desired(m *Model) acmp.Config {
 	if cfg, profiling := m.ProfilingConfig(); profiling {
 		return r.capTo(cfg, ceiling)
 	}
-	return m.SelectWithin(r.deadline(m.Ann), r.pm, r.opts.Safety, ceiling)
+	return m.SelectWithin(r.deadline(m.Ann), r.pm, safety, ceiling)
 }
 
 // capTo re-clamps a configuration to the legal ceiling, counting the clamp
@@ -269,11 +247,7 @@ func (r *Runtime) reschedule() {
 		// Demote to the idle configuration only after a grace period:
 		// interaction bursts would otherwise thrash the configuration.
 		r.idleTimer.Cancel()
-		if r.opts.IdleGrace <= 0 {
-			r.cpu.SetConfig(r.clamp(r.opts.IdleConfig))
-			return
-		}
-		r.idleTimer = r.e.Sim().After(r.opts.IdleGrace, "greenweb:idle", func() {
+		r.idleTimer = r.e.Sim().After(idleGrace, "greenweb:idle", func() {
 			if len(r.active) != 0 {
 				return
 			}
@@ -284,15 +258,15 @@ func (r *Runtime) reschedule() {
 			// where frequency switches dwarf migrations).
 			idle := acmp.MinConfig(r.cpu.Config().Cluster)
 			r.cpu.SetConfig(r.clamp(idle))
-			if r.opts.DeepIdleAfter <= 0 || idle.Cluster == r.opts.IdleConfig.Cluster {
+			if idle.Cluster == idleConfig.Cluster {
 				return
 			}
 			// Stage 2: after sustained idleness, fall back to the default
 			// low-power configuration so late unannotated activity runs
 			// cheaply.
-			r.idleTimer = r.e.Sim().After(r.opts.DeepIdleAfter, "greenweb:deep-idle", func() {
+			r.idleTimer = r.e.Sim().After(deepIdleAfter, "greenweb:deep-idle", func() {
 				if len(r.active) == 0 {
-					r.cpu.SetConfig(r.clamp(r.opts.IdleConfig))
+					r.cpu.SetConfig(r.clamp(idleConfig))
 				}
 			})
 		})
@@ -312,7 +286,7 @@ func (r *Runtime) reschedule() {
 		}
 	}
 	if !have {
-		best = r.opts.IdleConfig
+		best = idleConfig
 	}
 	want := r.clamp(best)
 	r.cpu.SetConfig(want)
@@ -448,7 +422,7 @@ func (r *Runtime) OnFrameEnd(fr *browser.FrameResult) {
 			}
 			r.stats.UAISuppressed++
 			if len(r.active) == 0 {
-				r.cpu.SetConfig(r.clamp(r.opts.IdleConfig))
+				r.cpu.SetConfig(r.clamp(idleConfig))
 			}
 			return
 		}
@@ -479,7 +453,7 @@ func (r *Runtime) OnFrameEnd(fr *browser.FrameResult) {
 		return
 	}
 	r.stats.PredictedFrames++
-	violated, reprofile := m.Feedback(measured, r.deadline(m.Ann), fr.Config, r.opts.MispredictLimit)
+	violated, reprofile := m.Feedback(measured, r.deadline(m.Ann), fr.Config, mispredictLimit)
 	if violated {
 		r.stats.Violations++
 	}
@@ -498,7 +472,7 @@ func (r *Runtime) OnFrameEnd(fr *browser.FrameResult) {
 
 // divergedUnderCap reports whether a thermal cap is active and the measured
 // latency has drifted beyond half the model's prediction at the executed
-// configuration for more than MispredictLimit consecutive frames. Feedback's
+// configuration for more than mispredictLimit consecutive frames. Feedback's
 // own misprediction counter only reacts to deadline misses and gross
 // over-prediction; under a cap, delayed and denied DVFS transitions make
 // frames run partly at a configuration the model never chose, producing
@@ -521,14 +495,14 @@ func (r *Runtime) divergedUnderCap(m *Model, measured sim.Duration, executed acm
 		return false
 	}
 	r.capDiverge[m.Key]++
-	if r.capDiverge[m.Key] <= r.opts.MispredictLimit {
+	if r.capDiverge[m.Key] <= mispredictLimit {
 		return false
 	}
 	return true
 }
 
-// noteOutcome advances the degradation ladder for a class: DegradeAfter
-// consecutive violated frames pin it to Perf-within-cap; DegradeAfter
+// noteOutcome advances the degradation ladder for a class: degradeAfter
+// consecutive violated frames pin it to Perf-within-cap; degradeAfter
 // consecutive clean frames while degraded hand control back to the model
 // (with a fresh profile — the regime that broke the old fit has passed).
 // Both transitions are annotated onto the still-open frame span.
@@ -545,12 +519,12 @@ func (r *Runtime) noteOutcome(m *Model, violated bool) {
 			return
 		}
 		r.violStreak[key]++
-		if !r.degraded[key] && r.violStreak[key] >= r.opts.DegradeAfter {
+		if !r.degraded[key] && r.violStreak[key] >= degradeAfter {
 			r.degraded[key] = true
 			r.violStreak[key] = 0
 			r.stats.Degradations++
 			if d := r.decision(); d != nil {
-				d.Degrade = r.opts.DegradeAfter
+				d.Degrade = degradeAfter
 				d.Set |= ledger.FieldDegrade
 			}
 		}
@@ -561,14 +535,14 @@ func (r *Runtime) noteOutcome(m *Model, violated bool) {
 		return
 	}
 	r.cleanStreak[key]++
-	if r.cleanStreak[key] >= r.opts.DegradeAfter {
+	if r.cleanStreak[key] >= degradeAfter {
 		r.degraded[key] = false
 		r.cleanStreak[key] = 0
 		r.stats.Recoveries++
 		r.stats.Reprofiles++
 		m.Reset()
 		if d := r.decision(); d != nil {
-			d.Recover = r.opts.DegradeAfter
+			d.Recover = degradeAfter
 			d.Set |= ledger.FieldRecover
 		}
 	}

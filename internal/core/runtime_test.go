@@ -89,7 +89,7 @@ func driveTaps(s *sim.Simulator, e *browser.Engine) {
 }
 
 func TestRuntimeTracksAnnotatedEvents(t *testing.T) {
-	r := New(DefaultOptions(qos.Imperceptible))
+	r := New(Options{Scenario: qos.Imperceptible})
 	res := runWith(t, animPage, r, driveAnimation)
 	st := r.Stats()
 	if st.AnnotatedInputs != 2 { // load + touchstart
@@ -108,8 +108,8 @@ func TestRuntimeTracksAnnotatedEvents(t *testing.T) {
 
 func TestRuntimeSavesEnergyVsPerf(t *testing.T) {
 	perf := runWith(t, animPage, governor.NewPerf(), driveAnimation)
-	gwI := runWith(t, animPage, New(DefaultOptions(qos.Imperceptible)), driveAnimation)
-	gwU := runWith(t, animPage, New(DefaultOptions(qos.Usable)), driveAnimation)
+	gwI := runWith(t, animPage, New(Options{Scenario: qos.Imperceptible}), driveAnimation)
+	gwU := runWith(t, animPage, New(Options{Scenario: qos.Usable}), driveAnimation)
 
 	if gwI.energy >= perf.energy {
 		t.Fatalf("GreenWeb-I energy %.3f J >= Perf %.3f J", gwI.energy, perf.energy)
@@ -134,7 +134,7 @@ func violationsOver(frames []browser.FrameResult, r *Runtime, deadline sim.Durat
 }
 
 func TestRuntimeKeepsQoSInUsableMode(t *testing.T) {
-	gwU := runWith(t, animPage, New(DefaultOptions(qos.Usable)), driveAnimation)
+	gwU := runWith(t, animPage, New(Options{Scenario: qos.Usable}), driveAnimation)
 	// Frame production must meet TU=33.3ms for nearly all frames.
 	bad := violationsOver(gwU.frames, gwU.runtime, 33300*sim.Microsecond)
 	if bad > len(gwU.frames)/10 {
@@ -143,7 +143,7 @@ func TestRuntimeKeepsQoSInUsableMode(t *testing.T) {
 }
 
 func TestRuntimeUsesLittleClusterInUsableMode(t *testing.T) {
-	gwU := runWith(t, animPage, New(DefaultOptions(qos.Usable)), driveAnimation)
+	gwU := runWith(t, animPage, New(Options{Scenario: qos.Usable}), driveAnimation)
 	res := gwU.engine.CPU().Residency()
 	var little, big sim.Duration
 	for cfg, d := range res {
@@ -159,8 +159,8 @@ func TestRuntimeUsesLittleClusterInUsableMode(t *testing.T) {
 }
 
 func TestRuntimeImperceptibleUsesBiggerConfigsThanUsable(t *testing.T) {
-	gwI := runWith(t, animPage, New(DefaultOptions(qos.Imperceptible)), driveAnimation)
-	gwU := runWith(t, animPage, New(DefaultOptions(qos.Usable)), driveAnimation)
+	gwI := runWith(t, animPage, New(Options{Scenario: qos.Imperceptible}), driveAnimation)
+	gwU := runWith(t, animPage, New(Options{Scenario: qos.Usable}), driveAnimation)
 	avgIdx := func(rr runResult) float64 {
 		var num, den float64
 		for cfg, d := range rr.engine.CPU().Residency() {
@@ -177,7 +177,7 @@ func TestRuntimeImperceptibleUsesBiggerConfigsThanUsable(t *testing.T) {
 }
 
 func TestRuntimeIdlesAfterEventComplete(t *testing.T) {
-	r := New(DefaultOptions(qos.Imperceptible))
+	r := New(Options{Scenario: qos.Imperceptible})
 	res := runWith(t, tapPage, r, driveTaps)
 	// Idle demotion is cluster-sticky: the system parks at the floor of
 	// whatever cluster it last ran on.
@@ -189,7 +189,7 @@ func TestRuntimeIdlesAfterEventComplete(t *testing.T) {
 
 func TestRuntimeSingleEventsSaveEnergy(t *testing.T) {
 	perf := runWith(t, tapPage, governor.NewPerf(), driveTaps)
-	gwI := runWith(t, tapPage, New(DefaultOptions(qos.Imperceptible)), driveTaps)
+	gwI := runWith(t, tapPage, New(Options{Scenario: qos.Imperceptible}), driveTaps)
 	if float64(gwI.energy) > 0.7*float64(perf.energy) {
 		t.Fatalf("single-event savings too small: %.3f J vs %.3f J", gwI.energy, perf.energy)
 	}
@@ -202,7 +202,7 @@ func TestRuntimeUnannotatedPageFallsBack(t *testing.T) {
 				e.target.style.width = "10px";
 			});
 		</script></body></html>`
-	r := New(DefaultOptions(qos.Imperceptible))
+	r := New(Options{Scenario: qos.Imperceptible})
 	res := runWith(t, page, r, func(s *sim.Simulator, e *browser.Engine) {
 		s.RunUntil(sim.Time(sim.Second))
 		e.Inject(s.Now().Add(10*sim.Millisecond), "click", "b", nil)
@@ -219,24 +219,20 @@ func TestRuntimeUnannotatedPageFallsBack(t *testing.T) {
 }
 
 func TestSingleClusterAblations(t *testing.T) {
-	optsBig := DefaultOptions(qos.Usable)
-	optsBig.BigOnly = true
-	big := runWith(t, animPage, New(optsBig), driveAnimation)
+	big := runWith(t, animPage, New(Options{Scenario: qos.Usable, BigOnly: true}), driveAnimation)
 	for cfg := range big.engine.CPU().Residency() {
 		if cfg.Cluster == acmp.Little && cfg != acmp.LowestConfig() {
 			t.Fatalf("BigOnly runtime used %v", cfg)
 		}
 	}
-	optsLit := DefaultOptions(qos.Imperceptible)
-	optsLit.LittleOnly = true
-	lit := runWith(t, animPage, New(optsLit), driveAnimation)
+	lit := runWith(t, animPage, New(Options{Scenario: qos.Imperceptible, LittleOnly: true}), driveAnimation)
 	// After attach, only little configs are ever requested.
 	st := lit.engine.CPU().Stats()
 	if st.Migrations > 1 {
 		t.Fatalf("LittleOnly migrated %d times", st.Migrations)
 	}
 	// Big-only burns more than an unrestricted usable runtime.
-	free := runWith(t, animPage, New(DefaultOptions(qos.Usable)), driveAnimation)
+	free := runWith(t, animPage, New(Options{Scenario: qos.Usable}), driveAnimation)
 	if big.energy <= free.energy {
 		t.Fatalf("BigOnly %.3f J <= unrestricted %.3f J", big.energy, free.energy)
 	}
@@ -265,10 +261,9 @@ func TestUAISuppressesMisannotation(t *testing.T) {
 		e.Inject(s.Now().Add(10*sim.Millisecond), "click", "b", nil)
 		s.RunUntil(s.Now().Add(5 * sim.Second))
 	}
-	noUAI := runWith(t, misPage, New(DefaultOptions(qos.Imperceptible)), drive)
+	noUAI := runWith(t, misPage, New(Options{Scenario: qos.Imperceptible}), drive)
 
-	opts := DefaultOptions(qos.Imperceptible)
-	opts.UAI = NewUAIPolicy(0.2) // 0.2 J per event class
+	opts := Options{Scenario: qos.Imperceptible, UAI: NewUAIPolicy(0.2)} // 0.2 J per event class
 	withUAI := runWith(t, misPage, New(opts), drive)
 
 	if len(opts.UAI.SuppressedClasses()) == 0 {
@@ -280,23 +275,11 @@ func TestUAISuppressesMisannotation(t *testing.T) {
 }
 
 func TestRuntimeNames(t *testing.T) {
-	if New(DefaultOptions(qos.Imperceptible)).Name() != "GreenWeb-I" {
+	if New(Options{Scenario: qos.Imperceptible}).Name() != "GreenWeb-I" {
 		t.Fatal("name wrong")
 	}
-	if New(DefaultOptions(qos.Usable)).Name() != "GreenWeb-U" {
+	if New(Options{Scenario: qos.Usable}).Name() != "GreenWeb-U" {
 		t.Fatal("name wrong")
-	}
-}
-
-func TestDefaultOptionsSane(t *testing.T) {
-	o := DefaultOptions(qos.Usable)
-	if !o.IdleConfig.Valid() || o.Safety <= 0 || o.Safety > 1 || o.MispredictLimit <= 0 {
-		t.Fatalf("options = %+v", o)
-	}
-	// Zero-valued options get repaired by New.
-	r := New(Options{})
-	if !r.Options().IdleConfig.Valid() || r.Options().Safety <= 0 {
-		t.Fatalf("repaired options = %+v", r.Options())
 	}
 }
 
@@ -322,10 +305,10 @@ func attachedRuntime(opts Options) (*Runtime, *sim.Simulator) {
 }
 
 func TestDegradationLadderDegradesAndRecovers(t *testing.T) {
-	r, s := attachedRuntime(DefaultOptions(qos.Imperceptible))
+	r, s := attachedRuntime(Options{Scenario: qos.Imperceptible})
 	m := identifiedModel(t, 0.002, 8e6)
 	r.models[m.Key] = m
-	k := r.opts.DegradeAfter
+	k := degradeAfter
 
 	// Without an active thermal cap, violations never degrade: the full
 	// configuration space is available, so they are the model's to fix.
@@ -388,14 +371,14 @@ func TestDegradationLadderDegradesAndRecovers(t *testing.T) {
 }
 
 func TestDivergenceUnderCapTriggersReprofile(t *testing.T) {
-	r, s := attachedRuntime(DefaultOptions(qos.Imperceptible))
+	r, s := attachedRuntime(Options{Scenario: qos.Imperceptible})
 	m := identifiedModel(t, 0.002, 8e6)
 	r.models[m.Key] = m
 	cfg := acmp.Config{Cluster: acmp.Big, MHz: 1100}
 	drifted := m.Predict(cfg) * 2 // far outside the 50% band
 
 	// No cap active: drift alone never triggers.
-	for i := 0; i < 3*r.opts.MispredictLimit; i++ {
+	for i := 0; i < 3*mispredictLimit; i++ {
 		if r.divergedUnderCap(m, drifted, cfg) {
 			t.Fatal("divergence fired without an active thermal cap")
 		}
@@ -409,25 +392,25 @@ func TestDivergenceUnderCapTriggersReprofile(t *testing.T) {
 	if r.cpu.Ceiling() == acmp.PeakConfig() {
 		t.Fatal("thermal cap did not engage")
 	}
-	for i := 0; i < r.opts.MispredictLimit; i++ {
+	for i := 0; i < mispredictLimit; i++ {
 		if r.divergedUnderCap(m, drifted, cfg) {
-			t.Fatalf("divergence fired on frame %d, limit is %d", i+1, r.opts.MispredictLimit)
+			t.Fatalf("divergence fired on frame %d, limit is %d", i+1, mispredictLimit)
 		}
 	}
 	// An accurate frame resets the streak.
 	if r.divergedUnderCap(m, m.Predict(cfg), cfg) {
 		t.Fatal("accurate frame counted as divergence")
 	}
-	for i := 0; i <= r.opts.MispredictLimit; i++ {
+	for i := 0; i <= mispredictLimit; i++ {
 		got := r.divergedUnderCap(m, drifted, cfg)
-		if want := i == r.opts.MispredictLimit; got != want {
+		if want := i == mispredictLimit; got != want {
 			t.Fatalf("frame %d: diverged = %v, want %v", i+1, got, want)
 		}
 	}
 }
 
 func TestRuntimeStaysLegalUnderThermalCap(t *testing.T) {
-	r := New(DefaultOptions(qos.Imperceptible))
+	r := New(Options{Scenario: qos.Imperceptible})
 
 	s := sim.New()
 	cpu := acmp.NewCPU(s, acmp.DefaultPower())

@@ -209,7 +209,7 @@ func (r *Runtime) prepareStageVector(m *Model) {
 	if !r.opts.StageAware || m == nil || !m.Ready() || r.degraded[m.Key] {
 		return
 	}
-	vec, ok := m.SelectStageVector(r.deadline(m.Ann), r.pm, r.opts.Safety, r.cpu.Ceiling())
+	vec, ok := m.SelectStageVector(r.deadline(m.Ann), r.pm, safety, r.cpu.Ceiling())
 	if !ok {
 		return
 	}

@@ -20,8 +20,8 @@ import (
 // (panic recovery and timeouts happen inside), and is called by
 // at most Workers() cluster pullers concurrently; slot is the calling
 // puller's cluster-global index, which becomes the result's Worker. A
-// traced job's Run records its spans into the buffer its context carries
-// (trace.SweepIn).
+// traced job's Run records the job's execute span (ExecuteSpan) into the
+// buffer its context carries (trace.SweepIn).
 type Node interface {
 	Workers() int
 	Run(ctx context.Context, slot int, job Job) Result
@@ -51,7 +51,8 @@ type NodeHealth struct {
 	Reconnects      int64         `json:"reconnects"`
 	HeartbeatMisses int64         `json:"heartbeat_misses"`
 	// ClockOffsetUS is the handshake-estimated offset of the worker's clock
-	// from ours (positive = worker ahead), used to align its trace spans.
+	// from ours (positive = worker ahead), used to place the execute spans
+	// drawn from its results.
 	ClockOffsetUS int64 `json:"clock_offset_us"`
 }
 
@@ -92,8 +93,8 @@ type NodeInfo struct {
 	Reconnects      int64   `json:"reconnects,omitempty"`
 	HeartbeatMisses int64   `json:"heartbeat_misses,omitempty"`
 	// ClockOffsetUS is the handshake-estimated offset of the node's clock
-	// from the server's (positive = node clock ahead), used to align the
-	// node's trace spans.
+	// from the server's (positive = node clock ahead), used to place the
+	// execute spans drawn from the node's results.
 	ClockOffsetUS int64 `json:"clock_offset_us,omitempty"`
 
 	// Work accounting.
@@ -256,11 +257,6 @@ type Cluster struct {
 	nodes []Node
 	q     *queue
 	wg    sync.WaitGroup
-	// managed is set by NewManager: the pullers then record the server's
-	// scheduling spans (dispatch, re-home) of each traced job. A greennode's
-	// cluster serves no manager, so the span buffer of a traced job there
-	// holds only its node's spans, which the worker ships.
-	managed atomic.Bool
 
 	running   atomic.Int64
 	done      atomic.Int64
@@ -374,7 +370,7 @@ func (c *Cluster) puller(node, slot int) {
 			return
 		}
 		var tr *trace.SweepTrace // nil for an untraced job
-		if it.job.Trace != nil && c.managed.Load() {
+		if it.job.Trace != nil {
 			tr = trace.SweepIn(it.ctx)
 		}
 		c.pulled[node].Add(1)
@@ -388,7 +384,7 @@ func (c *Cluster) puller(node, slot int) {
 		c.running.Add(-1)
 		if tr != nil {
 			// The dispatch span brackets the node call as the server saw
-			// it; for a remote node, the gap between it and the worker's
+			// it; for a remote node, the gap between it and the job's
 			// execute span is transport plus worker-side queueing.
 			tr.Record(*it.job.Trace, "dispatch", "sched", dispatched, time.Since(dispatched),
 				map[string]string{"node": strconv.Itoa(node)})
@@ -435,8 +431,7 @@ func (c *Cluster) puller(node, slot int) {
 // once, never inside Start, with the job's terminal Result — including
 // failure and cancellation; started, if non-nil, fires when the job leaves
 // the queue for a node. A traced job's ctx carries its span buffer
-// (trace.WithSweep), where its node records under job.Trace, and so does a
-// managed cluster's puller.
+// (trace.WithSweep), where its puller and its node record under job.Trace.
 func (c *Cluster) Start(ctx context.Context, job Job, started func(), deliver func(Result)) error {
 	if ctx == nil {
 		ctx = context.Background()

@@ -71,10 +71,11 @@ type Job struct {
 	StageWorkers int `json:"stage_workers,omitempty"`
 	// Trace is the distributed-tracing context (sweep id, job index,
 	// attempt, parent span id), stamped by the manager on the copy of each
-	// job of a traced sweep that it starts on the cluster, and shipped with
-	// the job to remote workers. Out-of-band by construction: no output path
-	// reads it, and the WAL, which persists result rows only, never sees it.
-	Trace *trace.Context `json:"trace,omitempty"`
+	// job of a traced sweep that it starts on the cluster. Out-of-band by
+	// construction: no output path reads it, and neither the wire to remote
+	// workers nor the WAL carries it, since the server draws every span of
+	// the job itself.
+	Trace *trace.Context `json:"-"`
 }
 
 func (j Job) String() string { return fmt.Sprintf("%s/%s/%s", j.App, j.Kind, j.Phase) }
@@ -135,7 +136,11 @@ type Result struct {
 	Job    Job
 	Err    error
 	Worker int // cluster-global slot index of the puller that ran the job (-1 if never scheduled)
-	// Latency is the wall-clock execution time, excluding queueing.
+	// Start is when the job's LocalNode started running it, on the clock of
+	// the process it ran in (a remote worker's for a remote node), and
+	// Latency the wall-clock execution time from then, excluding queueing.
+	// Start is zero if no node ran the job.
+	Start   time.Time
 	Latency time.Duration
 
 	// Row holds the run's columns (RowOf reads them) and Timeline the run's
@@ -202,26 +207,35 @@ func (n *LocalNode) Close() {}
 // Run executes the job once, with panic recovery and the JobTimeout cap. A
 // failed cell is not run again: every cell is a deterministic function of
 // its job, so a second run fails the same way. slot is the calling puller's
-// cluster-global index, recorded as the result's Worker. A traced job
-// records its execute span into the span buffer its context carries: its
-// sweep's on the server, its own on a worker, which ships it with the
-// result.
+// cluster-global index, recorded as the result's Worker. A traced job's
+// execute span (ExecuteSpan) goes into the span buffer its context carries.
 func (n *LocalNode) Run(ctx context.Context, slot int, job Job) Result {
 	start := time.Now()
 	run, err := n.execute(ctx, job)
-	if job.Trace != nil {
-		attrs := map[string]string{"worker": strconv.Itoa(slot)}
-		if err != nil {
-			attrs["err"] = err.Error()
-		}
-		trace.SweepIn(ctx).Record(*job.Trace, "execute", "execute", start, time.Since(start), attrs)
-	}
-	res := Result{Job: job, Worker: slot, Err: err}
+	res := Result{Job: job, Worker: slot, Err: err, Start: start}
 	if err == nil {
 		res.Row, res.Timeline = project(run)
 	}
 	res.Latency = time.Since(start)
+	if job.Trace != nil {
+		trace.SweepIn(ctx).Add(ExecuteSpan(*job.Trace, res))
+	}
 	return res
+}
+
+// ExecuteSpan is the execute span of r's job, traced under tc: the window
+// [r.Start, r.Start+r.Latency] a node ran the job in, on the clock r.Start
+// was read from, with the running slot and any error as attributes. Every
+// kind of node draws it alike: a LocalNode from the result it returns, a
+// remote node from the one its worker ships.
+func ExecuteSpan(tc trace.Context, r Result) trace.Span {
+	attrs := map[string]string{"worker": strconv.Itoa(r.Worker)}
+	if r.Err != nil {
+		attrs["err"] = r.Err.Error()
+	}
+	return trace.Span{ID: trace.NewSpanID(), Parent: tc.Parent, Name: "execute", Cat: "execute",
+		Job: tc.Job, Attempt: tc.Attempt, StartUS: r.Start.UnixMicro(),
+		DurUS: int64(r.Latency / time.Microsecond), Attrs: attrs}
 }
 
 // project is what a result keeps of a finished run: the row's run columns

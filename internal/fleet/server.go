@@ -260,7 +260,7 @@ const maxSweepRequestBytes = 1 << 20
 //	                             spans merged across server and worker
 //	                             processes, clock-aligned)
 //	GET  /v1/nodes               per-node liveness, heartbeat RTT, job and
-//	                             span-drop federation
+//	                             re-home federation
 //	GET  /healthz                liveness (503 while draining)
 //	GET  /metrics                Prometheus text exposition
 //	GET  /debug/pprof/           net/http/pprof profiles
@@ -486,10 +486,10 @@ func NewServer(m *Manager) *Server {
 		if !ok {
 			return
 		}
-		// ?fleet=1 serves the distributed trace: the server's merged span
-		// buffer (admission, queue-wait, dispatch, re-home) plus
-		// every worker's shipped spans, clock-aligned, one Chrome trace
-		// process row per real OS process.
+		// ?fleet=1 serves the distributed trace: the sweep's span buffer
+		// (admission, queue-wait, dispatch, re-home, and each job's execute
+		// span, clock-aligned under the pid of the process that ran it),
+		// one Chrome trace process row per real OS process.
 		if r.URL.Query().Get("fleet") == "1" {
 			tr := s.fleetTrace.Load()
 			if tr == nil {

@@ -239,14 +239,12 @@ func (m *Manager) TracingEnabled() bool { return m.tracing }
 // same either way. Must be called before the first Enqueue.
 func (m *Manager) SetTracing(on bool) { m.tracing = on }
 
-// NewManager builds a manager over a cluster, whose pullers then record
-// the scheduling spans of traced sweeps; ctx bounds the lifetime of every
-// sweep it enqueues (pass the server's base context).
+// NewManager builds a manager over a cluster; ctx bounds the lifetime of
+// every sweep it enqueues (pass the server's base context).
 func NewManager(ctx context.Context, c *Cluster) *Manager {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c.managed.Store(true)
 	return &Manager{ctx: ctx, cluster: c, tracing: true, sweeps: make(map[SweepID]*Sweep)}
 }
 
@@ -418,14 +416,14 @@ func (m *Manager) Enqueue(jobs []Job) (*Sweep, error) {
 				innerStarted()
 			}
 			deliver = func(r Result) {
-				tr.Add([]trace.Span{{
+				tr.Add(trace.Span{
 					ID: rootID, Name: "job", Cat: "job", Job: i,
 					StartUS: submitted.UnixMicro(),
 					DurUS:   int64(time.Since(submitted) / time.Microsecond),
 					Attrs: map[string]string{
 						"app": job.App, "kind": string(job.Kind), "state": string(r.State()),
 					},
-				}}, 0)
+				})
 				s.finish(i, r)
 			}
 		}

@@ -93,25 +93,17 @@ func NewGovernor(kind Kind) browser.Governor {
 	case Powersave:
 		return governor.NewPowersave()
 	case GreenWebI:
-		return core.New(core.DefaultOptions(qos.Imperceptible))
+		return core.New(core.Options{Scenario: qos.Imperceptible})
 	case GreenWebU:
-		return core.New(core.DefaultOptions(qos.Usable))
+		return core.New(core.Options{Scenario: qos.Usable})
 	case GreenWebIStaged:
-		o := core.DefaultOptions(qos.Imperceptible)
-		o.StageAware = true
-		return core.New(o)
+		return core.New(core.Options{Scenario: qos.Imperceptible, StageAware: true})
 	case GreenWebUBigOnly:
-		o := core.DefaultOptions(qos.Usable)
-		o.BigOnly = true
-		return core.New(o)
+		return core.New(core.Options{Scenario: qos.Usable, BigOnly: true})
 	case GreenWebULittleOnly:
-		o := core.DefaultOptions(qos.Usable)
-		o.LittleOnly = true
-		return core.New(o)
+		return core.New(core.Options{Scenario: qos.Usable, LittleOnly: true})
 	case GreenWebILittleOnly:
-		o := core.DefaultOptions(qos.Imperceptible)
-		o.LittleOnly = true
-		return core.New(o)
+		return core.New(core.Options{Scenario: qos.Imperceptible, LittleOnly: true})
 	case EBSKind:
 		return governor.NewEBS()
 	default:

@@ -7,13 +7,12 @@ import (
 	"time"
 )
 
-// SweepTrace is the one bounded span buffer. On the server it is a sweep's:
-// the manager records admission, queue-wait and each job's root span, the
-// cluster dispatch and re-home, and the nodes each job's execute span, a
-// remote node adding those its worker shipped. On a greennode it is
-// one traced job's, which the worker ships in the job's result frame. Past
-// its size a span is counted, not stored. A nil SweepTrace records nothing,
-// so call sites stay unconditional.
+// SweepTrace is the one bounded span buffer: a traced sweep's, on the
+// server that runs it. The manager records admission, queue-wait and each
+// job's root span, the cluster dispatch and re-home, and the nodes each
+// job's execute span, a remote node drawing it from the result its worker
+// ships. Past its size a span is counted, not stored. A nil SweepTrace
+// records nothing, so call sites stay unconditional.
 type SweepTrace struct {
 	mu      sync.Mutex
 	spans   []Span
@@ -32,7 +31,7 @@ func (t *SweepTrace) Record(tc Context, name, cat string, start time.Time, dur t
 	if t == nil {
 		return
 	}
-	t.Add([]Span{{
+	t.Add(Span{
 		ID:      NewSpanID(),
 		Parent:  tc.Parent,
 		Name:    name,
@@ -42,30 +41,26 @@ func (t *SweepTrace) Record(tc Context, name, cat string, start time.Time, dur t
 		StartUS: start.UnixMicro(),
 		DurUS:   int64(dur / time.Microsecond),
 		Attrs:   attrs,
-	}}, 0)
+	})
 }
 
-// Add appends fully formed spans (a job root whose id was minted up front,
-// or a worker's shipped spans, already clock-aligned) and counts dropped,
-// the spans their recorder dropped before they got here. Spans without a
-// PID are stamped with this process's.
-func (t *SweepTrace) Add(spans []Span, dropped int) {
+// Add appends one fully formed span: a job root whose id was minted up
+// front, or the execute span a node draws from a job's result. A span
+// without a PID is stamped with this process's.
+func (t *SweepTrace) Add(sp Span) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.dropped += int64(dropped)
-	for _, sp := range spans {
-		if len(t.spans) >= t.budget {
-			t.dropped++
-			continue
-		}
-		if sp.PID == 0 {
-			sp.PID = pid
-		}
-		t.spans = append(t.spans, sp)
+	if len(t.spans) >= t.budget {
+		t.dropped++
+		return
 	}
+	if sp.PID == 0 {
+		sp.PID = pid
+	}
+	t.spans = append(t.spans, sp)
 }
 
 // Snapshot copies the kept spans and the cumulative drop count.
@@ -82,8 +77,8 @@ var pid = os.Getpid()
 
 // A span buffer rides the context its job runs with, the way
 // harness.WithStageWorkers carries the stage count: the cluster and the
-// node that run the job record into the buffer of the sweep (or, on a
-// worker, of the job) that submitted it.
+// node that run the job record into the buffer of the sweep that submitted
+// it.
 type sweepKey struct{}
 
 // WithSweep returns a context carrying the span buffer t.

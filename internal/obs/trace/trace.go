@@ -1,8 +1,7 @@
 // Package trace is the fleet-wide distributed tracing layer: a compact
-// span context propagated with every traced job — through fleet.Job, over
-// the shard wire protocol, into greennode worker processes — and the span
-// records that flow back, so one sweep's full story (HTTP admission, queue
-// wait, dispatch, re-home, execution) merges into a single
+// span context stamped on every traced job, and the span records its
+// server process draws from the job's life, so one sweep's full story (HTTP
+// admission, queue wait, dispatch, re-home, execution) merges into a single
 // Chrome trace_event artifact regardless of how many processes ran it.
 //
 // Design constraints, matching the rest of internal/obs:
@@ -10,11 +9,12 @@
 //  1. Out-of-band. Tracing must never change a report, NDJSON row, ledger,
 //     or fault-sweep byte. Contexts ride in fields every output path
 //     ignores; spans are carried next to results, never inside them.
-//  2. Bounded memory. Every span lands in a SweepTrace, a buffer of fixed
-//     size with an explicit dropped-span counter: a sweep's on the server,
-//     one job's on a worker — a pathological cell cannot balloon either.
-//  3. Clock honesty. Worker spans are stamped on the worker's clock and
-//     aligned at merge time using the offset estimated during the
+//  2. Bounded memory. Every span lands in a sweep's SweepTrace, a buffer of
+//     fixed size with an explicit dropped-span counter, so a pathological
+//     sweep cannot balloon it.
+//  3. Clock honesty. One process records every span. A job a worker
+//     process ran is drawn from the start its result reports on the
+//     worker's clock, aligned by the offset estimated during the
 //     hello/welcome handshake (see EstimateOffsetUS); the exporter then
 //     normalizes all timestamps to the sweep's earliest span.
 package trace
@@ -25,23 +25,22 @@ import (
 	"time"
 )
 
-// Context is the propagated trace context: enough to correlate any span,
-// log line, or wire frame back to one job of one sweep. It rides in
-// fleet.Job's Trace field, over the wire to remote workers too; the WAL
-// never sees it, since the store persists result rows only.
+// Context is a traced job's trace context: enough to correlate any span
+// back to one job of one sweep. It rides in fleet.Job's Trace field, which
+// neither the wire to remote workers nor the WAL carries.
 type Context struct {
 	Sweep string `json:"sweep"`
 	Job   int    `json:"job"`
 	// Attempt counts placements: 0 for the first home, +1 per re-home, so a
-	// worker's spans say which incarnation of the job they belong to.
+	// node's spans say which incarnation of the job they belong to.
 	Attempt int `json:"attempt,omitempty"`
-	// Parent is the job's root span id, allocated server-side at enqueue;
-	// worker-recorded spans parent onto it.
+	// Parent is the job's root span id, allocated at enqueue; the job's
+	// scheduling and execute spans parent onto it.
 	Parent uint64 `json:"parent,omitempty"`
 }
 
 // Span is one recorded phase of a traced job. Timestamps are unix
-// microseconds on the recording process's clock; the merge aligns them.
+// microseconds on the recording process's clock.
 type Span struct {
 	ID     uint64 `json:"id,omitempty"`
 	Parent uint64 `json:"par,omitempty"`
@@ -51,13 +50,12 @@ type Span struct {
 	Cat     string `json:"cat,omitempty"`
 	Job     int    `json:"job"`
 	Attempt int    `json:"att,omitempty"`
-	// Node names the executing node ("" for the server process). Remote
-	// spans arrive with Node unset and are stamped by the RemoteNode that
-	// knows the handshake identity.
+	// Node names the executing worker process ("" for the server process),
+	// as its handshake advertised it.
 	Node string `json:"node,omitempty"`
-	// PID is the recording process's os.Getpid() — the trace exporter's
-	// process row key, and the CI smoke's proof that spans really came from
-	// distinct worker processes.
+	// PID is the os.Getpid() of the process the span happened in: the
+	// trace exporter's process row key, and the CI smoke's proof that jobs
+	// really ran in distinct worker processes.
 	PID     int               `json:"pid,omitempty"`
 	StartUS int64             `json:"ts"`
 	DurUS   int64             `json:"dur"`
@@ -74,14 +72,6 @@ func NewSpanID() uint64 {
 	return uint64(os.Getpid()&0xffff)<<48 | (spanSeq.Add(1) & (1<<48 - 1))
 }
 
-// DefaultJobBudget bounds one traced job's spans on a worker: the buffer a
-// greennode records each traced job into, and so the span count a remote
-// result's decoder accepts. A worker's cluster is not managed, so it records
-// no dispatch or re-home spans: each traced job gets exactly one execute
-// span. The few slots past it are headroom, kept small because every slot
-// widens what a hostile worker can make the server decode.
-const DefaultJobBudget = 4
-
 // EstimateOffsetUS estimates a remote clock's offset from ours, in
 // microseconds, from one handshake exchange: t0 is our clock when the hello
 // was sent, t1 our clock when the welcome arrived, and remoteUS the remote
@@ -95,17 +85,4 @@ const DefaultJobBudget = 4
 func EstimateOffsetUS(t0, t1 time.Time, remoteUS int64) int64 {
 	lo, hi := t0.UnixMicro(), t1.UnixMicro()
 	return remoteUS - (lo + (hi-lo)/2)
-}
-
-// AlignSpans rebases spans recorded on a remote clock into the local
-// timeline by subtracting the handshake-estimated offset, and stamps the
-// node identity the transport knows. Pids recorded worker-side pass
-// through untouched.
-func AlignSpans(spans []Span, offsetUS int64, node string) {
-	for i := range spans {
-		spans[i].StartUS -= offsetUS
-		if spans[i].Node == "" {
-			spans[i].Node = node
-		}
-	}
 }

@@ -10,43 +10,12 @@ import (
 	"time"
 )
 
-// TestJobBufferBudget: a worker's buffer for one job keeps
-// DefaultJobBudget spans, each stamped with the job's coordinates, this
-// process's pid and a fresh id, and counts the spans past the budget.
-func TestJobBufferBudget(t *testing.T) {
-	tr := NewSweepTrace(DefaultJobBudget)
-	tc := Context{Sweep: "s-1", Job: 3, Attempt: 1, Parent: 42}
-	base := time.Now()
-	tr.Record(tc, "execute", "execute", base, time.Millisecond, map[string]string{"worker": "1"})
-	for i := 1; i < DefaultJobBudget; i++ {
-		tr.Record(tc, "execute", "execute", base, time.Millisecond, nil)
-	}
-	tr.Record(tc, "execute", "execute", base, time.Millisecond, nil) // over budget
-	spans, dropped := tr.Snapshot()
-	if len(spans) != DefaultJobBudget {
-		t.Fatalf("spans = %d, want %d", len(spans), DefaultJobBudget)
-	}
-	if dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", dropped)
-	}
-	ids := map[uint64]bool{}
-	for _, sp := range spans {
-		if sp.Job != 3 || sp.Attempt != 1 || sp.Parent != 42 || sp.PID != os.Getpid() {
-			t.Fatalf("span coordinates not stamped: %+v", sp)
-		}
-		if sp.ID == 0 || ids[sp.ID] {
-			t.Fatalf("span id not minted afresh: %+v", sp)
-		}
-		ids[sp.ID] = true
-	}
-}
-
 // TestNilSweepTraceIsSafe: an untraced job's nil buffer records and keeps
 // nothing, so call sites stay unconditional.
 func TestNilSweepTraceIsSafe(t *testing.T) {
 	var tr *SweepTrace
 	tr.Record(Context{Job: 1}, "execute", "execute", time.Now(), time.Millisecond, nil)
-	tr.Add([]Span{{Name: "execute"}}, 2)
+	tr.Add(Span{Name: "execute"})
 	if spans, dropped := tr.Snapshot(); spans != nil || dropped != 0 {
 		t.Fatal("nil buffer recorded something")
 	}
@@ -68,27 +37,39 @@ func TestEstimateOffsetUS(t *testing.T) {
 	}
 }
 
-// TestSweepTraceBudgetAndSnapshot: a sweep's buffer keeps its spans and
-// counts drops, its own and those a worker shipped, and rides a context to
-// the scheduler. The manager's bound on how many sweeps keep one is
-// fleet's TestFleetTraceBound.
+// TestSweepTraceBudgetAndSnapshot: a sweep's buffer keeps its spans, each
+// recorded one stamped with the job's coordinates, this process's pid and
+// a fresh id, keeps the pid of a span drawn for another process, counts
+// the spans past its size, and rides a context to the scheduler. The
+// manager's bound on how many sweeps keep one is fleet's
+// TestFleetTraceBound.
 func TestSweepTraceBudgetAndSnapshot(t *testing.T) {
 	tr := NewSweepTrace(512)
-	tr.Record(Context{Job: 0}, "queue-wait", "queue", time.Now(), time.Millisecond, nil)
-	tr.Add([]Span{{Name: "execute", Cat: "execute", Job: 0, PID: 999}}, 3)
+	tc := Context{Sweep: "s-1", Job: 3, Attempt: 1, Parent: 42}
+	tr.Record(tc, "queue-wait", "queue", time.Now(), time.Millisecond, nil)
+	tr.Record(tc, "dispatch", "sched", time.Now(), time.Millisecond, nil)
+	tr.Add(Span{Name: "execute", Cat: "execute", Job: 3, PID: 999})
 	spans, dropped := tr.Snapshot()
-	if len(spans) != 2 || dropped != 3 {
-		t.Fatalf("snapshot = %d spans, %d dropped; want 2, 3", len(spans), dropped)
+	if len(spans) != 3 || dropped != 0 {
+		t.Fatalf("snapshot = %d spans, %d dropped; want 3, 0", len(spans), dropped)
 	}
-	if spans[0].PID != os.Getpid() || spans[1].PID != 999 {
-		t.Fatalf("pids = %d, %d; want this process's, then the shipped span's 999", spans[0].PID, spans[1].PID)
+	for _, sp := range spans[:2] {
+		if sp.Job != 3 || sp.Attempt != 1 || sp.Parent != 42 || sp.PID != os.Getpid() || sp.ID == 0 {
+			t.Fatalf("span coordinates not stamped: %+v", sp)
+		}
+	}
+	if spans[0].ID == spans[1].ID {
+		t.Fatalf("span id not minted afresh: %d twice", spans[0].ID)
+	}
+	if spans[2].PID != 999 {
+		t.Fatalf("pid = %d; want the drawn span's 999", spans[2].PID)
 	}
 	// Past its size, spans are counted.
 	for i := len(spans); i < 513; i++ {
-		tr.Add([]Span{{Name: "execute", Job: 0}}, 0)
+		tr.Add(Span{Name: "execute", Job: 0})
 	}
-	if spans, dropped := tr.Snapshot(); len(spans) != 512 || dropped != 4 {
-		t.Fatalf("past the budget: %d spans, %d dropped; want 512, 4", len(spans), dropped)
+	if spans, dropped := tr.Snapshot(); len(spans) != 512 || dropped != 1 {
+		t.Fatalf("past the budget: %d spans, %d dropped; want 512, 1", len(spans), dropped)
 	}
 	ctx := context.Background()
 	if SweepIn(ctx) != nil || SweepIn(WithSweep(ctx, tr)) != tr {
@@ -96,10 +77,11 @@ func TestSweepTraceBudgetAndSnapshot(t *testing.T) {
 	}
 }
 
-// TestMergeAlignsTwoSkewedClocks is the trace-merge contract: spans
-// recorded on two worker clocks — one 5s fast, one 3s slow — align into one
-// monotonic timeline once each batch is rebased by its handshake-estimated
-// offset, and the exported Chrome trace emits nondecreasing timestamps.
+// TestMergeAlignsTwoSkewedClocks is the trace-merge contract: execute
+// spans whose starts two workers reported on their own clocks — one 5s
+// fast, one 3s slow — align into one monotonic timeline once each start is
+// rebased by its handshake-estimated offset, as a remote node draws them,
+// and the exported Chrome trace emits nondecreasing timestamps.
 func TestMergeAlignsTwoSkewedClocks(t *testing.T) {
 	// Server timeline (unix µs): job 0 queue-waits [1000, 2000), executes
 	// on node A [2000, 12000); job 1 queue-waits [1000, 3000), executes on
@@ -112,9 +94,10 @@ func TestMergeAlignsTwoSkewedClocks(t *testing.T) {
 		{ID: 1, Name: "queue-wait", Cat: "queue", Job: 0, PID: 100, StartUS: 1000, DurUS: 1000},
 		{ID: 2, Name: "queue-wait", Cat: "queue", Job: 1, PID: 100, StartUS: 1000, DurUS: 2000},
 	}
-	// Worker spans stamped on their own skewed clocks.
-	fromA := []Span{{ID: 3, Name: "execute", Cat: "execute", Job: 0, PID: 200, StartUS: 2000 + offsetA, DurUS: 10_000}}
-	fromB := []Span{{ID: 4, Name: "execute", Cat: "execute", Job: 1, PID: 300, StartUS: 3000 + offsetB, DurUS: 6000}}
+	// Execute spans with the starts each worker reported on its own skewed
+	// clock.
+	fromA := Span{ID: 3, Name: "execute", Cat: "execute", Job: 0, PID: 200, StartUS: 2000 + offsetA, DurUS: 10_000}
+	fromB := Span{ID: 4, Name: "execute", Cat: "execute", Job: 1, PID: 300, StartUS: 3000 + offsetB, DurUS: 6000}
 
 	// The transport estimates each offset from a simulated handshake: the
 	// worker's now_us is its skewed clock read at the exchange midpoint.
@@ -124,10 +107,11 @@ func TestMergeAlignsTwoSkewedClocks(t *testing.T) {
 	if estA != offsetA || estB != offsetB {
 		t.Fatalf("offset estimates = %d, %d; want %d, %d", estA, estB, offsetA, offsetB)
 	}
-	AlignSpans(fromA, estA, "nodeA")
-	AlignSpans(fromB, estB, "nodeB")
+	// Each start is rebased by its node's estimate, under the node's name.
+	fromA.StartUS, fromA.Node = fromA.StartUS-estA, "nodeA"
+	fromB.StartUS, fromB.Node = fromB.StartUS-estB, "nodeB"
 
-	merged := append(append(serverSpans, fromA...), fromB...)
+	merged := append(serverSpans, fromA, fromB)
 	var buf bytes.Buffer
 	if err := WriteFleetTrace(&buf, "s-42", merged, 0); err != nil {
 		t.Fatal(err)

@@ -9,8 +9,8 @@
 // are observable to transport wrappers (the chaos injector keys its faults
 // on the write-side frame index). Frame types:
 //
-//	client → worker   {"t":"hello","proto":6}
-//	worker → client   {"t":"welcome","proto":6,"workers":N,"name":"...",
+//	client → worker   {"t":"hello","proto":7}
+//	worker → client   {"t":"welcome","proto":7,"workers":N,"name":"...",
 //	                   "now_us":T,"pid":P}
 //	client → worker   {"t":"job","id":SEQ,"job":{...fleet.Job}}
 //	worker → client   {"t":"result","id":SEQ,"result":{...wireResult}}
@@ -20,14 +20,17 @@
 //
 // Job and result frames are multiplexed by id; pings flow on the same
 // connection while jobs execute, so heartbeat RTT measures the transport,
-// not the work queue. A result frame carries the row greensrv would serve
-// for the job, as the worker's fleet projected it, plus its run's ledger
-// spans, their frame decisions and its config marks as one binary timeline
-// block (ledger.AppendTimeline), base64 inside the JSON.
+// not the work queue. A job frame carries the job without its trace
+// context. A result frame carries the row greensrv would serve for the job,
+// as the worker's fleet projected it, its run's ledger spans, their frame
+// decisions and its config marks as one binary timeline block
+// (ledger.AppendTimeline), base64 inside the JSON, and when the worker ran
+// the job: start_us on its clock and latency_ns.
 //
 // Every welcome carries the worker's pid and its clock (now_us), from which
-// the client estimates the clock offset that aligns the trace spans the
-// worker ships back. A worker refuses any hello whose proto differs from
+// the client estimates the clock offset that places a traced job's execute
+// span, drawn from start_us and latency_ns, under the worker's pid in the
+// client's timeline. A worker refuses any hello whose proto differs from
 // its own, so both ends always share one feature set: nothing is
 // negotiated, and a fleet runs one protocol version.
 package shard
@@ -53,8 +56,11 @@ import (
 // every block. A version-4 server would read every version-5 result as
 // undecided and serve an empty decision log. Version 6: a worker runs each
 // job once and results carry no attempt history; a version-5 worker would
-// still retry a failed cell.
-const protoVersion = 6
+// still retry a failed cell. Version 7: jobs carry no trace context, and a
+// result says when its job ran (start_us) instead of shipping the worker's
+// span buffer; paired with version 6, either end would leave every remote
+// job without an execute span.
+const protoVersion = 7
 
 // writeTimeout caps one frame write, on either end, so a dead peer cannot
 // wedge the writer forever.

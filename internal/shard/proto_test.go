@@ -45,89 +45,21 @@ func TestReadFrameAllocatesOnlyWhatArrives(t *testing.T) {
 // fails with the decode error, wrapped in errBadRun, and carries neither a
 // row nor the block; the other result fields still arrive.
 func TestBadTimelineFailsTheJob(t *testing.T) {
-	w := encodeResult(realResults(t)[1], nil)
+	w := encodeResult(realResults(t)[1])
 	w.Timeline = w.Timeline[:len(w.Timeline)/2]
-	res, _, _ := decodeResult(w, fleet.Job{App: "Todo", Kind: harness.GreenWebI})
+	res := decodeResult(w, fleet.Job{App: "Todo", Kind: harness.GreenWebI})
 	if !errors.Is(res.Err, errBadRun) || !errors.Is(res.Err, ledger.ErrBadTimeline) ||
 		res.Row != nil || res.Timeline != nil {
 		t.Fatalf("truncated timeline decoded to row %v, block %d bytes, err %v; want errBadRun alone",
 			res.Row, len(res.Timeline), res.Err)
 	}
-	if res.Worker != w.Worker || res.Latency != time.Duration(w.LatencyNS) {
+	if res.Worker != w.Worker || res.Latency != time.Duration(w.LatencyNS) || res.Start.UnixMicro() != w.StartUS {
 		t.Fatalf("result lost its provenance: %+v", res)
 	}
 }
 
-// TestTooManySpansFailsTheJob: a result may carry as many worker trace
-// spans as a job records and no more; one past the budget fails the job
-// with errTooManySpans, and a 10,000-span array is refused before any
-// element is decoded, so the frame costs a few times its bytes rather than
-// 10,000 trace.Spans.
-func TestTooManySpansFailsTheJob(t *testing.T) {
-	frameOf := func(n int) []byte {
-		return rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1,"state":"done",` +
-			`"spans":[{"name":"execute"}` + strings.Repeat(`,{"name":"execute"}`, n-1) + `]}}`)
-	}
-	job := fleet.Job{App: "Todo", Kind: harness.Perf}
-	read := func(b []byte) (fleet.Result, []trace.Span) {
-		t.Helper()
-		f, err := readFrame(bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, spans, _ := decodeResult(f.Result, job)
-		return res, spans
-	}
-	if res, spans := read(frameOf(trace.DefaultJobBudget)); res.Err != nil || res.Row == nil ||
-		len(spans) != trace.DefaultJobBudget {
-		t.Fatalf("a result at the span budget: err %v, row %v, %d spans", res.Err, res.Row != nil, len(spans))
-	}
-	if res, spans := read(frameOf(trace.DefaultJobBudget + 1)); !errors.Is(res.Err, errTooManySpans) ||
-		res.Row != nil || spans != nil {
-		t.Fatalf("a result past the span budget: err %v, row %v, %d spans; want errTooManySpans alone",
-			res.Err, res.Row != nil, len(spans))
-	}
-
-	big := frameOf(10_000)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, _ := read(big)
-	runtime.ReadMemStats(&after)
-	if !errors.Is(res.Err, errTooManySpans) {
-		t.Fatalf("err = %v, want errTooManySpans", res.Err)
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(8*len(big)) {
-		t.Fatalf("refusing a %d-byte frame of 10,000 spans allocated %d bytes", len(big), alloc)
-	}
-}
-
-// TestWrongTypedArraysFailTheJob: a result whose trace spans are an array
-// of elements of the wrong type, past the budget, fails the job with
-// errTooManySpans and carries no row. The array is counted before any
-// element is decoded, so a 300 KB frame of 150,000 zeros costs a few times
-// its bytes rather than an encoding/json error value per zero (90×).
-func TestWrongTypedArraysFailTheJob(t *testing.T) {
-	t.Run("spans", func(t *testing.T) {
-		b := zerosFrame(150_000)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f, err := readFrame(bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, _, _ := decodeResult(f.Result, fleet.Job{App: "Todo", Kind: harness.Perf})
-		runtime.ReadMemStats(&after)
-		if !errors.Is(res.Err, errTooManySpans) || res.Row != nil {
-			t.Fatalf("err %v, row %v; want errTooManySpans alone", res.Err, res.Row != nil)
-		}
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(8*len(b)) {
-			t.Fatalf("refusing a %d-byte frame of 150,000 zeros allocated %d bytes", len(b), alloc)
-		}
-	})
-}
-
-// zerosFrame is a result frame, with a row, whose trace spans are n zeros:
-// elements of the wrong type.
+// zerosFrame is a result frame, with a row, that carries an n-element array
+// of zeros under "spans", a field results no longer have.
 func zerosFrame(n int) []byte {
 	return rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1,"state":"done",` +
 		`"spans":[0` + strings.Repeat(",0", n-1) + `]}}`)
@@ -208,13 +140,10 @@ func rawFrame(payload string) []byte {
 
 // frameSeeds is one frame of every type, with result frames carrying the
 // rows and timelines of real runs (baseline and GreenWeb), a failure, and
-// a job's span buffer.
+// a minimal row with when its job ran.
 func frameSeeds(tb testing.TB) []frame {
 	job := fleet.Job{App: "Todo", Kind: harness.GreenWebI, Phase: fleet.Full,
 		Trace: &trace.Context{Sweep: "s-000001", Job: 2, Parent: 7}}
-	spans := trace.NewSweepTrace(1)
-	spans.Record(*job.Trace, "execute", "execute", time.UnixMicro(5), 9*time.Microsecond, nil)
-	spans.Record(*job.Trace, "execute", "execute", time.UnixMicro(14), time.Microsecond, nil) // dropped
 	seeds := []frame{
 		{T: frameHello, Proto: protoVersion},
 		{T: frameWelcome, Proto: protoVersion, Workers: 2, Name: "alpha", Now: 1, PID: 2},
@@ -224,11 +153,12 @@ func frameSeeds(tb testing.TB) []frame {
 		{T: framePong, ID: 2},
 		{T: frameCancel, ID: 1},
 		{T: frameResult, ID: 3, Result: encodeResult(fleet.Result{Job: job, Worker: -1,
-			Err: errors.New("fault storm")}, nil)},
-		{T: frameResult, ID: 4, Result: encodeResult(fleet.Result{Job: job, Row: &fleet.ResultRow{}}, spans)},
+			Err: errors.New("fault storm")})},
+		{T: frameResult, ID: 4, Result: encodeResult(fleet.Result{Job: job, Worker: 1,
+			Start: time.UnixMicro(5), Latency: 9 * time.Microsecond, Row: &fleet.ResultRow{}})},
 	}
 	for i, r := range fuzzResults(tb) {
-		seeds = append(seeds, frame{T: frameResult, ID: uint64(10 + i), Result: encodeResult(r, nil)})
+		seeds = append(seeds, frame{T: frameResult, ID: uint64(10 + i), Result: encodeResult(r)})
 	}
 	return seeds
 }
@@ -239,13 +169,12 @@ func frameSeeds(tb testing.TB) []frame {
 // carries no row; and the reader allocates within a constant factor of the
 // bytes that arrive, whatever the length prefixes and counts claim.
 //
-// The factor is encoding/json's: a result's trace spans are counted before
-// they are decoded, and a frame shorter than minFramePayload is refused
-// unread. Its densest input is a run of result frames that each carry a
-// minimal row and trace.DefaultJobBudget (4) empty spans, the most a result
-// may carry: each 3-byte "{}," decodes to a whole trace.Span, and the run
-// allocates about 30 bytes per byte (runtime.ReadMemStats over 200 such
-// frames). A run of minimal ping frames costs about 16.
+// The factor is encoding/json's: no frame field is a JSON array, and
+// a frame shorter than minFramePayload is refused unread. Its densest input
+// is a run of result frames that each carry a minimal row,
+// {"t":"result","result":{"app":""}}, whose payload, decoded result and
+// served row cost about 28.5 bytes per byte (runtime.ReadMemStats over 200
+// such frames, best of 5). A run of minimal ping frames costs about 16.
 func FuzzReadFrame(f *testing.F) {
 	var stream bytes.Buffer // several frames back to back
 	for _, fr := range frameSeeds(f) {
@@ -259,10 +188,8 @@ func FuzzReadFrame(f *testing.F) {
 		}
 	}
 	f.Add(stream.Bytes())
-	f.Add(rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1,"spans":[{}` +
-		strings.Repeat(",{}", 999) + `]}}`))
-	f.Add(bytes.Repeat(rawFrame(`{"t":"result","result":{"app":"","spans":[{}`+
-		strings.Repeat(",{}", trace.DefaultJobBudget-1)+`]}}`), 200))
+	f.Add(rawFrame(`{"t":"result","id":1,"result":{"worker":-9,"start_us":-1,"latency_ns":-1,"state":"done"}}`))
+	f.Add(bytes.Repeat(rawFrame(`{"t":"result","result":{"app":""}}`), 200)) // the densest input
 	f.Add(zerosFrame(25_000))
 	f.Add(rawFrame(`{"t":"result","id":1,"result":{"worker":0,"latency_ns":1}}`)) // neither an error nor a row
 	f.Add(bytes.Repeat(rawFrame(`{}`), 1000))                                     // shorter than any frame
@@ -278,8 +205,8 @@ func FuzzReadFrame(f *testing.F) {
 			if fr.T != frameResult {
 				continue
 			}
-			res, _, _ := decodeResult(fr.Result, fleet.Job{App: "Todo", Kind: harness.GreenWebI})
-			if (errors.Is(res.Err, errBadRun) || errors.Is(res.Err, errTooManySpans)) && res.Row != nil {
+			res := decodeResult(fr.Result, fleet.Job{App: "Todo", Kind: harness.GreenWebI})
+			if errors.Is(res.Err, errBadRun) && res.Row != nil {
 				t.Fatal("a result that did not decode carries a row")
 			}
 			if err := fleet.WriteResults(io.Discard, []fleet.Result{res}, false); err != nil {

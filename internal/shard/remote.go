@@ -78,11 +78,12 @@ func (o *RemoteOptions) fill() {
 type session struct {
 	conn net.Conn
 
-	// Fixed at handshake: the estimated clock offset (worker − us, µs) and
-	// the worker's advertised name, which align and attribute the spans its
-	// results ship back.
+	// Fixed at handshake: the estimated clock offset (worker − us, µs), and
+	// the worker's advertised name and pid, which place and attribute the
+	// execute spans drawn from its results.
 	offsetUS int64
 	name     string
+	pid      int
 
 	writeMu sync.Mutex
 
@@ -366,7 +367,7 @@ func (n *RemoteNode) dialAndShake() (*session, int, string, error) {
 		return nil, 0, "", fmt.Errorf("handshake: unexpected %q frame", f.T)
 	}
 	conn.SetDeadline(time.Time{})
-	sess := &session{conn: conn, name: f.Name, calls: map[uint64]chan *wireResult{}}
+	sess := &session{conn: conn, name: f.Name, pid: f.PID, calls: map[uint64]chan *wireResult{}}
 	// A welcome without a clock, which no greennode sends, leaves the offset
 	// 0 rather than the distance to the epoch.
 	if f.Now != 0 {
@@ -498,8 +499,9 @@ func (n *RemoteNode) runSession(sess *session) error {
 }
 
 // Run implements fleet.Node: ship the job, wait for its result, decode it
-// and stamp it with the calling puller's slot. A traced job's worker spans
-// join the span buffer ctx carries. A node with no session (reconnecting,
+// and stamp it with the calling puller's slot. A traced job that the worker
+// ran gets its execute span in the span buffer ctx carries, drawn from the
+// result's start and latency. A node with no session (reconnecting,
 // dead or closed) fails the job at once with fleet.ErrNodeDown, as does a
 // session that breaks mid-call, and the cluster re-homes it: no job waits
 // out a reconnect.
@@ -525,16 +527,18 @@ func (n *RemoteNode) Run(ctx context.Context, slot int, job fleet.Job) fleet.Res
 		if !ok {
 			return down(job, sess.err) // fail set err before it closed ch
 		}
-		r, spans, dropped := decodeResult(w, job)
+		r := decodeResult(w, job)
+		if job.Trace != nil && !r.Start.IsZero() {
+			// The worker ran the job over [Start, Start+Latency] on its
+			// clock: rebase the span into this timeline with the handshake
+			// offset, under the worker's name and pid.
+			sp := fleet.ExecuteSpan(*job.Trace, r)
+			sp.StartUS -= sess.offsetUS
+			sp.Node, sp.PID = sess.name, sess.pid
+			trace.SweepIn(ctx).Add(sp)
+		}
 		if r.Worker >= 0 {
 			r.Worker = slot
-		}
-		if tr := trace.SweepIn(ctx); tr != nil {
-			// Worker spans arrive on the worker's clock; rebase them into
-			// this timeline with the handshake offset and stamp the node
-			// identity only this side knows.
-			trace.AlignSpans(spans, sess.offsetUS, sess.name)
-			tr.Add(spans, dropped)
 		}
 		return r
 	case <-ctx.Done():

@@ -418,12 +418,12 @@ func TestRemoteHealthMetricsExposition(t *testing.T) {
 
 // TestWorkerRefusesProtocolMismatch: a hello with the wrong protocol version
 // — an older peer's (v2 shipped spans as JSON, v3 a copy of each run, v4 a
-// decided bit with each result) or a newer one's — is answered with a
-// refusal welcome, and NewRemoteNode surfaces it.
+// decided bit with each result, v6 a span buffer) or a newer one's — is
+// answered with a refusal welcome, and NewRemoteNode surfaces it.
 func TestWorkerRefusesProtocolMismatch(t *testing.T) {
 	_, addr := startWorker(t, WorkerOptions{Cluster: fleet.Options{Workers: 1,
 		Execute: func(ctx context.Context, j fleet.Job) (*harness.Run, error) { return &harness.Run{}, nil }}})
-	for _, proto := range []int{2, 3, 4, protoVersion + 1} {
+	for _, proto := range []int{2, 3, 4, 6, protoVersion + 1} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)

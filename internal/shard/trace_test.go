@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -12,10 +15,26 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
-// TestRemoteTraceNegotiation pins the happy path: a worker executes a
-// traced job and ships its spans back on the result frame, where the client
-// stamps them with the node's identity and adds them to the span buffer
-// the job's context carries.
+// slackUS bounds how far a drawn execute span may stray from the Run call
+// that drew it: the handshake's clock-offset estimate is off by at most
+// half its round trip, well under 100ms on loopback.
+const slackUS = 100_000
+
+// runTraced runs job on n with a fresh span buffer and returns the result,
+// the spans the buffer kept, and the Run call's wall window (unix µs).
+func runTraced(n *RemoteNode, job fleet.Job) (res fleet.Result, spans []trace.Span, before, after int64) {
+	tr := trace.NewSweepTrace(8)
+	before = time.Now().UnixMicro()
+	res = n.Run(trace.WithSweep(context.Background(), tr), 0, job)
+	after = time.Now().UnixMicro()
+	spans, _ = tr.Snapshot()
+	return res, spans, before, after
+}
+
+// TestRemoteTraceNegotiation pins the happy path: the worker runs a traced
+// job, and the client draws the job's one execute span from the result's
+// start and latency, under the worker's name and pid, the job's
+// coordinates, and inside the Run call. An untraced job adds no span.
 func TestRemoteTraceNegotiation(t *testing.T) {
 	exec := func(ctx context.Context, j fleet.Job) (*harness.Run, error) {
 		return &harness.Run{Frames: 1, Energy: acmp.Joules(1)}, nil
@@ -35,39 +54,54 @@ func TestRemoteTraceNegotiation(t *testing.T) {
 
 	job := fleet.Job{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro,
 		Trace: &trace.Context{Sweep: "s-test", Job: 3, Parent: 42}}
-	tr := trace.NewSweepTrace(trace.DefaultJobBudget)
-	res := n.Run(trace.WithSweep(context.Background(), tr), 0, job)
+	res, spans, before, after := runTraced(n, job)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	spans, drops := tr.Snapshot()
-	if len(spans) == 0 || drops != 0 {
-		t.Fatalf("traced job came back with %d worker spans and %d drops; want spans and no drops", len(spans), drops)
+	if len(spans) != 1 {
+		t.Fatalf("a traced job drew %d spans, want its one execute span: %+v", len(spans), spans)
 	}
-	sawExecute := false
-	for _, sp := range spans {
-		if sp.Node != "nodeA" {
-			t.Errorf("span %q node = %q, want nodeA (stamped on delivery)", sp.Name, sp.Node)
-		}
-		if sp.Job != 3 {
-			t.Errorf("span %q job = %d, want 3 (from the trace context)", sp.Name, sp.Job)
-		}
-		if sp.Name == "execute" {
-			sawExecute = true
-			if sp.Parent != 42 {
-				t.Errorf("execute parent = %d, want the root span id 42", sp.Parent)
-			}
-		}
+	sp := spans[0]
+	if sp.Name != "execute" || sp.Node != "nodeA" || sp.PID != os.Getpid() || sp.Parent != 42 || sp.Job != 3 {
+		t.Errorf("execute span = %+v; want node nodeA, the worker's pid %d, parent 42, job 3", sp, os.Getpid())
 	}
-	if !sawExecute {
-		t.Errorf("no execute span in %+v", spans)
+	if sp.StartUS < before-slackUS || sp.DurUS < 0 || sp.StartUS+sp.DurUS > after+slackUS {
+		t.Errorf("execute span [%d, +%d]µs lies outside the Run call [%d, %d]µs", sp.StartUS, sp.DurUS, before, after)
+	}
+
+	job.Trace = nil
+	if res, spans, _, _ := runTraced(n, job); res.Err != nil || len(spans) != 0 {
+		t.Errorf("an untraced job: err %v, %d spans; want none", res.Err, len(spans))
+	}
+}
+
+// TestJobFrameCarriesNoTrace: a traced job's frame carries the job without
+// its trace context, which only the server that draws its spans reads.
+func TestJobFrameCarriesNoTrace(t *testing.T) {
+	job := fleet.Job{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro,
+		Trace: &trace.Context{Sweep: "s-test", Job: 3, Parent: 42}}
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, frame{T: frameJob, ID: 1, Job: &job}); err != nil {
+		t.Fatal(err)
+	}
+	var f struct{ Job map[string]json.RawMessage }
+	if err := json.Unmarshal(buf.Bytes()[4:], &f); err != nil {
+		t.Fatal(err)
+	}
+	if f.Job["app"] == nil {
+		t.Fatalf("job frame %s carries no job", buf.Bytes()[4:])
+	}
+	if _, ok := f.Job["trace"]; ok {
+		t.Fatalf("job frame %s carries the trace context", buf.Bytes()[4:])
 	}
 }
 
 // fakeWorker is a hand-rolled frame server: it answers the handshake with
 // the caller's welcome frame, pongs pings, and answers job frames, in turn,
-// with a result that carries neither an error nor a row and with a result
-// frame that carries no result at all.
+// with a result that carries neither an error nor a row but says when the
+// job frame arrived, on the worker's clock (start_us), and with a result
+// frame that carries no result at all. The worker's clock reads the
+// welcome's now_us as it writes the welcome (ours, without one).
 func fakeWorker(t *testing.T, welcome frame) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -86,6 +120,10 @@ func fakeWorker(t *testing.T, welcome frame) string {
 				if _, err := readFrame(conn); err != nil {
 					return
 				}
+				var skewUS int64 // how far the worker's clock runs ahead of ours
+				if welcome.Now != 0 {
+					skewUS = welcome.Now - time.Now().UnixMicro()
+				}
 				if writeFrame(conn, welcome) != nil {
 					return
 				}
@@ -99,7 +137,7 @@ func fakeWorker(t *testing.T, welcome frame) string {
 					case framePing:
 						writeFrame(conn, frame{T: framePong, ID: f.ID})
 					case frameJob:
-						res := &wireResult{LatencyNS: 1}
+						res := &wireResult{StartUS: time.Now().UnixMicro() + skewUS, LatencyNS: 1}
 						if bodyless {
 							res = nil
 						}
@@ -114,9 +152,9 @@ func fakeWorker(t *testing.T, welcome frame) string {
 }
 
 // TestHandshakeClockOffset: a worker whose welcome clock is skewed five
-// seconds ahead yields a matching handshake offset estimate, and shipped
-// spans are rebased into the client's timeline on delivery; a welcome
-// without a clock yields none.
+// seconds ahead yields a matching handshake offset estimate, and the
+// execute span drawn from a result's start_us on that clock lands inside
+// the Run call on ours; a welcome without a clock yields no offset.
 func TestHandshakeClockOffset(t *testing.T) {
 	const skewUS = 5_000_000
 	addr := fakeWorker(t, frame{T: frameWelcome, Proto: protoVersion,
@@ -130,8 +168,19 @@ func TestHandshakeClockOffset(t *testing.T) {
 	off := n.Health().ClockOffsetUS
 	// The handshake round trip on loopback is well under 100ms, so the
 	// estimate must land within that of the injected skew.
-	if off < skewUS-100_000 || off > skewUS+100_000 {
+	if off < skewUS-slackUS || off > skewUS+slackUS {
 		t.Fatalf("clock offset = %dµs, want ≈%dµs", off, skewUS)
+	}
+
+	// The fake answers this first job with start_us, 5s ahead of our clock.
+	_, spans, before, after := runTraced(n, fleet.Job{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro,
+		Trace: &trace.Context{Sweep: "s-test", Job: 1, Parent: 7}})
+	if len(spans) != 1 || spans[0].Node != "skewed" || spans[0].PID != 999 {
+		t.Fatalf("spans = %+v; want one execute span of node skewed, pid 999", spans)
+	}
+	if start := spans[0].StartUS; start < before-slackUS || start > after+slackUS {
+		t.Fatalf("execute span starts at %dµs, %dµs from the Run call [%d, %d]µs; the offset was not subtracted",
+			start, start-before, before, after)
 	}
 
 	// A welcome without a clock yields no offset, not the distance to the

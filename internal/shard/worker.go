@@ -12,7 +12,6 @@ import (
 
 	"github.com/wattwiseweb/greenweb/internal/fleet"
 	"github.com/wattwiseweb/greenweb/internal/obs"
-	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
 // WorkerOptions configures a Worker process (the greennode side of the
@@ -27,9 +26,9 @@ type WorkerOptions struct {
 
 // Worker executes jobs shipped over the frame protocol on a local
 // fleet.Cluster, each once, as a local node would, so a remote job's
-// terminal result is indistinguishable from a local one. A
-// traced job runs with a span buffer of its own (trace.DefaultJobBudget
-// spans), which its result frame ships back.
+// terminal result is indistinguishable from a local one. It records no
+// trace spans: a result says when its job ran, and the client draws the
+// job's execute span from that.
 //
 // Each accepted connection is handshaken (hello/welcome with a protocol
 // version check), then serves a multiplexed stream on its read loop: job
@@ -221,11 +220,6 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn, name string) {
 			id, job := f.ID, *f.Job
 			w.jobsTotal.Add(1)
 			jobCtx, cancel := context.WithCancel(ctx)
-			var spans *trace.SweepTrace // the traced job's, nil otherwise
-			if job.Trace != nil {
-				spans = trace.NewSweepTrace(trace.DefaultJobBudget)
-				jobCtx = trace.WithSweep(jobCtx, spans)
-			}
 			jobMu.Lock()
 			cancels[id] = cancel
 			jobMu.Unlock()
@@ -236,7 +230,7 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn, name string) {
 				delete(cancels, id)
 				jobMu.Unlock()
 				cancel()
-				write(frame{T: frameResult, ID: id, Result: encodeResult(r, spans)})
+				write(frame{T: frameResult, ID: id, Result: encodeResult(r)})
 			}
 			if err := w.cluster.Start(jobCtx, job, nil, reply); err != nil {
 				reply(fleet.Result{Job: job, Worker: -1, Err: err})
