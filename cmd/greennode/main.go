@@ -18,9 +18,10 @@
 //	GET /healthz  liveness — 200 while the process accepts connections
 //	GET /readyz   readiness — 200 once the frame listener is bound
 //
-// Tracing: the worker records no spans. Every result frame says when its
-// job ran (start_us, on this process's clock, and latency_ns), and greensrv
-// draws a traced job's execute span from that, under this process's pid.
+// Tracing: the worker records no spans. Every result frame says how long
+// its job ran (latency_ns), and greensrv draws a traced job's execute span
+// that long, inside the job's round trip on its own clock, under this
+// process's pid.
 // Whether a job is traced is the server's alone (greensrv -no-obs traces
 // none); a job frame never says.
 //

@@ -28,7 +28,6 @@ import (
 type pageAssets struct {
 	tmpl      *dom.Document
 	sheets    []*css.Stylesheet
-	dropped   int // malformed CSS rules skipped by the tolerant parser
 	scripts   []string
 	compiled  []*js.CompiledProgram // parallel to scripts; nil where parsing failed
 	parseErrs []error               // parallel to scripts; the error where nil above
@@ -50,8 +49,7 @@ func ResetAssetCache() {
 func buildAssets(src string) *pageAssets {
 	a := &pageAssets{tmpl: html.Parse(src)}
 	for _, styleSrc := range html.StyleSources(a.tmpl) {
-		sheet, errs := css.Parse(styleSrc) // tolerate bad rules like engines do
-		a.dropped += len(errs)
+		sheet, _ := css.Parse(styleSrc) // tolerate bad rules like engines do
 		a.sheets = append(a.sheets, sheet)
 	}
 	a.scripts = html.ScriptSources(a.tmpl)
@@ -69,15 +67,13 @@ func buildAssets(src string) *pageAssets {
 }
 
 // assetsFor returns the assets for a page source, parsing at most once per
-// process. The second result reports whether the parse was served from the
-// cache. Concurrent first loads of the same source may both build; LoadOrStore
-// keeps one winner and the loser's work is discarded — cheaper than holding a
-// lock across a parse.
-func assetsFor(src string) (*pageAssets, bool) {
+// process. Concurrent first loads of the same source may both build;
+// LoadOrStore keeps one winner and the loser's work is discarded — cheaper
+// than holding a lock across a parse.
+func assetsFor(src string) *pageAssets {
 	if v, ok := assetCache.Load(src); ok {
-		return v.(*pageAssets), true
+		return v.(*pageAssets)
 	}
-	a := buildAssets(src)
-	actual, loaded := assetCache.LoadOrStore(src, a)
-	return actual.(*pageAssets), loaded
+	actual, _ := assetCache.LoadOrStore(src, buildAssets(src))
+	return actual.(*pageAssets)
 }

@@ -42,37 +42,18 @@ func TestAssetCacheEquivalence(t *testing.T) {
 	}
 }
 
+// TestAssetCacheHitFlag: a second assetsFor call on one source hits the
+// cache, returning the first call's assets, and a call after
+// ResetAssetCache parses afresh.
 func TestAssetCacheHitFlag(t *testing.T) {
 	ResetAssetCache()
-	_, e1, _ := newTestEngine(t, basicPage)
-	if e1.LoadStats().AssetCacheHit {
-		t.Fatal("first load reported a cache hit")
+	first := assetsFor(basicPage)
+	if assetsFor(basicPage) != first {
+		t.Fatal("second call missed the cache")
 	}
-	_, e2, _ := newTestEngine(t, basicPage)
-	if !e2.LoadStats().AssetCacheHit {
-		t.Fatal("second load missed the cache")
-	}
-
 	ResetAssetCache()
-	_, e3, _ := newTestEngine(t, basicPage)
-	if e3.LoadStats().AssetCacheHit {
-		t.Fatal("load after reset reported a cache hit")
-	}
-}
-
-func TestDroppedCSSRulesCounted(t *testing.T) {
-	ResetAssetCache()
-	page := `<html><head><style>
-		#box { width: 100px; }
-		%%% not a rule at all
-		p { color: blue; }
-	</style></head><body><div id="box">x</div></body></html>`
-
-	for _, load := range []string{"cold", "warm"} {
-		_, e, _ := newTestEngine(t, page)
-		if got := e.LoadStats().DroppedCSSRules; got != 1 {
-			t.Errorf("%s load: DroppedCSSRules = %d, want 1", load, got)
-		}
+	if assetsFor(basicPage) == first {
+		t.Fatal("call after reset hit the cache")
 	}
 }
 

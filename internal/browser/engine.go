@@ -122,7 +122,6 @@ type Engine struct {
 	scriptErrs   []error
 	loaded       bool
 	loadUID      UID
-	loadStats    LoadStats
 
 	onFrame []func(*FrameResult)
 
@@ -189,23 +188,6 @@ func (e *Engine) ConsoleLines() []string { return e.consoleLines }
 
 // ScriptErrors returns script failures (logged, not fatal — as in engines).
 func (e *Engine) ScriptErrors() []error { return e.scriptErrs }
-
-// LoadStats reports page-load parsing statistics.
-type LoadStats struct {
-	// DroppedCSSRules counts malformed rules the tolerant CSS parser
-	// skipped across the page's stylesheets. Silently losing rules made
-	// debugging annotation sheets painful; the counter surfaces it.
-	DroppedCSSRules int
-	// AssetCacheHit reports whether the page's parses were served from the
-	// process-wide asset cache.
-	AssetCacheHit bool
-	// VMScripts counts the startup scripts that parsed and ran on the
-	// bytecode VM.
-	VMScripts int
-}
-
-// LoadStats returns the page-load statistics. Valid after LoadPage.
-func (e *Engine) LoadStats() LoadStats { return e.loadStats }
 
 // OnFrame registers an observer called after every completed frame, with
 // the stored result; like Governor.OnFrameEnd, it must not retain it.
@@ -332,11 +314,9 @@ func (e *Engine) LoadPage(src string) (UID, error) {
 	// Parse-once asset cache: the document template, stylesheets, and
 	// compiled scripts for a page source are built once per process and
 	// shared; this engine works on a private clone of the DOM.
-	assets, hit := assetsFor(src)
+	assets := assetsFor(src)
 	e.doc = assets.tmpl.Clone()
-	e.loadStats.AssetCacheHit = hit
 	e.sheets = assets.sheets
-	e.loadStats.DroppedCSSRules = assets.dropped
 	e.interp = js.NewInterp()
 	e.bind = webapi.Install(e.interp, e.doc, e)
 	e.installPrelude()
@@ -386,11 +366,8 @@ func (e *Engine) LoadPage(src string) (UID, error) {
 					e.interp.ResetOps()
 					if cp == nil {
 						e.scriptErrs = append(e.scriptErrs, assets.parseErrs[i])
-					} else {
-						e.loadStats.VMScripts++
-						if err := e.interp.RunCompiled(cp); err != nil {
-							e.scriptErrs = append(e.scriptErrs, err)
-						}
+					} else if err := e.interp.RunCompiled(cp); err != nil {
+						e.scriptErrs = append(e.scriptErrs, err)
 					}
 					ops += e.interp.ResetOps()
 				}

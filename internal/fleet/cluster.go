@@ -50,10 +50,6 @@ type NodeHealth struct {
 	LastRTT         time.Duration `json:"last_rtt"` // most recent heartbeat round trip
 	Reconnects      int64         `json:"reconnects"`
 	HeartbeatMisses int64         `json:"heartbeat_misses"`
-	// ClockOffsetUS is the handshake-estimated offset of the worker's clock
-	// from ours (positive = worker ahead), used to place the execute spans
-	// drawn from its results.
-	ClockOffsetUS int64 `json:"clock_offset_us"`
 }
 
 // healthReporter is the optional Node facet the cluster polls for health
@@ -92,10 +88,6 @@ type NodeInfo struct {
 	HeartbeatRTTMS  float64 `json:"heartbeat_rtt_ms,omitempty"`
 	Reconnects      int64   `json:"reconnects,omitempty"`
 	HeartbeatMisses int64   `json:"heartbeat_misses,omitempty"`
-	// ClockOffsetUS is the handshake-estimated offset of the node's clock
-	// from the server's (positive = node clock ahead), used to place the
-	// execute spans drawn from the node's results.
-	ClockOffsetUS int64 `json:"clock_offset_us,omitempty"`
 
 	// Work accounting.
 	Jobs    int64 `json:"jobs"`
@@ -496,7 +488,6 @@ func (c *Cluster) NodeInfos() []NodeInfo {
 			info.HeartbeatRTTMS = float64(h.LastRTT) / float64(time.Millisecond)
 			info.Reconnects = h.Reconnects
 			info.HeartbeatMisses = h.HeartbeatMisses
-			info.ClockOffsetUS = h.ClockOffsetUS
 		}
 		if named, ok := n.(interface{ Name() string }); ok {
 			info.Name = named.Name()

@@ -136,10 +136,11 @@ type Result struct {
 	Job    Job
 	Err    error
 	Worker int // cluster-global slot index of the puller that ran the job (-1 if never scheduled)
-	// Start is when the job's LocalNode started running it, on the clock of
-	// the process it ran in (a remote worker's for a remote node), and
-	// Latency the wall-clock execution time from then, excluding queueing.
-	// Start is zero if no node ran the job.
+	// Start is when a node started running the job and Latency how long
+	// it ran, excluding queueing. Start is on the clock of the process
+	// that holds the result: a LocalNode reads it as it starts the job,
+	// and a RemoteNode places the worker's run in the middle of the job's
+	// round trip. Start is zero if no node ran the job.
 	Start   time.Time
 	Latency time.Duration
 

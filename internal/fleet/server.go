@@ -107,7 +107,7 @@ func (r SweepRequest) Jobs() ([]Job, error) {
 		return nil, fmt.Errorf("fleet: stage workers %d listed twice", n)
 	}
 	var jobs []Job
-	for _, name := range names {
+	for _, name := range resolved {
 		for _, kind := range kinds {
 			for _, n := range stageWorkers {
 				j := Job{App: name, Kind: kind, Phase: phase, Repeats: r.Repeats,

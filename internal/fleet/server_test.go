@@ -256,12 +256,13 @@ func TestSweepRequestRejectsBadPhaseAndRepeats(t *testing.T) {
 	if _, err := (&SweepRequest{Repeats: -1}).Jobs(); err == nil {
 		t.Error("negative repeats accepted")
 	}
-	jobs, err := (&SweepRequest{Apps: []string{"Todo"}, Kinds: []string{"Perf"}, Phase: "MICRO"}).Jobs()
+	// Any case resolves, and the job carries each name's canonical spelling.
+	jobs, err := (&SweepRequest{Apps: []string{"todo"}, Kinds: []string{"perf"}, Phase: "MICRO"}).Jobs()
 	if err != nil {
-		t.Fatalf("case-insensitive phase rejected: %v", err)
+		t.Fatalf("case-insensitive app, kind or phase rejected: %v", err)
 	}
-	if len(jobs) != 1 || jobs[0].Phase != Micro {
-		t.Fatalf("jobs = %+v", jobs)
+	if len(jobs) != 1 || jobs[0].App != "Todo" || jobs[0].Kind != harness.Perf || jobs[0].Phase != Micro {
+		t.Fatalf("jobs = %+v; want one Todo/Perf/micro job", jobs)
 	}
 }
 

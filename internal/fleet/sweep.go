@@ -407,7 +407,7 @@ func (m *Manager) Enqueue(jobs []Job) (*Sweep, error) {
 			// and the root itself all agree on parentage. Each job goes to
 			// the cluster as a copy carrying its context.
 			rootID := trace.NewSpanID()
-			tc := trace.Context{Sweep: string(s.ID), Job: i, Parent: rootID}
+			tc := trace.Context{Job: i, Parent: rootID}
 			job.Trace = &tc
 			submitted := time.Now()
 			innerStarted := started

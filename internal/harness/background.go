@@ -52,22 +52,18 @@ type BackgroundRow struct {
 // slice it was drawn in.
 func (s *Suite) ExperimentBackground(appNames ...string) ([]BackgroundRow, error) {
 	fg := make([]*apps.App, len(appNames))
-	cells := make([]Cell, len(appNames))
 	for i, name := range appNames {
 		app, ok := apps.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("harness: unknown app %q", name)
 		}
 		fg[i] = app
-		cells[i] = Cell{App: app, Kind: GreenWebI, Full: true}
 	}
-	if err := s.prefetch(cells); err != nil {
-		return nil, err
-	}
-	solo, err := s.fullRuns(fg, GreenWebI)
+	g, err := s.grid(fg, true, GreenWebI)
 	if err != nil {
 		return nil, err
 	}
+	solo := g[0]
 	rows := make([]BackgroundRow, len(fg))
 	err = s.fanOut(len(fg), func(i int) error {
 		loaded, err := execute(s.ctx(), fg[i], fg[i].HTML(), GreenWebI, fg[i].Full, nil, nil, true)

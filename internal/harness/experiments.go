@@ -138,30 +138,21 @@ type Fig9Row struct {
 // Fig9 runs the microbenchmarks for Perf, GreenWeb-I and GreenWeb-U and
 // reports Fig. 9a (energy) and Fig. 9b (violations) per application.
 func (s *Suite) Fig9() ([]Fig9Row, error) {
-	if err := s.prefetch(cellsFor(false, Perf, GreenWebI, GreenWebU)); err != nil {
+	catalog := apps.All()
+	g, err := s.grid(catalog, false, Perf, GreenWebI, GreenWebU)
+	if err != nil {
 		return nil, err
 	}
-	var rows []Fig9Row
-	for _, a := range apps.All() {
-		perf, err := s.Micro(a, Perf)
-		if err != nil {
-			return nil, err
-		}
-		gwI, err := s.Micro(a, GreenWebI)
-		if err != nil {
-			return nil, err
-		}
-		gwU, err := s.Micro(a, GreenWebU)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig9Row{
+	perf, gwI, gwU := g[0], g[1], g[2]
+	rows := make([]Fig9Row, len(catalog))
+	for i, a := range catalog {
+		rows[i] = Fig9Row{
 			App:        a.Name,
-			EnergyPctI: metrics.NormalizedPct(gwI.Energy, perf.Energy),
-			EnergyPctU: metrics.NormalizedPct(gwU.Energy, perf.Energy),
-			ExtraViolI: gwI.ViolationI - perf.ViolationI,
-			ExtraViolU: gwU.ViolationU - perf.ViolationU,
-		})
+			EnergyPctI: metrics.NormalizedPct(gwI[i].Energy, perf[i].Energy),
+			EnergyPctU: metrics.NormalizedPct(gwU[i].Energy, perf[i].Energy),
+			ExtraViolI: gwI[i].ViolationI - perf[i].ViolationI,
+			ExtraViolU: gwU[i].ViolationU - perf[i].ViolationU,
+		}
 	}
 	return rows, nil
 }
@@ -199,37 +190,24 @@ type Fig10Row struct {
 // Fig10 runs the full interactions under Perf, Interactive, GreenWeb-I and
 // GreenWeb-U and reports Fig. 10a/b/c per application.
 func (s *Suite) Fig10() ([]Fig10Row, error) {
-	if err := s.prefetch(cellsFor(true, Perf, Interactive, GreenWebI, GreenWebU)); err != nil {
+	catalog := apps.All()
+	g, err := s.grid(catalog, true, Perf, Interactive, GreenWebI, GreenWebU)
+	if err != nil {
 		return nil, err
 	}
-	var rows []Fig10Row
-	for _, a := range apps.All() {
-		perf, err := s.Full(a, Perf)
-		if err != nil {
-			return nil, err
-		}
-		inter, err := s.Full(a, Interactive)
-		if err != nil {
-			return nil, err
-		}
-		gwI, err := s.Full(a, GreenWebI)
-		if err != nil {
-			return nil, err
-		}
-		gwU, err := s.Full(a, GreenWebU)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig10Row{
+	perf, inter, gwI, gwU := g[0], g[1], g[2], g[3]
+	rows := make([]Fig10Row, len(catalog))
+	for i, a := range catalog {
+		rows[i] = Fig10Row{
 			App:              a.Name,
-			InteractivePct:   metrics.NormalizedPct(inter.Energy, perf.Energy),
-			GreenWebIPct:     metrics.NormalizedPct(gwI.Energy, perf.Energy),
-			GreenWebUPct:     metrics.NormalizedPct(gwU.Energy, perf.Energy),
-			InteractiveViolI: inter.ViolationI - perf.ViolationI,
-			GreenWebViolI:    gwI.ViolationI - perf.ViolationI,
-			InteractiveViolU: inter.ViolationU - perf.ViolationU,
-			GreenWebViolU:    gwU.ViolationU - perf.ViolationU,
-		})
+			InteractivePct:   metrics.NormalizedPct(inter[i].Energy, perf[i].Energy),
+			GreenWebIPct:     metrics.NormalizedPct(gwI[i].Energy, perf[i].Energy),
+			GreenWebUPct:     metrics.NormalizedPct(gwU[i].Energy, perf[i].Energy),
+			InteractiveViolI: inter[i].ViolationI - perf[i].ViolationI,
+			GreenWebViolI:    gwI[i].ViolationI - perf[i].ViolationI,
+			InteractiveViolU: inter[i].ViolationU - perf[i].ViolationU,
+			GreenWebViolU:    gwU[i].ViolationU - perf[i].ViolationU,
+		}
 	}
 	return rows, nil
 }
@@ -264,18 +242,16 @@ type Fig11Row struct {
 // interaction for one GreenWeb scenario (Fig. 11a: GreenWeb-I, Fig. 11b:
 // GreenWeb-U).
 func (s *Suite) Fig11(kind Kind) ([]Fig11Row, error) {
-	if err := s.prefetch(cellsFor(true, kind)); err != nil {
+	catalog := apps.All()
+	g, err := s.grid(catalog, true, kind)
+	if err != nil {
 		return nil, err
 	}
-	var rows []Fig11Row
-	for _, a := range apps.All() {
-		run, err := s.Full(a, kind)
-		if err != nil {
-			return nil, err
-		}
-		dist := metrics.Distribution(run.Residency)
+	rows := make([]Fig11Row, len(catalog))
+	for i, a := range catalog {
+		dist := metrics.Distribution(g[0][i].Residency)
 		little, big := metrics.ClusterShares(dist)
-		rows = append(rows, Fig11Row{App: a.Name, Shares: dist, Little: little, Big: big})
+		rows[i] = Fig11Row{App: a.Name, Shares: dist, Little: little, Big: big}
 	}
 	return rows, nil
 }
@@ -294,22 +270,17 @@ type Fig12Row struct {
 
 // Fig12 reports switching rates for GreenWeb-I and GreenWeb-U.
 func (s *Suite) Fig12() ([]Fig12Row, error) {
-	if err := s.prefetch(cellsFor(true, GreenWebI, GreenWebU)); err != nil {
+	catalog := apps.All()
+	g, err := s.grid(catalog, true, GreenWebI, GreenWebU)
+	if err != nil {
 		return nil, err
 	}
-	var rows []Fig12Row
-	for _, a := range apps.All() {
-		gwI, err := s.Full(a, GreenWebI)
-		if err != nil {
-			return nil, err
-		}
-		gwU, err := s.Full(a, GreenWebU)
-		if err != nil {
-			return nil, err
-		}
+	rows := make([]Fig12Row, len(catalog))
+	for i, a := range catalog {
+		gwI, gwU := g[0][i], g[1][i]
 		fI, mI := metrics.SwitchRate(gwI.Switches, gwI.Frames)
 		fU, mU := metrics.SwitchRate(gwU.Switches, gwU.Frames)
-		rows = append(rows, Fig12Row{App: a.Name, FreqI: fI, MigI: mI, FreqU: fU, MigU: mU})
+		rows[i] = Fig12Row{App: a.Name, FreqI: fI, MigI: mI, FreqU: fU, MigU: mU}
 	}
 	return rows, nil
 }
@@ -329,38 +300,21 @@ type AblationRow struct {
 // usable-mode runtime restricted to one cluster (the paper's "runtime
 // leveraging only a single big (or little) core capable of DVFS").
 func (s *Suite) AblationSingleCluster() ([]AblationRow, error) {
-	if err := s.prefetch(cellsFor(true, Perf, GreenWebU, GreenWebUBigOnly, GreenWebULittleOnly, GreenWebILittleOnly)); err != nil {
+	catalog := apps.All()
+	g, err := s.grid(catalog, true, Perf, GreenWebU, GreenWebUBigOnly, GreenWebULittleOnly, GreenWebILittleOnly)
+	if err != nil {
 		return nil, err
 	}
-	var rows []AblationRow
-	for _, a := range apps.All() {
-		perf, err := s.Full(a, Perf)
-		if err != nil {
-			return nil, err
-		}
-		full, err := s.Full(a, GreenWebU)
-		if err != nil {
-			return nil, err
-		}
-		bigOnly, err := s.Full(a, GreenWebUBigOnly)
-		if err != nil {
-			return nil, err
-		}
-		litOnly, err := s.Full(a, GreenWebULittleOnly)
-		if err != nil {
-			return nil, err
-		}
-		litOnlyI, err := s.Full(a, GreenWebILittleOnly)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{
+	perf, full, bigOnly, litOnly, litOnlyI := g[0], g[1], g[2], g[3], g[4]
+	rows := make([]AblationRow, len(catalog))
+	for i, a := range catalog {
+		rows[i] = AblationRow{
 			App:            a.Name,
-			FullPct:        metrics.NormalizedPct(full.Energy, perf.Energy),
-			BigOnlyPct:     metrics.NormalizedPct(bigOnly.Energy, perf.Energy),
-			LittleOnlyPct:  metrics.NormalizedPct(litOnly.Energy, perf.Energy),
-			LittleOnlyViol: litOnlyI.ViolationI - perf.ViolationI,
-		})
+			FullPct:        metrics.NormalizedPct(full[i].Energy, perf[i].Energy),
+			BigOnlyPct:     metrics.NormalizedPct(bigOnly[i].Energy, perf[i].Energy),
+			LittleOnlyPct:  metrics.NormalizedPct(litOnly[i].Energy, perf[i].Energy),
+			LittleOnlyViol: litOnlyI[i].ViolationI - perf[i].ViolationI,
+		}
 	}
 	return rows, nil
 }
@@ -387,18 +341,12 @@ type PredictorRow struct {
 // (the offline-profiling-guided variant). The trained variant should shed
 // the profiling-run violations and some switching.
 func (s *Suite) AblationPredictor() ([]PredictorRow, error) {
-	if err := s.prefetch(cellsFor(true, Perf, GreenWebI)); err != nil {
-		return nil, err
-	}
 	catalog := apps.All()
-	perf, err := s.fullRuns(catalog, Perf)
+	g, err := s.grid(catalog, true, Perf, GreenWebI)
 	if err != nil {
 		return nil, err
 	}
-	colds, err := s.fullRuns(catalog, GreenWebI)
-	if err != nil {
-		return nil, err
-	}
+	perf, colds := g[0], g[1]
 	rows := make([]PredictorRow, len(catalog))
 	err = s.fanOut(len(catalog), func(i int) error {
 		a, cold := catalog[i], colds[i]
@@ -442,30 +390,21 @@ type EBSRow struct {
 // ComparisonEBS runs the full interactions under EBS and reports them
 // against GreenWeb-I.
 func (s *Suite) ComparisonEBS() ([]EBSRow, error) {
-	if err := s.prefetch(cellsFor(true, Perf, EBSKind, GreenWebI)); err != nil {
+	catalog := apps.All()
+	g, err := s.grid(catalog, true, Perf, EBSKind, GreenWebI)
+	if err != nil {
 		return nil, err
 	}
-	var rows []EBSRow
-	for _, a := range apps.All() {
-		perf, err := s.Full(a, Perf)
-		if err != nil {
-			return nil, err
-		}
-		ebs, err := s.Full(a, EBSKind)
-		if err != nil {
-			return nil, err
-		}
-		gw, err := s.Full(a, GreenWebI)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, EBSRow{
+	perf, ebs, gw := g[0], g[1], g[2]
+	rows := make([]EBSRow, len(catalog))
+	for i, a := range catalog {
+		rows[i] = EBSRow{
 			App:          a.Name,
-			EBSViol:      ebs.ViolationI - perf.ViolationI,
-			GreenWebViol: gw.ViolationI - perf.ViolationI,
-			EBSPct:       metrics.NormalizedPct(ebs.Energy, perf.Energy),
-			GreenWebPct:  metrics.NormalizedPct(gw.Energy, perf.Energy),
-		})
+			EBSViol:      ebs[i].ViolationI - perf[i].ViolationI,
+			GreenWebViol: gw[i].ViolationI - perf[i].ViolationI,
+			EBSPct:       metrics.NormalizedPct(ebs[i].Energy, perf[i].Energy),
+			GreenWebPct:  metrics.NormalizedPct(gw[i].Energy, perf[i].Energy),
+		}
 	}
 	return rows, nil
 }
@@ -489,18 +428,12 @@ type AutoGreenRow struct {
 // ComparisonAutoGreen annotates each application's unannotated source with
 // AUTOGREEN and measures it against the manual annotations.
 func (s *Suite) ComparisonAutoGreen() ([]AutoGreenRow, error) {
-	if err := s.prefetch(cellsFor(true, Perf, GreenWebI)); err != nil {
-		return nil, err
-	}
 	catalog := apps.All()
-	perf, err := s.fullRuns(catalog, Perf)
+	g, err := s.grid(catalog, true, Perf, GreenWebI)
 	if err != nil {
 		return nil, err
 	}
-	manual, err := s.fullRuns(catalog, GreenWebI)
-	if err != nil {
-		return nil, err
-	}
+	perf, manual := g[0], g[1]
 	rows := make([]AutoGreenRow, len(catalog))
 	err = s.fanOut(len(catalog), func(i int) error {
 		a := catalog[i]

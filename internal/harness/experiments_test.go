@@ -417,10 +417,11 @@ func TestExecuteRejectsUnknownKind(t *testing.T) {
 
 func TestRunAccessors(t *testing.T) {
 	app, _ := apps.ByName("Todo")
-	r, err := shared.Micro(app, Perf)
+	g, err := shared.grid([]*apps.App{app}, false, Perf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := g[0][0]
 	if r.Energy <= 0 || r.Frames == 0 || len(r.Residency) == 0 {
 		t.Fatalf("run = %+v", r)
 	}

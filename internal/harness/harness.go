@@ -389,10 +389,11 @@ func violationsOf(c *metrics.Collector, start sim.Time) []float64 {
 }
 
 // Suite memoizes runs so the figure generators can share them (Fig. 10a/b/c,
-// 11, and 12 all consume the same full-interaction executions).
+// 11, and 12 all consume the same full-interaction executions). Its cells
+// are the paper's one grid of applications × governors × phases, and every
+// generator reads its slice of the grid with one grid call.
 type Suite struct {
-	micro        map[string]*Run
-	full         map[string]*Run
+	runs         map[Cell]*Run // keyed by app, kind and phase, at stageWorkers
 	pre          Prefetcher
 	stageWorkers int
 	workers      int
@@ -400,7 +401,7 @@ type Suite struct {
 
 // NewSuite returns an empty result cache that runs one execution at a time.
 func NewSuite() *Suite {
-	return &Suite{micro: make(map[string]*Run), full: make(map[string]*Run), workers: 1}
+	return &Suite{runs: make(map[Cell]*Run), workers: 1}
 }
 
 // SetWorkers sets how many executions the suite runs at once: the cells its
@@ -465,60 +466,64 @@ func ExecuteCell(ctx context.Context, c Cell) (*Run, error) {
 	return ExecuteFaultedRepeatedContext(ctx, c.App, c.Kind, trace, repeats, c.Faults)
 }
 
-// Prefetcher bulk-computes cells in place of the suite's own workers, before
-// the generators read them in deterministic sequential order.
-// Implementations must compute each cell with ExecuteCell semantics.
+// Prefetcher bulk-computes cells in place of the suite's own workers.
+// Implementations must compute each cell with ExecuteCell semantics and
+// return a run for every cell they are handed: a generator whose
+// prefetcher omits a cell fails, naming its app and kind.
 type Prefetcher interface {
 	Prefetch(cells []Cell) (map[Cell]*Run, error)
 }
 
 // SetPrefetcher installs a bulk executor that computes every generator's
-// cell working set instead of the suite's own workers.
+// missing cells instead of the suite's own workers.
 func (s *Suite) SetPrefetcher(p Prefetcher) { s.pre = p }
 
-// cache is the memo table c belongs to.
-func (s *Suite) cache(c Cell) map[string]*Run {
-	if c.Full {
-		return s.full
+// grid returns the runs of every app in as under each kind, in the full
+// interaction or the microbenchmark: g[k][i] is app i under kinds[k]. It
+// first computes the cells the suite has not run yet, app-major, through
+// the installed prefetcher or else with ExecuteCell on the suite's
+// workers. Generators read their whole slice before fanning out, so
+// fan-out bodies never touch the suite's map.
+func (s *Suite) grid(as []*apps.App, full bool, kinds ...Kind) ([][]*Run, error) {
+	cell := func(a *apps.App, k Kind) Cell {
+		return Cell{App: a, Kind: k, Full: full, StageWorkers: s.stageWorkers}
 	}
-	return s.micro
-}
-
-// prefetch computes the cells missing from the caches: through the
-// installed prefetcher, or else with ExecuteCell on the suite's workers.
-func (s *Suite) prefetch(cells []Cell) error {
 	var missing []Cell
-	for _, c := range cells {
-		if _, ok := s.cache(c)[s.key(c.App, c.Kind)]; !ok {
-			c.StageWorkers = s.stageWorkers
-			missing = append(missing, c)
+	for _, a := range as {
+		for _, k := range kinds {
+			if c := cell(a, k); s.runs[c] == nil {
+				missing = append(missing, c)
+			}
 		}
-	}
-	if len(missing) == 0 {
-		return nil
-	}
-	if s.pre != nil {
-		got, err := s.pre.Prefetch(missing)
-		if err != nil {
-			return err
-		}
-		for c, r := range got {
-			s.cache(c)[s.key(c.App, c.Kind)] = r
-		}
-		return nil
 	}
 	runs := make([]*Run, len(missing))
-	err := s.fanOut(len(missing), func(i int) (err error) {
+	if s.pre != nil && len(missing) > 0 {
+		got, err := s.pre.Prefetch(missing)
+		if err != nil {
+			return nil, err
+		}
+		for i, c := range missing {
+			if runs[i] = got[c]; runs[i] == nil {
+				return nil, fmt.Errorf("harness: %s/%s: prefetcher returned no run", c.App.Name, c.Kind)
+			}
+		}
+	} else if err := s.fanOut(len(missing), func(i int) (err error) {
 		runs[i], err = ExecuteCell(s.ctx(), missing[i])
 		return err
-	})
-	if err != nil {
-		return err
+	}); err != nil {
+		return nil, err
 	}
 	for i, c := range missing {
-		s.cache(c)[s.key(c.App, c.Kind)] = runs[i]
+		s.runs[c] = runs[i]
 	}
-	return nil
+	g := make([][]*Run, len(kinds))
+	for k, kind := range kinds {
+		g[k] = make([]*Run, len(as))
+		for i, a := range as {
+			g[k][i] = s.runs[cell(a, kind)]
+		}
+	}
+	return g, nil
 }
 
 // fanOut runs body(i) for every i in [0, n) on the suite's workers. Each
@@ -555,59 +560,5 @@ func (s *Suite) fanOut(n int, body func(i int) error) error {
 	return nil
 }
 
-// fullRuns reads the full-interaction runs of each app under kind, in
-// order. Generators read them before fanning out, so fan-out bodies never
-// touch the suite's caches.
-func (s *Suite) fullRuns(as []*apps.App, kind Kind) ([]*Run, error) {
-	out := make([]*Run, len(as))
-	for i, a := range as {
-		r, err := s.Full(a, kind)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-// cellsFor builds the cross product all the generators iterate: every
-// Table 3 application under each of the given kinds.
-func cellsFor(full bool, kinds ...Kind) []Cell {
-	var out []Cell
-	for _, a := range apps.All() {
-		for _, k := range kinds {
-			out = append(out, Cell{App: a, Kind: k, Full: full})
-		}
-	}
-	return out
-}
-
-func (s *Suite) key(app *apps.App, kind Kind) string { return app.Name + "|" + string(kind) }
-
 // MicroRepeats is the paper's repetition count per experiment.
 const MicroRepeats = 3
-
-// Micro returns (running and caching) the microbenchmark execution, using
-// the repeated-measurement protocol.
-func (s *Suite) Micro(app *apps.App, kind Kind) (*Run, error) {
-	return s.run(Cell{App: app, Kind: kind})
-}
-
-// Full returns (running and caching) the full-interaction execution.
-func (s *Suite) Full(app *apps.App, kind Kind) (*Run, error) {
-	return s.run(Cell{App: app, Kind: kind, Full: true})
-}
-
-// run returns the cell's cached execution, computing it on a miss.
-func (s *Suite) run(c Cell) (*Run, error) {
-	k := s.key(c.App, c.Kind)
-	if r, ok := s.cache(c)[k]; ok {
-		return r, nil
-	}
-	r, err := ExecuteCell(s.ctx(), c)
-	if err != nil {
-		return nil, err
-	}
-	s.cache(c)[k] = r
-	return r, nil
-}

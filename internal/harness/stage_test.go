@@ -205,39 +205,84 @@ func TestStagedVectorEnergyAtEqualQoS(t *testing.T) {
 	}
 }
 
-// cellRecorder is a Prefetcher that records the cells it is asked for and
-// computes none of them, leaving them to the suite's lazy path.
+// cellRecorder is a Prefetcher that records the cells it is handed and
+// computes them with ExecuteCell.
 type cellRecorder struct{ cells []Cell }
 
 func (r *cellRecorder) Prefetch(cells []Cell) (map[Cell]*Run, error) {
 	r.cells = append(r.cells, cells...)
-	return nil, nil
+	out := make(map[Cell]*Run, len(cells))
+	for _, c := range cells {
+		run, err := ExecuteCell(context.Background(), c)
+		if err != nil {
+			return nil, err
+		}
+		out[c] = run
+	}
+	return out, nil
 }
 
 // TestSuiteStageWorkers: a suite's stage-worker count reaches both the
 // cells it hands its prefetcher and the ones it computes itself.
 func TestSuiteStageWorkers(t *testing.T) {
 	app, _ := apps.ByName("Todo")
+	todo := []*apps.App{app}
 	rec := &cellRecorder{}
-	staged := NewSuite()
-	staged.SetStageWorkers(4)
-	staged.SetPrefetcher(rec)
-	if err := staged.prefetch([]Cell{{App: app, Kind: Perf, Full: true}}); err != nil {
+	prefetched := NewSuite()
+	prefetched.SetStageWorkers(4)
+	prefetched.SetPrefetcher(rec)
+	g, err := prefetched.grid(todo, true, Perf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.cells) != 1 || rec.cells[0].StageWorkers != 4 {
-		t.Fatalf("prefetcher asked for %+v, want one cell with 4 stage workers", rec.cells)
+		t.Fatalf("prefetcher handed %+v, want one cell with 4 stage workers", rec.cells)
 	}
-	run, err := staged.Full(app, Perf)
+	staged := NewSuite()
+	staged.SetStageWorkers(4)
+	own, err := staged.grid(todo, true, Perf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := NewSuite().Full(app, Perf)
+	serial, err := NewSuite().grid(todo, true, Perf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.StageEnergy == 0 || serial.StageEnergy != 0 {
-		t.Errorf("stage energy: staged suite %v J (want > 0), serial suite %v J (want 0)",
-			float64(run.StageEnergy), float64(serial.StageEnergy))
+	if got, want := g[0][0].StageEnergy, own[0][0].StageEnergy; got == 0 || got != want {
+		t.Errorf("stage energy: prefetched cell %v J, staged suite's own %v J (want equal, > 0)",
+			float64(got), float64(want))
+	}
+	if e := serial[0][0].StageEnergy; e != 0 {
+		t.Errorf("serial suite stage energy %v J, want 0", float64(e))
+	}
+}
+
+// omitting is a Prefetcher that hands back a placeholder run for every cell
+// but the one it omits.
+type omitting struct{ omit Cell }
+
+func (p omitting) Prefetch(cells []Cell) (map[Cell]*Run, error) {
+	out := make(map[Cell]*Run, len(cells))
+	for _, c := range cells {
+		if c.App != p.omit.App || c.Kind != p.omit.Kind {
+			out[c] = &Run{}
+		}
+	}
+	return out, nil
+}
+
+// TestPrefetcherOmittingACellFailsTheGenerator: a prefetcher must return a
+// run for every cell it is handed; one it omits fails the generator with
+// an error naming the cell's app and kind.
+func TestPrefetcherOmittingACellFailsTheGenerator(t *testing.T) {
+	app, _ := apps.ByName("Todo")
+	s := NewSuite()
+	s.SetPrefetcher(omitting{Cell{App: app, Kind: GreenWebU}})
+	_, err := s.Fig12()
+	if err == nil {
+		t.Fatal("Fig12 succeeded without a Todo/GreenWeb-U run")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "Todo") || !strings.Contains(msg, string(GreenWebU)) {
+		t.Errorf("error %q does not name Todo and %s", msg, GreenWebU)
 	}
 }

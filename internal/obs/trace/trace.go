@@ -12,25 +12,23 @@
 //  2. Bounded memory. Every span lands in a sweep's SweepTrace, a buffer of
 //     fixed size with an explicit dropped-span counter, so a pathological
 //     sweep cannot balloon it.
-//  3. Clock honesty. One process records every span. A job a worker
-//     process ran is drawn from the start its result reports on the
-//     worker's clock, aligned by the offset estimated during the
-//     hello/welcome handshake (see EstimateOffsetUS); the exporter then
+//  3. Clock honesty. One process records every span, on its own clock. A
+//     job a worker process ran is drawn as long as its result says it ran,
+//     inside the job's round trip to that worker; the exporter then
 //     normalizes all timestamps to the sweep's earliest span.
 package trace
 
 import (
 	"os"
 	"sync/atomic"
-	"time"
 )
 
 // Context is a traced job's trace context: enough to correlate any span
-// back to one job of one sweep. It rides in fleet.Job's Trace field, which
+// back to one job of its sweep, whose span buffer the job's context
+// carries (SweepIn). It rides in fleet.Job's Trace field, which
 // neither the wire to remote workers nor the WAL carries.
 type Context struct {
-	Sweep string `json:"sweep"`
-	Job   int    `json:"job"`
+	Job int `json:"job"`
 	// Attempt counts placements: 0 for the first home, +1 per re-home, so a
 	// node's spans say which incarnation of the job they belong to.
 	Attempt int `json:"attempt,omitempty"`
@@ -70,19 +68,4 @@ var spanSeq atomic.Uint64
 // NewSpanID mints a span id unique across the fleet's processes.
 func NewSpanID() uint64 {
 	return uint64(os.Getpid()&0xffff)<<48 | (spanSeq.Add(1) & (1<<48 - 1))
-}
-
-// EstimateOffsetUS estimates a remote clock's offset from ours, in
-// microseconds, from one handshake exchange: t0 is our clock when the hello
-// was sent, t1 our clock when the welcome arrived, and remoteUS the remote
-// clock read between the two (the welcome's now_us field). Assuming the
-// network delay is symmetric, the remote read happened at the midpoint:
-//
-//	offset = remoteUS − (t0+t1)/2,  local ≈ remote − offset
-//
-// The error is bounded by half the round trip — microseconds on a LAN,
-// which is all the alignment a merged sweep trace needs to stay readable.
-func EstimateOffsetUS(t0, t1 time.Time, remoteUS int64) int64 {
-	lo, hi := t0.UnixMicro(), t1.UnixMicro()
-	return remoteUS - (lo + (hi-lo)/2)
 }

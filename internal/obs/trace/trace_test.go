@@ -21,22 +21,6 @@ func TestNilSweepTraceIsSafe(t *testing.T) {
 	}
 }
 
-func TestEstimateOffsetUS(t *testing.T) {
-	t0 := time.UnixMicro(1_000_000)
-	t1 := time.UnixMicro(1_000_100) // 100µs round trip
-	// Remote clock is 5s ahead; its reading at the exchange midpoint.
-	remote := int64(6_000_050)
-	off := EstimateOffsetUS(t0, t1, remote)
-	if off != 5_000_000 {
-		t.Fatalf("offset = %d, want 5000000", off)
-	}
-	// Remote clock 3s behind.
-	remote = int64(1_000_050 - 3_000_000)
-	if off := EstimateOffsetUS(t0, t1, remote); off != -3_000_000 {
-		t.Fatalf("offset = %d, want -3000000", off)
-	}
-}
-
 // TestSweepTraceBudgetAndSnapshot: a sweep's buffer keeps its spans, each
 // recorded one stamped with the job's coordinates, this process's pid and
 // a fresh id, keeps the pid of a span drawn for another process, counts
@@ -45,7 +29,7 @@ func TestEstimateOffsetUS(t *testing.T) {
 // TestFleetTraceBound.
 func TestSweepTraceBudgetAndSnapshot(t *testing.T) {
 	tr := NewSweepTrace(512)
-	tc := Context{Sweep: "s-1", Job: 3, Attempt: 1, Parent: 42}
+	tc := Context{Job: 3, Attempt: 1, Parent: 42}
 	tr.Record(tc, "queue-wait", "queue", time.Now(), time.Millisecond, nil)
 	tr.Record(tc, "dispatch", "sched", time.Now(), time.Millisecond, nil)
 	tr.Add(Span{Name: "execute", Cat: "execute", Job: 3, PID: 999})
@@ -78,38 +62,20 @@ func TestSweepTraceBudgetAndSnapshot(t *testing.T) {
 }
 
 // TestMergeAlignsTwoSkewedClocks is the trace-merge contract: execute
-// spans whose starts two workers reported on their own clocks — one 5s
-// fast, one 3s slow — align into one monotonic timeline once each start is
-// rebased by its handshake-estimated offset, as a remote node draws them,
-// and the exported Chrome trace emits nondecreasing timestamps.
+// spans of two worker processes, drawn in server time as a remote node
+// draws them whatever the workers' clocks read, merge with the server's
+// own spans into one timeline whose exported timestamps are nondecreasing,
+// under each worker's pid and node name.
 func TestMergeAlignsTwoSkewedClocks(t *testing.T) {
 	// Server timeline (unix µs): job 0 queue-waits [1000, 2000), executes
 	// on node A [2000, 12000); job 1 queue-waits [1000, 3000), executes on
 	// node B [3000, 9000).
-	const (
-		offsetA = int64(5_000_000)  // node A clock runs 5s ahead
-		offsetB = int64(-3_000_000) // node B clock runs 3s behind
-	)
 	serverSpans := []Span{
 		{ID: 1, Name: "queue-wait", Cat: "queue", Job: 0, PID: 100, StartUS: 1000, DurUS: 1000},
 		{ID: 2, Name: "queue-wait", Cat: "queue", Job: 1, PID: 100, StartUS: 1000, DurUS: 2000},
 	}
-	// Execute spans with the starts each worker reported on its own skewed
-	// clock.
-	fromA := Span{ID: 3, Name: "execute", Cat: "execute", Job: 0, PID: 200, StartUS: 2000 + offsetA, DurUS: 10_000}
-	fromB := Span{ID: 4, Name: "execute", Cat: "execute", Job: 1, PID: 300, StartUS: 3000 + offsetB, DurUS: 6000}
-
-	// The transport estimates each offset from a simulated handshake: the
-	// worker's now_us is its skewed clock read at the exchange midpoint.
-	t0, t1 := time.UnixMicro(500), time.UnixMicro(700)
-	estA := EstimateOffsetUS(t0, t1, 600+offsetA)
-	estB := EstimateOffsetUS(t0, t1, 600+offsetB)
-	if estA != offsetA || estB != offsetB {
-		t.Fatalf("offset estimates = %d, %d; want %d, %d", estA, estB, offsetA, offsetB)
-	}
-	// Each start is rebased by its node's estimate, under the node's name.
-	fromA.StartUS, fromA.Node = fromA.StartUS-estA, "nodeA"
-	fromB.StartUS, fromB.Node = fromB.StartUS-estB, "nodeB"
+	fromA := Span{ID: 3, Name: "execute", Cat: "execute", Job: 0, Node: "nodeA", PID: 200, StartUS: 2000, DurUS: 10_000}
+	fromB := Span{ID: 4, Name: "execute", Cat: "execute", Job: 1, Node: "nodeB", PID: 300, StartUS: 3000, DurUS: 6000}
 
 	merged := append(serverSpans, fromA, fromB)
 	var buf bytes.Buffer
@@ -134,7 +100,7 @@ func TestMergeAlignsTwoSkewedClocks(t *testing.T) {
 		t.Fatalf("otherData.sweep = %v", tf.OtherData["sweep"])
 	}
 
-	// Aligned expectations on the rebased (base = 1000) timeline.
+	// Expectations on the rebased (base = 1000) timeline.
 	want := map[string]int64{
 		"execute/200": 1000, // node A execute: 2000 − base
 		"execute/300": 2000, // node B execute: 3000 − base

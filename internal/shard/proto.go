@@ -9,9 +9,9 @@
 // are observable to transport wrappers (the chaos injector keys its faults
 // on the write-side frame index). Frame types:
 //
-//	client → worker   {"t":"hello","proto":7}
-//	worker → client   {"t":"welcome","proto":7,"workers":N,"name":"...",
-//	                   "now_us":T,"pid":P}
+//	client → worker   {"t":"hello","proto":8}
+//	worker → client   {"t":"welcome","proto":8,"workers":N,"name":"...",
+//	                   "pid":P}
 //	client → worker   {"t":"job","id":SEQ,"job":{...fleet.Job}}
 //	worker → client   {"t":"result","id":SEQ,"result":{...wireResult}}
 //	client → worker   {"t":"ping","id":SEQ}
@@ -24,13 +24,12 @@
 // context. A result frame carries the row greensrv would serve for the job,
 // as the worker's fleet projected it, its run's ledger spans, their frame
 // decisions and its config marks as one binary timeline block
-// (ledger.AppendTimeline), base64 inside the JSON, and when the worker ran
-// the job: start_us on its clock and latency_ns.
+// (ledger.AppendTimeline), base64 inside the JSON, and how long the worker
+// ran the job (latency_ns).
 //
-// Every welcome carries the worker's pid and its clock (now_us), from which
-// the client estimates the clock offset that places a traced job's execute
-// span, drawn from start_us and latency_ns, under the worker's pid in the
-// client's timeline. A worker refuses any hello whose proto differs from
+// Every welcome carries the worker's pid. The client draws a traced job's
+// execute span under that pid, latency_ns long, in the middle of the job's
+// round trip on its own clock, so no clock crosses the wire. A worker refuses any hello whose proto differs from
 // its own, so both ends always share one feature set: nothing is
 // negotiated, and a fleet runs one protocol version.
 package shard
@@ -59,8 +58,11 @@ import (
 // still retry a failed cell. Version 7: jobs carry no trace context, and a
 // result says when its job ran (start_us) instead of shipping the worker's
 // span buffer; paired with version 6, either end would leave every remote
-// job without an execute span.
-const protoVersion = 7
+// job without an execute span. Version 8: the welcome carries no clock
+// (now_us) and a result no start (start_us): the client places each run
+// inside its job's round trip on its own clock. A version-7 server would
+// find no start in a version-8 result and draw no execute span.
+const protoVersion = 8
 
 // writeTimeout caps one frame write, on either end, so a dead peer cannot
 // wedge the writer forever.
@@ -98,7 +100,6 @@ type frame struct {
 	Proto   int         `json:"proto,omitempty"`   // hello/welcome
 	Workers int         `json:"workers,omitempty"` // welcome
 	Name    string      `json:"name,omitempty"`    // welcome: worker identity
-	Now     int64       `json:"now_us,omitempty"`  // welcome: worker clock, unix µs
 	PID     int         `json:"pid,omitempty"`     // welcome: worker process id
 	Job     *fleet.Job  `json:"job,omitempty"`
 	Result  *wireResult `json:"result,omitempty"`

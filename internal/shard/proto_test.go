@@ -53,7 +53,7 @@ func TestBadTimelineFailsTheJob(t *testing.T) {
 		t.Fatalf("truncated timeline decoded to row %v, block %d bytes, err %v; want errBadRun alone",
 			res.Row, len(res.Timeline), res.Err)
 	}
-	if res.Worker != w.Worker || res.Latency != time.Duration(w.LatencyNS) || res.Start.UnixMicro() != w.StartUS {
+	if res.Worker != w.Worker || res.Latency != time.Duration(w.LatencyNS) {
 		t.Fatalf("result lost its provenance: %+v", res)
 	}
 }
@@ -72,7 +72,7 @@ func zerosFrame(n int) []byte {
 func TestSmallestFramesFitTheMinimum(t *testing.T) {
 	smallest := []frame{
 		{T: frameHello, Proto: protoVersion},
-		{T: frameWelcome, Proto: protoVersion, Workers: 1, Now: 1, PID: 1},
+		{T: frameWelcome, Proto: protoVersion, Workers: 1, PID: 1},
 		{T: frameWelcome, Err: "x"},
 		{T: frameJob, ID: 1, Job: &fleet.Job{}},
 		{T: frameResult, ID: 1, Result: &wireResult{}},
@@ -140,13 +140,13 @@ func rawFrame(payload string) []byte {
 
 // frameSeeds is one frame of every type, with result frames carrying the
 // rows and timelines of real runs (baseline and GreenWeb), a failure, and
-// a minimal row with when its job ran.
+// a minimal row with how long its job ran.
 func frameSeeds(tb testing.TB) []frame {
 	job := fleet.Job{App: "Todo", Kind: harness.GreenWebI, Phase: fleet.Full,
-		Trace: &trace.Context{Sweep: "s-000001", Job: 2, Parent: 7}}
+		Trace: &trace.Context{Job: 2, Parent: 7}}
 	seeds := []frame{
 		{T: frameHello, Proto: protoVersion},
-		{T: frameWelcome, Proto: protoVersion, Workers: 2, Name: "alpha", Now: 1, PID: 2},
+		{T: frameWelcome, Proto: protoVersion, Workers: 2, Name: "alpha", PID: 2},
 		{T: frameWelcome, Err: "unsupported handshake"},
 		{T: frameJob, ID: 1, Job: &job},
 		{T: framePing, ID: 2},
@@ -155,7 +155,7 @@ func frameSeeds(tb testing.TB) []frame {
 		{T: frameResult, ID: 3, Result: encodeResult(fleet.Result{Job: job, Worker: -1,
 			Err: errors.New("fault storm")})},
 		{T: frameResult, ID: 4, Result: encodeResult(fleet.Result{Job: job, Worker: 1,
-			Start: time.UnixMicro(5), Latency: 9 * time.Microsecond, Row: &fleet.ResultRow{}})},
+			Latency: 9 * time.Microsecond, Row: &fleet.ResultRow{}})},
 	}
 	for i, r := range fuzzResults(tb) {
 		seeds = append(seeds, frame{T: frameResult, ID: uint64(10 + i), Result: encodeResult(r)})

@@ -78,12 +78,10 @@ func (o *RemoteOptions) fill() {
 type session struct {
 	conn net.Conn
 
-	// Fixed at handshake: the estimated clock offset (worker − us, µs), and
-	// the worker's advertised name and pid, which place and attribute the
-	// execute spans drawn from its results.
-	offsetUS int64
-	name     string
-	pid      int
+	// Fixed at handshake: the worker's advertised name and pid, which
+	// attribute the execute spans drawn from its results.
+	name string
+	pid  int
 
 	writeMu sync.Mutex
 
@@ -180,7 +178,6 @@ type RemoteNode struct {
 	rttNS      atomic.Int64
 	reconnects atomic.Int64 // completed re-dial attempts (successful or not) after the first session
 	misses     atomic.Int64
-	offsetUS   atomic.Int64 // latest handshake-estimated clock offset
 
 	loopDone chan struct{}
 }
@@ -225,7 +222,6 @@ func (n *RemoteNode) Health() fleet.NodeHealth {
 		LastRTT:         time.Duration(n.rttNS.Load()),
 		Reconnects:      n.reconnects.Load(),
 		HeartbeatMisses: n.misses.Load(),
-		ClockOffsetUS:   n.offsetUS.Load(),
 	}
 }
 
@@ -346,15 +342,11 @@ func (n *RemoteNode) dialAndShake() (*session, int, string, error) {
 	}
 	deadline := time.Now().Add(n.opts.DialTimeout)
 	conn.SetDeadline(deadline)
-	// t0/t1 bracket the exchange for the clock-offset estimate: the
-	// worker's now_us was read between our send and our receive.
-	t0 := time.Now()
 	if err := writeFrame(conn, frame{T: frameHello, Proto: protoVersion}); err != nil {
 		conn.Close()
 		return nil, 0, "", fmt.Errorf("handshake: %w", err)
 	}
 	f, err := readFrame(conn)
-	t1 := time.Now()
 	if err != nil {
 		conn.Close()
 		return nil, 0, "", fmt.Errorf("handshake: %w", err)
@@ -368,12 +360,6 @@ func (n *RemoteNode) dialAndShake() (*session, int, string, error) {
 	}
 	conn.SetDeadline(time.Time{})
 	sess := &session{conn: conn, name: f.Name, pid: f.PID, calls: map[uint64]chan *wireResult{}}
-	// A welcome without a clock, which no greennode sends, leaves the offset
-	// 0 rather than the distance to the epoch.
-	if f.Now != 0 {
-		sess.offsetUS = trace.EstimateOffsetUS(t0, t1, f.Now)
-	}
-	n.offsetUS.Store(sess.offsetUS)
 	return sess, f.Workers, f.Name, nil
 }
 
@@ -499,9 +485,10 @@ func (n *RemoteNode) runSession(sess *session) error {
 }
 
 // Run implements fleet.Node: ship the job, wait for its result, decode it
-// and stamp it with the calling puller's slot. A traced job that the worker
-// ran gets its execute span in the span buffer ctx carries, drawn from the
-// result's start and latency. A node with no session (reconnecting,
+// and stamp it with the calling puller's slot. A job the worker ran gets a
+// Start on this process's clock, inside the job's round trip, and a traced
+// one its execute span in the span buffer ctx carries, drawn from that
+// start and the result's latency. A node with no session (reconnecting,
 // dead or closed) fails the job at once with fleet.ErrNodeDown, as does a
 // session that breaks mid-call, and the cluster re-homes it: no job waits
 // out a reconnect.
@@ -517,6 +504,7 @@ func (n *RemoteNode) Run(ctx context.Context, slot int, job fleet.Job) fleet.Res
 	if sess == nil || !sess.register(id, ch) {
 		return down(job, fmt.Sprintf("node %d has no session", n.id))
 	}
+	sent := time.Now()
 	if err := sess.write(frame{T: frameJob, ID: id, Job: &job}); err != nil {
 		sess.unregister(id)
 		sess.conn.Close() // wake the reader; the loop handles teardown
@@ -527,17 +515,18 @@ func (n *RemoteNode) Run(ctx context.Context, slot int, job fleet.Job) fleet.Res
 		if !ok {
 			return down(job, sess.err) // fail set err before it closed ch
 		}
+		got := time.Now()
 		r := decodeResult(w, job)
-		if job.Trace != nil && !r.Start.IsZero() {
-			// The worker ran the job over [Start, Start+Latency] on its
-			// clock: rebase the span into this timeline with the handshake
-			// offset, under the worker's name and pid.
-			sp := fleet.ExecuteSpan(*job.Trace, r)
-			sp.StartUS -= sess.offsetUS
-			sp.Node, sp.PID = sess.name, sess.pid
-			trace.SweepIn(ctx).Add(sp)
-		}
 		if r.Worker >= 0 {
+			// The worker ran the job for Latency somewhere between sending
+			// the job and receiving its result: place the run in the middle
+			// of that round trip, splitting the transport evenly around it.
+			r.Start = sent.Add(max(0, got.Sub(sent)-r.Latency) / 2)
+			if job.Trace != nil {
+				sp := fleet.ExecuteSpan(*job.Trace, r)
+				sp.Node, sp.PID = sess.name, sess.pid
+				trace.SweepIn(ctx).Add(sp)
+			}
 			r.Worker = slot
 		}
 		return r

@@ -15,11 +15,6 @@ import (
 	"github.com/wattwiseweb/greenweb/internal/obs/trace"
 )
 
-// slackUS bounds how far a drawn execute span may stray from the Run call
-// that drew it: the handshake's clock-offset estimate is off by at most
-// half its round trip, well under 100ms on loopback.
-const slackUS = 100_000
-
 // runTraced runs job on n with a fresh span buffer and returns the result,
 // the spans the buffer kept, and the Run call's wall window (unix µs).
 func runTraced(n *RemoteNode, job fleet.Job) (res fleet.Result, spans []trace.Span, before, after int64) {
@@ -33,8 +28,8 @@ func runTraced(n *RemoteNode, job fleet.Job) (res fleet.Result, spans []trace.Sp
 
 // TestRemoteTraceNegotiation pins the happy path: the worker runs a traced
 // job, and the client draws the job's one execute span from the result's
-// start and latency, under the worker's name and pid, the job's
-// coordinates, and inside the Run call. An untraced job adds no span.
+// latency, under the worker's name and pid, the job's coordinates, and
+// inside the Run call. An untraced job adds no span.
 func TestRemoteTraceNegotiation(t *testing.T) {
 	exec := func(ctx context.Context, j fleet.Job) (*harness.Run, error) {
 		return &harness.Run{Frames: 1, Energy: acmp.Joules(1)}, nil
@@ -53,7 +48,7 @@ func TestRemoteTraceNegotiation(t *testing.T) {
 	}
 
 	job := fleet.Job{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro,
-		Trace: &trace.Context{Sweep: "s-test", Job: 3, Parent: 42}}
+		Trace: &trace.Context{Job: 3, Parent: 42}}
 	res, spans, before, after := runTraced(n, job)
 	if res.Err != nil {
 		t.Fatal(res.Err)
@@ -65,7 +60,7 @@ func TestRemoteTraceNegotiation(t *testing.T) {
 	if sp.Name != "execute" || sp.Node != "nodeA" || sp.PID != os.Getpid() || sp.Parent != 42 || sp.Job != 3 {
 		t.Errorf("execute span = %+v; want node nodeA, the worker's pid %d, parent 42, job 3", sp, os.Getpid())
 	}
-	if sp.StartUS < before-slackUS || sp.DurUS < 0 || sp.StartUS+sp.DurUS > after+slackUS {
+	if sp.StartUS < before || sp.DurUS < 0 || sp.StartUS+sp.DurUS > after {
 		t.Errorf("execute span [%d, +%d]µs lies outside the Run call [%d, %d]µs", sp.StartUS, sp.DurUS, before, after)
 	}
 
@@ -79,7 +74,7 @@ func TestRemoteTraceNegotiation(t *testing.T) {
 // its trace context, which only the server that draws its spans reads.
 func TestJobFrameCarriesNoTrace(t *testing.T) {
 	job := fleet.Job{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro,
-		Trace: &trace.Context{Sweep: "s-test", Job: 3, Parent: 42}}
+		Trace: &trace.Context{Job: 3, Parent: 42}}
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, frame{T: frameJob, ID: 1, Job: &job}); err != nil {
 		t.Fatal(err)
@@ -98,10 +93,9 @@ func TestJobFrameCarriesNoTrace(t *testing.T) {
 
 // fakeWorker is a hand-rolled frame server: it answers the handshake with
 // the caller's welcome frame, pongs pings, and answers job frames, in turn,
-// with a result that carries neither an error nor a row but says when the
-// job frame arrived, on the worker's clock (start_us), and with a result
-// frame that carries no result at all. The worker's clock reads the
-// welcome's now_us as it writes the welcome (ours, without one).
+// with a result that carries neither an error nor a row but says its job
+// ran for a millisecond, and with a result frame that carries no result at
+// all.
 func fakeWorker(t *testing.T, welcome frame) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -120,10 +114,6 @@ func fakeWorker(t *testing.T, welcome frame) string {
 				if _, err := readFrame(conn); err != nil {
 					return
 				}
-				var skewUS int64 // how far the worker's clock runs ahead of ours
-				if welcome.Now != 0 {
-					skewUS = welcome.Now - time.Now().UnixMicro()
-				}
 				if writeFrame(conn, welcome) != nil {
 					return
 				}
@@ -137,7 +127,8 @@ func fakeWorker(t *testing.T, welcome frame) string {
 					case framePing:
 						writeFrame(conn, frame{T: framePong, ID: f.ID})
 					case frameJob:
-						res := &wireResult{StartUS: time.Now().UnixMicro() + skewUS, LatencyNS: 1}
+						time.Sleep(time.Millisecond)
+						res := &wireResult{LatencyNS: int64(time.Millisecond)}
 						if bodyless {
 							res = nil
 						}
@@ -151,46 +142,23 @@ func fakeWorker(t *testing.T, welcome frame) string {
 	return l.Addr().String()
 }
 
-// TestHandshakeClockOffset: a worker whose welcome clock is skewed five
-// seconds ahead yields a matching handshake offset estimate, and the
-// execute span drawn from a result's start_us on that clock lands inside
-// the Run call on ours; a welcome without a clock yields no offset.
-func TestHandshakeClockOffset(t *testing.T) {
-	const skewUS = 5_000_000
-	addr := fakeWorker(t, frame{T: frameWelcome, Proto: protoVersion,
-		Workers: 1, Name: "skewed", PID: 999, Now: time.Now().UnixMicro() + skewUS})
+// TestExecuteSpanInsideRunCall: the client draws a traced job's execute
+// span on its own clock, from a worker whose welcome carries no clock, so
+// the span lies inside the Run call with no slack, under the worker's name
+// and pid.
+func TestExecuteSpanInsideRunCall(t *testing.T) {
+	addr := fakeWorker(t, frame{T: frameWelcome, Proto: protoVersion, Workers: 1, Name: "fake", PID: 999})
 	n, err := NewRemoteNode(0, fastRemote(addr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-
-	off := n.Health().ClockOffsetUS
-	// The handshake round trip on loopback is well under 100ms, so the
-	// estimate must land within that of the injected skew.
-	if off < skewUS-slackUS || off > skewUS+slackUS {
-		t.Fatalf("clock offset = %dµs, want ≈%dµs", off, skewUS)
-	}
-
-	// The fake answers this first job with start_us, 5s ahead of our clock.
 	_, spans, before, after := runTraced(n, fleet.Job{App: "Todo", Kind: harness.Perf, Phase: fleet.Micro,
-		Trace: &trace.Context{Sweep: "s-test", Job: 1, Parent: 7}})
-	if len(spans) != 1 || spans[0].Node != "skewed" || spans[0].PID != 999 {
-		t.Fatalf("spans = %+v; want one execute span of node skewed, pid 999", spans)
+		Trace: &trace.Context{Job: 1, Parent: 7}})
+	if len(spans) != 1 || spans[0].Node != "fake" || spans[0].PID != 999 {
+		t.Fatalf("spans = %+v; want one execute span of node fake, pid 999", spans)
 	}
-	if start := spans[0].StartUS; start < before-slackUS || start > after+slackUS {
-		t.Fatalf("execute span starts at %dµs, %dµs from the Run call [%d, %d]µs; the offset was not subtracted",
-			start, start-before, before, after)
-	}
-
-	// A welcome without a clock yields no offset, not the distance to the
-	// epoch.
-	clockless, err := NewRemoteNode(1, fastRemote(fakeWorker(t, frame{T: frameWelcome, Proto: protoVersion, Workers: 1})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer clockless.Close()
-	if off := clockless.Health().ClockOffsetUS; off != 0 {
-		t.Errorf("a welcome without now_us gave clock offset %dµs, want 0", off)
+	if sp := spans[0]; sp.StartUS < before || sp.DurUS != 1000 || sp.StartUS+sp.DurUS > after {
+		t.Fatalf("execute span [%d, +%d]µs; want 1000µs inside the Run call [%d, %d]µs", sp.StartUS, sp.DurUS, before, after)
 	}
 }

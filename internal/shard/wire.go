@@ -25,10 +25,8 @@ var errBadRun = errors.New("shard: malformed run")
 type wireResult struct {
 	*fleet.ResultRow
 	Worker int `json:"worker"`
-	// StartUS is when the worker's node started the job, unix µs on the
-	// worker's clock, absent if no node ran it; with LatencyNS it is the
-	// window the client draws the job's execute span over.
-	StartUS   int64 `json:"start_us,omitempty"`
+	// LatencyNS is how long the worker's node ran the job; the client
+	// places that run inside the job's round trip, on its own clock.
 	LatencyNS int64 `json:"latency_ns"`
 	// Timeline is ledger.AppendTimeline's block of the run's spans, with
 	// their frame decisions, and config marks, absent when both are empty;
@@ -39,19 +37,15 @@ type wireResult struct {
 
 // encodeResult puts a fleet.Result on the wire as the worker's LocalNode
 // projected it: its row, through fleet.RowOf, its timeline block as it is,
-// and when it ran. The run's raw per-frame results never reach the wire:
-// the node keeps only these two projections of a run.
+// and how long it ran. The run's raw per-frame results never reach the
+// wire: the node keeps only these two projections of a run.
 func encodeResult(r fleet.Result) *wireResult {
 	row := fleet.RowOf(0, r)
-	w := &wireResult{ResultRow: &row, Worker: r.Worker, LatencyNS: int64(r.Latency), Timeline: r.Timeline}
-	if !r.Start.IsZero() {
-		w.StartUS = r.Start.UnixMicro()
-	}
-	return w
+	return &wireResult{ResultRow: &row, Worker: r.Worker, LatencyNS: int64(r.Latency), Timeline: r.Timeline}
 }
 
 // decodeResult reconstructs a fleet.Result, reattaching the client's copy
-// of the job, with its Start on the worker's clock: a failed result carries
+// of the job, without a Start (RemoteNode.Run places it): a failed result carries
 // the row's error, a finished one the row and the timeline block, which
 // decodeResult only checks (ledger.CheckTimeline). A result that has no row
 // (w is nil when the frame carried no result) or whose timeline does not
@@ -61,9 +55,6 @@ func decodeResult(w *wireResult, job fleet.Job) fleet.Result {
 		w = new(wireResult)
 	}
 	r := fleet.Result{Job: job, Worker: w.Worker, Latency: time.Duration(w.LatencyNS)}
-	if w.StartUS != 0 {
-		r.Start = time.UnixMicro(w.StartUS)
-	}
 	row := w.ResultRow
 	if row == nil {
 		r.Err = fmt.Errorf("%w: a result with neither an error nor a row", errBadRun)

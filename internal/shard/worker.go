@@ -27,7 +27,7 @@ type WorkerOptions struct {
 // Worker executes jobs shipped over the frame protocol on a local
 // fleet.Cluster, each once, as a local node would, so a remote job's
 // terminal result is indistinguishable from a local one. It records no
-// trace spans: a result says when its job ran, and the client draws the
+// trace spans: a result says how long its job ran, and the client draws the
 // job's execute span from that.
 //
 // Each accepted connection is handshaken (hello/welcome with a protocol
@@ -179,10 +179,8 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn, name string) {
 			hello.T, hello.Proto, frameHello, protoVersion)})
 		return
 	}
-	// The clock read (now_us) is taken as late as possible so the client's
-	// offset estimate brackets it.
 	if err := write(frame{T: frameWelcome, Proto: protoVersion, Workers: w.cluster.Workers(),
-		Name: name, PID: os.Getpid(), Now: time.Now().UnixMicro()}); err != nil {
+		Name: name, PID: os.Getpid()}); err != nil {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
