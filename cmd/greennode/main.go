@@ -12,8 +12,9 @@
 //
 // With -http ADDR the worker serves its own health surface:
 //
-//	GET /metrics  Prometheus text exposition of the worker's own state:
-//	              its cluster (greenweb_fleet_*, greenweb_shard_*) and its
+//	GET /metrics  Prometheus text exposition, written from the worker's
+//	              own counters at each scrape (Worker.WriteMetrics): its
+//	              cluster (greenweb_fleet_*, greenweb_shard_*), then its
 //	              connections (greenweb_node_*)
 //	GET /healthz  liveness — 200 while the process accepts connections
 //	GET /readyz   readiness — 200 once the frame listener is bound
@@ -42,7 +43,6 @@ import (
 	"time"
 
 	"github.com/wattwiseweb/greenweb/internal/fleet"
-	"github.com/wattwiseweb/greenweb/internal/obs"
 	"github.com/wattwiseweb/greenweb/internal/shard"
 )
 
@@ -86,12 +86,10 @@ func main() {
 	ready.Store(true)
 	var healthSrv *http.Server
 	if *httpAddr != "" {
-		reg := obs.NewRegistry()
-		w.RegisterMetrics(reg)
 		mux := http.NewServeMux()
 		mux.HandleFunc("GET /metrics", func(rw http.ResponseWriter, r *http.Request) {
 			rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			reg.WritePrometheus(rw)
+			w.WriteMetrics(rw)
 		})
 		mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
 			rw.WriteHeader(http.StatusOK)

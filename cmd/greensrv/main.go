@@ -249,7 +249,7 @@ func flushMetrics(api *fleet.Server, path string) {
 	if out == os.Stderr {
 		fmt.Fprintln(out, "greensrv: final metrics snapshot:")
 	}
-	if err := api.Registry().WritePrometheus(out); err != nil {
+	if err := api.WriteMetrics(out); err != nil {
 		fmt.Fprintln(os.Stderr, "greensrv: obs-dump:", err)
 	}
 }

@@ -18,7 +18,6 @@ import (
 // the engine reports inputs, frame starts, frame completions, and event
 // closure, and the governor responds by setting the CPU configuration.
 type Governor interface {
-	Name() string
 	// Attach is called once before the run starts.
 	Attach(e *Engine)
 	// OnInput fires when the browser process receives an input event.

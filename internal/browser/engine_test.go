@@ -19,7 +19,6 @@ type recordingGovernor struct {
 	pinnedPeak bool
 }
 
-func (g *recordingGovernor) Name() string { return "recording" }
 func (g *recordingGovernor) Attach(e *Engine) {
 	g.e = e
 	if g.pinnedPeak {

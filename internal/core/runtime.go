@@ -133,7 +133,8 @@ func New(opts Options) *Runtime {
 	}
 }
 
-// Name implements browser.Governor.
+// Name is the runtime's kind name ("GreenWeb-U", "GreenWeb-I-staged", …),
+// which every frame decision it records carries as its governor.
 func (r *Runtime) Name() string {
 	usable := r.opts.Scenario == qos.Usable
 	switch {

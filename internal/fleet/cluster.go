@@ -43,7 +43,7 @@ var ErrNodeDown = errors.New("shard: node down")
 var ErrNoNodes = errors.New("shard: no live nodes")
 
 // NodeHealth is a remote node's transport health, exported per node by
-// Cluster.RegisterMetrics and Cluster.NodeInfos.
+// Cluster.WriteMetrics and Cluster.NodeInfos.
 type NodeHealth struct {
 	Connected       bool          `json:"connected"`
 	Dead            bool          `json:"dead"`
@@ -532,70 +532,59 @@ func (c *Cluster) utilization() float64 {
 	return float64(c.busy.Load()) / (float64(elapsed) * float64(w))
 }
 
-// RegisterMetrics exposes the cluster's live counters on an obs registry:
-// the greenweb_fleet_* family, plus per-node liveness, job and re-home
-// counters and remote transport health (greenweb_shard_*). Values are read
-// at scrape time — no shadow counters to keep in sync. Each server
-// registers on a registry of its own, so clusters in one process (tests)
-// do not fight over sources.
-func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
-	reg.GaugeFunc("greenweb_fleet_workers",
-		"Total execution slots across all nodes", func() float64 { return float64(c.Workers()) })
-	reg.GaugeFunc("greenweb_fleet_queue_depth",
-		"Jobs waiting in the queue", func() float64 { return float64(c.q.len()) })
-	reg.GaugeFunc("greenweb_fleet_running_jobs",
-		"Jobs executing right now", func() float64 { return float64(c.running.Load()) })
-	reg.CounterFunc("greenweb_fleet_jobs_done_total",
-		"Jobs finished successfully", func() float64 { return float64(c.done.Load()) })
-	reg.CounterFunc("greenweb_fleet_jobs_failed_total",
-		"Jobs that ended in failure (including cancellation)", func() float64 { return float64(c.failed.Load()) })
-	reg.GaugeFunc("greenweb_fleet_utilization",
-		"Busy worker-time over available worker-time since start", c.utilization)
-	reg.AttachHistogram("greenweb_fleet_job_latency_seconds",
-		"Wall-clock job execution latency in seconds", c.hist)
+// WriteMetrics writes the cluster's families, reading its counters as it
+// goes: greenweb_fleet_*, then per-node liveness, job and re-home counters
+// and remote transport health (greenweb_shard_*), one sample per node in
+// node order.
+func (c *Cluster) WriteMetrics(e *obs.Exposition) {
+	e.Gauge("greenweb_fleet_workers", "Total execution slots across all nodes", float64(c.Workers()))
+	e.Gauge("greenweb_fleet_queue_depth", "Jobs waiting in the queue", float64(c.q.len()))
+	e.Gauge("greenweb_fleet_running_jobs", "Jobs executing right now", float64(c.running.Load()))
+	e.Counter("greenweb_fleet_jobs_done_total", "Jobs finished successfully", float64(c.done.Load()))
+	e.Counter("greenweb_fleet_jobs_failed_total",
+		"Jobs that ended in failure (including cancellation)", float64(c.failed.Load()))
+	e.Gauge("greenweb_fleet_utilization",
+		"Busy worker-time over available worker-time since start", c.utilization())
+	e.Histogram("greenweb_fleet_job_latency_seconds", "Wall-clock job execution latency in seconds", c.hist)
+	e.Gauge("greenweb_shard_nodes", "Nodes in the cluster", float64(len(c.nodes)))
 
-	reg.GaugeFunc("greenweb_shard_nodes", "Nodes in the cluster",
-		func() float64 { return float64(len(c.nodes)) })
-	upVec := reg.GaugeVec("greenweb_shard_node_up",
-		"1 while the node takes jobs: not evicted and, if remote, connected", "node")
-	jobsVec := reg.CounterVec("greenweb_shard_node_jobs_total",
-		"Jobs executed per node", "node")
-	rehomeVec := reg.CounterVec("greenweb_shard_rehomed_jobs_total",
-		"In-flight jobs re-homed off each node after its transport died", "node")
-	for i := range c.nodes {
-		i := i
-		label := strconv.Itoa(i)
-		upVec.Func(func() float64 {
+	// Only remote nodes report transport health, so an all-local cluster
+	// writes no health families.
+	all, remote := make([]int, len(c.nodes)), []int(nil)
+	for i, n := range c.nodes {
+		all[i] = i
+		if _, ok := n.(healthReporter); ok {
+			remote = append(remote, i)
+		}
+	}
+	perNode := func(nodes []int, name, help, typ string, v func(i int) float64) {
+		if len(nodes) == 0 {
+			return
+		}
+		e.Family(name, help, typ)
+		for _, i := range nodes {
+			e.Labeled("node", strconv.Itoa(i), v(i))
+		}
+	}
+	health := func(i int) NodeHealth { return c.nodes[i].(healthReporter).Health() }
+	perNode(all, "greenweb_shard_node_up",
+		"1 while the node takes jobs: not evicted and, if remote, connected", "gauge", func(i int) float64 {
 			if c.up(i) {
 				return 1
 			}
 			return 0
-		}, label)
-		jobsVec.Func(func() float64 { return float64(c.pulled[i].Load()) }, label)
-		rehomeVec.Func(func() float64 { return float64(c.rehomed[i].Load()) }, label)
-	}
-	reg.CounterFunc("greenweb_shard_evictions_total",
-		"Nodes evicted after being declared dead",
-		func() float64 { return float64(c.evictions.Load()) })
-
-	// Remote nodes expose transport health; local nodes have none to report.
-	var rttVec, reconnVec, missVec *obs.Vec
-	for i, n := range c.nodes {
-		hr, ok := n.(healthReporter)
-		if !ok {
-			continue
-		}
-		if rttVec == nil {
-			rttVec = reg.GaugeVec("greenweb_shard_heartbeat_rtt_seconds",
-				"Most recent heartbeat round-trip time per node", "node")
-			reconnVec = reg.CounterVec("greenweb_shard_reconnects_total",
-				"Transport re-dial attempts per node", "node")
-			missVec = reg.CounterVec("greenweb_shard_heartbeat_misses_total",
-				"Heartbeats that went unanswered past the timeout", "node")
-		}
-		label := strconv.Itoa(i)
-		rttVec.Func(func() float64 { return hr.Health().LastRTT.Seconds() }, label)
-		reconnVec.Func(func() float64 { return float64(hr.Health().Reconnects) }, label)
-		missVec.Func(func() float64 { return float64(hr.Health().HeartbeatMisses) }, label)
-	}
+		})
+	perNode(all, "greenweb_shard_node_jobs_total", "Jobs executed per node", "counter",
+		func(i int) float64 { return float64(c.pulled[i].Load()) })
+	perNode(all, "greenweb_shard_rehomed_jobs_total",
+		"In-flight jobs re-homed off each node after its transport died", "counter",
+		func(i int) float64 { return float64(c.rehomed[i].Load()) })
+	e.Counter("greenweb_shard_evictions_total", "Nodes evicted after being declared dead", float64(c.evictions.Load()))
+	perNode(remote, "greenweb_shard_heartbeat_rtt_seconds", "Most recent heartbeat round-trip time per node", "gauge",
+		func(i int) float64 { return health(i).LastRTT.Seconds() })
+	perNode(remote, "greenweb_shard_reconnects_total", "Transport re-dial attempts per node", "counter",
+		func(i int) float64 { return float64(health(i).Reconnects) })
+	perNode(remote, "greenweb_shard_heartbeat_misses_total",
+		"Heartbeats that went unanswered past the timeout", "counter",
+		func(i int) float64 { return float64(health(i).HeartbeatMisses) })
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strconv"
 	"strings"
@@ -248,20 +249,26 @@ func TestClusterCloseSkipsWaitingNode(t *testing.T) {
 	}
 }
 
+// scrape returns the cluster's exposition.
+func scrape(t *testing.T, c *Cluster) string {
+	t.Helper()
+	var buf bytes.Buffer
+	e := obs.NewExposition(&buf)
+	c.WriteMetrics(e)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
 // TestClusterMetricsExposition: the cluster serves the greenweb_fleet_*
 // family (dashboard continuity) plus per-node job counters.
 func TestClusterMetricsExposition(t *testing.T) {
 	c := New(Options{Nodes: 2, Workers: 1, Execute: fakeExec(nil, closedChan())})
 	defer c.Close()
-	reg := obs.NewRegistry()
-	c.RegisterMetrics(reg)
 	c.RunSweep(context.Background(), make([]Job, 12))
 
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := scrape(t, c)
 	for _, want := range []string{
 		"greenweb_fleet_jobs_done_total 12",
 		"greenweb_fleet_queue_depth 0",
@@ -272,6 +279,42 @@ func TestClusterMetricsExposition(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestPerNodeSamplesPastSixtyFour: each per-node family carries one sample
+// per node, however many nodes the cluster has, each with its own node's
+// value and in node order.
+func TestPerNodeSamplesPastSixtyFour(t *testing.T) {
+	const nodes = 70
+	c := New(Options{Nodes: nodes, Workers: 1, Execute: fakeExec(nil, closedChan())})
+	defer c.Close()
+	for i := 0; i < nodes; i++ {
+		c.pulled[i].Store(int64(i))
+		c.rehomed[i].Store(int64(2 * i))
+		if i%3 == 0 {
+			c.Evict(i)
+		}
+	}
+	value := map[string]func(i int) int{
+		"greenweb_shard_node_up": func(i int) int {
+			if i%3 == 0 {
+				return 0
+			}
+			return 1
+		},
+		"greenweb_shard_node_jobs_total":    func(i int) int { return i },
+		"greenweb_shard_rehomed_jobs_total": func(i int) int { return 2 * i },
+	}
+	out := scrape(t, c)
+	for fam, v := range value {
+		var want strings.Builder
+		for i := 0; i < nodes; i++ {
+			fmt.Fprintf(&want, "%s{node=\"%d\"} %d\n", fam, i, v(i))
+		}
+		if !strings.Contains(out, want.String()) {
+			t.Errorf("%s: want these %d samples in a row:\n%s\nin:\n%s", fam, nodes, want.String(), out)
 		}
 	}
 }

@@ -219,8 +219,8 @@ func TestStatsCounters(t *testing.T) {
 	if d, f, q, r := p.done.Load(), p.failed.Load(), p.q.len(), p.running.Load(); d != 2 || f != 0 || q != 0 || r != 0 {
 		t.Fatalf("done=%d failed=%d queued=%d running=%d, want 2/0/0/0", d, f, q, r)
 	}
-	if n := p.hist.Snapshot().Count; n != 2 {
-		t.Fatalf("latency histogram count = %d, want 2", n)
+	if out := scrape(t, p); !strings.Contains(out, "greenweb_fleet_job_latency_seconds_count 2\n") {
+		t.Fatalf("latency histogram count is not 2:\n%s", out)
 	}
 	if u := p.utilization(); u <= 0 || u > 1 {
 		t.Fatalf("utilization = %v", u)

@@ -274,7 +274,6 @@ const maxSweepRequestBytes = 1 << 20
 type Server struct {
 	m        *Manager
 	mux      *http.ServeMux
-	reg      *obs.Registry
 	draining atomic.Bool
 	adm      atomic.Pointer[admission]
 }
@@ -296,9 +295,21 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // what is already in flight. Idempotent.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Registry returns the server's metric registry (cluster, store and sweep
-// families); /metrics serves exactly it.
-func (s *Server) Registry() *obs.Registry { return s.reg }
+// WriteMetrics writes the server's Prometheus exposition: its cluster's
+// families, the sweep counts, then its store's. /metrics serves it, and
+// greensrv writes it once more when it drains.
+func (s *Server) WriteMetrics(w io.Writer) error {
+	e := obs.NewExposition(w)
+	s.m.Cluster().WriteMetrics(e)
+	total, finished := s.m.Counts()
+	e.Counter("greenweb_fleet_sweeps_total", "Sweeps ever registered", float64(total))
+	e.Counter("greenweb_fleet_sweeps_finished_total",
+		"Sweeps whose every job reached a terminal state", float64(finished))
+	if st := s.m.Store(); st != nil {
+		st.WriteMetrics(e)
+	}
+	return e.Flush()
+}
 
 // eventRow is one NDJSON line of GET /v1/sweeps/{id}/events: the job's
 // coordinates plus the embedded, rendered per-frame decision.
@@ -311,15 +322,7 @@ type eventRow struct {
 
 // NewServer builds the HTTP API (see Server for the route table).
 func NewServer(m *Manager) *Server {
-	srv := &Server{m: m, mux: http.NewServeMux(), reg: obs.NewRegistry()}
-	m.Cluster().RegisterMetrics(srv.reg)
-	if st := m.Store(); st != nil {
-		st.RegisterMetrics(srv.reg)
-	}
-	srv.reg.CounterFunc("greenweb_fleet_sweeps_total",
-		"Sweeps ever registered", func() float64 { t, _ := m.Counts(); return float64(t) })
-	srv.reg.CounterFunc("greenweb_fleet_sweeps_finished_total",
-		"Sweeps whose every job reached a terminal state", func() float64 { _, f := m.Counts(); return float64(f) })
+	srv := &Server{m: m, mux: http.NewServeMux()}
 	mux := srv.mux
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -334,7 +337,7 @@ func NewServer(m *Manager) *Server {
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		srv.reg.WritePrometheus(w)
+		srv.WriteMetrics(w)
 	})
 
 	// Profiling endpoints. pprof.Index dispatches /debug/pprof/<name> to the

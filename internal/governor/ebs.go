@@ -42,9 +42,6 @@ var ebsBuckets = []sim.Duration{
 // NewEBS returns an event-based scheduler.
 func NewEBS() *EBS { return &EBS{guess: make(map[string]sim.Duration)} }
 
-// Name implements browser.Governor.
-func (g *EBS) Name() string { return "EBS" }
-
 // Attach implements browser.Governor.
 func (g *EBS) Attach(e *browser.Engine) {
 	g.e = e

@@ -71,12 +71,6 @@ func TestEBSGuessesFromMeasuredLatency(t *testing.T) {
 	}
 }
 
-func TestEBSName(t *testing.T) {
-	if NewEBS().Name() != "EBS" {
-		t.Fatal("name wrong")
-	}
-}
-
 func TestEBSConfigForMapping(t *testing.T) {
 	g := NewEBS()
 	if g.configFor(16600*sim.Microsecond) != acmp.PeakConfig() {

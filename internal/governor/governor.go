@@ -43,9 +43,6 @@ type Perf struct{}
 // NewPerf returns the Perf governor.
 func NewPerf() *Perf { return &Perf{} }
 
-// Name implements browser.Governor.
-func (*Perf) Name() string { return "Perf" }
-
 // Attach implements browser.Governor.
 func (*Perf) Attach(e *browser.Engine) { e.CPU().SetConfig(acmp.PeakConfig()) }
 
@@ -67,9 +64,6 @@ type Powersave struct{}
 
 // NewPowersave returns the Powersave governor.
 func NewPowersave() *Powersave { return &Powersave{} }
-
-// Name implements browser.Governor.
-func (*Powersave) Name() string { return "Powersave" }
 
 // Attach implements browser.Governor.
 func (*Powersave) Attach(e *browser.Engine) { e.CPU().SetConfig(acmp.LowestConfig()) }
@@ -136,9 +130,6 @@ type Interactive struct {
 
 // NewInteractive returns an Interactive governor with the given parameters.
 func NewInteractive(p InteractiveParams) *Interactive { return &Interactive{P: p} }
-
-// Name implements browser.Governor.
-func (g *Interactive) Name() string { return "Interactive" }
 
 // Attach implements browser.Governor.
 func (g *Interactive) Attach(e *browser.Engine) {
@@ -247,9 +238,6 @@ type Ondemand struct {
 func NewOndemand() *Ondemand {
 	return &Ondemand{SamplePeriod: 100 * sim.Millisecond, UpThreshold: 0.80}
 }
-
-// Name implements browser.Governor.
-func (g *Ondemand) Name() string { return "Ondemand" }
 
 // Attach implements browser.Governor.
 func (g *Ondemand) Attach(e *browser.Engine) {

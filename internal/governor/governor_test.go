@@ -178,15 +178,3 @@ func TestPerfScaleOrdering(t *testing.T) {
 		}
 	}
 }
-
-func TestGovernorNames(t *testing.T) {
-	if NewPerf().Name() != "Perf" || NewPowersave().Name() != "Powersave" {
-		t.Fatal("names wrong")
-	}
-	if NewInteractive(DefaultInteractiveParams()).Name() != "Interactive" {
-		t.Fatal("interactive name wrong")
-	}
-	if NewOndemand().Name() != "Ondemand" {
-		t.Fatal("ondemand name wrong")
-	}
-}

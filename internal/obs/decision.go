@@ -31,9 +31,10 @@ type Decision struct {
 	BusyUS  int64
 }
 
-// DecisionRow is a Decision as the event log encodes it (GET
-// /v1/sweeps/{id}/events, WriteNDJSON): the runtime's fields rendered as
-// display strings, and omitted when the runtime did not record them.
+// DecisionRow is a Decision as the event log encodes it (WriteNDJSON, and
+// embedded in each GET /v1/sweeps/{id}/events row): the runtime's fields
+// rendered as display strings, and omitted when the runtime did not record
+// them.
 type DecisionRow struct {
 	Span  int `json:"span"`
 	Frame int `json:"frame,omitempty"`
@@ -131,8 +132,9 @@ func DecisionsOf(spans []ledger.Span) []Decision {
 	return out
 }
 
-// WriteNDJSON streams decisions one JSON object per line — the format
-// greensrv serves at GET /v1/sweeps/{id}/events.
+// WriteNDJSON streams decisions one DecisionRow per line. Each row of
+// greensrv's GET /v1/sweeps/{id}/events embeds the same fields after the
+// job's index, app and kind.
 func WriteNDJSON(w io.Writer, ds []Decision) error {
 	enc := json.NewEncoder(w)
 	for i := range ds {

@@ -6,8 +6,9 @@ import (
 )
 
 // Histogram counts observations into fixed buckets. The fleet uses it for
-// wall-clock job latency (seconds); it is safe for concurrent Observe calls
-// from many workers.
+// wall-clock job latency and the store for fsync latency (seconds); it is
+// safe for concurrent Observe calls from many workers, and an Exposition
+// reads it straight from its buckets.
 type Histogram struct {
 	mu     sync.Mutex
 	bounds []float64 // inclusive upper bounds, ascending
@@ -44,41 +45,4 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 	h.n++
 	h.mu.Unlock()
-}
-
-// HistogramBucket is one snapshot row: the count of observations ≤ LE that
-// fell above the previous bound. The overflow bucket is the final row with
-// LE == -1 (observations above every bound).
-type HistogramBucket struct {
-	LE    float64 `json:"le"` // -1 marks the overflow bucket
-	Count uint64  `json:"count"`
-}
-
-// HistogramSnapshot is a consistent copy of the histogram state. Buckets
-// holds only occupied buckets (compact for logs/JSON); Bounds holds the full
-// bound ladder so Prometheus cumulative export can recover the empty
-// buckets in between.
-type HistogramSnapshot struct {
-	Buckets []HistogramBucket `json:"buckets"`
-	Bounds  []float64         `json:"bounds,omitempty"`
-	Count   uint64            `json:"count"`
-	Sum     float64           `json:"sum"`
-}
-
-// Snapshot copies the current state; empty buckets are elided.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := HistogramSnapshot{Count: h.n, Sum: h.sum, Bounds: h.bounds}
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		le := -1.0
-		if i < len(h.bounds) {
-			le = h.bounds[i]
-		}
-		s.Buckets = append(s.Buckets, HistogramBucket{LE: le, Count: c})
-	}
-	return s
 }

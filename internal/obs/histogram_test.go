@@ -1,50 +1,53 @@
 package obs
 
 import (
-	"math"
+	"io"
+	"strings"
 	"sync"
 	"testing"
 )
 
-func approx(t *testing.T, name string, got, want float64) {
-	t.Helper()
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("%s = %v, want %v", name, got, want)
+// TestHistogramBucketsAndStats: observations land in the first bucket whose
+// bound they do not exceed (bounds are inclusive), values past the last
+// bound land only in +Inf, and the buckets are cumulative, with sum and
+// count covering every observation.
+func TestHistogramBucketsAndStats(t *testing.T) {
+	h := NewHistogram([]float64{0.25, 1, 4})
+	for _, v := range []float64{0.125, 0.25, 0.5, 2, 8} {
+		h.Observe(v)
+	}
+	got := expose(t, func(e *Exposition) { e.Histogram("lat", "Latency.", h) })
+	want := `# HELP lat Latency.
+# TYPE lat histogram
+lat_bucket{le="0.25"} 2
+lat_bucket{le="1"} 3
+lat_bucket{le="4"} 4
+lat_bucket{le="+Inf"} 5
+lat_sum 10.875
+lat_count 5
+`
+	if got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }
 
-// TestHistogramBucketsAndStats: observations land in the first bucket whose
-// bound they do not exceed (bounds are inclusive), values past the last
-// bound land in the overflow bucket reported as LE -1, and the snapshot's
-// count and sum cover every observation.
-func TestHistogramBucketsAndStats(t *testing.T) {
-	h := NewHistogram([]float64{0.01, 0.1, 1})
-	for _, v := range []float64{0.005, 0.01, 0.05, 0.5, 5} {
-		h.Observe(v)
+// TestHistogramEmpty: an empty histogram still writes its whole bucket
+// ladder, every bucket 0.
+func TestHistogramEmpty(t *testing.T) {
+	got := expose(t, func(e *Exposition) { e.Histogram("lat", "Latency.", NewLatencyHistogram()) })
+	if n := strings.Count(got, "_bucket{"); n != 16 {
+		t.Errorf("%d buckets, want 15 bounds and +Inf:\n%s", n, got)
 	}
-	s := h.Snapshot()
-	if s.Count != 5 {
-		t.Fatalf("count = %d, want 5", s.Count)
-	}
-	approx(t, "sum", s.Sum, 5.565)
-	want := map[float64]uint64{0.01: 2, 0.1: 1, 1: 1, -1: 1}
-	if len(s.Buckets) != len(want) {
-		t.Fatalf("buckets = %+v, want %v", s.Buckets, want)
-	}
-	for _, b := range s.Buckets {
-		if want[b.LE] != b.Count {
-			t.Errorf("bucket ≤%g = %d, want %d", b.LE, b.Count, want[b.LE])
+	for _, line := range strings.Split(strings.TrimSpace(got), "\n") {
+		if !strings.HasPrefix(line, "#") && !strings.HasSuffix(line, " 0") {
+			t.Errorf("empty histogram line %q is not 0", line)
 		}
 	}
 }
 
-func TestHistogramEmpty(t *testing.T) {
-	s := NewLatencyHistogram().Snapshot()
-	if s.Count != 0 || s.Sum != 0 || len(s.Buckets) != 0 {
-		t.Fatalf("empty snapshot not empty: %+v", s)
-	}
-}
-
+// TestHistogramConcurrentObserve: workers observe while a scraper writes the
+// histogram, as the fleet's pullers do under a live /metrics; run under
+// -race. Every observation is counted once.
 func TestHistogramConcurrentObserve(t *testing.T) {
 	h := NewLatencyHistogram()
 	var wg sync.WaitGroup
@@ -57,9 +60,31 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 			}
 		}(w)
 	}
+	stop, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e := NewExposition(io.Discard)
+			e.Histogram("lat", "Latency.", h)
+			if err := e.Flush(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	wg.Wait()
-	if s := h.Snapshot(); s.Count != 8000 {
-		t.Fatalf("count = %d, want 8000", s.Count)
+	close(stop)
+	<-scraped
+	got := expose(t, func(e *Exposition) { e.Histogram("lat", "Latency.", h) })
+	for _, want := range []string{"lat_bucket{le=\"0.002\"} 2000\n", "lat_bucket{le=\"0.01\"} 8000\n", "lat_count 8000\n"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("exposition missing %q:\n%s", want, got)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -30,73 +31,72 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// labelSet renders {k="v",...} for parallel name/value slices.
-func labelSet(names, values []string) string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(n)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(values[i]))
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
+// Exposition writes one scrape in Prometheus text format. Each owner writes
+// its families in turn, reading its own counters as it goes, and families
+// come out in the order they are written. Nothing checks that a name is
+// written once or that a sample fits its family's type: each name is
+// spelled by the one owner that writes it, and every reader looks families
+// up by name.
+type Exposition struct {
+	w    *bufio.Writer
+	name string // the family Labeled samples belong to
 }
 
-// writeFamily renders one family: metadata lines then samples.
-func writeFamily(w *bufio.Writer, f *family) {
-	if f.help != "" {
-		w.WriteString("# HELP " + f.name + " " + escapeHelp(f.help) + "\n")
-	}
-	w.WriteString("# TYPE " + f.name + " " + f.typ + "\n")
-
-	fn, hist, children := f.sources()
-	switch {
-	case hist != nil:
-		writeHistogram(w, f.name, hist.Snapshot())
-	case fn != nil:
-		w.WriteString(f.name + " " + formatValue(fn()) + "\n")
-	}
-	for _, ch := range children {
-		w.WriteString(f.name + labelSet(f.labels, ch.values) + " " + formatValue(ch.fn()) + "\n")
-	}
+// NewExposition returns an exposition writing to w; Flush ends it.
+func NewExposition(w io.Writer) *Exposition {
+	return &Exposition{w: bufio.NewWriter(w)}
 }
 
-// writeHistogram renders the cumulative bucket series, including empty
-// buckets (Prometheus quantile math needs the full ladder), then sum and
-// count.
-func writeHistogram(w *bufio.Writer, name string, s HistogramSnapshot) {
-	perBucket := make(map[float64]uint64, len(s.Buckets))
-	var overflow uint64
-	for _, b := range s.Buckets {
-		if b.LE < 0 {
-			overflow = b.Count
-		} else {
-			perBucket[b.LE] = b.Count
-		}
-	}
+// Family starts a family of type typ ("counter" or "gauge"): its HELP and
+// TYPE lines. Its samples follow with Labeled.
+func (e *Exposition) Family(name, help, typ string) {
+	e.name = name
+	e.w.WriteString("# HELP " + name + " " + escapeHelp(help) + "\n# TYPE " + name + " " + typ + "\n")
+}
+
+// Counter writes an unlabeled counter family of one sample.
+func (e *Exposition) Counter(name, help string, v float64) {
+	e.Family(name, help, "counter")
+	e.sample(name, v)
+}
+
+// Gauge writes an unlabeled gauge family of one sample.
+func (e *Exposition) Gauge(name, help string, v float64) {
+	e.Family(name, help, "gauge")
+	e.sample(name, v)
+}
+
+// Labeled writes one sample of the family Family last started, under one
+// label.
+func (e *Exposition) Labeled(label, value string, v float64) {
+	e.sample(e.name+"{"+label+`="`+escapeLabel(value)+`"}`, v)
+}
+
+// Histogram writes h as a histogram family: the cumulative bucket series,
+// including empty buckets (Prometheus quantile math needs the full ladder)
+// and +Inf, then sum and count. It copies h's counts under h's lock, so a
+// slow reader never holds up Observe.
+func (e *Exposition) Histogram(name, help string, h *Histogram) {
+	h.mu.Lock()
+	counts, sum, n := slices.Clone(h.counts), h.sum, h.n
+	h.mu.Unlock()
+	e.Family(name, help, "histogram")
 	var cum uint64
-	for _, le := range s.Bounds {
-		cum += perBucket[le]
-		w.WriteString(name + `_bucket{le="` + formatValue(le) + `"} ` + strconv.FormatUint(cum, 10) + "\n")
+	for i, c := range counts {
+		cum += c
+		le := "+Inf"
+		if i < len(h.bounds) {
+			le = formatValue(h.bounds[i])
+		}
+		e.w.WriteString(name + `_bucket{le="` + le + `"} ` + strconv.FormatUint(cum, 10) + "\n")
 	}
-	cum += overflow
-	w.WriteString(name + `_bucket{le="+Inf"} ` + strconv.FormatUint(cum, 10) + "\n")
-	w.WriteString(name + "_sum " + formatValue(s.Sum) + "\n")
-	w.WriteString(name + "_count " + strconv.FormatUint(s.Count, 10) + "\n")
+	e.sample(name+"_sum", sum)
+	e.w.WriteString(name + "_count " + strconv.FormatUint(n, 10) + "\n")
 }
 
-// WritePrometheus renders the registry in Prometheus text format, families
-// sorted by name, labeled children sorted by label values. Output is
-// deterministic for a given registry state.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, f := range r.sortedFamilies() {
-		writeFamily(bw, f)
-	}
-	return bw.Flush()
+func (e *Exposition) sample(series string, v float64) {
+	e.w.WriteString(series + " " + formatValue(v) + "\n")
 }
+
+// Flush writes out what is buffered and returns the first write error.
+func (e *Exposition) Flush() error { return e.w.Flush() }

@@ -60,12 +60,13 @@ type Span struct {
 	Attrs   map[string]string `json:"attrs,omitempty"`
 }
 
-// spanSeq feeds process-locally unique span ids. The pid is mixed into the
-// high bits so ids minted by different processes of one sweep cannot
-// collide (parent links must stay unambiguous after the merge).
+// spanSeq feeds process-locally unique span ids. One process records all
+// of a sweep's spans (greensrv; bench records its own run's), so nothing
+// merges ids minted elsewhere; the pid in the high bits only keeps two
+// processes' trace files from sharing an id.
 var spanSeq atomic.Uint64
 
-// NewSpanID mints a span id unique across the fleet's processes.
+// NewSpanID mints a span id unique within the process.
 func NewSpanID() uint64 {
 	return uint64(os.Getpid()&0xffff)<<48 | (spanSeq.Add(1) & (1<<48 - 1))
 }

@@ -394,14 +394,8 @@ func TestRemoteHealthMetricsExposition(t *testing.T) {
 	}
 	c := fleet.NewWithNodes([]fleet.Node{n})
 	defer c.Close()
-	reg := obs.NewRegistry()
-	c.RegisterMetrics(reg)
 
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := scrape(t, c)
 	for _, want := range []string{
 		`greenweb_shard_node_up{node="0"} 1`,
 		`greenweb_shard_heartbeat_rtt_seconds{node="0"}`,
@@ -545,8 +539,6 @@ func TestRemoteFailedJobRunsOnce(t *testing.T) {
 	}
 	c := fleet.NewWithNodes([]fleet.Node{n})
 	defer c.Close()
-	reg := obs.NewRegistry()
-	c.RegisterMetrics(reg)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	jobs := []fleet.Job{
@@ -583,12 +575,8 @@ func TestRemoteFailedJobRunsOnce(t *testing.T) {
 		}
 	}
 	mu.Unlock()
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if want := "greenweb_fleet_jobs_failed_total 2\n"; !strings.Contains(buf.String(), want) {
-		t.Fatalf("exposition missing %q:\n%s", want, buf.String())
+	if want, out := "greenweb_fleet_jobs_failed_total 2\n", scrape(t, c); !strings.Contains(out, want) {
+		t.Fatalf("exposition missing %q:\n%s", want, out)
 	}
 }
 
@@ -632,8 +620,6 @@ func TestEvictedNodesReadDown(t *testing.T) {
 	nodes = append(nodes, fleet.NewLocalNode(fleet.Options{Execute: exec}))
 	c := fleet.NewWithNodes(nodes)
 	defer c.Close()
-	reg := obs.NewRegistry()
-	c.RegisterMetrics(reg)
 	c.Evict(0)
 	c.Evict(2)
 
@@ -643,13 +629,10 @@ func TestEvictedNodesReadDown(t *testing.T) {
 			t.Errorf("node %d (%s): up %v, want %v", i, info.Kind, info.Up, want[i])
 		}
 	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
+	out := scrape(t, c)
 	for i, up := range want {
 		line := fmt.Sprintf("greenweb_shard_node_up{node=%q} %d\n", fmt.Sprint(i), map[bool]int{false: 0, true: 1}[up])
-		if !strings.Contains(buf.String(), line) {
+		if !strings.Contains(out, line) {
 			t.Errorf("exposition missing %q", line)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sync"
@@ -64,21 +65,19 @@ func NewWorker(opts WorkerOptions) *Worker {
 // frames).
 func (w *Worker) Workers() int { return w.cluster.Workers() }
 
-// RegisterMetrics exposes the worker's transport counters plus its
-// cluster's greenweb_fleet_* and greenweb_shard_* families on an obs
-// registry — the greennode -http health surface serves exactly this.
-func (w *Worker) RegisterMetrics(reg *obs.Registry) {
-	w.cluster.RegisterMetrics(reg)
-	reg.GaugeFunc("greenweb_node_connections",
-		"Client connections currently served", func() float64 {
-			w.mu.Lock()
-			defer w.mu.Unlock()
-			return float64(len(w.conns))
-		})
-	reg.CounterFunc("greenweb_node_connections_total",
-		"Client connections ever accepted", func() float64 { return float64(w.connsTotal.Load()) })
-	reg.CounterFunc("greenweb_node_jobs_total",
-		"Job frames executed", func() float64 { return float64(w.jobsTotal.Load()) })
+// WriteMetrics writes the worker's Prometheus exposition: its cluster's
+// greenweb_fleet_* and greenweb_shard_* families, then its transport
+// counters (greenweb_node_*). The greennode -http surface serves it.
+func (w *Worker) WriteMetrics(out io.Writer) error {
+	e := obs.NewExposition(out)
+	w.cluster.WriteMetrics(e)
+	w.mu.Lock()
+	conns := len(w.conns)
+	w.mu.Unlock()
+	e.Gauge("greenweb_node_connections", "Client connections currently served", float64(conns))
+	e.Counter("greenweb_node_connections_total", "Client connections ever accepted", float64(w.connsTotal.Load()))
+	e.Counter("greenweb_node_jobs_total", "Job frames executed", float64(w.jobsTotal.Load()))
+	return e.Flush()
 }
 
 // Serve accepts connections on l until Close (or Kill). It returns the

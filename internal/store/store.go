@@ -370,23 +370,19 @@ func (s *Store) Close() error {
 	return err
 }
 
-// RegisterMetrics exposes the store's counters on an obs registry under the
-// greenweb_store_* names.
-func (s *Store) RegisterMetrics(reg *obs.Registry) {
-	reg.AttachHistogram("greenweb_store_fsync_seconds",
-		"WAL fsync latency in seconds", s.fsyncHist)
-	reg.GaugeFunc("greenweb_store_wal_bytes",
-		"Current WAL size in bytes", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.walBytes)
-		})
-	reg.CounterFunc("greenweb_store_sweeps_persisted_total",
-		"Sweeps made durable (end record fsynced)", func() float64 { return float64(s.persisted.Load()) })
-	reg.CounterFunc("greenweb_store_torn_records_total",
-		"Torn/corrupt WAL tails discarded during recovery", func() float64 { return float64(s.torn.Load()) })
-	reg.CounterFunc("greenweb_store_dropped_sweeps_total",
-		"Incomplete sweeps discarded during recovery", func() float64 { return float64(s.dropped.Load()) })
-	reg.CounterFunc("greenweb_store_errors_total",
-		"WAL write and fsync failures", func() float64 { return float64(s.errs.Load()) })
+// WriteMetrics writes the store's families under the greenweb_store_*
+// names.
+func (s *Store) WriteMetrics(e *obs.Exposition) {
+	e.Histogram("greenweb_store_fsync_seconds", "WAL fsync latency in seconds", s.fsyncHist)
+	s.mu.Lock()
+	walBytes := s.walBytes
+	s.mu.Unlock()
+	e.Gauge("greenweb_store_wal_bytes", "Current WAL size in bytes", float64(walBytes))
+	e.Counter("greenweb_store_sweeps_persisted_total",
+		"Sweeps made durable (end record fsynced)", float64(s.persisted.Load()))
+	e.Counter("greenweb_store_torn_records_total",
+		"Torn/corrupt WAL tails discarded during recovery", float64(s.torn.Load()))
+	e.Counter("greenweb_store_dropped_sweeps_total",
+		"Incomplete sweeps discarded during recovery", float64(s.dropped.Load()))
+	e.Counter("greenweb_store_errors_total", "WAL write and fsync failures", float64(s.errs.Load()))
 }

@@ -360,14 +360,14 @@ func TestStoreErrorsCounter(t *testing.T) {
 	if s.Errors() == 0 {
 		t.Fatal("WAL failure not counted in Errors()")
 	}
-	reg := obs.NewRegistry()
-	s.RegisterMetrics(reg)
 	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
+	e := obs.NewExposition(&buf)
+	s.WriteMetrics(e)
+	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "greenweb_store_errors_total") {
-		t.Fatalf("exposition missing greenweb_store_errors_total:\n%s", buf.String())
+	if want := fmt.Sprintf("greenweb_store_errors_total %d\n", s.Errors()); !strings.Contains(buf.String(), want) {
+		t.Fatalf("exposition missing %q:\n%s", want, buf.String())
 	}
 }
 
